@@ -41,8 +41,7 @@ from .ktheory import (
     ResonantSample,
     fm_transform,
     minus_basis,
-    uhfm_sensitivity,
-    verify_pairing_preserved,
+    pairing_residuals,
     verify_uhfm,
 )
 from .localization import normal_weights
@@ -236,6 +235,17 @@ def _label_name(label):
     return "delta=%s f=%s" % (list(label.delta), [str(x) for x in label.f])
 
 
+def _basis_name(delta, rho):
+    return "e(delta=%s, rho=%s)" % (list(delta), list(rho))
+
+
+def _margin_digits(tol, residual):
+    """Digits between a residual and its tolerance; None when either is 0."""
+    if residual > 0 and tol > 0:
+        return math.log10(tol / residual)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -325,7 +335,7 @@ def cmd_fm(cfg):
     for delta, rho in minus_basis(wc):
         image = fm_transform(wc, delta, rho)
         rows.append({
-            "basis": "e(delta=%s, rho=%s)" % (list(delta), list(rho)),
+            "basis": _basis_name(delta, rho),
             "image": image.describe(),
             "terms": len(image.terms),
         })
@@ -359,13 +369,18 @@ def _suite_uhfm(cfg, wc):
     lams = generic_lambdas(wc, cfg["samples"], cfg["seed"],
                            clearance=cfg["tolerances"]["pole_clearance"])
     rep = verify_uhfm(wc, lams)
-    sens = uhfm_sensitivity(wc, lams, epsilon=1e-3)
+    sens = rep.sensitivity(1e-3)
     ok = rep.max_residual < tol and sens > floor
+    worst = None
+    if rep.worst is not None:
+        (delta, rho), label = rep.worst
+        worst = "%s at %s" % (_basis_name(delta, rho), _label_name(label))
     return {
         "max_residual": rep.max_residual,
         "tolerance": tol,
+        "margin_digits": _margin_digits(tol, rep.max_residual),
         "checked": rep.n_checked,
-        "worst": str(rep.worst),
+        "worst": worst,
         "sensitivity_residual": sens,
         "sensitivity_floor": floor,
     }, ok
@@ -375,22 +390,22 @@ def _suite_pairing(cfg, wc):
     tol = cfg["tolerances"]["pairing"]
     lams = generic_lambdas(wc, cfg["samples"], cfg["seed"],
                            clearance=cfg["tolerances"]["pole_clearance"])
+    zs = [cfg["z"] * (1.0 + 0.07 * (i % 5)) for i in range(len(lams))]
+    rep = pairing_residuals(wc, lams, zs)
     worst = 0.0
     worst_sample = None
     used = 0
-    for i, lam in enumerate(lams):
-        z = cfg["z"] * (1.0 + 0.07 * (i % 5))
-        try:
-            resid = verify_pairing_preserved(wc, lam, z)
-            used += 1
-        except ResonantSample:
+    for i, (resid, resonant) in enumerate(zip(rep.residuals, rep.resonant)):
+        if resonant:
             continue
+        used += 1
         if resid > worst:
-            worst, worst_sample = resid, i
+            worst, worst_sample = float(resid), i
     ok = worst < tol and used >= max(1, cfg["samples"] // 2)
     return {
         "max_residual": worst,
         "tolerance": tol,
+        "margin_digits": _margin_digits(tol, worst),
         "samples_used": used,
         "worst_sample": worst_sample,
     }, ok

@@ -293,6 +293,7 @@ class WallCrossing:
     A_plus: AnticoneSet
     A_minus: AnticoneSet
     e: tuple
+    pairings: tuple  # the integers D_i . e, one per character
     M_plus: tuple
     M_minus: tuple
     M_zero: tuple
@@ -304,7 +305,7 @@ class WallCrossing:
     xi_minus: dict = field(hash=False)
 
     def pair_e(self, i):
-        return int(vdot(self.git.D[i], self.e))
+        return self.pairings[i]
 
     def on_wall(self, v):
         return vdot(v, self.e) == 0
@@ -455,13 +456,13 @@ def wall_crossing(git, omega_plus, omega_minus):
     (normal, _t), = crossings.items()
     e = normal if vdot(omega_plus, normal) > 0 else tuple(-x for x in normal)
 
-    if sum(vdot(git.D[i], e) for i in range(git.m)) != 0:
+    pairings = tuple(int(vdot(row, e)) for row in git.D)
+    if sum(pairings) != 0:
         raise NotCrepant("sum of characters does not lie on the wall")
 
-    pair = lambda i: int(vdot(git.D[i], e))
-    M_plus = tuple(i for i in range(git.m) if pair(i) > 0)
-    M_minus = tuple(i for i in range(git.m) if pair(i) < 0)
-    M_zero = tuple(i for i in range(git.m) if pair(i) == 0)
+    M_plus = tuple(i for i in range(git.m) if pairings[i] > 0)
+    M_minus = tuple(i for i in range(git.m) if pairings[i] < 0)
+    M_zero = tuple(i for i in range(git.m) if pairings[i] == 0)
     if not M_plus or not M_minus:
         raise NotAdjacent("wall normal pairs with one sign only")
     S_plus = A_plus.s_set
@@ -477,6 +478,7 @@ def wall_crossing(git, omega_plus, omega_minus):
         A_plus=A_plus,
         A_minus=A_minus,
         e=e,
+        pairings=pairings,
         M_plus=M_plus,
         M_minus=M_minus,
         M_zero=M_zero,

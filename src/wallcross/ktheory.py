@@ -6,7 +6,9 @@ a distinguished root generator t attached to one negative direction.  The
 pull-push transform of a point basis element is computed in closed form and
 compared, through fixed-point Chern characters, with the analytic
 continuation coefficients; the Euler pairing is evaluated by an inertia
-fixed-point sum.
+fixed-point sum.  Restriction to a fixed point is a ring homomorphism, so
+the verification drivers restrict each class exactly once per point and lift
+and evaluate all samples together as arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -26,10 +30,12 @@ from .gitfan import (
 )
 from .hypergeom import check_generic, log_gamma
 from .lattice import frac_part, intvec, ratvec, solve_square, vdot
-from .localization import LinearForm, restrict_u, theta_restrict, zero_form
+from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
 TWO_PI_I = 2j * math.pi
+# a localization denominator factor smaller than this makes a sample resonant
+RESONANCE_CLEARANCE = 1e-9
 
 
 class NonLaurent(ValueError):
@@ -298,27 +304,33 @@ def restriction_terms(git, kclass, delta, f_lift):
     form, so zero restrictions cancel exactly.
     """
     u = restrict_u(git, delta)
+    u_nonzero = [[(i, x) for i, x in enumerate(form.coeffs) if x] for form in u]
     f_lift = ratvec(f_lift)
+    d_f = [vdot(row, f_lift) for row in git.D]
+    thetas = {}
     out = []
     for mono, c in kclass.terms:
         phase = Fraction(0)
-        form = zero_form(git.m)
+        coeffs = [Fraction(x) for x in mono.ch]
         if any(mono.p):
-            phase += vdot(mono.p, f_lift)
-            form = form + theta_restrict(git, delta, [Fraction(x) for x in mono.p])
+            if mono.p not in thetas:
+                theta = theta_restrict(git, delta, [Fraction(x) for x in mono.p])
+                thetas[mono.p] = (vdot(mono.p, f_lift), theta.coeffs)
+            p_phase, p_coeffs = thetas[mono.p]
+            phase += p_phase
+            coeffs = [a + b for a, b in zip(coeffs, p_coeffs)]
         for j, a in enumerate(mono.s):
             if a:
-                phase += a * (-vdot(git.D[j], f_lift))
-                form = form + u[j].scale(-a)
-        coeffs = [Fraction(x) for x in mono.ch]
-        if any(coeffs):
-            form = form + LinearForm(tuple(coeffs))
+                phase -= a * d_f[j]
+                for i, x in u_nonzero[j]:
+                    coeffs[i] -= a * x
         if mono.t:
             datum = kclass.t_datum
             assert datum is not None
-            phase += mono.t * (datum.zeta + vdot(git.D[datum.j_minus], f_lift) / datum.l)
-            form = form + u[datum.j_minus].scale(Fraction(mono.t, datum.l))
-        out.append((c, frac_part(phase), form))
+            phase += mono.t * (datum.zeta + d_f[datum.j_minus] / datum.l)
+            for i, x in u_nonzero[datum.j_minus]:
+                coeffs[i] += Fraction(mono.t, datum.l) * x
+        out.append((c, frac_part(phase), LinearForm(tuple(coeffs))))
     return tuple(out)
 
 
@@ -334,6 +346,61 @@ def chern_restrict(git, kclass, label, lam, lift=None):
     if lift is None:
         lift = label.f
     return eval_terms(restriction_terms(git, kclass, label.delta, lift), lam)
+
+
+# ---------------------------------------------------------------------------
+# compiled restrictions: exact once per (class, point, lift), then every
+# sample at once
+
+
+def lambda_matrix(lam_samples, zs=None):
+    """Samples as the columns of an (m, S) array.  With ``zs``, sample s
+    becomes 2 pi i lam_s / z_s, the substitution of the modified pairing."""
+    lams = np.array(lam_samples, dtype=complex).T
+    if zs is None:
+        return lams
+    return TWO_PI_I * lams / np.array(zs, dtype=complex)
+
+
+class CompiledRestriction(NamedTuple):
+    """A restricted class as arrays: its value at the samples ``lams`` is
+    weights @ exp(forms @ lams)."""
+
+    weights: np.ndarray  # coeff * exp(2 pi i phase), one per distinct term
+    forms: np.ndarray  # (terms, m) linear forms as floats
+
+    def values(self, lams):
+        return self.weights @ np.exp(self.forms @ lams)
+
+    def dual(self):
+        """The restriction of the dual class: phases and forms negated (the
+        coefficients are integers, so negating a phase conjugates its
+        weight)."""
+        return CompiledRestriction(self.weights.conj(), -self.forms)
+
+
+def compile_restriction(git, kclass, delta, f_lift):
+    """restriction_terms with equal (phase, form) terms merged exactly, as
+    arrays."""
+    merged = {}
+    for c, phase, form in restriction_terms(git, kclass, delta, f_lift):
+        key = (phase, form.coeffs)
+        merged[key] = merged.get(key, 0) + c
+    items = [(c, phase, coeffs) for (phase, coeffs), c in merged.items() if c]
+    weights = np.array([c * cmath.exp(TWO_PI_I * complex(phase)) for c, phase, _ in items],
+                       dtype=complex)
+    forms = np.array([[float(a) for a in coeffs] for _, _, coeffs in items], dtype=float)
+    return CompiledRestriction(weights, forms.reshape(len(items), git.m))
+
+
+def _rows(values, lams):
+    """Per-class sample vectors as a (classes, samples) array."""
+    return np.array(values, dtype=complex).reshape(len(values), lams.shape[1])
+
+
+def _restricted(git, classes, delta, f_lift, lams):
+    """(classes, samples) array of restrictions at one point and lift."""
+    return _rows([compile_restriction(git, c, delta, f_lift).values(lams) for c in classes], lams)
 
 
 # ---------------------------------------------------------------------------
@@ -401,131 +468,175 @@ def framing_restrict(git, E, label, lam, z, log_z=None):
 # Euler pairing by inertia fixed-point sum
 
 
-def euler_pairing(git, A, E, F, lam, z=None, clearance=1e-9):
-    """Equivariant Euler pairing by summation over inertia fixed points.
+def localization_gram(git, A, left, right, lams):
+    """Localized Euler pairings chi(E_a, F_b) at every sample at once.
 
-    Each inertia fixed point contributes the restriction of dual(E) * F
-    divided by the isotropy order and by the product over normal directions
-    of (1 - phase * exp(-u)); the modified pairing substitutes 2 pi i lam/z
-    for lam first.
+    Each inertia fixed point contributes the restriction of dual(E_a) times
+    that of F_b, divided by the isotropy order and by the product over
+    normal directions of (1 - phase * exp(-u)).  The dual restriction is the
+    compiled restriction of E_a with phases and forms negated, so no product
+    class is formed.  Returns the (len(left), len(right), S) Gram array and,
+    per sample, the smallest normal factor in absolute value.
     """
-    lam_eff = tuple(TWO_PI_I * li / z for li in lam) if z is not None else tuple(lam)
-    integrand = E.dual() * F
-    total = 0j
+    n_samples = lams.shape[1]
+    gram = np.zeros((len(left), len(right), n_samples), dtype=complex)
+    smallest = np.full(n_samples, np.inf)
+    sectors = box_elements(git, A)
     for delta in A.minimal:
         u = restrict_u(git, delta)
         order = isotropy_order(git, delta)
-        for sec in box_elements(git, A):
+        normal = [j for j in range(git.m) if j not in delta]
+        u_forms = np.array([[float(a) for a in u[j].coeffs] for j in normal], dtype=float)
+        u_vals = u_forms.reshape(len(normal), git.m) @ lams
+        for sec in sectors:
             if not all(i in sec.I_f for i in delta):
                 continue
-            num = eval_terms(restriction_terms(git, integrand, delta, sec.f), lam_eff)
-            den = 1.0 + 0j
-            for j in range(git.m):
-                if j in delta:
-                    continue
-                phase = cmath.exp(-TWO_PI_I * complex(frac_part(vdot(git.D[j], sec.f))))
-                factor = 1 - phase * cmath.exp(-u[j](lam_eff))
-                if abs(factor) < clearance:
-                    raise ResonantSample("localization denominator %g at %s" % (abs(factor), delta))
-                den *= factor
-            total += num / (order * den)
-    return total
+            phases = np.array([cmath.exp(-TWO_PI_I * complex(frac_part(vdot(git.D[j], sec.f))))
+                               for j in normal], dtype=complex)
+            factors = 1 - phases[:, None] * np.exp(-u_vals)
+            smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
+            compiled_right = [compile_restriction(git, F, delta, sec.f) for F in right]
+            compiled_left = (compiled_right if left is right else
+                             [compile_restriction(git, E, delta, sec.f) for E in left])
+            v_left = _rows([c.dual().values(lams) for c in compiled_left], lams)
+            v_right = _rows([c.values(lams) for c in compiled_right], lams)
+            # resonant samples divide by ~0 here; the callers mask them out
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                weighted = v_left / (order * factors.prod(axis=0))
+                gram += weighted[:, None, :] * v_right[None, :, :]
+    return gram, smallest
+
+
+def euler_pairing(git, A, E, F, lam, z=None, clearance=RESONANCE_CLEARANCE):
+    """Equivariant Euler pairing by summation over inertia fixed points.
+
+    The one-sample, one-pair case of localization_gram; the modified pairing
+    substitutes 2 pi i lam/z for lam first.
+    """
+    gram, smallest = localization_gram(
+        git, A, [E], [F], lambda_matrix([lam], None if z is None else [z]))
+    if smallest[0] < clearance:
+        raise ResonantSample("localization denominator %g" % smallest[0])
+    return complex(gram[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
 # verification drivers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UhfmReport:
-    max_residual: float
-    worst: tuple
-    n_checked: int
+    """The uhfm residual table over minus basis classes b, plus fixed points
+    p and samples s.
+
+    diff[b, p, s] is the restriction of the transformed class b at p minus
+    the continued value there.  ``pairs`` holds, per next-to pair (p, q),
+    the index p and the (B, S) minus basis restrictions at q: the row that
+    the coefficient entry (p, q) multiplies.
+    """
+
+    basis: tuple
+    plus_labels: tuple
+    diff: np.ndarray
+    pairs: tuple
+
+    @property
+    def n_checked(self):
+        return self.diff.size
+
+    @property
+    def max_residual(self):
+        return float(np.abs(self.diff).max(initial=0.0))
+
+    @property
+    def worst(self):
+        """(basis label, plus fixed point) of the largest residual, or None."""
+        if self.max_residual == 0.0:
+            return None
+        b, p, _s = np.unravel_index(np.argmax(np.abs(self.diff)), self.diff.shape)
+        return self.basis[b], self.plus_labels[p]
+
+    def sensitivity(self, epsilon):
+        """Smallest max residual after adding epsilon to one coefficient entry.
+
+        Bumping the entry of the pair (p, q) moves row p only, by epsilon
+        times the partner row, so the perturbed suite needs no rerun.
+        """
+        per_point = np.abs(self.diff).max(axis=(0, 2), initial=0.0)
+        smallest = float("inf")
+        for p, row in self.pairs:
+            others = np.delete(per_point, p).max(initial=0.0)
+            bumped = np.abs(self.diff[:, p] - epsilon * row).max(initial=0.0)
+            smallest = min(smallest, max(float(others), float(bumped)))
+        return smallest
 
 
-def _rhs_terms(wc, delta_minus, rho_hat, e_minus, label_plus, pairs_by_plus):
-    """The continued value at one plus fixed point: identity on common
-    anticones, coefficient-weighted sum over next-to partners otherwise."""
-    git = wc.git
-    if label_plus.delta in wc.A_minus.minimal:
-        return [(None, 1.0 + 0j, label_plus, label_plus.f)]
-    out = []
-    for lm in pairs_by_plus.get((label_plus.delta, label_plus.f), ()):
-        lift_minus = compatible_minus_lift(wc, label_plus, lm)
-        coeff = continuation_coefficient(wc, (label_plus, lm), label_plus.f, lift_minus)
-        out.append((coeff, None, lm, lift_minus))
-    return out
-
-
-def verify_uhfm(wc, lam_samples, perturb=None):
+def verify_uhfm(wc, lam_samples):
     """Residuals of the continuation/pull-push compatibility.
 
     For every minus basis element, every plus fixed point and every sample,
-    compares the restriction of the transformed class against the
-    coefficient-weighted combination of minus-side restrictions.  ``perturb``
-    optionally adds a constant to one coefficient entry of the continuation
-    matrix, keyed by the next-to pair, to measure sensitivity.
+    compares the restriction of the transformed class against the continued
+    value: the identical restriction on common anticones, the
+    coefficient-weighted sum of minus-side restrictions at the next-to
+    partners otherwise.
     """
     git = wc.git
-    plus_labels = fixed_point_labels(git, wc.A_plus, side="plus")
-    pairs_by_plus = {}
-    for lp, lm in next_to_pairs(wc):
-        pairs_by_plus.setdefault((lp.delta, lp.f), []).append(lm)
+    lams = lambda_matrix(lam_samples)
+    basis = tuple(minus_basis(wc))
+    images = [fm_transform(wc, delta, rho) for delta, rho in basis]
+    e_minus = [basis_e(git, wc.A_minus, delta, rho) for delta, rho in basis]
+    plus_labels = tuple(fixed_point_labels(git, wc.A_plus, side="plus"))
 
-    max_residual = 0.0
-    worst = None
-    n = 0
-    for delta_minus, rho_hat in minus_basis(wc):
-        image = fm_transform(wc, delta_minus, rho_hat)
-        e_minus = basis_e(git, wc.A_minus, delta_minus, rho_hat)
-        for lp in plus_labels:
-            rhs_spec = _rhs_terms(wc, delta_minus, rho_hat, e_minus, lp, pairs_by_plus)
-            for lam in lam_samples:
-                lhs = chern_restrict(git, image, lp, lam)
-                rhs = 0j
-                for coeff, unit, lm, lift in rhs_spec:
-                    value = unit if coeff is None else coeff.value(wc, lam)
-                    if (
-                        perturb is not None
-                        and coeff is not None
-                        and perturb[:4] == (lp.delta, lp.f, lm.delta, lm.f)
-                    ):
-                        value += perturb[4]
-                    rhs += value * chern_restrict(git, e_minus, lm, lam, lift=lift)
-                resid = abs(lhs - rhs)
-                n += 1
-                if resid > max_residual:
-                    max_residual = resid
-                    worst = (delta_minus, tuple(rho_hat), lp.delta, lp.f)
-    return UhfmReport(max_residual=max_residual, worst=worst, n_checked=n)
+    diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
+    for p, lp in enumerate(plus_labels):
+        diff[:, p] = _restricted(git, images, lp.delta, lp.f, lams)
+        if lp.delta in wc.A_minus.minimal:
+            diff[:, p] -= _restricted(git, e_minus, lp.delta, lp.f, lams)
+    index = {lp: p for p, lp in enumerate(plus_labels)}
+    pairs = []
+    for lp, lm in next_to_pairs(wc):
+        lift = compatible_minus_lift(wc, lp, lm)
+        coeff = continuation_coefficient(wc, (lp, lm), lp.f, lift)
+        values = np.array([coeff.value(wc, lam) for lam in lam_samples], dtype=complex)
+        row = _restricted(git, e_minus, lm.delta, lift, lams)
+        diff[:, index[lp]] -= values * row
+        pairs.append((index[lp], row))
+    return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))
 
 
 def uhfm_sensitivity(wc, lam_samples, epsilon=1e-3):
     """Smallest residual produced by perturbing any one coefficient entry.
 
     Every coefficient entry of the continuation matrix is bumped by epsilon
-    in turn and the full residual suite re-run over the samples; the minimum
-    over entries shows the suite cannot pass vacuously.
+    in turn; the minimum over entries of the resulting max residual shows
+    the suite cannot pass vacuously.
     """
-    smallest = float("inf")
-    for lp, lm in next_to_pairs(wc):
-        report = verify_uhfm(
-            wc, lam_samples, perturb=(lp.delta, lp.f, lm.delta, lm.f, epsilon)
-        )
-        smallest = min(smallest, report.max_residual)
-    return smallest
+    return verify_uhfm(wc, lam_samples).sensitivity(epsilon)
 
 
-def verify_pairing_preserved(wc, lam, z, basis=None):
-    """Max residual of pairing preservation over ordered basis pairs."""
+class PairingReport(NamedTuple):
+    residuals: np.ndarray  # per sample, max over basis pairs of |chi_minus - chi_plus|
+    resonant: np.ndarray  # per sample, some localization factor below RESONANCE_CLEARANCE
+
+
+def pairing_residuals(wc, lam_samples, zs):
+    """Pairing preservation at every sample: the Gram identity
+    chi_minus(E_a, E_b) = chi_plus(FM E_a, FM E_b) over ordered basis pairs,
+    with the modified pairing at sample s taken at z = zs[s]."""
     git = wc.git
-    if basis is None:
-        basis = minus_basis(wc)
-    classes = [(basis_e(git, wc.A_minus, d, rho), fm_transform(wc, d, rho)) for d, rho in basis]
-    worst = 0.0
-    for e1, f1 in classes:
-        for e2, f2 in classes:
-            minus_val = euler_pairing(git, wc.A_minus, e1, e2, lam, z=z)
-            plus_val = euler_pairing(git, wc.A_plus, f1, f2, lam, z=z)
-            worst = max(worst, abs(minus_val - plus_val))
-    return worst
+    basis = minus_basis(wc)
+    lams = lambda_matrix(lam_samples, zs)
+    e_minus = [basis_e(git, wc.A_minus, d, rho) for d, rho in basis]
+    images = [fm_transform(wc, d, rho) for d, rho in basis]
+    g_minus, small_minus = localization_gram(git, wc.A_minus, e_minus, e_minus, lams)
+    g_plus, small_plus = localization_gram(git, wc.A_plus, images, images, lams)
+    residuals = np.abs(g_minus - g_plus).max(axis=(0, 1), initial=0.0)
+    return PairingReport(residuals, np.minimum(small_minus, small_plus) < RESONANCE_CLEARANCE)
+
+
+def verify_pairing_preserved(wc, lam, z):
+    """Max residual of pairing preservation over ordered basis pairs."""
+    rep = pairing_residuals(wc, [lam], [z])
+    if rep.resonant[0]:
+        raise ResonantSample("localization denominator below clearance")
+    return float(rep.residuals[0])

@@ -68,10 +68,6 @@ def zero_form(m):
     return LinearForm((Fraction(0),) * m)
 
 
-def unit_form(m, j):
-    return LinearForm(tuple(Fraction(int(i == j)) for i in range(m)))
-
-
 def c0_form(m):
     """The constant shift: the sum of all torus parameters."""
     return LinearForm((Fraction(1),) * m)

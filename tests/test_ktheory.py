@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from wallcross.gitfan import (
+    box_elements,
     compatible_minus_lift,
     fixed_point_labels,
     make_git,
@@ -19,7 +20,9 @@ from wallcross.ktheory import (
     basis_e,
     canonical_rho_lifts,
     chern_restrict,
+    compile_restriction,
     euler_pairing,
+    eval_terms,
     fm_transform,
     framing_restrict,
     gamma_restrict,
@@ -30,7 +33,11 @@ from wallcross.ktheory import (
     kc_s,
     kc_t,
     kc_zero,
+    lambda_matrix,
+    localization_gram,
     minus_basis,
+    pairing_residuals,
+    restriction_terms,
     roots_projector,
     uhfm_sensitivity,
     verify_pairing_preserved,
@@ -393,3 +400,142 @@ def test_uhfm_sensitivity_scales_linearly(resolution):
     r1 = uhfm_sensitivity(resolution, lams, epsilon=1e-3)
     r2 = uhfm_sensitivity(resolution, lams, epsilon=2e-3)
     assert abs(r2 / r1 - 2.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array paths against the scalar functions, which stay as oracles
+
+
+def _restriction_cases(wc):
+    """(class, label, lift) for every restriction the uhfm and pairing suites
+    compile: minus basis classes at minus points and at next-to partners
+    (compatible lifts), their transforms at plus points."""
+    git = wc.git
+    cases = []
+    for delta, rho in minus_basis(wc):
+        e = basis_e(git, wc.A_minus, delta, rho)
+        image = fm_transform(wc, delta, rho)
+        cases += [(e, lab, lab.f) for lab in fixed_point_labels(git, wc.A_minus, side="minus")]
+        cases += [(image, lab, lab.f) for lab in fixed_point_labels(git, wc.A_plus, side="plus")]
+        for lp, lm in next_to_pairs(wc):
+            cases.append((e, lm, compatible_minus_lift(wc, lp, lm)))
+    return cases
+
+
+def test_compiled_restrictions_match_chern_restrict(all_examples):
+    for wc in all_examples.values():
+        lams = generic_lambdas(wc, 5, seed=67)
+        matrix = lambda_matrix(lams)
+        for cls, label, lift in _restriction_cases(wc):
+            values = compile_restriction(wc.git, cls, label.delta, lift).values(matrix)
+            dual = compile_restriction(wc.git, cls, label.delta, lift).dual().values(matrix)
+            for s, lam in enumerate(lams):
+                ref = chern_restrict(wc.git, cls, label, lam, lift=lift)
+                assert abs(values[s] - ref) <= 1e-12 * abs(ref)
+                ref_dual = chern_restrict(wc.git, cls.dual(), label, lam, lift=lift)
+                assert abs(dual[s] - ref_dual) <= 1e-12 * abs(ref_dual)
+
+
+def _pairing_oracle(git, A, E, F, lam_eff):
+    """The localization sum of restr(dual(E) * F), term by term in scalars."""
+    integrand = E.dual() * F
+    total = 0j
+    for delta in A.minimal:
+        u = restrict_u(git, delta)
+        for sec in box_elements(git, A):
+            if not all(i in sec.I_f for i in delta):
+                continue
+            num = eval_terms(restriction_terms(git, integrand, delta, sec.f), lam_eff)
+            den = 1.0 + 0j
+            for j in range(git.m):
+                if j not in delta:
+                    phase = cmath.exp(-TWO_PI_I * complex(frac_part(vdot(git.D[j], sec.f))))
+                    den *= 1 - phase * cmath.exp(-u[j](lam_eff))
+            total += num / (isotropy_order(git, delta) * den)
+    return total
+
+
+def test_gram_entries_match_euler_pairing(all_examples):
+    for wc in all_examples.values():
+        git = wc.git
+        lams = generic_lambdas(wc, 2, seed=71)
+        zs = [1.1 + 0.2j, 0.9 - 0.1j]
+        basis = minus_basis(wc)
+        for A, classes in (
+            (wc.A_minus, [basis_e(git, wc.A_minus, d, rho) for d, rho in basis]),
+            (wc.A_plus, [fm_transform(wc, d, rho) for d, rho in basis]),
+        ):
+            gram, smallest = localization_gram(git, A, classes, classes, lambda_matrix(lams, zs))
+            assert (smallest > 1e-9).all()
+            for s, (lam, z) in enumerate(zip(lams, zs)):
+                lam_eff = tuple(TWO_PI_I * li / z for li in lam)
+                # relative to the largest entry: some pairings vanish exactly
+                scale = abs(gram[:, :, s]).max()
+                for a, E in enumerate(classes):
+                    for b, F in enumerate(classes):
+                        ref = euler_pairing(git, A, E, F, lam, z=z)
+                        oracle = _pairing_oracle(git, A, E, F, lam_eff)
+                        assert abs(gram[a, b, s] - ref) <= 1e-12 * scale
+                        assert abs(ref - oracle) <= 1e-12 * scale
+
+
+def _perturbed_uhfm_residual(wc, lams, bump, epsilon):
+    """Max uhfm residual with epsilon added to the coefficient of next-to
+    pair number ``bump``, recomputed from scalar restrictions."""
+    git = wc.git
+    pairs = next_to_pairs(wc)
+    worst = 0.0
+    for delta, rho in minus_basis(wc):
+        image = fm_transform(wc, delta, rho)
+        e = basis_e(git, wc.A_minus, delta, rho)
+        for lp in fixed_point_labels(git, wc.A_plus, side="plus"):
+            for lam in lams:
+                if lp.delta in wc.A_minus.minimal:
+                    rhs = chern_restrict(git, e, lp, lam)
+                else:
+                    rhs = 0j
+                    for q, (lp_q, lm) in enumerate(pairs):
+                        if lp_q != lp:
+                            continue
+                        lift = compatible_minus_lift(wc, lp, lm)
+                        value = continuation_coefficient(wc, (lp, lm), lp.f, lift).value(wc, lam)
+                        if q == bump:
+                            value += epsilon
+                        rhs += value * chern_restrict(git, e, lm, lam, lift=lift)
+                worst = max(worst, abs(chern_restrict(git, image, lp, lam) - rhs))
+    return worst
+
+
+def test_closed_form_sensitivity_matches_perturbed_rerun(all_examples):
+    for wc in all_examples.values():
+        lams = generic_lambdas(wc, 3, seed=73)
+        brute = min(_perturbed_uhfm_residual(wc, lams, q, 1e-3)
+                    for q in range(len(next_to_pairs(wc))))
+        closed = verify_uhfm(wc, lams).sensitivity(1e-3)
+        assert abs(closed - brute) <= 1e-9 * brute
+
+
+def test_resonant_sample_is_skipped_on_the_clearance_rule(conifold):
+    # at delta = (0,) the tangent weight u_1 = L_1 - L_0 vanishes when
+    # lam_0 = lam_1; the localization factor 1 - exp(-u_1) then falls to
+    # |u_1| (times 2 pi / |z|), and a sample is skipped exactly when some
+    # factor on either side is below the clearance 1e-9
+    generic = generic_lambdas(conifold, 1, seed=79)[0]
+    lams = [generic]
+    for gap in (0.0, 1e-12, 1e-7):
+        lams.append((generic[1] + gap,) + generic[1:])
+    zs = [1.0 + 0j] * len(lams)
+    rep = pairing_residuals(conifold, lams, zs)
+    assert list(rep.resonant) == [False, True, True, False]
+    for lam, z, resonant in zip(lams, zs, rep.resonant):
+        if resonant:
+            with pytest.raises(ResonantSample):
+                verify_pairing_preserved(conifold, lam, z)
+            with pytest.raises(ResonantSample):
+                euler_pairing(conifold.git, conifold.A_plus, kc_one(conifold.git),
+                              kc_one(conifold.git), lam, z=z)
+        else:
+            # close to resonance the residual loses digits, but the sample
+            # is still used
+            assert verify_pairing_preserved(conifold, lam, z) >= 0.0
+    assert verify_pairing_preserved(conifold, generic, 1.0 + 0j) < 1e-8
