@@ -17,10 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .gitfan import (
-    EmptyQuotient,
-    NotAdjacent,
-    NotCrepant,
-    NotDeligneMumford,
     box_elements,
     fixed_point_labels,
     make_git,
@@ -29,7 +25,6 @@ from .gitfan import (
     wall_frame,
 )
 from .hypergeom import (
-    PoleCollision,
     conifold_point,
     generic_lambdas,
     gkz_ode_residual,
@@ -38,7 +33,6 @@ from .hypergeom import (
     w_constant,
 )
 from .ktheory import (
-    ResonantSample,
     fm_transform,
     minus_basis,
     pairing_residuals,
@@ -47,8 +41,6 @@ from .ktheory import (
 from .localization import normal_weights
 from .mellinbarnes import (
     ContourSpec,
-    ContourTooClose,
-    NonConvergent,
     continuation_matrix,
     lift_invariance_check,
     verify_residue_identity,
@@ -138,7 +130,6 @@ def load_config(path):
         "seed": raw.get("seed", 7),
         "samples": raw.get("samples", 20),
         "series_order": trunc.get("series_order", 40),
-        "base_exponent_bound": trunc.get("base_exponent_bound", 10),
         "z": z,
         "tolerances": tols,
         "contour": ContourSpec(
@@ -521,7 +512,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError, ConfigError) as err:
+    except (OSError, ValueError) as err:  # ConfigError, JSONDecodeError, invalid GIT data
         sys.stderr.write("config error: %s\n" % err)
         return 2
     if args.seed is not None:
@@ -558,8 +549,7 @@ def main(argv=None):
             }[args.command]
             results, ok = fn(cfg)
             command = args.command
-    except (EmptyQuotient, NotDeligneMumford, NotAdjacent, NotCrepant,
-            PoleCollision, ContourTooClose, NonConvergent, ResonantSample) as err:
+    except ValueError as err:  # every library error subclasses ValueError
         sys.stderr.write("error: %s: %s\n" % (type(err).__name__, err))
         return 1
 

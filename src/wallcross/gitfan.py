@@ -17,9 +17,10 @@ from math import gcd
 
 from .lattice import (
     _det as det_frac,
+    anticone_coords,
+    anticone_dual,
     frac_part,
     intvec,
-    is_integral,
     matrix_rank,
     primitive_wall_normal,
     NotAHyperplane,
@@ -28,11 +29,15 @@ from .lattice import (
     rational_line_membership,
     solve_rectangular,
     solve_square,
+    vadd,
     vdot,
     vscale,
     vsub,
     zero_vec,
 )
+
+# sup-norm radius bound of the integral searches in wall_frame
+WALL_SEARCH_RADIUS = 24
 
 
 class EmptyQuotient(ValueError):
@@ -85,10 +90,6 @@ def make_git(D, labels=None):
     return GITData(r=len(D[0]), m=len(D), D=D, labels=tuple(labels) if labels else None)
 
 
-def vadd_frac(a, b):
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
 def vneg_tuple(v):
     return tuple(-Fraction(x) for x in v)
 
@@ -128,28 +129,20 @@ class AnticoneSet:
         return tuple(sorted(common))
 
 
-def _positive_combination(git, indices, omega):
-    """Exact coefficients of omega over an independent index set, or None.
+def _cone_coefficients(git, indices, v):
+    """Exact coefficients of v over the selected characters, or None.
 
-    Returns the coefficient tuple when omega is a strictly positive
-    combination of the (linearly independent) selected characters.
+    Returns one solution c of v = sum_t c_t D[indices[t]], with the free
+    coordinates of a dependent selection set to zero, or None when v is not
+    in their span.  Callers test the signs: a dependent selection's zero
+    coordinates fail the strict test, and for the closed test its solution
+    is that of an independent subset, which is enumerated anyway.
     """
-    omega = ratvec(omega)
+    v = ratvec(v)
     if not indices:
-        return () if all(x == 0 for x in omega) else None
+        return () if all(x == 0 for x in v) else None
     rows = [[Fraction(git.D[i][k]) for i in indices] for k in range(git.r)]
-    sol = solve_rectangular(rows, list(omega))
-    if sol is None:
-        return None
-    recon = tuple(
-        sum((sol[t] * Fraction(git.D[idx][k]) for t, idx in enumerate(indices)), Fraction(0))
-        for k in range(git.r)
-    )
-    if recon != omega:
-        return None
-    if all(c > 0 for c in sol):
-        return sol
-    return None
+    return solve_rectangular(rows, list(v))
 
 
 def validate_stability(git, omega):
@@ -158,8 +151,8 @@ def validate_stability(git, omega):
     Membership of omega in the open cone over an index set is decided
     exactly.  Every anticone contains, by Caratheodory reduction, a linearly
     independent index set that is itself an anticone, so enumerating the
-    independent ones decides both assumptions and yields the minimal
-    anticones.
+    index sets of size at most r decides both assumptions and yields the
+    minimal anticones; a dependent set never passes the strict test.
     """
     omega = ratvec(omega)
     if len(omega) != git.r:
@@ -168,10 +161,8 @@ def validate_stability(git, omega):
     for size in range(0, git.r + 1):
         undersized = None
         for I in itertools.combinations(range(git.m), size):
-            sub = [git.D[i] for i in I]
-            if sub and matrix_rank(sub) != size:
-                continue
-            if _positive_combination(git, I, omega) is not None:
+            coeffs = _cone_coefficients(git, I, omega)
+            if coeffs is not None and all(c > 0 for c in coeffs):
                 if size < git.r:
                     undersized = I
                     break
@@ -233,14 +224,12 @@ def box_elements(git, omega, side=None):
     A = omega if isinstance(omega, AnticoneSet) else validate_stability(git, omega)
     seen = {}
     for delta in A.minimal:
-        M = [git.D[i] for i in delta]
         # classes f with all pairings integral correspond to pairing vectors
         # k = (D_i . f) modulo the image of the integer lattice, which is the
         # column span of the anticone matrix
         cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
         for k in quotient_transversal(cols):
-            f = solve_square(M, [Fraction(x) for x in k])
-            sec = _sector_from_rep(git, A, f, side=side)
+            sec = _sector_from_rep(git, A, anticone_dual(git.D, delta, k), side=side)
             seen.setdefault(sec.f, sec)
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
@@ -346,33 +335,13 @@ def _any_off_hyperplane(git, rows):
     raise NotAHyperplane("characters all lie on one hyperplane")
 
 
-def _in_closed_cone(git, indices, v):
-    """v in the closed cone over an independent character set, exactly."""
-    v = ratvec(v)
-    if not indices:
-        return all(x == 0 for x in v)
-    rows = [[Fraction(git.D[i][k]) for i in indices] for k in range(git.r)]
-    sol = solve_rectangular(rows, list(v))
-    if sol is None:
-        return False
-    recon = tuple(
-        sum((sol[t] * Fraction(git.D[idx][k]) for t, idx in enumerate(indices)), Fraction(0))
-        for k in range(git.r)
-    )
-    if recon != v:
-        return False
-    return all(c >= 0 for c in sol)
-
-
 def _in_wall_cone(git, normal, point):
     """Whether the crossing point lies in the closed cone of wall characters."""
     cone_indices = [i for i in range(git.m) if vdot(git.D[i], normal) == 0]
     for size in range(0, git.r):
         for K in itertools.combinations(cone_indices, size):
-            rows = [git.D[k] for k in K]
-            if rows and matrix_rank(rows) != size:
-                continue
-            if _in_closed_cone(git, K, point):
+            coeffs = _cone_coefficients(git, K, point)
+            if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
 
@@ -411,9 +380,7 @@ def _xi_vectors(git, A, S):
     for j in S:
         found = None
         for delta in A.minimal:
-            rows = [git.D[k] for k in delta]
-            rhs = [Fraction(int(k == j)) for k in delta]
-            v = solve_square(rows, rhs)
+            v = anticone_dual(git.D, delta, [int(k == j) for k in delta])
             coeffs = {i: -git.pair(i, v) for i in range(git.m) if i not in delta and i != j}
             if all(c >= 0 for c in coeffs.values()):
                 found = v
@@ -536,7 +503,7 @@ def compatible_minus_lift(wc, label_plus, label_minus):
     alpha = rational_line_membership(vsub(label_minus.f, label_plus.f), wc.e)
     if alpha is None:
         raise ValueError("sectors are not next to each other")
-    return vadd_frac(label_plus.f, vscale(alpha, wc.e))
+    return vadd(label_plus.f, vscale(alpha, wc.e))
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +541,7 @@ def _dual_of_extended(git, omega):
 
 
 def _in_nef_cone(git, A, v):
-    for delta in A.minimal:
-        rows = [[Fraction(git.D[i][k]) for i in delta] for k in range(git.r)]
-        coeffs = solve_square(rows, list(v))
-        if any(c < 0 for c in coeffs):
-            return False
-    return True
+    return all(c >= 0 for delta in A.minimal for c in anticone_coords(git.D, delta, v))
 
 
 def _int_det(mat):
@@ -603,9 +565,23 @@ def _saturated(coord_rows):
 
 
 def _coords_in(basis, v):
-    sol = solve_square([list(col) for col in zip(*basis.rows)], list(v))
-    assert is_integral(sol), "vector is not in the lattice"
-    return tuple(int(x) for x in sol)
+    return intvec(basis.coords(v))
+
+
+def _combination(coeffs, rows):
+    """sum_t coeffs[t] rows[t], exactly."""
+    v = zero_vec(len(rows[0]))
+    for coef, row in zip(coeffs, rows):
+        v = vadd(v, vscale(coef, row))
+    return v
+
+
+def _sup_shell(radius, n):
+    """Integer vectors of length n and sup norm exactly ``radius``, in lex
+    order."""
+    for k in itertools.product(range(-radius, radius + 1), repeat=n):
+        if max((abs(x) for x in k), default=0) == radius:
+            yield k
 
 
 def _constrained_sublattice(dual, conditions):
@@ -615,17 +591,10 @@ def _constrained_sublattice(dual, conditions):
 
     r = dual.dim
     cond_rows = [[vdot(dual.rows[i], cond) for i in range(r)] for cond in conditions]
-    kernel = integer_kernel_basis(cond_rows, r)
-    out = []
-    for k in kernel:
-        v = zero_vec(r)
-        for coef, row in zip(k, dual.rows):
-            v = vadd_frac(v, vscale(coef, row))
-        out.append(v)
-    return out
+    return [_combination(k, dual.rows) for k in integer_kernel_basis(cond_rows, r)]
 
 
-def _search_basis(generators, accept, need, full_det_one, max_radius=24):
+def _search_basis(generators, accept, need, full_det_one):
     """Backtracking search for `need` vectors over the generator lattice.
 
     Candidates are integer combinations enumerated by sup-norm radius and
@@ -633,17 +602,6 @@ def _search_basis(generators, accept, need, full_det_one, max_radius=24):
     minors coprime), and the full selection must be unimodular over the
     generators when `full_det_one` is set.  Deterministic.
     """
-    rank = len(generators)
-
-    def candidates(radius):
-        for k in itertools.product(range(-radius, radius + 1), repeat=rank):
-            if max((abs(x) for x in k), default=0) != radius:
-                continue
-            v = zero_vec(len(generators[0]))
-            for coef, row in zip(k, generators):
-                v = vadd_frac(v, vscale(coef, row))
-            yield k, v
-
     pool = []
 
     def extend(chosen_k, chosen_v):
@@ -660,15 +618,18 @@ def _search_basis(generators, accept, need, full_det_one, max_radius=24):
                 return result
         return None
 
-    for radius in range(1, max_radius + 1):
-        pool.extend((k, v) for k, v in candidates(radius) if accept(v))
+    for radius in range(1, WALL_SEARCH_RADIUS + 1):
+        for k in _sup_shell(radius, len(generators)):
+            v = _combination(k, generators)
+            if accept(v):
+                pool.append((k, v))
         result = extend([], [])
         if result is not None:
             return result
     return None
 
 
-def wall_frame(wc, search_radius=24):
+def wall_frame(wc):
     """Construct the adapted integral bases and the chart transition.
 
     Wall vectors come first and are shared by both sides: the extended
@@ -701,8 +662,7 @@ def wall_frame(wc, search_radius=24):
         return _in_nef_cone(git, wc.A_plus, v) and _in_nef_cone(git, wc.A_minus, v)
 
     if ell:
-        found = _search_basis(facet_gens, wall_accept, ell, full_det_one=True,
-                              max_radius=search_radius)
+        found = _search_basis(facet_gens, wall_accept, ell, full_det_one=True)
         if found is None:
             raise ValueError("no integral wall basis found within search radius")
         wall = seed + found
@@ -729,13 +689,9 @@ def wall_frame(wc, search_radius=24):
         # vectors only; the off-wall completion lives here
         side_gens = _constrained_sublattice(dual, [xi[i] for i in S])
         wall_coords = [_coords_in(dual, w) for w in wall]
-        for radius in range(1, search_radius + 1):
-            for k in itertools.product(range(-radius, radius + 1), repeat=len(side_gens)):
-                if max((abs(x) for x in k), default=0) != radius:
-                    continue
-                v = zero_vec(git.r)
-                for coef, row in zip(k, side_gens):
-                    v = vadd_frac(v, vscale(coef, row))
+        for radius in range(1, WALL_SEARCH_RADIUS + 1):
+            for k in _sup_shell(radius, len(side_gens)):
+                v = _combination(k, side_gens)
                 if wc.on_wall(v):
                     continue
                 if not _in_nef_cone(git, A, v):

@@ -10,13 +10,14 @@ k = 0 coefficient is 1.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gitfan import FixedPointLabel, fixed_point_labels
-from .lattice import is_integral, ratvec, solve_square, vdot
+from .lattice import anticone_dual, is_integral, ratvec, vdot, vsub
 from .localization import restrict_u
 
 TWO_PI_I = 2j * math.pi
@@ -149,6 +150,29 @@ class InnerSeriesSpec:
         return tuple(form(lam) / TWO_PI_I for form in self.beta_forms)
 
 
+def _sector_exponents(git, label, candidates):
+    """The exponents d with coordinates (D_i . d over i in delta) in
+    ``candidates`` whose class is the label's sector, in candidate order.
+
+    d is congruent to the sector f exactly when d - f is integral; one
+    mat-vec with the cached anticone inverse gives d from its coordinates.
+    """
+    for kvec in candidates:
+        d = anticone_dual(git.D, label.delta, kvec)
+        if is_integral(vsub(d, label.f)):
+            yield d
+
+
+def _d_plus_grid(wc, label, wall_bound):
+    """Coordinate vectors of base exponents in lex order: wall coordinates
+    in [0, wall_bound], the off-wall coordinate below its pairing with e."""
+    e_coords = [wc.pair_e(i) for i in label.delta]
+    off = [t for t, v in enumerate(e_coords) if v != 0]
+    assert len(off) == 1 and e_coords[off[0]] > 0, "label must sit across the wall"
+    return itertools.product(*(range(0, v) if t == off[0] else range(0, wall_bound + 1)
+                               for t, v in enumerate(e_coords)))
+
+
 def canonical_d_plus(wc, label, wall_bound=12):
     """Smallest base exponent representing the label's sector.
 
@@ -157,33 +181,10 @@ def canonical_d_plus(wc, label, wall_bound=12):
     below its pairing with the wall normal, and is congruent to the sector.
     The lexicographically smallest such coordinate vector is chosen.
     """
-    git = wc.git
-    delta = label.delta
-    target = [vdot(git.D[i], label.f) for i in delta]
-    e_coords = [wc.pair_e(i) for i in delta]
-    off = [k for k, v in enumerate(e_coords) if v != 0]
-    assert len(off) == 1 and e_coords[off[0]] > 0, "label must sit across the wall"
-    c_plus = e_coords[off[0]]
-    # the coordinate map d -> (D_i . d) over delta; integral d give the
-    # congruence lattice of reachable coordinate vectors
-    char_rows = [list(git.D[i]) for i in delta]
-
-    def congruent(kvec):
-        diff = [Fraction(kvec[t]) - target[t] for t in range(git.r)]
-        return is_integral(solve_square(char_rows, diff))
-
-    ranges = []
-    for t in range(git.r):
-        if t == off[0]:
-            ranges.append(range(0, c_plus))
-        else:
-            ranges.append(range(0, wall_bound + 1))
-    import itertools
-
-    for kvec in sorted(itertools.product(*ranges)):
-        if congruent(kvec):
-            return solve_square(char_rows, [Fraction(x) for x in kvec])
-    raise ValueError("no base exponent found within the wall bound")
+    d = next(_sector_exponents(wc.git, label, _d_plus_grid(wc, label, wall_bound)), None)
+    if d is None:
+        raise ValueError("no base exponent found within the wall bound")
+    return d
 
 
 def make_inner_spec(wc, label, d_plus=None):
@@ -271,28 +272,7 @@ def inner_series(spec, order, lam):
 
 def enumerate_d_plus(wc, label, wall_bound):
     """All base exponent classes for a label with wall coordinates bounded."""
-    git = wc.git
-    delta = label.delta
-    target = [vdot(git.D[i], label.f) for i in delta]
-    e_coords = [wc.pair_e(i) for i in delta]
-    off = [t for t, v in enumerate(e_coords) if v != 0]
-    assert len(off) == 1 and e_coords[off[0]] > 0
-    c_plus = e_coords[off[0]]
-    char_rows = [list(git.D[i]) for i in delta]
-    import itertools
-
-    ranges = []
-    for t in range(git.r):
-        if t == off[0]:
-            ranges.append(range(0, c_plus))
-        else:
-            ranges.append(range(0, wall_bound + 1))
-    out = []
-    for kvec in sorted(itertools.product(*ranges)):
-        diff = [Fraction(kvec[t]) - target[t] for t in range(git.r)]
-        if is_integral(solve_square(char_rows, diff)):
-            out.append(solve_square(char_rows, [Fraction(x) for x in kvec]))
-    return out
+    return list(_sector_exponents(wc.git, label, _d_plus_grid(wc, label, wall_bound)))
 
 
 def h_restriction_series(wc, label, order, wall_bound, lam):
@@ -403,20 +383,14 @@ def i_leading_terms(wc, side, z, lam):
 
 def _minimal_sector_exponent(wc, label):
     """Smallest effective exponent with the label's sector class."""
-    git = wc.git
-    delta = label.delta
-    char_rows = [list(git.D[i]) for i in delta]
-    target = [vdot(git.D[i], label.f) for i in delta]
-    import itertools
-
-    for radius in range(0, 40):
-        for kvec in itertools.product(range(0, radius + 1), repeat=git.r):
-            if max(kvec, default=0) != radius:
-                continue
-            diff = [Fraction(kvec[t]) - target[t] for t in range(git.r)]
-            if is_integral(solve_square(char_rows, diff)):
-                return solve_square(char_rows, [Fraction(x) for x in kvec])
-    raise ValueError("no effective exponent found")
+    r = wc.git.r
+    by_radius = (k for radius in range(0, 40)
+                 for k in itertools.product(range(0, radius + 1), repeat=r)
+                 if max(k, default=0) == radius)
+    d = next(_sector_exponents(wc.git, label, by_radius), None)
+    if d is None:
+        raise ValueError("no effective exponent found")
+    return d
 
 
 # ---------------------------------------------------------------------------

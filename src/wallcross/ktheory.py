@@ -29,7 +29,7 @@ from .gitfan import (
     vneg_tuple,
 )
 from .hypergeom import check_generic, log_gamma
-from .lattice import frac_part, intvec, ratvec, solve_square, vdot
+from .lattice import anticone_coords, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -207,15 +207,10 @@ def canonical_rho_lifts(git, delta):
     The lift of each class is the unique coset member whose coordinates over
     the anticone's character basis lie in [0, 1).
     """
-    from .lattice import quotient_transversal
-
-    rows = [git.D[i] for i in delta]
     lifts = []
-    for k in quotient_transversal(rows):
+    for k in quotient_transversal([git.D[i] for i in delta]):
         # coordinates of k over the rows, reduced into [0,1)
-        cols = [[Fraction(git.D[i][a]) for i in delta] for a in range(git.r)]
-        t = solve_square(cols, [Fraction(x) for x in k])
-        t = [frac_part(x) for x in t]
+        t = [frac_part(x) for x in anticone_coords(git.D, delta, k)]
         lift = [Fraction(0)] * git.r
         for coef, i in zip(t, delta):
             for a in range(git.r):

@@ -8,8 +8,10 @@ objects produced here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -143,6 +145,35 @@ def solve_rectangular(rows, rhs):
     return tuple(sol)
 
 
+@lru_cache(maxsize=None)
+def basis_inverse(rows):
+    """Exact inverse of the square matrix whose rows are ``rows``.
+
+    Cached per basis: every repeated solve against a fixed basis is a
+    mat-vec product with this inverse.  Raises SingularBasis when the rows
+    are dependent.
+    """
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots = _rref(aug, n)
+    if len(pivots) < n:
+        raise SingularBasis("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _vec_mat(v, M):
+    """The row vector v times the matrix M."""
+    return tuple(sum((Fraction(x) * row[j] for x, row in zip(v, M)), Fraction(0))
+                 for j in range(len(M[0])))
+
+
+def _mat_vec(M, v):
+    """The matrix M times the column vector v."""
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in M)
+
+
 def right_kernel(rows, width):
     """Basis of {x : row . x = 0 for every row}, exact."""
     if not rows:
@@ -183,18 +214,33 @@ def primitive_integer_vector(v):
 # the operations used by the GIT layer
 
 
-def express_in_anticone_basis(D, delta, j):
-    """Coordinates of D[j] in the basis {D[i] : i in delta}.
+def anticone_inverse(D, delta):
+    """Exact inverse of the basis {D[i] : i in delta}, cached per basis.
 
-    Returns the tuple c (ordered like ``delta``) with D[j] = sum c_i D[i].
     Raises SingularBasis when the delta-submatrix is singular, which signals
     that ``delta`` is not a valid minimal anticone.
     """
-    r = len(D[delta[0]])
-    assert len(delta) == r, "need exactly r characters for a basis"
-    rows = [[Fraction(D[i][k]) for i in delta] for k in range(r)]
-    rhs = [Fraction(D[j][k]) for k in range(r)]
-    return solve_square(rows, rhs)
+    return basis_inverse(tuple(tuple(D[i]) for i in delta))
+
+
+def anticone_coords(D, delta, p):
+    """The tuple c (ordered like ``delta``) with p = sum_t c_t D[delta[t]]."""
+    return _vec_mat(p, anticone_inverse(D, delta))
+
+
+def anticone_dual(D, delta, k):
+    """The vector f with D[delta[t]] . f = k_t for every t."""
+    return _mat_vec(anticone_inverse(D, delta), k)
+
+
+def express_in_anticone_basis(D, delta, j):
+    """Coordinates of D[j] in the basis {D[i] : i in delta}.
+
+    Returns the tuple c (ordered like ``delta``) with D[j] = sum c_i D[i];
+    raises SingularBasis for a singular delta-submatrix.
+    """
+    assert len(delta) == len(D[delta[0]]), "need exactly r characters for a basis"
+    return anticone_coords(D, delta, D[j])
 
 
 def primitive_wall_normal(wall_chars, positive_side):
@@ -252,36 +298,8 @@ def hermite_row_form(rows):
     each pivot reduced into [0, pivot).  This is the canonical form used for
     deterministic lattice output.
     """
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return []
-    ncol = len(mat[0])
-    row = 0
-    for col in range(ncol):
-        pivot = None
-        for i in range(row, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        # clear below by gcd steps
-        for i in range(row + 1, len(mat)):
-            while mat[i][col] != 0:
-                q = mat[row][col] // mat[i][col]
-                mat[row] = [a - q * b for a, b in zip(mat[row], mat[i])]
-                mat[row], mat[i] = mat[i], mat[row]
-        if mat[row][col] < 0:
-            mat[row] = [-a for a in mat[row]]
-        for i in range(row):
-            q = mat[i][col] // mat[row][col]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[row])]
-        row += 1
-        if row == len(mat):
-            break
-    return [tuple(r) for r in mat[:row]]
+    H, _ = hermite_with_transform(rows)
+    return [h for h in H if any(h)]
 
 
 def hermite_with_transform(rows):
@@ -361,18 +379,7 @@ def quotient_transversal(gens):
     r = len(gens[0])
     if len(H) != r:
         raise ValueError("sublattice does not have finite index")
-    diag = [H[i][i] for i in range(r)]
-    reps = []
-
-    def rec(i, current):
-        if i == r:
-            reps.append(tuple(current))
-            return
-        for k in range(diag[i]):
-            rec(i + 1, current + [k])
-
-    rec(0, [])
-    return reps
+    return list(itertools.product(*(range(H[i][i]) for i in range(r))))
 
 
 @dataclass(frozen=True)
@@ -385,9 +392,12 @@ class LatticeBasis:
     def dim(self):
         return len(self.rows)
 
+    def coords(self, v):
+        """The coefficients c with v = sum_i c_i rows[i]."""
+        return _vec_mat(v, basis_inverse(self.rows))
+
     def contains(self, v):
-        sol = solve_square([list(col) for col in zip(*self.rows)], ratvec(v))
-        return is_integral(sol)
+        return is_integral(self.coords(v))
 
     def index_over(self, other):
         """Index [self : other] when other is a sublattice of self."""
@@ -402,14 +412,9 @@ class LatticeBasis:
         """The dual lattice {v : v.g in Z for every generator g}.
 
         The i-th dual basis vector d_i pairs to delta_ij with the basis rows,
-        i.e. it solves B d_i = e_i for the basis matrix B.
+        i.e. it is the i-th column of the inverse basis matrix.
         """
-        n = self.dim
-        dual_rows = []
-        for k in range(n):
-            rhs = [Fraction(int(i == k)) for i in range(n)]
-            dual_rows.append(solve_square(self.rows, rhs))
-        return lattice_from_generators(dual_rows, n)
+        return lattice_from_generators(zip(*basis_inverse(self.rows)), self.dim)
 
 
 def _det(rows):

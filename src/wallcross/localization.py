@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gitfan import anticones_next_to, wall_frame
-from .lattice import express_in_anticone_basis, frac_part, solve_square, vdot
+from .lattice import anticone_coords, express_in_anticone_basis, frac_part, vdot
 
 
 class NotAdjacentAnticones(ValueError):
@@ -99,10 +99,8 @@ def theta_restrict(git, delta, p):
     theta(D_j) restricts to u_j(delta) - L_j, so for p = sum c_i D_i over the
     anticone basis the restriction is -sum c_i L_i.
     """
-    rows = [[Fraction(git.D[i][k]) for i in delta] for k in range(git.r)]
-    c = solve_square(rows, list(p))
     coeffs = [Fraction(0)] * git.m
-    for i, ci in zip(delta, c):
+    for i, ci in zip(delta, anticone_coords(git.D, delta, p)):
         coeffs[i] -= ci
     return LinearForm(tuple(coeffs))
 

@@ -151,3 +151,29 @@ def test_text_output_mentions_pass(config_dir):
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
     assert "case:" in proc.stdout
+
+
+def test_rank_deficient_config_is_a_config_error(tmp_path):
+    cfg = {
+        "schema": "wallcross-config/1",
+        "git": {"r": 2, "m": 3, "D": [[1, 0], [2, 0], [-3, 0]]},
+        "omega_plus": [[1, 1], [1, 1]],
+        "omega_minus": [[-1, 1], [1, 1]],
+    }
+    path = tmp_path / "rank_deficient.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["analyze", "--config", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_library_value_error_exits_cleanly(config_dir, monkeypatch, capsys):
+    from wallcross import cli
+
+    def boom(wc):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "wall_frame", boom)
+    assert cli.main(["analyze", "--config", str(config_dir / "conifold.json")]) == 1
+    assert "error: ValueError: boom" in capsys.readouterr().err

@@ -102,6 +102,7 @@ def test_canonical_d_plus_is_sector_compatible(all_examples):
             if label.delta in wc.A_minus.minimal:
                 continue
             d = canonical_d_plus(wc, label)
+            assert d == enumerate_d_plus(wc, label, 12)[0]
             for i in label.delta:
                 pairing = vdot(wc.git.D[i], d)
                 assert pairing.denominator == 1 and pairing >= 0

@@ -1,25 +1,34 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import random_crepant_crossing
+from wallcross.cli import load_config
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
+    anticone_coords,
+    anticone_dual,
     express_in_anticone_basis,
     extended_lattice,
     hermite_row_form,
     lattice_from_generators,
+    matrix_rank,
     primitive_wall_normal,
     quotient_transversal,
     rational_line_membership,
+    solve_rectangular,
     solve_square,
     standard_lattice,
     vadd,
     vdot,
     vscale,
 )
-from wallcross.gitfan import box_elements, make_git, validate_stability
+from wallcross.gitfan import box_elements, make_git, validate_stability, wall_crossing
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 CONIFOLD_D = [(1,), (1,), (-1,), (-1,)]
 
@@ -166,6 +175,39 @@ def test_hermite_canonical():
     assert H2 == H
 
 
+def _is_integral_combination(v, rows):
+    """Whether v is an integral combination of linearly independent rows."""
+    sol = solve_rectangular([list(col) for col in zip(*rows)], list(v))
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+def test_hermite_row_form_properties():
+    rng = random.Random(2024)
+    for _ in range(300):
+        ncol = rng.randint(1, 4)
+        nrow = rng.randint(1, 4)
+        A = [tuple(rng.randint(-6, 6) for _ in range(ncol)) for _ in range(nrow)]
+        H = hermite_row_form(A)
+        # echelon with positive pivots, entries above each pivot in [0, pivot)
+        pivots = []
+        for row in H:
+            col = next(j for j, x in enumerate(row) if x != 0)
+            assert not pivots or col > pivots[-1]
+            assert row[col] > 0
+            pivots.append(col)
+        for i, col in enumerate(pivots):
+            assert all(0 <= above[col] < H[i][col] for above in H[:i])
+        # the rows of H are independent, so each input row has unique
+        # coordinates over them, which must be integral
+        assert all(_is_integral_combination(a, H) for a in A)
+        if matrix_rank(A) == nrow:
+            # independent input rows: the converse is also a unique solve
+            assert len(H) == nrow
+            assert all(_is_integral_combination(h, A) for h in H)
+        else:
+            assert len(H) == matrix_rank(A)
+
+
 def test_quotient_transversal_count():
     reps = quotient_transversal([(2, 0), (1, 3)])
     assert len(reps) == 6  # |det|
@@ -192,3 +234,31 @@ def test_lattice_dual_skew():
     assert dual.contains((3, 2, 1))  # pairs integrally with every generator
     assert not dual.contains((1, 0, 0))
     assert dual.dual().rows == lat.rows
+
+
+def _kernel_crossings():
+    crossings = []
+    for path in sorted((ROOT / "configs").glob("*.json")) + sorted(
+            (ROOT / "bench" / "configs").glob("rank3_*.json")):
+        cfg = load_config(str(path))
+        crossings.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
+    rng = random.Random(31)
+    crossings += [random_crepant_crossing(rng, max_r=3, max_m=7) for _ in range(50)]
+    return crossings
+
+
+def test_anticone_kernel_matches_solve_square():
+    """The cached inverse's coordinates and duals equal a fresh solve."""
+    rng = random.Random(5)
+    crossings = _kernel_crossings()
+    assert any(wc.git.r == 3 for wc in crossings)
+    for wc in crossings:
+        D, r = wc.git.D, wc.git.r
+        for delta in wc.A_plus.minimal + wc.A_minus.minimal:
+            rows = [D[i] for i in delta]
+            cols = [list(col) for col in zip(*rows)]
+            vectors = list(D) + [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                       for _ in range(r)) for _ in range(3)]
+            for v in vectors:
+                assert anticone_coords(D, delta, v) == solve_square(cols, v)
+                assert anticone_dual(D, delta, v) == solve_square(rows, v)
