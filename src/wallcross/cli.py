@@ -55,7 +55,6 @@ DEFAULT_TOLERANCES = {
     "ode": 1e-12,
     "lifts": 1e-12,
     "sensitivity_floor": 1e-4,
-    "quadrature": 1e-11,
     "pole_clearance": 1e-3,
 }
 
@@ -135,7 +134,6 @@ def load_config(path):
         "contour": ContourSpec(
             abscissa=contour_node.get("abscissa"),
             t_max=contour_node.get("t_max", 40.0),
-            quad_tol=tols["quadrature"],
             clearance=tols["pole_clearance"],
         ),
     }

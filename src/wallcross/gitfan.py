@@ -11,8 +11,9 @@ the index partitions, the classification case and the splitting vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .lattice import (
@@ -215,13 +216,19 @@ def _sector_from_rep(git, A, f, side=None):
 
 
 def box_elements(git, omega, side=None):
-    """All box classes of the stability condition, zero sector first.
-
-    Every box class is supported on some minimal anticone's isotropy, so the
-    enumeration runs over coset representatives per minimal anticone and
-    dedupes canonical representatives.
-    """
+    """All box classes of the stability condition, zero sector first, as a
+    tuple.  They are enumerated once per GIT data and anticone set; side
+    only relabels them."""
     A = omega if isinstance(omega, AnticoneSet) else validate_stability(git, omega)
+    classes = _box_classes(git, A)
+    return classes if side is None else tuple(replace(s, side=side) for s in classes)
+
+
+@lru_cache(maxsize=256)
+def _box_classes(git, A):
+    """Every box class is supported on some minimal anticone's isotropy, so
+    the enumeration runs over coset representatives per minimal anticone and
+    dedupes canonical representatives."""
     seen = {}
     for delta in A.minimal:
         # classes f with all pairings integral correspond to pairing vectors
@@ -229,11 +236,11 @@ def box_elements(git, omega, side=None):
         # column span of the anticone matrix
         cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
         for k in quotient_transversal(cols):
-            sec = _sector_from_rep(git, A, anticone_dual(git.D, delta, k), side=side)
+            sec = _sector_from_rep(git, A, anticone_dual(git.D, delta, k))
             seen.setdefault(sec.f, sec)
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
-    return out
+    return tuple(out)
 
 
 def inv_sector(git, A, sector):

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .gitfan import FixedPointLabel, fixed_point_labels
 from .lattice import anticone_dual, is_integral, ratvec, vdot, vsub
 from .localization import restrict_u
@@ -53,54 +55,71 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _LOG_SQRT_2PI = 0.9189385332046727417803297
+LOG_PI = math.log(math.pi)
 
 
 def log_sin_pi(z):
-    """A logarithm of sin(pi z), stable for large imaginary part.
+    """A logarithm of sin(pi z), elementwise for a scalar or an array, stable
+    for large imaginary part.
 
     The branch is unspecified; callers only ever exponentiate sums of these.
     """
-    z = complex(z)
-    if abs(z.imag) < 20.0:
-        s = cmath.sin(math.pi * z)
-        if s == 0:
-            raise PoleCollision("sin(pi z) vanishes at z=%r" % (z,))
-        return cmath.log(s)
-    if z.imag > 0:
-        # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z})
-        return cmath.log(0.5j) - 1j * math.pi * z + cmath.log(1 - cmath.exp(2j * math.pi * z))
-    return cmath.log(-0.5j) + 1j * math.pi * z + cmath.log(1 - cmath.exp(-2j * math.pi * z))
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty_like(z)
+    near = np.abs(z.imag) < 20.0
+    up = z.imag >= 20.0
+    down = z.imag <= -20.0
+    s = np.sin(math.pi * z[near])
+    if np.any(s == 0):
+        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(z[near][s == 0][0]),))
+    out[near] = np.log(s)
+    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
+    zu, zd = z[up], z[down]
+    out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
+    out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
+    return complex(out[0]) if scalar else out
 
 
 def log_gamma(z):
-    """log Gamma(z) for complex z, accurate to ~1e-14 relative.
+    """log Gamma(z), elementwise for a complex scalar or array, accurate to
+    ~1e-14 relative.
 
     Right half-plane by the Lanczos sum; left half-plane by reflection.  The
     branch on the left is not the principal one, which is harmless here
-    because results are only exponentiated.
+    because results are only exponentiated.  An exact nonpositive integer
+    anywhere in z raises PoleCollision.
     """
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0 and z.real == int(z.real):
-            raise PoleCollision("log_gamma pole at %r" % (z,))
-        return math.log(math.pi) - log_sin_pi(z) - log_gamma(1.0 - z)
-    zm1 = z - 1.0
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    left = z.real < 0.5
+    poles = left & (z.imag == 0) & (z.real == np.floor(z.real))
+    if np.any(poles):
+        raise PoleCollision("log_gamma pole at %r" % (complex(z[poles][0]),))
+    zm1 = np.where(left, 1.0 - z, z) - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (zm1 + k)
+        s = s + _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(s)
+    out = _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
+    if np.any(left):
+        out[left] = LOG_PI - log_sin_pi(z[left]) - out[left]
+    return complex(out[0]) if scalar else out
 
 
 def gamma(z):
-    return cmath.exp(log_gamma(z))
+    return np.exp(log_gamma(z))
 
 
 def check_generic(arg, clearance):
-    """Raise PoleCollision when arg is within clearance of a nonpositive integer."""
-    n = round(arg.real)
-    if n <= 0 and abs(arg - n) < clearance:
-        raise PoleCollision("Gamma argument %r within %g of pole" % (arg, clearance))
+    """Raise PoleCollision when arg, a scalar or an array, is within clearance
+    of a nonpositive integer."""
+    arg = np.asarray(arg, dtype=complex)
+    n = np.round(arg.real)
+    close = (n <= 0) & (np.abs(arg - n) < clearance)
+    if np.any(close):
+        raise PoleCollision("Gamma argument %r within %g of pole"
+                            % (complex(arg[close][0]), clearance))
 
 
 # ---------------------------------------------------------------------------
@@ -207,47 +226,47 @@ def _exact_gamma_ratio(d0, dk):
     if dk < 0:
         return Fraction(0)
     assert d0 >= 0
-    if dk >= d0:
-        den = 1
-        for t in range(d0 + 1, dk + 1):
-            den *= t
-        return Fraction(1, den)
-    num = 1
-    for t in range(dk + 1, d0 + 1):
-        num *= t
-    return Fraction(num)
+    return Fraction(math.prod(range(dk + 1, d0 + 1)), math.prod(range(d0 + 1, dk + 1)))
 
 
 def inner_sum_coefficient(spec, k, lam, clearance=1e-8):
     """Coefficient of the k-th power of the wall monomial, normalized to
-    coefficient 1 at k = 0.
+    coefficient 1 at k = 0, elementwise for an integer or an integer array k.
 
     Factors whose argument is exactly integral (in particular every factor
     over the defining anticone) are evaluated exactly; a reciprocal Gamma at
     a nonpositive integer makes the coefficient vanish.  Generic factors are
-    assembled in log space.
+    assembled in log space, for all live k at once.
     """
-    assert k >= 0
+    scalar = np.ndim(k) == 0
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    assert np.all(ks >= 0)
     betas = spec.betas(lam)
-    exact = Fraction(1)
-    log_acc = 0j
-    for j in range(len(spec.d)):
-        d0, ej, b = spec.d[j], spec.e[j], betas[j]
+    exact = [Fraction(1)] * len(ks)
+    generic = []
+    for d0, ej, b in zip(spec.d, spec.e, betas):
         if b == 0 and d0.denominator == 1:
-            exact *= _exact_gamma_ratio(int(d0), int(d0) + k * ej)
-            if exact == 0:
-                return 0j
-            continue
-        a0 = 1 + b + complex(d0)
-        ak = a0 + k * ej
+            exact = [x * _exact_gamma_ratio(int(d0), int(d0) + k * ej) if x else x
+                     for x, k in zip(exact, ks.tolist())]
+        else:
+            generic.append((1 + b + complex(d0), ej))
+    live = np.array([x != 0 for x in exact], dtype=bool)
+    k_live = ks[live]
+    log_acc = np.zeros(len(k_live), dtype=complex)
+    for a0, ej in generic:
+        ak = a0 + k_live * ej
         check_generic(a0, clearance)
         check_generic(ak, clearance)
-        log_acc += log_gamma(a0) - log_gamma(ak)
+        # at k = 0 the factor is 1 by the normalization, not by rounding
+        log_acc += np.where(k_live == 0, 0j, log_gamma(a0) - log_gamma(ak))
     # the exact part and the Gamma part can separately over- or underflow
     # at large k while their product stays moderate; combine in log space
-    log_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
-    sign = 1 if exact > 0 else -1
-    return sign * cmath.exp(log_acc + log_exact)
+    kept = [x for x in exact if x]
+    log_exact = np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept])
+    sign = np.array([1.0 if x > 0 else -1.0 for x in kept])
+    out = np.zeros(len(ks), dtype=complex)
+    out[live] = sign * np.exp(log_acc + log_exact)
+    return complex(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -266,7 +285,7 @@ class TruncatedSeries:
 
 
 def inner_series(spec, order, lam):
-    coeffs = tuple(inner_sum_coefficient(spec, k, lam) for k in range(order + 1))
+    coeffs = tuple(inner_sum_coefficient(spec, np.arange(order + 1), lam).tolist())
     return TruncatedSeries(variable="x", coeffs=coeffs, order=order)
 
 
@@ -312,25 +331,14 @@ def gkz_ode_residual(series, spec, lam):
     and the monomial times the negative-direction product; it vanishes
     identically on the exact series.
     """
-    K = series.order
-    residuals = []
-    scale = 0.0
-    a_prev = None
-    for n in range(K + 1):
-        plus, minus = _euler_products(spec, lam, n)
-        term_plus = plus * series.coeffs[n]
-        if n == 0:
-            resid = term_plus
-            scale = max(scale, abs(term_plus))
-        else:
-            prev_minus = _euler_products(spec, lam, n - 1)[1]
-            term_minus = prev_minus * series.coeffs[n - 1]
-            resid = term_plus - term_minus
-            scale = max(scale, abs(term_plus), abs(term_minus))
-        residuals.append(abs(resid))
+    products = [_euler_products(spec, lam, n) for n in range(series.order + 1)]
+    plus = [p * c for (p, _m), c in zip(products, series.coeffs)]
+    # the monomial raises the negative-direction term by one degree
+    minus = [0j] + [m * c for (_p, m), c in zip(products, series.coeffs[:-1])]
+    scale = max(abs(t) for t in plus + minus)
     if scale == 0.0:
         return 0.0
-    return max(residuals) / scale
+    return max(abs(a - b) for a, b in zip(plus, minus)) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ and evaluate all samples together as arrays.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -28,12 +27,11 @@ from .gitfan import (
     next_to_pairs,
     vneg_tuple,
 )
-from .hypergeom import check_generic, log_gamma
+from .hypergeom import TWO_PI_I, check_generic, log_gamma
 from .lattice import anticone_coords, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
-TWO_PI_I = 2j * math.pi
 # a localization denominator factor smaller than this makes a sample resonant
 RESONANCE_CLEARANCE = 1e-9
 

@@ -10,14 +10,17 @@ connection coefficients between next-to fixed points.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
+import numpy as np
 
 from .gitfan import compatible_minus_lift, fixed_point_labels, next_to_pairs
 from .hypergeom import (
+    LOG_PI,
+    TWO_PI_I,
     PoleCollision,
     conifold_point,
     log_gamma,
@@ -25,11 +28,8 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import ratvec, vdot, vsub
+from .lattice import is_integral, ratvec, vdot, vsub
 from .localization import restrict_u
-
-TWO_PI_I = 2j * math.pi
-LOG_PI = math.log(math.pi)
 
 
 class ContourTooClose(ValueError):
@@ -222,25 +222,23 @@ def continuation_matrix(wc, lam=None):
 class ContourSpec:
     abscissa: float = None  # auto-scan when None
     t_max: float = 40.0
-    quad_tol: float = 1e-11
     clearance: float = 1e-3
 
 
-def _log_integrand(spec, lam):
-    betas = spec.betas(lam)
-
-    def logF(s, log_xi):
-        acc = LOG_PI - log_sin_pi(s) + s * log_xi
-        for j in range(len(spec.d)):
-            ej = spec.e[j]
-            arg_base = betas[j] + complex(spec.d[j])
-            if ej < 0:
-                acc += log_gamma(-arg_base - s * ej)
-            else:
-                acc -= log_gamma(1 + arg_base + s * ej)
-        return acc
-
-    return logF
+def _log_gamma_block(spec, betas, s, skip=None):
+    """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
+    leaving out the factor of index skip."""
+    acc = 0j
+    for j in range(len(spec.d)):
+        if j == skip:
+            continue
+        ej = spec.e[j]
+        base = betas[j] + complex(spec.d[j])
+        if ej < 0:
+            acc = acc + log_gamma(-base - s * ej)
+        else:
+            acc = acc - log_gamma(1 + base + s * ej)
+    return acc
 
 
 def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
@@ -266,29 +264,27 @@ def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
 def pole_separation(spec, lam):
     """Minimum pairwise distance among all left poles and the integers."""
     pts = [p for _j, _n, p in left_poles(spec, lam)]
-    sep = float("inf")
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            sep = min(sep, abs(pts[i] - pts[k]))
-        nearest_int = round(pts[i].real)
-        sep = min(sep, abs(pts[i] - nearest_int))
-    return sep
+    return min([abs(p - q) for p, q in itertools.combinations(pts, 2)]
+               + [abs(p - round(p.real)) for p in pts], default=float("inf"))
+
+
+def _abscissa_gap(spec, lam):
+    """The distance of an abscissa from the nearest real part of a left pole
+    and from the nearest integer, as a function of the abscissa."""
+    reals = [p.real for _j, _n, p in left_poles(spec, lam)]
+    return lambda sigma: min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
 
 
 def choose_abscissa(spec, lam, contour):
-    """Abscissa in [-0.45, -0.05] farthest from every pole's real part."""
-    if contour.abscissa is not None:
-        return contour.abscissa
-    res = [p.real for _j, _n, p in left_poles(spec, lam)] + [0.0, -1.0]
-    best, best_gap = None, -1.0
-    for k in range(41):
-        sigma = -0.45 + 0.01 * k
-        gap = min(abs(sigma - x) for x in res)
-        if gap > best_gap:
-            best, best_gap = sigma, gap
-    if best_gap < contour.clearance:
-        raise ContourTooClose("best abscissa clears poles by only %g" % best_gap)
-    return best
+    """The given abscissa, or the one in [-0.45, -0.05] farthest from every
+    pole's real part; either must clear them by the contour's clearance."""
+    gap = _abscissa_gap(spec, lam)
+    sigma = contour.abscissa
+    if sigma is None:
+        sigma = max((-0.45 + 0.01 * k for k in range(41)), key=gap)
+    if gap(sigma) < contour.clearance:
+        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
+    return sigma
 
 
 def _split_xi(x, w):
@@ -306,21 +302,30 @@ def _split_xi(x, w):
 
 
 def _interesting_residue(spec, betas, log_xi, j_minus, n):
-    """Residue of the integrand at the n-th pole of one negative direction."""
+    """Residues of the integrand at the n-th poles of one negative direction,
+    for an integer or an integer array n."""
     l = -spec.e[j_minus]
     base = betas[j_minus] + complex(spec.d[j_minus])
     p = (base - n) / l
-    log_term = -log_gamma(n + 1.0) - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi
-    for j in range(len(spec.d)):
-        if j == j_minus:
-            continue
-        ej = spec.e[j]
-        bj = betas[j] + complex(spec.d[j])
-        if ej < 0:
-            log_term += log_gamma(-bj - p * ej)
-        else:
-            log_term -= log_gamma(1 + bj + p * ej)
-    return (-1) ** (n % 2) * cmath.exp(log_term)
+    log_term = (-log_gamma(n + 1.0) - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi
+                + _log_gamma_block(spec, betas, p, skip=j_minus))
+    return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
+
+
+def quad(f, a, b, h):
+    """Trapezoid rule for f over [a, b] with a step of at most h, and an
+    estimate of its error.
+
+    f is called once, on the array of nodes.  The number of steps is even,
+    so the rule with twice the step uses every other node; the difference
+    of the two rules is the error estimate.
+    """
+    n = 2 * math.ceil((b - a) / (2 * h))
+    y = f(np.linspace(a, b, n + 1))
+    ends = 0.5 * (y[0] + y[-1])
+    fine = (b - a) / n * (y.sum() - ends)
+    coarse = 2 * (b - a) / n * (y[::2].sum() - ends)
+    return complex(fine), abs(fine - coarse)
 
 
 def mb_integral(spec, x, lam, contour=ContourSpec()):
@@ -338,30 +343,33 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     straight-line integral, which amounts to bending the line around them.
     The normalization makes the value equal the sum of right residues inside
     the degeneration radius and minus the sum of left residues outside it.
+
+    The line is cut at +-t_max and integrated by the trapezoid rule with
+    step gap / 8, where gap is the abscissa's distance from the nearest pole
+    real part or integer; the integrand is analytic in a strip of that half-width, so
+    the rule converges exponentially.  The error is the difference from the
+    rule with twice the step plus a bound on the cut tails.
     """
     w = w_constant_from_spec(spec)
     xi, log_xi = _split_xi(x, w)
     if pole_separation(spec, lam) < contour.clearance:
         raise PoleCollision("left poles are closer than the clearance radius")
     sigma = choose_abscissa(spec, lam, contour)
-    logF = _log_integrand(spec, lam)
+    betas = spec.betas(lam)
 
     def F(t):
-        return cmath.exp(logF(complex(sigma, t), log_xi))
+        s = sigma + 1j * t
+        return np.exp(LOG_PI - log_sin_pi(s) + s * log_xi + _log_gamma_block(spec, betas, s))
 
-    re_val, re_err = quad(lambda t: F(t).real, -contour.t_max, contour.t_max,
-                          epsabs=contour.quad_tol, epsrel=1e-12, limit=400)
-    im_val, im_err = quad(lambda t: F(t).imag, -contour.t_max, contour.t_max,
-                          epsabs=contour.quad_tol, epsrel=1e-12, limit=400)
+    integral, err = quad(F, -contour.t_max, contour.t_max, _abscissa_gap(spec, lam)(sigma) / 8)
     decay = math.pi - abs(cmath.phase(xi))
-    tail = (abs(F(contour.t_max)) + abs(F(-contour.t_max))) / max(decay, 1e-9)
-    value = -(re_val + 1j * im_val) / (2 * math.pi)
+    tail = np.abs(F(np.array([contour.t_max, -contour.t_max]))).sum() / max(decay, 1e-9)
+    value = -integral / (2 * math.pi)
 
-    betas = spec.betas(lam)
     for j, n, p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
         if p.real > sigma:
-            value -= _interesting_residue(spec, betas, log_xi, j, n)
-    return value, (re_err + im_err + tail) / (2 * math.pi)
+            value -= complex(_interesting_residue(spec, betas, log_xi, j, n))
+    return value, float(err + tail) / (2 * math.pi)
 
 
 def w_constant_from_spec(spec):
@@ -372,17 +380,15 @@ def w_constant_from_spec(spec):
 # residue sums
 
 
-def _log_gamma_block(spec, betas, s):
-    """Sum of the log-Gamma factors of the integrand except the sine part."""
-    acc = 0j
-    for j in range(len(spec.d)):
-        ej = spec.e[j]
-        base = betas[j] + complex(spec.d[j])
-        if ej < 0:
-            acc += log_gamma(-base - s * ej)
-        else:
-            acc -= log_gamma(1 + base + s * ej)
-    return acc
+def _sum_until_small(terms, rel_tol):
+    """Sum of the terms in order, stopped after the third term in a row below
+    rel_tol times max(1, |partial sum|)."""
+    if not len(terms):
+        return 0j
+    totals = np.cumsum(terms)
+    small = np.abs(terms) < rel_tol * np.maximum(1.0, np.abs(totals))
+    stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    return complex(totals[stops[0] + 2] if len(stops) else totals[-1])
 
 
 def right_residue_sum(spec, x, lam, k_max=80, rel_tol=1e-14):
@@ -391,18 +397,10 @@ def right_residue_sum(spec, x, lam, k_max=80, rel_tol=1e-14):
     w = w_constant_from_spec(spec)
     xi, log_xi = _split_xi(x, w)
     betas = spec.betas(lam)
-    total = 0j
-    small = 0
-    for k in range(k_max + 1):
-        term = (-1) ** k * cmath.exp(_log_gamma_block(spec, betas, complex(k)) + k * log_xi)
-        total += term
-        if abs(term) < rel_tol * max(1.0, abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    return total
+    k = np.arange(k_max + 1)
+    terms = np.where(k % 2, -1.0, 1.0) * np.exp(
+        _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)
+    return _sum_until_small(terms, rel_tol)
 
 
 def left_residue_terms(spec, x, lam, j_minus, residue_class, k_max=200, rel_tol=1e-14):
@@ -414,20 +412,8 @@ def left_residue_terms(spec, x, lam, j_minus, residue_class, k_max=200, rel_tol=
     w = w_constant_from_spec(spec)
     xi, log_xi = _split_xi(x, w)
     betas = spec.betas(lam)
-    l = -spec.e[j_minus]
-    total = 0j
-    small = 0
-    for k in range(k_max + 1):
-        n = k * l + residue_class
-        term = _interesting_residue(spec, betas, log_xi, j_minus, n)
-        total += term
-        if abs(term) < rel_tol * max(1.0, abs(total)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    return -total
+    n = np.arange(k_max + 1) * -spec.e[j_minus] + residue_class
+    return -_sum_until_small(_interesting_residue(spec, betas, log_xi, j_minus, n), rel_tol)
 
 
 def left_residue_sum(spec, x, lam, k_max=200):
@@ -496,34 +482,21 @@ def _unnormalized_minus_series(wc, label_minus, d_minus, x, lam, k_max=200, rel_
     """Sum over k of x^{-k} / prod Gamma(1 + u_j(d-)/2pi i + D_j d- - k D_j e)."""
     git = wc.git
     u = restrict_u(git, label_minus.delta)
-    gammas = tuple(form(lam) / TWO_PI_I for form in u)
-    total = 0j
-    small = 0
-    inv_x = 1.0 / complex(x)
-    for k in range(k_max + 1):
-        log_term = 0j
-        zero = False
-        for j in range(git.m):
-            d_j = vdot(git.D[j], d_minus)
-            arg = 1 + gammas[j] + complex(d_j) - k * wc.pair_e(j)
-            if gammas[j] == 0 and d_j.denominator == 1:
-                ai = int(d_j) + 1 - k * wc.pair_e(j)
-                if ai <= 0:
-                    zero = True
-                    break
-                log_term -= log_gamma(float(ai))
-            else:
-                log_term -= log_gamma(arg)
-        if not zero:
-            term = cmath.exp(log_term) * inv_x ** k
-            total += term
-            if abs(term) < rel_tol * max(1.0, abs(total)):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-    return total
+    k = np.arange(k_max + 1)
+    log_terms = np.zeros(k_max + 1, dtype=complex)
+    live = np.ones(k_max + 1, dtype=bool)
+    for j in range(git.m):
+        gamma_j = u[j](lam) / TWO_PI_I
+        d_j = vdot(git.D[j], d_minus)
+        if gamma_j == 0 and d_j.denominator == 1:
+            # an exact reciprocal Gamma at a nonpositive integer kills the term
+            a = int(d_j) + 1 - k * wc.pair_e(j)
+            live &= a > 0
+            log_terms -= log_gamma(np.where(a > 0, a, 1).astype(float))
+        else:
+            log_terms -= log_gamma(1 + gamma_j + complex(d_j) - k * wc.pair_e(j))
+    terms = np.exp(log_terms[live]) * (1.0 / complex(x)) ** k[live]
+    return _sum_until_small(terms, rel_tol)
 
 
 def continuation_numeric(wc, pair, x, lam, contour=ContourSpec()):
@@ -547,10 +520,7 @@ def continuation_numeric(wc, pair, x, lam, contour=ContourSpec()):
     for cand in range(l):
         q = (d_plus_pair - cand) / l
         d_minus = tuple(a + q * b for a, b in zip(spec.d_plus, ratvec(wc.e)))
-        diff = vsub(d_minus, lift_minus)
-        from .lattice import is_integral
-
-        if is_integral(diff):
+        if is_integral(vsub(d_minus, lift_minus)):
             residue_class = cand
             d_minus_vec = d_minus
             break

@@ -177,3 +177,23 @@ def test_library_value_error_exits_cleanly(config_dir, monkeypatch, capsys):
     monkeypatch.setattr(cli, "wall_frame", boom)
     assert cli.main(["analyze", "--config", str(config_dir / "conifold.json")]) == 1
     assert "error: ValueError: boom" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, wallcross.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_config_setting_the_retired_quadrature_tolerance_loads(config_dir, tmp_path):
+    from wallcross import cli
+
+    raw = json.loads((config_dir / "conifold.json").read_text())
+    raw["tolerances"] = {"quadrature": 1e-11}
+    path = tmp_path / "quadrature.json"
+    path.write_text(json.dumps(raw))
+    cfg = cli.load_config(str(path))
+    assert cli.config_hash(cfg["raw"]) == cli.config_hash(raw)
+    assert cli.cmd_verify(cfg, "mb")[1]

@@ -83,6 +83,25 @@ def test_box_examples(conifold):
     ]
 
 
+def test_box_classes_are_an_immutable_tuple_relabelled_by_side(gerbe_flop):
+    git, A = gerbe_flop.git, gerbe_flop.A_minus
+    plain = box_elements(git, A)
+    assert isinstance(plain, tuple) and all(s.side is None for s in plain)
+    sided = box_elements(git, A, side="minus")
+    assert [s.side for s in sided] == ["minus"] * len(plain)
+    assert [(s.f, s.I_f, s.age) for s in sided] == [(s.f, s.I_f, s.age) for s in plain]
+
+
+def test_analyze_enumerates_box_classes_once_per_side(config_dir):
+    from wallcross import cli, gitfan
+
+    cfg = cli.load_config(str(config_dir / "gerbe_flop.json"))
+    gitfan._box_classes.cache_clear()
+    cli.cmd_analyze(cfg)
+    info = gitfan._box_classes.cache_info()
+    assert info.misses == 2 and info.hits > 0
+
+
 def test_inv_sector():
     git = make_git([(2,), (2,)])
     A = validate_stability(git, (1,))

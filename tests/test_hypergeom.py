@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
@@ -20,6 +21,7 @@ from wallcross.hypergeom import (
     inner_series,
     inner_sum_coefficient,
     log_gamma,
+    log_sin_pi,
     make_inner_spec,
     sample_lambdas,
     w_constant,
@@ -30,15 +32,23 @@ from wallcross.lattice import frac_part, vdot
 def test_log_gamma_against_mpmath():
     mpmath.mp.dps = 30
     worst = 0.0
-    for re in [-4.3, -1.7, -0.2, 0.5, 1.0, 3.7, 8.2]:
-        for im in [-25.0, -3.2, -0.4, 0.3, 2.9, 18.0]:
-            z = complex(re, im)
-            mine = log_gamma(z)
-            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
-            # branches may differ by multiples of 2 pi i; compare exponentials
-            err = abs(cmath.exp(mine - ref) - 1)
-            worst = max(worst, err)
+    zs = [complex(re, im) for re in [-4.3, -1.7, -0.2, 0.5, 1.0, 3.7, 8.2]
+          for im in [-25.0, -3.2, -0.4, 0.3, 2.9, 18.0]]
+    for z in zs:
+        mine = log_gamma(z)
+        assert type(mine) is complex
+        ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+        # branches may differ by multiples of 2 pi i; compare exponentials
+        err = abs(cmath.exp(mine - ref) - 1)
+        worst = max(worst, err)
     assert worst < 1e-12
+    # the array form is the same kernel, elementwise (up to how the platform
+    # vectorises complex arithmetic)
+    arr = np.array(zs).reshape(7, 6)
+    for fn in (log_gamma, log_sin_pi):
+        got = fn(arr)
+        assert got.shape == arr.shape
+        np.testing.assert_allclose(got.ravel(), [fn(z) for z in zs], rtol=1e-15, atol=1e-15)
 
 
 def test_log_gamma_large_imaginary():
@@ -53,6 +63,12 @@ def test_log_gamma_pole():
         log_gamma(0.0)
     with pytest.raises(PoleCollision):
         log_gamma(-3.0)
+    with pytest.raises(PoleCollision):
+        log_gamma(np.array([0.5 + 1j, 2.0, -2.0, 3.5]))
+    with pytest.raises(PoleCollision):
+        log_sin_pi(np.array([0.5, 0.0]))
+    # near a pole but not at it: finite
+    assert np.all(np.isfinite(log_gamma(np.array([-2.0 + 1e-9, 1e-12j]))))
 
 
 def test_conifold_point_values(conifold, resolution, gerbe_flop):
@@ -83,6 +99,7 @@ def test_inner_coefficient_vanishes_at_zero_parameters(conifold):
     lam = (0j, 0j, 0j, 0j)
     for k in range(1, 5):
         assert inner_sum_coefficient(spec, k, lam) == 0
+    assert inner_sum_coefficient(spec, np.arange(5), lam).tolist() == [1, 0, 0, 0, 0]
 
 
 def test_inner_coefficient_first_order(conifold):

@@ -2,18 +2,22 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from wallcross.gitfan import fixed_point_labels, next_to_pairs
+from wallcross.cli import load_config
+from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
 from wallcross.hypergeom import conifold_point, generic_lambdas, make_inner_spec, w_constant
 from wallcross.mellinbarnes import (
     ContourSpec,
+    ContourTooClose,
     IncompatibleLifts,
     choose_abscissa,
     continuation_coefficient,
     continuation_matrix,
     continuation_numeric,
     left_residue_sum,
+    left_poles,
     lift_invariance_check,
     mb_integral,
     mb_integral_with_error,
@@ -158,6 +162,62 @@ def test_pole_separation_positive(conifold, resolution):
         assert pole_separation(spec, lam) > 1e-3
         sigma = choose_abscissa(spec, lam, ContourSpec())
         assert -0.45 <= sigma <= -0.05
+
+
+def test_explicit_abscissa_must_clear_the_poles(conifold):
+    lam = generic_lambdas(conifold, 1, seed=31)[0]
+    label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
+    spec = make_inner_spec(conifold, label)
+    x = _xio(conifold, 0.4)
+    pole = next(p for _j, _n, p in left_poles(spec, lam) if -1.0 < p.real < 0.0)
+    for sigma in (0.0, -1.0 + 5e-4, pole.real - 5e-4):
+        with pytest.raises(ContourTooClose):
+            choose_abscissa(spec, lam, ContourSpec(abscissa=sigma))
+        with pytest.raises(ContourTooClose):
+            mb_integral(spec, x, lam, ContourSpec(abscissa=sigma))
+    assert choose_abscissa(spec, lam, ContourSpec(abscissa=-0.15)) == -0.15
+
+
+def _mpmath_barnes(spec, x, lam, sigma, t_max):
+    """The Barnes integral of mb_integral_with_error, written out at 30
+    digits: the line integral by mpmath.quad plus the residues of the poles
+    right of the line."""
+    mpmath.mp.dps = 30
+    bases = [mpmath.mpc(b.real, b.imag) + mpmath.mpf(d.numerator) / d.denominator
+             for b, d in zip(spec.betas(lam), spec.d)]
+    w = -1 + sum(e for e in spec.e if e > 0)
+    log_xi = mpmath.log(mpmath.mpc(x.real, x.imag) * mpmath.exp(-1j * mpmath.pi * w))
+
+    def integrand(s, skip=None):
+        v = mpmath.exp(s * log_xi) * mpmath.pi / mpmath.sin(mpmath.pi * s)
+        for j, (base, e) in enumerate(zip(bases, spec.e)):
+            if j != skip:
+                v *= mpmath.gamma(-base - s * e) if e < 0 else mpmath.rgamma(1 + base + s * e)
+        return v
+
+    line = mpmath.quad(lambda t: integrand(mpmath.mpc(sigma, t)), mpmath.linspace(-t_max, t_max, 9))
+    value = -line / (2 * mpmath.pi)
+    for j, n, _p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
+        l = -spec.e[j]
+        p = (bases[j] - n) / l
+        if p.real > sigma:
+            value -= (-1) ** n / (mpmath.factorial(n) * l) * integrand(p, skip=j)
+    return complex(value)
+
+
+def test_barnes_integral_against_mpmath(config_dir):
+    for name in ("conifold", "resolution", "gerbe_flop"):
+        cfg = load_config(str(config_dir / (name + ".json")))
+        wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+        label = next(l for l in fixed_point_labels(wc.git, wc.A_plus, side="plus")
+                     if l.delta not in wc.A_minus.minimal)
+        spec = make_inner_spec(wc, label)
+        lam = generic_lambdas(wc, 1, seed=53)[0]
+        sigma = choose_abscissa(spec, lam, ContourSpec())
+        for scale in (0.3, 3.0):
+            x = _xio(wc, scale)
+            ref = _mpmath_barnes(spec, x, lam, sigma, ContourSpec().t_max)
+            assert abs(mb_integral(spec, x, lam) - ref) < 1e-12 * abs(ref), (name, scale)
 
 
 def test_negative_integer_residues_vanish(conifold, resolution):
