@@ -16,13 +16,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .lattice import (
-    _det as det_frac,
     anticone_coords,
     anticone_dual,
+    content,
     frac_part,
+    hermite_with_transform,
     intvec,
     matrix_rank,
+    primitive_integer_vector,
     primitive_wall_normal,
     NotAHyperplane,
     quotient_transversal,
@@ -37,7 +41,8 @@ from .lattice import (
     zero_vec,
 )
 
-# sup-norm radius bound of the integral searches in wall_frame
+# sup-norm radius of the smallest-first rule in wall_frame; past it the frame
+# is constructed
 WALL_SEARCH_RADIUS = 24
 
 
@@ -55,6 +60,11 @@ class NotAdjacent(ValueError):
 
 class NotCrepant(ValueError):
     """The character sum does not lie on the wall."""
+
+
+class WallFrameError(ValueError):
+    """No integral frame adapted to the wall exists.  The message names the
+    side (wall, plus or minus) and the invariant that fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +557,24 @@ def _dual_of_extended(git, omega):
     return extended_lattice(git, omega).dual()
 
 
-def _in_nef_cone(git, A, v):
-    return all(c >= 0 for delta in A.minimal for c in anticone_coords(git.D, delta, v))
-
-
 def _int_det(mat):
-    d = det_frac([list(map(Fraction, r)) for r in mat])
-    assert d.denominator == 1
-    return int(d)
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def _saturated(coord_rows):
@@ -583,14 +603,6 @@ def _combination(coeffs, rows):
     return v
 
 
-def _sup_shell(radius, n):
-    """Integer vectors of length n and sup norm exactly ``radius``, in lex
-    order."""
-    for k in itertools.product(range(-radius, radius + 1), repeat=n):
-        if max((abs(x) for x in k), default=0) == radius:
-            yield k
-
-
 def _constrained_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
     the given rational functionals."""
@@ -601,39 +613,189 @@ def _constrained_sublattice(dual, conditions):
     return [_combination(k, dual.rows) for k in integer_kernel_basis(cond_rows, r)]
 
 
-def _search_basis(generators, accept, need, full_det_one):
-    """Backtracking search for `need` vectors over the generator lattice.
+# The searches of wall_frame run over integer coordinates k on a basis of a
+# sublattice, and each acceptance test is compiled once per call into integer
+# rows: N k >= 0 for the nef cones, E.k for the side of the wall, and L.k for
+# the determinant of the wall vectors completed by the candidate.
 
-    Candidates are integer combinations enumerated by sup-norm radius and
-    lex order; each prefix must be extendable to a lattice basis (maximal
-    minors coprime), and the full selection must be unimodular over the
-    generators when `full_det_one` is set.  Deterministic.
-    """
-    pool = []
 
-    def extend(chosen_k, chosen_v):
-        if len(chosen_v) == need:
-            if full_det_one and abs(_int_det(chosen_k)) != 1:
-                return None
-            return list(chosen_v)
-        for k, v in pool:
-            rows = list(chosen_k) + [k]
-            if matrix_rank(rows) != len(rows) or not _saturated(rows):
-                continue
-            result = extend(rows, list(chosen_v) + [v])
-            if result is not None:
-                return result
+def _idot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _nef_rows(git, anticone_sets, gens):
+    """Integer rows N with N k >= 0 exactly when sum_t k_t gens[t] lies in the
+    closed nef cone of every given anticone set: one row per anticone
+    coordinate of the generators over every minimal anticone, scaled to a
+    primitive integer row by a positive factor; zero and repeated rows are
+    dropped."""
+    rows = []
+    for delta in dict.fromkeys(delta for A in anticone_sets for delta in A.minimal):
+        coords = [anticone_coords(git.D, delta, g) for g in gens]
+        rows += [[c[j] for c in coords] for j in range(len(delta))]
+    return list(dict.fromkeys(primitive_integer_vector(row) for row in rows if any(row)))
+
+
+def _int64(rows, width, reach):
+    """Integer rows as an int64 array; ``reach`` bounds the l1 norm of the
+    vectors they are applied to, so no product overflows."""
+    bound = max((abs(x) for row in rows for x in row), default=0) * reach
+    assert bound < 2 ** 62, "integer test would overflow int64"
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _box(radius, n):
+    """The integer vectors of length n and sup norm at most ``radius``, in
+    lex order, as the rows of an array."""
+    side = 2 * radius + 1
+    return np.indices((side,) * n).reshape(n, side ** n).T - radius
+
+
+def _level_one(L):
+    """An integer vector k with L.k = 1, or None when gcd(L) != 1."""
+    H, U = hermite_with_transform([[x] for x in L])
+    return U[0] if H[0] == (1,) else None
+
+
+def _lift(N, v0, g):
+    """v0 + t g for the smallest integer t with N (v0 + t g) >= 0.  The rows
+    with N g = 0 must already hold at v0."""
+    t = max((-(_idot(n, v0) // _idot(n, g)) for n in N if _idot(n, g) > 0), default=0)
+    v = tuple(a + t * b for a, b in zip(v0, g))
+    assert all(_idot(n, v) >= 0 for n in N), "lifted vector is not nef"
+    return v
+
+
+def _first_basis(pool, need):
+    """The first tuple of pool rows, in lex order of pool indices, that is a
+    basis of Z^need, every prefix extending to one; None when there is none."""
+
+    def extend(chosen):
+        if len(chosen) == need - 1:
+            # det(chosen + [k]) is linear in k: one cofactor row
+            cof = [(-1) ** (need - 1 + j) * _int_det([row[:j] + row[j + 1:] for row in chosen])
+                   for j in range(need)]
+            det = pool @ _int64([cof], need, need * WALL_SEARCH_RADIUS)[0]
+            hit = np.flatnonzero(np.abs(det) == 1)
+            return chosen + [tuple(int(x) for x in pool[hit[0]])] if hit.size else None
+        for k in pool:
+            rows = chosen + [tuple(int(x) for x in k)]
+            if _saturated(rows):
+                found = extend(rows)
+                if found is not None:
+                    return found
         return None
 
-    for radius in range(1, WALL_SEARCH_RADIUS + 1):
-        for k in _sup_shell(radius, len(generators)):
-            v = _combination(k, generators)
-            if accept(v):
-                pool.append((k, v))
-        result = extend([], [])
-        if result is not None:
-            return result
+    return extend([])
+
+
+def _search_wall(N, ell):
+    """Coordinates of the wall basis by the smallest-first rule: the accepted
+    k (k != 0, N k >= 0) pooled by sup-norm radius, then lex order, and the
+    first basis of Z^ell in the pool at the smallest radius that holds one.
+    None past WALL_SEARCH_RADIUS.  For ell = 1 only k = +-1 is a basis, so
+    radius 1 is complete."""
+    Na = _int64(N, ell, ell * WALL_SEARCH_RADIUS)
+    shells = []
+    for radius in range(1, (1 if ell == 1 else WALL_SEARCH_RADIUS) + 1):
+        box = _box(radius, ell)
+        shell = box[np.abs(box).max(axis=1) == radius]
+        shells.append(shell[(shell @ Na.T >= 0).all(axis=1)])
+        found = _first_basis(np.concatenate(shells), ell)
+        if found is not None:
+            return found
     return None
+
+
+def _construct_wall(N, ell):
+    """A wall basis where the rule finds none: for ell = 2, two consecutive
+    Hilbert-basis vectors of the 2-D cone {k : N k >= 0}, namely its ray u
+    with the cone counterclockwise of it, and the cone's first lattice point
+    h on the line det(u, h) = 1 (Cox-Little-Schenck, Toric Varieties, 10.2).
+    Raises WallFrameError when the cone has dimension < ell."""
+    if ell == 1:
+        raise WallFrameError("wall: the common facet cone has dimension < 1")
+    if ell > 2:
+        raise WallFrameError("wall: no basis within radius %d, and past it the "
+                             "construction covers facets of rank <= 2" % WALL_SEARCH_RADIUS)
+    # a failed search leaves no plane or half-plane, whose unit vectors lie
+    # at radius 1; a 2-D cone is then pointed and its two rays are normals
+    # of its rows
+    rays = {c for a, b in N for c in ((-b, a), (b, -a)) if all(_idot(n, c) >= 0 for n in N)}
+    if len(rays) != 2 or _int_det(list(rays)) == 0:
+        raise WallFrameError("wall: the common facet cone has dimension < 2")
+    u, w = sorted(rays)
+    if _int_det([u, w]) < 0:
+        u = w
+    return [u, _lift(N, _level_one((-u[1], u[0])), u)]
+
+
+def _search_last(N, E, L, sign):
+    """Coordinates of the last vector by the smallest-first rule: the first
+    k by sup-norm radius, then lex order, with sign * E.k > 0, N k >= 0 and
+    L.k = +-1.  (A side's nef cone lies on its side of the wall, so the sign
+    test only excludes the wall.)  L.k = +-1 is solved for one coordinate,
+    so a radius costs a box of the others.  None past WALL_SEARCH_RADIUS."""
+    n = len(L)
+    p = min((c for c in range(n) if L[c]), key=lambda c: abs(L[c]))
+    others = [c for c in range(n) if c != p]
+    reach = n * WALL_SEARCH_RADIUS
+    Lo = _int64([[L[c] for c in others]], n - 1, reach)[0]
+    Na, Ea = _int64(N, n, reach), _int64([E], n, reach)[0]
+    for radius in range(1, WALL_SEARCH_RADIUS + 1):
+        box = _box(radius, n - 1)
+        rest = box @ Lo
+        parts = []
+        for s in (1, -1):
+            ok = (s - rest) % L[p] == 0
+            parts.append(np.insert(box[ok], p, (s - rest[ok]) // L[p], axis=1))
+        k = np.concatenate(parts)
+        k = k[np.abs(k).max(axis=1) == radius]
+        k = k[(sign * (k @ Ea) > 0) & (k @ Na.T >= 0).all(axis=1)]
+        if len(k):
+            return tuple(int(x) for x in k[np.lexsort(k.T[::-1])[0]])
+    return None
+
+
+def _last_vector(wc, side, dual, wall, facet_point):
+    """The off-wall basis vector of one side: the side's extended character
+    when it has one beyond the shared ones, else a nef point of the side
+    sublattice completing the wall vectors to a basis, by the rule and, past
+    its radius, by construction."""
+    git = wc.git
+    A, S, xi = (wc.A_plus, wc.S_plus, wc.xi_plus) if side == "plus" else (wc.A_minus, wc.S_minus, wc.xi_minus)
+    extra = sorted(set(S) - set(wc.S_zero))
+    if extra:
+        v = ratvec(git.D[extra[0]])
+        coords = [_coords_in(dual, w) for w in wall + [v]]
+        assert abs(_int_det(coords)) == 1, "extended character does not complete a basis"
+        return v
+    # the ambient-side sublattice: annihilated by the side's splitting
+    # vectors only; the off-wall completion lives here
+    gens = _constrained_sublattice(dual, [xi[i] for i in S])
+    wall_coords = [_coords_in(dual, w) for w in wall]
+    L = [_int_det(wall_coords + [_coords_in(dual, g)]) for g in gens]
+    unit = _level_one(L)
+    if unit is None:
+        raise WallFrameError("%s: the wall vectors complete to no basis of the side lattice "
+                             "(gcd of the completing determinants is %d)" % (side, content(L)))
+    N = _nef_rows(git, (A,), gens)
+    E = [int(vdot(wc.e, g)) for g in gens]
+    sign = 1 if side == "plus" else -1
+    k = _search_last(N, E, L, sign)
+    if k is None:
+        # v0 + t g with L.v0 = +-1 on this side of the wall and g the facet
+        # point; every nef row vanishing at g vanishes on the facet, so it
+        # is a multiple of E and v0 meets it unless the side's nef cone
+        # has no ray on this side of the wall
+        v0 = unit if sign * _idot(E, unit) > 0 else tuple(-x for x in unit)
+        g = intvec(solve_rectangular([[gen[i] for gen in gens] for i in range(git.r)], facet_point))
+        if any(_idot(n, g) == 0 and _idot(n, v0) < 0 for n in N):
+            raise WallFrameError("%s: the nef cone has no ray on this side of the wall "
+                                 "in the side lattice" % side)
+        k = _lift(N, v0, g)
+        assert abs(_idot(L, k)) == 1 and sign * _idot(E, k) > 0
+    return _combination(k, gens)
 
 
 def wall_frame(wc):
@@ -644,11 +806,14 @@ def wall_frame(wc):
     sublattice lying on the closure of the common facet, chosen smallest
     first with backtracking.  The final off-wall vector on each side is the
     extended character when one exists, else the smallest nef integral
-    point completing a basis.
+    point completing a basis.  "Smallest" is by sup-norm radius, then lex
+    order, up to WALL_SEARCH_RADIUS; past it the vectors are constructed.
+    Raises WallFrameError when no such frame exists.
     """
     git = wc.git
-    dual_plus = _dual_of_extended(git, wc.omega_plus)
-    dual_minus = _dual_of_extended(git, wc.omega_minus)
+    # the crossing's anticone sets, already validated, give the box classes
+    dual_plus = _dual_of_extended(git, wc.A_plus)
+    dual_minus = _dual_of_extended(git, wc.A_minus)
 
     seed = [ratvec(git.D[j]) for j in wc.S_zero]
     ell = git.r - 1 - len(wc.S_zero)
@@ -661,55 +826,31 @@ def wall_frame(wc):
     facet_gens = _constrained_sublattice(dual_plus, conditions)
     assert len(facet_gens) == ell, "facet sublattice has unexpected rank"
 
-    def wall_accept(v):
-        if all(x == 0 for x in v):
-            return False
-        if not (dual_minus.contains(v) and dual_plus.contains(v)):
-            return False
-        return _in_nef_cone(git, wc.A_plus, v) and _in_nef_cone(git, wc.A_minus, v)
-
+    found = []
     if ell:
-        found = _search_basis(facet_gens, wall_accept, ell, full_det_one=True)
-        if found is None:
-            raise ValueError("no integral wall basis found within search radius")
-        wall = seed + found
-    else:
-        wall = list(seed)
+        # wall vectors lie in both duals; facet_gens lie in the plus dual,
+        # and the k landing in the minus dual form a sublattice of Z^ell
+        # that holds a basis of Z^ell only when it is all of Z^ell
+        if not all(dual_minus.contains(g) for g in facet_gens):
+            raise WallFrameError("wall: the facet lattice is not inside the minus dual lattice, "
+                                 "so no wall basis lies in both")
+        N = _nef_rows(git, (wc.A_plus, wc.A_minus), facet_gens)
+        ks = _search_wall(N, ell) or _construct_wall(N, ell)
+        found = [_combination(k, facet_gens) for k in ks]
+    wall = seed + found
 
     if wall:
         for dual in (dual_plus, dual_minus):
             coords = [_coords_in(dual, w) for w in wall]
             assert matrix_rank(coords) == len(wall) and _saturated(coords)
 
-    def last_vector(side):
-        A = wc.A_plus if side == "plus" else wc.A_minus
-        dual = dual_plus if side == "plus" else dual_minus
-        S = wc.S_plus if side == "plus" else wc.S_minus
-        xi = wc.xi_plus if side == "plus" else wc.xi_minus
-        extra = sorted(set(S) - set(wc.S_zero))
-        if extra:
-            v = ratvec(git.D[extra[0]])
-            coords = [_coords_in(dual, w) for w in wall + [v]]
-            assert abs(_int_det(coords)) == 1, "extended character does not complete a basis"
-            return v
-        # the ambient-side sublattice: annihilated by the side's splitting
-        # vectors only; the off-wall completion lives here
-        side_gens = _constrained_sublattice(dual, [xi[i] for i in S])
-        wall_coords = [_coords_in(dual, w) for w in wall]
-        for radius in range(1, WALL_SEARCH_RADIUS + 1):
-            for k in _sup_shell(radius, len(side_gens)):
-                v = _combination(k, side_gens)
-                if wc.on_wall(v):
-                    continue
-                if not _in_nef_cone(git, A, v):
-                    continue
-                coords = wall_coords + [_coords_in(dual, v)]
-                if abs(_int_det(coords)) == 1:
-                    return v
-        raise ValueError("no off-wall nef basis vector found within search radius")
-
-    last_plus = last_vector("plus")
-    last_minus = last_vector("minus")
+    # the sum of the found wall vectors lies in the relative interior of the
+    # common facet cone
+    facet_point = zero_vec(git.r)
+    for w in found:
+        facet_point = vadd(facet_point, w)
+    last_plus = _last_vector(wc, "plus", dual_plus, wall, facet_point)
+    last_minus = _last_vector(wc, "minus", dual_minus, wall, facet_point)
     sfp_plus = tuple(wall) + (last_plus,)
     sfp_minus = tuple(wall) + (last_minus,)
 

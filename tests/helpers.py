@@ -180,3 +180,238 @@ def oracle_box(git, A):
         if A.contains(I_f):
             out.append(f)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the radius-24 wall-frame search, kept as the oracle of gitfan.wall_frame:
+# Fraction arithmetic throughout, every candidate by sup-norm radius and lex
+# order, raising ValueError when the radius is exhausted
+
+
+def _oracle_int_det(mat):
+    from wallcross.lattice import _det
+
+    d = _det([list(map(Fraction, r)) for r in mat])
+    assert d.denominator == 1
+    return int(d)
+
+
+def _oracle_saturated(coord_rows):
+    """Whether integer vectors extend to a lattice basis: maximal minors
+    have gcd 1."""
+    import itertools
+    from math import gcd
+
+    k = len(coord_rows)
+    n = len(coord_rows[0])
+    g = 0
+    for cols in itertools.combinations(range(n), k):
+        sub = [[row[c] for c in cols] for row in coord_rows]
+        g = gcd(g, abs(_oracle_int_det(sub)))
+        if g == 1:
+            return True
+    return g == 1
+
+
+def _sup_shell(radius, n):
+    """Integer vectors of length n and sup norm exactly ``radius``, in lex
+    order."""
+    import itertools
+
+    for k in itertools.product(range(-radius, radius + 1), repeat=n):
+        if max((abs(x) for x in k), default=0) == radius:
+            yield k
+
+
+def _in_nef_cone(git, A, v):
+    from wallcross.lattice import anticone_coords
+
+    return all(c >= 0 for delta in A.minimal for c in anticone_coords(git.D, delta, v))
+
+
+def _search_basis(generators, accept, need, full_det_one):
+    """Backtracking search for `need` vectors over the generator lattice.
+
+    Candidates are integer combinations enumerated by sup-norm radius and
+    lex order; each prefix must be extendable to a lattice basis (maximal
+    minors coprime), and the full selection must be unimodular over the
+    generators when `full_det_one` is set.  Deterministic.
+    """
+    from wallcross.gitfan import WALL_SEARCH_RADIUS, _combination
+    from wallcross.lattice import matrix_rank
+
+    pool = []
+
+    def extend(chosen_k, chosen_v):
+        if len(chosen_v) == need:
+            if full_det_one and abs(_oracle_int_det(chosen_k)) != 1:
+                return None
+            return list(chosen_v)
+        for k, v in pool:
+            rows = list(chosen_k) + [k]
+            if matrix_rank(rows) != len(rows) or not _oracle_saturated(rows):
+                continue
+            result = extend(rows, list(chosen_v) + [v])
+            if result is not None:
+                return result
+        return None
+
+    for radius in range(1, WALL_SEARCH_RADIUS + 1):
+        for k in _sup_shell(radius, len(generators)):
+            v = _combination(k, generators)
+            if accept(v):
+                pool.append((k, v))
+        result = extend([], [])
+        if result is not None:
+            return result
+    return None
+
+
+def oracle_wall_frame(wc):
+    """The adapted integral bases and the chart transition by brute-force
+    search, or ValueError when a search exhausts its radius.
+
+    Wall vectors come first and are shared by both sides: the extended
+    characters common to both, then integral points of the shared wall
+    sublattice lying on the closure of the common facet, chosen smallest
+    first with backtracking.  The final off-wall vector on each side is the
+    extended character when one exists, else the smallest nef integral
+    point completing a basis.
+    """
+    from math import gcd
+
+    from wallcross.gitfan import (
+        WALL_SEARCH_RADIUS,
+        CoordinateChange,
+        WallFrame,
+        _combination,
+        _constrained_sublattice,
+        _coords_in,
+        _dual_of_extended,
+    )
+    from wallcross.lattice import matrix_rank, ratvec, solve_square
+
+    git = wc.git
+    dual_plus = _dual_of_extended(git, wc.omega_plus)
+    dual_minus = _dual_of_extended(git, wc.omega_minus)
+
+    seed = [ratvec(git.D[j]) for j in wc.S_zero]
+    ell = git.r - 1 - len(wc.S_zero)
+
+    # the shared facet's sublattice: on the wall, annihilated by every
+    # splitting vector of both sides
+    conditions = [ratvec(wc.e)]
+    conditions += [wc.xi_plus[i] for i in wc.S_plus]
+    conditions += [wc.xi_minus[i] for i in wc.S_minus]
+    facet_gens = _constrained_sublattice(dual_plus, conditions)
+    assert len(facet_gens) == ell, "facet sublattice has unexpected rank"
+
+    def wall_accept(v):
+        if all(x == 0 for x in v):
+            return False
+        if not (dual_minus.contains(v) and dual_plus.contains(v)):
+            return False
+        return _in_nef_cone(git, wc.A_plus, v) and _in_nef_cone(git, wc.A_minus, v)
+
+    if ell:
+        found = _search_basis(facet_gens, wall_accept, ell, full_det_one=True)
+        if found is None:
+            raise ValueError("no integral wall basis found within search radius")
+        wall = seed + found
+    else:
+        wall = list(seed)
+
+    if wall:
+        for dual in (dual_plus, dual_minus):
+            coords = [_coords_in(dual, w) for w in wall]
+            assert matrix_rank(coords) == len(wall) and _oracle_saturated(coords)
+
+    def last_vector(side):
+        A = wc.A_plus if side == "plus" else wc.A_minus
+        dual = dual_plus if side == "plus" else dual_minus
+        S = wc.S_plus if side == "plus" else wc.S_minus
+        xi = wc.xi_plus if side == "plus" else wc.xi_minus
+        extra = sorted(set(S) - set(wc.S_zero))
+        if extra:
+            v = ratvec(git.D[extra[0]])
+            coords = [_coords_in(dual, w) for w in wall + [v]]
+            assert abs(_oracle_int_det(coords)) == 1, "extended character does not complete a basis"
+            return v
+        # the ambient-side sublattice: annihilated by the side's splitting
+        # vectors only; the off-wall completion lives here
+        side_gens = _constrained_sublattice(dual, [xi[i] for i in S])
+        wall_coords = [_coords_in(dual, w) for w in wall]
+        for radius in range(1, WALL_SEARCH_RADIUS + 1):
+            for k in _sup_shell(radius, len(side_gens)):
+                v = _combination(k, side_gens)
+                if wc.on_wall(v):
+                    continue
+                if not _in_nef_cone(git, A, v):
+                    continue
+                coords = wall_coords + [_coords_in(dual, v)]
+                if abs(_oracle_int_det(coords)) == 1:
+                    return v
+        raise ValueError("no off-wall nef basis vector found within search radius")
+
+    last_plus = last_vector("plus")
+    last_minus = last_vector("minus")
+    sfp_plus = tuple(wall) + (last_plus,)
+    sfp_minus = tuple(wall) + (last_minus,)
+
+    # last_plus = sum_i c_i * wall_i - c * last_minus
+    rows = [[w[k] for w in list(wall) + [last_minus]] for k in range(git.r)]
+    coeffs = solve_square(rows, list(last_plus))
+    c = -coeffs[-1]
+    assert c > 0, "transition exponent must be positive"
+    c_i = tuple(coeffs[:-1])
+    B = c.denominator
+    for x in c_i:
+        B = B * x.denominator // gcd(B, x.denominator)
+    change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B, A_i=tuple(int(x * B) for x in c_i))
+    return WallFrame(sfp_plus=sfp_plus, sfp_minus=sfp_minus, change=change)
+
+
+def assert_frame_properties(wc, frame):
+    """The defining properties of a wall frame, checked in Fraction
+    arithmetic: the shared wall vectors lie on the wall, in both duals and in
+    both nef cones; each side's basis has |det| = 1 over its dual; the last
+    vectors are nef and off the wall on their own side; c > 0."""
+    from wallcross.gitfan import _dual_of_extended
+    from wallcross.lattice import vdot
+
+    sides = (
+        (1, frame.sfp_plus, wc.A_plus, _dual_of_extended(wc.git, wc.omega_plus)),
+        (-1, frame.sfp_minus, wc.A_minus, _dual_of_extended(wc.git, wc.omega_minus)),
+    )
+    assert frame.sfp_plus[:-1] == frame.sfp_minus[:-1]
+    for w in frame.sfp_plus[:-1]:
+        assert wc.on_wall(w)
+        for _sign, _sfp, A, dual in sides:
+            assert dual.contains(w) and _in_nef_cone(wc.git, A, w)
+    for sign, sfp, A, dual in sides:
+        assert abs(_oracle_int_det([dual.coords(v) for v in sfp])) == 1
+        assert sign * vdot(sfp[-1], wc.e) > 0 and _in_nef_cone(wc.git, A, sfp[-1])
+    assert frame.change.c > 0
+
+
+def assert_sigma_transition(wc, frame):
+    """At every next-to pair of minimal anticones, the plus restriction of
+    the shifted pullback class minus the minus restriction rewritten in plus
+    coordinates is the normal weight u_{j-} scaled by D_k.e / D_{j-}.e, one
+    frame vector k at a time."""
+    from wallcross.gitfan import next_to_pairs
+    from wallcross.lattice import vdot
+    from wallcross.localization import restrict_u, sigma_restrict
+
+    seen = set()
+    for lp, lm in next_to_pairs(wc):
+        if (lp.delta, lm.delta) in seen:
+            continue
+        seen.add((lp.delta, lm.delta))
+        j_minus = next(i for i in lm.delta if i not in lp.delta)
+        u = restrict_u(wc.git, lp.delta)[j_minus]
+        sig_p = sigma_restrict(wc, lp.delta, "plus")
+        sig_m = sigma_restrict(wc, lm.delta, "minus").in_plus_coordinates(frame.change)
+        for k in range(wc.git.r):
+            ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
+            assert sig_p.log_coeffs[k] - sig_m.log_coeffs[k] == u.scale(ratio)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 
 def run_cli(args):
@@ -177,6 +178,51 @@ def test_library_value_error_exits_cleanly(config_dir, monkeypatch, capsys):
     monkeypatch.setattr(cli, "wall_frame", boom)
     assert cli.main(["analyze", "--config", str(config_dir / "conifold.json")]) == 1
     assert "error: ValueError: boom" in capsys.readouterr().err
+
+
+def test_wall_frame_error_exits_cleanly(config_dir, monkeypatch, capsys):
+    import time
+    from dataclasses import replace
+
+    from wallcross import cli
+
+    # no drawn crossing lacks a frame, so the record is doctored: both of its
+    # sides are the plus chamber, whose nef cone has no ray on the minus side
+    def same_chamber(git, omega_plus, omega_minus):
+        wc = wall_crossing(git, omega_plus, omega_minus)
+        return replace(wc, omega_minus=wc.omega_plus, A_minus=wc.A_plus)
+
+    wall_crossing = cli.wall_crossing
+    monkeypatch.setattr(cli, "wall_crossing", same_chamber)
+    start = time.perf_counter()
+    assert cli.main(["analyze", "--config", str(config_dir / "conifold.json")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error: WallFrameError: minus: the nef cone has no ray on this side" in err
+    assert "Traceback" not in err
+
+
+def test_formerly_unframed_crossing_analyzes(tmp_path):
+    import time
+
+    from wallcross import cli
+
+    # draw 5 of random_crepant_crossing(random.Random(122), max_r=3): its
+    # common facet cone is a unimodular sliver with rays of sup norm 34327
+    # and 84007 in facet coordinates, past the radius-24 rule
+    cfg = {
+        "schema": "wallcross-config/1",
+        "git": {"r": 3, "m": 7, "D": [[-1, 0, 1], [-3, 2, 1], [2, -2, -2], [-2, 0, 1],
+                                      [-5, 5, 1], [3, -4, 0], [5, -1, -1]]},
+        "omega_plus": [[-89, 8], [49, 8], [41, 8]],
+        "omega_minus": [[-87, 8], [47, 8], [39, 8]],
+    }
+    path = tmp_path / "s122_d05.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    results, ok = cli.cmd_analyze(cli.load_config(str(path)))
+    assert time.perf_counter() - start < 1.0
+    assert ok and results["coordinate_change"]["c"] == Fraction(3, 2)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,15 +1,26 @@
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import in_open_cone, oracle_anticones, oracle_box, random_crepant_crossing
+from helpers import (
+    assert_frame_properties,
+    assert_sigma_transition,
+    in_open_cone,
+    oracle_anticones,
+    oracle_box,
+    oracle_wall_frame,
+    random_crepant_crossing,
+)
+from wallcross import gitfan
 from wallcross.gitfan import (
     EmptyQuotient,
     NotAdjacent,
     NotCrepant,
     NotDeligneMumford,
+    WallFrameError,
     box_elements,
     coordinate_change,
     fixed_point_labels,
@@ -298,3 +309,137 @@ def test_box_matches_oracle_randomized():
         for A in (wc.A_plus, wc.A_minus):
             got = sorted(s.f for s in box_elements(wc.git, A))
             assert got == oracle_box(wc.git, A)
+
+
+BENCH_CONFIGS = pathlib.Path(__file__).parent.parent / "bench" / "configs"
+RANK3 = sorted(p.stem for p in BENCH_CONFIGS.glob("rank3_*.json"))
+
+# Crossings whose frame the radius-24 search did not find: the draws
+# (seed, index) of random_crepant_crossing(random.Random(seed), max_r=3), and
+# the benchmark's seeded draw random_s1_73.
+F = Fraction
+FORMERLY_UNFRAMED = {
+    "s101_d07": ([(-1, 4, 3), (2, -2, -1), (0, -4, 0), (1, -5, -2), (-1, 2, 1), (-1, 3, 2), (0, 1, -1)],
+                 (F(1, 4), F(-45, 4), F(-5, 4)), (F(-1, 4), F(-43, 4), F(-3, 4))),
+    "s101_d11": ([(-1, -1, 0), (8, 5, 7), (6, 5, 2), (6, 4, 5), (0, 0, -1), (-9, -5, -6), (-8, -7, -5)],
+                 (F(79, 16), F(63, 16), F(31, 16)), (F(81, 16), F(65, 16), F(33, 16))),
+    "s103_d01": ([(6, 8, -6), (3, 4, -2), (1, 2, -2), (2, 4, -5), (0, 0, 1), (0, 2, -2)],
+                 (F(23, 4), F(55, 4), F(-47, 4)), (F(25, 4), F(57, 4), F(-49, 4))),
+    "s106_d11": ([(-2, 0), (2, -2), (2, 0), (4, -1), (1, 1), (-1, 2)],
+                 (F(15, 4), F(1, 4)), (F(17, 4), F(-1, 4))),
+    "s107_d36": ([(10, -9, 6), (-9, 7, -6), (2, -4, 0), (-3, 2, -1), (1, -3, -1), (1, 2, 2), (-6, 7, -3)],
+                 (F(19, 4), F(-23, 4), F(7, 4)), (F(21, 4), F(-25, 4), F(9, 4))),
+    "s109_d31": ([(2, 1, 2), (2, -1, 1), (4, 5, 2), (5, 5, 2), (1, 4, 0)],
+                 (F(39, 4), F(35, 4), 5), (F(41, 4), F(37, 4), 5)),
+    "s114_d08": ([(-5, -1, 1), (-2, -1, 1), (2, 2, -4), (-2, -2, 3), (0, 2, -1), (2, 1, -1)],
+                 (F(-21, 4), -2, F(9, 4)), (F(-19, 4), -2, F(7, 4))),
+    "s117_d07": ([(-1, 1, 1), (3, 5, 1), (1, -2, -1), (3, 2, 0), (2, -1, 0), (0, 0, 0), (1, 0, -1)],
+                 (F(39, 8), F(23, 8), F(-1, 8)), (F(41, 8), F(25, 8), F(1, 8))),
+    "s121_d12": ([(-1, -4, -3), (-2, -3, -4), (2, 5, 6), (2, 2, 3), (0, 1, 1), (-2, -2, -5), (2, 6, 4)],
+                 (0, F(23, 4), F(-1, 4)), (0, F(25, 4), F(1, 4))),
+    "s122_d05": ([(-1, 0, 1), (-3, 2, 1), (2, -2, -2), (-2, 0, 1), (-5, 5, 1), (3, -4, 0), (5, -1, -1)],
+                 (F(-89, 8), F(49, 8), F(41, 8)), (F(-87, 8), F(47, 8), F(39, 8))),
+    "random_s1_73": ([(-3, 1), (2, 1), (-3, 0), (-2, 1), (4, 2), (-1, -2), (-3, -3)],
+                     (F(-25, 4), F(-1, 4)), (F(-23, 4), F(1, 4))),
+}
+FRAME_CASES = RANK3 + sorted(FORMERLY_UNFRAMED)
+
+# Rank-3 draws (as above) with a side whose splitting indices S are all
+# shared, S = S_zero != (), and a rank-1 facet: there the last vector lives
+# in the side sublattice cut out by the splitting vectors, and the lift
+# v0 + t g runs with g != 0.  s103_d01 and s109_d31 above are two more.
+SPLIT_SIDES = {
+    "s100_d28": ([(-8, 2, 5), (-2, 0, 1), (-1, -1, 0), (5, -1, -2), (-2, -2, 0), (4, 2, -2)],
+                 (F(-69, 4), -5, F(45, 4)), (F(-67, 4), -5, F(43, 4))),
+    "s101_d26": ([(-3, -2, -4), (4, 0, 0), (1, -2, -1), (0, 2, 2), (3, 1, 2)],
+                 (F(31, 4), 6, F(23, 4)), (F(33, 4), 6, F(25, 4))),
+    "s102_d26": ([(-1, 0, -2), (-3, -2, -1), (0, -2, 0), (2, 1, 2), (-2, -4, 0), (3, 4, 0)],
+                 (F(15, 4), F(-9, 4), 4), (F(17, 4), F(-7, 4), 4)),
+    "s106_d03": ([(1, 1, -1), (1, 1, 0), (0, 1, -2), (-2, -1, 1), (0, 1, 2), (0, -1, 0)],
+                 (F(11, 4), F(-5, 4), F(1, 4)), (F(13, 4), F(-3, 4), F(-1, 4))),
+    "s106_d29": ([(1, 1, 3), (-2, 0, 0), (2, -2, 3), (-2, 1, -2), (1, 0, 2), (-1, 1, 0)],
+                 (F(19, 4), -5, F(35, 4)), (F(21, 4), -5, F(37, 4))),
+}
+
+
+def _frame_case(name):
+    literal = {**FORMERLY_UNFRAMED, **SPLIT_SIDES}
+    if name in literal:
+        D, omega_plus, omega_minus = literal[name]
+        return wall_crossing(make_git(D), omega_plus, omega_minus)
+    from wallcross import cli
+
+    cfg = cli.load_config(str(BENCH_CONFIGS / (name + ".json")))
+    return wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+
+
+def _construct_only(monkeypatch):
+    """Switch the smallest-first rule off, so that every frame is built by
+    the Hilbert-pair and lift construction.  A rank-1 facet keeps its radius-1
+    search, which is complete there."""
+    search_wall = gitfan._search_wall
+    monkeypatch.setattr(gitfan, "_search_wall", lambda N, ell: search_wall(N, ell) if ell == 1 else None)
+    monkeypatch.setattr(gitfan, "_search_last", lambda N, E, L, sign: None)
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_wall_frame_properties(name):
+    wc = _frame_case(name)
+    frame = wall_frame(wc)
+    assert_frame_properties(wc, frame)
+    assert_sigma_transition(wc, frame)
+
+
+@pytest.mark.parametrize("name", FRAME_CASES + sorted(SPLIT_SIDES))
+def test_constructed_wall_frame_properties(name, monkeypatch):
+    wc = _frame_case(name)
+    if name in SPLIT_SIDES:
+        assert any(S and set(S) == set(wc.S_zero) for S in (wc.S_plus, wc.S_minus))
+        assert wc.git.r - 1 - len(wc.S_zero) == 1
+    _construct_only(monkeypatch)
+    frame = wall_frame(wc)
+    assert_frame_properties(wc, frame)
+    assert_sigma_transition(wc, frame)
+
+
+def test_wall_frame_matches_the_search_oracle():
+    # wherever the radius-24 Fraction search answers, the compiled rule
+    # gives the same frame; elsewhere a frame with the frame properties or
+    # WallFrameError
+    rng = random.Random(14)
+    unanswered = 0
+    for _ in range(150):
+        wc = random_crepant_crossing(rng, max_r=3, max_m=5)
+        try:
+            expected = oracle_wall_frame(wc)
+        except ValueError:
+            unanswered += 1
+            try:
+                assert_frame_properties(wc, wall_frame(wc))
+            except WallFrameError:
+                pass
+            continue
+        assert wall_frame(wc) == expected
+    assert unanswered >= 1
+
+
+def test_wall_frame_error_names_side_and_invariant(conifold):
+    from dataclasses import replace
+
+    # a record whose two sides are the same chamber: its nef cone has no
+    # ray on the minus side of the wall
+    same = replace(conifold, omega_minus=conifold.omega_plus, A_minus=conifold.A_plus)
+    with pytest.raises(WallFrameError, match="^minus: the nef cone has no ray on this side"):
+        wall_frame(same)
+
+
+def test_integer_determinant_matches_fraction_elimination():
+    from wallcross.lattice import _det
+
+    rng = random.Random(5)
+    for n in range(0, 6):
+        for _ in range(30):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.2:
+                mat[-1] = list(mat[0])
+            assert gitfan._int_det(mat) == _det(mat)

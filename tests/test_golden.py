@@ -2,9 +2,8 @@
 
 Each exact command runs in process on the committed crossings, and its
 canonical JSON report is hashed the way the benchmark worker hashes it.  The
-rank-3 ``analyze`` entries are left to the benchmark: their wall-frame
-searches take seconds each.  The digest file is only read here; it is
-rewritten by ``bench/record_golden.py`` alone.
+digest file is only read here; it is rewritten by ``bench/record_golden.py``
+alone.
 """
 
 import hashlib
@@ -25,10 +24,7 @@ COMMANDS = {
     "fixed-points": cli.cmd_fixed_points,
     "fm": cli.cmd_fm,
 }
-CASES = sorted(
-    key for key in GOLDEN
-    if not (key.startswith("analyze ") and key.split(" ", 1)[1].startswith("rank3_"))
-)
+CASES = sorted(GOLDEN)
 
 
 def _config_path(name):
@@ -38,7 +34,7 @@ def _config_path(name):
 
 
 def test_golden_case_count():
-    assert len(CASES) == 33
+    assert len(CASES) == 38
 
 
 @pytest.mark.parametrize("key", CASES)
