@@ -77,10 +77,10 @@ def _parse_rational(node, where):
     raise ConfigError("%s: expected [num, den] pair, got %r" % (where, node))
 
 
-def _parse_rational_vector(node, where, dim=None):
+def _parse_rational_vector(node, where, dim):
     if not isinstance(node, list):
         raise ConfigError("%s: expected a list" % where)
-    if dim is not None and len(node) != dim:
+    if len(node) != dim:
         raise ConfigError("%s has length %d, expected %d" % (where, len(node), dim))
     return tuple(_parse_rational(x, "%s[%d]" % (where, i)) for i, x in enumerate(node))
 
@@ -173,7 +173,10 @@ def make_report(command, cfg, results, ok):
     }
 
 
-def emit(report, as_json, stream=sys.stdout):
+def emit(report, as_json, stream=None):
+    """Write the report to ``stream``, by default the current sys.stdout."""
+    if stream is None:
+        stream = sys.stdout
     if as_json:
         stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
         return
@@ -228,11 +231,11 @@ def _basis_name(delta, rho):
     return "e(delta=%s, rho=%s)" % (list(delta), list(rho))
 
 
-def _margin_digits(tol, residual):
-    """Digits between a residual and its tolerance; None when either is 0."""
-    if residual > 0 and tol > 0:
-        return math.log10(tol / residual)
-    return None
+def _gated(residual, tol):
+    """The gated fields of a verify report: the worst residual, its
+    tolerance, and the digits between them (None when either is 0)."""
+    margin = math.log10(tol / residual) if residual > 0 and tol > 0 else None
+    return {"max_residual": residual, "tolerance": tol, "margin_digits": margin}
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,8 @@ def _margin_digits(tol, residual):
 def cmd_analyze(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     frame = wall_frame(wc)
-    labels_plus = fixed_point_labels(wc.git, wc.A_plus, side="plus")
-    labels_minus = fixed_point_labels(wc.git, wc.A_minus, side="minus")
+    labels_plus = fixed_point_labels(wc.git, wc.A_plus)
+    labels_minus = fixed_point_labels(wc.git, wc.A_minus)
     results = {
         "case": wc.case,
         "wall_normal": list(wc.e),
@@ -284,7 +287,7 @@ def cmd_fixed_points(cfg):
     out = {}
     for side, A in (("plus", wc.A_plus), ("minus", wc.A_minus)):
         rows = []
-        for label in fixed_point_labels(wc.git, A, side=side):
+        for label in fixed_point_labels(wc.git, A):
             nw = normal_weights(wc.git, label)
             rows.append({
                 "label": _label_name(label),
@@ -335,7 +338,7 @@ def cmd_series(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lam = generic_lambdas(wc, 1, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])[0]
     out = []
-    for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+    for label in fixed_point_labels(wc.git, wc.A_plus):
         if label.delta in wc.A_minus.minimal:
             continue
         spec = make_inner_spec(wc, label)
@@ -365,9 +368,7 @@ def _suite_uhfm(cfg, wc):
         (delta, rho), label = rep.worst
         worst = "%s at %s" % (_basis_name(delta, rho), _label_name(label))
     return {
-        "max_residual": rep.max_residual,
-        "tolerance": tol,
-        "margin_digits": _margin_digits(tol, rep.max_residual),
+        **_gated(rep.max_residual, tol),
         "checked": rep.n_checked,
         "worst": worst,
         "sensitivity_residual": sens,
@@ -392,9 +393,7 @@ def _suite_pairing(cfg, wc):
             worst, worst_sample = float(resid), i
     ok = worst < tol and used >= max(1, cfg["samples"] // 2)
     return {
-        "max_residual": worst,
-        "tolerance": tol,
-        "margin_digits": _margin_digits(tol, worst),
+        **_gated(worst, tol),
         "samples_used": used,
         "worst_sample": worst_sample,
     }, ok
@@ -410,7 +409,7 @@ def _suite_mb(cfg, wc):
                            clearance=cfg["tolerances"]["pole_clearance"])
     rows = []
     worst = 0.0
-    for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+    for label in fixed_point_labels(wc.git, wc.A_plus):
         if label.delta in wc.A_minus.minimal:
             continue
         for lam in lams:
@@ -421,7 +420,7 @@ def _suite_mb(cfg, wc):
                 "inside": rep.residual_inside,
                 "outside": rep.residual_outside,
             })
-    return {"max_residual": worst, "tolerance": tol, "checks": rows}, worst < tol
+    return {**_gated(worst, tol), "checks": rows}, worst < tol
 
 
 def _suite_ode(cfg, wc):
@@ -433,7 +432,7 @@ def _suite_ode(cfg, wc):
     for side, crossing in (("plus", wc), ("minus", swapped)):
         lams = generic_lambdas(crossing, 2, cfg["seed"],
                                clearance=cfg["tolerances"]["pole_clearance"])
-        for label in fixed_point_labels(crossing.git, crossing.A_plus, side=side):
+        for label in fixed_point_labels(crossing.git, crossing.A_plus):
             if label.delta in crossing.A_minus.minimal:
                 continue
             for lam in lams:
@@ -442,7 +441,7 @@ def _suite_ode(cfg, wc):
                 resid = gkz_ode_residual(ser, spec, lam)
                 worst = max(worst, resid)
                 rows.append({"side": side, "label": _label_name(label), "residual": resid})
-    return {"max_residual": worst, "tolerance": tol, "checks": rows}, worst < tol
+    return {**_gated(worst, tol), "checks": rows}, worst < tol
 
 
 def _suite_lifts(cfg, wc):

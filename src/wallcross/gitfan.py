@@ -11,7 +11,7 @@ the index partitions, the classification case and the splitting vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,8 +22,10 @@ from .lattice import (
     anticone_coords,
     anticone_dual,
     content,
+    extended_lattice,
     frac_part,
     hermite_with_transform,
+    integer_kernel_basis,
     intvec,
     matrix_rank,
     primitive_integer_vector,
@@ -101,10 +103,6 @@ def make_git(D, labels=None):
     return GITData(r=len(D[0]), m=len(D), D=D, labels=tuple(labels) if labels else None)
 
 
-def vneg_tuple(v):
-    return tuple(-Fraction(x) for x in v)
-
-
 # ---------------------------------------------------------------------------
 # anticones
 
@@ -117,7 +115,6 @@ class AnticoneSet:
     is their closure under enlargement.
     """
 
-    omega: tuple
     m: int
     r: int
     minimal: tuple  # sorted tuple of sorted index tuples, each of size r
@@ -184,15 +181,7 @@ def validate_stability(git, omega):
             )
     if not minimal:
         raise EmptyQuotient("Assumption(1) fails: {0..m-1} is not an anticone")
-    return AnticoneSet(omega=omega, m=git.m, r=git.r, minimal=tuple(sorted(minimal)))
-
-
-def minimal_anticones(A):
-    return list(A.minimal)
-
-
-def s_set(A):
-    return A.s_set
+    return AnticoneSet(m=git.m, r=git.r, minimal=tuple(sorted(minimal)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +195,6 @@ class SectorLabel:
     f: tuple
     I_f: tuple
     age: Fraction
-    side: str = None
 
     @property
     def is_zero(self):
@@ -217,21 +205,19 @@ def _canonical_rep(v):
     return tuple(frac_part(x) for x in v)
 
 
-def _sector_from_rep(git, A, f, side=None):
+def _sector_from_rep(git, A, f):
     f = _canonical_rep(f)
     I_f = tuple(i for i in range(git.m) if git.pair(i, f).denominator == 1)
     age = sum((frac_part(git.pair(i, f)) for i in range(git.m) if i not in I_f), Fraction(0))
     assert A.contains(I_f), "sector isotropy set must be an anticone"
-    return SectorLabel(f=f, I_f=I_f, age=age, side=side)
+    return SectorLabel(f=f, I_f=I_f, age=age)
 
 
-def box_elements(git, omega, side=None):
+def box_elements(git, omega):
     """All box classes of the stability condition, zero sector first, as a
-    tuple.  They are enumerated once per GIT data and anticone set; side
-    only relabels them."""
+    tuple.  They are enumerated once per GIT data and anticone set."""
     A = omega if isinstance(omega, AnticoneSet) else validate_stability(git, omega)
-    classes = _box_classes(git, A)
-    return classes if side is None else tuple(replace(s, side=side) for s in classes)
+    return _box_classes(git, A)
 
 
 @lru_cache(maxsize=256)
@@ -253,13 +239,6 @@ def _box_classes(git, A):
     return tuple(out)
 
 
-def inv_sector(git, A, sector):
-    """The sector of the inverse stabilizer class [-f]."""
-    inv = _sector_from_rep(git, A, vneg_tuple(sector.f), side=sector.side)
-    assert inv.I_f == sector.I_f
-    return inv
-
-
 @dataclass(frozen=True)
 class FixedPointLabel:
     """A torus fixed point on the inertia stack: minimal anticone + sector."""
@@ -271,13 +250,10 @@ class FixedPointLabel:
     def f(self):
         return self.sector.f
 
-    def describe(self):
-        return "(delta=%s, f=(%s))" % (list(self.delta), ",".join(str(x) for x in self.sector.f))
 
-
-def fixed_point_labels(git, A, side=None):
+def fixed_point_labels(git, A):
     """All (delta, f) pairs, sorted: delta lex, zero sector first."""
-    sectors = box_elements(git, A, side=side)
+    sectors = box_elements(git, A)
     out = []
     for delta in A.minimal:
         for sec in sectors:
@@ -497,8 +473,8 @@ def next_to_pairs(wc):
     Pairs are (plus label, minus label); the sectors must differ by a
     rational multiple of the wall normal modulo the cocharacter lattice.
     """
-    labels_plus = fixed_point_labels(wc.git, wc.A_plus, side="plus")
-    labels_minus = fixed_point_labels(wc.git, wc.A_minus, side="minus")
+    labels_plus = fixed_point_labels(wc.git, wc.A_plus)
+    labels_minus = fixed_point_labels(wc.git, wc.A_minus)
     minus_min = set(wc.A_minus.minimal)
     plus_min = set(wc.A_plus.minimal)
     out = []
@@ -535,7 +511,6 @@ class CoordinateChange:
     c_i: tuple
     A: int
     B: int
-    A_i: tuple
 
 
 @dataclass(frozen=True)
@@ -552,8 +527,6 @@ class WallFrame:
 
 
 def _dual_of_extended(git, omega):
-    from .lattice import extended_lattice
-
     return extended_lattice(git, omega).dual()
 
 
@@ -606,8 +579,6 @@ def _combination(coeffs, rows):
 def _constrained_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
     the given rational functionals."""
-    from .lattice import integer_kernel_basis
-
     r = dual.dim
     cond_rows = [[vdot(dual.rows[i], cond) for i in range(r)] for cond in conditions]
     return [_combination(k, dual.rows) for k in integer_kernel_basis(cond_rows, r)]
@@ -863,9 +834,5 @@ def wall_frame(wc):
     B = c.denominator
     for x in c_i:
         B = B * x.denominator // gcd(B, x.denominator)
-    change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B, A_i=tuple(int(x * B) for x in c_i))
+    change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B)
     return WallFrame(sfp_plus=sfp_plus, sfp_minus=sfp_minus, change=change)
-
-
-def coordinate_change(wc):
-    return wall_frame(wc).change

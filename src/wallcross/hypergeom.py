@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import FixedPointLabel, fixed_point_labels
-from .lattice import anticone_dual, is_integral, ratvec, vdot, vsub
+from .gitfan import FixedPointLabel
+from .lattice import anticone_dual, is_integral, vdot, vsub
 from .localization import restrict_u
 
 TWO_PI_I = 2j * math.pi
@@ -107,10 +107,6 @@ def log_gamma(z):
     return complex(out[0]) if scalar else out
 
 
-def gamma(z):
-    return np.exp(log_gamma(z))
-
-
 def check_generic(arg, clearance):
     """Raise PoleCollision when arg, a scalar or an array, is within clearance
     of a nonpositive integer."""
@@ -162,63 +158,46 @@ class InnerSeriesSpec:
     d: tuple  # D_j . d_plus, Fractions
     e: tuple  # D_j . e, ints
     beta_forms: tuple  # u_j(delta) as LinearForms
-    delta: tuple
 
     def betas(self, lam):
         """u_j(delta)(lam) / (2 pi i) for every j."""
         return tuple(form(lam) / TWO_PI_I for form in self.beta_forms)
 
 
-def _sector_exponents(git, label, candidates):
-    """The exponents d with coordinates (D_i . d over i in delta) in
-    ``candidates`` whose class is the label's sector, in candidate order.
-
-    d is congruent to the sector f exactly when d - f is integral; one
-    mat-vec with the cached anticone inverse gives d from its coordinates.
-    """
-    for kvec in candidates:
-        d = anticone_dual(git.D, label.delta, kvec)
-        if is_integral(vsub(d, label.f)):
-            yield d
+# bound of the wall coordinates of a base exponent
+WALL_BOUND = 12
 
 
-def _d_plus_grid(wc, label, wall_bound):
-    """Coordinate vectors of base exponents in lex order: wall coordinates
-    in [0, wall_bound], the off-wall coordinate below its pairing with e."""
-    e_coords = [wc.pair_e(i) for i in label.delta]
-    off = [t for t, v in enumerate(e_coords) if v != 0]
-    assert len(off) == 1 and e_coords[off[0]] > 0, "label must sit across the wall"
-    return itertools.product(*(range(0, v) if t == off[0] else range(0, wall_bound + 1)
-                               for t, v in enumerate(e_coords)))
-
-
-def canonical_d_plus(wc, label, wall_bound=12):
+def canonical_d_plus(wc, label):
     """Smallest base exponent representing the label's sector.
 
     In coordinates c_i = D_i . d over i in delta, the base exponent has
-    nonnegative wall coordinates, positive coordinate of the off-wall index
-    below its pairing with the wall normal, and is congruent to the sector.
-    The lexicographically smallest such coordinate vector is chosen.
+    wall coordinates in [0, WALL_BOUND], off-wall coordinate below its
+    pairing with the wall normal, and is congruent to the sector: d - f is
+    integral.  The lexicographically smallest such coordinate vector is
+    chosen; one mat-vec with the cached anticone inverse gives d from it.
     """
-    d = next(_sector_exponents(wc.git, label, _d_plus_grid(wc, label, wall_bound)), None)
-    if d is None:
-        raise ValueError("no base exponent found within the wall bound")
-    return d
+    e_coords = [wc.pair_e(i) for i in label.delta]
+    off = [t for t, v in enumerate(e_coords) if v != 0]
+    assert len(off) == 1 and e_coords[off[0]] > 0, "label must sit across the wall"
+    grid = itertools.product(*(range(0, v) if t == off[0] else range(0, WALL_BOUND + 1)
+                               for t, v in enumerate(e_coords)))
+    for kvec in grid:
+        d = anticone_dual(wc.git.D, label.delta, kvec)
+        if is_integral(vsub(d, label.f)):
+            return d
+    raise ValueError("no base exponent found within the wall bound")
 
 
-def make_inner_spec(wc, label, d_plus=None):
+def make_inner_spec(wc, label):
     git = wc.git
-    if d_plus is None:
-        d_plus = canonical_d_plus(wc, label)
-    d_plus = ratvec(d_plus)
+    d_plus = canonical_d_plus(wc, label)
     d = tuple(vdot(git.D[j], d_plus) for j in range(git.m))
     e = tuple(wc.pair_e(j) for j in range(git.m))
     beta_forms = restrict_u(git, label.delta)
     for i in label.delta:
         assert d[i].denominator == 1 and d[i] >= 0, "base exponent must be effective"
-    return InnerSeriesSpec(
-        label=label, d_plus=d_plus, d=d, e=e, beta_forms=beta_forms, delta=label.delta
-    )
+    return InnerSeriesSpec(label=label, d_plus=d_plus, d=d, e=e, beta_forms=beta_forms)
 
 
 def _exact_gamma_ratio(d0, dk):
@@ -229,7 +208,7 @@ def _exact_gamma_ratio(d0, dk):
     return Fraction(math.prod(range(dk + 1, d0 + 1)), math.prod(range(d0 + 1, dk + 1)))
 
 
-def inner_sum_coefficient(spec, k, lam, clearance=1e-8):
+def inner_sum_coefficient(spec, k, lam):
     """Coefficient of the k-th power of the wall monomial, normalized to
     coefficient 1 at k = 0, elementwise for an integer or an integer array k.
 
@@ -255,8 +234,8 @@ def inner_sum_coefficient(spec, k, lam, clearance=1e-8):
     log_acc = np.zeros(len(k_live), dtype=complex)
     for a0, ej in generic:
         ak = a0 + k_live * ej
-        check_generic(a0, clearance)
-        check_generic(ak, clearance)
+        check_generic(a0, 1e-8)
+        check_generic(ak, 1e-8)
         # at k = 0 the factor is 1 by the normalization, not by rounding
         log_acc += np.where(k_live == 0, 0j, log_gamma(a0) - log_gamma(ak))
     # the exact part and the Gamma part can separately over- or underflow
@@ -273,34 +252,13 @@ def inner_sum_coefficient(spec, k, lam, clearance=1e-8):
 class TruncatedSeries:
     """Finite initial segment of a one-variable power series."""
 
-    variable: str
     coeffs: tuple  # complex, indices 0..order
     order: int
-
-    def eval(self, x):
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def inner_series(spec, order, lam):
     coeffs = tuple(inner_sum_coefficient(spec, np.arange(order + 1), lam).tolist())
-    return TruncatedSeries(variable="x", coeffs=coeffs, order=order)
-
-
-def enumerate_d_plus(wc, label, wall_bound):
-    """All base exponent classes for a label with wall coordinates bounded."""
-    return list(_sector_exponents(wc.git, label, _d_plus_grid(wc, label, wall_bound)))
-
-
-def h_restriction_series(wc, label, order, wall_bound, lam):
-    """Inner series of the fixed-point restriction, one per base exponent."""
-    out = {}
-    for d_plus in enumerate_d_plus(wc, label, wall_bound):
-        spec = make_inner_spec(wc, label, d_plus)
-        out[d_plus] = inner_series(spec, order, lam)
-    return out
+    return TruncatedSeries(coeffs=coeffs, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -342,86 +300,26 @@ def gkz_ode_residual(series, spec, lam):
 
 
 # ---------------------------------------------------------------------------
-# cohomological series coefficients (finite products, no Gamma functions)
-
-
-def i_restriction_coefficient(git, delta, d, lam, z):
-    """Fixed-point coefficient of one exponent of the cohomological series.
-
-    A finite product over characters: the factors (u_j + a z) with a running
-    over the pairing's congruence class appear in the denominator on (0, d_j]
-    for positive pairings, and in the numerator on (d_j, 0] for negative
-    ones.
-    """
-    u = restrict_u(git, delta)
-    val = 1.0 + 0j
-    for j in range(git.m):
-        dj = vdot(git.D[j], d)
-        uj = u[j](lam)
-        if dj > 0:
-            a = dj
-            while a > 0:
-                val /= uj + complex(a) * z
-                a -= 1
-        elif dj < 0:
-            a = dj + 1
-            while a <= 0:
-                val *= uj + complex(a) * z
-                a += 1
-    return val
-
-
-def i_leading_terms(wc, side, z, lam):
-    """Leading coefficient of the normalized cohomological series per label.
-
-    Zero sectors lead with 1 (the trivial exponent); other sectors lead at
-    their smallest base exponent.
-    """
-    git = wc.git
-    A = wc.A_plus if side == "plus" else wc.A_minus
-    out = {}
-    for label in fixed_point_labels(git, A, side=side):
-        if label.sector.is_zero:
-            out[label] = 1.0 + 0j
-        else:
-            d = _minimal_sector_exponent(wc, label)
-            out[label] = i_restriction_coefficient(git, label.delta, d, lam, z)
-    return out
-
-
-def _minimal_sector_exponent(wc, label):
-    """Smallest effective exponent with the label's sector class."""
-    r = wc.git.r
-    by_radius = (k for radius in range(0, 40)
-                 for k in itertools.product(range(0, radius + 1), repeat=r)
-                 if max(k, default=0) == radius)
-    d = next(_sector_exponents(wc.git, label, by_radius), None)
-    if d is None:
-        raise ValueError("no effective exponent found")
-    return d
-
-
-# ---------------------------------------------------------------------------
 # seeded generic sampling of torus parameters
 
 
-def sample_lambdas(m, count, seed, radius=0.4, im_min=0.05):
+def sample_lambdas(m, count, seed):
     """Deterministic generic samples of the torus parameters.
 
-    Real parts are uniform in [-radius, radius]; imaginary parts have
-    magnitude in [im_min, radius] with random sign, which keeps Gamma
-    arguments away from the real resonance locus.  The radius keeps the
-    restricted classes small enough for rapid convergence but large enough
-    that point-class restrictions stay well above the sensitivity floor of
-    the verification suites.
+    Real parts are uniform in [-0.4, 0.4]; imaginary parts have magnitude in
+    [0.05, 0.4] with random sign, which keeps Gamma arguments away from the
+    real resonance locus.  The radius 0.4 keeps the restricted classes small
+    enough for rapid convergence but large enough that point-class
+    restrictions stay well above the sensitivity floor of the verification
+    suites.
     """
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         lam = []
         for _i in range(m):
-            re = rng.uniform(-radius, radius)
-            im = rng.uniform(im_min, radius) * (1 if rng.random() < 0.5 else -1)
+            re = rng.uniform(-0.4, 0.4)
+            im = rng.uniform(0.05, 0.4) * (1 if rng.random() < 0.5 else -1)
             lam.append(complex(re, im))
         out.append(tuple(lam))
     return out

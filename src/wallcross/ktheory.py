@@ -20,15 +20,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gitfan import (
-    box_elements,
-    compatible_minus_lift,
-    fixed_point_labels,
-    next_to_pairs,
-    vneg_tuple,
-)
+from .gitfan import box_elements, compatible_minus_lift, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import anticone_coords, frac_part, intvec, quotient_transversal, ratvec, vdot
+from .lattice import _det, anticone_coords, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -65,9 +59,6 @@ class KClass:
     r: int
     terms: tuple  # sorted tuple of (Monomial, int)
     t_datum: Optional[TRootDatum] = None
-
-    def as_dict(self):
-        return dict(self.terms)
 
     def __add__(self, other):
         assert (self.m, self.r) == (other.m, other.r)
@@ -162,9 +153,9 @@ def kc_line(git, p):
     return KClass(m=git.m, r=git.r, terms=((mono, 1),))
 
 
-def kc_s(git, j, power=1):
+def kc_s(git, j):
     s = [0] * git.m
-    s[j] = power
+    s[j] = 1
     mono = _unit_monomial(git.m, git.r)._replace(s=tuple(s))
     return KClass(m=git.m, r=git.r, terms=((mono, 1),))
 
@@ -174,7 +165,7 @@ def kc_char(git, n):
     return KClass(m=git.m, r=git.r, terms=((mono, 1),))
 
 
-def kc_t(git, datum, power=1):
+def kc_t(git, datum, power):
     mono = _unit_monomial(git.m, git.r)._replace(t=power)
     return KClass(m=git.m, r=git.r, terms=((mono, 1),), t_datum=datum)
 
@@ -193,8 +184,6 @@ def basis_e(git, A, delta, rho_hat):
 
 
 def isotropy_order(git, delta):
-    from .lattice import _det
-
     d = _det([[Fraction(git.D[i][k]) for k in range(git.r)] for i in delta])
     return abs(int(d))
 
@@ -400,7 +389,7 @@ def _restricted(git, classes, delta, f_lift, lams):
 # Gamma class and framing at fixed points
 
 
-def gamma_restrict(git, label, lam, z=1.0, clearance=1e-9):
+def gamma_restrict(git, label, lam, z=1.0):
     """Fixed-point value of the Gamma class, degree-two arguments over z."""
     u = restrict_u(git, label.delta)
     acc = 0j
@@ -409,7 +398,7 @@ def gamma_restrict(git, label, lam, z=1.0, clearance=1e-9):
             continue
         fj = frac_part(vdot(git.D[j], label.f))
         arg = 1 - complex(fj) + u[j](lam) / z
-        check_generic(arg, clearance)
+        check_generic(arg, 1e-9)
         acc += log_gamma(arg)
     return cmath.exp(acc)
 
@@ -440,7 +429,7 @@ def framing_restrict(git, E, label, lam, z, log_z=None):
     age = label.sector.age
     u = restrict_u(git, label.delta)
 
-    inv_lift = vneg_tuple(label.f)
+    inv_lift = tuple(-x for x in label.f)
     lam_scaled = tuple(TWO_PI_I * li / z for li in lam)
     ch_part = eval_terms(restriction_terms(git, E, label.delta, inv_lift), lam_scaled)
     gamma_part = gamma_restrict(git, label, lam, z=z)
@@ -500,7 +489,7 @@ def localization_gram(git, A, left, right, lams):
     return gram, smallest
 
 
-def euler_pairing(git, A, E, F, lam, z=None, clearance=RESONANCE_CLEARANCE):
+def euler_pairing(git, A, E, F, lam, z=None):
     """Equivariant Euler pairing by summation over inertia fixed points.
 
     The one-sample, one-pair case of localization_gram; the modified pairing
@@ -508,7 +497,7 @@ def euler_pairing(git, A, E, F, lam, z=None, clearance=RESONANCE_CLEARANCE):
     """
     gram, smallest = localization_gram(
         git, A, [E], [F], lambda_matrix([lam], None if z is None else [z]))
-    if smallest[0] < clearance:
+    if smallest[0] < RESONANCE_CLEARANCE:
         raise ResonantSample("localization denominator %g" % smallest[0])
     return complex(gram[0, 0, 0])
 
@@ -578,7 +567,7 @@ def verify_uhfm(wc, lam_samples):
     basis = tuple(minus_basis(wc))
     images = [fm_transform(wc, delta, rho) for delta, rho in basis]
     e_minus = [basis_e(git, wc.A_minus, delta, rho) for delta, rho in basis]
-    plus_labels = tuple(fixed_point_labels(git, wc.A_plus, side="plus"))
+    plus_labels = tuple(fixed_point_labels(git, wc.A_plus))
 
     diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
     for p, lp in enumerate(plus_labels):

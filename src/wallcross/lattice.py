@@ -399,15 +399,6 @@ class LatticeBasis:
     def contains(self, v):
         return is_integral(self.coords(v))
 
-    def index_over(self, other):
-        """Index [self : other] when other is a sublattice of self."""
-        d_self = _det(self.rows)
-        d_other = _det(other.rows)
-        idx = abs(d_other / d_self)
-        if idx.denominator != 1 or idx == 0:
-            raise ValueError("not a finite-index sublattice")
-        return int(idx)
-
     def dual(self):
         """The dual lattice {v : v.g in Z for every generator g}.
 

@@ -32,9 +32,6 @@ class LinearForm:
     def __sub__(self, other):
         return LinearForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self):
-        return LinearForm(tuple(-a for a in self.coeffs))
-
     def scale(self, c):
         c = Fraction(c)
         return LinearForm(tuple(c * a for a in self.coeffs))
@@ -175,7 +172,6 @@ class NormalWeights:
     ``moving`` lists (j, u_j(delta), age contribution) over the rest.
     """
 
-    label: object
     fixed: tuple
     moving: tuple
 
@@ -193,4 +189,4 @@ def normal_weights(git, label):
             moving.append((j, u[j], frac_part(vdot(git.D[j], label.f))))
     for _, form in fixed:
         assert not form.is_zero
-    return NormalWeights(label=label, fixed=tuple(fixed), moving=tuple(moving))
+    return NormalWeights(fixed=tuple(fixed), moving=tuple(moving))

@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import is_integral, ratvec, vdot, vsub
+from .lattice import ratvec, vdot, vsub
 from .localization import restrict_u
 
 
@@ -64,7 +64,18 @@ class ContinuationCoefficient:
     ratio_js: tuple  # other negative-pairing indices
 
     def value(self, wc, lam):
-        return _coefficient_value(wc, self, lam)
+        git = wc.git
+        X = self.u_form(lam) / TWO_PI_I + complex(self.shift)
+        val = cmath.exp(-1j * math.pi * self.w * X / self.l)
+        if self.l > 1:
+            val *= cmath.sin(math.pi * X) / (self.l * cmath.sin(math.pi * X / self.l))
+        u_plus = restrict_u(git, self.label_plus.delta)
+        u_minus = restrict_u(git, self.label_minus.delta)
+        for j in self.ratio_js:
+            num = u_plus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], self.lift_plus))
+            den = u_minus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], self.lift_minus))
+            val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
+        return val
 
     def describe(self):
         return (
@@ -129,24 +140,6 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     )
 
 
-def _coefficient_value(wc, coeff, lam):
-    git = wc.git
-    X = coeff.u_form(lam) / TWO_PI_I + complex(coeff.shift)
-    val = cmath.exp(-1j * math.pi * coeff.w * X / coeff.l)
-    if coeff.l == 1:
-        principal = 1.0 + 0j
-    else:
-        principal = cmath.sin(math.pi * X) / (coeff.l * cmath.sin(math.pi * X / coeff.l))
-    val *= principal
-    u_plus = restrict_u(git, coeff.label_plus.delta)
-    u_minus = restrict_u(git, coeff.label_minus.delta)
-    for j in coeff.ratio_js:
-        num = u_plus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], coeff.lift_plus))
-        den = u_minus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], coeff.lift_minus))
-        val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
-    return val
-
-
 def lift_invariance_check(wc, pair, lam, tol=1e-12):
     """Evaluate the coefficient with distinct compatible lift pairs.
 
@@ -181,24 +174,16 @@ class ContinuationMatrix:
     kinds: dict  # (i, j) -> "identity" | "coefficient" | "zero"
     coefficients: dict  # (i, j) -> ContinuationCoefficient for coefficient entries
 
-    def entry_value(self, wc, i, j, lam):
-        kind = self.kinds[(i, j)]
-        if kind == "identity":
-            return 1.0 + 0j
-        if kind == "zero":
-            return 0.0 + 0j
-        return self.coefficients[(i, j)].value(wc, lam)
 
-
-def continuation_matrix(wc, lam=None):
+def continuation_matrix(wc):
     """Block transformation of fixed-point restrictions across the wall.
 
     Rows over plus fixed points, columns over minus fixed points: identity
     on common anticones, a connection coefficient on next-to pairs, zero
     elsewhere.
     """
-    rows = tuple(fixed_point_labels(wc.git, wc.A_plus, side="plus"))
-    cols = tuple(fixed_point_labels(wc.git, wc.A_minus, side="minus"))
+    rows = tuple(fixed_point_labels(wc.git, wc.A_plus))
+    cols = tuple(fixed_point_labels(wc.git, wc.A_minus))
     pairs = {(lp.delta, lp.f, lm.delta, lm.f): (lp, lm) for lp, lm in next_to_pairs(wc)}
     kinds = {}
     coeffs = {}
@@ -287,12 +272,14 @@ def choose_abscissa(spec, lam, contour):
     return sigma
 
 
-def _split_xi(x, w):
+def _split_xi(spec, x):
     """The rotated variable and its principal logarithm.
 
-    The base of the s-power is the wall monomial rotated by the path phase;
-    convergence needs its argument strictly inside (-pi, pi).
+    The base of the s-power is the wall monomial rotated by the path phase
+    pi w, w = -1 + the sum of the positive pairings with e; convergence needs
+    its argument strictly inside (-pi, pi).
     """
+    w = -1 + sum(e for e in spec.e if e > 0)
     xi = complex(x) * cmath.exp(-1j * math.pi * w)
     if xi == 0:
         raise NonConvergent("wall monomial vanishes")
@@ -350,8 +337,7 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     the rule converges exponentially.  The error is the difference from the
     rule with twice the step plus a bound on the cut tails.
     """
-    w = w_constant_from_spec(spec)
-    xi, log_xi = _split_xi(x, w)
+    xi, log_xi = _split_xi(spec, x)
     if pole_separation(spec, lam) < contour.clearance:
         raise PoleCollision("left poles are closer than the clearance radius")
     sigma = choose_abscissa(spec, lam, contour)
@@ -372,81 +358,59 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     return value, float(err + tail) / (2 * math.pi)
 
 
-def w_constant_from_spec(spec):
-    return -1 + sum(e for e in spec.e if e > 0)
-
-
 # ---------------------------------------------------------------------------
 # residue sums
 
 
-def _sum_until_small(terms, rel_tol):
+def _sum_until_small(terms):
     """Sum of the terms in order, stopped after the third term in a row below
-    rel_tol times max(1, |partial sum|)."""
+    1e-14 times max(1, |partial sum|)."""
     if not len(terms):
         return 0j
     totals = np.cumsum(terms)
-    small = np.abs(terms) < rel_tol * np.maximum(1.0, np.abs(totals))
+    small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
     stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
     return complex(totals[stops[0] + 2] if len(stops) else totals[-1])
 
 
-def right_residue_sum(spec, x, lam, k_max=80, rel_tol=1e-14):
-    """Sum of residues at the nonnegative integers; converges inside the
-    degeneration radius."""
-    w = w_constant_from_spec(spec)
-    xi, log_xi = _split_xi(x, w)
+def right_residue_sum(spec, x, lam):
+    """Sum of the first 81 residues at the nonnegative integers; converges
+    inside the degeneration radius."""
+    xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
-    k = np.arange(k_max + 1)
+    k = np.arange(81)
     terms = np.where(k % 2, -1.0, 1.0) * np.exp(
         _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)
-    return _sum_until_small(terms, rel_tol)
+    return _sum_until_small(terms)
 
 
-def left_residue_terms(spec, x, lam, j_minus, residue_class, k_max=200, rel_tol=1e-14):
+def left_residue_terms(spec, x, lam, j_minus, residue_class):
     """Minus the residues in one congruence class of one negative direction.
 
-    Terms with n = k*l + residue_class for k = 0, 1, ...; their sum is the
-    contribution of a single next-to partner to the continued series.
+    Terms with n = k*l + residue_class for k = 0, 1, ..., 200; their sum is
+    the contribution of a single next-to partner to the continued series.
     """
-    w = w_constant_from_spec(spec)
-    xi, log_xi = _split_xi(x, w)
+    xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
-    n = np.arange(k_max + 1) * -spec.e[j_minus] + residue_class
-    return -_sum_until_small(_interesting_residue(spec, betas, log_xi, j_minus, n), rel_tol)
+    n = np.arange(201) * -spec.e[j_minus] + residue_class
+    return -_sum_until_small(_interesting_residue(spec, betas, log_xi, j_minus, n))
 
 
-def left_residue_sum(spec, x, lam, k_max=200):
+def left_residue_sum(spec, x, lam):
     """Sum of all residues left of the contour (sign unflipped)."""
     total = 0j
     for j in range(len(spec.d)):
         if spec.e[j] >= 0:
             continue
         for residue_class in range(-spec.e[j]):
-            total -= left_residue_terms(spec, x, lam, j, residue_class, k_max=k_max)
+            total -= left_residue_terms(spec, x, lam, j, residue_class)
     return total
-
-
-def negative_integer_residue_is_zero(spec, n):
-    """The residue at -1-n carries a reciprocal Gamma at a nonpositive
-    integer over the defining anticone, hence vanishes identically."""
-    s = -1 - n
-    for j in spec.delta:
-        arg = 1 + int(spec.d[j]) + s * spec.e[j]
-        if arg <= 0:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
 class ResidueReport:
-    label: object
-    x_inside: complex
-    x_outside: complex
     residual_inside: float
     residual_outside: float
-    quad_error_inside: float
-    quad_error_outside: float
 
 
 def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=ContourSpec()):
@@ -459,85 +423,12 @@ def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=Co
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
     spec = make_inner_spec(wc, label_plus)
-    v_in, err_in = mb_integral_with_error(spec, x_inside, lam, contour)
-    v_out, err_out = mb_integral_with_error(spec, x_outside, lam, contour)
+    v_in, _err = mb_integral_with_error(spec, x_inside, lam, contour)
+    v_out, _err = mb_integral_with_error(spec, x_outside, lam, contour)
     right = right_residue_sum(spec, x_inside, lam)
     left = left_residue_sum(spec, x_outside, lam)
     return ResidueReport(
-        label=label_plus,
-        x_inside=complex(x_inside),
-        x_outside=complex(x_outside),
         residual_inside=abs(v_in - right),
         residual_outside=abs(v_out + left),
-        quad_error_inside=err_in,
-        quad_error_outside=err_out,
     )
 
-
-# ---------------------------------------------------------------------------
-# numerical oracle for the closed-form coefficients
-
-
-def _unnormalized_minus_series(wc, label_minus, d_minus, x, lam, k_max=200, rel_tol=1e-14):
-    """Sum over k of x^{-k} / prod Gamma(1 + u_j(d-)/2pi i + D_j d- - k D_j e)."""
-    git = wc.git
-    u = restrict_u(git, label_minus.delta)
-    k = np.arange(k_max + 1)
-    log_terms = np.zeros(k_max + 1, dtype=complex)
-    live = np.ones(k_max + 1, dtype=bool)
-    for j in range(git.m):
-        gamma_j = u[j](lam) / TWO_PI_I
-        d_j = vdot(git.D[j], d_minus)
-        if gamma_j == 0 and d_j.denominator == 1:
-            # an exact reciprocal Gamma at a nonpositive integer kills the term
-            a = int(d_j) + 1 - k * wc.pair_e(j)
-            live &= a > 0
-            log_terms -= log_gamma(np.where(a > 0, a, 1).astype(float))
-        else:
-            log_terms -= log_gamma(1 + gamma_j + complex(d_j) - k * wc.pair_e(j))
-    terms = np.exp(log_terms[live]) * (1.0 / complex(x)) ** k[live]
-    return _sum_until_small(terms, rel_tol)
-
-
-def continuation_numeric(wc, pair, x, lam, contour=ContourSpec()):
-    """Connection coefficient extracted from grouped left residues.
-
-    This is fully independent of the closed form: it divides one residue
-    class of the continued integral by the minus-side series it multiplies.
-    """
-    label_plus, label_minus = pair
-    spec = make_inner_spec(wc, label_plus)
-    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
-    l = -wc.pair_e(j_minus)
-    w = w_constant(wc)
-    betas = spec.betas(lam)
-
-    # the residue class of this partner: l' = D_{j-} . d_minus mod pairing
-    lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
-    # d_minus = d_plus + ((D_{j-}.d_plus - l') / l) e with [d_minus] = f_minus
-    d_plus_pair = spec.d[j_minus]
-    residue_class = None
-    for cand in range(l):
-        q = (d_plus_pair - cand) / l
-        d_minus = tuple(a + q * b for a, b in zip(spec.d_plus, ratvec(wc.e)))
-        if is_integral(vsub(d_minus, lift_minus)):
-            residue_class = cand
-            d_minus_vec = d_minus
-            break
-    if residue_class is None:
-        raise ValueError("no residue class matches the minus sector")
-
-    group = left_residue_terms(spec, x, lam, j_minus, residue_class)
-
-    prefactor = 1.0 + 0j
-    for j in range(wc.git.m):
-        if spec.e[j] < 0:
-            prefactor *= cmath.sin(math.pi * (-betas[j] - complex(spec.d[j]))) / math.pi
-
-    xi, log_xi = _split_xi(x, w)
-    log_ye = log_xi + 1j * math.pi * w
-    p0 = (betas[j_minus] + complex(d_plus_pair) - residue_class) / l
-    power = cmath.exp(-p0 * log_ye)
-
-    series = _unnormalized_minus_series(wc, label_minus, d_minus_vec, x, lam)
-    return prefactor * group * power / series

@@ -1,9 +1,13 @@
+import os
 import pathlib
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# the CLI tests start child interpreters; they import the package under test
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 from wallcross.gitfan import make_git, wall_crossing
 

@@ -1,15 +1,55 @@
-"""Shared test utilities: an independent exact cone oracle and a seeded
-generator of random crepant wall-crossings.
+"""Shared test utilities: the independent oracles and a seeded generator of
+random crepant wall-crossings.
 
-The cone oracle decides strict membership in an open cone by exact
-Fourier-Motzkin elimination and shares no code with the production
-membership test, so the two can cross-validate each other.
+Each oracle shares no code with the production path it checks, so the two
+can cross-validate each other:
+- the cone oracle decides strict membership in an open cone by exact
+  Fourier-Motzkin elimination;
+- the box oracle scans a common refinement of the anticone lattices;
+- the wall-frame oracle is the radius-24 brute-force search;
+- the continuation oracle extracts a connection coefficient numerically
+  from grouped left residues of the Barnes integral.
 """
 
+import cmath
+import itertools
+import math
 from fractions import Fraction
+from math import gcd
 
-from wallcross.gitfan import NotAdjacent, NotCrepant, EmptyQuotient, NotDeligneMumford, make_git, wall_crossing
-from wallcross.lattice import primitive_integer_vector
+import numpy as np
+
+from wallcross.gitfan import (
+    WALL_SEARCH_RADIUS,
+    CoordinateChange,
+    EmptyQuotient,
+    NotAdjacent,
+    NotCrepant,
+    NotDeligneMumford,
+    WallFrame,
+    _combination,
+    _constrained_sublattice,
+    _coords_in,
+    _dual_of_extended,
+    compatible_minus_lift,
+    make_git,
+    next_to_pairs,
+    wall_crossing,
+)
+from wallcross.hypergeom import TWO_PI_I, log_gamma, make_inner_spec, w_constant
+from wallcross.lattice import (
+    _det,
+    anticone_coords,
+    is_integral,
+    matrix_rank,
+    primitive_integer_vector,
+    ratvec,
+    solve_square,
+    vdot,
+    vsub,
+)
+from wallcross.localization import restrict_u, sigma_restrict
+from wallcross.mellinbarnes import _split_xi, _sum_until_small, left_residue_terms
 
 
 def _rref_with_free(rows, ncols):
@@ -90,8 +130,6 @@ def in_open_cone(D, indices, omega):
 
 def oracle_anticones(git, omega):
     """All anticones by the independent strict-cone oracle."""
-    import itertools
-
     out = []
     for size in range(0, git.m + 1):
         for I in itertools.combinations(range(git.m), size):
@@ -102,8 +140,6 @@ def oracle_anticones(git, omega):
 
 def _dual_unit(e):
     """Small integer vector pairing to 1 with a primitive integer vector."""
-    import itertools
-
     n = len(e)
     for radius in range(1, 6):
         for g in itertools.product(range(-radius, radius + 1), repeat=n):
@@ -163,12 +199,6 @@ def random_crepant_crossing(rng, max_r=3, max_m=7, max_tries=400):
 def oracle_box(git, A):
     """Brute-force box classes: every candidate denominator is bounded by the
     anticone determinants, so scanning one common refinement is complete."""
-    import itertools
-    from fractions import Fraction
-    from math import gcd
-
-    from wallcross.lattice import _det
-
     N = 1
     for delta in A.minimal:
         d = abs(int(_det([[Fraction(git.D[i][k]) for k in range(git.r)] for i in delta])))
@@ -189,8 +219,6 @@ def oracle_box(git, A):
 
 
 def _oracle_int_det(mat):
-    from wallcross.lattice import _det
-
     d = _det([list(map(Fraction, r)) for r in mat])
     assert d.denominator == 1
     return int(d)
@@ -199,9 +227,6 @@ def _oracle_int_det(mat):
 def _oracle_saturated(coord_rows):
     """Whether integer vectors extend to a lattice basis: maximal minors
     have gcd 1."""
-    import itertools
-    from math import gcd
-
     k = len(coord_rows)
     n = len(coord_rows[0])
     g = 0
@@ -216,16 +241,12 @@ def _oracle_saturated(coord_rows):
 def _sup_shell(radius, n):
     """Integer vectors of length n and sup norm exactly ``radius``, in lex
     order."""
-    import itertools
-
     for k in itertools.product(range(-radius, radius + 1), repeat=n):
         if max((abs(x) for x in k), default=0) == radius:
             yield k
 
 
 def _in_nef_cone(git, A, v):
-    from wallcross.lattice import anticone_coords
-
     return all(c >= 0 for delta in A.minimal for c in anticone_coords(git.D, delta, v))
 
 
@@ -237,9 +258,6 @@ def _search_basis(generators, accept, need, full_det_one):
     minors coprime), and the full selection must be unimodular over the
     generators when `full_det_one` is set.  Deterministic.
     """
-    from wallcross.gitfan import WALL_SEARCH_RADIUS, _combination
-    from wallcross.lattice import matrix_rank
-
     pool = []
 
     def extend(chosen_k, chosen_v):
@@ -278,19 +296,6 @@ def oracle_wall_frame(wc):
     extended character when one exists, else the smallest nef integral
     point completing a basis.
     """
-    from math import gcd
-
-    from wallcross.gitfan import (
-        WALL_SEARCH_RADIUS,
-        CoordinateChange,
-        WallFrame,
-        _combination,
-        _constrained_sublattice,
-        _coords_in,
-        _dual_of_extended,
-    )
-    from wallcross.lattice import matrix_rank, ratvec, solve_square
-
     git = wc.git
     dual_plus = _dual_of_extended(git, wc.omega_plus)
     dual_minus = _dual_of_extended(git, wc.omega_minus)
@@ -367,7 +372,7 @@ def oracle_wall_frame(wc):
     B = c.denominator
     for x in c_i:
         B = B * x.denominator // gcd(B, x.denominator)
-    change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B, A_i=tuple(int(x * B) for x in c_i))
+    change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B)
     return WallFrame(sfp_plus=sfp_plus, sfp_minus=sfp_minus, change=change)
 
 
@@ -376,9 +381,6 @@ def assert_frame_properties(wc, frame):
     arithmetic: the shared wall vectors lie on the wall, in both duals and in
     both nef cones; each side's basis has |det| = 1 over its dual; the last
     vectors are nef and off the wall on their own side; c > 0."""
-    from wallcross.gitfan import _dual_of_extended
-    from wallcross.lattice import vdot
-
     sides = (
         (1, frame.sfp_plus, wc.A_plus, _dual_of_extended(wc.git, wc.omega_plus)),
         (-1, frame.sfp_minus, wc.A_minus, _dual_of_extended(wc.git, wc.omega_minus)),
@@ -399,10 +401,6 @@ def assert_sigma_transition(wc, frame):
     the shifted pullback class minus the minus restriction rewritten in plus
     coordinates is the normal weight u_{j-} scaled by D_k.e / D_{j-}.e, one
     frame vector k at a time."""
-    from wallcross.gitfan import next_to_pairs
-    from wallcross.lattice import vdot
-    from wallcross.localization import restrict_u, sigma_restrict
-
     seen = set()
     for lp, lm in next_to_pairs(wc):
         if (lp.delta, lm.delta) in seen:
@@ -415,3 +413,72 @@ def assert_sigma_transition(wc, frame):
         for k in range(wc.git.r):
             ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
             assert sig_p.log_coeffs[k] - sig_m.log_coeffs[k] == u.scale(ratio)
+
+
+# ---------------------------------------------------------------------------
+# the numeric continuation oracle of the closed-form connection coefficients
+
+
+def _unnormalized_minus_series(wc, label_minus, d_minus, x, lam):
+    """Sum over k <= 200 of x^{-k} / prod Gamma(1 + u_j(d-)/2pi i + D_j d- - k D_j e)."""
+    git = wc.git
+    u = restrict_u(git, label_minus.delta)
+    k = np.arange(201)
+    log_terms = np.zeros(len(k), dtype=complex)
+    live = np.ones(len(k), dtype=bool)
+    for j in range(git.m):
+        gamma_j = u[j](lam) / TWO_PI_I
+        d_j = vdot(git.D[j], d_minus)
+        if gamma_j == 0 and d_j.denominator == 1:
+            # an exact reciprocal Gamma at a nonpositive integer kills the term
+            a = int(d_j) + 1 - k * wc.pair_e(j)
+            live &= a > 0
+            log_terms -= log_gamma(np.where(a > 0, a, 1).astype(float))
+        else:
+            log_terms -= log_gamma(1 + gamma_j + complex(d_j) - k * wc.pair_e(j))
+    terms = np.exp(log_terms[live]) * (1.0 / complex(x)) ** k[live]
+    return _sum_until_small(terms)
+
+
+def continuation_numeric(wc, pair, x, lam):
+    """Connection coefficient extracted from grouped left residues.
+
+    This is fully independent of the closed form: it divides one residue
+    class of the continued integral by the minus-side series it multiplies.
+    """
+    label_plus, label_minus = pair
+    spec = make_inner_spec(wc, label_plus)
+    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
+    l = -wc.pair_e(j_minus)
+    w = w_constant(wc)
+    betas = spec.betas(lam)
+
+    # the residue class of this partner: l' = D_{j-} . d_minus mod pairing
+    lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
+    # d_minus = d_plus + ((D_{j-}.d_plus - l') / l) e with [d_minus] = f_minus
+    d_plus_pair = spec.d[j_minus]
+    residue_class = None
+    for cand in range(l):
+        q = (d_plus_pair - cand) / l
+        d_minus = tuple(a + q * b for a, b in zip(spec.d_plus, ratvec(wc.e)))
+        if is_integral(vsub(d_minus, lift_minus)):
+            residue_class = cand
+            d_minus_vec = d_minus
+            break
+    if residue_class is None:
+        raise ValueError("no residue class matches the minus sector")
+
+    group = left_residue_terms(spec, x, lam, j_minus, residue_class)
+
+    prefactor = 1.0 + 0j
+    for j in range(wc.git.m):
+        if spec.e[j] < 0:
+            prefactor *= cmath.sin(math.pi * (-betas[j] - complex(spec.d[j]))) / math.pi
+
+    xi, log_xi = _split_xi(spec, x)
+    log_ye = log_xi + 1j * math.pi * w
+    p0 = (betas[j_minus] + complex(d_plus_pair) - residue_class) / l
+    power = cmath.exp(-p0 * log_ye)
+
+    series = _unnormalized_minus_series(wc, label_minus, d_minus_vec, x, lam)
+    return prefactor * group * power / series

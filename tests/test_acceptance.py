@@ -107,7 +107,7 @@ def test_criterion_4_mellin_barnes_residues():
         x_in = 0.3 * c * cmath.exp(1j * math.pi * w)
         x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
         lams = generic_lambdas(wc, 5, seed=7)
-        for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+        for label in fixed_point_labels(wc.git, wc.A_plus):
             if label.delta in wc.A_minus.minimal:
                 continue
             for lam in lams:

@@ -243,3 +243,28 @@ def test_config_setting_the_retired_quadrature_tolerance_loads(config_dir, tmp_p
     cfg = cli.load_config(str(path))
     assert cli.config_hash(cfg["raw"]) == cli.config_hash(raw)
     assert cli.cmd_verify(cfg, "mb")[1]
+
+
+def test_default_stream_is_the_stdout_at_call_time(config_dir, monkeypatch):
+    import io
+
+    from wallcross import cli
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["analyze", "--config", str(config_dir / "conifold.json"), "--json"]) == 0
+    assert json.loads(out.getvalue())["results"]["case"] == "I"
+
+
+def test_every_gated_suite_reports_its_margin(config_dir):
+    import math
+
+    from wallcross import cli
+
+    cfg = cli.load_config(str(config_dir / "conifold.json"))
+    for suite in ("uhfm", "pairing", "mb", "ode"):
+        results, ok = cli.cmd_verify(cfg, suite)
+        assert ok, suite
+        tol, resid = results["tolerance"], results["max_residual"]
+        assert 0 < resid < tol, suite
+        assert results["margin_digits"] == math.log10(tol / resid), suite

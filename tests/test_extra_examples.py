@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import continuation_numeric
 from wallcross.gitfan import (
     box_elements,
     fixed_point_labels,
@@ -30,7 +31,6 @@ from wallcross.hypergeom import (
 from wallcross.ktheory import fm_transform, minus_basis, verify_pairing_preserved, verify_uhfm
 from wallcross.mellinbarnes import (
     continuation_coefficient,
-    continuation_numeric,
     lift_invariance_check,
     verify_residue_identity,
 )
@@ -73,7 +73,7 @@ def test_local_plane_combinatorics():
 def test_plus_side_sectors_present():
     # the II-ii families put the nontrivial sectors on the plus side
     wc = wall_crossing(make_git([(1,), (1,), (-2,)]), (-1,), (1,))
-    labels = fixed_point_labels(wc.git, wc.A_plus, side="plus")
+    labels = fixed_point_labels(wc.git, wc.A_plus)
     assert any(not l.sector.is_zero for l in labels)
 
 
@@ -100,7 +100,7 @@ def test_residue_identity(family):
     x_in = 0.3 * c * cmath.exp(1j * math.pi * w)
     x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
     lam = generic_lambdas(family, 1, seed=13)[0]
-    for label in fixed_point_labels(family.git, family.A_plus, side="plus"):
+    for label in fixed_point_labels(family.git, family.A_plus):
         if label.delta in family.A_minus.minimal:
             continue
         rep = verify_residue_identity(family, label, x_in, x_out, lam)
@@ -121,7 +121,7 @@ def test_lift_invariance(family):
 
 def test_series_ode(family):
     lam = generic_lambdas(family, 1, seed=23)[0]
-    for label in fixed_point_labels(family.git, family.A_plus, side="plus"):
+    for label in fixed_point_labels(family.git, family.A_plus):
         if label.delta in family.A_minus.minimal:
             continue
         spec = make_inner_spec(family, label)

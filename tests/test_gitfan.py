@@ -22,13 +22,9 @@ from wallcross.gitfan import (
     NotDeligneMumford,
     WallFrameError,
     box_elements,
-    coordinate_change,
     fixed_point_labels,
-    inv_sector,
     make_git,
-    minimal_anticones,
     next_to_pairs,
-    s_set,
     validate_stability,
     wall_crossing,
     wall_frame,
@@ -61,17 +57,17 @@ def test_weighted_projective_line():
 
 
 def test_minimal_anticones_examples(conifold, gerbe_flop):
-    assert minimal_anticones(conifold.A_plus) == [(0,), (1,)]
-    assert minimal_anticones(conifold.A_minus) == [(2,), (3,)]
-    assert minimal_anticones(gerbe_flop.A_plus) == [(0, 1), (0, 2)]
+    assert conifold.A_plus.minimal == ((0,), (1,))
+    assert conifold.A_minus.minimal == ((2,), (3,))
+    assert gerbe_flop.A_plus.minimal == ((0, 1), (0, 2))
 
 
 def test_s_set_examples(conifold):
-    assert s_set(conifold.A_plus) == ()
+    assert conifold.A_plus.s_set == ()
     git = make_git([(1,), (1,), (-2,)])
-    assert s_set(validate_stability(git, (-1,))) == (2,)
+    assert validate_stability(git, (-1,)).s_set == (2,)
     git2 = make_git([(1,), (1,), (-1,)])
-    assert s_set(validate_stability(git2, (-1,))) == (2,)
+    assert validate_stability(git2, (-1,)).s_set == (2,)
 
 
 def test_box_examples(conifold):
@@ -94,13 +90,12 @@ def test_box_examples(conifold):
     ]
 
 
-def test_box_classes_are_an_immutable_tuple_relabelled_by_side(gerbe_flop):
+def test_fixed_point_labels_share_the_cached_box_classes(gerbe_flop):
     git, A = gerbe_flop.git, gerbe_flop.A_minus
-    plain = box_elements(git, A)
-    assert isinstance(plain, tuple) and all(s.side is None for s in plain)
-    sided = box_elements(git, A, side="minus")
-    assert [s.side for s in sided] == ["minus"] * len(plain)
-    assert [(s.f, s.I_f, s.age) for s in sided] == [(s.f, s.I_f, s.age) for s in plain]
+    box = box_elements(git, A)
+    assert isinstance(box, tuple) and box_elements(git, A) is box
+    labels = fixed_point_labels(git, A)
+    assert labels and all(any(label.sector is sec for sec in box) for label in labels)
 
 
 def test_analyze_enumerates_box_classes_once_per_side(config_dir):
@@ -113,19 +108,31 @@ def test_analyze_enumerates_box_classes_once_per_side(config_dir):
     assert info.misses == 2 and info.hits > 0
 
 
+def _inverse(box, sec):
+    """The box class of -f, looked up among the enumerated classes."""
+    f = tuple(frac_part(-x) for x in sec.f)
+    return next(s for s in box if s.f == f)
+
+
 def test_inv_sector():
     git = make_git([(2,), (2,)])
     A = validate_stability(git, (1,))
-    zero, half = box_elements(git, A)
-    assert inv_sector(git, A, zero) == zero
-    assert inv_sector(git, A, half) == half  # 2-torsion is self-inverse
+    box = box_elements(git, A)
+    zero, half = box
+    assert _inverse(box, zero) is zero
+    assert _inverse(box, half) is half  # 2-torsion is self-inverse
 
 
 def test_inv_sector_age_relation():
+    # the box classes are closed under inversion, which keeps the isotropy
+    # and complements the age over the moving directions
     git = make_git([(1,), (1,), (-3,)])
     A = validate_stability(git, (-1,))
-    for sec in box_elements(git, A):
-        inv = inv_sector(git, A, sec)
+    box = box_elements(git, A)
+    assert len(box) == 3
+    for sec in box:
+        inv = _inverse(box, sec)
+        assert inv.I_f == sec.I_f
         n_moving = sum(
             1 for i in range(git.m)
             if i not in sec.I_f and frac_part(vdot(git.D[i], sec.f)) != 0
@@ -194,16 +201,16 @@ def test_next_to_symmetric(all_examples):
 
 
 def test_coordinate_change_examples(conifold, resolution):
-    cc = coordinate_change(conifold)
+    cc = wall_frame(conifold).change
     assert (cc.c, cc.A, cc.B) == (1, 1, 1) and cc.c_i == ()
-    cc2 = coordinate_change(resolution)
+    cc2 = wall_frame(resolution).change
     assert (cc2.c, cc2.A, cc2.B) == (Fraction(1, 2), 1, 2)
 
 
 def test_coordinate_change_swap_reciprocal(all_examples):
     for wc in all_examples.values():
         swapped = wall_crossing(wc.git, wc.omega_minus, wc.omega_plus)
-        assert coordinate_change(swapped).c == 1 / coordinate_change(wc).c
+        assert wall_frame(swapped).change.c == 1 / wall_frame(wc).change.c
 
 
 def test_wall_frame_bases_integral_and_adapted(all_examples):

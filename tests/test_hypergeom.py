@@ -1,5 +1,4 @@
 import cmath
-import math
 from fractions import Fraction
 
 import mpmath
@@ -9,15 +8,10 @@ import pytest
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
     PoleCollision,
-    TWO_PI_I,
     canonical_d_plus,
     conifold_point,
-    enumerate_d_plus,
     generic_lambdas,
     gkz_ode_residual,
-    h_restriction_series,
-    i_leading_terms,
-    i_restriction_coefficient,
     inner_series,
     inner_sum_coefficient,
     log_gamma,
@@ -115,11 +109,10 @@ def test_inner_coefficient_first_order(conifold):
 
 def test_canonical_d_plus_is_sector_compatible(all_examples):
     for wc in all_examples.values():
-        for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+        for label in fixed_point_labels(wc.git, wc.A_plus):
             if label.delta in wc.A_minus.minimal:
                 continue
             d = canonical_d_plus(wc, label)
-            assert d == enumerate_d_plus(wc, label, 12)[0]
             for i in label.delta:
                 pairing = vdot(wc.git.D[i], d)
                 assert pairing.denominator == 1 and pairing >= 0
@@ -133,37 +126,10 @@ def test_canonical_d_plus_is_sector_compatible(all_examples):
             assert vdot(wc.git.D[j_plus], d) < wc.pair_e(j_plus)
 
 
-def test_h_series_structure(conifold):
-    label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
-    lam = generic_lambdas(conifold, 1, seed=5)[0]
-    series_map = h_restriction_series(conifold, label, order=6, wall_bound=4, lam=lam)
-    assert len(series_map) == 1  # only d = 0 for the basic flop
-    (d0, ser), = series_map.items()
-    assert all(x == 0 for x in d0)
-    assert ser.coeffs[0] == 1
-    spec = make_inner_spec(conifold, label, d0)
-    b = spec.betas(lam)
-    assert abs(ser.coeffs[1] - b[2] * b[3] / (1 + b[1])) < 1e-12
-
-
-def test_enumerate_d_plus_sector_selection(resolution):
-    swapped = wall_crossing(resolution.git, resolution.omega_minus, resolution.omega_plus)
-    labels = fixed_point_labels(swapped.git, swapped.A_plus, side="plus")
-    by_sector = {}
-    for label in labels:
-        for d in enumerate_d_plus(swapped, label, wall_bound=3):
-            # the base exponent class matches the label's sector
-            diff = tuple(a - b for a, b in zip(d, label.f))
-            assert all(x.denominator == 1 for x in diff)
-            by_sector.setdefault(label.f, 0)
-            by_sector[label.f] += 1
-    assert len(by_sector) == 2  # zero and half sectors both appear
-
-
 def test_gkz_ode_annihilates(all_examples):
     for wc in all_examples.values():
         lam = generic_lambdas(wc, 1, seed=9)[0]
-        for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+        for label in fixed_point_labels(wc.git, wc.A_plus):
             if label.delta in wc.A_minus.minimal:
                 continue
             spec = make_inner_spec(wc, label)
@@ -180,7 +146,7 @@ def test_gkz_ode_detects_corruption(conifold):
     bad[7] += 1e-3
     from wallcross.hypergeom import TruncatedSeries
 
-    corrupted = TruncatedSeries(variable="x", coeffs=tuple(bad), order=ser.order)
+    corrupted = TruncatedSeries(coeffs=tuple(bad), order=ser.order)
     assert gkz_ode_residual(corrupted, spec, lam) >= 1e-4
 
 
@@ -203,59 +169,6 @@ def test_coefficient_ratio_approaches_degeneration_point(conifold, resolution):
         ck1 = inner_sum_coefficient(spec, k + 1, lam)
         limit = 1 / complex(conifold_point(wc))
         assert abs(ck1 / ck - limit) < 0.05 * abs(limit)
-
-
-def test_i_leading_terms(all_examples):
-    for wc in all_examples.values():
-        lam = generic_lambdas(wc, 1, seed=21)[0]
-        lead = i_leading_terms(wc, "plus", z=1.5 + 0.2j, lam=lam)
-        for label, value in lead.items():
-            if label.sector.is_zero:
-                assert value == 1
-
-
-def test_i_coefficient_matches_inner_sum(conifold):
-    # the ratio of consecutive coefficients agrees with the inner series
-    # after substituting the grading-scaled parameters
-    label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
-    z = 1.3 + 0.4j
-    lam = generic_lambdas(conifold, 1, seed=23)[0]
-    e_vec = conifold.e
-    d0 = (Fraction(0),)
-    d1 = tuple(Fraction(x) for x in e_vec)
-    num = i_restriction_coefficient(conifold.git, label.delta, d1, lam, z)
-    den = i_restriction_coefficient(conifold.git, label.delta, d0, lam, z)
-    spec = make_inner_spec(conifold, label, d0)
-    lam_h = tuple(TWO_PI_I * li / z for li in lam)
-    inner = inner_sum_coefficient(spec, 1, lam_h)
-    assert abs(num / den - inner) < 1e-12 * abs(inner)
-
-
-def test_i_coefficient_homogeneity(conifold):
-    label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
-    lam = generic_lambdas(conifold, 1, seed=29)[0]
-    z = 0.9 - 0.3j
-    s = 1.7 + 0.4j
-    d = (Fraction(2),)
-    base = i_restriction_coefficient(conifold.git, label.delta, d, lam, z)
-    scaled = i_restriction_coefficient(
-        conifold.git, label.delta, d, tuple(s * li for li in lam), s * z
-    )
-    # net number of linear factors: denominator count minus numerator count
-    n_factors = 0
-    for j in range(conifold.git.m):
-        dj = vdot(conifold.git.D[j], d)
-        if dj > 0:
-            a = dj
-            while a > 0:
-                n_factors += 1
-                a -= 1
-        elif dj < 0:
-            a = dj + 1
-            while a <= 0:
-                n_factors -= 1
-                a += 1
-    assert abs(scaled * s ** n_factors - base) < 1e-12 * abs(base)
 
 
 def test_w_crepancy_violation_detection():

@@ -9,6 +9,7 @@ from wallcross.cli import load_config
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
+    _det,
     anticone_coords,
     anticone_dual,
     express_in_anticone_basis,
@@ -164,8 +165,9 @@ def test_extended_lattice_contains_box_and_index():
         assert all(lat.contains(v) for v in standard_lattice(2).rows)
         for sec in box_elements(git, validate_stability(git, omega)):
             assert lat.contains(sec.f)
-        idx = lat.index_over(standard_lattice(2))
-        assert isinstance(idx, int) and idx >= 1
+        # the index over Z^2 is 1 / |det| of the basis
+        index = 1 / abs(_det(lat.rows))
+        assert index.denominator == 1 and index >= 1
 
 
 def test_hermite_canonical():

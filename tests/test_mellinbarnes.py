@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from helpers import continuation_numeric
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
 from wallcross.hypergeom import conifold_point, generic_lambdas, make_inner_spec, w_constant
@@ -15,13 +16,11 @@ from wallcross.mellinbarnes import (
     choose_abscissa,
     continuation_coefficient,
     continuation_matrix,
-    continuation_numeric,
     left_residue_sum,
     left_poles,
     lift_invariance_check,
     mb_integral,
     mb_integral_with_error,
-    negative_integer_residue_is_zero,
     pole_separation,
     right_residue_sum,
     verify_residue_identity,
@@ -131,7 +130,7 @@ def test_residue_identity(conifold, resolution):
     for wc in (conifold, resolution):
         x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
         lam = generic_lambdas(wc, 1, seed=29)[0]
-        for label in fixed_point_labels(wc.git, wc.A_plus, side="plus"):
+        for label in fixed_point_labels(wc.git, wc.A_plus):
             rep = verify_residue_identity(wc, label, x_in, x_out, lam)
             assert rep.residual_inside < 1e-8
             assert rep.residual_outside < 1e-8
@@ -209,7 +208,7 @@ def test_barnes_integral_against_mpmath(config_dir):
     for name in ("conifold", "resolution", "gerbe_flop"):
         cfg = load_config(str(config_dir / (name + ".json")))
         wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-        label = next(l for l in fixed_point_labels(wc.git, wc.A_plus, side="plus")
+        label = next(l for l in fixed_point_labels(wc.git, wc.A_plus)
                      if l.delta not in wc.A_minus.minimal)
         spec = make_inner_spec(wc, label)
         lam = generic_lambdas(wc, 1, seed=53)[0]
@@ -220,12 +219,19 @@ def test_barnes_integral_against_mpmath(config_dir):
             assert abs(mb_integral(spec, x, lam) - ref) < 1e-12 * abs(ref), (name, scale)
 
 
+def _negative_integer_residue_is_zero(spec, n):
+    """The residue at -1-n carries a reciprocal Gamma at a nonpositive
+    integer over the defining anticone, hence vanishes identically."""
+    s = -1 - n
+    return any(1 + int(spec.d[j]) + s * spec.e[j] <= 0 for j in spec.label.delta)
+
+
 def test_negative_integer_residues_vanish(conifold, resolution):
     for wc in (conifold, resolution):
         label = fixed_point_labels(wc.git, wc.A_plus)[0]
         spec = make_inner_spec(wc, label)
         for n in range(4):
-            assert negative_integer_residue_is_zero(spec, n)
+            assert _negative_integer_residue_is_zero(spec, n)
 
 
 def test_left_sum_equals_minus_integral(resolution):
@@ -263,4 +269,4 @@ def test_right_sum_matches_series(conifold):
     assert abs(v - r) < 1e-10
     # normalization: series = right sum / (value at the trivial exponent)
     r0 = right_residue_sum(spec, _xio(conifold, 1e-300), lam)
-    assert abs(ser.eval(x) - r / r0) < 1e-9
+    assert abs(sum(c * x ** k for k, c in enumerate(ser.coeffs)) - r / r0) < 1e-9
