@@ -304,15 +304,13 @@ def cmd_continuation(cfg):
     lams = generic_lambdas(wc, min(cfg["samples"], 3), cfg["seed"],
                            clearance=cfg["tolerances"]["pole_clearance"])
     matrix = continuation_matrix(wc)
+    col_names = [_label_name(lm) for lm in matrix.cols]
     entries = []
     for i, lp in enumerate(matrix.rows):
-        for j, lm in enumerate(matrix.cols):
+        row_name = _label_name(lp)
+        for j, col_name in enumerate(col_names):
             kind = matrix.kinds[(i, j)]
-            entry = {
-                "row": _label_name(lp),
-                "col": _label_name(lm),
-                "kind": kind,
-            }
+            entry = {"row": row_name, "col": col_name, "kind": kind}
             if kind == "coefficient":
                 coeff = matrix.coefficients[(i, j)]
                 entry["closed_form"] = coeff.describe()

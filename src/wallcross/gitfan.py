@@ -14,28 +14,30 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .lattice import (
+    _int_det,
     anticone_coords,
     anticone_dual,
+    anticone_inverse,
+    cleared,
     content,
     extended_lattice,
-    frac_part,
     hermite_with_transform,
     integer_kernel_basis,
     intvec,
+    line_class,
     matrix_rank,
     primitive_integer_vector,
-    primitive_wall_normal,
-    NotAHyperplane,
     quotient_transversal,
     ratvec,
     rational_line_membership,
     solve_rectangular,
     solve_square,
+    span_numerators,
     vadd,
     vdot,
     vscale,
@@ -137,40 +139,30 @@ class AnticoneSet:
         return tuple(sorted(common))
 
 
-def _cone_coefficients(git, indices, v):
-    """Exact coefficients of v over the selected characters, or None.
-
-    Returns one solution c of v = sum_t c_t D[indices[t]], with the free
-    coordinates of a dependent selection set to zero, or None when v is not
-    in their span.  Callers test the signs: a dependent selection's zero
-    coordinates fail the strict test, and for the closed test its solution
-    is that of an independent subset, which is enumerated anyway.
-    """
-    v = ratvec(v)
-    if not indices:
-        return () if all(x == 0 for x in v) else None
-    rows = [[Fraction(git.D[i][k]) for i in indices] for k in range(git.r)]
-    return solve_rectangular(rows, list(v))
+def _idot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def validate_stability(git, omega):
     """Check both stability assumptions and return the anticone set.
 
     Membership of omega in the open cone over an index set is decided
-    exactly.  Every anticone contains, by Caratheodory reduction, a linearly
-    independent index set that is itself an anticone, so enumerating the
-    index sets of size at most r decides both assumptions and yields the
-    minimal anticones; a dependent set never passes the strict test.
+    exactly, by integer numerators over one positive determinant.  Every
+    anticone contains, by Caratheodory reduction, a linearly independent
+    index set that is itself an anticone, so enumerating the index sets of
+    size at most r decides both assumptions and yields the minimal anticones;
+    a dependent set never passes.
     """
     omega = ratvec(omega)
     if len(omega) != git.r:
         raise ValueError("omega has wrong dimension")
+    w = cleared(omega)
     minimal = []
     for size in range(0, git.r + 1):
         undersized = None
         for I in itertools.combinations(range(git.m), size):
-            coeffs = _cone_coefficients(git, I, omega)
-            if coeffs is not None and all(c > 0 for c in coeffs):
+            found = span_numerators([git.D[i] for i in I], w)
+            if found is not None and all(c > 0 for c in found[0]):
                 if size < git.r:
                     undersized = I
                     break
@@ -201,18 +193,6 @@ class SectorLabel:
         return all(x == 0 for x in self.f)
 
 
-def _canonical_rep(v):
-    return tuple(frac_part(x) for x in v)
-
-
-def _sector_from_rep(git, A, f):
-    f = _canonical_rep(f)
-    I_f = tuple(i for i in range(git.m) if git.pair(i, f).denominator == 1)
-    age = sum((frac_part(git.pair(i, f)) for i in range(git.m) if i not in I_f), Fraction(0))
-    assert A.contains(I_f), "sector isotropy set must be an anticone"
-    return SectorLabel(f=f, I_f=I_f, age=age)
-
-
 def box_elements(git, omega):
     """All box classes of the stability condition, zero sector first, as a
     tuple.  They are enumerated once per GIT data and anticone set."""
@@ -224,16 +204,25 @@ def box_elements(git, omega):
 def _box_classes(git, A):
     """Every box class is supported on some minimal anticone's isotropy, so
     the enumeration runs over coset representatives per minimal anticone and
-    dedupes canonical representatives."""
+    dedupes canonical representatives.  Over the anticone basis, with inverse
+    adj / det, a class is f = (adj k mod det) / det; its pairings D_i . f are
+    read modulo 1 as integers modulo det."""
     seen = {}
     for delta in A.minimal:
+        adj, det = anticone_inverse(git.D, delta)
         # classes f with all pairings integral correspond to pairing vectors
         # k = (D_i . f) modulo the image of the integer lattice, which is the
         # column span of the anticone matrix
         cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
         for k in quotient_transversal(cols):
-            sec = _sector_from_rep(git, A, anticone_dual(git.D, delta, k))
-            seen.setdefault(sec.f, sec)
+            num = [_idot(row, k) % det for row in adj]
+            f = tuple(Fraction(x, det) for x in num)
+            if f in seen:
+                continue
+            pairings = [_idot(row, num) % det for row in git.D]
+            I_f = tuple(i for i, p in enumerate(pairings) if p == 0)
+            assert A.contains(I_f), "sector isotropy set must be an anticone"
+            seen[f] = SectorLabel(f=f, I_f=I_f, age=Fraction(sum(pairings), det))
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)
@@ -296,45 +285,32 @@ class WallCrossing:
 def _wall_hyperplanes(git):
     """Distinct candidate wall hyperplanes spanned by r-1 characters.
 
-    Returned as a dict mapping each sign-normalized primitive normal to one
-    spanning index set.
+    Returned as a dict mapping each primitive normal, first nonzero entry
+    positive, to the first index set spanning it.  The normal of r-1
+    characters is their signed maximal-minor vector, which is zero exactly
+    when they have rank < r-1.
     """
     normals = {}
-    if git.r == 1:
-        normals[(1,)] = ()
-        return normals
     for J in itertools.combinations(range(git.m), git.r - 1):
         rows = [git.D[j] for j in J]
-        if matrix_rank(rows) != git.r - 1:
+        n = [(-1) ** c * _int_det([row[:c] + row[c + 1:] for row in rows]) for c in range(git.r)]
+        g = content(n)
+        if g == 0:
             continue
-        try:
-            n = primitive_wall_normal(rows, _any_off_hyperplane(git, rows))
-        except NotAHyperplane:
-            continue
-        if n[_first_nonzero(n)] < 0:
-            n = tuple(-x for x in n)
-        normals.setdefault(n, J)
+        if next(x for x in n if x) < 0:
+            g = -g
+        normals.setdefault(tuple(x // g for x in n), J)
     return normals
 
 
-def _first_nonzero(v):
-    return next(i for i, x in enumerate(v) if x != 0)
-
-
-def _any_off_hyperplane(git, rows):
-    for i in range(git.m):
-        if matrix_rank(list(rows) + [git.D[i]]) == len(rows) + 1:
-            return git.D[i]
-    raise NotAHyperplane("characters all lie on one hyperplane")
-
-
 def _in_wall_cone(git, normal, point):
-    """Whether the crossing point lies in the closed cone of wall characters."""
-    cone_indices = [i for i in range(git.m) if vdot(git.D[i], normal) == 0]
+    """Whether the integer crossing point lies in the closed cone of wall
+    characters; an independent subset decides it, by Caratheodory."""
+    cone_indices = [i for i in range(git.m) if _idot(git.D[i], normal) == 0]
     for size in range(0, git.r):
         for K in itertools.combinations(cone_indices, size):
-            coeffs = _cone_coefficients(git, K, point)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            found = span_numerators([git.D[i] for i in K], point)
+            if found is not None and all(c >= 0 for c in found[0]):
                 return True
     return False
 
@@ -384,10 +360,6 @@ def _xi_vectors(git, A, S):
     return xi
 
 
-def vadd_scaled(a, b, t):
-    return tuple((1 - t) * Fraction(x) + t * Fraction(y) for x, y in zip(a, b))
-
-
 def wall_crossing(git, omega_plus, omega_minus):
     """Full wall-crossing record for two adjacent crepant chambers."""
     omega_plus, omega_minus = ratvec(omega_plus), ratvec(omega_minus)
@@ -399,24 +371,25 @@ def wall_crossing(git, omega_plus, omega_minus):
     # scan every candidate wall hyperplane for genuine crossings of the
     # segment from omega_plus to omega_minus; a crossing is genuine only if
     # the crossing point lies in the actual wall cone, not merely on the
-    # hyperplane extension
-    crossings = {}
+    # hyperplane extension.  On the cleared endpoints w+ and w-, with
+    # a = w+.n and b = w-.n of opposite signs, |b| w+ + |a| w- is a positive
+    # multiple of the crossing point.
+    w_plus, w_minus = cleared(omega_plus), cleared(omega_minus)
+    crossings = []
     for n in _wall_hyperplanes(git):
-        a = vdot(omega_plus, n)
-        b = vdot(omega_minus, n)
-        if (a > 0 and b < 0) or (a < 0 and b > 0):
-            t = a / (a - b)
-            point = vadd_scaled(omega_plus, omega_minus, t)
+        a, b = _idot(w_plus, n), _idot(w_minus, n)
+        if a * b < 0:
+            point = tuple(abs(b) * x + abs(a) * y for x, y in zip(w_plus, w_minus))
             if _in_wall_cone(git, n, point):
-                crossings[n] = t
+                crossings.append(n)
     if len(crossings) != 1:
         raise NotAdjacent(
             "segment between the chambers crosses %d wall cones, need exactly 1" % len(crossings)
         )
-    (normal, _t), = crossings.items()
-    e = normal if vdot(omega_plus, normal) > 0 else tuple(-x for x in normal)
+    normal, = crossings
+    e = normal if _idot(w_plus, normal) > 0 else tuple(-x for x in normal)
 
-    pairings = tuple(int(vdot(row, e)) for row in git.D)
+    pairings = tuple(_idot(row, e) for row in git.D)
     if sum(pairings) != 0:
         raise NotCrepant("sum of characters does not lie on the wall")
 
@@ -470,24 +443,27 @@ def anticones_next_to(wc, delta_plus, delta_minus):
 def next_to_pairs(wc):
     """All next-to pairs of inertia fixed points across the wall.
 
-    Pairs are (plus label, minus label); the sectors must differ by a
-    rational multiple of the wall normal modulo the cocharacter lattice.
+    Pairs are (plus label, minus label), ordered like the plus labels and
+    then like the minus labels; the anticones must be next to each other and
+    the sectors must differ by a rational multiple of the wall normal modulo
+    the cocharacter lattice, that is, have the same line class.
     """
-    labels_plus = fixed_point_labels(wc.git, wc.A_plus)
-    labels_minus = fixed_point_labels(wc.git, wc.A_minus)
-    minus_min = set(wc.A_minus.minimal)
-    plus_min = set(wc.A_plus.minimal)
+    plus_min, minus_min = set(wc.A_plus.minimal), set(wc.A_minus.minimal)
+    across = [d for d in wc.A_minus.minimal if d not in plus_min]
+    by_class = {}
+    for lm in fixed_point_labels(wc.git, wc.A_minus):
+        if lm.delta not in plus_min:
+            by_class.setdefault((lm.delta, line_class(lm.f, wc.e)), []).append(lm)
+    adjacent = {}
     out = []
-    for lp in labels_plus:
+    for lp in fixed_point_labels(wc.git, wc.A_plus):
         if lp.delta in minus_min:
             continue
-        for lm in labels_minus:
-            if lm.delta in plus_min:
-                continue
-            if not anticones_next_to(wc, lp.delta, lm.delta):
-                continue
-            if rational_line_membership(vsub(lm.f, lp.f), wc.e) is not None:
-                out.append((lp, lm))
+        if lp.delta not in adjacent:
+            adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
+        key = line_class(lp.f, wc.e)
+        for delta in adjacent[lp.delta]:
+            out += [(lp, lm) for lm in by_class.get((delta, key), ())]
     return out
 
 
@@ -530,26 +506,6 @@ def _dual_of_extended(git, omega):
     return extended_lattice(git, omega).dual()
 
 
-def _int_det(mat):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
 def _saturated(coord_rows):
     """Whether integer vectors extend to a lattice basis: maximal minors
     have gcd 1."""
@@ -588,10 +544,6 @@ def _constrained_sublattice(dual, conditions):
 # sublattice, and each acceptance test is compiled once per call into integer
 # rows: N k >= 0 for the nef cones, E.k for the side of the wall, and L.k for
 # the determinant of the wall vectors completed by the candidate.
-
-
-def _idot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _nef_rows(git, anticone_sets, gens):
@@ -831,8 +783,6 @@ def wall_frame(wc):
     c = -coeffs[-1]
     assert c > 0, "transition exponent must be positive"
     c_i = tuple(coeffs[:-1])
-    B = c.denominator
-    for x in c_i:
-        B = B * x.denominator // gcd(B, x.denominator)
+    B = lcm(c.denominator, *(x.denominator for x in c_i))
     change = CoordinateChange(c=c, c_i=c_i, A=int(c * B), B=B)
     return WallFrame(sfp_plus=sfp_plus, sfp_minus=sfp_minus, change=change)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gitfan import box_elements, compatible_minus_lift, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import _det, anticone_coords, frac_part, intvec, quotient_transversal, ratvec, vdot
+from .lattice import anticone_coords, anticone_inverse, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -140,10 +140,6 @@ def _unit_monomial(m, r):
     return Monomial(s=(0,) * m, p=(0,) * r, ch=(0,) * m, t=0)
 
 
-def kc_zero(git):
-    return KClass(m=git.m, r=git.r, terms=())
-
-
 def kc_one(git):
     return KClass(m=git.m, r=git.r, terms=((_unit_monomial(git.m, git.r), 1),))
 
@@ -165,11 +161,6 @@ def kc_char(git, n):
     return KClass(m=git.m, r=git.r, terms=((mono, 1),))
 
 
-def kc_t(git, datum, power):
-    mono = _unit_monomial(git.m, git.r)._replace(t=power)
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),), t_datum=datum)
-
-
 # ---------------------------------------------------------------------------
 # point basis and representation lifts
 
@@ -184,8 +175,7 @@ def basis_e(git, A, delta, rho_hat):
 
 
 def isotropy_order(git, delta):
-    d = _det([[Fraction(git.D[i][k]) for k in range(git.r)] for i in delta])
-    return abs(int(d))
+    return anticone_inverse(git.D, delta)[1]
 
 
 def canonical_rho_lifts(git, delta):
@@ -243,34 +233,36 @@ def fm_transform(wc, delta_minus, rho_hat):
         "minus anticone across the wall must have a single negative direction"
     )
     l = -wc.pair_e(j_minus)
-    datum = TRootDatum(j_minus=j_minus, l=l, zeta=Fraction(0))
 
-    # (1 - S_{j-}) / (1 - t^{-1}) = 1 + t^{-1} + ... + t^{-(l-1)}
-    poly = kc_zero(git)
-    for i in range(l):
-        poly = poly + kc_t(git, datum, -i)
-
+    # the line bundle L(rho_hat) is the one factor with a character, so the
+    # Laurent polynomial is kept as {(S exponents, t exponent): coefficient};
+    # it starts as (1 - S_{j-}) / (1 - t^{-1}) = 1 + t^{-1} + ... + t^{-(l-1)}
+    # times t^{rho_hat . e}
     rho_e = int(vdot(rho_hat, wc.e))
-    poly = poly * kc_line(git, rho_hat) * kc_t(git, datum, rho_e)
+    poly = {((0,) * git.m, rho_e - i): 1 for i in range(l)}
     for j in range(git.m):
         if j in delta_minus:
             continue
+        # times (1 - t^{-k_j} S_j)
         k_j = max(wc.pair_e(j), 0)
-        poly = poly * (kc_one(git) - kc_t(git, datum, -k_j) * kc_s(git, j))
+        product = dict(poly)
+        for (s, t), c in poly.items():
+            key = (s[:j] + (s[j] + 1,) + s[j + 1:], t - k_j)
+            product[key] = product.get(key, 0) - c
+        poly = product
 
     # root averaging: only exponents divisible by l survive, as powers of
     # the inverse of S_{j-}
+    p, ch = intvec(rho_hat), (0,) * git.m
     acc = {}
-    for mono, c in poly.terms:
-        exp = roots_projector(l, mono.t)
-        if exp is None:
+    for (s, t), c in poly.items():
+        exp = roots_projector(l, t)
+        if exp is None or c == 0:
             continue
-        s = list(mono.s)
         if s[j_minus] != 0:
             raise NonLaurent("S_{j-} power before averaging")
-        s[j_minus] = -exp
-        acc_mono = mono._replace(s=tuple(s), t=0)
-        acc[acc_mono] = acc.get(acc_mono, 0) + c
+        mono = Monomial(s=s[:j_minus] + (-exp,) + s[j_minus + 1:], p=p, ch=ch, t=0)
+        acc[mono] = acc.get(mono, 0) + c
     return _from_dict(git.m, git.r, acc)
 
 

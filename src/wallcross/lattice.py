@@ -1,9 +1,12 @@
-"""Exact rational linear algebra over character and cocharacter lattices.
+"""Exact linear algebra over character and cocharacter lattices.
 
-Everything here is exact: vectors are tuples of ``fractions.Fraction`` (or
-plain ints for primitive lattice vectors) and no floating point enters any
-computation.  Downstream numerical modules only ever evaluate the exact
-objects produced here.
+Everything here is exact and no floating point enters any computation.  The
+character matrix is integral, so solves against a basis of characters run on
+integers: one cached adjugate over a positive determinant per basis, and
+integer numerators for cone tests.  Vectors that leave this layer are tuples
+of ``fractions.Fraction`` (or plain ints for primitive lattice vectors).
+Downstream numerical modules only ever evaluate the exact objects produced
+here.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class SingularBasis(ValueError):
@@ -145,22 +148,94 @@ def solve_rectangular(rows, rhs):
     return tuple(sol)
 
 
+def _int_det(mat):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _adjugate(rows):
+    """(adj, det) of a square integer matrix M, adj M = M adj = det I, with
+    both negated when det < 0 so that det >= 0."""
+    n = len(rows)
+    adj = [[(-1) ** (i + j) * _int_det([row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != j])
+            for j in range(n)] for i in range(n)]
+    det = sum(rows[0][j] * adj[j][0] for j in range(n))
+    if det < 0:
+        adj, det = [[-x for x in row] for row in adj], -det
+    return tuple(map(tuple, adj)), det
+
+
+@lru_cache(maxsize=None)
+def int_inverse(rows):
+    """(adj, det) with M^-1 = adj / det and det > 0, for the square integer
+    matrix M whose rows are ``rows``.
+
+    Cached per basis: every repeated solve against a fixed basis is an
+    integer mat-vec product with adj.  Raises SingularBasis when the rows are
+    dependent.
+    """
+    adj, det = _adjugate(rows)
+    if det == 0:
+        raise SingularBasis("matrix is singular")
+    return adj, det
+
+
 @lru_cache(maxsize=None)
 def basis_inverse(rows):
-    """Exact inverse of the square matrix whose rows are ``rows``.
+    """Exact inverse of the square rational matrix whose rows are ``rows``:
+    s adj / det from the integer inverse of s M, s the common denominator."""
+    s = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    adj, det = int_inverse(tuple(tuple(int(x * s) for x in row) for row in rows))
+    return tuple(tuple(Fraction(a * s, det) for a in row) for row in adj)
 
-    Cached per basis: every repeated solve against a fixed basis is a
-    mat-vec product with this inverse.  Raises SingularBasis when the rows
-    are dependent.
+
+@lru_cache(maxsize=None)
+def _span_minor(rows):
+    """(cols, adj, det): the first columns, in lex order, on which k integer
+    rows have a nonzero k x k minor, with that minor's adjugate and positive
+    determinant; None when the rows are dependent."""
+    for cols in itertools.combinations(range(len(rows[0])), len(rows)):
+        adj, det = _adjugate([[row[c] for c in cols] for row in rows])
+        if det:
+            return cols, adj, det
+    return None
+
+
+def span_numerators(rows, w):
+    """(c, d) with w = sum_t (c_t / d) rows[t], c integral and d > 0, for
+    integer rows and an integer vector w; None when the rows are dependent or
+    w is not in their span.
+
+    A positive multiple of w has numerators of the same signs, so this
+    decides membership of a rational vector, cleared of its denominators, in
+    the open and the closed cone over independent rows.
     """
-    n = len(rows)
-    assert all(len(r) == n for r in rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = _rref(aug, n)
-    if len(pivots) < n:
-        raise SingularBasis("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
+    if not rows:
+        return None if any(w) else ((), 1)
+    found = _span_minor(tuple(rows))
+    if found is None:
+        return None
+    cols, adj, det = found
+    c = tuple(sum(w[a] * adj[j][t] for j, a in enumerate(cols)) for t in range(len(rows)))
+    for a in range(len(w)):
+        if a not in cols and sum(x * row[a] for x, row in zip(c, rows)) != det * w[a]:
+            return None
+    return c, det
 
 
 def _vec_mat(v, M):
@@ -197,13 +272,17 @@ def content(v):
     return g
 
 
+def cleared(v):
+    """A rational vector times the common denominator of its entries: an
+    integer vector on the same ray, so in the same cones."""
+    v = ratvec(v)
+    s = lcm(*(x.denominator for x in v))
+    return tuple(int(x * s) for x in v)
+
+
 def primitive_integer_vector(v):
     """Scale a nonzero rational vector to a primitive integer vector."""
-    denoms = [Fraction(x).denominator for x in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(Fraction(x) * scale) for x in v]
+    ints = cleared(v)
     g = content(ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -215,22 +294,25 @@ def primitive_integer_vector(v):
 
 
 def anticone_inverse(D, delta):
-    """Exact inverse of the basis {D[i] : i in delta}, cached per basis.
+    """(adj, det) of the basis {D[i] : i in delta}: its inverse is adj / det
+    with det > 0, the order of the isotropy group.  Cached per basis.
 
     Raises SingularBasis when the delta-submatrix is singular, which signals
     that ``delta`` is not a valid minimal anticone.
     """
-    return basis_inverse(tuple(tuple(D[i]) for i in delta))
+    return int_inverse(tuple(tuple(D[i]) for i in delta))
 
 
 def anticone_coords(D, delta, p):
     """The tuple c (ordered like ``delta``) with p = sum_t c_t D[delta[t]]."""
-    return _vec_mat(p, anticone_inverse(D, delta))
+    adj, det = anticone_inverse(D, delta)
+    return tuple(Fraction(sum(x * row[t] for x, row in zip(p, adj)), det) for t in range(len(delta)))
 
 
 def anticone_dual(D, delta, k):
     """The vector f with D[delta[t]] . f = k_t for every t."""
-    return _mat_vec(anticone_inverse(D, delta), k)
+    adj, det = anticone_inverse(D, delta)
+    return tuple(Fraction(sum(a * x for a, x in zip(row, k)), det) for row in adj)
 
 
 def express_in_anticone_basis(D, delta, j):
@@ -265,26 +347,33 @@ def primitive_wall_normal(wall_chars, positive_side):
     return e
 
 
+@lru_cache(maxsize=None)
+def _line_transform(e):
+    """A unimodular U with U e = e_1: the Hermite transform of e as a column.
+    Raises ValueError unless e is a primitive integer vector."""
+    H, U = hermite_with_transform([[x] for x in intvec(e)])
+    if H[0] != (1,):
+        raise ValueError("e must be a primitive integer vector; its content is %d" % abs(H[0][0]))
+    return U
+
+
+def line_class(v, e):
+    """The class of v in Q^r / (Q e + Z^r) for a primitive integer vector e:
+    the fractional parts of (U v)[1:], U unimodular with U e = e_1.  Two
+    vectors differ by a rational multiple of e modulo Z^r exactly when their
+    classes agree."""
+    return tuple(frac_part(x) for x in _mat_vec(_line_transform(tuple(e))[1:], v))
+
+
 def rational_line_membership(v, e):
     """The unique alpha in [0,1) with v - alpha*e integral, if it exists.
 
     ``e`` must be a primitive integer vector; primitivity makes alpha unique
-    modulo 1.  Candidates are enumerated from a fixed nonzero coordinate of
-    ``e``, which is finite and complete.
+    modulo 1.  With U e = e_1 as in line_class, v - alpha*e is integral
+    exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
     """
-    v = ratvec(v)
-    e = intvec(e)
-    i = next((k for k, x in enumerate(e) if x != 0), None)
-    assert i is not None, "e must be nonzero"
-    seen = set()
-    for k in range(abs(e[i])):
-        alpha = frac_part((v[i] - k) / Fraction(e[i]))
-        if alpha in seen:
-            continue
-        seen.add(alpha)
-        if is_integral(vsub(v, vscale(alpha, e))):
-            return alpha
-    return None
+    uv = _mat_vec(_line_transform(tuple(e)), v)
+    return frac_part(uv[0]) if is_integral(uv[1:]) else None
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +442,11 @@ def integer_kernel_basis(cond_rows, dim):
     kernel basis appears as the transform rows facing zero rows of the
     Hermite form of the transposed condition matrix.
     """
-    cleared = []
-    for cond in cond_rows:
-        cond = ratvec(cond)
-        scale = 1
-        for x in cond:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        cleared.append([int(x * scale) for x in cond])
-    if not cleared:
+    rows = [cleared(cond) for cond in cond_rows]
+    if not rows:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     # rows of the transpose are the coordinates; U A^T = H
-    At = [[cleared[c][i] for c in range(len(cleared))] for i in range(dim)]
+    At = [[row[i] for row in rows] for i in range(dim)]
     H, U = hermite_with_transform(At)
     return [U[i] for i in range(dim) if all(x == 0 for x in H[i])]
 
@@ -431,11 +514,7 @@ def _det(rows):
 def lattice_from_generators(gens, dim):
     """Canonical LatticeBasis for the group generated by rational vectors."""
     gens = [ratvec(g) for g in gens]
-    scale = 1
-    for g in gens:
-        for x in g:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
+    scale = lcm(*(x.denominator for g in gens for x in g))
     int_rows = [[int(x * scale) for x in g] for g in gens]
     H = hermite_row_form(int_rows)
     if len(H) != dim:

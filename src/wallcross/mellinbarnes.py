@@ -184,18 +184,17 @@ def continuation_matrix(wc):
     """
     rows = tuple(fixed_point_labels(wc.git, wc.A_plus))
     cols = tuple(fixed_point_labels(wc.git, wc.A_minus))
-    pairs = {(lp.delta, lp.f, lm.delta, lm.f): (lp, lm) for lp, lm in next_to_pairs(wc)}
-    kinds = {}
-    coeffs = {}
+    row_at = {(lp.delta, lp.f): i for i, lp in enumerate(rows)}
+    col_at = {(lm.delta, lm.f): j for j, lm in enumerate(cols)}
+    kinds = {(i, j): "zero" for i in range(len(rows)) for j in range(len(cols))}
     for i, lp in enumerate(rows):
-        for j, lm in enumerate(cols):
-            if lp.delta == lm.delta and lp.f == lm.f:
-                kinds[(i, j)] = "identity"
-            elif (lp.delta, lp.f, lm.delta, lm.f) in pairs:
-                kinds[(i, j)] = "coefficient"
-                coeffs[(i, j)] = continuation_coefficient(wc, (lp, lm))
-            else:
-                kinds[(i, j)] = "zero"
+        if (lp.delta, lp.f) in col_at:
+            kinds[(i, col_at[(lp.delta, lp.f)])] = "identity"
+    coeffs = {}
+    for lp, lm in next_to_pairs(wc):
+        cell = (row_at[(lp.delta, lp.f)], col_at[(lm.delta, lm.f)])
+        kinds[cell] = "coefficient"
+        coeffs[cell] = continuation_coefficient(wc, (lp, lm))
     return ContinuationMatrix(rows=rows, cols=cols, kinds=kinds, coefficients=coeffs)
 
 

@@ -7,6 +7,9 @@ can cross-validate each other:
   Fourier-Motzkin elimination;
 - the box oracle scans a common refinement of the anticone lattices;
 - the wall-frame oracle is the radius-24 brute-force search;
+- the Fraction oracles of the integer exact layer solve every cone test by
+  rational elimination, find line multiples by a candidate loop and match
+  next-to pairs by a double loop;
 - the continuation oracle extracts a connection coefficient numerically
   from grouped left residues of the Barnes integral.
 """
@@ -26,26 +29,49 @@ from wallcross.gitfan import (
     NotAdjacent,
     NotCrepant,
     NotDeligneMumford,
+    SectorLabel,
     WallFrame,
     _combination,
     _constrained_sublattice,
     _coords_in,
     _dual_of_extended,
+    anticones_next_to,
     compatible_minus_lift,
+    fixed_point_labels,
     make_git,
     next_to_pairs,
     wall_crossing,
 )
 from wallcross.hypergeom import TWO_PI_I, log_gamma, make_inner_spec, w_constant
+from wallcross.ktheory import (
+    KClass,
+    TRootDatum,
+    _from_dict,
+    _unit_monomial,
+    basis_e,
+    kc_line,
+    kc_one,
+    kc_s,
+    roots_projector,
+)
 from wallcross.lattice import (
+    NotAHyperplane,
     _det,
     anticone_coords,
+    anticone_dual,
+    frac_part,
+    intvec,
     is_integral,
     matrix_rank,
     primitive_integer_vector,
+    primitive_wall_normal,
+    quotient_transversal,
     ratvec,
+    solve_rectangular,
     solve_square,
+    vadd,
     vdot,
+    vscale,
     vsub,
 )
 from wallcross.localization import restrict_u, sigma_restrict
@@ -482,3 +508,163 @@ def continuation_numeric(wc, pair, x, lam):
 
     series = _unnormalized_minus_series(wc, label_minus, d_minus_vec, x, lam)
     return prefactor * group * power / series
+
+
+# ---------------------------------------------------------------------------
+# the Fraction paths of the exact layer, kept as oracles of its integer
+# kernel: rational elimination for every cone test and wall normal, Fraction
+# pairings for the box classes, a candidate loop for line multiples, a double
+# loop for next-to pairs and a KClass product for the pull-push transform
+
+
+def oracle_cone_coefficients(git, indices, v):
+    """Exact coefficients of v over the selected characters, or None.
+
+    Returns one solution c of v = sum_t c_t D[indices[t]], with the free
+    coordinates of a dependent selection set to zero, or None when v is not
+    in their span.  Callers test the signs: a dependent selection's zero
+    coordinates fail the strict test, and for the closed test its solution
+    is that of an independent subset, which is enumerated anyway.
+    """
+    v = ratvec(v)
+    if not indices:
+        return () if all(x == 0 for x in v) else None
+    rows = [[Fraction(git.D[i][k]) for i in indices] for k in range(git.r)]
+    return solve_rectangular(rows, list(v))
+
+
+def oracle_minimal_anticones(git, omega):
+    """The minimal anticones by strict cone tests over index sets of size at
+    most r, raising the production errors with the same messages."""
+    minimal = []
+    for size in range(0, git.r + 1):
+        for I in itertools.combinations(range(git.m), size):
+            coeffs = oracle_cone_coefficients(git, I, omega)
+            if coeffs is not None and all(c > 0 for c in coeffs):
+                if size < git.r:
+                    raise NotDeligneMumford("Assumption(2) spanning fails for I=%s" % (set(I) or "{}",))
+                minimal.append(tuple(I))
+    if not minimal:
+        raise EmptyQuotient("Assumption(1) fails: {0..m-1} is not an anticone")
+    return tuple(sorted(minimal))
+
+
+def oracle_wall_hyperplanes(git):
+    """Primitive normals, first nonzero entry positive, of the hyperplanes
+    spanned by r-1 characters, each with its first spanning index set."""
+    normals = {}
+    if git.r == 1:
+        return {(1,): ()}
+    for J in itertools.combinations(range(git.m), git.r - 1):
+        rows = [git.D[j] for j in J]
+        if matrix_rank(rows) != git.r - 1:
+            continue
+        off = next(git.D[i] for i in range(git.m) if matrix_rank(rows + [git.D[i]]) == git.r)
+        try:
+            n = primitive_wall_normal(rows, off)
+        except NotAHyperplane:
+            continue
+        if next(x for x in n if x) < 0:
+            n = tuple(-x for x in n)
+        normals.setdefault(n, J)
+    return normals
+
+
+def oracle_crossing_normal(git, omega_plus, omega_minus):
+    """The normal of the one wall cone crossed by the segment between the
+    stability conditions, by Fraction crossing points and closed cone tests;
+    None unless exactly one is crossed."""
+    omega_plus, omega_minus = ratvec(omega_plus), ratvec(omega_minus)
+    crossed = []
+    for n in oracle_wall_hyperplanes(git):
+        a, b = vdot(omega_plus, n), vdot(omega_minus, n)
+        if a * b >= 0:
+            continue
+        t = a / (a - b)
+        point = tuple((1 - t) * x + t * y for x, y in zip(omega_plus, omega_minus))
+        wall = [i for i in range(git.m) if vdot(git.D[i], n) == 0]
+        if any(c is not None and all(x >= 0 for x in c)
+               for size in range(git.r) for K in itertools.combinations(wall, size)
+               for c in [oracle_cone_coefficients(git, K, point)]):
+            crossed.append(n)
+    return crossed[0] if len(crossed) == 1 else None
+
+
+def oracle_box_classes(git, A):
+    """Box classes as (f, I_f, age), zero sector first, from Fraction
+    pairings of the coset representatives over every minimal anticone."""
+    seen = {}
+    for delta in A.minimal:
+        cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
+        for k in quotient_transversal(cols):
+            f = tuple(frac_part(x) for x in anticone_dual(git.D, delta, k))
+            pairings = [vdot(git.D[i], f) for i in range(git.m)]
+            I_f = tuple(i for i, p in enumerate(pairings) if p.denominator == 1)
+            age = sum((frac_part(p) for p in pairings), Fraction(0))
+            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age))
+    out = sorted(seen.values(), key=lambda s: s.f)
+    out.sort(key=lambda s: not s.is_zero)
+    return tuple(out)
+
+
+def oracle_line_membership(v, e):
+    """The alpha in [0,1) with v - alpha*e integral, or None, by trying the
+    |e_i| candidates of a nonzero coordinate i of the primitive e."""
+    v, e = ratvec(v), intvec(e)
+    i = next(k for k, x in enumerate(e) if x != 0)
+    for k in range(abs(e[i])):
+        alpha = frac_part((v[i] - k) / Fraction(e[i]))
+        if is_integral(vsub(v, vscale(alpha, e))):
+            return alpha
+    return None
+
+
+def oracle_next_to_pairs(wc):
+    """Next-to pairs by the double loop over plus and minus labels."""
+    labels_minus = fixed_point_labels(wc.git, wc.A_minus)
+    out = []
+    for lp in fixed_point_labels(wc.git, wc.A_plus):
+        if lp.delta in wc.A_minus.minimal:
+            continue
+        for lm in labels_minus:
+            if lm.delta in wc.A_plus.minimal or not anticones_next_to(wc, lp.delta, lm.delta):
+                continue
+            if oracle_line_membership(vsub(lm.f, lp.f), wc.e) is not None:
+                out.append((lp, lm))
+    return out
+
+
+def kc_zero(git):
+    return KClass(m=git.m, r=git.r, terms=())
+
+
+def kc_t(git, datum, power):
+    """The root generator t to the given power."""
+    mono = _unit_monomial(git.m, git.r)._replace(t=power)
+    return KClass(m=git.m, r=git.r, terms=((mono, 1),), t_datum=datum)
+
+
+def oracle_fm_transform(wc, delta_minus, rho_hat):
+    """The pull-push image as a product of KClass factors, root averaged."""
+    git = wc.git
+    if delta_minus in wc.A_plus.minimal:
+        return basis_e(git, wc.A_plus, delta_minus, rho_hat)
+    j_minus = next(i for i in delta_minus if wc.pair_e(i) < 0)
+    l = -wc.pair_e(j_minus)
+    datum = TRootDatum(j_minus=j_minus, l=l, zeta=Fraction(0))
+    poly = kc_zero(git)
+    for i in range(l):
+        poly = poly + kc_t(git, datum, -i)
+    poly = poly * kc_line(git, rho_hat) * kc_t(git, datum, int(vdot(rho_hat, wc.e)))
+    for j in range(git.m):
+        if j not in delta_minus:
+            poly = poly * (kc_one(git) - kc_t(git, datum, -max(wc.pair_e(j), 0)) * kc_s(git, j))
+    acc = {}
+    for mono, c in poly.terms:
+        exp = roots_projector(l, mono.t)
+        if exp is not None:
+            s = list(mono.s)
+            s[j_minus] = -exp
+            key = mono._replace(s=tuple(s), t=0)
+            acc[key] = acc.get(key, 0) + c
+    return _from_dict(git.m, git.r, acc)

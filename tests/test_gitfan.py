@@ -441,7 +441,7 @@ def test_wall_frame_error_names_side_and_invariant(conifold):
 
 
 def test_integer_determinant_matches_fraction_elimination():
-    from wallcross.lattice import _det
+    from wallcross.lattice import _det, _int_det
 
     rng = random.Random(5)
     for n in range(0, 6):
@@ -449,4 +449,4 @@ def test_integer_determinant_matches_fraction_elimination():
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             if n and rng.random() < 0.2:
                 mat[-1] = list(mat[0])
-            assert gitfan._int_det(mat) == _det(mat)
+            assert _int_det(mat) == _det(mat)

@@ -1,0 +1,210 @@
+"""The integer exact layer against its Fraction oracles.
+
+Cone tests, wall normals, box classes, line multiples, next-to pairs and the
+pull-push transform run on integers over one cached determinant per basis;
+the oracles in helpers.py are the rational-elimination paths they replace.
+Every comparison is exact and includes order.
+"""
+
+import functools
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from helpers import (
+    oracle_box_classes,
+    oracle_crossing_normal,
+    oracle_fm_transform,
+    oracle_line_membership,
+    oracle_minimal_anticones,
+    oracle_next_to_pairs,
+    oracle_wall_hyperplanes,
+    random_crepant_crossing,
+)
+from wallcross.cli import load_config
+from wallcross.gitfan import (
+    EmptyQuotient,
+    NotDeligneMumford,
+    _wall_hyperplanes,
+    box_elements,
+    compatible_minus_lift,
+    make_git,
+    next_to_pairs,
+    validate_stability,
+    wall_crossing,
+)
+from wallcross.ktheory import fm_transform, minus_basis
+from wallcross.lattice import (
+    _det,
+    int_inverse,
+    line_class,
+    primitive_integer_vector,
+    rational_line_membership,
+    solve_rectangular,
+    span_numerators,
+    vadd,
+    vscale,
+    vsub,
+)
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _crossings():
+    """260 seeded draws with r <= 3 and the seven committed rank-3 crossings."""
+    out = []
+    for seed, count in ((3, 87), (4, 87), (5, 86)):
+        rng = random.Random(seed)
+        out += [random_crepant_crossing(rng, max_r=3, max_m=7) for _ in range(count)]
+    for path in sorted((ROOT / "bench" / "configs").glob("rank3_*.json")):
+        cfg = load_config(str(path))
+        out.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
+    assert len(out) == 267 and {wc.git.r for wc in out} == {1, 2, 3}
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_anticones_match_the_rational_cone_test():
+    for wc in _crossings():
+        for omega, A in ((wc.omega_plus, wc.A_plus), (wc.omega_minus, wc.A_minus)):
+            assert A.minimal == oracle_minimal_anticones(wc.git, omega)
+
+
+def test_wall_hyperplanes_and_crossing_normal_match_the_rational_kernel():
+    for wc in _crossings():
+        normals = _wall_hyperplanes(wc.git)
+        assert list(normals.items()) == list(oracle_wall_hyperplanes(wc.git).items())
+        normal = oracle_crossing_normal(wc.git, wc.omega_plus, wc.omega_minus)
+        assert wc.e in (normal, tuple(-x for x in normal))
+
+
+def test_box_classes_match_the_fraction_pairings():
+    for wc in _crossings():
+        for A in (wc.A_plus, wc.A_minus):
+            assert box_elements(wc.git, A) == oracle_box_classes(wc.git, A)
+
+
+def test_next_to_pairs_and_lifts_match_the_double_loop():
+    for wc in _crossings():
+        pairs = next_to_pairs(wc)
+        assert pairs == oracle_next_to_pairs(wc)
+        for lp, lm in pairs:
+            alpha = oracle_line_membership(vsub(lm.f, lp.f), wc.e)
+            assert compatible_minus_lift(wc, lp, lm) == vadd(lp.f, vscale(alpha, wc.e))
+
+
+def test_fm_images_match_the_kclass_product():
+    for wc in _crossings()[::3]:
+        for delta, rho in minus_basis(wc):
+            assert fm_transform(wc, delta, rho) == oracle_fm_transform(wc, delta, rho)
+
+
+def test_line_membership_and_class_match_the_candidate_loop():
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        e = tuple(rng.randint(-4, 4) for _ in range(n))
+        if not any(e):
+            continue
+        e = primitive_integer_vector(e)
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        alpha = oracle_line_membership(v, e)
+        assert rational_line_membership(v, e) == alpha
+        assert (line_class(v, e) == line_class((0,) * n, e)) == (alpha is not None)
+
+
+def test_line_membership_rejects_a_non_primitive_normal():
+    # with e = (2,), both 1/4 and 3/4 satisfy v - alpha e integral
+    with pytest.raises(ValueError, match="content is 2"):
+        rational_line_membership((Fraction(1, 2),), (2,))
+    with pytest.raises(ValueError, match="content is 0"):
+        rational_line_membership((Fraction(1, 2), 0), (0, 0))
+
+
+def test_span_numerators_solve_over_a_positive_determinant():
+    rng = random.Random(8)
+    for _ in range(300):
+        r = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(0, r))]
+        w = tuple(rng.randint(-5, 5) for _ in range(r))
+        if rng.random() < 0.5:
+            w = tuple(sum(rng.randint(-2, 2) * row[a] for row in rows) for a in range(r))
+        found = span_numerators(rows, w)
+        independent = not rows or any(
+            _det([[row[c] for c in cols] for row in rows])
+            for cols in itertools.combinations(range(r), len(rows)))
+        if not rows:
+            solution = None if any(w) else ()
+        else:
+            solution = solve_rectangular([[row[a] for row in rows] for a in range(r)], w)
+        if found is None:
+            assert not independent or solution is None
+        else:
+            c, d = found
+            assert independent and d > 0 and tuple(Fraction(x, d) for x in c) == solution
+
+
+def test_cached_inverse_is_the_adjugate_over_a_positive_determinant():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        M = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
+        if _det(M) == 0:
+            continue
+        adj, det = int_inverse(M)
+        assert det == abs(_det(M))
+        assert all(sum(adj[i][k] * M[k][j] for k in range(n)) == det * (i == j)
+                   for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("D, omega, raised", [
+    # r = 1
+    ([(1,), (1,), (-1,), (-1,)], (Fraction(1, 3),), None),
+    ([(1,), (1,), (-1,), (-1,)], (Fraction(-5, 7),), None),
+    ([(1,), (1,), (-2,)], (Fraction(2, 9),), None),
+    # rational omega with mixed denominators
+    ([(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 1), (0, 1)], (Fraction(1, 2), Fraction(2, 3)), None),
+    ([(1, 0), (1, 2), (0, 2), (-1, -1), (0, -1)], (Fraction(3, 4), Fraction(-1, 6)), None),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 0)],
+     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), None),
+    # omega on the ray of one character, or zero
+    ([(1, 0), (0, 1), (-1, -1)], (Fraction(2, 3), Fraction(0)), NotDeligneMumford),
+    ([(1,), (1,), (-1,), (-1,)], (Fraction(0),), NotDeligneMumford),
+    # omega outside the cone of the characters
+    ([(1,), (1,)], (Fraction(-1, 2),), EmptyQuotient),
+    ([(1, 0), (0, 1), (1, 1)], (Fraction(-1, 3), Fraction(1, 4)), EmptyQuotient),
+])
+def test_stability_outcomes_and_messages_match_the_oracle(D, omega, raised):
+    git = make_git(D)
+    outcome = _outcome(lambda: validate_stability(git, omega).minimal)
+    assert outcome == _outcome(oracle_minimal_anticones, git, omega)
+    assert (outcome[0] if raised else None) == raised
+
+
+def test_random_stability_conditions_match_the_oracle():
+    rng = random.Random(23)
+    raised = set()
+    for _ in range(150):
+        r = rng.randint(1, 3)
+        D = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.randint(r + 1, 6))]
+        try:
+            git = make_git(D)
+        except ValueError:
+            continue
+        omega = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))) for _ in range(r))
+        outcome = _outcome(lambda: validate_stability(git, omega).minimal)
+        assert outcome == _outcome(oracle_minimal_anticones, git, omega)
+        if isinstance(outcome[0], type):
+            raised.add(outcome[0])
+    assert raised == {NotDeligneMumford, EmptyQuotient}

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import kc_t, kc_zero
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -32,8 +33,6 @@ from wallcross.ktheory import (
     kc_line,
     kc_one,
     kc_s,
-    kc_t,
-    kc_zero,
     lambda_matrix,
     localization_gram,
     minus_basis,
