@@ -406,19 +406,21 @@ def _suite_mb(cfg, wc):
     lams = generic_lambdas(wc, min(cfg["samples"], 5), cfg["seed"],
                            clearance=cfg["tolerances"]["pole_clearance"])
     rows = []
-    worst = 0.0
+    worst, worst_at = 0.0, None
     for label in fixed_point_labels(wc.git, wc.A_plus):
         if label.delta in wc.A_minus.minimal:
             continue
-        for lam in lams:
+        for i, lam in enumerate(lams):
             rep = verify_residue_identity(wc, label, x_in, x_out, lam, cfg["contour"])
-            worst = max(worst, rep.residual_inside, rep.residual_outside)
+            for side, resid in (("inside", rep.residual_inside), ("outside", rep.residual_outside)):
+                if resid > worst:
+                    worst, worst_at = resid, "%s at sample %d, %s" % (_label_name(label), i, side)
             rows.append({
                 "label": _label_name(label),
                 "inside": rep.residual_inside,
                 "outside": rep.residual_outside,
             })
-    return {**_gated(worst, tol), "checks": rows}, worst < tol
+    return {**_gated(worst, tol), "worst": worst_at, "checks": rows}, worst < tol
 
 
 def _suite_ode(cfg, wc):

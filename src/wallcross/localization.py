@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gitfan import anticones_next_to, wall_frame
 from .lattice import anticone_coords, express_in_anticone_basis, frac_part, vdot
@@ -40,8 +40,13 @@ class LinearForm:
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
 
+    @cached_property
+    def _nonzero(self):
+        """(index, complex coefficient) of every nonzero coefficient."""
+        return tuple((i, complex(a)) for i, a in enumerate(self.coeffs) if a != 0)
+
     def __call__(self, lam):
-        return sum((complex(a) * lam[i] for i, a in enumerate(self.coeffs) if a != 0), 0j)
+        return sum((a * lam[i] for i, a in self._nonzero), 0j)
 
     def __str__(self):
         parts = []

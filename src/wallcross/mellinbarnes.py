@@ -62,18 +62,19 @@ class ContinuationCoefficient:
     u_form: object  # u_{j-}(delta_plus) as a LinearForm
     shift: Fraction  # D_{j-} . (f_plus - f_minus)
     ratio_js: tuple  # other negative-pairing indices
+    # per j in ratio_js: (u_j(delta_plus), D_j . f_plus, u_j(delta_minus), D_j . f_minus)
+    ratio_terms: tuple
 
     def value(self, wc, lam):
-        git = wc.git
+        """The coefficient at the torus parameters lam; every exact input is
+        already held by the coefficient, so wc is not read."""
         X = self.u_form(lam) / TWO_PI_I + complex(self.shift)
         val = cmath.exp(-1j * math.pi * self.w * X / self.l)
         if self.l > 1:
             val *= cmath.sin(math.pi * X) / (self.l * cmath.sin(math.pi * X / self.l))
-        u_plus = restrict_u(git, self.label_plus.delta)
-        u_minus = restrict_u(git, self.label_minus.delta)
-        for j in self.ratio_js:
-            num = u_plus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], self.lift_plus))
-            den = u_minus[j](lam) / TWO_PI_I + complex(vdot(git.D[j], self.lift_minus))
+        for u_plus, c_plus, u_minus, c_minus in self.ratio_terms:
+            num = u_plus(lam) / TWO_PI_I + c_plus
+            den = u_minus(lam) / TWO_PI_I + c_minus
             val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
         return val
 
@@ -123,9 +124,13 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
     l = -wc.pair_e(j_minus)
     assert l > 0
+    D = wc.git.D
     u_plus = restrict_u(wc.git, label_plus.delta)
-    shift = vdot(wc.git.D[j_minus], vsub(lift_plus, lift_minus))
+    u_minus = restrict_u(wc.git, label_minus.delta)
+    shift = vdot(D[j_minus], vsub(lift_plus, lift_minus))
     ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
+    ratio_terms = tuple((u_plus[j], complex(vdot(D[j], lift_plus)),
+                         u_minus[j], complex(vdot(D[j], lift_minus))) for j in ratio_js)
     return ContinuationCoefficient(
         label_plus=label_plus,
         label_minus=label_minus,
@@ -137,6 +142,7 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
         u_form=u_plus[j_minus],
         shift=shift,
         ratio_js=ratio_js,
+        ratio_terms=ratio_terms,
     )
 
 
@@ -205,7 +211,7 @@ def continuation_matrix(wc):
 @dataclass(frozen=True)
 class ContourSpec:
     abscissa: float = None  # auto-scan when None
-    t_max: float = 40.0
+    t_max: float = 40.0  # the longest cut of the line
     clearance: float = 1e-3
 
 
@@ -225,9 +231,9 @@ def _log_gamma_block(spec, betas, s, skip=None):
     return acc
 
 
-def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
-    """The non-integer poles of the integrand with real part in a window."""
-    betas = spec.betas(lam)
+def _pole_scan(spec, betas, re_min, re_max):
+    """The non-integer poles (j, n, p) with real part in [re_min, re_max],
+    by direction j and then by n."""
     poles = []
     for j in range(len(spec.d)):
         if spec.e[j] >= 0:
@@ -245,30 +251,41 @@ def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
     return poles
 
 
-def pole_separation(spec, lam):
-    """Minimum pairwise distance among all left poles and the integers."""
-    pts = [p for _j, _n, p in left_poles(spec, lam)]
+def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
+    """The non-integer poles of the integrand with real part in a window."""
+    return _pole_scan(spec, spec.betas(lam), re_min, re_max)
+
+
+def _separation(pts):
     return min([abs(p - q) for p, q in itertools.combinations(pts, 2)]
                + [abs(p - round(p.real)) for p in pts], default=float("inf"))
 
 
-def _abscissa_gap(spec, lam):
-    """The distance of an abscissa from the nearest real part of a left pole
-    and from the nearest integer, as a function of the abscissa."""
-    reals = [p.real for _j, _n, p in left_poles(spec, lam)]
-    return lambda sigma: min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
+def pole_separation(spec, lam):
+    """Minimum pairwise distance among all left poles and the integers."""
+    return _separation([p for _j, _n, p in left_poles(spec, lam)])
 
 
-def choose_abscissa(spec, lam, contour):
-    """The given abscissa, or the one in [-0.45, -0.05] farthest from every
-    pole's real part; either must clear them by the contour's clearance."""
-    gap = _abscissa_gap(spec, lam)
+def _abscissa(reals, contour):
+    """The abscissa and its gap, the distance from the nearest of the pole
+    real parts and from the nearest integer: the given abscissa, or the one
+    in [-0.45, -0.05] with the largest gap.  The gap must reach the
+    contour's clearance."""
+    def gap(sigma):
+        return min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
+
     sigma = contour.abscissa
     if sigma is None:
         sigma = max((-0.45 + 0.01 * k for k in range(41)), key=gap)
     if gap(sigma) < contour.clearance:
         raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
-    return sigma
+    return sigma, gap(sigma)
+
+
+def choose_abscissa(spec, lam, contour):
+    """The given abscissa, or the one in [-0.45, -0.05] farthest from every
+    pole's real part; either must clear them by the contour's clearance."""
+    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)[0]
 
 
 def _split_xi(spec, x):
@@ -289,7 +306,8 @@ def _split_xi(spec, x):
 
 def _interesting_residue(spec, betas, log_xi, j_minus, n):
     """Residues of the integrand at the n-th poles of one negative direction,
-    for an integer or an integer array n."""
+    for an integer or an integer array n; a column of log xi gives one row
+    of residues per point."""
     l = -spec.e[j_minus]
     base = betas[j_minus] + complex(spec.d[j_minus])
     p = (base - n) / l
@@ -302,16 +320,17 @@ def quad(f, a, b, h):
     """Trapezoid rule for f over [a, b] with a step of at most h, and an
     estimate of its error.
 
-    f is called once, on the array of nodes.  The number of steps is even,
-    so the rule with twice the step uses every other node; the difference
-    of the two rules is the error estimate.
+    f is called once, on the array of nodes, and returns the values on them,
+    one row per integrand; the rule sums along the last axis.  The number of
+    steps is even, so the rule with twice the step uses every other node;
+    the difference of the two rules is the error estimate.
     """
     n = 2 * math.ceil((b - a) / (2 * h))
     y = f(np.linspace(a, b, n + 1))
-    ends = 0.5 * (y[0] + y[-1])
-    fine = (b - a) / n * (y.sum() - ends)
-    coarse = 2 * (b - a) / n * (y[::2].sum() - ends)
-    return complex(fine), abs(fine - coarse)
+    ends = 0.5 * (y[..., 0] + y[..., -1])
+    fine = (b - a) / n * (y.sum(axis=-1) - ends)
+    coarse = 2 * (b - a) / n * (y[..., ::2].sum(axis=-1) - ends)
+    return fine, np.abs(fine - coarse)
 
 
 def mb_integral(spec, x, lam, contour=ContourSpec()):
@@ -321,7 +340,7 @@ def mb_integral(spec, x, lam, contour=ContourSpec()):
 
 def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     """Barnes integral along the separating contour, as a vertical line plus
-    residue corrections.
+    residue corrections, at one point x or at each of a sequence of points.
 
     The contour must keep the nonnegative integer poles on its right and all
     other poles on its left.  Non-integer poles whose real part exceeds the
@@ -330,31 +349,66 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     The normalization makes the value equal the sum of right residues inside
     the degeneration radius and minus the sum of left residues outside it.
 
-    The line is cut at +-t_max and integrated by the trapezoid rule with
-    step gap / 8, where gap is the abscissa's distance from the nearest pole
-    real part or integer; the integrand is analytic in a strip of that half-width, so
-    the rule converges exponentially.  The error is the difference from the
-    rule with twice the step plus a bound on the cut tails.
+    The integrand is exp(G(s) + s log xi); G, the pole scan, the abscissa
+    and the Gamma factors of the residues do not depend on x, so they are
+    computed once for all points.  The line is integrated by the
+    trapezoid rule with step gap / 8, where gap is the abscissa's distance
+    from the nearest pole real part or integer; the integrand is analytic in
+    a strip of that half-width, so the rule converges exponentially.  It is
+    cut at +-T.  A probe of G on the integers |t| <= t_max gives each point
+    the largest |t| at which |integrand| still reaches 2^-60 of its sum over
+    the probes; T is 1 past the largest of these, at least 8 and at most
+    t_max.  Beyond the imaginary parts of the Gamma arguments |integrand|
+    falls like |t|^a exp(-(pi - |arg xi|) |t|), so it stays below that
+    level past T.  The error is the difference from the rule with twice the
+    step plus a bound on the cut tails from the integrand at +-T.
+
+    Returns (value, error): complex and float for a scalar x, arrays over
+    the points for a sequence.
     """
-    xi, log_xi = _split_xi(spec, x)
-    if pole_separation(spec, lam) < contour.clearance:
-        raise PoleCollision("left poles are closer than the clearance radius")
-    sigma = choose_abscissa(spec, lam, contour)
+    scalar = np.ndim(x) == 0
+    splits = [_split_xi(spec, xk) for xk in np.atleast_1d(x)]
+    log_xi = np.array([log for _xi, log in splits])[:, None]
+    decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
     betas = spec.betas(lam)
+    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa)
+    poles = _pole_scan(spec, betas, re_min, float("inf"))
+    window = [p for _j, _n, p in poles if -3.0 <= p.real <= 2.0]
+    if _separation(window) < contour.clearance:
+        raise PoleCollision("left poles are closer than the clearance radius")
+    sigma, gap = _abscissa([p.real for p in window], contour)
+
+    def G(t):
+        s = sigma + 1j * t
+        return s, LOG_PI - log_sin_pi(s) + _log_gamma_block(spec, betas, s)
+
+    probe = np.arange(-math.floor(contour.t_max), math.floor(contour.t_max) + 1)
+    s, g = G(probe)
+    log_abs = (g + s * log_xi).real
+    weight = np.exp(log_abs - log_abs.max(axis=1, keepdims=True))
+    heavy = weight >= 2.0 ** -60 * weight.sum(axis=1, keepdims=True)
+    cut = min(contour.t_max, max(8.0, 1.0 + np.abs(probe)[heavy.any(axis=0)].max()))
+
+    rows = []  # the integrand on the nodes, whose ends bound the tails
 
     def F(t):
-        s = sigma + 1j * t
-        return np.exp(LOG_PI - log_sin_pi(s) + s * log_xi + _log_gamma_block(spec, betas, s))
+        s, g = G(t)
+        rows.append(np.exp(g + s * log_xi))
+        return rows[-1]
 
-    integral, err = quad(F, -contour.t_max, contour.t_max, _abscissa_gap(spec, lam)(sigma) / 8)
-    decay = math.pi - abs(cmath.phase(xi))
-    tail = np.abs(F(np.array([contour.t_max, -contour.t_max]))).sum() / max(decay, 1e-9)
+    integral, err = quad(F, -cut, cut, gap / 8)
+    tail = (np.abs(rows[0][:, -1]) + np.abs(rows[0][:, 0])) / np.maximum(decay, 1e-9)
     value = -integral / (2 * math.pi)
 
-    for j, n, p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
-        if p.real > sigma:
-            value -= complex(_interesting_residue(spec, betas, log_xi, j, n))
-    return value, float(err + tail) / (2 * math.pi)
+    right = [(j, n) for j, n, p in poles if p.real > sigma]
+    for j, group in itertools.groupby(right, key=lambda jn: jn[0]):
+        n = np.array([n for _j, n in group])
+        for residue in _interesting_residue(spec, betas, log_xi, j, n).T:
+            value -= residue
+    err = (err + tail) / (2 * math.pi)
+    if scalar:
+        return complex(value[0]), float(err[0])
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +476,7 @@ def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=Co
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
     spec = make_inner_spec(wc, label_plus)
-    v_in, _err = mb_integral_with_error(spec, x_inside, lam, contour)
-    v_out, _err = mb_integral_with_error(spec, x_outside, lam, contour)
+    (v_in, v_out), _err = mb_integral_with_error(spec, (x_inside, x_outside), lam, contour)
     right = right_residue_sum(spec, x_inside, lam)
     left = left_residue_sum(spec, x_outside, lam)
     return ResidueReport(

@@ -11,7 +11,9 @@ can cross-validate each other:
   rational elimination, find line multiples by a candidate loop and match
   next-to pairs by a double loop;
 - the continuation oracle extracts a connection coefficient numerically
-  from grouped left residues of the Barnes integral.
+  from grouped left residues of the Barnes integral;
+- the Barnes-line oracle integrates one point over the whole line
+  |Im s| <= t_max, with the integrand evaluated afresh for that point.
 """
 
 import cmath
@@ -42,7 +44,15 @@ from wallcross.gitfan import (
     next_to_pairs,
     wall_crossing,
 )
-from wallcross.hypergeom import TWO_PI_I, log_gamma, make_inner_spec, w_constant
+from wallcross.hypergeom import (
+    LOG_PI,
+    TWO_PI_I,
+    PoleCollision,
+    log_gamma,
+    log_sin_pi,
+    make_inner_spec,
+    w_constant,
+)
 from wallcross.ktheory import (
     KClass,
     TRootDatum,
@@ -75,7 +85,16 @@ from wallcross.lattice import (
     vsub,
 )
 from wallcross.localization import restrict_u, sigma_restrict
-from wallcross.mellinbarnes import _split_xi, _sum_until_small, left_residue_terms
+from wallcross.mellinbarnes import (
+    _interesting_residue,
+    _log_gamma_block,
+    _split_xi,
+    _sum_until_small,
+    choose_abscissa,
+    left_poles,
+    left_residue_terms,
+    pole_separation,
+)
 
 
 def _rref_with_free(rows, ncols):
@@ -668,3 +687,46 @@ def oracle_fm_transform(wc, delta_minus, rho_hat):
             key = mono._replace(s=tuple(s), t=0)
             acc[key] = acc.get(key, 0) + c
     return _from_dict(git.m, git.r, acc)
+
+
+# ---------------------------------------------------------------------------
+# the Barnes line integrated at one point over the whole cut |Im s| <= t_max
+
+
+def oracle_mb_integral(spec, x, lam, contour):
+    """(value, error, mass) of the Barnes integral at the single point x.
+
+    The line Re s = sigma is integrated over all of |Im s| <= t_max by the
+    trapezoid rule with step gap / 8, the error being the difference from
+    the rule with twice the step plus the tails bounded from |integrand| at
+    +-t_max; every pole right of the line adds its residue.  mass is the
+    integral of |integrand| over the line divided by 2 pi plus the sum of
+    the residues' moduli, the scale of the rounding in the value.
+    """
+    xi, log_xi = _split_xi(spec, x)
+    if pole_separation(spec, lam) < contour.clearance:
+        raise PoleCollision("left poles are closer than the clearance radius")
+    sigma = choose_abscissa(spec, lam, contour)
+    reals = [p.real for _j, _n, p in left_poles(spec, lam)]
+    gap = min([abs(sigma - r) for r in reals] + [abs(sigma - round(sigma))])
+    betas = spec.betas(lam)
+
+    def F(t):
+        s = sigma + 1j * t
+        return np.exp(LOG_PI - log_sin_pi(s) + s * log_xi + _log_gamma_block(spec, betas, s))
+
+    t_max = contour.t_max
+    n = 2 * math.ceil(2 * t_max / (2 * gap / 8))
+    y = F(np.linspace(-t_max, t_max, n + 1))
+    step = 2 * t_max / n
+    fine = step * (y.sum() - 0.5 * (y[0] + y[-1]))
+    coarse = 2 * step * (y[::2].sum() - 0.5 * (y[0] + y[-1]))
+    tail = (abs(y[-1]) + abs(y[0])) / max(math.pi - abs(cmath.phase(xi)), 1e-9)
+    value = -complex(fine) / (2 * math.pi)
+    mass = step * (np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1]))) / (2 * math.pi)
+    for j, n_j, p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
+        if p.real > sigma:
+            residue = complex(_interesting_residue(spec, betas, log_xi, j, n_j))
+            value -= residue
+            mass += abs(residue)
+    return value, float(abs(fine - coarse) + tail) / (2 * math.pi), float(mass)

@@ -268,3 +268,17 @@ def test_every_gated_suite_reports_its_margin(config_dir):
         tol, resid = results["tolerance"], results["max_residual"]
         assert 0 < resid < tol, suite
         assert results["margin_digits"] == math.log10(tol / resid), suite
+
+
+def test_verify_mb_names_its_worst_check(config_dir):
+    import re
+
+    proc = run_cli(["verify", "mb", "--config", str(config_dir / "conifold.json"), "--json"])
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    match = re.fullmatch(r"(delta=\[\d+\] f=\['\d+'\]) at sample (\d+), (inside|outside)",
+                         results["worst"])
+    assert match, results["worst"]
+    label, sample, side = match.group(1), int(match.group(2)), match.group(3)
+    rows = [row for row in results["checks"] if row["label"] == label]
+    assert rows[sample][side] == results["max_residual"]

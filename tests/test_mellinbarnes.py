@@ -1,11 +1,14 @@
 import cmath
 import math
+import pathlib
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from helpers import continuation_numeric
+import wallcross.mellinbarnes as mellinbarnes
+from helpers import continuation_numeric, oracle_mb_integral
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
 from wallcross.hypergeom import conifold_point, generic_lambdas, make_inner_spec, w_constant
@@ -213,10 +216,86 @@ def test_barnes_integral_against_mpmath(config_dir):
         spec = make_inner_spec(wc, label)
         lam = generic_lambdas(wc, 1, seed=53)[0]
         sigma = choose_abscissa(spec, lam, ContourSpec())
-        for scale in (0.3, 3.0):
-            x = _xio(wc, scale)
+        points = (_xio(wc, 0.3), _xio(wc, 3.0))
+        values = mb_integral(spec, points, lam)
+        for scale, x, value in zip((0.3, 3.0), points, values):
             ref = _mpmath_barnes(spec, x, lam, sigma, ContourSpec().t_max)
+            assert abs(value - ref) < 1e-12 * abs(ref), (name, scale)
             assert abs(mb_integral(spec, x, lam) - ref) < 1e-12 * abs(ref), (name, scale)
+
+
+def _crossing(path):
+    cfg = load_config(str(path))
+    return cfg, wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+
+
+def _line_points(wc):
+    """x_inside and x_outside of verify mb, and two points whose integrand
+    decays slowly along the line: |arg xi| = 0.9 pi and 0.95 pi."""
+    return (_xio(wc, 0.3), _xio(wc, 3.0),
+            _xio(wc, 0.5) * cmath.exp(0.9j * math.pi), _xio(wc, 2.0) * cmath.exp(-0.95j * math.pi))
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize("path", [
+    *(ROOT / "configs" / (name + ".json") for name in ("conifold", "resolution", "gerbe_flop")),
+    *(ROOT / "bench" / "configs" / (name + ".json")
+      for name in ("local_p2", "local_p3", "local_p4", "flop_2_2_line", "flop_4_4")),
+], ids=lambda p: p.stem)
+def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
+    # the error scale is the mass of the sum, not |value|: on the 4-4 flop
+    # the residues reach 2.5e5 while the line carries about 10
+    cuts = []
+    quad = mellinbarnes.quad
+
+    def recording_quad(f, a, b, h):
+        cuts.append(b)
+        return quad(f, a, b, h)
+
+    monkeypatch.setattr(mellinbarnes, "quad", recording_quad)
+    cfg, wc = _crossing(path)
+    contour = cfg["contour"]
+    points = _line_points(wc)
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    for label in fixed_point_labels(wc.git, wc.A_plus):
+        if label.delta in wc.A_minus.minimal:
+            continue
+        spec = make_inner_spec(wc, label)
+        for lam in lams:
+            values, _errs = mb_integral_with_error(spec, points, lam, contour)
+            for k, x in enumerate(points):
+                ref, _err, mass = oracle_mb_integral(spec, x, lam, contour)
+                single = mb_integral(spec, x, lam, contour)
+                where = (path.stem, label.delta, lam, k)
+                assert abs(values[k] - ref) <= 1e-13 * mass, where
+                assert abs(single - ref) <= 1e-13 * mass, where
+                assert abs(single - values[k]) <= 1e-13 * mass, where
+                if k >= 2:
+                    assert cuts[-1] == contour.t_max, where
+
+
+def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
+    block_sizes, node_counts = [], []
+    block, quad = mellinbarnes._log_gamma_block, mellinbarnes.quad
+
+    def counting_block(spec, betas, s, skip=None):
+        s_arr = np.atleast_1d(s)
+        if s_arr.size > 1 and np.all(s_arr.real == s_arr.real[0]):
+            block_sizes.append(s_arr.size)  # a vertical line: the probe or the nodes
+        return block(spec, betas, s, skip)
+
+    def counting_quad(f, a, b, h):
+        return quad(lambda t: (node_counts.append(len(t)), f(t))[1], a, b, h)
+
+    monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
+    monkeypatch.setattr(mellinbarnes, "quad", counting_quad)
+    lam = generic_lambdas(conifold, 1, seed=29)[0]
+    label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
+    verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lam)
+    assert len(node_counts) == 1
+    assert sorted(block_sizes) == sorted([2 * 40 + 1, node_counts[0]])
 
 
 def _negative_integer_residue_is_zero(spec, n):
