@@ -85,9 +85,8 @@ def _parse_rational_vector(node, where, dim):
     return tuple(_parse_rational(x, "%s[%d]" % (where, i)) for i, x in enumerate(node))
 
 
-def load_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+def parse_config(raw):
+    """The config from its JSON object."""
     if raw.get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
     gitnode = raw.get("git")
@@ -137,6 +136,11 @@ def load_config(path):
             clearance=tols["pole_clearance"],
         ),
     }
+
+
+def load_config(path):
+    with open(path) as fh:
+        return parse_config(json.load(fh))
 
 
 def config_hash(raw):
@@ -314,7 +318,7 @@ def cmd_continuation(cfg):
             if kind == "coefficient":
                 coeff = matrix.coefficients[(i, j)]
                 entry["closed_form"] = coeff.describe()
-                entry["values"] = [coeff.value(wc, lam) for lam in lams]
+                entry["values"] = [coeff.value(lam) for lam in lams]
             entries.append(entry)
     return {"rows": len(matrix.rows), "cols": len(matrix.cols), "entries": entries}, True
 
@@ -435,8 +439,8 @@ def _suite_ode(cfg, wc):
         for label in fixed_point_labels(crossing.git, crossing.A_plus):
             if label.delta in crossing.A_minus.minimal:
                 continue
+            spec = make_inner_spec(crossing, label)
             for lam in lams:
-                spec = make_inner_spec(crossing, label)
                 ser = inner_series(spec, order, lam)
                 resid = gkz_ode_residual(ser, spec, lam)
                 worst = max(worst, resid)
@@ -451,13 +455,10 @@ def _suite_lifts(cfg, wc):
     rows = []
     ok = True
     for pair in next_to_pairs(wc):
-        for lam in lams:
-            good = lift_invariance_check(wc, pair, lam, tol=tol)
+        name = "%s | %s" % (_label_name(pair[0]), _label_name(pair[1]))
+        for good in lift_invariance_check(wc, pair, lams, tol=tol):
             ok = ok and good
-            rows.append({
-                "pair": "%s | %s" % (_label_name(pair[0]), _label_name(pair[1])),
-                "invariant": good,
-            })
+            rows.append({"pair": name, "invariant": good})
     return {"tolerance": tol, "checks": rows}, ok
 
 
@@ -508,25 +509,20 @@ _SUITE_TOL_KEY = {"uhfm": "residual", "pairing": "pairing", "mb": "mb", "ode": "
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.samples is not None:
+            raw["samples"] = args.samples
+        if args.trunc is not None:
+            raw["truncation"] = dict(raw.get("truncation", {}), series_order=args.trunc)
+        if args.tol is not None and args.command == "verify" and args.suite:
+            raw["tolerances"] = dict(raw.get("tolerances", {}), **{_SUITE_TOL_KEY[args.suite]: args.tol})
+        cfg = parse_config(raw)
     except (OSError, ValueError) as err:  # ConfigError, JSONDecodeError, invalid GIT data
         sys.stderr.write("config error: %s\n" % err)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-        cfg["raw"] = dict(cfg["raw"], seed=args.seed)
-    if args.samples is not None:
-        cfg["samples"] = args.samples
-        cfg["raw"] = dict(cfg["raw"], samples=args.samples)
-    if args.trunc is not None:
-        cfg["series_order"] = args.trunc
-        cfg["raw"] = dict(cfg["raw"], truncation=dict(
-            cfg["raw"].get("truncation", {}), series_order=args.trunc))
-    if args.tol is not None and args.command == "verify" and args.suite:
-        key = _SUITE_TOL_KEY[args.suite]
-        cfg["tolerances"][key] = args.tol
-        cfg["raw"] = dict(cfg["raw"], tolerances=dict(
-            cfg["raw"].get("tolerances", {}), **{key: args.tol}))
 
     try:
         if args.command == "verify":

@@ -125,12 +125,6 @@ class AnticoneSet:
         I = frozenset(I)
         return any(set(d) <= I for d in self.minimal)
 
-    def all_anticones(self):
-        for size in range(self.r, self.m + 1):
-            for I in itertools.combinations(range(self.m), size):
-                if self.contains(I):
-                    yield I
-
     @property
     def s_set(self):
         common = set(self.minimal[0])
@@ -277,9 +271,6 @@ class WallCrossing:
 
     def pair_e(self, i):
         return self.pairings[i]
-
-    def on_wall(self, v):
-        return vdot(v, self.e) == 0
 
 
 def _wall_hyperplanes(git):

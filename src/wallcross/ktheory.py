@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gitfan import box_elements, compatible_minus_lift, fixed_point_labels, next_to_pairs
+from .gitfan import box_elements, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
 from .lattice import anticone_coords, anticone_inverse, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
@@ -153,11 +153,6 @@ def kc_s(git, j):
     s = [0] * git.m
     s[j] = 1
     mono = _unit_monomial(git.m, git.r)._replace(s=tuple(s))
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),))
-
-
-def kc_char(git, n):
-    mono = _unit_monomial(git.m, git.r)._replace(ch=intvec(n))
     return KClass(m=git.m, r=git.r, terms=((mono, 1),))
 
 
@@ -569,10 +564,9 @@ def verify_uhfm(wc, lam_samples):
     index = {lp: p for p, lp in enumerate(plus_labels)}
     pairs = []
     for lp, lm in next_to_pairs(wc):
-        lift = compatible_minus_lift(wc, lp, lm)
-        coeff = continuation_coefficient(wc, (lp, lm), lp.f, lift)
-        values = np.array([coeff.value(wc, lam) for lam in lam_samples], dtype=complex)
-        row = _restricted(git, e_minus, lm.delta, lift, lams)
+        coeff = continuation_coefficient(wc, (lp, lm))
+        values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
+        row = _restricted(git, e_minus, lm.delta, coeff.lift_minus, lams)
         diff[:, index[lp]] -= values * row
         pairs.append((index[lp], row))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))

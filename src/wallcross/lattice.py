@@ -523,10 +523,6 @@ def lattice_from_generators(gens, dim):
     return LatticeBasis(rows=rows)
 
 
-def standard_lattice(dim):
-    return LatticeBasis(rows=tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)))
-
-
 def extended_lattice(git, omega):
     """Lattice generated by Z^r together with all box representatives.
 

@@ -142,19 +142,6 @@ class SigmaRestriction:
     log_coeffs: tuple  # r LinearForms, one per chart coordinate
     constant: LinearForm
 
-    def in_plus_coordinates(self, change):
-        """Rewrite a minus-side restriction in the plus-chart coordinates.
-
-        log ty_i = log y_i + c_i log y_r for i < r and log ty_r = -c log y_r.
-        """
-        r = len(self.log_coeffs)
-        new = list(self.log_coeffs[: r - 1])
-        last = zero_form(len(self.constant.coeffs))
-        for i in range(r - 1):
-            last = last + self.log_coeffs[i].scale(change.c_i[i])
-        last = last + self.log_coeffs[r - 1].scale(-change.c)
-        return SigmaRestriction(log_coeffs=tuple(new) + (last,), constant=self.constant)
-
 
 def sigma_restrict(wc, delta, side):
     """Restriction of the shifted pullback class at a fixed point.

@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import ratvec, vdot, vsub
+from .lattice import ratvec, vadd, vdot, vsub
 from .localization import restrict_u
 
 
@@ -52,8 +52,6 @@ class IncompatibleLifts(ValueError):
 class ContinuationCoefficient:
     """Connection coefficient between a next-to pair of fixed points."""
 
-    label_plus: object
-    label_minus: object
     j_minus: int
     l: int
     w: int
@@ -65,9 +63,8 @@ class ContinuationCoefficient:
     # per j in ratio_js: (u_j(delta_plus), D_j . f_plus, u_j(delta_minus), D_j . f_minus)
     ratio_terms: tuple
 
-    def value(self, wc, lam):
-        """The coefficient at the torus parameters lam; every exact input is
-        already held by the coefficient, so wc is not read."""
+    def value(self, lam):
+        """The coefficient at the torus parameters lam."""
         X = self.u_form(lam) / TWO_PI_I + complex(self.shift)
         val = cmath.exp(-1j * math.pi * self.w * X / self.l)
         if self.l > 1:
@@ -87,40 +84,27 @@ class ContinuationCoefficient:
         )
 
 
-def _is_rational_multiple(v, e):
-    """Exact test that v lies on the rational line spanned by e."""
-    scalar = None
-    for vi, ei in zip(v, e):
-        if ei == 0:
-            if Fraction(vi) != 0:
-                return False
-        else:
-            s = Fraction(vi) / Fraction(ei)
-            if scalar is None:
-                scalar = s
-            elif s != scalar:
-                return False
-    return True
-
-
 def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     """Closed-form connection coefficient for a next-to pair of labels.
 
     Lifts default to the canonical plus representative and the compatible
-    minus lift; explicitly supplied lifts must differ by a rational multiple
-    of the wall normal.
+    minus lift; supplied lifts must represent the sector classes and differ
+    by a rational multiple of the wall normal.
     """
     label_plus, label_minus = pair
+    supplied = lift_plus is not None or lift_minus is not None
     if lift_plus is None:
         lift_plus = label_plus.f
     if lift_minus is None:
         lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
     lift_plus, lift_minus = ratvec(lift_plus), ratvec(lift_minus)
-    for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
-        if not all(x.denominator == 1 for x in vsub(lift, label.f)):
-            raise IncompatibleLifts("lift does not represent the sector class")
-    if not _is_rational_multiple(vsub(lift_plus, lift_minus), wc.e):
-        raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
+    if supplied:
+        for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
+            if not all(x.denominator == 1 for x in vsub(lift, label.f)):
+                raise IncompatibleLifts("lift does not represent the sector class")
+        v, e = vsub(lift_plus, lift_minus), wc.e
+        if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
+            raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
     j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
     l = -wc.pair_e(j_minus)
     assert l > 0
@@ -132,8 +116,6 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     ratio_terms = tuple((u_plus[j], complex(vdot(D[j], lift_plus)),
                          u_minus[j], complex(vdot(D[j], lift_minus))) for j in ratio_js)
     return ContinuationCoefficient(
-        label_plus=label_plus,
-        label_minus=label_minus,
         j_minus=j_minus,
         l=l,
         w=w_constant(wc),
@@ -146,27 +128,24 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     )
 
 
-def lift_invariance_check(wc, pair, lam, tol=1e-12):
-    """Evaluate the coefficient with distinct compatible lift pairs.
-
-    Shifting the plus lift by the wall normal, the minus lift against it,
-    and both lifts by an integer vector must leave the value unchanged.
+def lift_invariance_check(wc, pair, lams, tol=1e-12):
+    """Whether the coefficient keeps its value at each sample in lams when
+    the plus lift is shifted by the wall normal, the minus lift against it,
+    or both lifts by an integer vector; one bool per sample.
     """
     base = continuation_coefficient(wc, pair)
     f_plus, f_minus = base.lift_plus, base.lift_minus
-    e = ratvec(wc.e)
     unit = tuple(Fraction(int(i == 0)) for i in range(wc.git.r))
-    variants = [
-        (tuple(a + b for a, b in zip(f_plus, e)), f_minus),
-        (f_plus, tuple(a - b for a, b in zip(f_minus, e))),
-        (tuple(a + b for a, b in zip(f_plus, unit)), tuple(a + b for a, b in zip(f_minus, unit))),
-    ]
-    v0 = base.value(wc, lam)
-    for lp, lm in variants:
-        v = continuation_coefficient(wc, pair, lp, lm).value(wc, lam)
-        if abs(v - v0) > tol * max(1.0, abs(v0)):
-            return False
-    return True
+    variants = [continuation_coefficient(wc, pair, lp, lm) for lp, lm in (
+        (vadd(f_plus, wc.e), f_minus),
+        (f_plus, vsub(f_minus, wc.e)),
+        (vadd(f_plus, unit), vadd(f_minus, unit)),
+    )]
+    out = []
+    for lam in lams:
+        v0 = base.value(lam)
+        out.append(all(abs(v.value(lam) - v0) <= tol * max(1.0, abs(v0)) for v in variants))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +230,9 @@ def _pole_scan(spec, betas, re_min, re_max):
     return poles
 
 
-def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
-    """The non-integer poles of the integrand with real part in a window."""
-    return _pole_scan(spec, spec.betas(lam), re_min, re_max)
-
-
 def _separation(pts):
     return min([abs(p - q) for p, q in itertools.combinations(pts, 2)]
                + [abs(p - round(p.real)) for p in pts], default=float("inf"))
-
-
-def pole_separation(spec, lam):
-    """Minimum pairwise distance among all left poles and the integers."""
-    return _separation([p for _j, _n, p in left_poles(spec, lam)])
 
 
 def _abscissa(reals, contour):
@@ -280,12 +249,6 @@ def _abscissa(reals, contour):
     if gap(sigma) < contour.clearance:
         raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
     return sigma, gap(sigma)
-
-
-def choose_abscissa(spec, lam, contour):
-    """The given abscissa, or the one in [-0.45, -0.05] farthest from every
-    pole's real part; either must clear them by the contour's clearance."""
-    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)[0]
 
 
 def _split_xi(spec, x):

@@ -65,6 +65,7 @@ from wallcross.ktheory import (
     roots_projector,
 )
 from wallcross.lattice import (
+    LatticeBasis,
     NotAHyperplane,
     _det,
     anticone_coords,
@@ -84,17 +85,56 @@ from wallcross.lattice import (
     vscale,
     vsub,
 )
-from wallcross.localization import restrict_u, sigma_restrict
+from wallcross.localization import SigmaRestriction, restrict_u, sigma_restrict, zero_form
 from wallcross.mellinbarnes import (
+    _abscissa,
     _interesting_residue,
     _log_gamma_block,
+    _pole_scan,
+    _separation,
     _split_xi,
     _sum_until_small,
-    choose_abscissa,
-    left_poles,
     left_residue_terms,
-    pole_separation,
 )
+
+
+# ---------------------------------------------------------------------------
+# small constructions that only the tests use
+
+
+def all_anticones(A):
+    """Every anticone of the set, by size and then lex order."""
+    for size in range(A.r, A.m + 1):
+        for I in itertools.combinations(range(A.m), size):
+            if A.contains(I):
+                yield I
+
+
+def on_wall(wc, v):
+    return vdot(v, wc.e) == 0
+
+
+def standard_lattice(dim):
+    return LatticeBasis(rows=tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)))
+
+
+def kc_char(git, n):
+    mono = _unit_monomial(git.m, git.r)._replace(ch=intvec(n))
+    return KClass(m=git.m, r=git.r, terms=((mono, 1),))
+
+
+def in_plus_coordinates(sigma, change):
+    """Rewrite a minus-side restriction in the plus-chart coordinates.
+
+    log ty_i = log y_i + c_i log y_r for i < r and log ty_r = -c log y_r.
+    """
+    r = len(sigma.log_coeffs)
+    new = list(sigma.log_coeffs[: r - 1])
+    last = zero_form(len(sigma.constant.coeffs))
+    for i in range(r - 1):
+        last = last + sigma.log_coeffs[i].scale(change.c_i[i])
+    last = last + sigma.log_coeffs[r - 1].scale(-change.c)
+    return SigmaRestriction(log_coeffs=tuple(new) + (last,), constant=sigma.constant)
 
 
 def _rref_with_free(rows, ncols):
@@ -394,7 +434,7 @@ def oracle_wall_frame(wc):
         for radius in range(1, WALL_SEARCH_RADIUS + 1):
             for k in _sup_shell(radius, len(side_gens)):
                 v = _combination(k, side_gens)
-                if wc.on_wall(v):
+                if on_wall(wc, v):
                     continue
                 if not _in_nef_cone(git, A, v):
                     continue
@@ -432,7 +472,7 @@ def assert_frame_properties(wc, frame):
     )
     assert frame.sfp_plus[:-1] == frame.sfp_minus[:-1]
     for w in frame.sfp_plus[:-1]:
-        assert wc.on_wall(w)
+        assert on_wall(wc, w)
         for _sign, _sfp, A, dual in sides:
             assert dual.contains(w) and _in_nef_cone(wc.git, A, w)
     for sign, sfp, A, dual in sides:
@@ -454,7 +494,7 @@ def assert_sigma_transition(wc, frame):
         j_minus = next(i for i in lm.delta if i not in lp.delta)
         u = restrict_u(wc.git, lp.delta)[j_minus]
         sig_p = sigma_restrict(wc, lp.delta, "plus")
-        sig_m = sigma_restrict(wc, lm.delta, "minus").in_plus_coordinates(frame.change)
+        sig_m = in_plus_coordinates(sigma_restrict(wc, lm.delta, "minus"), frame.change)
         for k in range(wc.git.r):
             ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
             assert sig_p.log_coeffs[k] - sig_m.log_coeffs[k] == u.scale(ratio)
@@ -691,6 +731,22 @@ def oracle_fm_transform(wc, delta_minus, rho_hat):
 
 # ---------------------------------------------------------------------------
 # the Barnes line integrated at one point over the whole cut |Im s| <= t_max
+
+
+def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
+    """The non-integer poles of the integrand with real part in a window."""
+    return _pole_scan(spec, spec.betas(lam), re_min, re_max)
+
+
+def pole_separation(spec, lam):
+    """Minimum pairwise distance among all left poles and the integers."""
+    return _separation([p for _j, _n, p in left_poles(spec, lam)])
+
+
+def choose_abscissa(spec, lam, contour):
+    """The given abscissa, or the one in [-0.45, -0.05] farthest from every
+    pole's real part; either must clear them by the contour's clearance."""
+    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)[0]
 
 
 def oracle_mb_integral(spec, x, lam, contour):

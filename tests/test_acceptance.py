@@ -196,7 +196,7 @@ def test_criterion_9_lift_independence():
     for _name, wc, _case in _crossings():
         lam = generic_lambdas(wc, 1, seed=7)[0]
         for pair in next_to_pairs(wc):
-            assert lift_invariance_check(wc, pair, lam, tol=1e-12)
+            assert all(lift_invariance_check(wc, pair, [lam], tol=1e-12))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _report("9 lift independence", "all next-to pairs at 1e-12")

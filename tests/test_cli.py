@@ -282,3 +282,18 @@ def test_verify_mb_names_its_worst_check(config_dir):
     label, sample, side = match.group(1), int(match.group(2)), match.group(3)
     rows = [row for row in results["checks"] if row["label"] == label]
     assert rows[sample][side] == results["max_residual"]
+
+
+def test_overrides_match_the_same_settings_written_in(config_dir, tmp_path):
+    path = config_dir / "conifold.json"
+    flags = json.loads(run_cli(["verify", "uhfm", "--config", str(path),
+                                "--samples", "3", "--tol", "1e-3", "--json"]).stdout)
+    assert flags["results"]["tolerance"] == 1e-3
+    raw = json.loads(path.read_text())
+    raw["samples"] = 3
+    raw["tolerances"] = {"residual": 1e-3}
+    written_path = tmp_path / "written.json"
+    written_path.write_text(json.dumps(raw))
+    written = json.loads(run_cli(["verify", "uhfm", "--config", str(written_path), "--json"]).stdout)
+    assert flags["config_hash"] == written["config_hash"]
+    assert flags["results"] == written["results"]

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import kc_t, kc_zero
+from helpers import kc_char, kc_t, kc_zero
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -29,7 +29,6 @@ from wallcross.ktheory import (
     framing_restrict,
     gamma_restrict,
     isotropy_order,
-    kc_char,
     kc_line,
     kc_one,
     kc_s,
@@ -187,7 +186,7 @@ def test_averaged_prefactor_matches_coefficient(all_examples):
                     sp = chern_restrict(git, kc_s(git, j), lp, lamv)
                     sm = chern_restrict(git, kc_s(git, j), lm, lamv, lift=lift_minus)
                     value *= (1 - sp) / (1 - sm)
-                assert abs(value - coeff.value(wc, lamv)) < 1e-10 * max(1.0, abs(value))
+                assert abs(value - coeff.value(lamv)) < 1e-10 * max(1.0, abs(value))
 
 
 def test_gamma_restrict_trivial():
@@ -496,7 +495,7 @@ def _perturbed_uhfm_residual(wc, lams, bump, epsilon):
                         if lp_q != lp:
                             continue
                         lift = compatible_minus_lift(wc, lp, lm)
-                        value = continuation_coefficient(wc, (lp, lm), lp.f, lift).value(wc, lam)
+                        value = continuation_coefficient(wc, (lp, lm), lp.f, lift).value(lam)
                         if q == bump:
                             value += epsilon
                         rhs += value * chern_restrict(git, e, lm, lam, lift=lift)

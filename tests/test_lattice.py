@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_crepant_crossing
+from helpers import random_crepant_crossing, standard_lattice
 from wallcross.cli import load_config
 from wallcross.lattice import (
     NotAHyperplane,
@@ -22,7 +22,6 @@ from wallcross.lattice import (
     rational_line_membership,
     solve_rectangular,
     solve_square,
-    standard_lattice,
     vadd,
     vdot,
     vscale,

@@ -1,0 +1,46 @@
+"""Every definition in the library serves a command, a suite or a pinned name.
+
+Each function, class and method defined in src/wallcross (dunders exempt)
+must be referenced in src/wallcross outside its own definition, or be named
+in bench/*.py, whose tracer pins some library names.  A definition that only
+the tests call belongs in tests/helpers.py.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wallcross"
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every function, class and method."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name read or written and every attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_library_definition_is_reached():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = [(module, name, line) for module, tree in trees.items() for name, line in _references(tree)]
+    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    unreached = []
+    for module, tree in trees.items():
+        for name, first, last in _definitions(tree):
+            if any(n == name and not (m == module and first <= line <= last) for m, n, line in refs):
+                continue
+            if re.search(r"\b%s\b" % re.escape(name), bench):
+                continue
+            unreached.append("%s:%d %s" % (module, first, name))
+    assert unreached == []

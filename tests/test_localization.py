@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_crepant_crossing
+from helpers import in_plus_coordinates, random_crepant_crossing
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_frame
 from wallcross.localization import (
     LinearForm,
@@ -91,7 +91,7 @@ def test_sigma_conifold_log_coefficient(conifold):
 def test_sigma_common_anticone_agrees(gerbe_flop):
     frame = wall_frame(gerbe_flop)
     sig_p = sigma_restrict(gerbe_flop, (0, 2), "plus")
-    sig_m = sigma_restrict(gerbe_flop, (0, 2), "minus").in_plus_coordinates(frame.change)
+    sig_m = in_plus_coordinates(sigma_restrict(gerbe_flop, (0, 2), "minus"), frame.change)
     assert sig_p.log_coeffs == sig_m.log_coeffs
     assert sig_p.constant == sig_m.constant
 
@@ -109,7 +109,7 @@ def test_sigma_wall_transition(all_examples):
             j_minus = next(i for i in lm.delta if i not in lp.delta)
             u = restrict_u(wc.git, lp.delta)[j_minus]
             sig_p = sigma_restrict(wc, lp.delta, "plus")
-            sig_m = sigma_restrict(wc, lm.delta, "minus").in_plus_coordinates(frame.change)
+            sig_m = in_plus_coordinates(sigma_restrict(wc, lm.delta, "minus"), frame.change)
             for k in range(wc.git.r):
                 ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
                 expected = u.scale(ratio)
@@ -120,7 +120,7 @@ def test_sigma_conifold_transition_value(conifold):
     # explicit form of the transition for the basic flop
     frame = wall_frame(conifold)
     sig_p = sigma_restrict(conifold, (0,), "plus")
-    sig_m = sigma_restrict(conifold, (2,), "minus").in_plus_coordinates(frame.change)
+    sig_m = in_plus_coordinates(sigma_restrict(conifold, (2,), "minus"), frame.change)
     diff = sig_p.log_coeffs[0] - sig_m.log_coeffs[0]
     assert diff == form(4, L1=-1, L3=-1)
 

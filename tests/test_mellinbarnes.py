@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import wallcross.mellinbarnes as mellinbarnes
-from helpers import continuation_numeric, oracle_mb_integral
+from helpers import (
+    choose_abscissa,
+    continuation_numeric,
+    left_poles,
+    oracle_mb_integral,
+    pole_separation,
+)
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
 from wallcross.hypergeom import conifold_point, generic_lambdas, make_inner_spec, w_constant
@@ -16,15 +22,12 @@ from wallcross.mellinbarnes import (
     ContourSpec,
     ContourTooClose,
     IncompatibleLifts,
-    choose_abscissa,
     continuation_coefficient,
     continuation_matrix,
     left_residue_sum,
-    left_poles,
     lift_invariance_check,
     mb_integral,
     mb_integral_with_error,
-    pole_separation,
     right_residue_sum,
     verify_residue_identity,
 )
@@ -45,7 +48,7 @@ def test_conifold_coefficient_closed_form(conifold):
     for lam in generic_lambdas(conifold, 3, seed=17):
         l1, l2, l3, l4 = lam
         expected = cmath.exp(-(l1 + l3) / 2) * cmath.sinh((l1 + l4) / 2) / cmath.sinh((l4 - l3) / 2)
-        assert abs(coeff.value(conifold, lam) - expected) < 1e-13 * abs(expected)
+        assert abs(coeff.value(lam) - expected) < 1e-13 * abs(expected)
 
 
 def test_unit_principal_ratio_when_l_is_one(conifold):
@@ -64,7 +67,7 @@ def test_unit_principal_ratio_when_l_is_one(conifold):
         manual *= cmath.sin(math.pi * up[j](lam) / (2j * math.pi)) / cmath.sin(
             math.pi * um[j](lam) / (2j * math.pi)
         )
-    assert abs(coeff.value(conifold, lam) - manual) < 1e-14 * abs(manual)
+    assert abs(coeff.value(lam) - manual) < 1e-14 * abs(manual)
 
 
 def test_coefficient_matches_numeric_oracle(conifold, resolution):
@@ -72,7 +75,7 @@ def test_coefficient_matches_numeric_oracle(conifold, resolution):
         x_out = _xio(wc, 3.0)
         for lam in generic_lambdas(wc, 10, seed=23):
             for pair in next_to_pairs(wc):
-                closed = continuation_coefficient(wc, pair).value(wc, lam)
+                closed = continuation_coefficient(wc, pair).value(lam)
                 numeric = continuation_numeric(wc, pair, x_out, lam)
                 assert abs(closed - numeric) < 1e-7 * max(1.0, abs(closed))
 
@@ -329,7 +332,23 @@ def test_lift_invariance(all_examples):
     for wc in all_examples.values():
         lam = generic_lambdas(wc, 1, seed=43)[0]
         for pair in next_to_pairs(wc):
-            assert lift_invariance_check(wc, pair, lam)
+            assert all(lift_invariance_check(wc, pair, [lam]))
+
+
+def test_lift_check_builds_each_coefficient_once(conifold, monkeypatch):
+    # the base coefficient and its three shifted variants, whatever the
+    # number of samples
+    built = []
+    build = mellinbarnes.continuation_coefficient
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mellinbarnes, "continuation_coefficient", counting)
+    lams = generic_lambdas(conifold, 5, seed=43)
+    assert lift_invariance_check(conifold, next_to_pairs(conifold)[0], lams) == [True] * 5
+    assert len(built) == 4
 
 
 def test_right_sum_matches_series(conifold):
