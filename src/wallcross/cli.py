@@ -85,15 +85,31 @@ def _parse_rational_vector(node, where, dim):
     return tuple(_parse_rational(x, "%s[%d]" % (where, i)) for i, x in enumerate(node))
 
 
+def _object(node, where):
+    if not isinstance(node, dict):
+        raise ConfigError("%s must be a JSON object" % where)
+    return node
+
+
+def _count(node, where):
+    if type(node) is not int or node < 1:
+        raise ConfigError("%s must be a positive integer, got %r" % (where, node))
+    return node
+
+
+def _number(node, where):
+    if type(node) not in (int, float):
+        raise ConfigError("%s must be a number, got %r" % (where, node))
+    return node
+
+
 def parse_config(raw):
     """The config from its JSON object."""
-    if raw.get("schema") != SCHEMA:
+    if _object(raw, "config").get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
-    gitnode = raw.get("git")
-    if not isinstance(gitnode, dict):
-        raise ConfigError("config needs a 'git' object")
-    r = gitnode.get("r")
-    m = gitnode.get("m")
+    gitnode = _object(raw.get("git"), "git")
+    r = _count(gitnode.get("r"), "git.r")
+    m = _count(gitnode.get("m"), "git.m")
     D = gitnode.get("D")
     if not isinstance(D, list) or len(D) != m:
         raise ConfigError("git.D must be a list of %s rows" % m)
@@ -104,35 +120,35 @@ def parse_config(raw):
         if not all(isinstance(x, int) for x in row):
             raise ConfigError("git.D row %d must be integers" % i)
         rows.append(tuple(row))
-    git = make_git(rows, labels=gitnode.get("labels"))
+    git = make_git(rows)
     omega_plus = _parse_rational_vector(raw.get("omega_plus"), "omega_plus", dim=r)
     omega_minus = _parse_rational_vector(raw.get("omega_minus"), "omega_minus", dim=r)
 
-    trunc = raw.get("truncation", {})
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(raw.get("tolerances", {}))
-    contour_node = raw.get("contour", {})
-    znode = raw.get("z")
-    if znode is None:
-        z = complex(1.0, 0.0)
-    else:
-        z = complex(
-            float(_parse_rational(znode.get("re", 1), "z.re")),
-            float(_parse_rational(znode.get("im", 0), "z.im")),
-        )
+    trunc = _object(raw.get("truncation", {}), "truncation")
+    tols = dict(DEFAULT_TOLERANCES, **_object(raw.get("tolerances", {}), "tolerances"))
+    for key, tol in tols.items():
+        _number(tol, "tolerances." + key)
+    contour_node = _object(raw.get("contour", {}), "contour")
+    abscissa = contour_node.get("abscissa")
+    t_max = _number(contour_node.get("t_max", 40.0), "contour.t_max")
+    if not t_max > 0:
+        raise ConfigError("contour.t_max must be positive, got %r" % t_max)
+    znode = {} if raw.get("z") is None else _object(raw["z"], "z")
+    z = complex(float(_parse_rational(znode.get("re", 1), "z.re")),
+                float(_parse_rational(znode.get("im", 0), "z.im")))
     return {
         "raw": raw,
         "git": git,
         "omega_plus": omega_plus,
         "omega_minus": omega_minus,
         "seed": raw.get("seed", 7),
-        "samples": raw.get("samples", 20),
-        "series_order": trunc.get("series_order", 40),
+        "samples": _count(raw.get("samples", 20), "samples"),
+        "series_order": _count(trunc.get("series_order", 40), "truncation.series_order"),
         "z": z,
         "tolerances": tols,
         "contour": ContourSpec(
-            abscissa=contour_node.get("abscissa"),
-            t_max=contour_node.get("t_max", 40.0),
+            abscissa=None if abscissa is None else _number(abscissa, "contour.abscissa"),
+            t_max=t_max,
             clearance=tols["pole_clearance"],
         ),
     }
@@ -510,15 +526,17 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = _object(json.load(fh), "config")
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.samples is not None:
             raw["samples"] = args.samples
         if args.trunc is not None:
-            raw["truncation"] = dict(raw.get("truncation", {}), series_order=args.trunc)
+            trunc = _object(raw.get("truncation", {}), "truncation")
+            raw["truncation"] = dict(trunc, series_order=args.trunc)
         if args.tol is not None and args.command == "verify" and args.suite:
-            raw["tolerances"] = dict(raw.get("tolerances", {}), **{_SUITE_TOL_KEY[args.suite]: args.tol})
+            tols = _object(raw.get("tolerances", {}), "tolerances")
+            raw["tolerances"] = dict(tols, **{_SUITE_TOL_KEY[args.suite]: args.tol})
         cfg = parse_config(raw)
     except (OSError, ValueError) as err:  # ConfigError, JSONDecodeError, invalid GIT data
         sys.stderr.write("config error: %s\n" % err)

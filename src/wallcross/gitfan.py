@@ -82,7 +82,6 @@ class GITData:
     r: int
     m: int
     D: tuple  # m rows, each an r-tuple of ints
-    labels: tuple = None
 
     def __post_init__(self):
         if not (self.m >= self.r >= 1):
@@ -92,17 +91,11 @@ class GITData:
         object.__setattr__(self, "D", tuple(intvec(row) for row in self.D))
         if matrix_rank(self.D) != self.r:
             raise ValueError("characters must span the full rank-r lattice")
-        if self.labels is not None and len(self.labels) != self.m:
-            raise ValueError("labels must match the number of characters")
-
-    def pair(self, i, v):
-        """<D_i, v> for v in the cocharacter space."""
-        return vdot(self.D[i], v)
 
 
-def make_git(D, labels=None):
+def make_git(D):
     D = tuple(tuple(row) for row in D)
-    return GITData(r=len(D[0]), m=len(D), D=D, labels=tuple(labels) if labels else None)
+    return GITData(r=len(D[0]), m=len(D), D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,7 @@ def _xi_vectors(git, A, S):
         found = None
         for delta in A.minimal:
             v = anticone_dual(git.D, delta, [int(k == j) for k in delta])
-            coeffs = {i: -git.pair(i, v) for i in range(git.m) if i not in delta and i != j}
+            coeffs = {i: -vdot(git.D[i], v) for i in range(git.m) if i not in delta and i != j}
             if all(c >= 0 for c in coeffs.values()):
                 found = v
                 break
@@ -756,7 +749,7 @@ def wall_frame(wc):
     if wall:
         for dual in (dual_plus, dual_minus):
             coords = [_coords_in(dual, w) for w in wall]
-            assert matrix_rank(coords) == len(wall) and _saturated(coords)
+            assert _saturated(coords)
 
     # the sum of the found wall vectors lies in the relative interior of the
     # common facet cone

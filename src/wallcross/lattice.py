@@ -1,9 +1,11 @@
 """Exact linear algebra over character and cocharacter lattices.
 
-Everything here is exact and no floating point enters any computation.  The
-character matrix is integral, so solves against a basis of characters run on
-integers: one cached adjugate over a positive determinant per basis, and
-integer numerators for cone tests.  Vectors that leave this layer are tuples
+Everything here is exact and no floating point enters any computation.  One
+integer kernel does all elimination: Bareiss determinants, one cached
+adjugate over a positive determinant per basis, and Hermite forms with their
+unimodular transforms.  Rational matrices are cleared by their common
+denominator before they reach it, so ranks, determinants, solves and kernels
+never eliminate over Fractions.  Vectors that leave this layer are tuples
 of ``fractions.Fraction`` (or plain ints for primitive lattice vectors).
 Downstream numerical modules only ever evaluate the exact objects produced
 here.
@@ -76,76 +78,42 @@ def frac_part(q):
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination
+# ranks, determinants and solves, all on the integer kernel below
 
 
-def _rref(rows, width):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat, pivots
+def _cleared_rows(rows):
+    """(s, s M) for the rational matrix M with the given rows: s is the
+    common denominator of the entries, so s M is an integer matrix."""
+    rows = [ratvec(row) for row in rows]
+    s = lcm(*(x.denominator for row in rows for x in row))
+    return s, tuple(tuple(int(x * s) for x in row) for row in rows)
 
 
 def matrix_rank(rows):
-    if not rows:
-        return 0
-    _, pivots = _rref(rows, len(rows[0]))
-    return len(pivots)
+    """The number of nonzero rows in the Hermite form of the cleared rows."""
+    return len(hermite_row_form(_cleared_rows(rows)[1]))
+
+
+def _det(rows):
+    """The determinant of a square rational matrix M: det(s M) / s^n."""
+    s, M = _cleared_rows(rows)
+    return Fraction(_int_det(M), s ** len(M))
 
 
 def solve_square(rows, rhs):
-    """Solve M x = rhs exactly for a square matrix given by rows.
-
-    Raises SingularBasis when M is singular.
-    """
+    """Solve M x = rhs exactly for a square matrix given by rows, with the
+    cached inverse of M.  Raises SingularBasis when M is singular."""
     n = len(rows)
     assert all(len(r) == n for r in rows) and len(rhs) == n
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    red, pivots = _rref(aug, n)
-    if len(pivots) < n:
-        raise SingularBasis("matrix is singular")
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = red[i][n]
-    return tuple(sol)
+    return _mat_vec(basis_inverse(tuple(map(tuple, rows))), rhs)
 
 
 def solve_rectangular(rows, rhs):
-    """One exact solution of M x = rhs, or None when inconsistent.
-
-    M may have more rows than columns; free coordinates are set to zero.
-    """
-    if not rows:
-        return None
-    ncol = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug, ncol + 1)
-    if ncol in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    sol = [Fraction(0)] * ncol
-    for i, col in enumerate(pivots):
-        sol[col] = red[i][ncol]
-    return tuple(sol)
+    """The exact solution of M x = rhs, M given by rows with independent
+    columns; None when rhs is not in their span or they are dependent."""
+    _, cols = _cleared_rows(list(zip(*rows)) + [rhs])
+    found = span_numerators(cols[:-1], cols[-1])
+    return None if found is None else tuple(Fraction(c, found[1]) for c in found[0])
 
 
 def _int_det(mat):
@@ -199,8 +167,8 @@ def int_inverse(rows):
 def basis_inverse(rows):
     """Exact inverse of the square rational matrix whose rows are ``rows``:
     s adj / det from the integer inverse of s M, s the common denominator."""
-    s = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    adj, det = int_inverse(tuple(tuple(int(x * s) for x in row) for row in rows))
+    s, M = _cleared_rows(rows)
+    adj, det = int_inverse(M)
     return tuple(tuple(Fraction(a * s, det) for a in row) for row in adj)
 
 
@@ -250,19 +218,9 @@ def _mat_vec(M, v):
 
 
 def right_kernel(rows, width):
-    """Basis of {x : row . x = 0 for every row}, exact."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(width)) for i in range(width)]
-    red, pivots = _rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(tuple(vec))
-    return basis
+    """A basis of the integer points of {x : row . x = 0 for every row}; it
+    also spans the rational kernel."""
+    return integer_kernel_basis(rows, width)
 
 
 def content(v):
@@ -275,9 +233,7 @@ def content(v):
 def cleared(v):
     """A rational vector times the common denominator of its entries: an
     integer vector on the same ray, so in the same cones."""
-    v = ratvec(v)
-    s = lcm(*(x.denominator for x in v))
-    return tuple(int(x * s) for x in v)
+    return _cleared_rows([v])[1][0]
 
 
 def primitive_integer_vector(v):
@@ -331,20 +287,15 @@ def primitive_wall_normal(wall_chars, positive_side):
     The sign is fixed so that the normal pairs positively with
     ``positive_side``.
     """
-    r = len(positive_side)
-    rows = [tuple(map(Fraction, w)) for w in wall_chars if any(Fraction(x) != 0 for x in w)]
-    if matrix_rank(rows) != r - 1:
-        raise NotAHyperplane("wall characters span a subspace of dimension != r-1")
-    kern = right_kernel(rows, r)
+    kern = right_kernel(wall_chars, len(positive_side))
     if len(kern) != 1:
-        raise NotAHyperplane("kernel of the wall pairing is not a line")
-    e = primitive_integer_vector(kern[0])
+        raise NotAHyperplane("wall characters span a subspace of dimension != r-1")
+    # the saturated kernel line is spanned by a primitive vector
+    e = kern[0]
     s = vdot(positive_side, e)
     if s == 0:
         raise NotAHyperplane("positive side lies on the wall")
-    if s < 0:
-        e = tuple(-x for x in e)
-    return e
+    return e if s > 0 else tuple(-x for x in e)
 
 
 @lru_cache(maxsize=None)
@@ -491,31 +442,9 @@ class LatticeBasis:
         return lattice_from_generators(zip(*basis_inverse(self.rows)), self.dim)
 
 
-def _det(rows):
-    mat = [list(map(Fraction, r)) for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            f = mat[i][col] * inv
-            if f:
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
-
-
 def lattice_from_generators(gens, dim):
     """Canonical LatticeBasis for the group generated by rational vectors."""
-    gens = [ratvec(g) for g in gens]
-    scale = lcm(*(x.denominator for g in gens for x in g))
-    int_rows = [[int(x * scale) for x in g] for g in gens]
+    scale, int_rows = _cleared_rows(gens)
     H = hermite_row_form(int_rows)
     if len(H) != dim:
         raise ValueError("generators do not span a rank-%d lattice" % dim)

@@ -1,8 +1,8 @@
 """Shared test utilities: the independent oracles and a seeded generator of
 random crepant wall-crossings.
 
-Each oracle shares no code with the production path it checks, so the two
-can cross-validate each other:
+Each oracle decides by its own search or elimination, so it and the
+production path it checks can cross-validate each other:
 - the cone oracle decides strict membership in an open cone by exact
   Fourier-Motzkin elimination;
 - the box oracle scans a common refinement of the anticone lattices;
@@ -14,6 +14,13 @@ can cross-validate each other:
   from grouped left residues of the Barnes integral;
 - the Barnes-line oracle integrates one point over the whole line
   |Im s| <= t_max, with the integrand evaluated afresh for that point.
+
+Ranks, determinants and solves come from the Fraction elimination below,
+never from wallcross.lattice, whose integer kernel they check
+(tests/test_layout.py enforces this).  Beyond vector arithmetic, what an
+oracle shares with the path it checks is the lattice set-up of the
+wall-frame oracle: gitfan's _dual_of_extended, _constrained_sublattice,
+_coords_in and _combination, and the anticone coordinates of its nef test.
 """
 
 import cmath
@@ -67,19 +74,14 @@ from wallcross.ktheory import (
 from wallcross.lattice import (
     LatticeBasis,
     NotAHyperplane,
-    _det,
     anticone_coords,
     anticone_dual,
     frac_part,
     intvec,
     is_integral,
-    matrix_rank,
     primitive_integer_vector,
-    primitive_wall_normal,
     quotient_transversal,
     ratvec,
-    solve_rectangular,
-    solve_square,
     vadd,
     vdot,
     vscale,
@@ -137,6 +139,11 @@ def in_plus_coordinates(sigma, change):
     return SigmaRestriction(log_coeffs=tuple(new) + (last,), constant=sigma.constant)
 
 
+# ---------------------------------------------------------------------------
+# Fraction elimination: the reference of the library's integer kernel for
+# ranks, determinants, solves and kernels
+
+
 def _rref_with_free(rows, ncols):
     mat = [list(map(Fraction, r)) for r in rows]
     pivots = []
@@ -155,6 +162,71 @@ def _rref_with_free(rows, ncols):
         pivots.append(col)
         rank += 1
     return mat, pivots
+
+
+def fraction_rank(rows):
+    return len(_rref_with_free(rows, len(rows[0]))[1]) if rows else 0
+
+
+def fraction_det(rows):
+    """The determinant as the product of the elimination pivots."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for i in range(col + 1, n):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return det
+
+
+def fraction_solve(rows, rhs):
+    """One exact solution of M x = rhs for M given by rows, its free
+    coordinates zero, or None when the system is inconsistent."""
+    ncol = len(rows[0])
+    red, pivots = _rref_with_free([list(row) + [b] for row, b in zip(rows, rhs)], ncol + 1)
+    if ncol in pivots:
+        return None
+    sol = [Fraction(0)] * ncol
+    for i, col in enumerate(pivots):
+        sol[col] = red[i][ncol]
+    return tuple(sol)
+
+
+def fraction_kernel(rows, width):
+    """A basis of {x : row . x = 0 for every row}, one vector per free column."""
+    red, pivots = _rref_with_free(rows, width)
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def fraction_wall_normal(wall_chars, positive_side):
+    """The primitive normal of the hyperplane spanned by the wall characters,
+    pairing positively with ``positive_side``; NotAHyperplane otherwise."""
+    kern = fraction_kernel(wall_chars, len(positive_side))
+    if len(kern) != 1 or vdot(positive_side, kern[0]) == 0:
+        raise NotAHyperplane("no wall normal off the positive side")
+    s = math.lcm(*(x.denominator for x in kern[0]))
+    g = gcd(*(int(x * s) for x in kern[0]))
+    e = tuple(int(x * s) // g for x in kern[0])
+    return e if vdot(positive_side, e) > 0 else tuple(-x for x in e)
+
+
+# ---------------------------------------------------------------------------
+# the cone oracle and the random crossings
 
 
 def in_open_cone(D, indices, omega):
@@ -286,7 +358,7 @@ def oracle_box(git, A):
     anticone determinants, so scanning one common refinement is complete."""
     N = 1
     for delta in A.minimal:
-        d = abs(int(_det([[Fraction(git.D[i][k]) for k in range(git.r)] for i in delta])))
+        d = abs(int(fraction_det([git.D[i] for i in delta])))
         N = N * d // gcd(N, d)
     out = []
     for coords in itertools.product(range(N), repeat=git.r):
@@ -304,7 +376,7 @@ def oracle_box(git, A):
 
 
 def _oracle_int_det(mat):
-    d = _det([list(map(Fraction, r)) for r in mat])
+    d = fraction_det(mat)
     assert d.denominator == 1
     return int(d)
 
@@ -352,7 +424,7 @@ def _search_basis(generators, accept, need, full_det_one):
             return list(chosen_v)
         for k, v in pool:
             rows = list(chosen_k) + [k]
-            if matrix_rank(rows) != len(rows) or not _oracle_saturated(rows):
+            if fraction_rank(rows) != len(rows) or not _oracle_saturated(rows):
                 continue
             result = extend(rows, list(chosen_v) + [v])
             if result is not None:
@@ -414,7 +486,7 @@ def oracle_wall_frame(wc):
     if wall:
         for dual in (dual_plus, dual_minus):
             coords = [_coords_in(dual, w) for w in wall]
-            assert matrix_rank(coords) == len(wall) and _oracle_saturated(coords)
+            assert fraction_rank(coords) == len(wall) and _oracle_saturated(coords)
 
     def last_vector(side):
         A = wc.A_plus if side == "plus" else wc.A_minus
@@ -450,7 +522,7 @@ def oracle_wall_frame(wc):
 
     # last_plus = sum_i c_i * wall_i - c * last_minus
     rows = [[w[k] for w in list(wall) + [last_minus]] for k in range(git.r)]
-    coeffs = solve_square(rows, list(last_plus))
+    coeffs = fraction_solve(rows, list(last_plus))
     c = -coeffs[-1]
     assert c > 0, "transition exponent must be positive"
     c_i = tuple(coeffs[:-1])
@@ -589,7 +661,7 @@ def oracle_cone_coefficients(git, indices, v):
     if not indices:
         return () if all(x == 0 for x in v) else None
     rows = [[Fraction(git.D[i][k]) for i in indices] for k in range(git.r)]
-    return solve_rectangular(rows, list(v))
+    return fraction_solve(rows, list(v))
 
 
 def oracle_minimal_anticones(git, omega):
@@ -616,11 +688,11 @@ def oracle_wall_hyperplanes(git):
         return {(1,): ()}
     for J in itertools.combinations(range(git.m), git.r - 1):
         rows = [git.D[j] for j in J]
-        if matrix_rank(rows) != git.r - 1:
+        if fraction_rank(rows) != git.r - 1:
             continue
-        off = next(git.D[i] for i in range(git.m) if matrix_rank(rows + [git.D[i]]) == git.r)
+        off = next(git.D[i] for i in range(git.m) if fraction_rank(rows + [git.D[i]]) == git.r)
         try:
-            n = primitive_wall_normal(rows, off)
+            n = fraction_wall_normal(rows, off)
         except NotAHyperplane:
             continue
         if next(x for x in n if x) < 0:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 
 def run_cli(args):
     proc = subprocess.run(
@@ -167,6 +169,51 @@ def test_rank_deficient_config_is_a_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
+
+
+CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
+
+
+@pytest.mark.parametrize("patch, argv", [
+    (None, ["analyze"]),  # a top level of [1, 2]
+    (None, ["analyze", "--seed", "3"]),
+    ({"git": dict(CONIFOLD_GIT, r="1")}, ["analyze"]),
+    ({"git": dict(CONIFOLD_GIT, r=0)}, ["analyze"]),
+    ({"git": {"r": 1, "m": 0, "D": []}}, ["analyze"]),
+    ({"z": [1, 2]}, ["verify", "pairing"]),
+    ({"truncation": [1, 2]}, ["verify", "ode"]),
+    ({"truncation": [1, 2]}, ["verify", "ode", "--trunc", "3"]),
+    ({"tolerances": [1, 2]}, ["verify", "mb"]),
+    ({"tolerances": [1, 2]}, ["verify", "mb", "--tol", "1e-3"]),
+    ({"tolerances": {"mb": "1e-7"}}, ["verify", "mb"]),
+    ({"contour": [1, 2]}, ["verify", "mb"]),
+    ({"contour": {"t_max": "x"}}, ["verify", "mb"]),
+    ({"contour": {"t_max": -5}}, ["verify", "mb"]),
+    ({"samples": "3"}, ["verify", "mb"]),
+    ({"samples": 0}, ["verify", "uhfm"]),
+    ({"truncation": {"series_order": -1}}, ["verify", "ode"]),
+    ({}, ["verify", "ode", "--trunc", "0"]),
+])
+def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
+    from wallcross import cli
+
+    raw = [1, 2] if patch is None else dict(json.loads((config_dir / "conifold.json").read_text()), **patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_git_labels_are_ignored_and_hashed_with_the_config(config_dir, tmp_path):
+    from wallcross import cli
+
+    raw = json.loads((config_dir / "conifold.json").read_text())
+    raw["git"]["labels"] = ["x0", "x1", "y0", "y1"]
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(raw))
+    cfg = cli.load_config(str(path))
+    assert cli.config_hash(cfg["raw"]) == cli.config_hash(raw)
+    assert cli.cmd_analyze(cfg) == cli.cmd_analyze(cli.load_config(str(config_dir / "conifold.json")))
 
 
 def test_library_value_error_exits_cleanly(config_dir, monkeypatch, capsys):

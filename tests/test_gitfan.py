@@ -9,6 +9,7 @@ from helpers import (
     all_anticones,
     assert_frame_properties,
     assert_sigma_transition,
+    fraction_det,
     in_open_cone,
     oracle_anticones,
     oracle_box,
@@ -443,7 +444,7 @@ def test_wall_frame_error_names_side_and_invariant(conifold):
 
 
 def test_integer_determinant_matches_fraction_elimination():
-    from wallcross.lattice import _det, _int_det
+    from wallcross.lattice import _int_det
 
     rng = random.Random(5)
     for n in range(0, 6):
@@ -451,4 +452,4 @@ def test_integer_determinant_matches_fraction_elimination():
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             if n and rng.random() < 0.2:
                 mat[-1] = list(mat[0])
-            assert _int_det(mat) == _det(mat)
+            assert _int_det(mat) == fraction_det(mat)

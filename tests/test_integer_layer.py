@@ -1,7 +1,7 @@
 """The integer exact layer against its Fraction oracles.
 
-Cone tests, wall normals, box classes, line multiples, next-to pairs and the
-pull-push transform run on integers over one cached determinant per basis;
+Cone tests, wall normals, box classes, line multiples, next-to pairs, the
+pull-push transform, ranks, determinants, solves and kernels run on integers;
 the oracles in helpers.py are the rational-elimination paths they replace.
 Every comparison is exact and includes order.
 """
@@ -15,6 +15,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    fraction_det,
+    fraction_rank,
+    fraction_solve,
+    fraction_wall_normal,
     oracle_box_classes,
     oracle_crossing_normal,
     oracle_fm_transform,
@@ -38,14 +42,21 @@ from wallcross.gitfan import (
 )
 from wallcross.ktheory import fm_transform, minus_basis
 from wallcross.lattice import (
+    NotAHyperplane,
+    SingularBasis,
     _det,
     int_inverse,
     line_class,
+    matrix_rank,
     primitive_integer_vector,
+    primitive_wall_normal,
     rational_line_membership,
+    right_kernel,
     solve_rectangular,
+    solve_square,
     span_numerators,
     vadd,
+    vdot,
     vscale,
     vsub,
 )
@@ -142,12 +153,12 @@ def test_span_numerators_solve_over_a_positive_determinant():
             w = tuple(sum(rng.randint(-2, 2) * row[a] for row in rows) for a in range(r))
         found = span_numerators(rows, w)
         independent = not rows or any(
-            _det([[row[c] for c in cols] for row in rows])
+            fraction_det([[row[c] for c in cols] for row in rows])
             for cols in itertools.combinations(range(r), len(rows)))
         if not rows:
             solution = None if any(w) else ()
         else:
-            solution = solve_rectangular([[row[a] for row in rows] for a in range(r)], w)
+            solution = fraction_solve([[row[a] for row in rows] for a in range(r)], w)
         if found is None:
             assert not independent or solution is None
         else:
@@ -160,12 +171,75 @@ def test_cached_inverse_is_the_adjugate_over_a_positive_determinant():
     for _ in range(200):
         n = rng.randint(1, 4)
         M = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
-        if _det(M) == 0:
+        if fraction_det(M) == 0:
             continue
         adj, det = int_inverse(M)
-        assert det == abs(_det(M))
+        assert det == abs(fraction_det(M))
         assert all(sum(adj[i][k] * M[k][j] for k in range(n)) == det * (i == j)
                    for i in range(n) for j in range(n))
+
+
+def _wall_normal_or_none(fn, rows, side):
+    try:
+        return fn(rows, side)
+    except NotAHyperplane:
+        return None
+
+
+def test_ranks_determinants_solves_and_kernels_match_fraction_elimination():
+    """matrix_rank, _det, solve_square, solve_rectangular, right_kernel and
+    primitive_wall_normal against the Fraction elimination of helpers.py, on
+    rational matrices that are often rank deficient."""
+    rng = random.Random(12)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    def matrix(nrow, ncol):
+        M = [[entry() for _ in range(ncol)] for _ in range(nrow)]
+        if nrow > 1 and rng.random() < 0.4:  # a dependent last row
+            c = entry()
+            M[-1] = [c * a + (b if nrow > 2 else 0) for a, b in zip(M[0], M[1])]
+        return M
+
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        M, b = matrix(n, n), [entry() for _ in range(n)]
+        assert _det(M) == fraction_det(M)
+        assert matrix_rank(M) == fraction_rank(M)
+        if fraction_det(M) == 0:
+            seen.add("singular")
+            with pytest.raises(SingularBasis):
+                solve_square(M, b)
+        else:
+            assert solve_square(M, b) == fraction_solve(M, b)
+
+        # n x k with k <= n columns, dependent when the k x n draw is
+        k = rng.randint(1, n)
+        A = [list(row) for row in zip(*matrix(k, n))]
+        assert matrix_rank(A) == fraction_rank(A)
+        rhs = [entry() for _ in range(n)]
+        if rng.random() < 0.5:
+            x = [entry() for _ in range(k)]
+            rhs = [sum(a * c for a, c in zip(row, x)) for row in A]
+        if fraction_rank(A) < k:
+            seen.add("dependent")
+            assert solve_rectangular(A, rhs) is None
+        else:
+            expected = fraction_solve(A, rhs)
+            seen.add("inconsistent" if expected is None else "solved")
+            assert solve_rectangular(A, rhs) == expected
+
+        K = right_kernel(A, k)
+        assert len(K) == k - fraction_rank(A) and fraction_rank(K) == len(K)
+        assert all(vdot(row, v) == 0 for row in A for v in K)
+
+        W, side = matrix(n - 1, n), [rng.randint(-2, 2) for _ in range(n)]
+        normal = _wall_normal_or_none(primitive_wall_normal, W, side)
+        assert normal == _wall_normal_or_none(fraction_wall_normal, W, side)
+        seen.add("normal" if normal else "no normal")
+    assert seen == {"singular", "dependent", "inconsistent", "solved", "normal", "no normal"}
 
 
 @pytest.mark.parametrize("D, omega, raised", [

@@ -4,6 +4,10 @@ Each function, class and method defined in src/wallcross (dunders exempt)
 must be referenced in src/wallcross outside its own definition, or be named
 in bench/*.py, whose tracer pins some library names.  A definition that only
 the tests call belongs in tests/helpers.py.
+
+The oracles in tests/helpers.py take their ranks, determinants and solves
+from their own Fraction elimination, never from the integer kernel they
+check.
 """
 
 import ast
@@ -12,6 +16,8 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wallcross"
+KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "right_kernel",
+                "primitive_wall_normal"}
 
 
 def _definitions(tree):
@@ -44,3 +50,11 @@ def test_every_library_definition_is_reached():
                 continue
             unreached.append("%s:%d %s" % (module, first, name))
     assert unreached == []
+
+
+def test_oracles_do_not_import_the_kernel_they_check():
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wallcross")
+                for alias in node.names}
+    assert imported & KERNEL_NAMES == set()
