@@ -67,12 +67,17 @@ class ConfigError(ValueError):
 # config parsing
 
 
+def _is_int(node):
+    """Whether node is a JSON integer; true and false are not."""
+    return type(node) is int
+
+
 def _parse_rational(node, where):
-    if isinstance(node, list) and len(node) == 2 and all(isinstance(x, int) for x in node):
+    if isinstance(node, list) and len(node) == 2 and all(_is_int(x) for x in node):
         if node[1] == 0:
             raise ConfigError("%s: zero denominator" % where)
         return Fraction(node[0], node[1])
-    if isinstance(node, int):
+    if _is_int(node):
         return Fraction(node)
     raise ConfigError("%s: expected [num, den] pair, got %r" % (where, node))
 
@@ -92,7 +97,7 @@ def _object(node, where):
 
 
 def _count(node, where):
-    if type(node) is not int or node < 1:
+    if not _is_int(node) or node < 1:
         raise ConfigError("%s must be a positive integer, got %r" % (where, node))
     return node
 
@@ -117,7 +122,7 @@ def parse_config(raw):
     for i, row in enumerate(D):
         if not isinstance(row, list) or len(row) != r:
             raise ConfigError("git.D row %d has length %s, expected %d" % (i, len(row) if isinstance(row, list) else "?", r))
-        if not all(isinstance(x, int) for x in row):
+        if not all(_is_int(x) for x in row):
             raise ConfigError("git.D row %d must be integers" % i)
         rows.append(tuple(row))
     git = make_git(rows)
@@ -136,12 +141,15 @@ def parse_config(raw):
     znode = {} if raw.get("z") is None else _object(raw["z"], "z")
     z = complex(float(_parse_rational(znode.get("re", 1), "z.re")),
                 float(_parse_rational(znode.get("im", 0), "z.im")))
+    seed = raw.get("seed", 7)
+    if not _is_int(seed):
+        raise ConfigError("seed must be an integer, got %r" % (seed,))
     return {
         "raw": raw,
         "git": git,
         "omega_plus": omega_plus,
         "omega_minus": omega_minus,
-        "seed": raw.get("seed", 7),
+        "seed": seed,
         "samples": _count(raw.get("samples", 20), "samples"),
         "series_order": _count(trunc.get("series_order", 40), "truncation.series_order"),
         "z": z,
@@ -446,7 +454,7 @@ def _suite_mb(cfg, wc):
 def _suite_ode(cfg, wc):
     tol = cfg["tolerances"]["ode"]
     order = cfg["series_order"]
-    worst = 0.0
+    worst, worst_at = 0.0, None
     rows = []
     swapped = wall_crossing(cfg["git"], cfg["omega_minus"], cfg["omega_plus"])
     for side, crossing in (("plus", wc), ("minus", swapped)):
@@ -456,12 +464,13 @@ def _suite_ode(cfg, wc):
             if label.delta in crossing.A_minus.minimal:
                 continue
             spec = make_inner_spec(crossing, label)
-            for lam in lams:
+            for i, lam in enumerate(lams):
                 ser = inner_series(spec, order, lam)
                 resid = gkz_ode_residual(ser, spec, lam)
-                worst = max(worst, resid)
+                if resid > worst:
+                    worst, worst_at = resid, "%s side, %s at sample %d" % (side, _label_name(label), i)
                 rows.append({"side": side, "label": _label_name(label), "residual": resid})
-    return {**_gated(worst, tol), "checks": rows}, worst < tol
+    return {**_gated(worst, tol), "worst": worst_at, "checks": rows}, worst < tol
 
 
 def _suite_lifts(cfg, wc):

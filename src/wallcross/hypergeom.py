@@ -10,6 +10,7 @@ k = 0 coefficient is 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -208,6 +209,24 @@ def _exact_gamma_ratio(d0, dk):
     return Fraction(math.prod(range(dk + 1, d0 + 1)), math.prod(range(d0 + 1, dk + 1)))
 
 
+@functools.lru_cache(maxsize=256)
+def _exact_part(factors, ks):
+    """The product of the exact factors' Gamma ratios at each k in ks, given
+    as (live, log |product| of the live k, sign of the live k); factors holds
+    (d0, e_j) per exact factor.  It does not depend on the torus parameters,
+    so it is built once and shared by every sample."""
+    exact = [Fraction(1)] * len(ks)
+    for d0, ej in factors:
+        exact = [x * _exact_gamma_ratio(d0, d0 + k * ej) if x else x for x, k in zip(exact, ks)]
+    kept = [x for x in exact if x]
+    out = (np.array([x != 0 for x in exact], dtype=bool),
+           np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept]),
+           np.array([1.0 if x > 0 else -1.0 for x in kept]))
+    for a in out:
+        a.flags.writeable = False  # shared by every caller
+    return out
+
+
 def inner_sum_coefficient(spec, k, lam):
     """Coefficient of the k-th power of the wall monomial, normalized to
     coefficient 1 at k = 0, elementwise for an integer or an integer array k.
@@ -215,34 +234,28 @@ def inner_sum_coefficient(spec, k, lam):
     Factors whose argument is exactly integral (in particular every factor
     over the defining anticone) are evaluated exactly; a reciprocal Gamma at
     a nonpositive integer makes the coefficient vanish.  Generic factors are
-    assembled in log space, for all live k at once.
+    assembled in log space, for all live k at once, from one log_gamma call
+    whose rows hold a factor's argument at k = 0 and then at the live k.
     """
     scalar = np.ndim(k) == 0
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     assert np.all(ks >= 0)
     betas = spec.betas(lam)
-    exact = [Fraction(1)] * len(ks)
-    generic = []
-    for d0, ej, b in zip(spec.d, spec.e, betas):
-        if b == 0 and d0.denominator == 1:
-            exact = [x * _exact_gamma_ratio(int(d0), int(d0) + k * ej) if x else x
-                     for x, k in zip(exact, ks.tolist())]
-        else:
-            generic.append((1 + b + complex(d0), ej))
-    live = np.array([x != 0 for x in exact], dtype=bool)
+    exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j].denominator == 1)
+    live, log_exact, sign = _exact_part(tuple((int(spec.d[j]), spec.e[j]) for j in exact),
+                                        tuple(ks.tolist()))
+    generic = [j for j in range(len(betas)) if j not in exact]
     k_live = ks[live]
+    a0 = np.array([1 + betas[j] + complex(spec.d[j]) for j in generic], dtype=complex)[:, None]
+    e = np.array([spec.e[j] for j in generic], dtype=int)[:, None]
+    args = np.hstack([a0, a0 + k_live * e])
+    check_generic(args, 1e-8)
     log_acc = np.zeros(len(k_live), dtype=complex)
-    for a0, ej in generic:
-        ak = a0 + k_live * ej
-        check_generic(a0, 1e-8)
-        check_generic(ak, 1e-8)
+    for row in log_gamma(args):
         # at k = 0 the factor is 1 by the normalization, not by rounding
-        log_acc += np.where(k_live == 0, 0j, log_gamma(a0) - log_gamma(ak))
+        log_acc += np.where(k_live == 0, 0j, row[0] - row[1:])
     # the exact part and the Gamma part can separately over- or underflow
     # at large k while their product stays moderate; combine in log space
-    kept = [x for x in exact if x]
-    log_exact = np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept])
-    sign = np.array([1.0 if x > 0 else -1.0 for x in kept])
     out = np.zeros(len(ks), dtype=complex)
     out[live] = sign * np.exp(log_acc + log_exact)
     return complex(out[0]) if scalar else out
@@ -265,20 +278,27 @@ def inner_series(spec, order, lam):
 # the one-variable ODE annihilating the inner series
 
 
+def _complex_product(a, b):
+    """a * b for (real, imaginary) pairs of float arrays, by the formula of
+    CPython's complex product, so each entry is bit for bit that of complex
+    scalar arithmetic; numpy's complex product differs in the last bit."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def _euler_products(spec, lam, n):
-    """Evaluate the two Euler-operator products on the monomial of degree n."""
+    """The two Euler-operator products on the monomials of the degrees n, an
+    integer array, each as a (real, imaginary) pair of float arrays."""
     betas = spec.betas(lam)
-    plus = 1.0 + 0j
-    minus = 1.0 + 0j
+    plus = minus = (np.ones(len(n)), np.zeros(len(n)))
     for j in range(len(spec.d)):
         ej = spec.e[j]
         base = complex(spec.d[j]) + betas[j]
-        if ej > 0:
-            for l in range(ej):
-                plus *= ej * n + base - l
-        elif ej < 0:
-            for l in range(-ej):
-                minus *= ej * n + base - l
+        for l in range(abs(ej)):
+            factor = ej * n + base - l
+            if ej > 0:
+                plus = _complex_product(plus, (factor.real, factor.imag))
+            else:
+                minus = _complex_product(minus, (factor.real, factor.imag))
     return plus, minus
 
 
@@ -287,16 +307,19 @@ def gkz_ode_residual(series, spec, lam):
 
     The operator is the difference of the positive-direction Euler product
     and the monomial times the negative-direction product; it vanishes
-    identically on the exact series.
+    identically on the exact series.  All degrees are evaluated at once.
     """
-    products = [_euler_products(spec, lam, n) for n in range(series.order + 1)]
-    plus = [p * c for (p, _m), c in zip(products, series.coeffs)]
+    c = np.array(series.coeffs, dtype=complex)
+    coeffs = (c.real, c.imag)
+    products_plus, products_minus = _euler_products(spec, lam, np.arange(series.order + 1))
+    plus = _complex_product(products_plus, coeffs)
     # the monomial raises the negative-direction term by one degree
-    minus = [0j] + [m * c for (_p, m), c in zip(products, series.coeffs[:-1])]
-    scale = max(abs(t) for t in plus + minus)
+    minus = [np.concatenate([[0.0], x[:-1]]) for x in _complex_product(products_minus, coeffs)]
+    # hypot is abs() of a Python complex; numpy's complex abs differs in the last bit
+    scale = max(np.max(np.hypot(*plus)), np.max(np.hypot(*minus)))
     if scale == 0.0:
         return 0.0
-    return max(abs(a - b) for a, b in zip(plus, minus)) / scale
+    return float(np.max(np.hypot(plus[0] - minus[0], plus[1] - minus[1])) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -196,17 +196,21 @@ class ContourSpec:
 
 def _log_gamma_block(spec, betas, s, skip=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
-    leaving out the factor of index skip."""
-    acc = 0j
+    leaving out the factor of index skip.
+
+    The arguments of all factors are stacked into one array for a single
+    log_gamma call; its rows are then added in factor order."""
+    numerators, args = [], []
     for j in range(len(spec.d)):
         if j == skip:
             continue
         ej = spec.e[j]
         base = betas[j] + complex(spec.d[j])
-        if ej < 0:
-            acc = acc + log_gamma(-base - s * ej)
-        else:
-            acc = acc - log_gamma(1 + base + s * ej)
+        numerators.append(ej < 0)
+        args.append(-base - s * ej if ej < 0 else 1 + base + s * ej)
+    acc = 0j
+    for numerator, row in zip(numerators, log_gamma(np.stack(np.broadcast_arrays(*args)))):
+        acc = acc + row if numerator else acc - row
     return acc
 
 
@@ -400,26 +404,24 @@ def right_residue_sum(spec, x, lam):
     return _sum_until_small(terms)
 
 
-def left_residue_terms(spec, x, lam, j_minus, residue_class):
-    """Minus the residues in one congruence class of one negative direction.
-
-    Terms with n = k*l + residue_class for k = 0, 1, ..., 200; their sum is
-    the contribution of a single next-to partner to the continued series.
-    """
-    xi, log_xi = _split_xi(spec, x)
-    betas = spec.betas(lam)
-    n = np.arange(201) * -spec.e[j_minus] + residue_class
-    return -_sum_until_small(_interesting_residue(spec, betas, log_xi, j_minus, n))
-
-
 def left_residue_sum(spec, x, lam):
-    """Sum of all residues left of the contour (sign unflipped)."""
+    """Sum of all residues left of the contour (sign unflipped).
+
+    Per negative direction of pairing -l, the residues of every congruence
+    class n = k*l + c, k = 0, 1, ..., 200, are evaluated in one array, class
+    after class; each class, the contribution of a single next-to partner to
+    the continued series, is summed on its own.
+    """
+    _xi, log_xi = _split_xi(spec, x)
+    betas = spec.betas(lam)
     total = 0j
     for j in range(len(spec.d)):
-        if spec.e[j] >= 0:
+        l = -spec.e[j]
+        if l <= 0:
             continue
-        for residue_class in range(-spec.e[j]):
-            total -= left_residue_terms(spec, x, lam, j, residue_class)
+        n = np.concatenate([np.arange(201) * l + c for c in range(l)])
+        for terms in np.split(_interesting_residue(spec, betas, log_xi, j, n), l):
+            total += _sum_until_small(terms)
     return total
 
 

@@ -13,7 +13,11 @@ production path it checks can cross-validate each other:
 - the continuation oracle extracts a connection coefficient numerically
   from grouped left residues of the Barnes integral;
 - the Barnes-line oracle integrates one point over the whole line
-  |Im s| <= t_max, with the integrand evaluated afresh for that point.
+  |Im s| <= t_max, with the integrand evaluated afresh for that point;
+- the Gamma-block, residue, inner-coefficient and Euler-product oracles
+  call log_gamma once per factor and multiply Python complex scalars per
+  degree, the evaluation order that the stacked array versions must
+  reproduce bit for bit.
 
 Ranks, determinants and solves come from the Fraction elimination below,
 never from wallcross.lattice, whose integer kernel they check
@@ -55,6 +59,8 @@ from wallcross.hypergeom import (
     LOG_PI,
     TWO_PI_I,
     PoleCollision,
+    _exact_gamma_ratio,
+    check_generic,
     log_gamma,
     log_sin_pi,
     make_inner_spec,
@@ -96,7 +102,6 @@ from wallcross.mellinbarnes import (
     _separation,
     _split_xi,
     _sum_until_small,
-    left_residue_terms,
 )
 
 
@@ -858,3 +863,110 @@ def oracle_mb_integral(spec, x, lam, contour):
             value -= residue
             mass += abs(residue)
     return value, float(abs(fine - coarse) + tail) / (2 * math.pi), float(mass)
+
+
+# ---------------------------------------------------------------------------
+# per-factor and per-degree evaluations, kept as bit-for-bit oracles of the
+# stacked Gamma blocks, residue classes and Euler products
+
+
+def oracle_log_gamma_block(spec, betas, s, skip=None):
+    """Sum of the integrand's log-Gamma factors at s, one log_gamma call per
+    factor, leaving out the factor of index skip."""
+    acc = 0j
+    for j in range(len(spec.d)):
+        if j == skip:
+            continue
+        ej = spec.e[j]
+        base = betas[j] + complex(spec.d[j])
+        if ej < 0:
+            acc = acc + log_gamma(-base - s * ej)
+        else:
+            acc = acc - log_gamma(1 + base + s * ej)
+    return acc
+
+
+def left_residue_terms(spec, x, lam, j_minus, residue_class):
+    """Minus the residues in one congruence class of one negative direction.
+
+    Terms with n = k*l + residue_class for k = 0, 1, ..., 200; their sum is
+    the contribution of a single next-to partner to the continued series.
+    """
+    xi, log_xi = _split_xi(spec, x)
+    betas = spec.betas(lam)
+    l = -spec.e[j_minus]
+    n = np.arange(201) * l + residue_class
+    p = (betas[j_minus] + complex(spec.d[j_minus]) - n) / l
+    log_term = (-log_gamma(n + 1.0) - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi
+                + oracle_log_gamma_block(spec, betas, p, skip=j_minus))
+    return -_sum_until_small(np.where(n % 2, -1.0, 1.0) * np.exp(log_term))
+
+
+def oracle_left_residue_sum(spec, x, lam):
+    """Sum of all residues left of the contour, class by class."""
+    total = 0j
+    for j in range(len(spec.d)):
+        if spec.e[j] >= 0:
+            continue
+        for residue_class in range(-spec.e[j]):
+            total -= left_residue_terms(spec, x, lam, j, residue_class)
+    return total
+
+
+def oracle_inner_sum_coefficient(spec, k, lam):
+    """Inner-series coefficients at the integer array k, with the exact
+    Gamma ratios rebuilt and one pair of log_gamma calls per generic factor."""
+    ks = np.asarray(k, dtype=int)
+    betas = spec.betas(lam)
+    exact = [Fraction(1)] * len(ks)
+    generic = []
+    for d0, ej, b in zip(spec.d, spec.e, betas):
+        if b == 0 and d0.denominator == 1:
+            exact = [x * _exact_gamma_ratio(int(d0), int(d0) + k * ej) if x else x
+                     for x, k in zip(exact, ks.tolist())]
+        else:
+            generic.append((1 + b + complex(d0), ej))
+    live = np.array([x != 0 for x in exact], dtype=bool)
+    k_live = ks[live]
+    log_acc = np.zeros(len(k_live), dtype=complex)
+    for a0, ej in generic:
+        ak = a0 + k_live * ej
+        check_generic(a0, 1e-8)
+        check_generic(ak, 1e-8)
+        log_acc += np.where(k_live == 0, 0j, log_gamma(a0) - log_gamma(ak))
+    kept = [x for x in exact if x]
+    log_exact = np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept])
+    sign = np.array([1.0 if x > 0 else -1.0 for x in kept])
+    out = np.zeros(len(ks), dtype=complex)
+    out[live] = sign * np.exp(log_acc + log_exact)
+    return out
+
+
+def oracle_euler_products(spec, lam, n):
+    """The two Euler-operator products on the monomial of degree n, a Python
+    int, in complex scalar arithmetic."""
+    betas = spec.betas(lam)
+    plus = 1.0 + 0j
+    minus = 1.0 + 0j
+    for j in range(len(spec.d)):
+        ej = spec.e[j]
+        base = complex(spec.d[j]) + betas[j]
+        if ej > 0:
+            for l in range(ej):
+                plus *= ej * n + base - l
+        elif ej < 0:
+            for l in range(-ej):
+                minus *= ej * n + base - l
+    return plus, minus
+
+
+def oracle_gkz_ode_residual(series, spec, lam):
+    """Largest relative residual of the annihilating operator, degree by
+    degree in complex scalar arithmetic."""
+    products = [oracle_euler_products(spec, lam, n) for n in range(series.order + 1)]
+    plus = [p * c for (p, _m), c in zip(products, series.coeffs)]
+    minus = [0j] + [m * c for (_p, m), c in zip(products, series.coeffs[:-1])]
+    scale = max(abs(t) for t in plus + minus)
+    if scale == 0.0:
+        return 0.0
+    return max(abs(a - b) for a, b in zip(plus, minus)) / scale

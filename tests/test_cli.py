@@ -193,6 +193,12 @@ CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
     ({"samples": 0}, ["verify", "uhfm"]),
     ({"truncation": {"series_order": -1}}, ["verify", "ode"]),
     ({}, ["verify", "ode", "--trunc", "0"]),
+    ({"seed": "x"}, ["verify", "mb"]),
+    ({"seed": 1.5}, ["verify", "mb"]),
+    ({"seed": True}, ["verify", "mb"]),
+    ({"git": dict(CONIFOLD_GIT, D=[[1], [True], [-1], [-1]])}, ["analyze"]),
+    ({"omega_plus": [[True, 1]]}, ["analyze"]),
+    ({"z": {"re": [1, True]}}, ["verify", "pairing"]),
 ])
 def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
     from wallcross import cli
@@ -329,6 +335,21 @@ def test_verify_mb_names_its_worst_check(config_dir):
     label, sample, side = match.group(1), int(match.group(2)), match.group(3)
     rows = [row for row in results["checks"] if row["label"] == label]
     assert rows[sample][side] == results["max_residual"]
+
+
+def test_verify_ode_names_its_worst_check(config_dir):
+    import re
+
+    from wallcross import cli
+
+    results, ok = cli.cmd_verify(cli.load_config(str(config_dir / "gerbe_flop.json")), "ode")
+    assert ok
+    match = re.fullmatch(r"(plus|minus) side, (delta=\[[\d, ]+\] f=\[[^]]*\]) at sample (\d+)",
+                         results["worst"])
+    assert match, results["worst"]
+    side, label, sample = match.group(1), match.group(2), int(match.group(3))
+    rows = [row for row in results["checks"] if row["side"] == side and row["label"] == label]
+    assert rows[sample]["residual"] == results["max_residual"]
 
 
 def test_overrides_match_the_same_settings_written_in(config_dir, tmp_path):

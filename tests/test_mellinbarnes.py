@@ -12,12 +12,26 @@ from helpers import (
     choose_abscissa,
     continuation_numeric,
     left_poles,
+    oracle_euler_products,
+    oracle_gkz_ode_residual,
+    oracle_inner_sum_coefficient,
+    oracle_left_residue_sum,
+    oracle_log_gamma_block,
     oracle_mb_integral,
     pole_separation,
 )
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
-from wallcross.hypergeom import conifold_point, generic_lambdas, make_inner_spec, w_constant
+from wallcross.hypergeom import (
+    _euler_products,
+    conifold_point,
+    generic_lambdas,
+    gkz_ode_residual,
+    inner_series,
+    inner_sum_coefficient,
+    make_inner_spec,
+    w_constant,
+)
 from wallcross.mellinbarnes import (
     ContourSpec,
     ContourTooClose,
@@ -242,11 +256,14 @@ def _line_points(wc):
 ROOT = pathlib.Path(__file__).parent.parent
 
 
-@pytest.mark.parametrize("path", [
+LINE_CONFIGS = [
     *(ROOT / "configs" / (name + ".json") for name in ("conifold", "resolution", "gerbe_flop")),
     *(ROOT / "bench" / "configs" / (name + ".json")
       for name in ("local_p2", "local_p3", "local_p4", "flop_2_2_line", "flop_4_4")),
-], ids=lambda p: p.stem)
+]
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
 def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
     # the error scale is the mass of the sum, not |value|: on the 4-4 flop
     # the residues reach 2.5e5 while the line carries about 10
@@ -299,6 +316,70 @@ def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
     verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lam)
     assert len(node_counts) == 1
     assert sorted(block_sizes) == sorted([2 * 40 + 1, node_counts[0]])
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
+def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
+    # one log_gamma call per block, class or degree set changes no bit of
+    # the per-factor, per-class and per-degree evaluation
+    cfg, wc = _crossing(path)
+    order = cfg["series_order"]
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    points = (_xio(wc, 0.3), _xio(wc, 3.0))
+    ks = np.arange(order + 1)
+    for label in fixed_point_labels(wc.git, wc.A_plus):
+        if label.delta in wc.A_minus.minimal:
+            continue
+        spec = make_inner_spec(wc, label)
+        for lam in lams:
+            betas = spec.betas(lam)
+            line = -0.25 + 1j * np.linspace(-40.0, 40.0, 161)
+            assert np.array_equal(mellinbarnes._log_gamma_block(spec, betas, line),
+                                  oracle_log_gamma_block(spec, betas, line))
+            for j, n, p in mellinbarnes._pole_scan(spec, betas, -3.0, 4.0):
+                assert (mellinbarnes._log_gamma_block(spec, betas, p, skip=j)
+                        == oracle_log_gamma_block(spec, betas, p, skip=j)), (j, n)
+            for x in points:
+                assert left_residue_sum(spec, x, lam) == oracle_left_residue_sum(spec, x, lam)
+            assert np.array_equal(inner_sum_coefficient(spec, ks, lam),
+                                  oracle_inner_sum_coefficient(spec, ks, lam))
+            ser = inner_series(spec, order, lam)
+            assert gkz_ode_residual(ser, spec, lam) == oracle_gkz_ode_residual(ser, spec, lam)
+            plus, minus = _euler_products(spec, lam, ks)
+            for n in range(order + 1):
+                assert (complex(plus[0][n], plus[1][n]), complex(minus[0][n], minus[1][n])) \
+                    == oracle_euler_products(spec, lam, n), n
+
+
+def test_one_log_gamma_call_per_block_and_one_residue_call_per_direction(all_examples,
+                                                                          monkeypatch):
+    gamma_calls, residue_calls = [], []
+    log_gamma, residue = mellinbarnes.log_gamma, mellinbarnes._interesting_residue
+
+    def counting_log_gamma(z):
+        gamma_calls.append(np.shape(z))
+        return log_gamma(z)
+
+    def counting_residue(spec, betas, log_xi, j_minus, n):
+        residue_calls.append(j_minus)
+        return residue(spec, betas, log_xi, j_minus, n)
+
+    monkeypatch.setattr(mellinbarnes, "log_gamma", counting_log_gamma)
+    monkeypatch.setattr(mellinbarnes, "_interesting_residue", counting_residue)
+    for wc in all_examples.values():
+        lam = generic_lambdas(wc, 1, seed=31)[0]
+        label = fixed_point_labels(wc.git, wc.A_plus)[0]
+        spec = make_inner_spec(wc, label)
+        betas = spec.betas(lam)
+        negative = [j for j, e in enumerate(spec.e) if e < 0]
+        for s, skip in ((0.5 + 1j, None), (-0.25 + 1j * np.arange(-8.0, 9.0), None),
+                        (np.array([-0.3 + 0.1j, -1.3 + 0.1j]), negative[0])):
+            gamma_calls.clear()
+            mellinbarnes._log_gamma_block(spec, betas, s, skip)
+            assert len(gamma_calls) == 1
+        residue_calls.clear()
+        left_residue_sum(spec, _xio(wc, 3.0), lam)
+        assert residue_calls == negative
 
 
 def _negative_integer_residue_is_zero(spec, n):
