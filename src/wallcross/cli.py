@@ -103,8 +103,9 @@ def _count(node, where):
 
 
 def _number(node, where):
-    if type(node) not in (int, float):
-        raise ConfigError("%s must be a number, got %r" % (where, node))
+    """A finite JSON number; json reads Infinity and NaN, which are not."""
+    if not (type(node) is int or type(node) is float and math.isfinite(node)):
+        raise ConfigError("%s must be a finite number, got %r" % (where, node))
     return node
 
 
@@ -132,7 +133,13 @@ def parse_config(raw):
     trunc = _object(raw.get("truncation", {}), "truncation")
     tols = dict(DEFAULT_TOLERANCES, **_object(raw.get("tolerances", {}), "tolerances"))
     for key, tol in tols.items():
+        # a zero floor turns the sensitivity check off; a zero tolerance would
+        # FAIL every check, and a negative pole clearance admit every sample
         _number(tol, "tolerances." + key)
+        floor = key == "sensitivity_floor"
+        if not (tol >= 0 if floor else tol > 0):
+            raise ConfigError("tolerances.%s must be %s, got %r"
+                              % (key, "nonnegative" if floor else "positive", tol))
     contour_node = _object(raw.get("contour", {}), "contour")
     abscissa = contour_node.get("abscissa")
     t_max = _number(contour_node.get("t_max", 40.0), "contour.t_max")
@@ -176,16 +183,24 @@ def config_hash(raw):
 # ---------------------------------------------------------------------------
 # report assembly
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
 
 def _jsonify(x):
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
+    """The report tree with Fractions as [num, den] and complex numbers as
+    [re, im].  JSON scalars return at one type lookup, and an exact
+    Fraction skips the Rational ABC check that isinstance would make."""
+    kind = type(x)
+    if kind in _JSON_SCALARS:
+        return x
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
+    if kind is Fraction or isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
     return x
 
 
@@ -438,8 +453,8 @@ def _suite_mb(cfg, wc):
     for label in fixed_point_labels(wc.git, wc.A_plus):
         if label.delta in wc.A_minus.minimal:
             continue
-        for i, lam in enumerate(lams):
-            rep = verify_residue_identity(wc, label, x_in, x_out, lam, cfg["contour"])
+        reports = verify_residue_identity(wc, label, x_in, x_out, lams, cfg["contour"])
+        for i, rep in enumerate(reports):
             for side, resid in (("inside", rep.residual_inside), ("outside", rep.residual_outside)):
                 if resid > worst:
                     worst, worst_at = resid, "%s at sample %d, %s" % (_label_name(label), i, side)

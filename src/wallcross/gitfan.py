@@ -169,11 +169,13 @@ def validate_stability(git, omega):
 
 @dataclass(frozen=True)
 class SectorLabel:
-    """A box class: canonical representative f, its isotropy set and age."""
+    """A box class: canonical representative f, its isotropy set, its age and
+    the exact pairings D_i . f, one per character."""
 
     f: tuple
     I_f: tuple
     age: Fraction
+    pairings: tuple = field(compare=False)
 
     @property
     def is_zero(self):
@@ -193,7 +195,7 @@ def _box_classes(git, A):
     the enumeration runs over coset representatives per minimal anticone and
     dedupes canonical representatives.  Over the anticone basis, with inverse
     adj / det, a class is f = (adj k mod det) / det; its pairings D_i . f are
-    read modulo 1 as integers modulo det."""
+    integers over det, read modulo det for the isotropy set and the age."""
     seen = {}
     for delta in A.minimal:
         adj, det = anticone_inverse(git.D, delta)
@@ -206,10 +208,12 @@ def _box_classes(git, A):
             f = tuple(Fraction(x, det) for x in num)
             if f in seen:
                 continue
-            pairings = [_idot(row, num) % det for row in git.D]
-            I_f = tuple(i for i, p in enumerate(pairings) if p == 0)
+            pairings = [_idot(row, num) for row in git.D]
+            residues = [p % det for p in pairings]
+            I_f = tuple(i for i, p in enumerate(residues) if p == 0)
             assert A.contains(I_f), "sector isotropy set must be an anticone"
-            seen[f] = SectorLabel(f=f, I_f=I_f, age=Fraction(sum(pairings), det))
+            seen[f] = SectorLabel(f=f, I_f=I_f, age=Fraction(sum(residues), det),
+                                  pairings=tuple(Fraction(p, det) for p in pairings))
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)

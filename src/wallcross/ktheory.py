@@ -383,7 +383,7 @@ def gamma_restrict(git, label, lam, z=1.0):
     for j in range(git.m):
         if j in label.delta:
             continue
-        fj = frac_part(vdot(git.D[j], label.f))
+        fj = frac_part(label.sector.pairings[j])
         arg = 1 - complex(fj) + u[j](lam) / z
         check_generic(arg, 1e-9)
         acc += log_gamma(arg)
@@ -460,7 +460,7 @@ def localization_gram(git, A, left, right, lams):
         for sec in sectors:
             if not all(i in sec.I_f for i in delta):
                 continue
-            phases = np.array([cmath.exp(-TWO_PI_I * complex(frac_part(vdot(git.D[j], sec.f))))
+            phases = np.array([cmath.exp(-TWO_PI_I * complex(frac_part(sec.pairings[j])))
                                for j in normal], dtype=complex)
             factors = 1 - phases[:, None] * np.exp(-u_vals)
             smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))

@@ -32,36 +32,42 @@ class NotAHyperplane(ValueError):
 # vectors
 
 
+def _q(x):
+    """x as a Fraction; an existing Fraction is returned as is, since the
+    constructor's Rational check costs more than the arithmetic here."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def ratvec(entries):
-    return tuple(Fraction(x) for x in entries)
+    return tuple(map(_q, entries))
 
 
 def intvec(entries):
     out = []
     for x in entries:
-        f = Fraction(x)
+        f = _q(x)
         if f.denominator != 1:
             raise ValueError("non-integral entry %r" % (x,))
-        out.append(int(f))
+        out.append(f.numerator)
     return tuple(out)
 
 
 def vdot(a, b):
     assert len(a) == len(b), "dimension mismatch"
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum((_q(x) * _q(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def vadd(a, b):
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    return tuple(_q(x) + _q(y) for x, y in zip(a, b))
 
 
 def vsub(a, b):
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+    return tuple(_q(x) - _q(y) for x, y in zip(a, b))
 
 
 def vscale(c, a):
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
+    c = _q(c)
+    return tuple(c * _q(x) for x in a)
 
 
 def zero_vec(n):
@@ -69,11 +75,11 @@ def zero_vec(n):
 
 
 def is_integral(v):
-    return all(Fraction(x).denominator == 1 for x in v)
+    return all(_q(x).denominator == 1 for x in v)
 
 
 def frac_part(q):
-    q = Fraction(q)
+    q = _q(q)
     return q - (q.numerator // q.denominator)
 
 
@@ -86,7 +92,7 @@ def _cleared_rows(rows):
     common denominator of the entries, so s M is an integer matrix."""
     rows = [ratvec(row) for row in rows]
     s = lcm(*(x.denominator for row in rows for x in row))
-    return s, tuple(tuple(int(x * s) for x in row) for row in rows)
+    return s, tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in rows)
 
 
 def matrix_rank(rows):
@@ -208,13 +214,13 @@ def span_numerators(rows, w):
 
 def _vec_mat(v, M):
     """The row vector v times the matrix M."""
-    return tuple(sum((Fraction(x) * row[j] for x, row in zip(v, M)), Fraction(0))
+    return tuple(sum((_q(x) * row[j] for x, row in zip(v, M)), Fraction(0))
                  for j in range(len(M[0])))
 
 
 def _mat_vec(M, v):
     """The matrix M times the column vector v."""
-    return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in M)
+    return tuple(sum((a * _q(x) for a, x in zip(row, v)), Fraction(0)) for row in M)
 
 
 def right_kernel(rows, width):
@@ -308,12 +314,20 @@ def _line_transform(e):
     return U
 
 
+def _line_numerators(v, e):
+    """(U v s, s) with U unimodular, U e = e_1, and s the common denominator
+    of v, so that U v s is an integer vector."""
+    s, (n,) = _cleared_rows([v])
+    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))], s
+
+
 def line_class(v, e):
     """The class of v in Q^r / (Q e + Z^r) for a primitive integer vector e:
     the fractional parts of (U v)[1:], U unimodular with U e = e_1.  Two
     vectors differ by a rational multiple of e modulo Z^r exactly when their
     classes agree."""
-    return tuple(frac_part(x) for x in _mat_vec(_line_transform(tuple(e))[1:], v))
+    uv, s = _line_numerators(v, e)
+    return tuple(Fraction(x % s, s) for x in uv[1:])
 
 
 def rational_line_membership(v, e):
@@ -323,8 +337,8 @@ def rational_line_membership(v, e):
     modulo 1.  With U e = e_1 as in line_class, v - alpha*e is integral
     exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
     """
-    uv = _mat_vec(_line_transform(tuple(e)), v)
-    return frac_part(uv[0]) if is_integral(uv[1:]) else None
+    uv, s = _line_numerators(v, e)
+    return Fraction(uv[0] % s, s) if all(x % s == 0 for x in uv[1:]) else None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .gitfan import anticones_next_to, wall_frame
-from .lattice import anticone_coords, express_in_anticone_basis, frac_part, vdot
+from .lattice import anticone_coords, express_in_anticone_basis, frac_part
 
 
 class NotAdjacentAnticones(ValueError):
@@ -49,6 +49,11 @@ class LinearForm:
         return sum((a * lam[i] for i, a in self._nonzero), 0j)
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self):
+        """The form as text, built once: forms are shared through restrict_u."""
         parts = []
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -178,7 +183,7 @@ def normal_weights(git, label):
         if j in label.sector.I_f:
             fixed.append((j, u[j]))
         else:
-            moving.append((j, u[j], frac_part(vdot(git.D[j], label.f))))
+            moving.append((j, u[j], frac_part(label.sector.pairings[j])))
     for _, form in fixed:
         assert not form.is_zero
     return NormalWeights(fixed=tuple(fixed), moving=tuple(moving))

@@ -92,29 +92,36 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     by a rational multiple of the wall normal.
     """
     label_plus, label_minus = pair
-    supplied = lift_plus is not None or lift_minus is not None
-    if lift_plus is None:
+    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
+    l = -wc.pair_e(j_minus)
+    assert l > 0
+    ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
+    used = (j_minus,) + ratio_js
+    if lift_plus is None and lift_minus is None:
+        # f_minus = f_plus + alpha e, so D_j . f_minus = D_j . f_plus + alpha D_j . e:
+        # the sector's exact pairings and the integers D_j . e give both
         lift_plus = label_plus.f
-    if lift_minus is None:
         lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
-    lift_plus, lift_minus = ratvec(lift_plus), ratvec(lift_minus)
-    if supplied:
+        k = next(i for i, x in enumerate(wc.e) if x)
+        alpha = (lift_minus[k] - lift_plus[k]) / wc.e[k]
+        c_plus = {j: label_plus.sector.pairings[j] for j in used}
+        c_minus = {j: c_plus[j] + alpha * wc.pairings[j] for j in used}
+    else:
+        lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
+        lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
+                      else ratvec(lift_minus))
         for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
             if not all(x.denominator == 1 for x in vsub(lift, label.f)):
                 raise IncompatibleLifts("lift does not represent the sector class")
         v, e = vsub(lift_plus, lift_minus), wc.e
         if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
             raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
-    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
-    l = -wc.pair_e(j_minus)
-    assert l > 0
-    D = wc.git.D
+        c_plus = {j: vdot(wc.git.D[j], lift_plus) for j in used}
+        c_minus = {j: vdot(wc.git.D[j], lift_minus) for j in used}
     u_plus = restrict_u(wc.git, label_plus.delta)
     u_minus = restrict_u(wc.git, label_minus.delta)
-    shift = vdot(D[j_minus], vsub(lift_plus, lift_minus))
-    ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
-    ratio_terms = tuple((u_plus[j], complex(vdot(D[j], lift_plus)),
-                         u_minus[j], complex(vdot(D[j], lift_minus))) for j in ratio_js)
+    ratio_terms = tuple((u_plus[j], complex(c_plus[j]), u_minus[j], complex(c_minus[j]))
+                        for j in ratio_js)
     return ContinuationCoefficient(
         j_minus=j_minus,
         l=l,
@@ -122,7 +129,7 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
         lift_plus=lift_plus,
         lift_minus=lift_minus,
         u_form=u_plus[j_minus],
-        shift=shift,
+        shift=c_plus[j_minus] - c_minus[j_minus],
         ratio_js=ratio_js,
         ratio_terms=ratio_terms,
     )
@@ -239,20 +246,30 @@ def _separation(pts):
                + [abs(p - round(p.real)) for p in pts], default=float("inf"))
 
 
+def _gaps(sigmas, reals):
+    """Each abscissa's distance from the nearest of the pole real parts and
+    from the nearest integer."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    to_poles = np.abs(sigmas[:, None] - np.asarray(reals, dtype=float)).min(axis=1, initial=np.inf)
+    return np.minimum(to_poles, np.abs(sigmas - np.round(sigmas)))
+
+
 def _abscissa(reals, contour):
     """The abscissa and its gap, the distance from the nearest of the pole
-    real parts and from the nearest integer: the given abscissa, or the one
-    in [-0.45, -0.05] with the largest gap.  The gap must reach the
-    contour's clearance."""
-    def gap(sigma):
-        return min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
-
+    real parts and from the nearest integer: the given abscissa, or the first
+    of the 41 in [-0.45, -0.05] with the largest gap.  The gap must reach
+    the contour's clearance."""
     sigma = contour.abscissa
     if sigma is None:
-        sigma = max((-0.45 + 0.01 * k for k in range(41)), key=gap)
-    if gap(sigma) < contour.clearance:
-        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
-    return sigma, gap(sigma)
+        candidates = -0.45 + 0.01 * np.arange(41)
+        gaps = _gaps(candidates, reals)
+        best = int(np.argmax(gaps))
+        sigma, gap = float(candidates[best]), float(gaps[best])
+    else:
+        gap = float(_gaps([sigma], reals)[0])
+    if gap < contour.clearance:
+        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap))
+    return sigma, gap
 
 
 def _split_xi(spec, x):
@@ -435,17 +452,21 @@ def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=Co
     """Compare the Barnes integral against both residue expansions.
 
     Inside the degeneration radius the integral equals the right residue
-    sum; outside it equals minus the left residue sum.
+    sum; outside it equals minus the left residue sum.  ``lam`` is one
+    sample of the torus parameters, or a sequence of samples with one report
+    each; the inner spec does not depend on the sample, so it is built once.
     """
     c = abs(float(conifold_point(wc)))
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
     spec = make_inner_spec(wc, label_plus)
-    (v_in, v_out), _err = mb_integral_with_error(spec, (x_inside, x_outside), lam, contour)
-    right = right_residue_sum(spec, x_inside, lam)
-    left = left_residue_sum(spec, x_outside, lam)
-    return ResidueReport(
-        residual_inside=abs(v_in - right),
-        residual_outside=abs(v_out + left),
-    )
-
+    reports = []
+    for sample in (lam if np.ndim(lam) == 2 else [lam]):
+        (v_in, v_out), _err = mb_integral_with_error(spec, (x_inside, x_outside), sample, contour)
+        right = right_residue_sum(spec, x_inside, sample)
+        left = left_residue_sum(spec, x_outside, sample)
+        reports.append(ResidueReport(
+            residual_inside=abs(v_in - right),
+            residual_outside=abs(v_out + left),
+        ))
+    return reports if np.ndim(lam) == 2 else reports[0]

@@ -95,6 +95,7 @@ from wallcross.lattice import (
 )
 from wallcross.localization import SigmaRestriction, restrict_u, sigma_restrict, zero_form
 from wallcross.mellinbarnes import (
+    ContourTooClose,
     _abscissa,
     _interesting_residue,
     _log_gamma_block,
@@ -737,7 +738,7 @@ def oracle_box_classes(git, A):
             pairings = [vdot(git.D[i], f) for i in range(git.m)]
             I_f = tuple(i for i, p in enumerate(pairings) if p.denominator == 1)
             age = sum((frac_part(p) for p in pairings), Fraction(0))
-            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age))
+            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age, pairings=tuple(pairings)))
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)
@@ -824,6 +825,20 @@ def choose_abscissa(spec, lam, contour):
     """The given abscissa, or the one in [-0.45, -0.05] farthest from every
     pole's real part; either must clear them by the contour's clearance."""
     return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)[0]
+
+
+def oracle_abscissa(reals, contour):
+    """_abscissa with the 41 candidates scored one by one over a Python list
+    of the pole real parts: max picks the first largest gap."""
+    def gap(sigma):
+        return min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
+
+    sigma = contour.abscissa
+    if sigma is None:
+        sigma = max((-0.45 + 0.01 * k for k in range(41)), key=gap)
+    if gap(sigma) < contour.clearance:
+        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
+    return sigma, gap(sigma)
 
 
 def oracle_mb_integral(spec, x, lam, contour):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -105,9 +106,19 @@ def test_seed_changes_report(config_dir):
 
 
 def test_zero_tolerance_fails(config_dir):
+    # a zero tolerance would FAIL every check, so the config refuses it
     proc = run_cli([
         "verify", "ode", "--config", str(config_dir / "conifold.json"),
         "--tol", "0", "--json",
+    ])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+
+
+def test_tolerance_below_the_residual_fails(config_dir):
+    proc = run_cli([
+        "verify", "ode", "--config", str(config_dir / "conifold.json"),
+        "--tol", "1e-300", "--json",
     ])
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pass"] is False
@@ -199,6 +210,15 @@ CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
     ({"git": dict(CONIFOLD_GIT, D=[[1], [True], [-1], [-1]])}, ["analyze"]),
     ({"omega_plus": [[True, 1]]}, ["analyze"]),
     ({"z": {"re": [1, True]}}, ["verify", "pairing"]),
+    ({"contour": {"t_max": math.inf}}, ["verify", "mb"]),
+    ({"contour": {"abscissa": math.inf}}, ["verify", "mb"]),
+    ({"contour": {"abscissa": math.nan}}, ["verify", "mb"]),
+    ({"tolerances": {"mb": -1}}, ["verify", "mb"]),
+    ({}, ["verify", "mb", "--tol", "0"]),
+    ({}, ["verify", "mb", "--tol", "nan"]),
+    ({"tolerances": {"pole_clearance": -1e-3}}, ["verify", "mb"]),
+    ({"tolerances": {"sensitivity_floor": -1}}, ["verify", "uhfm"]),
+    ({"tolerances": {"residual": math.inf}}, ["verify", "uhfm"]),
 ])
 def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
     from wallcross import cli

@@ -6,6 +6,7 @@ the oracles in helpers.py are the rational-elimination paths they replace.
 Every comparison is exact and includes order.
 """
 
+import dataclasses
 import functools
 import itertools
 import pathlib
@@ -60,6 +61,7 @@ from wallcross.lattice import (
     vscale,
     vsub,
 )
+from wallcross.mellinbarnes import continuation_coefficient
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -104,6 +106,24 @@ def test_box_classes_match_the_fraction_pairings():
     for wc in _crossings():
         for A in (wc.A_plus, wc.A_minus):
             assert box_elements(wc.git, A) == oracle_box_classes(wc.git, A)
+
+
+def test_sector_pairings_are_the_fraction_pairings():
+    for wc in _crossings():
+        for A in (wc.A_plus, wc.A_minus):
+            for sec in box_elements(wc.git, A):
+                assert sec.pairings == tuple(vdot(row, sec.f) for row in wc.git.D)
+                assert all(type(p) is Fraction for p in sec.pairings)
+
+
+def test_default_coefficient_matches_the_supplied_lift_path():
+    for wc in _crossings():
+        for lp, lm in next_to_pairs(wc):
+            default = continuation_coefficient(wc, (lp, lm))
+            supplied = continuation_coefficient(wc, (lp, lm), lp.f, compatible_minus_lift(wc, lp, lm))
+            for field in dataclasses.fields(default):
+                assert getattr(default, field.name) == getattr(supplied, field.name), field.name
+            assert type(default.shift) is Fraction
 
 
 def test_next_to_pairs_and_lifts_match_the_double_loop():

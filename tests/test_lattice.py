@@ -9,18 +9,25 @@ from wallcross.cli import load_config
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
+    _mat_vec,
+    _vec_mat,
     anticone_coords,
     anticone_dual,
     express_in_anticone_basis,
     extended_lattice,
+    frac_part,
     hermite_row_form,
+    intvec,
+    is_integral,
     lattice_from_generators,
     primitive_wall_normal,
     quotient_transversal,
+    ratvec,
     rational_line_membership,
     vadd,
     vdot,
     vscale,
+    vsub,
 )
 from wallcross.gitfan import box_elements, make_git, validate_stability, wall_crossing
 
@@ -255,3 +262,26 @@ def test_anticone_kernel_matches_solve_square():
             for v in vectors:
                 assert anticone_coords(D, delta, v) == fraction_solve(cols, v)
                 assert anticone_dual(D, delta, v) == fraction_solve(rows, v)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, -2, 3), (4, 0, -1)),
+    ((Fraction(1, 2), Fraction(-2, 3), Fraction(3)), (Fraction(4), Fraction(0), Fraction(-1, 5))),
+    ((1, Fraction(-2, 3), 3), (Fraction(4), 0, Fraction(-1, 5))),
+])
+def test_vector_helpers_keep_their_return_types(a, b):
+    def fractions(v):
+        return type(v) is tuple and all(type(x) is Fraction for x in v)
+
+    for v in (ratvec(a), vadd(a, b), vsub(a, b), vscale(2, a), vscale(Fraction(1, 3), b),
+              _mat_vec([a, b], b), _vec_mat(a, [a, b, a])):
+        assert fractions(v)
+    assert type(vdot(a, b)) is Fraction and vdot(a, b) == sum(Fraction(x) * y for x, y in zip(a, b))
+    assert all(type(frac_part(x)) is Fraction and 0 <= frac_part(x) < 1 for x in a)
+    assert is_integral(a) == all(Fraction(x).denominator == 1 for x in a)
+    # an existing Fraction passes through unchanged; no new one is built
+    assert all(y is x for x, y in zip(a, ratvec(a)) if type(x) is Fraction)
+    ints = intvec([2 * Fraction(x).denominator * x for x in a])
+    assert type(ints) is tuple and all(type(x) is int for x in ints)
+    with pytest.raises(ValueError, match="non-integral"):
+        intvec([Fraction(1, 2)])

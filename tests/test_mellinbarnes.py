@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +14,7 @@ from helpers import (
     choose_abscissa,
     continuation_numeric,
     left_poles,
+    oracle_abscissa,
     oracle_euler_products,
     oracle_gkz_ode_residual,
     oracle_inner_sum_coefficient,
@@ -449,3 +452,52 @@ def test_right_sum_matches_series(conifold):
     # normalization: series = right sum / (value at the trivial exponent)
     r0 = right_residue_sum(spec, _xio(conifold, 1e-300), lam)
     assert abs(sum(c * x ** k for k, c in enumerate(ser.coeffs)) - r / r0) < 1e-9
+
+
+def test_abscissa_array_scoring_matches_the_list_version():
+    rng = np.random.default_rng(5)
+    cases = [[], [-0.25], [-0.3, -0.2], [-0.45, -0.05, -0.25, 0.5, 1.0]]
+    # every candidate a pole real part: all gaps are 0, and the first wins
+    cases.append([-0.45 + 0.01 * k for k in range(41)])
+    cases += [list(rng.uniform(-3.0, 2.0, size=n)) for n in (1, 3, 10, 40) for _ in range(25)]
+    for reals, abscissa, clearance in itertools.product(cases, (None, -0.31, -0.5, 2.5), (0.0, 1e-9, 0.05)):
+        contour = ContourSpec(abscissa=abscissa, clearance=clearance)
+        try:
+            expected = oracle_abscissa(reals, contour)
+        except ContourTooClose as exc:
+            with pytest.raises(ContourTooClose, match=re.escape(str(exc))):
+                mellinbarnes._abscissa(reals, contour)
+            continue
+        sigma, gap = mellinbarnes._abscissa(reals, contour)
+        assert (sigma, gap) == expected
+        assert type(sigma) is type(expected[0])
+
+
+def test_verify_mb_builds_one_inner_spec_per_label(monkeypatch):
+    from wallcross import cli
+
+    builds = []
+
+    def counting(wc, label):
+        builds.append(label)
+        return make_inner_spec(wc, label)
+
+    monkeypatch.setattr(mellinbarnes, "make_inner_spec", counting)
+    for name in ("conifold", "gerbe_flop"):
+        cfg = load_config(str(ROOT / "configs" / (name + ".json")))
+        wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+        labels = [lp for lp in fixed_point_labels(wc.git, wc.A_plus) if lp.delta not in wc.A_minus.minimal]
+        builds.clear()
+        results, _ok = cli.cmd_verify(cfg, "mb")
+        assert builds == labels
+        assert len(results["checks"]) == len(labels) * min(cfg["samples"], 5)
+
+
+def test_residue_identity_over_samples_matches_one_sample_at_a_time(gerbe_flop):
+    lams = generic_lambdas(gerbe_flop, 3, 7)
+    x_in, x_out = _xio(gerbe_flop, 0.3), _xio(gerbe_flop, 3.0)
+    for label in fixed_point_labels(gerbe_flop.git, gerbe_flop.A_plus):
+        if label.delta in gerbe_flop.A_minus.minimal:
+            continue
+        reports = verify_residue_identity(gerbe_flop, label, x_in, x_out, lams)
+        assert reports == [verify_residue_identity(gerbe_flop, label, x_in, x_out, lam) for lam in lams]
