@@ -21,6 +21,7 @@ from .gitfan import (
     fixed_point_labels,
     make_git,
     next_to_pairs,
+    plus_labels_across,
     wall_crossing,
     wall_frame,
 )
@@ -148,6 +149,8 @@ def parse_config(raw):
     znode = {} if raw.get("z") is None else _object(raw["z"], "z")
     z = complex(float(_parse_rational(znode.get("re", 1), "z.re")),
                 float(_parse_rational(znode.get("im", 0), "z.im")))
+    if z == 0:  # the modified pairing divides by z
+        raise ConfigError("z must be nonzero")
     seed = raw.get("seed", 7)
     if not _is_int(seed):
         raise ConfigError("seed must be an integer, got %r" % (seed,))
@@ -274,11 +277,22 @@ def _basis_name(delta, rho):
     return "e(delta=%s, rho=%s)" % (list(delta), list(rho))
 
 
-def _gated(residual, tol):
-    """The gated fields of a verify report: the worst residual, its
-    tolerance, and the digits between them (None when either is 0)."""
-    margin = math.log10(tol / residual) if residual > 0 and tol > 0 else None
-    return {"max_residual": residual, "tolerance": tol, "margin_digits": margin}
+def _gate(checks, tol):
+    """Gate (where, residual) checks: the gated report fields, where the
+    first largest residual is (None if all are 0), and the verdict.  A NaN
+    counts as largest and fails; its margin, like an underflowed one, is None."""
+    worst, worst_at = 0.0, None
+    for where, resid in checks:
+        if resid > worst or math.isnan(resid) and not math.isnan(worst):
+            worst, worst_at = resid, where
+    margin = math.log10(tol / worst) if worst > 0 and tol / worst > 0 else None
+    gated = {"max_residual": worst, "tolerance": tol, "margin_digits": margin}
+    return gated, worst_at, worst < tol
+
+
+def _lambdas(cfg, wc, count):
+    """count generic samples for the crossing, clear of its poles."""
+    return generic_lambdas(wc, count, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +358,7 @@ def cmd_fixed_points(cfg):
 
 def cmd_continuation(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-    lams = generic_lambdas(wc, min(cfg["samples"], 3), cfg["seed"],
-                           clearance=cfg["tolerances"]["pole_clearance"])
+    lams = _lambdas(cfg, wc, min(cfg["samples"], 3))
     matrix = continuation_matrix(wc)
     col_names = [_label_name(lm) for lm in matrix.cols]
     entries = []
@@ -377,11 +390,9 @@ def cmd_fm(cfg):
 
 def cmd_series(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-    lam = generic_lambdas(wc, 1, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])[0]
+    lam = _lambdas(cfg, wc, 1)[0]
     out = []
-    for label in fixed_point_labels(wc.git, wc.A_plus):
-        if label.delta in wc.A_minus.minimal:
-            continue
+    for label in plus_labels_across(wc):
         spec = make_inner_spec(wc, label)
         ser = inner_series(spec, min(cfg["series_order"], 8), lam)
         out.append({
@@ -396,126 +407,95 @@ def cmd_series(cfg):
 # verification suites
 
 
-def _suite_uhfm(cfg, wc):
-    tol = cfg["tolerances"]["residual"]
+def _suite_uhfm(cfg, wc, tol):
     floor = cfg["tolerances"]["sensitivity_floor"]
-    lams = generic_lambdas(wc, cfg["samples"], cfg["seed"],
-                           clearance=cfg["tolerances"]["pole_clearance"])
-    rep = verify_uhfm(wc, lams)
+    rep = verify_uhfm(wc, _lambdas(cfg, wc, cfg["samples"]))
     sens = rep.sensitivity(1e-3)
-    ok = rep.max_residual < tol and sens > floor
-    worst = None
-    if rep.worst is not None:
-        (delta, rho), label = rep.worst
+    # the report reduces its table to its first largest entry
+    gated, worst, ok = _gate([(rep.worst, rep.max_residual)], tol)
+    if worst is not None:
+        (delta, rho), label = worst
         worst = "%s at %s" % (_basis_name(delta, rho), _label_name(label))
     return {
-        **_gated(rep.max_residual, tol),
+        **gated,
         "checked": rep.n_checked,
         "worst": worst,
         "sensitivity_residual": sens,
         "sensitivity_floor": floor,
-    }, ok
+    }, ok and sens > floor
 
 
-def _suite_pairing(cfg, wc):
-    tol = cfg["tolerances"]["pairing"]
-    lams = generic_lambdas(wc, cfg["samples"], cfg["seed"],
-                           clearance=cfg["tolerances"]["pole_clearance"])
+def _suite_pairing(cfg, wc, tol):
+    lams = _lambdas(cfg, wc, cfg["samples"])
     zs = [cfg["z"] * (1.0 + 0.07 * (i % 5)) for i in range(len(lams))]
     rep = pairing_residuals(wc, lams, zs)
-    worst = 0.0
-    worst_sample = None
-    used = 0
-    for i, (resid, resonant) in enumerate(zip(rep.residuals, rep.resonant)):
-        if resonant:
-            continue
-        used += 1
-        if resid > worst:
-            worst, worst_sample = float(resid), i
-    ok = worst < tol and used >= max(1, cfg["samples"] // 2)
-    return {
-        **_gated(worst, tol),
-        "samples_used": used,
-        "worst_sample": worst_sample,
-    }, ok
+    checks = [(i, float(resid)) for i, (resid, resonant) in enumerate(zip(rep.residuals, rep.resonant))
+              if not resonant]
+    gated, worst_sample, ok = _gate(checks, tol)
+    used = len(checks)
+    return ({**gated, "samples_used": used, "worst_sample": worst_sample},
+            ok and used >= max(1, cfg["samples"] // 2))
 
 
-def _suite_mb(cfg, wc):
-    tol = cfg["tolerances"]["mb"]
+def _suite_mb(cfg, wc, tol):
     c = abs(float(conifold_point(wc)))
     w = w_constant(wc)
     x_in = 0.3 * c * cmath.exp(1j * math.pi * w)
     x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
-    lams = generic_lambdas(wc, min(cfg["samples"], 5), cfg["seed"],
-                           clearance=cfg["tolerances"]["pole_clearance"])
-    rows = []
-    worst, worst_at = 0.0, None
-    for label in fixed_point_labels(wc.git, wc.A_plus):
-        if label.delta in wc.A_minus.minimal:
-            continue
+    lams = _lambdas(cfg, wc, min(cfg["samples"], 5))
+    rows, checks = [], []
+    for label in plus_labels_across(wc):
+        name = _label_name(label)
         reports = verify_residue_identity(wc, label, x_in, x_out, lams, cfg["contour"])
         for i, rep in enumerate(reports):
-            for side, resid in (("inside", rep.residual_inside), ("outside", rep.residual_outside)):
-                if resid > worst:
-                    worst, worst_at = resid, "%s at sample %d, %s" % (_label_name(label), i, side)
-            rows.append({
-                "label": _label_name(label),
-                "inside": rep.residual_inside,
-                "outside": rep.residual_outside,
-            })
-    return {**_gated(worst, tol), "worst": worst_at, "checks": rows}, worst < tol
+            checks += [("%s at sample %d, inside" % (name, i), rep.residual_inside),
+                       ("%s at sample %d, outside" % (name, i), rep.residual_outside)]
+            rows.append({"label": name, "inside": rep.residual_inside, "outside": rep.residual_outside})
+    gated, worst, ok = _gate(checks, tol)
+    return {**gated, "worst": worst, "checks": rows}, ok
 
 
-def _suite_ode(cfg, wc):
-    tol = cfg["tolerances"]["ode"]
-    order = cfg["series_order"]
-    worst, worst_at = 0.0, None
-    rows = []
+def _suite_ode(cfg, wc, tol):
+    rows, checks = [], []
     swapped = wall_crossing(cfg["git"], cfg["omega_minus"], cfg["omega_plus"])
     for side, crossing in (("plus", wc), ("minus", swapped)):
-        lams = generic_lambdas(crossing, 2, cfg["seed"],
-                               clearance=cfg["tolerances"]["pole_clearance"])
-        for label in fixed_point_labels(crossing.git, crossing.A_plus):
-            if label.delta in crossing.A_minus.minimal:
-                continue
+        lams = _lambdas(cfg, crossing, 2)
+        for label in plus_labels_across(crossing):
+            name = _label_name(label)
             spec = make_inner_spec(crossing, label)
             for i, lam in enumerate(lams):
-                ser = inner_series(spec, order, lam)
-                resid = gkz_ode_residual(ser, spec, lam)
-                if resid > worst:
-                    worst, worst_at = resid, "%s side, %s at sample %d" % (side, _label_name(label), i)
-                rows.append({"side": side, "label": _label_name(label), "residual": resid})
-    return {**_gated(worst, tol), "worst": worst_at, "checks": rows}, worst < tol
+                resid = gkz_ode_residual(inner_series(spec, cfg["series_order"], lam), spec, lam)
+                checks.append(("%s side, %s at sample %d" % (side, name, i), resid))
+                rows.append({"side": side, "label": name, "residual": resid})
+    gated, worst, ok = _gate(checks, tol)
+    return {**gated, "worst": worst, "checks": rows}, ok
 
 
-def _suite_lifts(cfg, wc):
-    tol = cfg["tolerances"]["lifts"]
-    lams = generic_lambdas(wc, min(cfg["samples"], 5), cfg["seed"],
-                           clearance=cfg["tolerances"]["pole_clearance"])
+def _suite_lifts(cfg, wc, tol):
+    lams = _lambdas(cfg, wc, min(cfg["samples"], 5))
     rows = []
-    ok = True
     for pair in next_to_pairs(wc):
         name = "%s | %s" % (_label_name(pair[0]), _label_name(pair[1]))
-        for good in lift_invariance_check(wc, pair, lams, tol=tol):
-            ok = ok and good
-            rows.append({"pair": name, "invariant": good})
-    return {"tolerance": tol, "checks": rows}, ok
+        rows += [{"pair": name, "invariant": good} for good in lift_invariance_check(wc, pair, lams, tol=tol)]
+    return {"tolerance": tol, "checks": rows}, all(row["invariant"] for row in rows)
 
 
-SUITES = {
-    "uhfm": _suite_uhfm,
-    "pairing": _suite_pairing,
-    "mb": _suite_mb,
-    "ode": _suite_ode,
-    "lifts": _suite_lifts,
-}
+# each suite and the tolerance key that gates it, which --tol sets
+SUITES = {"uhfm": (_suite_uhfm, "residual"), "pairing": (_suite_pairing, "pairing"),
+          "mb": (_suite_mb, "mb"), "ode": (_suite_ode, "ode"), "lifts": (_suite_lifts, "lifts")}
 
 
 def cmd_verify(cfg, suite):
+    run, tol_key = SUITES[suite]
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-    results, ok = SUITES[suite](cfg, wc)
+    results, ok = run(cfg, wc, cfg["tolerances"][tol_key])
     results["suite"] = suite
     return results, ok
+
+
+# the commands in the order that --help lists them
+COMMANDS = {"analyze": cmd_analyze, "boxes": cmd_boxes, "fixed-points": cmd_fixed_points,
+            "continuation": cmd_continuation, "fm": cmd_fm, "series": cmd_series, "verify": cmd_verify}
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +509,7 @@ def build_parser():
         "combinatorics, localization data, analytic continuation, and the "
         "pull-push transform on localized K-theory.",
     )
-    parser.add_argument("command", choices=[
-        "analyze", "boxes", "fixed-points", "continuation", "fm", "series", "verify"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("suite", nargs="?", choices=sorted(SUITES), default=None,
                         help="verification suite (for the verify command)")
     parser.add_argument("--config", required=True, help="path to a JSON config")
@@ -543,11 +522,13 @@ def build_parser():
     return parser
 
 
-_SUITE_TOL_KEY = {"uhfm": "residual", "pairing": "pairing", "mb": "mb", "ode": "ode", "lifts": "lifts"}
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and not args.suite:
+        parser.error("verify requires a suite name")
+    if args.command != "verify" and (args.suite or args.tol is not None):
+        parser.error("a suite name and --tol go only with verify")
     try:
         with open(args.config) as fh:
             raw = _object(json.load(fh), "config")
@@ -558,36 +539,22 @@ def main(argv=None):
         if args.trunc is not None:
             trunc = _object(raw.get("truncation", {}), "truncation")
             raw["truncation"] = dict(trunc, series_order=args.trunc)
-        if args.tol is not None and args.command == "verify" and args.suite:
+        if args.tol is not None:
             tols = _object(raw.get("tolerances", {}), "tolerances")
-            raw["tolerances"] = dict(tols, **{_SUITE_TOL_KEY[args.suite]: args.tol})
+            raw["tolerances"] = dict(tols, **{SUITES[args.suite][1]: args.tol})
         cfg = parse_config(raw)
     except (OSError, ValueError) as err:  # ConfigError, JSONDecodeError, invalid GIT data
         sys.stderr.write("config error: %s\n" % err)
         return 2
 
+    run = COMMANDS[args.command]
     try:
-        if args.command == "verify":
-            if not args.suite:
-                sys.stderr.write("error: verify requires a suite name\n")
-                return 2
-            results, ok = cmd_verify(cfg, args.suite)
-            command = "verify %s" % args.suite
-        else:
-            fn = {
-                "analyze": cmd_analyze,
-                "boxes": cmd_boxes,
-                "fixed-points": cmd_fixed_points,
-                "continuation": cmd_continuation,
-                "fm": cmd_fm,
-                "series": cmd_series,
-            }[args.command]
-            results, ok = fn(cfg)
-            command = args.command
+        results, ok = run(cfg, args.suite) if args.suite else run(cfg)
     except ValueError as err:  # every library error subclasses ValueError
         sys.stderr.write("error: %s: %s\n" % (type(err).__name__, err))
         return 1
 
+    command = "verify %s" % args.suite if args.suite else args.command
     report = make_report(command, cfg, results, ok)
     emit(report, args.json)
     return 0 if ok else 1

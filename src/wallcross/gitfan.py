@@ -428,6 +428,11 @@ def anticones_next_to(wc, delta_plus, delta_minus):
     return wc.pair_e(extra_p) > 0 and wc.pair_e(extra_m) < 0
 
 
+def plus_labels_across(wc):
+    """The plus fixed points, in order, whose anticone is not a minus one."""
+    return [lp for lp in fixed_point_labels(wc.git, wc.A_plus) if lp.delta not in wc.A_minus.minimal]
+
+
 def next_to_pairs(wc):
     """All next-to pairs of inertia fixed points across the wall.
 
@@ -436,7 +441,7 @@ def next_to_pairs(wc):
     the sectors must differ by a rational multiple of the wall normal modulo
     the cocharacter lattice, that is, have the same line class.
     """
-    plus_min, minus_min = set(wc.A_plus.minimal), set(wc.A_minus.minimal)
+    plus_min = set(wc.A_plus.minimal)
     across = [d for d in wc.A_minus.minimal if d not in plus_min]
     by_class = {}
     for lm in fixed_point_labels(wc.git, wc.A_minus):
@@ -444,9 +449,7 @@ def next_to_pairs(wc):
             by_class.setdefault((lm.delta, line_class(lm.f, wc.e)), []).append(lm)
     adjacent = {}
     out = []
-    for lp in fixed_point_labels(wc.git, wc.A_plus):
-        if lp.delta in minus_min:
-            continue
+    for lp in plus_labels_across(wc):
         if lp.delta not in adjacent:
             adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
         key = line_class(lp.f, wc.e)

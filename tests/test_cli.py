@@ -219,6 +219,7 @@ CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
     ({"tolerances": {"pole_clearance": -1e-3}}, ["verify", "mb"]),
     ({"tolerances": {"sensitivity_floor": -1}}, ["verify", "uhfm"]),
     ({"tolerances": {"residual": math.inf}}, ["verify", "uhfm"]),
+    ({"z": {"re": 0, "im": 0}}, ["verify", "pairing"]),
 ])
 def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
     from wallcross import cli
@@ -374,14 +375,93 @@ def test_verify_ode_names_its_worst_check(config_dir):
 
 def test_overrides_match_the_same_settings_written_in(config_dir, tmp_path):
     path = config_dir / "conifold.json"
-    flags = json.loads(run_cli(["verify", "uhfm", "--config", str(path),
-                                "--samples", "3", "--tol", "1e-3", "--json"]).stdout)
-    assert flags["results"]["tolerance"] == 1e-3
-    raw = json.loads(path.read_text())
-    raw["samples"] = 3
-    raw["tolerances"] = {"residual": 1e-3}
-    written_path = tmp_path / "written.json"
-    written_path.write_text(json.dumps(raw))
-    written = json.loads(run_cli(["verify", "uhfm", "--config", str(written_path), "--json"]).stdout)
-    assert flags["config_hash"] == written["config_hash"]
-    assert flags["results"] == written["results"]
+    keys = {"uhfm": "residual", "pairing": "pairing", "mb": "mb", "ode": "ode", "lifts": "lifts"}
+    for suite, key in keys.items():
+        flags = json.loads(run_cli(["verify", suite, "--config", str(path),
+                                    "--samples", "3", "--tol", "1e-3", "--json"]).stdout)
+        assert flags["results"]["tolerance"] == 1e-3, suite
+        raw = json.loads(path.read_text())
+        raw["samples"] = 3
+        raw["tolerances"] = {key: 1e-3}
+        written_path = tmp_path / ("written_%s.json" % suite)
+        written_path.write_text(json.dumps(raw))
+        written = json.loads(run_cli(["verify", suite, "--config", str(written_path), "--json"]).stdout)
+        assert flags["config_hash"] == written["config_hash"], suite
+        assert flags["results"] == written["results"], suite
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "uhfm"],
+    ["series", "mb"],
+    ["analyze", "--tol", "1e-3"],
+    ["continuation", "--tol", "1e-3"],
+    ["verify"],
+    ["verify", "--tol", "1e-3"],
+])
+def test_usage_errors_exit_before_the_config_is_read(tmp_path, capsys, argv):
+    from wallcross import cli
+
+    # the config does not exist, so reading it would be a config error
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--config", str(tmp_path / "missing.json")])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: wallcross") and captured.out == ""
+    assert "\nwallcross: error: " in captured.err and "config error" not in captured.err
+
+
+def test_gate_names_the_first_of_equal_largest_residuals():
+    from wallcross.cli import _gate
+
+    gated, worst, ok = _gate([("a", 1e-12), ("b", 3e-10), ("c", 3e-10), ("d", 0.0)], 1e-9)
+    assert worst == "b" and ok
+    assert gated == {"max_residual": 3e-10, "tolerance": 1e-9,
+                     "margin_digits": math.log10(1e-9 / 3e-10)}
+
+
+def test_gate_of_no_checks_passes_with_no_worst():
+    from wallcross.cli import _gate
+
+    assert _gate([], 1e-9) == ({"max_residual": 0.0, "tolerance": 1e-9, "margin_digits": None}, None, True)
+    assert _gate([("a", 0.0)], 1e-9)[1:] == (None, True)
+
+
+def test_gate_fails_on_nan_after_a_larger_finite_residual():
+    from wallcross.cli import _gate
+
+    gated, worst, ok = _gate([("a", 1e3), ("b", math.nan), ("c", math.nan), ("d", 1e6)], 1e-9)
+    assert worst == "b" and not ok
+    assert math.isnan(gated["max_residual"]) and gated["margin_digits"] is None
+    gated, worst, ok = _gate([("a", 1e-12), ("b", math.inf)], 1e-9)
+    assert worst == "b" and not ok and gated["margin_digits"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_ode_fails_on_nan_residuals(config_dir, capsys):
+    import re
+
+    from wallcross import cli
+
+    path = config_dir.parent / "bench" / "configs" / "local_p3.json"
+    assert cli.main(["verify", "ode", "--config", str(path), "--trunc", "400", "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["margin_digits"] is None and math.isnan(results["max_residual"])
+    match = re.fullmatch(r"(plus|minus) side, (delta=\[[\d, ]+\] f=\[[^]]*\]) at sample (\d+)",
+                         results["worst"])
+    assert match, results["worst"]
+    side, label, sample = match.group(1), match.group(2), int(match.group(3))
+    rows = [row for row in results["checks"] if row["side"] == side and row["label"] == label]
+    assert math.isnan(rows[sample]["residual"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_pairing_fails_on_nan_residuals(config_dir, tmp_path):
+    from wallcross import cli
+
+    raw = json.loads((config_dir / "conifold.json").read_text())
+    raw["z"] = {"re": [1, 1000], "im": 0}
+    path = tmp_path / "small_z.json"
+    path.write_text(json.dumps(raw))
+    results, ok = cli.cmd_verify(cli.load_config(str(path)), "pairing")
+    assert not ok
+    assert math.isnan(results["max_residual"]) and results["worst_sample"] is not None
