@@ -19,30 +19,27 @@ from math import gcd, lcm
 import numpy as np
 
 from .lattice import (
+    _cleared_rows,
     _int_det,
-    anticone_coords,
-    anticone_dual,
     anticone_inverse,
     cleared,
     content,
     extended_lattice,
+    hermite_row_form,
     hermite_with_transform,
+    int_inverse,
     integer_kernel_basis,
     intvec,
     line_class,
     matrix_rank,
-    primitive_integer_vector,
     quotient_transversal,
     ratvec,
     rational_line_membership,
-    solve_rectangular,
     solve_square,
     span_numerators,
     vadd,
-    vdot,
     vscale,
     vsub,
-    zero_vec,
 )
 
 # sup-norm radius of the smallest-first rule in wall_frame; past it the frame
@@ -329,18 +326,21 @@ def _xi_vectors(git, A, S):
 
     xi_j pairs to 1 with D_j, to 0 with the other members of the minimal
     anticone whose fan cone contains the extended vector, and to minus the
-    cone coefficients there.  Minimal anticones are scanned in lex order for
-    a nonnegative representation; the relative-interior support makes the
-    result canonical.
+    cone coefficients there.  Over a minimal anticone delta, with inverse
+    adj / det, xi_j is the adjugate column of j over det, so the cone
+    coefficients are integer sign tests.  Minimal anticones are scanned in
+    lex order for a nonnegative representation; the relative-interior
+    support makes the result canonical.
     """
     xi = {}
     for j in S:
         found = None
         for delta in A.minimal:
-            v = anticone_dual(git.D, delta, [int(k == j) for k in delta])
-            coeffs = {i: -vdot(git.D[i], v) for i in range(git.m) if i not in delta and i != j}
-            if all(c >= 0 for c in coeffs.values()):
-                found = v
+            # j lies in every minimal anticone, S being their intersection
+            adj, det = anticone_inverse(git.D, delta)
+            col = [row[delta.index(j)] for row in adj]
+            if all(_idot(git.D[i], col) <= 0 for i in range(git.m) if i not in delta):
+                found = tuple(Fraction(x, det) for x in col)
                 break
         if found is None:
             raise ValueError("no fan cone contains the extended vector for index %d" % j)
@@ -493,8 +493,15 @@ class WallFrame:
     change: CoordinateChange
 
 
-def _dual_of_extended(git, omega):
-    return extended_lattice(git, omega).dual()
+def _dual_of_extended(git, A):
+    """The integer Hermite rows of the dual of the extended lattice: the
+    columns of s adj / det, with s B its cleared basis rows and adj / det
+    their integer inverse.  The extended lattice holds Z^r, so its dual lies
+    in Z^r and the division is exact."""
+    s, H = _cleared_rows(extended_lattice(git, A))
+    adj, det = int_inverse(H)
+    assert all(s * x % det == 0 for row in adj for x in row), "dual lattice is not integral"
+    return tuple(hermite_row_form([[s * x // det for x in col] for col in zip(*adj)]))
 
 
 def _saturated(coord_rows):
@@ -512,23 +519,24 @@ def _saturated(coord_rows):
 
 
 def _coords_in(basis, v):
-    return intvec(basis.coords(v))
+    """The integer coordinates of the integer vector v over independent
+    integer rows; ValueError when v is not in the lattice they span."""
+    c, d = span_numerators(basis, v)
+    if any(x % d for x in c):
+        raise ValueError("%r is not in the lattice" % (v,))
+    return tuple(x // d for x in c)
 
 
 def _combination(coeffs, rows):
-    """sum_t coeffs[t] rows[t], exactly."""
-    v = zero_vec(len(rows[0]))
-    for coef, row in zip(coeffs, rows):
-        v = vadd(v, vscale(coef, row))
-    return v
+    """sum_t coeffs[t] rows[t] for integer coefficients and rows."""
+    return tuple(sum(k * row[a] for k, row in zip(coeffs, rows)) for a in range(len(rows[0])))
 
 
 def _constrained_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
-    the given rational functionals."""
-    r = dual.dim
-    cond_rows = [[vdot(dual.rows[i], cond) for i in range(r)] for cond in conditions]
-    return [_combination(k, dual.rows) for k in integer_kernel_basis(cond_rows, r)]
+    the given rational functionals, each cleared to an integer one."""
+    cond_rows = [[_idot(row, c) for row in dual] for c in map(cleared, conditions)]
+    return [_combination(k, dual) for k in integer_kernel_basis(cond_rows, len(dual))]
 
 
 # The searches of wall_frame run over integer coordinates k on a basis of a
@@ -540,14 +548,18 @@ def _constrained_sublattice(dual, conditions):
 def _nef_rows(git, anticone_sets, gens):
     """Integer rows N with N k >= 0 exactly when sum_t k_t gens[t] lies in the
     closed nef cone of every given anticone set: one row per anticone
-    coordinate of the generators over every minimal anticone, scaled to a
-    primitive integer row by a positive factor; zero and repeated rows are
-    dropped."""
+    coordinate of the generators over every minimal anticone, an adjugate
+    column paired with the generators (det > 0 scales it away), divided by
+    its content; zero and repeated rows are dropped."""
     rows = []
     for delta in dict.fromkeys(delta for A in anticone_sets for delta in A.minimal):
-        coords = [anticone_coords(git.D, delta, g) for g in gens]
-        rows += [[c[j] for c in coords] for j in range(len(delta))]
-    return list(dict.fromkeys(primitive_integer_vector(row) for row in rows if any(row)))
+        adj, _ = anticone_inverse(git.D, delta)
+        for col in zip(*adj):
+            row = [_idot(g, col) for g in gens]
+            g = content(row)
+            if g:
+                rows.append(tuple(x // g for x in row))
+    return list(dict.fromkeys(rows))
 
 
 def _int64(rows, width, reach):
@@ -680,7 +692,7 @@ def _last_vector(wc, side, dual, wall, facet_point):
     A, S, xi = (wc.A_plus, wc.S_plus, wc.xi_plus) if side == "plus" else (wc.A_minus, wc.S_minus, wc.xi_minus)
     extra = sorted(set(S) - set(wc.S_zero))
     if extra:
-        v = ratvec(git.D[extra[0]])
+        v = git.D[extra[0]]
         coords = [_coords_in(dual, w) for w in wall + [v]]
         assert abs(_int_det(coords)) == 1, "extended character does not complete a basis"
         return v
@@ -694,7 +706,7 @@ def _last_vector(wc, side, dual, wall, facet_point):
         raise WallFrameError("%s: the wall vectors complete to no basis of the side lattice "
                              "(gcd of the completing determinants is %d)" % (side, content(L)))
     N = _nef_rows(git, (A,), gens)
-    E = [int(vdot(wc.e, g)) for g in gens]
+    E = [_idot(wc.e, g) for g in gens]
     sign = 1 if side == "plus" else -1
     k = _search_last(N, E, L, sign)
     if k is None:
@@ -703,7 +715,7 @@ def _last_vector(wc, side, dual, wall, facet_point):
         # is a multiple of E and v0 meets it unless the side's nef cone
         # has no ray on this side of the wall
         v0 = unit if sign * _idot(E, unit) > 0 else tuple(-x for x in unit)
-        g = intvec(solve_rectangular([[gen[i] for gen in gens] for i in range(git.r)], facet_point))
+        g = _coords_in(gens, facet_point)
         if any(_idot(n, g) == 0 and _idot(n, v0) < 0 for n in N):
             raise WallFrameError("%s: the nef cone has no ray on this side of the wall "
                                  "in the side lattice" % side)
@@ -729,12 +741,12 @@ def wall_frame(wc):
     dual_plus = _dual_of_extended(git, wc.A_plus)
     dual_minus = _dual_of_extended(git, wc.A_minus)
 
-    seed = [ratvec(git.D[j]) for j in wc.S_zero]
+    seed = [git.D[j] for j in wc.S_zero]
     ell = git.r - 1 - len(wc.S_zero)
 
     # the shared facet's sublattice: on the wall, annihilated by every
     # splitting vector of both sides
-    conditions = [ratvec(wc.e)]
+    conditions = [wc.e]
     conditions += [wc.xi_plus[i] for i in wc.S_plus]
     conditions += [wc.xi_minus[i] for i in wc.S_minus]
     facet_gens = _constrained_sublattice(dual_plus, conditions)
@@ -745,9 +757,12 @@ def wall_frame(wc):
         # wall vectors lie in both duals; facet_gens lie in the plus dual,
         # and the k landing in the minus dual form a sublattice of Z^ell
         # that holds a basis of Z^ell only when it is all of Z^ell
-        if not all(dual_minus.contains(g) for g in facet_gens):
+        try:
+            for g in facet_gens:
+                _coords_in(dual_minus, g)
+        except ValueError:
             raise WallFrameError("wall: the facet lattice is not inside the minus dual lattice, "
-                                 "so no wall basis lies in both")
+                                 "so no wall basis lies in both") from None
         N = _nef_rows(git, (wc.A_plus, wc.A_minus), facet_gens)
         ks = _search_wall(N, ell) or _construct_wall(N, ell)
         found = [_combination(k, facet_gens) for k in ks]
@@ -760,9 +775,7 @@ def wall_frame(wc):
 
     # the sum of the found wall vectors lies in the relative interior of the
     # common facet cone
-    facet_point = zero_vec(git.r)
-    for w in found:
-        facet_point = vadd(facet_point, w)
+    facet_point = tuple(map(sum, zip(*found))) if found else (0,) * git.r
     last_plus = _last_vector(wc, "plus", dual_plus, wall, facet_point)
     last_minus = _last_vector(wc, "minus", dual_minus, wall, facet_point)
     sfp_plus = tuple(wall) + (last_plus,)

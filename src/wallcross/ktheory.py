@@ -1,8 +1,8 @@
 """Localized equivariant K-theory at fixed points and the pull-push transform.
 
 Classes are finite integer combinations of monomials in the inverse divisor
-bundles S_j, a character line bundle L(p), a torus character, and optionally
-a distinguished root generator t attached to one negative direction.  The
+bundles S_j, a character line bundle L(p), and optionally a distinguished
+root generator t attached to one negative direction.  The
 pull-push transform of a point basis element is computed in closed form and
 compared, through fixed-point Chern characters, with the analytic
 continuation coefficients; the Euler pairing is evaluated by an inertia
@@ -22,7 +22,7 @@ import numpy as np
 
 from .gitfan import box_elements, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import anticone_coords, anticone_inverse, frac_part, intvec, quotient_transversal, ratvec, vdot
+from .lattice import anticone_inverse, frac_part, intvec, quotient_transversal, ratvec, vdot
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -41,7 +41,6 @@ class ResonantSample(ValueError):
 class Monomial(NamedTuple):
     s: tuple  # exponents of S_1..S_m
     p: tuple  # character of the line bundle factor
-    ch: tuple  # torus character exponents
     t: int  # exponent of the root generator
 
 
@@ -83,7 +82,6 @@ class KClass:
                 mono = Monomial(
                     s=tuple(a + b for a, b in zip(m1.s, m2.s)),
                     p=tuple(a + b for a, b in zip(m1.p, m2.p)),
-                    ch=tuple(a + b for a, b in zip(m1.ch, m2.ch)),
                     t=m1.t + m2.t,
                 )
                 acc[mono] = acc.get(mono, 0) + c1 * c2
@@ -96,7 +94,6 @@ class KClass:
                 Monomial(
                     s=tuple(-a for a in mono.s),
                     p=tuple(-a for a in mono.p),
-                    ch=tuple(-a for a in mono.ch),
                     t=-mono.t,
                 )
             ] = c
@@ -113,9 +110,6 @@ class KClass:
                     factors.append("S%d%s" % (j + 1, "" if a == 1 else "^%d" % a))
             if any(mono.p):
                 factors.append("L(%s)" % ",".join(map(str, mono.p)))
-            for i, a in enumerate(mono.ch):
-                if a:
-                    factors.append("E%d%s" % (i + 1, "" if a == 1 else "^%d" % a))
             if mono.t:
                 factors.append("t^%d" % mono.t)
             body = "*".join(factors) if factors else "1"
@@ -137,7 +131,7 @@ def _from_dict(m, r, acc, datum=None):
 
 
 def _unit_monomial(m, r):
-    return Monomial(s=(0,) * m, p=(0,) * r, ch=(0,) * m, t=0)
+    return Monomial(s=(0,) * m, p=(0,) * r, t=0)
 
 
 def kc_one(git):
@@ -177,17 +171,18 @@ def canonical_rho_lifts(git, delta):
     """Canonical character lifts of the isotropy representations at a point.
 
     The lift of each class is the unique coset member whose coordinates over
-    the anticone's character basis lie in [0, 1).
+    the anticone's character basis lie in [0, 1): with inverse adj / det,
+    those coordinates are integer numerators over det reduced mod det, and
+    the lift they combine to is integral.
     """
+    adj, det = anticone_inverse(git.D, delta)
+    rows = [git.D[i] for i in delta]
     lifts = []
-    for k in quotient_transversal([git.D[i] for i in delta]):
-        # coordinates of k over the rows, reduced into [0,1)
-        t = [frac_part(x) for x in anticone_coords(git.D, delta, k)]
-        lift = [Fraction(0)] * git.r
-        for coef, i in zip(t, delta):
-            for a in range(git.r):
-                lift[a] += coef * git.D[i][a]
-        lifts.append(intvec(lift))
+    for k in quotient_transversal(rows):
+        t = [sum(x * row[c] for x, row in zip(k, adj)) % det for c in range(git.r)]
+        lift = [sum(n * row[a] for n, row in zip(t, rows)) for a in range(git.r)]
+        assert all(x % det == 0 for x in lift), "lift is not integral"
+        lifts.append(tuple(x // det for x in lift))
     return lifts
 
 
@@ -248,7 +243,7 @@ def fm_transform(wc, delta_minus, rho_hat):
 
     # root averaging: only exponents divisible by l survive, as powers of
     # the inverse of S_{j-}
-    p, ch = intvec(rho_hat), (0,) * git.m
+    p = intvec(rho_hat)
     acc = {}
     for (s, t), c in poly.items():
         exp = roots_projector(l, t)
@@ -256,7 +251,7 @@ def fm_transform(wc, delta_minus, rho_hat):
             continue
         if s[j_minus] != 0:
             raise NonLaurent("S_{j-} power before averaging")
-        mono = Monomial(s=s[:j_minus] + (-exp,) + s[j_minus + 1:], p=p, ch=ch, t=0)
+        mono = Monomial(s=s[:j_minus] + (-exp,) + s[j_minus + 1:], p=p, t=0)
         acc[mono] = acc.get(mono, 0) + c
     return _from_dict(git.m, git.r, acc)
 
@@ -280,7 +275,7 @@ def restriction_terms(git, kclass, delta, f_lift):
     out = []
     for mono, c in kclass.terms:
         phase = Fraction(0)
-        coeffs = [Fraction(x) for x in mono.ch]
+        coeffs = [Fraction(0)] * git.m
         if any(mono.p):
             if mono.p not in thetas:
                 theta = theta_restrict(git, delta, [Fraction(x) for x in mono.p])

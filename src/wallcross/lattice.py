@@ -5,16 +5,17 @@ integer kernel does all elimination: Bareiss determinants, one cached
 adjugate over a positive determinant per basis, and Hermite forms with their
 unimodular transforms.  Rational matrices are cleared by their common
 denominator before they reach it, so ranks, determinants, solves and kernels
-never eliminate over Fractions.  Vectors that leave this layer are tuples
-of ``fractions.Fraction`` (or plain ints for primitive lattice vectors).
-Downstream numerical modules only ever evaluate the exact objects produced
-here.
+never eliminate over Fractions, and no rational inverse is ever formed.
+Integer results (kernels, wall normals, Hermite rows, span numerators) leave
+as int tuples; rational ones (coordinates over an anticone basis, solves,
+line classes, lattices generated by rational vectors) as tuples of
+``fractions.Fraction``.  Downstream numerical modules only ever evaluate the
+exact objects produced here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -70,10 +71,6 @@ def vscale(c, a):
     return tuple(c * _q(x) for x in a)
 
 
-def zero_vec(n):
-    return (Fraction(0),) * n
-
-
 def is_integral(v):
     return all(_q(x).denominator == 1 for x in v)
 
@@ -107,11 +104,15 @@ def _det(rows):
 
 
 def solve_square(rows, rhs):
-    """Solve M x = rhs exactly for a square matrix given by rows, with the
-    cached inverse of M.  Raises SingularBasis when M is singular."""
+    """Solve M x = rhs exactly for a square matrix given by rows: with s M
+    and t rhs cleared, x = s adj (t rhs) / (t det) from the cached integer
+    inverse adj / det of s M.  Raises SingularBasis when M is singular."""
     n = len(rows)
     assert all(len(r) == n for r in rows) and len(rhs) == n
-    return _mat_vec(basis_inverse(tuple(map(tuple, rows))), rhs)
+    s, M = _cleared_rows(rows)
+    t, (b,) = _cleared_rows([rhs])
+    adj, det = int_inverse(M)
+    return tuple(Fraction(s * sum(a * x for a, x in zip(row, b)), t * det) for row in adj)
 
 
 def solve_rectangular(rows, rhs):
@@ -170,15 +171,6 @@ def int_inverse(rows):
 
 
 @lru_cache(maxsize=None)
-def basis_inverse(rows):
-    """Exact inverse of the square rational matrix whose rows are ``rows``:
-    s adj / det from the integer inverse of s M, s the common denominator."""
-    s, M = _cleared_rows(rows)
-    adj, det = int_inverse(M)
-    return tuple(tuple(Fraction(a * s, det) for a in row) for row in adj)
-
-
-@lru_cache(maxsize=None)
 def _span_minor(rows):
     """(cols, adj, det): the first columns, in lex order, on which k integer
     rows have a nonzero k x k minor, with that minor's adjugate and positive
@@ -212,17 +204,6 @@ def span_numerators(rows, w):
     return c, det
 
 
-def _vec_mat(v, M):
-    """The row vector v times the matrix M."""
-    return tuple(sum((_q(x) * row[j] for x, row in zip(v, M)), Fraction(0))
-                 for j in range(len(M[0])))
-
-
-def _mat_vec(M, v):
-    """The matrix M times the column vector v."""
-    return tuple(sum((a * _q(x) for a, x in zip(row, v)), Fraction(0)) for row in M)
-
-
 def right_kernel(rows, width):
     """A basis of the integer points of {x : row . x = 0 for every row}; it
     also spans the rational kernel."""
@@ -240,15 +221,6 @@ def cleared(v):
     """A rational vector times the common denominator of its entries: an
     integer vector on the same ray, so in the same cones."""
     return _cleared_rows([v])[1][0]
-
-
-def primitive_integer_vector(v):
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    ints = cleared(v)
-    g = content(ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -430,44 +402,20 @@ def quotient_transversal(gens):
     return list(itertools.product(*(range(H[i][i]) for i in range(r))))
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Canonical basis of a full-rank finitely generated subgroup of Q^r."""
-
-    rows: tuple
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def coords(self, v):
-        """The coefficients c with v = sum_i c_i rows[i]."""
-        return _vec_mat(v, basis_inverse(self.rows))
-
-    def contains(self, v):
-        return is_integral(self.coords(v))
-
-    def dual(self):
-        """The dual lattice {v : v.g in Z for every generator g}.
-
-        The i-th dual basis vector d_i pairs to delta_ij with the basis rows,
-        i.e. it is the i-th column of the inverse basis matrix.
-        """
-        return lattice_from_generators(zip(*basis_inverse(self.rows)), self.dim)
-
-
 def lattice_from_generators(gens, dim):
-    """Canonical LatticeBasis for the group generated by rational vectors."""
+    """The canonical basis of the full-rank group generated by rational
+    vectors: the Hermite rows of the cleared generators over their common
+    denominator, as a tuple of Fraction tuples."""
     scale, int_rows = _cleared_rows(gens)
     H = hermite_row_form(int_rows)
     if len(H) != dim:
         raise ValueError("generators do not span a rank-%d lattice" % dim)
-    rows = tuple(tuple(Fraction(x, scale) for x in row) for row in H)
-    return LatticeBasis(rows=rows)
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in H)
 
 
 def extended_lattice(git, omega):
-    """Lattice generated by Z^r together with all box representatives.
+    """The basis rows of the lattice generated by Z^r together with all box
+    representatives.
 
     The box classes are enumerated on the validated stability condition, so
     validation errors propagate.
@@ -475,6 +423,6 @@ def extended_lattice(git, omega):
     from . import gitfan  # local import: gitfan builds on this module
 
     sectors = gitfan.box_elements(git, omega)
-    gens = [tuple(Fraction(int(i == j)) for j in range(git.r)) for i in range(git.r)]
+    gens = [tuple(int(i == j) for j in range(git.r)) for i in range(git.r)]
     gens.extend(s.f for s in sectors)
     return lattice_from_generators(gens, git.r)

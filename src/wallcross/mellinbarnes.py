@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import compatible_minus_lift, fixed_point_labels, next_to_pairs
+from .gitfan import _idot, compatible_minus_lift, fixed_point_labels, next_to_pairs
 from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import ratvec, vadd, vdot, vsub
+from .lattice import is_integral, ratvec, vadd, vsub
 from .localization import restrict_u
 
 
@@ -88,8 +88,8 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     """Closed-form connection coefficient for a next-to pair of labels.
 
     Lifts default to the canonical plus representative and the compatible
-    minus lift; supplied lifts must represent the sector classes and differ
-    by a rational multiple of the wall normal.
+    minus lift; every lift must represent its sector class, and the two must
+    differ by a rational multiple of the wall normal.
     """
     label_plus, label_minus = pair
     j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
@@ -97,27 +97,21 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     assert l > 0
     ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
     used = (j_minus,) + ratio_js
-    if lift_plus is None and lift_minus is None:
-        # f_minus = f_plus + alpha e, so D_j . f_minus = D_j . f_plus + alpha D_j . e:
-        # the sector's exact pairings and the integers D_j . e give both
-        lift_plus = label_plus.f
-        lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
-        k = next(i for i, x in enumerate(wc.e) if x)
-        alpha = (lift_minus[k] - lift_plus[k]) / wc.e[k]
-        c_plus = {j: label_plus.sector.pairings[j] for j in used}
-        c_minus = {j: c_plus[j] + alpha * wc.pairings[j] for j in used}
-    else:
-        lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
-        lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
-                      else ratvec(lift_minus))
-        for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
-            if not all(x.denominator == 1 for x in vsub(lift, label.f)):
-                raise IncompatibleLifts("lift does not represent the sector class")
-        v, e = vsub(lift_plus, lift_minus), wc.e
-        if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
-            raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
-        c_plus = {j: vdot(wc.git.D[j], lift_plus) for j in used}
-        c_minus = {j: vdot(wc.git.D[j], lift_minus) for j in used}
+    lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
+    lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
+                  else ratvec(lift_minus))
+    pairings = []
+    for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
+        shift = vsub(lift, label.f)
+        if not is_integral(shift):
+            raise IncompatibleLifts("lift does not represent the sector class")
+        # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . (lift - f)
+        shift = [x.numerator for x in shift]
+        pairings.append({j: label.sector.pairings[j] + _idot(wc.git.D[j], shift) for j in used})
+    c_plus, c_minus = pairings
+    v, e = vsub(lift_plus, lift_minus), wc.e
+    if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
+        raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
     u_plus = restrict_u(wc.git, label_plus.delta)
     u_minus = restrict_u(wc.git, label_minus.delta)
     ratio_terms = tuple((u_plus[j], complex(c_plus[j]), u_minus[j], complex(c_minus[j]))

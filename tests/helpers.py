@@ -8,8 +8,8 @@ production path it checks can cross-validate each other:
 - the box oracle scans a common refinement of the anticone lattices;
 - the wall-frame oracle is the radius-24 brute-force search;
 - the Fraction oracles of the integer exact layer solve every cone test by
-  rational elimination, find line multiples by a candidate loop and match
-  next-to pairs by a double loop;
+  rational elimination, find line multiples by a candidate loop, match
+  next-to pairs by a double loop and reduce character lifts by frac_part;
 - the continuation oracle extracts a connection coefficient numerically
   from grouped left residues of the Barnes integral;
 - the Barnes-line oracle integrates one point over the whole line
@@ -21,10 +21,14 @@ production path it checks can cross-validate each other:
 
 Ranks, determinants and solves come from the Fraction elimination below,
 never from wallcross.lattice, whose integer kernel they check
-(tests/test_layout.py enforces this).  Beyond vector arithmetic, what an
-oracle shares with the path it checks is the lattice set-up of the
-wall-frame oracle: gitfan's _dual_of_extended, _constrained_sublattice,
-_coords_in and _combination, and the anticone coordinates of its nef test.
+(tests/test_layout.py enforces this).  The wall-frame oracle builds its own
+Fraction dual lattices, coordinates and sublattice vectors, by fraction_solve
+and Fraction combinations.  Beyond vector arithmetic, what an oracle shares
+with the path it checks is the choice of lattice bases, which fixes the
+smallest-first search order: the Hermite bases of the extended lattice and
+of the dual's generators (lattice.extended_lattice and
+lattice_from_generators), the kernel basis of the constrained sublattices
+(lattice.integer_kernel_basis), and the anticone coordinates of the nef test.
 """
 
 import cmath
@@ -44,10 +48,6 @@ from wallcross.gitfan import (
     NotDeligneMumford,
     SectorLabel,
     WallFrame,
-    _combination,
-    _constrained_sublattice,
-    _coords_in,
-    _dual_of_extended,
     anticones_next_to,
     compatible_minus_lift,
     fixed_point_labels,
@@ -78,14 +78,15 @@ from wallcross.ktheory import (
     roots_projector,
 )
 from wallcross.lattice import (
-    LatticeBasis,
     NotAHyperplane,
     anticone_coords,
     anticone_dual,
+    extended_lattice,
     frac_part,
+    integer_kernel_basis,
     intvec,
     is_integral,
-    primitive_integer_vector,
+    lattice_from_generators,
     quotient_transversal,
     ratvec,
     vadd,
@@ -122,13 +123,10 @@ def on_wall(wc, v):
     return vdot(v, wc.e) == 0
 
 
-def standard_lattice(dim):
-    return LatticeBasis(rows=tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)))
-
-
-def kc_char(git, n):
-    mono = _unit_monomial(git.m, git.r)._replace(ch=intvec(n))
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),))
+def primitive(v):
+    """The primitive integer vector on the ray of a nonzero integer vector."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def in_plus_coordinates(sigma, change):
@@ -325,7 +323,7 @@ def random_crepant_crossing(rng, max_r=3, max_m=7, max_tries=400):
         e_raw = tuple(rng.randint(-2, 2) for _ in range(r))
         if all(x == 0 for x in e_raw):
             continue
-        e = primitive_integer_vector(e_raw)
+        e = primitive(e_raw)
         g = _dual_unit(e)
         values = [rng.randint(-2, 2) for _ in range(m - 1)]
         values.append(-sum(values))
@@ -379,6 +377,37 @@ def oracle_box(git, A):
 # the radius-24 wall-frame search, kept as the oracle of gitfan.wall_frame:
 # Fraction arithmetic throughout, every candidate by sup-norm radius and lex
 # order, raising ValueError when the radius is exhausted
+
+
+def fraction_dual(rows):
+    """The dual {v : v.g in Z for every basis row g} of a full-rank lattice:
+    its i-th generator pairs to delta_ij with the rows, a column of the
+    inverse basis by fraction_solve; the generators in Hermite form."""
+    n = len(rows)
+    cols = [fraction_solve(rows, [int(i == j) for j in range(n)]) for i in range(n)]
+    return lattice_from_generators(cols, n)
+
+
+def oracle_coords(basis, v):
+    """The coordinates of v over independent rows, by fraction_solve; None
+    when v is not in the lattice they span."""
+    c = fraction_solve([list(col) for col in zip(*basis)], list(v))
+    return c if c is not None and is_integral(c) else None
+
+
+def _oracle_combination(coeffs, rows):
+    """sum_t coeffs[t] rows[t] in Fractions."""
+    v = (Fraction(0),) * len(rows[0])
+    for coef, row in zip(coeffs, rows):
+        v = vadd(v, vscale(coef, row))
+    return v
+
+
+def _oracle_sublattice(dual, conditions):
+    """Basis (as ambient vectors) of the dual-lattice points annihilated by
+    the given rational functionals."""
+    cond_rows = [[vdot(row, cond) for row in dual] for cond in conditions]
+    return [_oracle_combination(k, dual) for k in integer_kernel_basis(cond_rows, len(dual))]
 
 
 def _oracle_int_det(mat):
@@ -439,7 +468,7 @@ def _search_basis(generators, accept, need, full_det_one):
 
     for radius in range(1, WALL_SEARCH_RADIUS + 1):
         for k in _sup_shell(radius, len(generators)):
-            v = _combination(k, generators)
+            v = _oracle_combination(k, generators)
             if accept(v):
                 pool.append((k, v))
         result = extend([], [])
@@ -460,8 +489,8 @@ def oracle_wall_frame(wc):
     point completing a basis.
     """
     git = wc.git
-    dual_plus = _dual_of_extended(git, wc.omega_plus)
-    dual_minus = _dual_of_extended(git, wc.omega_minus)
+    dual_plus = fraction_dual(extended_lattice(git, wc.omega_plus))
+    dual_minus = fraction_dual(extended_lattice(git, wc.omega_minus))
 
     seed = [ratvec(git.D[j]) for j in wc.S_zero]
     ell = git.r - 1 - len(wc.S_zero)
@@ -471,13 +500,13 @@ def oracle_wall_frame(wc):
     conditions = [ratvec(wc.e)]
     conditions += [wc.xi_plus[i] for i in wc.S_plus]
     conditions += [wc.xi_minus[i] for i in wc.S_minus]
-    facet_gens = _constrained_sublattice(dual_plus, conditions)
+    facet_gens = _oracle_sublattice(dual_plus, conditions)
     assert len(facet_gens) == ell, "facet sublattice has unexpected rank"
 
     def wall_accept(v):
         if all(x == 0 for x in v):
             return False
-        if not (dual_minus.contains(v) and dual_plus.contains(v)):
+        if oracle_coords(dual_minus, v) is None or oracle_coords(dual_plus, v) is None:
             return False
         return _in_nef_cone(git, wc.A_plus, v) and _in_nef_cone(git, wc.A_minus, v)
 
@@ -491,7 +520,8 @@ def oracle_wall_frame(wc):
 
     if wall:
         for dual in (dual_plus, dual_minus):
-            coords = [_coords_in(dual, w) for w in wall]
+            coords = [oracle_coords(dual, w) for w in wall]
+            assert None not in coords
             assert fraction_rank(coords) == len(wall) and _oracle_saturated(coords)
 
     def last_vector(side):
@@ -502,21 +532,22 @@ def oracle_wall_frame(wc):
         extra = sorted(set(S) - set(wc.S_zero))
         if extra:
             v = ratvec(git.D[extra[0]])
-            coords = [_coords_in(dual, w) for w in wall + [v]]
-            assert abs(_oracle_int_det(coords)) == 1, "extended character does not complete a basis"
+            coords = [oracle_coords(dual, w) for w in wall + [v]]
+            assert None not in coords and abs(_oracle_int_det(coords)) == 1, (
+                "extended character does not complete a basis")
             return v
         # the ambient-side sublattice: annihilated by the side's splitting
         # vectors only; the off-wall completion lives here
-        side_gens = _constrained_sublattice(dual, [xi[i] for i in S])
-        wall_coords = [_coords_in(dual, w) for w in wall]
+        side_gens = _oracle_sublattice(dual, [xi[i] for i in S])
+        wall_coords = [oracle_coords(dual, w) for w in wall]
         for radius in range(1, WALL_SEARCH_RADIUS + 1):
             for k in _sup_shell(radius, len(side_gens)):
-                v = _combination(k, side_gens)
+                v = _oracle_combination(k, side_gens)
                 if on_wall(wc, v):
                     continue
                 if not _in_nef_cone(git, A, v):
                     continue
-                coords = wall_coords + [_coords_in(dual, v)]
+                coords = wall_coords + [oracle_coords(dual, v)]
                 if abs(_oracle_int_det(coords)) == 1:
                     return v
         raise ValueError("no off-wall nef basis vector found within search radius")
@@ -541,20 +572,24 @@ def oracle_wall_frame(wc):
 
 def assert_frame_properties(wc, frame):
     """The defining properties of a wall frame, checked in Fraction
-    arithmetic: the shared wall vectors lie on the wall, in both duals and in
-    both nef cones; each side's basis has |det| = 1 over its dual; the last
-    vectors are nef and off the wall on their own side; c > 0."""
+    arithmetic: the frame vectors are int tuples; the shared wall vectors lie
+    on the wall, in both duals and in both nef cones; each side's basis has
+    |det| = 1 over its dual; the last vectors are nef and off the wall on
+    their own side; c > 0."""
     sides = (
-        (1, frame.sfp_plus, wc.A_plus, _dual_of_extended(wc.git, wc.omega_plus)),
-        (-1, frame.sfp_minus, wc.A_minus, _dual_of_extended(wc.git, wc.omega_minus)),
+        (1, frame.sfp_plus, wc.A_plus, fraction_dual(extended_lattice(wc.git, wc.omega_plus))),
+        (-1, frame.sfp_minus, wc.A_minus, fraction_dual(extended_lattice(wc.git, wc.omega_minus))),
     )
+    assert all(type(v) is tuple and all(type(x) is int for x in v)
+               for v in frame.sfp_plus + frame.sfp_minus)
     assert frame.sfp_plus[:-1] == frame.sfp_minus[:-1]
     for w in frame.sfp_plus[:-1]:
         assert on_wall(wc, w)
         for _sign, _sfp, A, dual in sides:
-            assert dual.contains(w) and _in_nef_cone(wc.git, A, w)
+            assert oracle_coords(dual, w) is not None and _in_nef_cone(wc.git, A, w)
     for sign, sfp, A, dual in sides:
-        assert abs(_oracle_int_det([dual.coords(v) for v in sfp])) == 1
+        coords = [oracle_coords(dual, v) for v in sfp]
+        assert None not in coords and abs(_oracle_int_det(coords)) == 1
         assert sign * vdot(sfp[-1], wc.e) > 0 and _in_nef_cone(wc.git, A, sfp[-1])
     assert frame.change.c > 0
 
@@ -742,6 +777,21 @@ def oracle_box_classes(git, A):
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)
+
+
+def oracle_rho_lifts(git, delta):
+    """The canonical character lifts in Fractions: the coordinates of each
+    coset representative over the anticone basis, reduced into [0, 1) and
+    summed back over the basis."""
+    lifts = []
+    for k in quotient_transversal([git.D[i] for i in delta]):
+        t = [frac_part(x) for x in anticone_coords(git.D, delta, k)]
+        lift = [Fraction(0)] * git.r
+        for coef, i in zip(t, delta):
+            for a in range(git.r):
+                lift[a] += coef * git.D[i][a]
+        lifts.append(intvec(lift))
+    return lifts
 
 
 def oracle_line_membership(v, e):

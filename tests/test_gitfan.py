@@ -10,9 +10,11 @@ from helpers import (
     assert_frame_properties,
     assert_sigma_transition,
     fraction_det,
+    fraction_dual,
     in_open_cone,
     oracle_anticones,
     oracle_box,
+    oracle_coords,
     oracle_wall_frame,
     on_wall,
     random_crepant_crossing,
@@ -221,17 +223,40 @@ def test_wall_frame_bases_integral_and_adapted(all_examples):
 
     for wc in all_examples.values():
         frame = wall_frame(wc)
-        dual_p = extended_lattice(wc.git, wc.omega_plus).dual()
-        dual_m = extended_lattice(wc.git, wc.omega_minus).dual()
+        assert all(type(x) is int for v in frame.sfp_plus + frame.sfp_minus for x in v)
+        dual_p = fraction_dual(extended_lattice(wc.git, wc.omega_plus))
+        dual_m = fraction_dual(extended_lattice(wc.git, wc.omega_minus))
         for k in range(wc.git.r - 1):
             assert frame.sfp_plus[k] == frame.sfp_minus[k]
             assert on_wall(wc, frame.sfp_plus[k])
-            assert dual_p.contains(frame.sfp_plus[k])
-            assert dual_m.contains(frame.sfp_plus[k])
+            assert oracle_coords(dual_p, frame.sfp_plus[k]) is not None
+            assert oracle_coords(dual_m, frame.sfp_plus[k]) is not None
         assert not on_wall(wc, frame.sfp_plus[-1])
         assert not on_wall(wc, frame.sfp_minus[-1])
         assert vdot(frame.sfp_plus[-1], wc.e) > 0
         assert vdot(frame.sfp_minus[-1], wc.e) < 0
+
+
+def test_dual_of_extended_matches_the_fraction_dual(all_examples):
+    # the integer Hermite rows from the cleared inverse equal the Hermite
+    # form of the Fraction inverse's columns; coordinates over them are the
+    # Fraction solve's, and a point outside raises
+    from wallcross.lattice import extended_lattice
+
+    rng = random.Random(23)
+    crossings = list(all_examples.values()) + [random_crepant_crossing(rng) for _ in range(60)]
+    for wc in crossings:
+        for omega, A in ((wc.omega_plus, wc.A_plus), (wc.omega_minus, wc.A_minus)):
+            dual = gitfan._dual_of_extended(wc.git, A)
+            assert dual == fraction_dual(extended_lattice(wc.git, omega))
+            assert all(type(x) is int for row in dual for x in row)
+            for v in wc.git.D:
+                coords = oracle_coords(dual, v)
+                if coords is None:
+                    with pytest.raises(ValueError, match="not in the lattice"):
+                        gitfan._coords_in(dual, v)
+                else:
+                    assert gitfan._coords_in(dual, v) == coords
 
 
 def test_anticones_match_oracle(all_examples):

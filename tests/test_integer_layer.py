@@ -6,7 +6,6 @@ the oracles in helpers.py are the rational-elimination paths they replace.
 Every comparison is exact and includes order.
 """
 
-import dataclasses
 import functools
 import itertools
 import pathlib
@@ -26,6 +25,8 @@ from helpers import (
     oracle_line_membership,
     oracle_minimal_anticones,
     oracle_next_to_pairs,
+    oracle_rho_lifts,
+    primitive,
     oracle_wall_hyperplanes,
     random_crepant_crossing,
 )
@@ -41,7 +42,7 @@ from wallcross.gitfan import (
     validate_stability,
     wall_crossing,
 )
-from wallcross.ktheory import fm_transform, minus_basis
+from wallcross.ktheory import canonical_rho_lifts, fm_transform, minus_basis
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
@@ -49,7 +50,6 @@ from wallcross.lattice import (
     int_inverse,
     line_class,
     matrix_rank,
-    primitive_integer_vector,
     primitive_wall_normal,
     rational_line_membership,
     right_kernel,
@@ -116,14 +116,22 @@ def test_sector_pairings_are_the_fraction_pairings():
                 assert all(type(p) is Fraction for p in sec.pairings)
 
 
-def test_default_coefficient_matches_the_supplied_lift_path():
-    for wc in _crossings():
+def test_coefficient_pairings_match_the_fraction_vdot():
+    # D_j . lift from the sector pairings plus an integer, for the default
+    # lifts, lifts shifted along the wall normal and both shifted by Z^r
+    for wc in _crossings()[::2]:
+        unit = (1,) + (0,) * (wc.git.r - 1)
         for lp, lm in next_to_pairs(wc):
-            default = continuation_coefficient(wc, (lp, lm))
-            supplied = continuation_coefficient(wc, (lp, lm), lp.f, compatible_minus_lift(wc, lp, lm))
-            for field in dataclasses.fields(default):
-                assert getattr(default, field.name) == getattr(supplied, field.name), field.name
-            assert type(default.shift) is Fraction
+            f_minus = compatible_minus_lift(wc, lp, lm)
+            for lifts in ((None, None), (vadd(lp.f, wc.e), f_minus), (vadd(lp.f, unit), vadd(f_minus, unit))):
+                coeff = continuation_coefficient(wc, (lp, lm), *lifts)
+                lift_plus, lift_minus = coeff.lift_plus, coeff.lift_minus
+                assert lift_minus == (f_minus if lifts[1] is None else lifts[1])
+                D = wc.git.D
+                assert coeff.shift == vdot(D[coeff.j_minus], lift_plus) - vdot(D[coeff.j_minus], lift_minus)
+                assert type(coeff.shift) is Fraction
+                assert [(c_plus, c_minus) for _, c_plus, _, c_minus in coeff.ratio_terms] == [
+                    (complex(vdot(D[j], lift_plus)), complex(vdot(D[j], lift_minus))) for j in coeff.ratio_js]
 
 
 def test_next_to_pairs_and_lifts_match_the_double_loop():
@@ -133,6 +141,15 @@ def test_next_to_pairs_and_lifts_match_the_double_loop():
         for lp, lm in pairs:
             alpha = oracle_line_membership(vsub(lm.f, lp.f), wc.e)
             assert compatible_minus_lift(wc, lp, lm) == vadd(lp.f, vscale(alpha, wc.e))
+
+
+def test_rho_lifts_match_the_fraction_lifts():
+    for wc in _crossings()[:260]:
+        for A in (wc.A_plus, wc.A_minus):
+            for delta in A.minimal:
+                lifts = canonical_rho_lifts(wc.git, delta)
+                assert lifts == oracle_rho_lifts(wc.git, delta)
+                assert all(type(x) is int for lift in lifts for x in lift)
 
 
 def test_fm_images_match_the_kclass_product():
@@ -148,7 +165,7 @@ def test_line_membership_and_class_match_the_candidate_loop():
         e = tuple(rng.randint(-4, 4) for _ in range(n))
         if not any(e):
             continue
-        e = primitive_integer_vector(e)
+        e = primitive(e)
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
         alpha = oracle_line_membership(v, e)
         assert rational_line_membership(v, e) == alpha

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import kc_char, kc_t, kc_zero
+from helpers import kc_t, kc_zero
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -122,7 +122,7 @@ def test_chern_restrict_multiplicative(resolution):
     lam = generic_lambdas(resolution, 1, seed=5)[0]
     label = fixed_point_labels(resolution.git, resolution.A_minus)[1]
     a = kc_line(resolution.git, (1,)) - kc_s(resolution.git, 0).scale(2)
-    b = kc_s(resolution.git, 1) + kc_char(resolution.git, (0, 1, 0))
+    b = kc_s(resolution.git, 1) + kc_line(resolution.git, (-2,)) * kc_s(resolution.git, 2).dual()
     lhs = chern_restrict(resolution.git, a * b, label, lam)
     rhs = chern_restrict(resolution.git, a, label, lam) * chern_restrict(
         resolution.git, b, label, lam

@@ -6,8 +6,9 @@ in bench/*.py, whose tracer pins some library names.  A definition that only
 the tests call belongs in tests/helpers.py.
 
 The oracles in tests/helpers.py take their ranks, determinants and solves
-from their own Fraction elimination, never from the integer kernel they
-check.
+from their own Fraction elimination, and the wall-frame oracle its dual
+lattices, coordinates and sublattice vectors, never from the integer kernel
+and wall-frame set-up they check.
 """
 
 import ast
@@ -17,7 +18,8 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wallcross"
 KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "right_kernel",
-                "primitive_wall_normal"}
+                "primitive_wall_normal", "_dual_of_extended", "_constrained_sublattice",
+                "_coords_in", "_combination"}
 
 
 def _definitions(tree):

@@ -104,6 +104,9 @@ def test_incompatible_lifts_rejected(conifold, gerbe_flop):
         continuation_coefficient(
             conifold, pair, lift_plus=(Fraction(1, 3),), lift_minus=(Fraction(0),)
         )
+    with pytest.raises(IncompatibleLifts):
+        # a supplied minus lift is checked next to the default plus lift
+        continuation_coefficient(conifold, pair, lift_minus=(Fraction(1, 3),))
     gpair = next(
         p for p in next_to_pairs(gerbe_flop) if p[0].sector.is_zero and p[1].sector.is_zero
     )
