@@ -255,9 +255,12 @@ def inner_sum_coefficient(spec, k, lam):
         # at k = 0 the factor is 1 by the normalization, not by rounding
         log_acc += np.where(k_live == 0, 0j, row[0] - row[1:])
     # the exact part and the Gamma part can separately over- or underflow
-    # at large k while their product stays moderate; combine in log space
+    # at large k while their product stays moderate; combine in log space.
+    # A coefficient that still overflows leaves an inf or NaN, which FAILs
+    # the suite's gate
     out = np.zeros(len(ks), dtype=complex)
-    out[live] = sign * np.exp(log_acc + log_exact)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[live] = sign * np.exp(log_acc + log_exact)
     return complex(out[0]) if scalar else out
 
 
@@ -311,15 +314,19 @@ def gkz_ode_residual(series, spec, lam):
     """
     c = np.array(series.coeffs, dtype=complex)
     coeffs = (c.real, c.imag)
-    products_plus, products_minus = _euler_products(spec, lam, np.arange(series.order + 1))
-    plus = _complex_product(products_plus, coeffs)
-    # the monomial raises the negative-direction term by one degree
-    minus = [np.concatenate([[0.0], x[:-1]]) for x in _complex_product(products_minus, coeffs)]
-    # hypot is abs() of a Python complex; numpy's complex abs differs in the last bit
-    scale = max(np.max(np.hypot(*plus)), np.max(np.hypot(*minus)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.hypot(plus[0] - minus[0], plus[1] - minus[1])) / scale)
+    # an overflowed series or product leaves a NaN residual, which FAILs the
+    # suite's gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        products_plus, products_minus = _euler_products(spec, lam, np.arange(series.order + 1))
+        plus = _complex_product(products_plus, coeffs)
+        # the monomial raises the negative-direction term by one degree
+        minus = [np.concatenate([[0.0], x[:-1]])
+                 for x in _complex_product(products_minus, coeffs)]
+        # hypot is abs() of a Python complex; numpy's complex abs differs in the last bit
+        scale = max(np.max(np.hypot(*plus)), np.max(np.hypot(*minus)))
+        if scale == 0.0:
+            return 0.0
+        return float(np.max(np.hypot(plus[0] - minus[0], plus[1] - minus[1])) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +355,20 @@ def sample_lambdas(m, count, seed):
     return out
 
 
-def genericity_gap(wc, lam):
-    """Smallest distance of any restricted class from zero over both sides."""
-    gap = float("inf")
-    for A in (wc.A_plus, wc.A_minus):
-        for delta in A.minimal:
-            u = restrict_u(wc.git, delta)
-            for j in range(wc.git.m):
-                if j in delta:
-                    continue
-                gap = min(gap, abs(u[j](lam)))
-    return gap
+def genericity_gaps(wc, lams):
+    """Per sample, the smallest distance of any restricted class from zero
+    over both sides: the non-zero forms u_j(delta) as one float array, times
+    the samples."""
+    forms = [u_j.coeffs for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+             for u_j in restrict_u(wc.git, delta) if not u_j.is_zero]
+    forms = np.array(forms, dtype=float).reshape(len(forms), wc.git.m)
+    return np.abs(forms @ np.array(lams, dtype=complex).T).min(axis=0, initial=np.inf)
 
 
 def generic_lambdas(wc, count, seed, clearance=1e-3):
     """Seeded samples filtered for genericity; one resample then hard error."""
     raw = sample_lambdas(wc.git.m, 2 * count + 4, seed)
-    out = []
-    for lam in raw:
-        if genericity_gap(wc, lam) > clearance:
-            out.append(lam)
-        if len(out) == count:
-            return out
-    raise PoleCollision("could not draw %d generic samples" % count)
+    out = [lam for lam, gap in zip(raw, genericity_gaps(wc, raw)) if gap > clearance]
+    if len(out) < count:
+        raise PoleCollision("could not draw %d generic samples" % count)
+    return out[:count]

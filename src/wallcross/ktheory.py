@@ -1,10 +1,9 @@
 """Localized equivariant K-theory at fixed points and the pull-push transform.
 
-Classes are finite integer combinations of monomials in the inverse divisor
-bundles S_j, a character line bundle L(p), and optionally a distinguished
-root generator t attached to one negative direction.  The
-pull-push transform of a point basis element is computed in closed form and
-compared, through fixed-point Chern characters, with the analytic
+Every class is a character line bundle L(rho) times an integer Laurent
+polynomial in the inverse divisor bundles S_j.  The pull-push transform of a
+point basis element is computed in closed form, its root generator averaged
+away, and compared, through fixed-point Chern characters, with the analytic
 continuation coefficients; the Euler pairing is evaluated by an inertia
 fixed-point sum.  Restriction to a fixed point is a ring homomorphism, so
 the verification drivers restrict each class exactly once per point and lift
@@ -14,9 +13,10 @@ and evaluate all samples together as arrays.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,81 +38,21 @@ class ResonantSample(ValueError):
     """A localization denominator is too close to zero at this sample."""
 
 
-class Monomial(NamedTuple):
-    s: tuple  # exponents of S_1..S_m
-    p: tuple  # character of the line bundle factor
-    t: int  # exponent of the root generator
-
-
-class TRootDatum(NamedTuple):
-    j_minus: int
-    l: int
-    zeta: Fraction  # the root of unity exp(2 pi i zeta)
-
-
 @dataclass(frozen=True)
 class KClass:
-    """Finite integer combination of K-theory monomials."""
+    """L(rho) times an integer Laurent polynomial in S_1..S_m."""
 
-    m: int
-    r: int
-    terms: tuple  # sorted tuple of (Monomial, int)
-    t_datum: Optional[TRootDatum] = None
-
-    def __add__(self, other):
-        assert (self.m, self.r) == (other.m, other.r)
-        datum = self.t_datum or other.t_datum
-        acc = dict(self.terms)
-        for mono, c in other.terms:
-            acc[mono] = acc.get(mono, 0) + c
-        return _from_dict(self.m, self.r, acc, datum)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return _from_dict(self.m, self.r, {mono: c * v for mono, v in self.terms}, self.t_datum)
-
-    def __mul__(self, other):
-        assert (self.m, self.r) == (other.m, other.r)
-        datum = self.t_datum or other.t_datum
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = Monomial(
-                    s=tuple(a + b for a, b in zip(m1.s, m2.s)),
-                    p=tuple(a + b for a, b in zip(m1.p, m2.p)),
-                    t=m1.t + m2.t,
-                )
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-        return _from_dict(self.m, self.r, acc, datum)
-
-    def dual(self):
-        acc = {}
-        for mono, c in self.terms:
-            acc[
-                Monomial(
-                    s=tuple(-a for a in mono.s),
-                    p=tuple(-a for a in mono.p),
-                    t=-mono.t,
-                )
-            ] = c
-        return _from_dict(self.m, self.r, acc, self.t_datum)
+    rho: tuple  # integer character of the line bundle factor
+    terms: tuple  # sorted tuple of (S exponents, nonzero int)
 
     def describe(self):
         if not self.terms:
             return "0"
+        line = ["L(%s)" % ",".join(map(str, self.rho))] if any(self.rho) else []
         parts = []
-        for mono, c in self.terms:
-            factors = []
-            for j, a in enumerate(mono.s):
-                if a:
-                    factors.append("S%d%s" % (j + 1, "" if a == 1 else "^%d" % a))
-            if any(mono.p):
-                factors.append("L(%s)" % ",".join(map(str, mono.p)))
-            if mono.t:
-                factors.append("t^%d" % mono.t)
-            body = "*".join(factors) if factors else "1"
+        for s, c in self.terms:
+            factors = ["S%d%s" % (j + 1, "" if a == 1 else "^%d" % a) for j, a in enumerate(s) if a]
+            body = "*".join(factors + line) or "1"
             if c == 1:
                 parts.append("+" + body)
             elif c == -1:
@@ -123,44 +63,18 @@ class KClass:
         return out[1:] if out.startswith("+") else out
 
 
-def _from_dict(m, r, acc, datum=None):
-    items = tuple(sorted((mono, c) for mono, c in acc.items() if c != 0))
-    if not any(mono.t for mono, _ in items):
-        datum = None
-    return KClass(m=m, r=r, terms=items, t_datum=datum)
-
-
-def _unit_monomial(m, r):
-    return Monomial(s=(0,) * m, p=(0,) * r, t=0)
-
-
-def kc_one(git):
-    return KClass(m=git.m, r=git.r, terms=((_unit_monomial(git.m, git.r), 1),))
-
-
-def kc_line(git, p):
-    mono = _unit_monomial(git.m, git.r)._replace(p=intvec(p))
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),))
-
-
-def kc_s(git, j):
-    s = [0] * git.m
-    s[j] = 1
-    mono = _unit_monomial(git.m, git.r)._replace(s=tuple(s))
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),))
-
-
 # ---------------------------------------------------------------------------
 # point basis and representation lifts
 
 
 def basis_e(git, A, delta, rho_hat):
-    """Point class at a minimal anticone twisted by a character lift."""
-    out = kc_line(git, rho_hat)
-    for i in range(git.m):
-        if i not in delta:
-            out = out * (kc_one(git) - kc_s(git, i))
-    return out
+    """Point class at a minimal anticone twisted by a character lift:
+    L(rho_hat) times the product of (1 - S_i) over i not in delta, expanded
+    over the subsets of the normal directions."""
+    normal = [i for i in range(git.m) if i not in delta]
+    terms = [(tuple(int(i in subset) for i in range(git.m)), (-1) ** k)
+             for k in range(len(normal) + 1) for subset in itertools.combinations(normal, k)]
+    return KClass(intvec(rho_hat), tuple(sorted(terms)))
 
 
 def isotropy_order(git, delta):
@@ -243,7 +157,6 @@ def fm_transform(wc, delta_minus, rho_hat):
 
     # root averaging: only exponents divisible by l survive, as powers of
     # the inverse of S_{j-}
-    p = intvec(rho_hat)
     acc = {}
     for (s, t), c in poly.items():
         exp = roots_projector(l, t)
@@ -251,9 +164,9 @@ def fm_transform(wc, delta_minus, rho_hat):
             continue
         if s[j_minus] != 0:
             raise NonLaurent("S_{j-} power before averaging")
-        mono = Monomial(s=s[:j_minus] + (-exp,) + s[j_minus + 1:], p=p, t=0)
-        acc[mono] = acc.get(mono, 0) + c
-    return _from_dict(git.m, git.r, acc)
+        key = s[:j_minus] + (-exp,) + s[j_minus + 1:]
+        acc[key] = acc.get(key, 0) + c
+    return KClass(intvec(rho_hat), tuple(sorted((s, c) for s, c in acc.items() if c)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,35 +178,28 @@ def restriction_terms(git, kclass, delta, f_lift):
 
     The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
     phase is an exact rational reduced mod 1 and the form is an exact linear
-    form, so zero restrictions cancel exactly.
+    form, so zero restrictions cancel exactly.  L(rho) gives every term the
+    form theta(rho) and the phase rho . f_lift; each S_j^a adds -a u_j and
+    -a D_j . f_lift.  Every exponent is an integer, so the triples depend on
+    the lift only modulo Z^r.
     """
     u = restrict_u(git, delta)
     u_nonzero = [[(i, x) for i, x in enumerate(form.coeffs) if x] for form in u]
     f_lift = ratvec(f_lift)
     d_f = [vdot(row, f_lift) for row in git.D]
-    thetas = {}
+    base_phase, base_coeffs = Fraction(0), (Fraction(0),) * git.m
+    if any(kclass.rho):
+        base_phase = vdot(kclass.rho, f_lift)
+        base_coeffs = theta_restrict(git, delta, [Fraction(x) for x in kclass.rho]).coeffs
     out = []
-    for mono, c in kclass.terms:
-        phase = Fraction(0)
-        coeffs = [Fraction(0)] * git.m
-        if any(mono.p):
-            if mono.p not in thetas:
-                theta = theta_restrict(git, delta, [Fraction(x) for x in mono.p])
-                thetas[mono.p] = (vdot(mono.p, f_lift), theta.coeffs)
-            p_phase, p_coeffs = thetas[mono.p]
-            phase += p_phase
-            coeffs = [a + b for a, b in zip(coeffs, p_coeffs)]
-        for j, a in enumerate(mono.s):
+    for s, c in kclass.terms:
+        phase = base_phase
+        coeffs = list(base_coeffs)
+        for j, a in enumerate(s):
             if a:
                 phase -= a * d_f[j]
                 for i, x in u_nonzero[j]:
                     coeffs[i] -= a * x
-        if mono.t:
-            datum = kclass.t_datum
-            assert datum is not None
-            phase += mono.t * (datum.zeta + d_f[datum.j_minus] / datum.l)
-            for i, x in u_nonzero[datum.j_minus]:
-                coeffs[i] += Fraction(mono.t, datum.l) * x
         out.append((c, frac_part(phase), LinearForm(tuple(coeffs))))
     return tuple(out)
 
@@ -305,11 +211,9 @@ def eval_terms(terms, lam):
     return acc
 
 
-def chern_restrict(git, kclass, label, lam, lift=None):
+def chern_restrict(git, kclass, label, lam):
     """Numeric fixed-point restriction of the orbifold Chern character."""
-    if lift is None:
-        lift = label.f
-    return eval_terms(restriction_terms(git, kclass, label.delta, lift), lam)
+    return eval_terms(restriction_terms(git, kclass, label.delta, label.f), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +361,17 @@ def localization_gram(git, A, left, right, lams):
                 continue
             phases = np.array([cmath.exp(-TWO_PI_I * complex(frac_part(sec.pairings[j])))
                                for j in normal], dtype=complex)
-            factors = 1 - phases[:, None] * np.exp(-u_vals)
-            smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
             compiled_right = [compile_restriction(git, F, delta, sec.f) for F in right]
             compiled_left = (compiled_right if left is right else
                              [compile_restriction(git, E, delta, sec.f) for E in left])
-            v_left = _rows([c.dual().values(lams) for c in compiled_left], lams)
-            v_right = _rows([c.values(lams) for c in compiled_right], lams)
-            # resonant samples divide by ~0 here; the callers mask them out
+            # resonant samples divide by ~0 here, and the callers mask them
+            # out; a small |z| overflows the exponentials, and the NaN it
+            # leaves FAILs the suite's gate
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                factors = 1 - phases[:, None] * np.exp(-u_vals)
+                smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
+                v_left = _rows([c.dual().values(lams) for c in compiled_left], lams)
+                v_right = _rows([c.values(lams) for c in compiled_right], lams)
                 weighted = v_left / (order * factors.prod(axis=0))
                 gram += weighted[:, None, :] * v_right[None, :, :]
     return gram, smallest
@@ -561,7 +467,7 @@ def verify_uhfm(wc, lam_samples):
     for lp, lm in next_to_pairs(wc):
         coeff = continuation_coefficient(wc, (lp, lm))
         values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
-        row = _restricted(git, e_minus, lm.delta, coeff.lift_minus, lams)
+        row = _restricted(git, e_minus, lm.delta, lm.f, lams)
         diff[:, index[lp]] -= values * row
         pairs.append((index[lp], row))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))

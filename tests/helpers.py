@@ -12,6 +12,10 @@ production path it checks can cross-validate each other:
   next-to pairs by a double loop and reduce character lifts by frac_part;
 - the continuation oracle extracts a connection coefficient numerically
   from grouped left residues of the Barnes integral;
+- the pull-push oracle multiplies Laurent polynomials in the S_j and the
+  root generator t, then averages t over its roots;
+- the genericity oracle evaluates each restricted form at each sample as a
+  Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
   |Im s| <= t_max, with the integrand evaluated afresh for that point;
 - the Gamma-block, residue, inner-coefficient and Euler-product oracles
@@ -66,17 +70,7 @@ from wallcross.hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from wallcross.ktheory import (
-    KClass,
-    TRootDatum,
-    _from_dict,
-    _unit_monomial,
-    basis_e,
-    kc_line,
-    kc_one,
-    kc_s,
-    roots_projector,
-)
+from wallcross.ktheory import KClass, basis_e, roots_projector
 from wallcross.lattice import (
     NotAHyperplane,
     anticone_coords,
@@ -141,6 +135,12 @@ def in_plus_coordinates(sigma, change):
         last = last + sigma.log_coeffs[i].scale(change.c_i[i])
     last = last + sigma.log_coeffs[r - 1].scale(-change.c)
     return SigmaRestriction(log_coeffs=tuple(new) + (last,), constant=sigma.constant)
+
+
+def oracle_genericity_gap(wc, lam):
+    """Smallest |u_j(delta)(lam)| over both sides, one form at a time."""
+    return min(abs(u[j](lam)) for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+               for u in [restrict_u(wc.git, delta)] for j in range(wc.git.m) if j not in delta)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +685,8 @@ def continuation_numeric(wc, pair, x, lam):
 # ---------------------------------------------------------------------------
 # the Fraction paths of the exact layer, kept as oracles of its integer
 # kernel: rational elimination for every cone test and wall normal, Fraction
-# pairings for the box classes, a candidate loop for line multiples, a double
-# loop for next-to pairs and a KClass product for the pull-push transform
+# pairings for the box classes, a candidate loop for line multiples and a
+# double loop for next-to pairs
 
 
 def oracle_cone_coefficients(git, indices, v):
@@ -821,40 +821,80 @@ def oracle_next_to_pairs(wc):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the oracles' own K-class algebra: the library's KClass is L(rho) times an
+# integer Laurent polynomial in the S_j, a shape closed under products and
+# duals; the pull-push oracle adds the root generator t as one more exponent
+# and averages it away
+
+
+def _laurent_product(a, b):
+    """Product of two {exponent tuple: coefficient} Laurent polynomials."""
+    acc = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc[key] = acc.get(key, 0) + ca * cb
+    return acc
+
+
+def kclass(rho, poly):
+    """L(rho) times the Laurent polynomial {S exponents: coefficient}."""
+    return KClass(tuple(rho), tuple(sorted((s, c) for s, c in poly.items() if c)))
+
+
 def kc_zero(git):
-    return KClass(m=git.m, r=git.r, terms=())
+    return kclass((0,) * git.r, {})
 
 
-def kc_t(git, datum, power):
-    """The root generator t to the given power."""
-    mono = _unit_monomial(git.m, git.r)._replace(t=power)
-    return KClass(m=git.m, r=git.r, terms=((mono, 1),), t_datum=datum)
+def kc_line(git, p):
+    return kclass(p, {(0,) * git.m: 1})
+
+
+def kc_one(git):
+    return kc_line(git, (0,) * git.r)
+
+
+def kc_s(git, j):
+    return kclass((0,) * git.r, {tuple(int(i == j) for i in range(git.m)): 1})
+
+
+def kc_mul(*factors):
+    rho, poly = factors[0].rho, dict(factors[0].terms)
+    for f in factors[1:]:
+        rho = tuple(x + y for x, y in zip(rho, f.rho))
+        poly = _laurent_product(poly, dict(f.terms))
+    return kclass(rho, poly)
+
+
+def kc_dual(a):
+    return kclass([-x for x in a.rho], {tuple(-x for x in s): c for s, c in a.terms})
 
 
 def oracle_fm_transform(wc, delta_minus, rho_hat):
-    """The pull-push image as a product of KClass factors, root averaged."""
+    """The pull-push image as a product of Laurent polynomials in the S_j and
+    the root generator t, root averaged."""
     git = wc.git
     if delta_minus in wc.A_plus.minimal:
         return basis_e(git, wc.A_plus, delta_minus, rho_hat)
     j_minus = next(i for i in delta_minus if wc.pair_e(i) < 0)
     l = -wc.pair_e(j_minus)
-    datum = TRootDatum(j_minus=j_minus, l=l, zeta=Fraction(0))
-    poly = kc_zero(git)
-    for i in range(l):
-        poly = poly + kc_t(git, datum, -i)
-    poly = poly * kc_line(git, rho_hat) * kc_t(git, datum, int(vdot(rho_hat, wc.e)))
+
+    def mono(power, j=None):
+        """t^power, times S_j if j is given: the S exponents, then t's."""
+        return tuple(int(i == j) for i in range(git.m)) + (power,)
+
+    poly = _laurent_product({mono(-i): 1 for i in range(l)}, {mono(int(vdot(rho_hat, wc.e))): 1})
     for j in range(git.m):
         if j not in delta_minus:
-            poly = poly * (kc_one(git) - kc_t(git, datum, -max(wc.pair_e(j), 0)) * kc_s(git, j))
+            poly = _laurent_product(poly, {mono(0): 1, mono(-max(wc.pair_e(j), 0), j): -1})
     acc = {}
-    for mono, c in poly.terms:
-        exp = roots_projector(l, mono.t)
+    for exps, c in poly.items():
+        exp = roots_projector(l, exps[-1])
         if exp is not None:
-            s = list(mono.s)
-            s[j_minus] = -exp
-            key = mono._replace(s=tuple(s), t=0)
-            acc[key] = acc.get(key, 0) + c
-    return _from_dict(git.m, git.r, acc)
+            s = exps[:j_minus] + (-exp,) + exps[j_minus + 1:-1]
+            acc[s] = acc.get(s, 0) + c
+    return kclass(intvec(rho_hat), acc)
 
 
 # ---------------------------------------------------------------------------

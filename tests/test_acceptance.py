@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from helpers import random_crepant_crossing
+from helpers import kc_one, random_crepant_crossing
 from wallcross.gitfan import (
     fixed_point_labels,
     make_git,
@@ -27,7 +27,6 @@ from wallcross.hypergeom import (
 )
 from wallcross.ktheory import (
     euler_pairing,
-    kc_one,
     uhfm_sensitivity,
     verify_pairing_preserved,
     verify_uhfm,

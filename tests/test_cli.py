@@ -436,14 +436,14 @@ def test_gate_fails_on_nan_after_a_larger_finite_residual():
     assert worst == "b" and not ok and gated["margin_digits"] is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_ode_fails_on_nan_residuals(config_dir, capsys):
     import re
 
     from wallcross import cli
 
     path = config_dir.parent / "bench" / "configs" / "local_p3.json"
-    assert cli.main(["verify", "ode", "--config", str(path), "--trunc", "400", "--json"]) == 1
+    args = ["verify", "ode", "--config", str(path), "--trunc", "400", "--json"]
+    assert cli.main(args) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["margin_digits"] is None and math.isnan(results["max_residual"])
     match = re.fullmatch(r"(plus|minus) side, (delta=\[[\d, ]+\] f=\[[^]]*\]) at sample (\d+)",
@@ -452,16 +452,21 @@ def test_verify_ode_fails_on_nan_residuals(config_dir, capsys):
     side, label, sample = match.group(1), match.group(2), int(match.group(3))
     rows = [row for row in results["checks"] if row["side"] == side and row["label"] == label]
     assert math.isnan(rows[sample]["residual"])
+    # the overflow reaches the gate as a NaN, with no warning text on stderr
+    proc = run_cli(args)
+    assert proc.returncode == 1 and proc.stderr == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_pairing_fails_on_nan_residuals(config_dir, tmp_path):
     from wallcross import cli
 
     raw = json.loads((config_dir / "conifold.json").read_text())
-    raw["z"] = {"re": [1, 1000], "im": 0}
-    path = tmp_path / "small_z.json"
-    path.write_text(json.dumps(raw))
-    results, ok = cli.cmd_verify(cli.load_config(str(path)), "pairing")
-    assert not ok
-    assert math.isnan(results["max_residual"]) and results["worst_sample"] is not None
+    for z in ([1, 1000], [1, 300]):
+        raw["z"] = {"re": z, "im": 0}
+        path = tmp_path / "small_z.json"
+        path.write_text(json.dumps(raw))
+        results, ok = cli.cmd_verify(cli.load_config(str(path)), "pairing")
+        assert not ok
+        assert math.isnan(results["max_residual"]) and results["worst_sample"] is not None
+        proc = run_cli(["verify", "pairing", "--config", str(path)])
+        assert proc.returncode == 1 and proc.stderr == ""

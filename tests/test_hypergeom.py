@@ -5,12 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import oracle_genericity_gap
+from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
     PoleCollision,
     canonical_d_plus,
     conifold_point,
     generic_lambdas,
+    genericity_gaps,
     gkz_ode_residual,
     inner_series,
     inner_sum_coefficient,
@@ -188,7 +191,24 @@ def test_sample_lambdas_deterministic():
 
 
 def test_generic_lambdas_respect_clearance(conifold):
-    from wallcross.hypergeom import genericity_gap
+    lams = generic_lambdas(conifold, 8, seed=1)
+    assert len(lams) == 8
+    assert (genericity_gaps(conifold, lams) > 1e-3).all()
 
-    for lam in generic_lambdas(conifold, 8, seed=1):
-        assert genericity_gap(conifold, lam) > 1e-3
+
+def test_genericity_gaps_match_the_scalar_oracle(config_dir):
+    # the array gaps equal the per-form scalar gaps to rounding, and no pool
+    # sample sits that close to its clearance, so generic_lambdas keeps the
+    # samples that the scalar filter keeps
+    bench_dir = config_dir.parent / "bench" / "configs"
+    paths = sorted(config_dir.glob("*.json")) + sorted(bench_dir.glob("*.json"))
+    for path in paths:
+        cfg = load_config(str(path))
+        wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+        count, clearance = cfg["samples"], cfg["tolerances"]["pole_clearance"]
+        pool = sample_lambdas(wc.git.m, 2 * count + 4, cfg["seed"])
+        scalar = np.array([oracle_genericity_gap(wc, lam) for lam in pool])
+        assert np.abs(genericity_gaps(wc, pool) - scalar).max() <= 1e-15, path.name
+        assert np.abs(scalar - clearance).min() > 1e-12, path.name
+        expected = [lam for lam, gap in zip(pool, scalar) if gap > clearance][:count]
+        assert generic_lambdas(wc, count, cfg["seed"], clearance) == expected, path.name

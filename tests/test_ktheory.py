@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import kc_t, kc_zero
+from helpers import kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -18,7 +18,6 @@ from wallcross.gitfan import (
 from wallcross.hypergeom import TWO_PI_I, generic_lambdas, log_gamma
 from wallcross.ktheory import (
     ResonantSample,
-    TRootDatum,
     basis_e,
     canonical_rho_lifts,
     chern_restrict,
@@ -29,9 +28,6 @@ from wallcross.ktheory import (
     framing_restrict,
     gamma_restrict,
     isotropy_order,
-    kc_line,
-    kc_one,
-    kc_s,
     lambda_matrix,
     localization_gram,
     minus_basis,
@@ -51,7 +47,7 @@ def test_basis_e_structure(conifold):
     e = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
     # product of three binomial factors
     assert len(e.terms) == 8
-    s_indices = {j for mono, _c in e.terms for j in range(4) if mono.s[j]}
+    s_indices = {j for s, _c in e.terms for j in range(4) if s[j]}
     assert s_indices == {0, 1, 3}
 
 
@@ -89,25 +85,22 @@ def test_fm_common_anticone_is_identity(gerbe_flop):
 
 
 def test_fm_conifold_formula(conifold):
+    # (1 - S_4)(1 - S_3 S_1)(1 - S_3 S_2)
     image = fm_transform(conifold, (2,), (0,))
-    expected = (
-        (kc_one(conifold.git) - kc_s(conifold.git, 3))
-        * (kc_one(conifold.git) - kc_s(conifold.git, 2) * kc_s(conifold.git, 0))
-        * (kc_one(conifold.git) - kc_s(conifold.git, 2) * kc_s(conifold.git, 1))
-    )
+    one = (0, 0, 0, 0)
+    expected = kc_mul(kclass((0,), {one: 1, (0, 0, 0, 1): -1}),
+                      kclass((0,), {one: 1, (1, 0, 1, 0): -1}),
+                      kclass((0,), {one: 1, (0, 1, 1, 0): -1}))
+    assert len(expected.terms) == 8
     assert image == expected
 
 
 def test_fm_resolution_integral_after_averaging(resolution):
     # (1 + t^-1)(1 - t^-1 S_1)(1 - t^-1 S_2) averaged over the square roots
     # keeps the exponents 0 and -2 only: 1 + S_3 (S_1 S_2 - S_1 - S_2)
-    git = resolution.git
     image = fm_transform(resolution, (2,), (0,))
-    s0, s1, s2 = kc_s(git, 0), kc_s(git, 1), kc_s(git, 2)
-    expected = kc_one(git) + s2 * (s0 * s1 - s0 - s1)
+    expected = kclass((0,), {(0, 0, 0): 1, (1, 1, 1): 1, (1, 0, 1): -1, (0, 1, 1): -1})
     assert image == expected
-    for mono, _c in image.terms:
-        assert mono.t == 0
 
 
 def test_chern_restrict_examples(conifold):
@@ -121,42 +114,54 @@ def test_chern_restrict_examples(conifold):
 def test_chern_restrict_multiplicative(resolution):
     lam = generic_lambdas(resolution, 1, seed=5)[0]
     label = fixed_point_labels(resolution.git, resolution.A_minus)[1]
-    a = kc_line(resolution.git, (1,)) - kc_s(resolution.git, 0).scale(2)
-    b = kc_s(resolution.git, 1) + kc_line(resolution.git, (-2,)) * kc_s(resolution.git, 2).dual()
-    lhs = chern_restrict(resolution.git, a * b, label, lam)
+    # single-character classes, which products and duals keep single-character
+    a = kclass((1,), {(0, 0, 0): 1, (1, 0, 0): -2})  # L(1) (1 - 2 S_1)
+    b = kc_mul(kc_line(resolution.git, (-2,)),
+               kclass((0,), {(0, 1, 0): 1, (0, 0, -1): 1}))  # L(-2) (S_2 + S_3^-1)
+    lhs = chern_restrict(resolution.git, kc_mul(a, b), label, lam)
     rhs = chern_restrict(resolution.git, a, label, lam) * chern_restrict(
         resolution.git, b, label, lam
     )
     assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 
 
+def _t_restriction(wc, lp, lm, lam):
+    """The root generator t at the plus point lp, for the next-to partner lm:
+    exp(2 pi i zeta) exp(2 pi i D_{j-} . f_plus / l) exp(u_{j-}(delta_plus) / l),
+    with zeta = {-D_{j-} . f_minus / l} for the compatible minus lift."""
+    git = wc.git
+    j_minus = next(i for i in lm.delta if i not in lp.delta)
+    l = -wc.pair_e(j_minus)
+    zeta = frac_part(-vdot(git.D[j_minus], compatible_minus_lift(wc, lp, lm)) / l)
+    u = restrict_u(git, lp.delta)
+    return cmath.exp(TWO_PI_I * complex(zeta)) * cmath.exp(
+        TWO_PI_I * complex(vdot(git.D[j_minus], lp.f)) / l
+    ) * cmath.exp(u[j_minus](lam) / l)
+
+
 def test_chern_matching_across_wall(all_examples):
     # the twisted line bundle and divisor-bundle restrictions match across
     # the wall through the root generator
     for wc in all_examples.values():
+        git = wc.git
         lam = generic_lambdas(wc, 2, seed=7)
         for lp, lm in next_to_pairs(wc):
-            j_minus = next(i for i in lm.delta if i not in lp.delta)
-            l = -wc.pair_e(j_minus)
             lift_minus = compatible_minus_lift(wc, lp, lm)
-            zeta = frac_part(-vdot(wc.git.D[j_minus], lift_minus) / l)
-            datum = TRootDatum(j_minus=j_minus, l=l, zeta=zeta)
-            for rho in canonical_rho_lifts(wc.git, lm.delta):
+            for rho in canonical_rho_lifts(git, lm.delta):
                 rho_e = int(vdot(rho, wc.e))
-                lhs_class = kc_line(wc.git, rho) * kc_t(wc.git, datum, rho_e)
-                rhs_class = kc_line(wc.git, rho)
                 for lamv in lam:
-                    lhs = chern_restrict(wc.git, lhs_class, lp, lamv)
-                    rhs = chern_restrict(wc.git, rhs_class, lm, lamv, lift=lift_minus)
+                    lhs = chern_restrict(git, kc_line(git, rho), lp, lamv) * _t_restriction(
+                        wc, lp, lm, lamv) ** rho_e
+                    rhs = eval_terms(
+                        restriction_terms(git, kc_line(git, rho), lm.delta, lift_minus), lamv)
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
             # second display: S_j t^{-D_j e} on the plus side vs S_j minus
-            for j in range(wc.git.m):
-                cls = kc_s(wc.git, j) * kc_t(wc.git, datum, -wc.pair_e(j))
+            for j in range(git.m):
                 for lamv in lam:
-                    lhs = chern_restrict(wc.git, cls, lp, lamv)
-                    rhs = chern_restrict(
-                        wc.git, kc_s(wc.git, j), lm, lamv, lift=lift_minus
-                    )
+                    lhs = chern_restrict(git, kc_s(git, j), lp, lamv) * _t_restriction(
+                        wc, lp, lm, lamv) ** -wc.pair_e(j)
+                    rhs = eval_terms(
+                        restriction_terms(git, kc_s(git, j), lm.delta, lift_minus), lamv)
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -164,29 +169,48 @@ def test_averaged_prefactor_matches_coefficient(all_examples):
     # restriction of the root-averaged prefactor equals the connection
     # coefficient itself
     for wc in all_examples.values():
+        git = wc.git
         lam = generic_lambdas(wc, 3, seed=11)
         for lp, lm in next_to_pairs(wc):
             j_minus = next(i for i in lm.delta if i not in lp.delta)
             l = -wc.pair_e(j_minus)
             lift_minus = compatible_minus_lift(wc, lp, lm)
-            zeta = frac_part(-vdot(wc.git.D[j_minus], lift_minus) / l)
-            datum = TRootDatum(j_minus=j_minus, l=l, zeta=zeta)
-            git = wc.git
             coeff = continuation_coefficient(wc, (lp, lm))
             for lamv in lam:
-                u = restrict_u(git, lp.delta)
-                t_val = cmath.exp(TWO_PI_I * complex(datum.zeta)) * cmath.exp(
-                    TWO_PI_I * complex(vdot(git.D[j_minus], lp.f)) / l
-                ) * cmath.exp(u[j_minus](lamv) / l)
+                t_val = _t_restriction(wc, lp, lm, lamv)
                 s_val = chern_restrict(git, kc_s(git, j_minus), lp, lamv)
                 value = (1 - s_val) / (l * (1 - 1 / t_val))
                 for j in wc.M_minus:
                     if j == j_minus:
                         continue
                     sp = chern_restrict(git, kc_s(git, j), lp, lamv)
-                    sm = chern_restrict(git, kc_s(git, j), lm, lamv, lift=lift_minus)
+                    sm = eval_terms(
+                        restriction_terms(git, kc_s(git, j), lm.delta, lift_minus), lamv)
                     value *= (1 - sp) / (1 - sm)
                 assert abs(value - coeff.value(lamv)) < 1e-10 * max(1.0, abs(value))
+
+
+def test_restriction_ignores_integer_shifts_of_the_lift(all_examples):
+    # every exponent of a class is an integer, so its restriction depends on
+    # the sector lift only modulo Z^r: the partner's own sector f_minus and
+    # the coefficient's compatible lift give the same triples
+    for wc in all_examples.values():
+        git = wc.git
+        shifts = [tuple(int(i == k) for i in range(git.r)) for k in range(git.r)]
+        shifts += [tuple(3 - 2 * i for i in range(git.r)), tuple(-5 for _ in range(git.r))]
+        classes = [basis_e(git, wc.A_minus, d, rho) for d, rho in minus_basis(wc)]
+        classes += [fm_transform(wc, d, rho) for d, rho in minus_basis(wc)]
+        checked = 0
+        for lp, lm in next_to_pairs(wc):
+            lift = continuation_coefficient(wc, (lp, lm)).lift_minus
+            for cls in classes:
+                ref = restriction_terms(git, cls, lm.delta, lm.f)
+                assert restriction_terms(git, cls, lm.delta, lift) == ref
+                for v in shifts:
+                    moved = tuple(x + y for x, y in zip(lm.f, v))
+                    assert restriction_terms(git, cls, lm.delta, moved) == ref
+                    checked += 1
+        assert checked > 0
 
 
 def test_gamma_restrict_trivial():
@@ -381,7 +405,7 @@ def test_pairing_trivial_class(conifold):
 
 def test_dual_involution(conifold):
     e = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
-    assert e.dual().dual() == e
+    assert kc_dual(kc_dual(e)) == e
 
 
 def test_unit_class_restricts_to_one(all_examples):
@@ -426,16 +450,18 @@ def test_compiled_restrictions_match_chern_restrict(all_examples):
         for cls, label, lift in _restriction_cases(wc):
             values = compile_restriction(wc.git, cls, label.delta, lift).values(matrix)
             dual = compile_restriction(wc.git, cls, label.delta, lift).dual().values(matrix)
+            terms = restriction_terms(wc.git, cls, label.delta, lift)
+            terms_dual = restriction_terms(wc.git, kc_dual(cls), label.delta, lift)
             for s, lam in enumerate(lams):
-                ref = chern_restrict(wc.git, cls, label, lam, lift=lift)
+                ref = eval_terms(terms, lam)
                 assert abs(values[s] - ref) <= 1e-12 * abs(ref)
-                ref_dual = chern_restrict(wc.git, cls.dual(), label, lam, lift=lift)
+                ref_dual = eval_terms(terms_dual, lam)
                 assert abs(dual[s] - ref_dual) <= 1e-12 * abs(ref_dual)
 
 
 def _pairing_oracle(git, A, E, F, lam_eff):
     """The localization sum of restr(dual(E) * F), term by term in scalars."""
-    integrand = E.dual() * F
+    integrand = kc_mul(kc_dual(E), F)
     total = 0j
     for delta in A.minimal:
         u = restrict_u(git, delta)
@@ -498,7 +524,7 @@ def _perturbed_uhfm_residual(wc, lams, bump, epsilon):
                         value = continuation_coefficient(wc, (lp, lm), lp.f, lift).value(lam)
                         if q == bump:
                             value += epsilon
-                        rhs += value * chern_restrict(git, e, lm, lam, lift=lift)
+                        rhs += value * eval_terms(restriction_terms(git, e, lm.delta, lift), lam)
                 worst = max(worst, abs(chern_restrict(git, image, lp, lam) - rhs))
     return worst
 

@@ -1,9 +1,9 @@
 """Every definition in the library serves a command, a suite or a pinned name.
 
 Each function, class and method defined in src/wallcross (dunders exempt)
-must be referenced in src/wallcross outside its own definition, or be named
-in bench/*.py, whose tracer pins some library names.  A definition that only
-the tests call belongs in tests/helpers.py.
+must be referenced in src/wallcross outside its own definition and outside
+annotations, or be named in bench/*.py, whose tracer pins some library
+names.  A definition that only the tests call belongs in tests/helpers.py.
 
 The oracles in tests/helpers.py take their ranks, determinants and solves
 from their own Fraction elimination, and the wall-frame oracle its dual
@@ -30,9 +30,30 @@ def _definitions(tree):
                 yield node.name, node.lineno, node.end_lineno
 
 
-def _references(tree):
-    """(name, line) of every name read or written and every attribute."""
+def _annotations(tree):
+    """Every node inside an annotation of an argument, a return or a field."""
     for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            roots = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
+            roots += [a.annotation for a in (args.vararg, args.kwarg) if a is not None]
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots = [node.annotation]
+        else:
+            continue
+        for root in roots:
+            if root is not None:
+                yield from ast.walk(root)
+
+
+def _references(tree):
+    """(name, line) of every name read or written and every attribute,
+    outside annotations: a name that only annotates serves nothing."""
+    skip = {id(node) for node in _annotations(tree)}
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
