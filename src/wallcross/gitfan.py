@@ -37,9 +37,6 @@ from .lattice import (
     rational_line_membership,
     solve_square,
     span_numerators,
-    vadd,
-    vscale,
-    vsub,
 )
 
 # sup-norm radius of the smallest-first rule in wall_frame; past it the frame
@@ -459,11 +456,15 @@ def next_to_pairs(wc):
 
 
 def compatible_minus_lift(wc, label_plus, label_minus):
-    """Lift of the minus sector with f_minus - f_plus a rational multiple of e."""
-    alpha = rational_line_membership(vsub(label_minus.f, label_plus.f), wc.e)
+    """Lift of the minus sector with f_minus - f_plus a rational multiple of e:
+    f_plus + alpha e, alpha = a / s over the common denominator s of both
+    sectors, with one line transform of their cleared difference."""
+    s, (n_plus, n_minus) = _cleared_rows([label_plus.f, label_minus.f])
+    alpha = rational_line_membership([y - x for x, y in zip(n_plus, n_minus)], wc.e, s)
     if alpha is None:
         raise ValueError("sectors are not next to each other")
-    return vadd(label_plus.f, vscale(alpha, wc.e))
+    a = alpha.numerator * (s // alpha.denominator)
+    return tuple(Fraction(x + a * y, s) for x, y in zip(n_plus, wc.e))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gitfan import FixedPointLabel
-from .lattice import anticone_dual, is_integral, vdot, vsub
+from .lattice import _cleared_rows, anticone_inverse
 from .localization import restrict_u
 
 TWO_PI_I = 2j * math.pi
@@ -175,25 +175,30 @@ def canonical_d_plus(wc, label):
     In coordinates c_i = D_i . d over i in delta, the base exponent has
     wall coordinates in [0, WALL_BOUND], off-wall coordinate below its
     pairing with the wall normal, and is congruent to the sector: d - f is
-    integral.  The lexicographically smallest such coordinate vector is
-    chosen; one mat-vec with the cached anticone inverse gives d from it.
+    integral.  The lexicographically smallest such coordinate vector k is
+    chosen; with the cached anticone inverse adj / det, d = adj k / det, and
+    the congruence is adj k = det f modulo det, on integers.
     """
     e_coords = [wc.pair_e(i) for i in label.delta]
     off = [t for t, v in enumerate(e_coords) if v != 0]
     assert len(off) == 1 and e_coords[off[0]] > 0, "label must sit across the wall"
     grid = itertools.product(*(range(0, v) if t == off[0] else range(0, WALL_BOUND + 1)
                                for t, v in enumerate(e_coords)))
+    adj, det = anticone_inverse(wc.git.D, label.delta)
+    # det f is integral, since D_i . f is an integer for every i in delta
+    target = [x.numerator * (det // x.denominator) for x in label.f]
     for kvec in grid:
-        d = anticone_dual(wc.git.D, label.delta, kvec)
-        if is_integral(vsub(d, label.f)):
-            return d
+        num = [sum(a * k for a, k in zip(row, kvec)) for row in adj]
+        if all((x - t) % det == 0 for x, t in zip(num, target)):
+            return tuple(Fraction(x, det) for x in num)
     raise ValueError("no base exponent found within the wall bound")
 
 
 def make_inner_spec(wc, label):
     git = wc.git
     d_plus = canonical_d_plus(wc, label)
-    d = tuple(vdot(git.D[j], d_plus) for j in range(git.m))
+    s, (n,) = _cleared_rows([d_plus])
+    d = tuple(Fraction(sum(a * x for a, x in zip(row, n)), s) for row in git.D)
     e = tuple(wc.pair_e(j) for j in range(git.m))
     beta_forms = restrict_u(git, label.delta)
     for i in label.delta:
@@ -359,14 +364,15 @@ def genericity_gaps(wc, lams):
     """Per sample, the smallest distance of any restricted class from zero
     over both sides: the non-zero forms u_j(delta) as one float array, times
     the samples."""
-    forms = [u_j.coeffs for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+    forms = [u_j.floats for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
              for u_j in restrict_u(wc.git, delta) if not u_j.is_zero]
     forms = np.array(forms, dtype=float).reshape(len(forms), wc.git.m)
     return np.abs(forms @ np.array(lams, dtype=complex).T).min(axis=0, initial=np.inf)
 
 
 def generic_lambdas(wc, count, seed, clearance=1e-3):
-    """Seeded samples filtered for genericity; one resample then hard error."""
+    """The first ``count`` of 2 * count + 4 seeded samples whose genericity
+    gap exceeds the clearance; PoleCollision when fewer pass the filter."""
     raw = sample_lambdas(wc.git.m, 2 * count + 4, seed)
     out = [lam for lam, gap in zip(raw, genericity_gaps(wc, raw)) if gap > clearance]
     if len(out) < count:

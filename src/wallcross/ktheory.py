@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gitfan import box_elements, fixed_point_labels, next_to_pairs
+from .gitfan import _idot, box_elements, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import anticone_inverse, frac_part, intvec, quotient_transversal, ratvec, vdot
+from .lattice import _cleared_rows, anticone_inverse, frac_part, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -142,7 +142,7 @@ def fm_transform(wc, delta_minus, rho_hat):
     # Laurent polynomial is kept as {(S exponents, t exponent): coefficient};
     # it starts as (1 - S_{j-}) / (1 - t^{-1}) = 1 + t^{-1} + ... + t^{-(l-1)}
     # times t^{rho_hat . e}
-    rho_e = int(vdot(rho_hat, wc.e))
+    rho_e = _idot(rho_hat, wc.e)
     poly = {((0,) * git.m, rho_e - i): 1 for i in range(l)}
     for j in range(git.m):
         if j in delta_minus:
@@ -178,29 +178,31 @@ def restriction_terms(git, kclass, delta, f_lift):
 
     The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
     phase is an exact rational reduced mod 1 and the form is an exact linear
-    form, so zero restrictions cancel exactly.  L(rho) gives every term the
-    form theta(rho) and the phase rho . f_lift; each S_j^a adds -a u_j and
-    -a D_j . f_lift.  Every exponent is an integer, so the triples depend on
-    the lift only modulo Z^r.
+    form over the isotropy order, so zero restrictions cancel exactly.
+    L(rho) gives every term the form theta(rho) and the phase rho . f_lift;
+    each S_j^a adds -a u_j and -a D_j . f_lift.  Form numerators, and phase
+    numerators over the lift's common denominator, are accumulated as
+    integers.  Every exponent is an integer, so the triples depend on the
+    lift only modulo Z^r.
     """
     u = restrict_u(git, delta)
-    u_nonzero = [[(i, x) for i, x in enumerate(form.coeffs) if x] for form in u]
-    f_lift = ratvec(f_lift)
-    d_f = [vdot(row, f_lift) for row in git.D]
-    base_phase, base_coeffs = Fraction(0), (Fraction(0),) * git.m
+    u_nonzero = [[(i, x) for i, x in enumerate(form.num) if x] for form in u]
+    s, (f_num,) = _cleared_rows([f_lift])
+    d_f = [_idot(row, f_num) for row in git.D]
+    base_phase, base_num = 0, (0,) * git.m
     if any(kclass.rho):
-        base_phase = vdot(kclass.rho, f_lift)
-        base_coeffs = theta_restrict(git, delta, [Fraction(x) for x in kclass.rho]).coeffs
+        base_phase = _idot(kclass.rho, f_num)
+        base_num = theta_restrict(git, delta, kclass.rho).num
     out = []
-    for s, c in kclass.terms:
+    for exps, c in kclass.terms:
         phase = base_phase
-        coeffs = list(base_coeffs)
-        for j, a in enumerate(s):
+        num = list(base_num)
+        for j, a in enumerate(exps):
             if a:
                 phase -= a * d_f[j]
                 for i, x in u_nonzero[j]:
-                    coeffs[i] -= a * x
-        out.append((c, frac_part(phase), LinearForm(tuple(coeffs))))
+                    num[i] -= a * x
+        out.append((c, Fraction(phase % s, s), LinearForm(tuple(num), u[0].den)))
     return tuple(out)
 
 
@@ -252,12 +254,12 @@ def compile_restriction(git, kclass, delta, f_lift):
     arrays."""
     merged = {}
     for c, phase, form in restriction_terms(git, kclass, delta, f_lift):
-        key = (phase, form.coeffs)
+        key = (phase, form)
         merged[key] = merged.get(key, 0) + c
-    items = [(c, phase, coeffs) for (phase, coeffs), c in merged.items() if c]
+    items = [(c, phase, form) for (phase, form), c in merged.items() if c]
     weights = np.array([c * cmath.exp(TWO_PI_I * complex(phase)) for c, phase, _ in items],
                        dtype=complex)
-    forms = np.array([[float(a) for a in coeffs] for _, _, coeffs in items], dtype=float)
+    forms = np.array([form.floats for _, _, form in items], dtype=float)
     return CompiledRestriction(weights, forms.reshape(len(items), git.m))
 
 
@@ -354,7 +356,7 @@ def localization_gram(git, A, left, right, lams):
         u = restrict_u(git, delta)
         order = isotropy_order(git, delta)
         normal = [j for j in range(git.m) if j not in delta]
-        u_forms = np.array([[float(a) for a in u[j].coeffs] for j in normal], dtype=float)
+        u_forms = np.array([u[j].floats for j in normal], dtype=float)
         u_vals = u_forms.reshape(len(normal), git.m) @ lams
         for sec in sectors:
             if not all(i in sec.I_f for i in delta):

@@ -6,11 +6,14 @@ adjugate over a positive determinant per basis, and Hermite forms with their
 unimodular transforms.  Rational matrices are cleared by their common
 denominator before they reach it, so ranks, determinants, solves and kernels
 never eliminate over Fractions, and no rational inverse is ever formed.
-Integer results (kernels, wall normals, Hermite rows, span numerators) leave
-as int tuples; rational ones (coordinates over an anticone basis, solves,
-line classes, lattices generated by rational vectors) as tuples of
-``fractions.Fraction``.  Downstream numerical modules only ever evaluate the
-exact objects produced here.
+Integer results (kernels, wall normals, Hermite rows, span numerators,
+adjugates) leave as int tuples; rational ones (anticone coordinates, solves,
+line classes and multiples, lattices generated by rational vectors) as tuples
+of ``fractions.Fraction``.  Downstream, restricted forms and sector lifts are
+integer numerators over one denominator; Fraction is left only in the sector
+classes f with their ages and pairings, the splitting vectors xi, (c, c_i),
+the base exponents d_plus, the conifold point and the phases of restricted
+K-class terms.
 """
 
 from __future__ import annotations
@@ -56,23 +59,6 @@ def intvec(entries):
 def vdot(a, b):
     assert len(a) == len(b), "dimension mismatch"
     return sum((_q(x) * _q(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def vadd(a, b):
-    return tuple(_q(x) + _q(y) for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(_q(x) - _q(y) for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    c = _q(c)
-    return tuple(c * _q(x) for x in a)
-
-
-def is_integral(v):
-    return all(_q(x).denominator == 1 for x in v)
 
 
 def frac_part(q):
@@ -243,12 +229,6 @@ def anticone_coords(D, delta, p):
     return tuple(Fraction(sum(x * row[t] for x, row in zip(p, adj)), det) for t in range(len(delta)))
 
 
-def anticone_dual(D, delta, k):
-    """The vector f with D[delta[t]] . f = k_t for every t."""
-    adj, det = anticone_inverse(D, delta)
-    return tuple(Fraction(sum(a * x for a, x in zip(row, k)), det) for row in adj)
-
-
 def express_in_anticone_basis(D, delta, j):
     """Coordinates of D[j] in the basis {D[i] : i in delta}.
 
@@ -286,11 +266,9 @@ def _line_transform(e):
     return U
 
 
-def _line_numerators(v, e):
-    """(U v s, s) with U unimodular, U e = e_1, and s the common denominator
-    of v, so that U v s is an integer vector."""
-    s, (n,) = _cleared_rows([v])
-    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))], s
+def _line_numerators(n, e):
+    """U n for an integer vector n, U unimodular with U e = e_1."""
+    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))]
 
 
 def line_class(v, e):
@@ -298,19 +276,22 @@ def line_class(v, e):
     the fractional parts of (U v)[1:], U unimodular with U e = e_1.  Two
     vectors differ by a rational multiple of e modulo Z^r exactly when their
     classes agree."""
-    uv, s = _line_numerators(v, e)
-    return tuple(Fraction(x % s, s) for x in uv[1:])
+    s, (n,) = _cleared_rows([v])
+    return tuple(Fraction(x % s, s) for x in _line_numerators(n, e)[1:])
 
 
-def rational_line_membership(v, e):
+def rational_line_membership(v, e, den=None):
     """The unique alpha in [0,1) with v - alpha*e integral, if it exists.
 
-    ``e`` must be a primitive integer vector; primitivity makes alpha unique
-    modulo 1.  With U e = e_1 as in line_class, v - alpha*e is integral
-    exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
+    ``v`` is a rational vector or, with ``den``, the integer numerators of one
+    over den > 0.  ``e`` must be a primitive integer vector; primitivity makes
+    alpha unique modulo 1.  With U e = e_1 as in line_class, v - alpha*e is
+    integral exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
     """
-    uv, s = _line_numerators(v, e)
-    return Fraction(uv[0] % s, s) if all(x % s == 0 for x in uv[1:]) else None
+    if den is None:
+        den, (v,) = _cleared_rows([v])
+    uv = _line_numerators(v, e)
+    return Fraction(uv[0] % den, den) if all(x % den == 0 for x in uv[1:]) else None
 
 
 # ---------------------------------------------------------------------------

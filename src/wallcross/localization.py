@@ -1,9 +1,10 @@
 """Exact fixed-point restrictions of degree-two equivariant classes.
 
-Every restriction is an exact linear form in the torus parameters; numbers
-appear only when a form is evaluated downstream.  The central identity here
-is the wall transition of restricted divisor classes between next-to fixed
-points, which holds as an exact equality of forms.
+Every restriction is an exact linear form in the torus parameters: integer
+numerators over the isotropy order det D_delta of its fixed point.  A form
+becomes floats once (``LinearForm.floats``) and a Fraction only when printed.
+The central identity here is the wall transition of restricted divisor
+classes between next-to fixed points, an exact equality of forms.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .gitfan import anticones_next_to, wall_frame
-from .lattice import anticone_coords, express_in_anticone_basis, frac_part
+from .lattice import anticone_inverse, frac_part
 
 
 class NotAdjacentAnticones(ValueError):
@@ -22,28 +23,26 @@ class NotAdjacentAnticones(ValueError):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Exact rational linear combination of the torus parameters."""
+    """Exact rational linear combination of the torus parameters, num[i] / den
+    times L_i.  Equality compares numerators and denominator, so it is
+    equality of values between forms over one denominator."""
 
-    coeffs: tuple  # m Fractions
-
-    def __add__(self, other):
-        return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return LinearForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c):
-        c = Fraction(c)
-        return LinearForm(tuple(c * a for a in self.coeffs))
+    num: tuple  # m ints
+    den: int = 1  # positive
 
     @property
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.num)
+
+    @cached_property
+    def floats(self):
+        """The coefficients as floats, each the correctly rounded num / den."""
+        return tuple(n / self.den for n in self.num)
 
     @cached_property
     def _nonzero(self):
         """(index, complex coefficient) of every nonzero coefficient."""
-        return tuple((i, complex(a)) for i, a in enumerate(self.coeffs) if a != 0)
+        return tuple((i, complex(a)) for i, a in enumerate(self.floats) if self.num[i])
 
     def __call__(self, lam):
         return sum((a * lam[i] for i, a in self._nonzero), 0j)
@@ -55,88 +54,81 @@ class LinearForm:
     def _text(self):
         """The form as text, built once: forms are shared through restrict_u."""
         parts = []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            name = "L%d" % (i + 1)
-            if a == 1:
-                parts.append("+" + name)
-            elif a == -1:
-                parts.append("-" + name)
-            else:
-                parts.append(("+" if a > 0 else "-") + "%s*%s" % (abs(a), name))
-        if not parts:
-            return "0"
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
-
-
-def zero_form(m):
-    return LinearForm((Fraction(0),) * m)
+        for i, n in enumerate(self.num):
+            if n:
+                a = Fraction(n, self.den)
+                scale = "" if abs(a) == 1 else "%s*" % abs(a)
+                parts.append("%s%sL%d" % ("+" if a > 0 else "-", scale, i + 1))
+        return "".join(parts).lstrip("+") or "0"
 
 
 def c0_form(m):
     """The constant shift: the sum of all torus parameters."""
-    return LinearForm((Fraction(1),) * m)
+    return LinearForm((1,) * m)
+
+
+def _theta_numerators(git, delta, p):
+    """(numerators, det) of theta(p) at ``delta`` for an integer character p:
+    with p = sum_t c_t D[delta[t]], theta(p) restricts to -sum_t c_t L_delta[t],
+    and the c_t are the adjugate pairings of p over det."""
+    adj, det = anticone_inverse(git.D, delta)
+    num = [0] * git.m
+    for t, i in enumerate(delta):
+        num[i] = -sum(x * row[t] for x, row in zip(p, adj))
+    return num, det
 
 
 @lru_cache(maxsize=None)
 def restrict_u(git, delta):
     """Restrictions of all divisor classes at the fixed point of ``delta``.
 
-    u_j(delta) = L_j - sum_i c_i L_i where D_j = sum_{i in delta} c_i D_i.
-    The form vanishes exactly when j lies in delta.
+    u_j(delta) = L_j + theta(D_j), over the isotropy order det.  The form
+    vanishes exactly when j lies in delta.
     """
     out = []
     for j in range(git.m):
-        c = express_in_anticone_basis(git.D, delta, j)
-        coeffs = [Fraction(0)] * git.m
-        coeffs[j] += 1
-        for i, ci in zip(delta, c):
-            coeffs[i] -= ci
-        out.append(LinearForm(tuple(coeffs)))
+        num, det = _theta_numerators(git, delta, git.D[j])
+        num[j] += det
+        out.append(LinearForm(tuple(num), det))
     for j, form in enumerate(out):
         assert form.is_zero == (j in delta)
     return tuple(out)
 
 
 def theta_restrict(git, delta, p):
-    """Restriction of the splitting class of the character p at ``delta``.
+    """Restriction of the splitting class of the integer character p at
+    ``delta``, over the isotropy order.
 
     theta(D_j) restricts to u_j(delta) - L_j, so for p = sum c_i D_i over the
     anticone basis the restriction is -sum c_i L_i.
     """
-    coeffs = [Fraction(0)] * git.m
-    for i, ci in zip(delta, anticone_coords(git.D, delta, p)):
-        coeffs[i] -= ci
-    return LinearForm(tuple(coeffs))
+    num, det = _theta_numerators(git, delta, p)
+    return LinearForm(tuple(num), det)
 
 
 def rho_restrict(git, delta):
     """Restriction of the first Chern class of the tangent bundle."""
     u = restrict_u(git, delta)
-    total = zero_form(git.m)
-    for j in range(git.m):
-        if j not in delta:
-            total = total + u[j]
-    return total
+    return LinearForm(tuple(sum(u[j].num[i] for j in range(git.m) if j not in delta)
+                            for i in range(git.m)), u[0].den)
 
 
 def verify_weight_transition(wc, delta_plus, delta_minus, j):
     """Exact check of the wall transition of restricted divisor classes.
 
     u_j(delta_plus) equals u_j(delta_minus) plus (D_j.e / D_{j-}.e) times
-    u_{j-}(delta_plus), as linear forms.
+    u_{j-}(delta_plus), as linear forms; compared on numerators cleared by
+    D_{j-}.e times both isotropy orders.
     """
     if not anticones_next_to(wc, delta_plus, delta_minus):
         raise NotAdjacentAnticones("%s | %s fails" % (delta_plus, delta_minus))
     j_minus = next(i for i in delta_minus if i not in delta_plus)
     u_plus = restrict_u(wc.git, delta_plus)
     u_minus = restrict_u(wc.git, delta_minus)
-    ratio = Fraction(wc.pair_e(j), wc.pair_e(j_minus))
-    lhs = u_plus[j]
-    rhs = u_minus[j] + u_plus[j_minus].scale(ratio)
-    return lhs == rhs
+    a, b, c = u_plus[j], u_minus[j], u_plus[j_minus]
+    p, p_minus = wc.pair_e(j), wc.pair_e(j_minus)
+    return all(x * p_minus * b.den == y * p_minus * a.den + p * z * b.den
+               for x, y, z in zip(a.num, b.num, c.num))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import is_integral, ratvec, vadd, vsub
+from .lattice import _cleared_rows
 from .localization import restrict_u
 
 
@@ -97,19 +97,21 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     assert l > 0
     ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
     used = (j_minus,) + ratio_js
-    lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
+    lift_plus = label_plus.f if lift_plus is None else tuple(lift_plus)
     lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
-                  else ratvec(lift_minus))
+                  else tuple(lift_minus))
+    # the four vectors cleared by one common denominator s
+    s, (n_plus, n_minus, f_plus, f_minus) = _cleared_rows(
+        [lift_plus, lift_minus, label_plus.f, label_minus.f])
     pairings = []
-    for lift, label in ((lift_plus, label_plus), (lift_minus, label_minus)):
-        shift = vsub(lift, label.f)
-        if not is_integral(shift):
+    for n, f, label in ((n_plus, f_plus, label_plus), (n_minus, f_minus, label_minus)):
+        if any((a - b) % s for a, b in zip(n, f)):
             raise IncompatibleLifts("lift does not represent the sector class")
         # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . (lift - f)
-        shift = [x.numerator for x in shift]
+        shift = [(a - b) // s for a, b in zip(n, f)]
         pairings.append({j: label.sector.pairings[j] + _idot(wc.git.D[j], shift) for j in used})
     c_plus, c_minus = pairings
-    v, e = vsub(lift_plus, lift_minus), wc.e
+    v, e = [a - b for a, b in zip(n_plus, n_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
         raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
     u_plus = restrict_u(wc.git, label_plus.delta)
@@ -136,11 +138,10 @@ def lift_invariance_check(wc, pair, lams, tol=1e-12):
     """
     base = continuation_coefficient(wc, pair)
     f_plus, f_minus = base.lift_plus, base.lift_minus
-    unit = tuple(Fraction(int(i == 0)) for i in range(wc.git.r))
     variants = [continuation_coefficient(wc, pair, lp, lm) for lp, lm in (
-        (vadd(f_plus, wc.e), f_minus),
-        (f_plus, vsub(f_minus, wc.e)),
-        (vadd(f_plus, unit), vadd(f_minus, unit)),
+        (tuple(a + b for a, b in zip(f_plus, wc.e)), f_minus),
+        (f_plus, tuple(a - b for a, b in zip(f_minus, wc.e))),
+        ((f_plus[0] + 1,) + f_plus[1:], (f_minus[0] + 1,) + f_minus[1:]),
     )]
     out = []
     for lam in lams:

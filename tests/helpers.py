@@ -14,7 +14,10 @@ production path it checks can cross-validate each other:
   from grouped left residues of the Barnes integral;
 - the pull-push oracle multiplies Laurent polynomials in the S_j and the
   root generator t, then averages t over its roots;
-- the genericity oracle evaluates each restricted form at each sample as a
+- the restriction oracles (oracle_restrict_u, oracle_theta_restrict) solve
+  the anticone coordinates of each character by fraction_solve and keep the
+  forms as Fraction coefficient tuples;
+- the genericity oracle evaluates each of those forms at each sample as a
   Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
   |Im s| <= t_max, with the integrand evaluated afresh for that point;
@@ -24,10 +27,12 @@ production path it checks can cross-validate each other:
   reproduce bit for bit.
 
 Ranks, determinants and solves come from the Fraction elimination below,
-never from wallcross.lattice, whose integer kernel they check
-(tests/test_layout.py enforces this).  The wall-frame oracle builds its own
-Fraction dual lattices, coordinates and sublattice vectors, by fraction_solve
-and Fraction combinations.  Beyond vector arithmetic, what an oracle shares
+never from wallcross.lattice, whose integer kernel they check, and the
+restrictions and minus lifts from the oracles above, never from restrict_u,
+theta_restrict or compatible_minus_lift (tests/test_layout.py enforces
+this).  The Fraction vector arithmetic is the oracles' own.  The wall-frame
+oracle builds its own Fraction dual lattices, coordinates and sublattice
+vectors, by fraction_solve and Fraction combinations.  What an oracle shares
 with the path it checks is the choice of lattice bases, which fixes the
 smallest-first search order: the Hermite bases of the extended lattice and
 of the dual's generators (lattice.extended_lattice and
@@ -53,7 +58,6 @@ from wallcross.gitfan import (
     SectorLabel,
     WallFrame,
     anticones_next_to,
-    compatible_minus_lift,
     fixed_point_labels,
     make_git,
     next_to_pairs,
@@ -74,21 +78,16 @@ from wallcross.ktheory import KClass, basis_e, roots_projector
 from wallcross.lattice import (
     NotAHyperplane,
     anticone_coords,
-    anticone_dual,
     extended_lattice,
     frac_part,
     integer_kernel_basis,
     intvec,
-    is_integral,
     lattice_from_generators,
     quotient_transversal,
     ratvec,
-    vadd,
     vdot,
-    vscale,
-    vsub,
 )
-from wallcross.localization import SigmaRestriction, restrict_u, sigma_restrict, zero_form
+from wallcross.localization import sigma_restrict
 from wallcross.mellinbarnes import (
     ContourTooClose,
     _abscissa,
@@ -124,23 +123,92 @@ def primitive(v):
 
 
 def in_plus_coordinates(sigma, change):
-    """Rewrite a minus-side restriction in the plus-chart coordinates.
+    """The log coefficients of a minus-side restriction rewritten in the
+    plus-chart coordinates, as Fraction coefficient tuples.
 
     log ty_i = log y_i + c_i log y_r for i < r and log ty_r = -c log y_r.
     """
-    r = len(sigma.log_coeffs)
-    new = list(sigma.log_coeffs[: r - 1])
-    last = zero_form(len(sigma.constant.coeffs))
-    for i in range(r - 1):
-        last = last + sigma.log_coeffs[i].scale(change.c_i[i])
-    last = last + sigma.log_coeffs[r - 1].scale(-change.c)
-    return SigmaRestriction(log_coeffs=tuple(new) + (last,), constant=sigma.constant)
+    logs = [fraction_coeffs(form) for form in sigma.log_coeffs]
+    last = vscale(-change.c, logs[-1])
+    for c_i, form in zip(change.c_i, logs):
+        last = vadd(last, vscale(c_i, form))
+    return tuple(logs[:-1]) + (last,)
 
 
 def oracle_genericity_gap(wc, lam):
     """Smallest |u_j(delta)(lam)| over both sides, one form at a time."""
-    return min(abs(u[j](lam)) for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
-               for u in [restrict_u(wc.git, delta)] for j in range(wc.git.m) if j not in delta)
+    return min(abs(form_value(u[j], lam)) for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+               for u in [oracle_restrict_u(wc.git, delta)] for j in range(wc.git.m) if j not in delta)
+
+
+# ---------------------------------------------------------------------------
+# Fraction vectors and restricted forms: the oracles' own arithmetic
+
+
+def vadd(a, b):
+    return tuple(Fraction(x) + y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    return tuple(Fraction(x) - y for x, y in zip(a, b))
+
+
+def vscale(c, a):
+    return tuple(Fraction(c) * x for x in a)
+
+
+def is_integral(v):
+    return all(Fraction(x).denominator == 1 for x in v)
+
+
+def anticone_dual(D, delta, k):
+    """The vector f with D[delta[t]] . f = k_t for every t, by fraction_solve."""
+    return fraction_solve([D[i] for i in delta], list(k))
+
+
+def fraction_coeffs(form):
+    """The coefficients of a library LinearForm as Fractions."""
+    return tuple(Fraction(n, form.den) for n in form.num)
+
+
+def form_value(coeffs, lam):
+    """A form given by its coefficients at the torus parameters lam, in the
+    order of LinearForm.__call__."""
+    return sum((complex(a) * lam[i] for i, a in enumerate(coeffs) if a), 0j)
+
+
+def oracle_form_text(coeffs):
+    """The text of a form from its Fraction coefficients."""
+    parts = []
+    for i, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        name = "L%d" % (i + 1)
+        if a in (1, -1):
+            parts.append(("+" if a > 0 else "-") + name)
+        else:
+            parts.append(("+" if a > 0 else "-") + "%s*%s" % (abs(a), name))
+    return "".join(parts).lstrip("+") or "0"
+
+
+def oracle_theta_restrict(git, delta, p):
+    """theta(p) at delta as Fraction coefficients: -sum_t c_t L_delta[t] for
+    the solution c of p = sum_t c_t D[delta[t]] by fraction_solve."""
+    c = fraction_solve([[git.D[i][a] for i in delta] for a in range(git.r)], list(p))
+    coeffs = [Fraction(0)] * git.m
+    for i, ci in zip(delta, c):
+        coeffs[i] = -ci
+    return tuple(coeffs)
+
+
+def oracle_restrict_u(git, delta):
+    """u_j(delta) = L_j + theta(D_j) for every j, as Fraction coefficients."""
+    out = []
+    for j in range(git.m):
+        coeffs = list(oracle_theta_restrict(git, delta, git.D[j]))
+        coeffs[j] += 1
+        out.append(tuple(coeffs))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +673,12 @@ def assert_sigma_transition(wc, frame):
             continue
         seen.add((lp.delta, lm.delta))
         j_minus = next(i for i in lm.delta if i not in lp.delta)
-        u = restrict_u(wc.git, lp.delta)[j_minus]
+        u = oracle_restrict_u(wc.git, lp.delta)[j_minus]
         sig_p = sigma_restrict(wc, lp.delta, "plus")
         sig_m = in_plus_coordinates(sigma_restrict(wc, lm.delta, "minus"), frame.change)
         for k in range(wc.git.r):
             ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
-            assert sig_p.log_coeffs[k] - sig_m.log_coeffs[k] == u.scale(ratio)
+            assert vsub(fraction_coeffs(sig_p.log_coeffs[k]), sig_m[k]) == vscale(ratio, u)
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +688,12 @@ def assert_sigma_transition(wc, frame):
 def _unnormalized_minus_series(wc, label_minus, d_minus, x, lam):
     """Sum over k <= 200 of x^{-k} / prod Gamma(1 + u_j(d-)/2pi i + D_j d- - k D_j e)."""
     git = wc.git
-    u = restrict_u(git, label_minus.delta)
+    u = oracle_restrict_u(git, label_minus.delta)
     k = np.arange(201)
     log_terms = np.zeros(len(k), dtype=complex)
     live = np.ones(len(k), dtype=bool)
     for j in range(git.m):
-        gamma_j = u[j](lam) / TWO_PI_I
+        gamma_j = form_value(u[j], lam) / TWO_PI_I
         d_j = vdot(git.D[j], d_minus)
         if gamma_j == 0 and d_j.denominator == 1:
             # an exact reciprocal Gamma at a nonpositive integer kills the term
@@ -652,7 +720,8 @@ def continuation_numeric(wc, pair, x, lam):
     betas = spec.betas(lam)
 
     # the residue class of this partner: l' = D_{j-} . d_minus mod pairing
-    lift_minus = compatible_minus_lift(wc, label_plus, label_minus)
+    alpha = oracle_line_membership(vsub(label_minus.f, label_plus.f), wc.e)
+    lift_minus = vadd(label_plus.f, vscale(alpha, wc.e))
     # d_minus = d_plus + ((D_{j-}.d_plus - l') / l) e with [d_minus] = f_minus
     d_plus_pair = spec.d[j_minus]
     residue_class = None

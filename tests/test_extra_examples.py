@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import continuation_numeric, in_plus_coordinates, oracle_fm_transform
+from helpers import assert_sigma_transition, continuation_numeric, oracle_fm_transform
 from wallcross.gitfan import (
     box_elements,
     fixed_point_labels,
@@ -172,26 +172,12 @@ def test_randomized_crossings_full_stack():
     from wallcross.gitfan import wall_frame
     from wallcross.hypergeom import PoleCollision
     from wallcross.ktheory import verify_uhfm as _uhfm, minus_basis as _basis
-    from wallcross.lattice import vdot
-    from wallcross.localization import restrict_u, sigma_restrict
 
     rng = random.Random(987)
     checked = 0
     for _ in range(25):
         wc = random_crepant_crossing(rng, max_r=2, max_m=5)
-        frame = wall_frame(wc)
-        seen = set()
-        for lp, lm in next_to_pairs(wc):
-            if (lp.delta, lm.delta) in seen:
-                continue
-            seen.add((lp.delta, lm.delta))
-            j_minus = next(i for i in lm.delta if i not in lp.delta)
-            u = restrict_u(wc.git, lp.delta)[j_minus]
-            sig_p = sigma_restrict(wc, lp.delta, "plus")
-            sig_m = in_plus_coordinates(sigma_restrict(wc, lm.delta, "minus"), frame.change)
-            for k in range(wc.git.r):
-                ratio = Fraction(int(vdot(frame.sfp_plus[k], wc.e)), wc.pair_e(j_minus))
-                assert sig_p.log_coeffs[k] - sig_m.log_coeffs[k] == u.scale(ratio)
+        assert_sigma_transition(wc, wall_frame(wc))
         if len(_basis(wc)) > 10:
             continue
         try:

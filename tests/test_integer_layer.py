@@ -1,9 +1,10 @@
 """The integer exact layer against its Fraction oracles.
 
 Cone tests, wall normals, box classes, line multiples, next-to pairs, the
-pull-push transform, ranks, determinants, solves and kernels run on integers;
-the oracles in helpers.py are the rational-elimination paths they replace.
-Every comparison is exact and includes order.
+pull-push transform, the fixed-point restrictions, ranks, determinants,
+solves and kernels run on integers; the oracles in helpers.py are the
+rational-elimination paths they replace.  Every comparison is exact and
+includes order.
 """
 
 import functools
@@ -11,6 +12,7 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,13 +24,19 @@ from helpers import (
     oracle_box_classes,
     oracle_crossing_normal,
     oracle_fm_transform,
+    oracle_form_text,
     oracle_line_membership,
     oracle_minimal_anticones,
     oracle_next_to_pairs,
+    oracle_restrict_u,
     oracle_rho_lifts,
+    oracle_theta_restrict,
     primitive,
     oracle_wall_hyperplanes,
     random_crepant_crossing,
+    vadd,
+    vscale,
+    vsub,
 )
 from wallcross.cli import load_config
 from wallcross.gitfan import (
@@ -56,11 +64,9 @@ from wallcross.lattice import (
     solve_rectangular,
     solve_square,
     span_numerators,
-    vadd,
     vdot,
-    vscale,
-    vsub,
 )
+from wallcross.localization import restrict_u, theta_restrict
 from wallcross.mellinbarnes import continuation_coefficient
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -78,6 +84,24 @@ def _crossings():
         out.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
     assert len(out) == 267 and {wc.git.r for wc in out} == {1, 2, 3}
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _config_crossings():
+    """The crossings of configs/ and bench/configs/."""
+    paths = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "bench" / "configs").glob("*.json"))
+    out = []
+    for path in paths:
+        cfg = load_config(str(path))
+        out.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
+    return tuple(out)
+
+
+def _numerators(v, k=1):
+    """(n, s): a rational vector as integer numerators over s, k times the
+    least common denominator of its entries."""
+    s = k * lcm(*(Fraction(x).denominator for x in v))
+    return tuple(int(Fraction(x) * s) for x in v), s
 
 
 def _outcome(fn, *args):
@@ -140,7 +164,28 @@ def test_next_to_pairs_and_lifts_match_the_double_loop():
         assert pairs == oracle_next_to_pairs(wc)
         for lp, lm in pairs:
             alpha = oracle_line_membership(vsub(lm.f, lp.f), wc.e)
+            n, s = _numerators(vsub(lm.f, lp.f))
+            assert rational_line_membership(n, wc.e, s) == alpha
             assert compatible_minus_lift(wc, lp, lm) == vadd(lp.f, vscale(alpha, wc.e))
+
+
+def test_restrictions_match_the_fraction_solve():
+    """restrict_u, and theta_restrict at the characters and random integer
+    characters, against the Fraction solve: numerators over the isotropy
+    order, floats bit for bit those of the Fractions, and the printed form."""
+    rng = random.Random(31)
+    for wc in _config_crossings() + _crossings()[:260]:
+        git = wc.git
+        for delta in sorted(set(wc.A_plus.minimal + wc.A_minus.minimal)):
+            det = abs(fraction_det([git.D[i] for i in delta]))
+            chars = [tuple(rng.randint(-4, 4) for _ in range(git.r)) for _ in range(3)]
+            cases = list(zip(restrict_u(git, delta), oracle_restrict_u(git, delta)))
+            cases += [(theta_restrict(git, delta, p), oracle_theta_restrict(git, delta, p))
+                      for p in list(git.D) + chars]
+            for form, coeffs in cases:
+                assert form.den == det and tuple(Fraction(n, det) for n in form.num) == coeffs
+                assert [x.hex() for x in form.floats] == [float(a).hex() for a in coeffs]
+                assert str(form) == oracle_form_text(coeffs)
 
 
 def test_rho_lifts_match_the_fraction_lifts():
@@ -169,6 +214,9 @@ def test_line_membership_and_class_match_the_candidate_loop():
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
         alpha = oracle_line_membership(v, e)
         assert rational_line_membership(v, e) == alpha
+        for k in (1, 2):
+            numerators, s = _numerators(v, k)
+            assert rational_line_membership(numerators, e, s) == alpha
         assert (line_class(v, e) == line_class((0,) * n, e)) == (alpha is not None)
 
 

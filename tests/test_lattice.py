@@ -12,28 +12,25 @@ from helpers import (
     oracle_coords,
     primitive,
     random_crepant_crossing,
+    vadd,
+    vscale,
 )
 from wallcross.cli import load_config
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
     anticone_coords,
-    anticone_dual,
     express_in_anticone_basis,
     extended_lattice,
     frac_part,
     hermite_row_form,
     intvec,
-    is_integral,
     lattice_from_generators,
     primitive_wall_normal,
     quotient_transversal,
     ratvec,
     rational_line_membership,
-    vadd,
     vdot,
-    vscale,
-    vsub,
 )
 from wallcross.gitfan import box_elements, make_git, validate_stability, wall_crossing
 
@@ -257,20 +254,18 @@ def _kernel_crossings():
 
 
 def test_anticone_kernel_matches_solve_square():
-    """The cached inverse's coordinates and duals equal a Fraction solve."""
+    """The cached inverse's coordinates equal a Fraction solve."""
     rng = random.Random(5)
     crossings = _kernel_crossings()
     assert any(wc.git.r == 3 for wc in crossings)
     for wc in crossings:
         D, r = wc.git.D, wc.git.r
         for delta in wc.A_plus.minimal + wc.A_minus.minimal:
-            rows = [D[i] for i in delta]
-            cols = [list(col) for col in zip(*rows)]
+            cols = [list(col) for col in zip(*(D[i] for i in delta))]
             vectors = list(D) + [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                        for _ in range(r)) for _ in range(3)]
             for v in vectors:
                 assert anticone_coords(D, delta, v) == fraction_solve(cols, v)
-                assert anticone_dual(D, delta, v) == fraction_solve(rows, v)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -282,11 +277,9 @@ def test_vector_helpers_keep_their_return_types(a, b):
     def fractions(v):
         return type(v) is tuple and all(type(x) is Fraction for x in v)
 
-    for v in (ratvec(a), vadd(a, b), vsub(a, b), vscale(2, a), vscale(Fraction(1, 3), b)):
-        assert fractions(v)
+    assert fractions(ratvec(a)) and fractions(ratvec(b))
     assert type(vdot(a, b)) is Fraction and vdot(a, b) == sum(Fraction(x) * y for x, y in zip(a, b))
     assert all(type(frac_part(x)) is Fraction and 0 <= frac_part(x) < 1 for x in a)
-    assert is_integral(a) == all(Fraction(x).denominator == 1 for x in a)
     # an existing Fraction passes through unchanged; no new one is built
     assert all(y is x for x, y in zip(a, ratvec(a)) if type(x) is Fraction)
     ints = intvec([2 * Fraction(x).denominator * x for x in a])

@@ -6,9 +6,10 @@ annotations, or be named in bench/*.py, whose tracer pins some library
 names.  A definition that only the tests call belongs in tests/helpers.py.
 
 The oracles in tests/helpers.py take their ranks, determinants and solves
-from their own Fraction elimination, and the wall-frame oracle its dual
-lattices, coordinates and sublattice vectors, never from the integer kernel
-and wall-frame set-up they check.
+from their own Fraction elimination, the wall-frame oracle its dual
+lattices, coordinates and sublattice vectors, and the restriction and lift
+oracles their forms and line multiples, never from the integer kernel,
+wall-frame set-up, restrictions and lifts they check.
 """
 
 import ast
@@ -19,7 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wallcross"
 KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "right_kernel",
                 "primitive_wall_normal", "_dual_of_extended", "_constrained_sublattice",
-                "_coords_in", "_combination"}
+                "_coords_in", "_combination", "restrict_u", "theta_restrict",
+                "compatible_minus_lift"}
 
 
 def _definitions(tree):

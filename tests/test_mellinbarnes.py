@@ -117,6 +117,16 @@ def test_incompatible_lifts_rejected(conifold, gerbe_flop):
             lift_plus=(Fraction(0), Fraction(0)),
             lift_minus=(Fraction(1), Fraction(0)),
         )
+    with pytest.raises(IncompatibleLifts, match="does not represent"):
+        # both lifts moved by one vector over a denominator that neither
+        # sector has: their difference stays on the wall line, but the four
+        # vectors cleared by one common denominator show neither represents
+        # its class
+        continuation_coefficient(
+            gerbe_flop, gpair,
+            lift_plus=(Fraction(2, 5), Fraction(1, 5)),
+            lift_minus=(Fraction(2, 5), Fraction(1, 5)),
+        )
 
 
 def test_matrix_structure_conifold(conifold):
