@@ -137,7 +137,7 @@ def validate_stability(git, omega):
     omega = ratvec(omega)
     if len(omega) != git.r:
         raise ValueError("omega has wrong dimension")
-    w = cleared(omega)
+    _, w = cleared(omega)
     minimal = []
     for size in range(0, git.r + 1):
         undersized = None
@@ -163,13 +163,16 @@ def validate_stability(git, omega):
 
 @dataclass(frozen=True)
 class SectorLabel:
-    """A box class: canonical representative f, its isotropy set, its age and
-    the exact pairings D_i . f, one per character."""
+    """A box class: canonical representative f in [0,1)^r, its isotropy set,
+    its age, the exact pairings D_i . f, one per character, and f as integer
+    numerators ``num`` over the order ``den`` of the class."""
 
     f: tuple
     I_f: tuple
     age: Fraction
     pairings: tuple = field(compare=False)
+    num: tuple = field(compare=False)
+    den: int = field(compare=False)
 
     @property
     def is_zero(self):
@@ -206,8 +209,10 @@ def _box_classes(git, A):
             residues = [p % det for p in pairings]
             I_f = tuple(i for i, p in enumerate(residues) if p == 0)
             assert A.contains(I_f), "sector isotropy set must be an anticone"
+            g = gcd(det, *num)
             seen[f] = SectorLabel(f=f, I_f=I_f, age=Fraction(sum(residues), det),
-                                  pairings=tuple(Fraction(p, det) for p in pairings))
+                                  pairings=tuple(Fraction(p, det) for p in pairings),
+                                  num=tuple(x // g for x in num), den=det // g)
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)
@@ -359,7 +364,7 @@ def wall_crossing(git, omega_plus, omega_minus):
     # hyperplane extension.  On the cleared endpoints w+ and w-, with
     # a = w+.n and b = w-.n of opposite signs, |b| w+ + |a| w- is a positive
     # multiple of the crossing point.
-    w_plus, w_minus = cleared(omega_plus), cleared(omega_minus)
+    (_, w_plus), (_, w_minus) = cleared(omega_plus), cleared(omega_minus)
     crossings = []
     for n in _wall_hyperplanes(git):
         a, b = _idot(w_plus, n), _idot(w_minus, n)
@@ -456,15 +461,11 @@ def next_to_pairs(wc):
 
 
 def compatible_minus_lift(wc, label_plus, label_minus):
-    """Lift of the minus sector with f_minus - f_plus a rational multiple of e:
-    f_plus + alpha e, alpha = a / s over the common denominator s of both
-    sectors, with one line transform of their cleared difference."""
-    s, (n_plus, n_minus) = _cleared_rows([label_plus.f, label_minus.f])
-    alpha = rational_line_membership([y - x for x, y in zip(n_plus, n_minus)], wc.e, s)
+    """Lift of the minus sector with f_minus - f_plus a rational multiple of e."""
+    alpha = rational_line_membership(tuple(y - x for x, y in zip(label_plus.f, label_minus.f)), wc.e)
     if alpha is None:
         raise ValueError("sectors are not next to each other")
-    a = alpha.numerator * (s // alpha.denominator)
-    return tuple(Fraction(x + a * y, s) for x, y in zip(n_plus, wc.e))
+    return tuple(x + alpha * y for x, y in zip(label_plus.f, wc.e))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +537,7 @@ def _combination(coeffs, rows):
 def _constrained_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
     the given rational functionals, each cleared to an integer one."""
-    cond_rows = [[_idot(row, c) for row in dual] for c in map(cleared, conditions)]
+    cond_rows = [[_idot(row, c) for row in dual] for _, c in map(cleared, conditions)]
     return [_combination(k, dual) for k in integer_kernel_basis(cond_rows, len(dual))]
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gitfan import FixedPointLabel
-from .lattice import _cleared_rows, anticone_inverse
+from .lattice import anticone_inverse
 from .localization import restrict_u
 
 TWO_PI_I = 2j * math.pi
@@ -170,14 +170,16 @@ WALL_BOUND = 12
 
 
 def canonical_d_plus(wc, label):
-    """Smallest base exponent representing the label's sector.
+    """Smallest base exponent representing the label's sector, as (num, det)
+    with d_plus = num / det over the isotropy order.
 
     In coordinates c_i = D_i . d over i in delta, the base exponent has
     wall coordinates in [0, WALL_BOUND], off-wall coordinate below its
     pairing with the wall normal, and is congruent to the sector: d - f is
     integral.  The lexicographically smallest such coordinate vector k is
-    chosen; with the cached anticone inverse adj / det, d = adj k / det, and
-    the congruence is adj k = det f modulo det, on integers.
+    chosen; with the cached anticone inverse adj / det, num = adj k and the
+    congruence is num = det f modulo det, where det f is the sector's
+    numerators moved from its order, which divides det, to det.
     """
     e_coords = [wc.pair_e(i) for i in label.delta]
     off = [t for t, v in enumerate(e_coords) if v != 0]
@@ -185,20 +187,19 @@ def canonical_d_plus(wc, label):
     grid = itertools.product(*(range(0, v) if t == off[0] else range(0, WALL_BOUND + 1)
                                for t, v in enumerate(e_coords)))
     adj, det = anticone_inverse(wc.git.D, label.delta)
-    # det f is integral, since D_i . f is an integer for every i in delta
-    target = [x.numerator * (det // x.denominator) for x in label.f]
+    target = [x * (det // label.sector.den) for x in label.sector.num]
     for kvec in grid:
         num = [sum(a * k for a, k in zip(row, kvec)) for row in adj]
         if all((x - t) % det == 0 for x, t in zip(num, target)):
-            return tuple(Fraction(x, det) for x in num)
+            return tuple(num), det
     raise ValueError("no base exponent found within the wall bound")
 
 
 def make_inner_spec(wc, label):
     git = wc.git
-    d_plus = canonical_d_plus(wc, label)
-    s, (n,) = _cleared_rows([d_plus])
-    d = tuple(Fraction(sum(a * x for a, x in zip(row, n)), s) for row in git.D)
+    num, det = canonical_d_plus(wc, label)
+    d_plus = tuple(Fraction(x, det) for x in num)
+    d = tuple(Fraction(sum(a * x for a, x in zip(row, num)), det) for row in git.D)
     e = tuple(wc.pair_e(j) for j in range(git.m))
     beta_forms = restrict_u(git, label.delta)
     for i in label.delta:

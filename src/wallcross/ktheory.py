@@ -22,7 +22,7 @@ import numpy as np
 
 from .gitfan import _idot, box_elements, fixed_point_labels, next_to_pairs
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import _cleared_rows, anticone_inverse, frac_part, intvec, quotient_transversal
+from .lattice import anticone_inverse, cleared, frac_part, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -180,14 +180,13 @@ def restriction_terms(git, kclass, delta, f_lift):
     phase is an exact rational reduced mod 1 and the form is an exact linear
     form over the isotropy order, so zero restrictions cancel exactly.
     L(rho) gives every term the form theta(rho) and the phase rho . f_lift;
-    each S_j^a adds -a u_j and -a D_j . f_lift.  Form numerators, and phase
-    numerators over the lift's common denominator, are accumulated as
-    integers.  Every exponent is an integer, so the triples depend on the
-    lift only modulo Z^r.
+    each S_j^a adds -a u_j and -a D_j . f_lift, all as integer numerators.
+    Every exponent is an integer, so the triples depend on the lift only
+    modulo Z^r.
     """
     u = restrict_u(git, delta)
     u_nonzero = [[(i, x) for i, x in enumerate(form.num) if x] for form in u]
-    s, (f_num,) = _cleared_rows([f_lift])
+    s, f_num = cleared(f_lift)
     d_f = [_idot(row, f_num) for row in git.D]
     base_phase, base_num = 0, (0,) * git.m
     if any(kclass.rho):

@@ -9,11 +9,12 @@ never eliminate over Fractions, and no rational inverse is ever formed.
 Integer results (kernels, wall normals, Hermite rows, span numerators,
 adjugates) leave as int tuples; rational ones (anticone coordinates, solves,
 line classes and multiples, lattices generated by rational vectors) as tuples
-of ``fractions.Fraction``.  Downstream, restricted forms and sector lifts are
-integer numerators over one denominator; Fraction is left only in the sector
-classes f with their ages and pairings, the splitting vectors xi, (c, c_i),
-the base exponents d_plus, the conifold point and the phases of restricted
-K-class terms.
+of ``fractions.Fraction``.  Downstream, restricted forms are integer
+numerators over the isotropy order, and a sector class keeps its f as
+numerators over its order beside the Fraction tuple; Fraction is left only in
+the sector classes f with their ages and pairings, the sector lifts, the
+splitting vectors xi, (c, c_i), the base exponents d_plus, the conifold point
+and the phases of restricted K-class terms.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ def content(v):
 
 
 def cleared(v):
-    """A rational vector times the common denominator of its entries: an
-    integer vector on the same ray, so in the same cones."""
-    return _cleared_rows([v])[1][0]
+    """(s, s v) for a rational vector v, s the common denominator of its
+    entries: s v is an integer vector on the same ray, so in the same cones."""
+    s, (n,) = _cleared_rows([v])
+    return s, n
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +268,11 @@ def _line_transform(e):
     return U
 
 
-def _line_numerators(n, e):
-    """U n for an integer vector n, U unimodular with U e = e_1."""
-    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))]
+def _line_numerators(v, e):
+    """(U v s, s) with U unimodular, U e = e_1, and s the common denominator
+    of v, so that U v s is an integer vector."""
+    s, (n,) = _cleared_rows([v])
+    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))], s
 
 
 def line_class(v, e):
@@ -276,22 +280,19 @@ def line_class(v, e):
     the fractional parts of (U v)[1:], U unimodular with U e = e_1.  Two
     vectors differ by a rational multiple of e modulo Z^r exactly when their
     classes agree."""
-    s, (n,) = _cleared_rows([v])
-    return tuple(Fraction(x % s, s) for x in _line_numerators(n, e)[1:])
+    uv, s = _line_numerators(v, e)
+    return tuple(Fraction(x % s, s) for x in uv[1:])
 
 
-def rational_line_membership(v, e, den=None):
+def rational_line_membership(v, e):
     """The unique alpha in [0,1) with v - alpha*e integral, if it exists.
 
-    ``v`` is a rational vector or, with ``den``, the integer numerators of one
-    over den > 0.  ``e`` must be a primitive integer vector; primitivity makes
-    alpha unique modulo 1.  With U e = e_1 as in line_class, v - alpha*e is
-    integral exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
+    ``e`` must be a primitive integer vector; primitivity makes alpha unique
+    modulo 1.  With U e = e_1 as in line_class, v - alpha*e is integral
+    exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
     """
-    if den is None:
-        den, (v,) = _cleared_rows([v])
-    uv = _line_numerators(v, e)
-    return Fraction(uv[0] % den, den) if all(x % den == 0 for x in uv[1:]) else None
+    uv, s = _line_numerators(v, e)
+    return Fraction(uv[0] % s, s) if all(x % s == 0 for x in uv[1:]) else None
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def integer_kernel_basis(cond_rows, dim):
     kernel basis appears as the transform rows facing zero rows of the
     Hermite form of the transposed condition matrix.
     """
-    rows = [cleared(cond) for cond in cond_rows]
+    rows = [cleared(cond)[1] for cond in cond_rows]
     if not rows:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     # rows of the transpose are the coordinates; U A^T = H

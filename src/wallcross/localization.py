@@ -126,6 +126,7 @@ def verify_weight_transition(wc, delta_plus, delta_minus, j):
     u_plus = restrict_u(wc.git, delta_plus)
     u_minus = restrict_u(wc.git, delta_minus)
     a, b, c = u_plus[j], u_minus[j], u_plus[j_minus]
+    assert a.den == c.den, "forms at one fixed point share its isotropy order"
     p, p_minus = wc.pair_e(j), wc.pair_e(j_minus)
     return all(x * p_minus * b.den == y * p_minus * a.den + p * z * b.den
                for x, y, z in zip(a.num, b.num, c.num))

@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import _cleared_rows
+from .lattice import ratvec
 from .localization import restrict_u
 
 
@@ -97,21 +97,20 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     assert l > 0
     ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
     used = (j_minus,) + ratio_js
-    lift_plus = label_plus.f if lift_plus is None else tuple(lift_plus)
+    lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
     lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
-                  else tuple(lift_minus))
-    # the four vectors cleared by one common denominator s
-    s, (n_plus, n_minus, f_plus, f_minus) = _cleared_rows(
-        [lift_plus, lift_minus, label_plus.f, label_minus.f])
+                  else ratvec(lift_minus))
     pairings = []
-    for n, f, label in ((n_plus, f_plus, label_plus), (n_minus, f_minus, label_minus)):
-        if any((a - b) % s for a, b in zip(n, f)):
+    for lift, sec in ((lift_plus, label_plus.sector), (lift_minus, label_minus.sector)):
+        # the sector's f = num / den is the fractional part of every lift of it
+        if any((x.numerator % x.denominator) * sec.den != n * x.denominator
+               for x, n in zip(lift, sec.num)):
             raise IncompatibleLifts("lift does not represent the sector class")
-        # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . (lift - f)
-        shift = [(a - b) // s for a, b in zip(n, f)]
-        pairings.append({j: label.sector.pairings[j] + _idot(wc.git.D[j], shift) for j in used})
+        # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . floor(lift)
+        floor = [x.numerator // x.denominator for x in lift]
+        pairings.append({j: sec.pairings[j] + _idot(wc.git.D[j], floor) for j in used})
     c_plus, c_minus = pairings
-    v, e = [a - b for a, b in zip(n_plus, n_minus)], wc.e
+    v, e = [a - b for a, b in zip(lift_plus, lift_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
         raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
     u_plus = restrict_u(wc.git, label_plus.delta)

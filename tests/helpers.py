@@ -44,7 +44,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -842,7 +842,10 @@ def oracle_box_classes(git, A):
             pairings = [vdot(git.D[i], f) for i in range(git.m)]
             I_f = tuple(i for i, p in enumerate(pairings) if p.denominator == 1)
             age = sum((frac_part(p) for p in pairings), Fraction(0))
-            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age, pairings=tuple(pairings)))
+            den = lcm(*(x.denominator for x in f))
+            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age, pairings=tuple(pairings),
+                                           num=tuple(x.numerator * (den // x.denominator) for x in f),
+                                           den=den))
     out = sorted(seen.values(), key=lambda s: s.f)
     out.sort(key=lambda s: not s.is_zero)
     return tuple(out)

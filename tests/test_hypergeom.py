@@ -115,15 +115,15 @@ def test_canonical_d_plus_is_sector_compatible(all_examples):
         for label in fixed_point_labels(wc.git, wc.A_plus):
             if label.delta in wc.A_minus.minimal:
                 continue
-            d = canonical_d_plus(wc, label)
+            num, det = canonical_d_plus(wc, label)
+            assert all(type(x) is int for x in num) and det > 0
+            d = tuple(Fraction(x, det) for x in num)
             for i in label.delta:
                 pairing = vdot(wc.git.D[i], d)
                 assert pairing.denominator == 1 and pairing >= 0
             # the class of d is the sector
             diff = tuple(a - b for a, b in zip(d, label.f))
-            assert all(frac_part(x) == 0 for x in diff) or any(
-                frac_part(vdot(wc.git.D[i], diff)) == 0 for i in label.delta
-            )
+            assert all(frac_part(x) == 0 for x in diff)
             # d - e is not effective over delta
             j_plus = next(i for i in label.delta if wc.pair_e(i) > 0)
             assert vdot(wc.git.D[j_plus], d) < wc.pair_e(j_plus)

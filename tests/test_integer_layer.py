@@ -17,10 +17,12 @@ from math import lcm
 import pytest
 
 from helpers import (
+    anticone_dual,
     fraction_det,
     fraction_rank,
     fraction_solve,
     fraction_wall_normal,
+    is_integral,
     oracle_box_classes,
     oracle_crossing_normal,
     oracle_fm_transform,
@@ -47,9 +49,11 @@ from wallcross.gitfan import (
     compatible_minus_lift,
     make_git,
     next_to_pairs,
+    plus_labels_across,
     validate_stability,
     wall_crossing,
 )
+from wallcross.hypergeom import WALL_BOUND, canonical_d_plus
 from wallcross.ktheory import canonical_rho_lifts, fm_transform, minus_basis
 from wallcross.lattice import (
     NotAHyperplane,
@@ -97,13 +101,6 @@ def _config_crossings():
     return tuple(out)
 
 
-def _numerators(v, k=1):
-    """(n, s): a rational vector as integer numerators over s, k times the
-    least common denominator of its entries."""
-    s = k * lcm(*(Fraction(x).denominator for x in v))
-    return tuple(int(Fraction(x) * s) for x in v), s
-
-
 def _outcome(fn, *args):
     """The result of fn, or the type and message of the ValueError it raises."""
     try:
@@ -138,6 +135,10 @@ def test_sector_pairings_are_the_fraction_pairings():
             for sec in box_elements(wc.git, A):
                 assert sec.pairings == tuple(vdot(row, sec.f) for row in wc.git.D)
                 assert all(type(p) is Fraction for p in sec.pairings)
+                # f as numerators over the order of the class, in lowest terms
+                assert sec.den == lcm(*(x.denominator for x in sec.f))
+                assert tuple(Fraction(n, sec.den) for n in sec.num) == sec.f
+                assert all(type(n) is int for n in sec.num)
 
 
 def test_coefficient_pairings_match_the_fraction_vdot():
@@ -164,8 +165,6 @@ def test_next_to_pairs_and_lifts_match_the_double_loop():
         assert pairs == oracle_next_to_pairs(wc)
         for lp, lm in pairs:
             alpha = oracle_line_membership(vsub(lm.f, lp.f), wc.e)
-            n, s = _numerators(vsub(lm.f, lp.f))
-            assert rational_line_membership(n, wc.e, s) == alpha
             assert compatible_minus_lift(wc, lp, lm) == vadd(lp.f, vscale(alpha, wc.e))
 
 
@@ -186,6 +185,32 @@ def test_restrictions_match_the_fraction_solve():
                 assert form.den == det and tuple(Fraction(n, det) for n in form.num) == coeffs
                 assert [x.hex() for x in form.floats] == [float(a).hex() for a in coeffs]
                 assert str(form) == oracle_form_text(coeffs)
+
+
+def _oracle_d_plus(wc, label):
+    """The base exponent by the Fraction search: the first coordinate vector
+    on the grid whose dual vector d has d - f integral."""
+    e_coords = [wc.pair_e(i) for i in label.delta]
+    grid = itertools.product(*(range(0, v) if v else range(0, WALL_BOUND + 1) for v in e_coords))
+    for kvec in grid:
+        d = anticone_dual(wc.git.D, label.delta, kvec)
+        if is_integral(vsub(d, label.f)):
+            return d
+    raise ValueError("no base exponent found within the wall bound")
+
+
+def test_base_exponents_match_the_fraction_search():
+    # the target numerators are the sector's, moved from its order to det
+    checked = 0
+    for wc in _crossings()[::4]:
+        for label in plus_labels_across(wc):
+            got = _outcome(canonical_d_plus, wc, label)
+            if isinstance(got[1], int):
+                num, det = got
+                got = tuple(Fraction(x, det) for x in num)
+                checked += label.sector.den != det
+            assert got == _outcome(_oracle_d_plus, wc, label)
+    assert checked > 0
 
 
 def test_rho_lifts_match_the_fraction_lifts():
@@ -214,9 +239,6 @@ def test_line_membership_and_class_match_the_candidate_loop():
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
         alpha = oracle_line_membership(v, e)
         assert rational_line_membership(v, e) == alpha
-        for k in (1, 2):
-            numerators, s = _numerators(v, k)
-            assert rational_line_membership(numerators, e, s) == alpha
         assert (line_class(v, e) == line_class((0,) * n, e)) == (alpha is not None)
 
 

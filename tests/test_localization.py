@@ -1,9 +1,18 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import fraction_coeffs, in_plus_coordinates, random_crepant_crossing, vadd, vscale, vsub
+from helpers import (
+    fraction_coeffs,
+    in_plus_coordinates,
+    oracle_restrict_u,
+    random_crepant_crossing,
+    vadd,
+    vscale,
+    vsub,
+)
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_frame
 from wallcross.localization import (
     LinearForm,
@@ -76,6 +85,31 @@ def test_weight_transition_randomized():
             seen.add((lp.delta, lm.delta))
             for j in range(wc.git.m):
                 assert verify_weight_transition(wc, lp.delta, lm.delta, j)
+
+
+def test_weight_transition_matches_the_fraction_residual(all_examples):
+    """The cross-multiplied check against the transition residual of
+    oracle_restrict_u in Fraction arithmetic, as given and with the ratio of
+    one j off both anticones moved by one, where the check must fail."""
+    rng = random.Random(78)
+    crossings = list(all_examples.values()) + [random_crepant_crossing(rng) for _ in range(10)]
+    failed = 0
+    for wc in crossings:
+        for dp, dm in sorted({(lp.delta, lm.delta) for lp, lm in next_to_pairs(wc)}):
+            j_minus = next(i for i in dm if i not in dp)
+            u_plus, u_minus = oracle_restrict_u(wc.git, dp), oracle_restrict_u(wc.git, dm)
+            for j in range(wc.git.m):
+                for moved in (0, 1) if j not in dp + dm else (0,):
+                    # pairing D_j . e moved by moved * D_{j-} . e moves the ratio by moved
+                    pair_e = [wc.pair_e(i) + (moved * wc.pair_e(j_minus) if i == j else 0)
+                              for i in range(wc.git.m)]
+                    ratio = Fraction(pair_e[j], pair_e[j_minus])
+                    residual = vsub(u_plus[j], vadd(u_minus[j], vscale(ratio, u_plus[j_minus])))
+                    shifted = SimpleNamespace(git=wc.git, pair_e=pair_e.__getitem__)
+                    assert verify_weight_transition(shifted, dp, dm, j) == (not any(residual))
+                    assert any(residual) == bool(moved)
+                    failed += bool(moved)
+    assert failed > 0
 
 
 def test_weight_transition_rejects_non_adjacent(conifold):

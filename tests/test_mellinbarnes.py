@@ -119,14 +119,23 @@ def test_incompatible_lifts_rejected(conifold, gerbe_flop):
         )
     with pytest.raises(IncompatibleLifts, match="does not represent"):
         # both lifts moved by one vector over a denominator that neither
-        # sector has: their difference stays on the wall line, but the four
-        # vectors cleared by one common denominator show neither represents
-        # its class
+        # sector has: their difference stays on the wall line, but neither
+        # lift's fractional part is its sector's f
         continuation_coefficient(
             gerbe_flop, gpair,
             lift_plus=(Fraction(2, 5), Fraction(1, 5)),
             lift_minus=(Fraction(2, 5), Fraction(1, 5)),
         )
+
+
+def test_supplied_lifts_are_kept_as_fractions(gerbe_flop):
+    gpair = next(
+        p for p in next_to_pairs(gerbe_flop) if p[0].sector.is_zero and p[1].sector.is_zero
+    )
+    coeff = continuation_coefficient(gerbe_flop, gpair, lift_plus=(1, 0), lift_minus=[1, 0])
+    for lift in (coeff.lift_plus, coeff.lift_minus):
+        assert type(lift) is tuple and lift == (1, 0)
+        assert all(type(x) is Fraction for x in lift)
 
 
 def test_matrix_structure_conifold(conifold):
