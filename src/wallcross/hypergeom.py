@@ -57,6 +57,35 @@ _LANCZOS_C = (
 )
 _LOG_SQRT_2PI = 0.9189385332046727417803297
 LOG_PI = math.log(math.pi)
+# the Lanczos coefficients as a column and the shifts k of the denominators
+# zm1 + k; up to _LANCZOS_BLOCK arguments, all 14 terms are formed at once
+_LANCZOS_COLUMN = np.array(_LANCZOS_C, dtype=complex)[:, None]
+_LANCZOS_SHIFTS = np.arange(1, len(_LANCZOS_C), dtype=complex)[:, None]
+_LANCZOS_BLOCK = 256
+
+
+def _lanczos_sum(zm1):
+    """C_0 + sum over k of C_k / (zm1 + k), elementwise for a 1-D array,
+    added in order of k.
+
+    Up to _LANCZOS_BLOCK arguments, three calls form the denominators,
+    divide them and add them by a running sum down the rows.  A longer array
+    takes the terms one k at a time in one scratch row, which costs fewer
+    passes over memory than a 15-row block.  Either way every element gets
+    the additions of a term-by-term loop, bit for bit.
+    """
+    if len(zm1) <= _LANCZOS_BLOCK:
+        rows = np.empty((len(_LANCZOS_C), len(zm1)), dtype=complex)
+        rows[0] = _LANCZOS_C[0]
+        np.add(zm1, _LANCZOS_SHIFTS, out=rows[1:])
+        np.divide(_LANCZOS_COLUMN[1:], rows[1:], out=rows[1:])
+        return np.add.accumulate(rows, axis=0, out=rows)[-1]
+    out, term = np.full_like(zm1, _LANCZOS_C[0]), np.empty_like(zm1)
+    for k in range(1, len(_LANCZOS_C)):
+        np.add(zm1, k, out=term)
+        np.divide(_LANCZOS_C[k], term, out=term)
+        np.add(out, term, out=out)
+    return out
 
 
 def log_sin_pi(z):
@@ -64,21 +93,28 @@ def log_sin_pi(z):
     for large imaginary part.
 
     The branch is unspecified; callers only ever exponentiate sums of these.
+    A NaN imaginary part gives NaN.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
     near = np.abs(z.imag) < 20.0
-    up = z.imag >= 20.0
-    down = z.imag <= -20.0
-    s = np.sin(math.pi * z[near])
+    whole = near.all()
+    if not whole:
+        up, down = z.imag >= 20.0, z.imag <= -20.0
+        near = ~(up | down)  # a NaN imaginary part falls here and gives NaN
+    zn = z if whole else z[near]
+    s = np.sin(math.pi * zn)
     if np.any(s == 0):
-        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(z[near][s == 0][0]),))
-    out[near] = np.log(s)
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
-    zu, zd = z[up], z[down]
-    out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
-    out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
+        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(zn[s == 0][0]),))
+    if whole:
+        out = np.log(s)
+    else:
+        out = np.empty_like(z)
+        out[near] = np.log(s)
+        # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
+        zu, zd = z[up], z[down]
+        out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
+        out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
     return complex(out[0]) if scalar else out
 
 
@@ -94,16 +130,18 @@ def log_gamma(z):
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     left = z.real < 0.5
-    poles = left & (z.imag == 0) & (z.real == np.floor(z.real))
-    if np.any(poles):
-        raise PoleCollision("log_gamma pole at %r" % (complex(z[poles][0]),))
-    zm1 = np.where(left, 1.0 - z, z) - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (zm1 + k)
+    reflect = left.any()
+    if reflect:
+        poles = left & (z.imag == 0) & (z.real == np.floor(z.real))
+        if np.any(poles):
+            raise PoleCollision("log_gamma pole at %r" % (complex(z[poles][0]),))
+        zm1 = np.where(left, 1.0 - z, z) - 1.0
+    else:
+        zm1 = z - 1.0
+    s = _lanczos_sum(zm1.ravel()).reshape(zm1.shape)
     t = zm1 + _LANCZOS_G + 0.5
     out = _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
-    if np.any(left):
+    if reflect:
         out[left] = LOG_PI - log_sin_pi(z[left]) - out[left]
     return complex(out[0]) if scalar else out
 

@@ -197,22 +197,34 @@ class ContourSpec:
 
 def _log_gamma_block(spec, betas, s, skip=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
-    leaving out the factor of index skip.
+    leaving out the factor of index skip; see _log_gammas."""
+    return _log_gammas(spec, betas, s, skip)[-1]
 
-    The arguments of all factors are stacked into one array for a single
-    log_gamma call; its rows are then added in factor order."""
-    numerators, args = [], []
+
+def _log_gammas(spec, betas, s, skip=None, head=()):
+    """log Gamma of each array in head, then the sum of the integrand's
+    log-Gamma factors at s leaving out the factor of index skip.
+
+    All arguments go into one log_gamma call.  A factor with e_j = 0 has
+    the argument 1 + beta_j + d_j at every s, so it is evaluated once; the
+    factors are then added in factor order."""
+    numerators, args = [], list(head)
     for j in range(len(spec.d)):
         if j == skip:
             continue
         ej = spec.e[j]
         base = betas[j] + complex(spec.d[j])
         numerators.append(ej < 0)
-        args.append(-base - s * ej if ej < 0 else 1 + base + s * ej)
+        args.append(-base - s * ej if ej < 0 else 1 + base + s * ej if ej else 1 + base)
+    values = log_gamma(np.concatenate([np.ravel(a) for a in args]))
+    rows, start = [], 0
+    for arg in args:
+        rows.append(values[start:start + np.size(arg)].reshape(np.shape(arg)))
+        start += np.size(arg)
     acc = 0j
-    for numerator, row in zip(numerators, log_gamma(np.stack(np.broadcast_arrays(*args)))):
+    for numerator, row in zip(numerators, rows[len(head):]):
         acc = acc + row if numerator else acc - row
-    return acc
+    return rows[:len(head)] + [acc]
 
 
 def _pole_scan(spec, betas, re_min, re_max):
@@ -289,8 +301,8 @@ def _interesting_residue(spec, betas, log_xi, j_minus, n):
     l = -spec.e[j_minus]
     base = betas[j_minus] + complex(spec.d[j_minus])
     p = (base - n) / l
-    log_term = (-log_gamma(n + 1.0) - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi
-                + _log_gamma_block(spec, betas, p, skip=j_minus))
+    log_factorial, block = _log_gammas(spec, betas, p, j_minus, [n + 1.0])
+    log_term = (-log_factorial - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi + block)
     return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
 
 
@@ -393,35 +405,69 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
 # residue sums
 
 
+# terms per class that the residue sums evaluate at a time; at verify mb's
+# points no class of the bundled or benchmark crossings reads more than 27
+RESIDUE_CHUNK = 32
+
+
 def _sum_until_small(terms):
     """Sum of the terms in order, stopped after the third term in a row below
-    1e-14 times max(1, |partial sum|)."""
-    if not len(terms):
-        return 0j
+    1e-14 times max(1, |partial sum|), and whether it stopped there; without
+    such a run it is the sum of all the terms."""
     totals = np.cumsum(terms)
     small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
     stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-    return complex(totals[stops[0] + 2] if len(stops) else totals[-1])
+    if len(stops):
+        return complex(totals[stops[0] + 2]), True
+    return complex(totals[-1]), False
+
+
+def _sums_in_chunks(terms_at, classes, length):
+    """_sum_until_small of the first `length` terms of each class.
+
+    terms_at(open, k) gives the terms at the indices k of each class in
+    open, one row per class.  The terms come RESIDUE_CHUNK indices at a
+    time, for all the classes whose sum has not stopped yet.  The rule reads
+    no term past where it stops, so each sum is that of all `length` terms.
+    """
+    terms = {c: np.empty(0, dtype=complex) for c in classes}
+    sums = {}
+    for start in range(0, length, RESIDUE_CHUNK):
+        open_ = [c for c in classes if c not in sums]
+        if not open_:
+            break
+        k = np.arange(start, min(start + RESIDUE_CHUNK, length))
+        for c, row in zip(open_, terms_at(open_, k)):
+            terms[c] = np.concatenate([terms[c], row])
+            total, stopped = _sum_until_small(terms[c])
+            if stopped or k[-1] == length - 1:
+                sums[c] = total
+    return [sums[c] for c in classes]
 
 
 def right_residue_sum(spec, x, lam):
-    """Sum of the first 81 residues at the nonnegative integers; converges
+    """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
+    by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
     inside the degeneration radius."""
     xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
-    k = np.arange(81)
-    terms = np.where(k % 2, -1.0, 1.0) * np.exp(
-        _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)
-    return _sum_until_small(terms)
+
+    def terms_at(_open, k):
+        return [np.where(k % 2, -1.0, 1.0) * np.exp(
+            _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)]
+
+    return _sums_in_chunks(terms_at, [0], 81)[0]
 
 
 def left_residue_sum(spec, x, lam):
     """Sum of all residues left of the contour (sign unflipped).
 
-    Per negative direction of pairing -l, the residues of every congruence
-    class n = k*l + c, k = 0, 1, ..., 200, are evaluated in one array, class
-    after class; each class, the contribution of a single next-to partner to
-    the continued series, is summed on its own.
+    Per negative direction of pairing -l, each congruence class n = k*l + c,
+    k = 0, 1, ..., 200, the contribution of a single next-to partner to the
+    continued series, is summed on its own by _sum_until_small.  The
+    residues are evaluated in chunks of k (_sums_in_chunks): one
+    _interesting_residue call per chunk holds every class of the direction
+    whose sum has not stopped yet.
     """
     _xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
@@ -430,9 +476,13 @@ def left_residue_sum(spec, x, lam):
         l = -spec.e[j]
         if l <= 0:
             continue
-        n = np.concatenate([np.arange(201) * l + c for c in range(l)])
-        for terms in np.split(_interesting_residue(spec, betas, log_xi, j, n), l):
-            total += _sum_until_small(terms)
+
+        def terms_at(open_, k):
+            n = np.concatenate([k * l + c for c in open_])
+            return np.split(_interesting_residue(spec, betas, log_xi, j, n), len(open_))
+
+        for class_sum in _sums_in_chunks(terms_at, range(l), 201):
+            total += class_sum
     return total
 
 

@@ -24,7 +24,13 @@ production path it checks can cross-validate each other:
 - the Gamma-block, residue, inner-coefficient and Euler-product oracles
   call log_gamma once per factor and multiply Python complex scalars per
   degree, the evaluation order that the stacked array versions must
-  reproduce bit for bit.
+  reproduce bit for bit;
+- the residue-sum oracles evaluate every term of a class and then apply
+  the stop rule, against the sums that evaluate the terms in chunks;
+- the log-Gamma oracles (oracle_log_gamma, oracle_log_sin_pi) are the plain
+  kernel: masks on every call and the Lanczos sum term by term.  Every
+  oracle above takes its Gamma values from them, so the stacked versions
+  are checked against the plain kernel, not against the kernel they call.
 
 Ranks, determinants and solves come from the Fraction elimination below,
 never from wallcross.lattice, whose integer kernel they check, and the
@@ -69,8 +75,6 @@ from wallcross.hypergeom import (
     PoleCollision,
     _exact_gamma_ratio,
     check_generic,
-    log_gamma,
-    log_sin_pi,
     make_inner_spec,
     w_constant,
 )
@@ -96,7 +100,6 @@ from wallcross.mellinbarnes import (
     _pole_scan,
     _separation,
     _split_xi,
-    _sum_until_small,
 )
 
 
@@ -699,11 +702,11 @@ def _unnormalized_minus_series(wc, label_minus, d_minus, x, lam):
             # an exact reciprocal Gamma at a nonpositive integer kills the term
             a = int(d_j) + 1 - k * wc.pair_e(j)
             live &= a > 0
-            log_terms -= log_gamma(np.where(a > 0, a, 1).astype(float))
+            log_terms -= oracle_log_gamma(np.where(a > 0, a, 1).astype(float))
         else:
-            log_terms -= log_gamma(1 + gamma_j + complex(d_j) - k * wc.pair_e(j))
+            log_terms -= oracle_log_gamma(1 + gamma_j + complex(d_j) - k * wc.pair_e(j))
     terms = np.exp(log_terms[live]) * (1.0 / complex(x)) ** k[live]
-    return _sum_until_small(terms)
+    return oracle_sum_until_small(terms)
 
 
 def continuation_numeric(wc, pair, x, lam):
@@ -1023,7 +1026,8 @@ def oracle_mb_integral(spec, x, lam, contour):
 
     def F(t):
         s = sigma + 1j * t
-        return np.exp(LOG_PI - log_sin_pi(s) + s * log_xi + _log_gamma_block(spec, betas, s))
+        return np.exp(LOG_PI - oracle_log_sin_pi(s) + s * log_xi
+                      + _log_gamma_block(spec, betas, s))
 
     t_max = contour.t_max
     n = 2 * math.ceil(2 * t_max / (2 * gap / 8))
@@ -1057,26 +1061,27 @@ def oracle_log_gamma_block(spec, betas, s, skip=None):
         ej = spec.e[j]
         base = betas[j] + complex(spec.d[j])
         if ej < 0:
-            acc = acc + log_gamma(-base - s * ej)
+            acc = acc + oracle_log_gamma(-base - s * ej)
         else:
-            acc = acc - log_gamma(1 + base + s * ej)
+            acc = acc - oracle_log_gamma(1 + base + s * ej)
     return acc
 
 
 def left_residue_terms(spec, x, lam, j_minus, residue_class):
     """Minus the residues in one congruence class of one negative direction.
 
-    Terms with n = k*l + residue_class for k = 0, 1, ..., 200; their sum is
-    the contribution of a single next-to partner to the continued series.
+    Terms with n = k*l + residue_class for k = 0, 1, ..., 200, all
+    evaluated, then summed by the stop rule; their sum is the contribution
+    of a single next-to partner to the continued series.
     """
     xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
     l = -spec.e[j_minus]
     n = np.arange(201) * l + residue_class
     p = (betas[j_minus] + complex(spec.d[j_minus]) - n) / l
-    log_term = (-log_gamma(n + 1.0) - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi
-                + oracle_log_gamma_block(spec, betas, p, skip=j_minus))
-    return -_sum_until_small(np.where(n % 2, -1.0, 1.0) * np.exp(log_term))
+    log_term = (-oracle_log_gamma(n + 1.0) - math.log(l) + LOG_PI - oracle_log_sin_pi(p)
+                + p * log_xi + oracle_log_gamma_block(spec, betas, p, skip=j_minus))
+    return -oracle_sum_until_small(np.where(n % 2, -1.0, 1.0) * np.exp(log_term))
 
 
 def oracle_left_residue_sum(spec, x, lam):
@@ -1088,6 +1093,19 @@ def oracle_left_residue_sum(spec, x, lam):
         for residue_class in range(-spec.e[j]):
             total -= left_residue_terms(spec, x, lam, j, residue_class)
     return total
+
+
+def right_residue_terms(spec, x, lam):
+    """The residues at the nonnegative integers k = 0, 1, ..., 80."""
+    _xi, log_xi = _split_xi(spec, x)
+    k = np.arange(81)
+    return np.where(k % 2, -1.0, 1.0) * np.exp(
+        oracle_log_gamma_block(spec, spec.betas(lam), k.astype(complex)) + k * log_xi)
+
+
+def oracle_right_residue_sum(spec, x, lam):
+    """All 81 right residues evaluated, then summed by the stop rule."""
+    return oracle_sum_until_small(right_residue_terms(spec, x, lam))
 
 
 def oracle_inner_sum_coefficient(spec, k, lam):
@@ -1110,7 +1128,7 @@ def oracle_inner_sum_coefficient(spec, k, lam):
         ak = a0 + k_live * ej
         check_generic(a0, 1e-8)
         check_generic(ak, 1e-8)
-        log_acc += np.where(k_live == 0, 0j, log_gamma(a0) - log_gamma(ak))
+        log_acc += np.where(k_live == 0, 0j, oracle_log_gamma(a0) - oracle_log_gamma(ak))
     kept = [x for x in exact if x]
     log_exact = np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept])
     sign = np.array([1.0 if x > 0 else -1.0 for x in kept])
@@ -1147,3 +1165,88 @@ def oracle_gkz_ode_residual(series, spec, lam):
     if scale == 0.0:
         return 0.0
     return max(abs(a - b) for a, b in zip(plus, minus)) / scale
+
+
+# ---------------------------------------------------------------------------
+# the plain log-Gamma kernel and the residue stop rule
+
+
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS_C = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+_LOG_SQRT_2PI = 0.9189385332046727417803297
+
+
+def oracle_log_sin_pi(z):
+    """A logarithm of sin(pi z), elementwise for a scalar or an array, stable
+    for large imaginary part.
+
+    The branch is unspecified; callers only ever exponentiate sums of these.
+    """
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty_like(z)
+    near = np.abs(z.imag) < 20.0
+    up = z.imag >= 20.0
+    down = z.imag <= -20.0
+    s = np.sin(math.pi * z[near])
+    if np.any(s == 0):
+        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(z[near][s == 0][0]),))
+    out[near] = np.log(s)
+    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
+    zu, zd = z[up], z[down]
+    out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
+    out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
+    return complex(out[0]) if scalar else out
+
+
+def oracle_log_gamma(z):
+    """log Gamma(z), elementwise for a complex scalar or array, accurate to
+    ~1e-14 relative.
+
+    Right half-plane by the Lanczos sum; left half-plane by reflection.  The
+    branch on the left is not the principal one, which is harmless here
+    because results are only exponentiated.  An exact nonpositive integer
+    anywhere in z raises PoleCollision.
+    """
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    left = z.real < 0.5
+    poles = left & (z.imag == 0) & (z.real == np.floor(z.real))
+    if np.any(poles):
+        raise PoleCollision("log_gamma pole at %r" % (complex(z[poles][0]),))
+    zm1 = np.where(left, 1.0 - z, z) - 1.0
+    s = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        s = s + _LANCZOS_C[k] / (zm1 + k)
+    t = zm1 + _LANCZOS_G + 0.5
+    out = _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
+    if np.any(left):
+        out[left] = LOG_PI - oracle_log_sin_pi(z[left]) - out[left]
+    return complex(out[0]) if scalar else out
+
+
+def oracle_sum_until_small(terms):
+    """Sum of the terms in order, stopped after the third term in a row below
+    1e-14 times max(1, |partial sum|)."""
+    if not len(terms):
+        return 0j
+    totals = np.cumsum(terms)
+    small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
+    stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    return complex(totals[stops[0] + 2] if len(stops) else totals[-1])

@@ -1,11 +1,12 @@
 import cmath
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from helpers import oracle_genericity_gap
+from helpers import oracle_genericity_gap, oracle_log_gamma, oracle_log_sin_pi
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
@@ -66,6 +67,64 @@ def test_log_gamma_pole():
         log_sin_pi(np.array([0.5, 0.0]))
     # near a pole but not at it: finite
     assert np.all(np.isfinite(log_gamma(np.array([-2.0 + 1e-9, 1e-12j]))))
+
+
+def _kernel_arguments():
+    """Arrays of lengths 1 to 4097 in the right half-plane, in both
+    half-planes with |Im| < 20, and with |Im| >= 20 of both signs, with
+    the edges Re = 1/2 and |Im| = 20 among them."""
+    rng = np.random.default_rng(61)
+    edges = np.array([0.5, 0.5 + 3j, 0.5 - 20j, -1.5 + 20j, 2.0 - 20j, 0.25 + 19.999j, -0.5])
+    yield edges
+    for size in (1, 2, 3, 7, 8, 9, 14, 15, 16, 63, 255, 256, 257, 511, 1024, 4096, 4097):
+        right = rng.uniform(0.5, 9.0, size) + 1j * rng.uniform(-19.5, 19.5, size)
+        both = rng.uniform(-7.0, 7.0, size) + 1j * rng.uniform(-19.5, 19.5, size)
+        far = (rng.uniform(-7.0, 7.0, size)
+               + 1j * rng.choice([-1.0, 1.0], size) * rng.uniform(20.0, 45.0, size))
+        yield from (right, both, far, np.concatenate([right, both, far]))
+
+
+def test_log_gamma_kernel_matches_the_plain_kernel_bit_for_bit():
+    # skipped masks and blocked Lanczos denominators change no bit of the
+    # term-by-term kernel, for scalars, 1-D and 2-D arrays
+    for z in _kernel_arguments():
+        for fn, oracle in ((log_gamma, oracle_log_gamma), (log_sin_pi, oracle_log_sin_pi)):
+            assert np.array_equal(fn(z), oracle(z)), (fn.__name__, len(z))
+            if len(z) % 2 == 0:
+                grid = z.reshape(2, -1)
+                got = fn(grid)
+                assert got.shape == grid.shape and np.array_equal(got, oracle(grid))
+            for x in (complex(z[0]), complex(z[-1])):
+                got = fn(x)
+                assert type(got) is complex and got == oracle(x)
+
+
+def test_log_gamma_kernel_raises_at_exact_poles_like_the_plain_kernel():
+    for z in (0.0, -3.0, np.array([2.5 + 1j, -2.0, 3.0]), np.array([4.0 + 0j] * 300 + [-7.0]),
+              np.array([[1.5, 0.0], [0.5j, 2.0]])):
+        with pytest.raises(PoleCollision) as expected:
+            oracle_log_gamma(z)
+        with pytest.raises(PoleCollision, match=re.escape(str(expected.value))):
+            log_gamma(z)
+    # sin(pi z) rounds to exactly zero only at z = 0
+    for z in (0.0, -0.0, np.array([0.5, 0.0]), np.array([0.3 + 25j, 1.5, 0.0])):
+        with pytest.raises(PoleCollision) as expected:
+            oracle_log_sin_pi(z)
+        with pytest.raises(PoleCollision, match=re.escape(str(expected.value))):
+            log_sin_pi(z)
+
+
+def test_log_sin_pi_is_nan_at_a_nan_imaginary_part():
+    nan = float("nan")
+    with np.errstate(invalid="ignore"):
+        assert cmath.isnan(log_sin_pi(complex(0.2, nan)))
+        assert cmath.isnan(log_sin_pi(complex(nan, 0.3)))
+        for z in (np.array([0.2 + 1j, complex(0.2, nan)]),
+                  np.array([0.2 + 1j, complex(0.2, nan), 0.3 + 25j, complex(-1.1, nan), -0.4 - 30j])):
+            out = log_sin_pi(z)
+            nans = np.isnan(z.imag)
+            assert np.isnan(out[nans]).all()
+            assert np.array_equal(out[~nans], log_sin_pi(z[~nans]))
 
 
 def test_conifold_point_values(conifold, resolution, gerbe_flop):

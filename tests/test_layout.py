@@ -8,8 +8,9 @@ names.  A definition that only the tests call belongs in tests/helpers.py.
 The oracles in tests/helpers.py take their ranks, determinants and solves
 from their own Fraction elimination, the wall-frame oracle its dual
 lattices, coordinates and sublattice vectors, and the restriction and lift
-oracles their forms and line multiples, never from the integer kernel,
-wall-frame set-up, restrictions and lifts they check.
+oracles their forms and line multiples, and the Gamma oracles their
+log-Gamma values, never from the integer kernel, wall-frame set-up,
+restrictions, lifts and log-Gamma kernel they check.
 """
 
 import ast
@@ -21,7 +22,7 @@ SRC = ROOT / "src" / "wallcross"
 KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "right_kernel",
                 "primitive_wall_normal", "_dual_of_extended", "_constrained_sublattice",
                 "_coords_in", "_combination", "restrict_u", "theta_restrict",
-                "compatible_minus_lift"}
+                "compatible_minus_lift", "log_gamma", "log_sin_pi"}
 
 
 def _definitions(tree):

@@ -21,7 +21,9 @@ from helpers import (
     oracle_left_residue_sum,
     oracle_log_gamma_block,
     oracle_mb_integral,
+    oracle_right_residue_sum,
     pole_separation,
+    right_residue_terms,
 )
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
@@ -36,6 +38,7 @@ from wallcross.hypergeom import (
     w_constant,
 )
 from wallcross.mellinbarnes import (
+    RESIDUE_CHUNK,
     ContourSpec,
     ContourTooClose,
     IncompatibleLifts,
@@ -405,6 +408,132 @@ def test_one_log_gamma_call_per_block_and_one_residue_call_per_direction(all_exa
         residue_calls.clear()
         left_residue_sum(spec, _xio(wc, 3.0), lam)
         assert residue_calls == negative
+
+
+def _labels_across(wc):
+    return [l for l in fixed_point_labels(wc.git, wc.A_plus) if l.delta not in wc.A_minus.minimal]
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
+def test_right_residue_sum_matches_the_full_length_oracle(path):
+    # the chunks stop where the rule stops; all 81 terms, then the rule,
+    # give the same sum bit for bit
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    points = (_xio(wc, 0.3), _line_points(wc)[2])
+    for label in _labels_across(wc):
+        spec = make_inner_spec(wc, label)
+        for lam in lams:
+            for x in points:
+                assert right_residue_sum(spec, x, lam) == oracle_right_residue_sum(spec, x, lam)
+
+
+def _record_residue_sizes(monkeypatch):
+    """(direction, size) of every _interesting_residue call and the size of
+    every _log_gamma_block call, as they happen."""
+    residues, blocks = [], []
+    residue, block = mellinbarnes._interesting_residue, mellinbarnes._log_gamma_block
+
+    def counting_residue(spec, betas, log_xi, j_minus, n):
+        residues.append((j_minus, np.size(n)))
+        return residue(spec, betas, log_xi, j_minus, n)
+
+    def counting_block(spec, betas, s, skip=None):
+        blocks.append(np.size(s))
+        return block(spec, betas, s, skip)
+
+    monkeypatch.setattr(mellinbarnes, "_interesting_residue", counting_residue)
+    monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
+    return residues, blocks, residue
+
+
+def test_residue_sums_over_several_chunks_match_the_oracles(all_examples, monkeypatch):
+    # near the degeneration radius every class needs a second chunk
+    residues, blocks, _residue = _record_residue_sizes(monkeypatch)
+    for wc in all_examples.values():
+        for label in _labels_across(wc):
+            spec = make_inner_spec(wc, label)
+            negative = [j for j, e in enumerate(spec.e) if e < 0]
+            for lam in generic_lambdas(wc, 2, seed=31):
+                residues.clear()
+                assert (left_residue_sum(spec, _xio(wc, 1.25), lam)
+                        == oracle_left_residue_sum(spec, _xio(wc, 1.25), lam))
+                assert all([j for j, _size in residues].count(j) > 1 for j in negative)
+                blocks.clear()
+                assert (right_residue_sum(spec, _xio(wc, 0.6), lam)
+                        == oracle_right_residue_sum(spec, _xio(wc, 0.6), lam))
+                assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK]
+
+
+def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, monkeypatch):
+    # just across the degeneration radius no three terms in a row are
+    # small: the sums read all 201 or 81 terms, as the oracles do
+    residues, blocks, residue = _record_residue_sizes(monkeypatch)
+    for wc in all_examples.values():
+        label = _labels_across(wc)[0]
+        spec = make_inner_spec(wc, label)
+        lam = generic_lambdas(wc, 1, seed=31)[0]
+        betas = spec.betas(lam)
+        x_out, x_in = _xio(wc, 1.02), _xio(wc, 0.95)
+        _xi, log_xi = mellinbarnes._split_xi(spec, x_out)
+        for j, e in enumerate(spec.e):
+            if e < 0:
+                for c in range(-e):
+                    row = residue(spec, betas, log_xi, j, np.arange(201) * -e + c)
+                    assert not mellinbarnes._sum_until_small(row)[1]
+        assert not mellinbarnes._sum_until_small(right_residue_terms(spec, x_in, lam))[1]
+        residues.clear()
+        blocks.clear()
+        assert left_residue_sum(spec, x_out, lam) == oracle_left_residue_sum(spec, x_out, lam)
+        assert right_residue_sum(spec, x_in, lam) == oracle_right_residue_sum(spec, x_in, lam)
+        chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
+        assert residues == [(j, size * -e) for j, e in enumerate(spec.e) if e < 0 for size in chunks]
+        assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK, 81 - 2 * RESIDUE_CHUNK]
+
+
+def test_local_p3_left_sums_take_one_chunk_per_class(monkeypatch):
+    residues, _blocks, _residue = _record_residue_sizes(monkeypatch)
+    cfg, wc = _crossing(ROOT / "bench" / "configs" / "local_p3.json")
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    for label in _labels_across(wc):
+        spec = make_inner_spec(wc, label)
+        for lam in lams:
+            residues.clear()
+            left_residue_sum(spec, _xio(wc, 3.0), lam)
+            assert residues == [(j, RESIDUE_CHUNK * -e) for j, e in enumerate(spec.e) if e < 0]
+
+
+@pytest.mark.parametrize("path", [ROOT / "bench" / "configs" / "flop_2_2_line.json",
+                                  ROOT / "configs" / "gerbe_flop.json"], ids=lambda p: p.stem)
+def test_constant_gamma_factors_are_evaluated_once(path, monkeypatch):
+    # a factor with e_j = 0 adds one element to the block's log_gamma call,
+    # and the block keeps every bit of the per-factor evaluation
+    sizes = []
+    log_gamma = mellinbarnes.log_gamma
+
+    def counting_log_gamma(z):
+        sizes.append(np.size(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(mellinbarnes, "log_gamma", counting_log_gamma)
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 3, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    line = -0.25 + 1j * np.linspace(-40.0, 40.0, 161)
+    for label in _labels_across(wc):
+        spec = make_inner_spec(wc, label)
+        constant = [j for j, e in enumerate(spec.e) if e == 0]
+        assert constant
+        for lam in lams:
+            betas = spec.betas(lam)
+            poles = mellinbarnes._pole_scan(spec, betas, -3.0, 4.0)
+            j_minus = poles[0][0]
+            at_poles = np.array([p for j, _n, p in poles if j == j_minus])
+            for s, skip in ((line, None), (at_poles, j_minus), (at_poles[0], j_minus)):
+                varying = len(spec.e) - len(constant) - (skip is not None)
+                sizes.clear()
+                block = mellinbarnes._log_gamma_block(spec, betas, s, skip)
+                assert sizes == [np.size(s) * varying + len(constant)]
+                assert np.array_equal(block, oracle_log_gamma_block(spec, betas, s, skip))
 
 
 def _negative_integer_residue_is_zero(spec, n):
