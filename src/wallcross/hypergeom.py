@@ -57,29 +57,16 @@ _LANCZOS_C = (
 )
 _LOG_SQRT_2PI = 0.9189385332046727417803297
 LOG_PI = math.log(math.pi)
-# the Lanczos coefficients as a column and the shifts k of the denominators
-# zm1 + k; up to _LANCZOS_BLOCK arguments, all 14 terms are formed at once
-_LANCZOS_COLUMN = np.array(_LANCZOS_C, dtype=complex)[:, None]
-_LANCZOS_SHIFTS = np.arange(1, len(_LANCZOS_C), dtype=complex)[:, None]
-_LANCZOS_BLOCK = 256
 
 
 def _lanczos_sum(zm1):
     """C_0 + sum over k of C_k / (zm1 + k), elementwise for a 1-D array,
     added in order of k.
 
-    Up to _LANCZOS_BLOCK arguments, three calls form the denominators,
-    divide them and add them by a running sum down the rows.  A longer array
-    takes the terms one k at a time in one scratch row, which costs fewer
-    passes over memory than a 15-row block.  Either way every element gets
-    the additions of a term-by-term loop, bit for bit.
+    The terms are formed one k at a time in one scratch row and added in
+    place, so every element gets the additions of a term-by-term loop, bit
+    for bit, without a temporary per term.
     """
-    if len(zm1) <= _LANCZOS_BLOCK:
-        rows = np.empty((len(_LANCZOS_C), len(zm1)), dtype=complex)
-        rows[0] = _LANCZOS_C[0]
-        np.add(zm1, _LANCZOS_SHIFTS, out=rows[1:])
-        np.divide(_LANCZOS_COLUMN[1:], rows[1:], out=rows[1:])
-        return np.add.accumulate(rows, axis=0, out=rows)[-1]
     out, term = np.full_like(zm1, _LANCZOS_C[0]), np.empty_like(zm1)
     for k in range(1, len(_LANCZOS_C)):
         np.add(zm1, k, out=term)

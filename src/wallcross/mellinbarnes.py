@@ -195,19 +195,15 @@ class ContourSpec:
     clearance: float = 1e-3
 
 
-def _log_gamma_block(spec, betas, s, skip=None):
+def _log_gamma_block(spec, betas, s, skip=None, factorial_of=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
-    leaving out the factor of index skip; see _log_gammas."""
-    return _log_gammas(spec, betas, s, skip)[-1]
-
-
-def _log_gammas(spec, betas, s, skip=None, head=()):
-    """log Gamma of each array in head, then the sum of the integrand's
-    log-Gamma factors at s leaving out the factor of index skip.
+    leaving out the factor of index skip.  Given an array factorial_of, it
+    returns (log Gamma(factorial_of), the sum).
 
     All arguments go into one log_gamma call.  A factor with e_j = 0 has
     the argument 1 + beta_j + d_j at every s, so it is evaluated once; the
     factors are then added in factor order."""
+    head = [] if factorial_of is None else [factorial_of]
     numerators, args = [], list(head)
     for j in range(len(spec.d)):
         if j == skip:
@@ -224,7 +220,7 @@ def _log_gammas(spec, betas, s, skip=None, head=()):
     acc = 0j
     for numerator, row in zip(numerators, rows[len(head):]):
         acc = acc + row if numerator else acc - row
-    return rows[:len(head)] + [acc]
+    return acc if factorial_of is None else (rows[0], acc)
 
 
 def _pole_scan(spec, betas, re_min, re_max):
@@ -301,7 +297,7 @@ def _interesting_residue(spec, betas, log_xi, j_minus, n):
     l = -spec.e[j_minus]
     base = betas[j_minus] + complex(spec.d[j_minus])
     p = (base - n) / l
-    log_factorial, block = _log_gammas(spec, betas, p, j_minus, [n + 1.0])
+    log_factorial, block = _log_gamma_block(spec, betas, p, j_minus, n + 1.0)
     log_term = (-log_factorial - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi + block)
     return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
 

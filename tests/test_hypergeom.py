@@ -85,8 +85,8 @@ def _kernel_arguments():
 
 
 def test_log_gamma_kernel_matches_the_plain_kernel_bit_for_bit():
-    # skipped masks and blocked Lanczos denominators change no bit of the
-    # term-by-term kernel, for scalars, 1-D and 2-D arrays
+    # skipped masks and Lanczos terms added in place in one scratch row
+    # change no bit of the term-by-term kernel, for scalars, 1-D and 2-D arrays
     for z in _kernel_arguments():
         for fn, oracle in ((log_gamma, oracle_log_gamma), (log_sin_pi, oracle_log_sin_pi)):
             assert np.array_equal(fn(z), oracle(z)), (fn.__name__, len(z))

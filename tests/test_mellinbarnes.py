@@ -328,11 +328,11 @@ def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
     block_sizes, node_counts = [], []
     block, quad = mellinbarnes._log_gamma_block, mellinbarnes.quad
 
-    def counting_block(spec, betas, s, skip=None):
+    def counting_block(spec, betas, s, skip=None, factorial_of=None):
         s_arr = np.atleast_1d(s)
         if s_arr.size > 1 and np.all(s_arr.real == s_arr.real[0]):
             block_sizes.append(s_arr.size)  # a vertical line: the probe or the nodes
-        return block(spec, betas, s, skip)
+        return block(spec, betas, s, skip, factorial_of)
 
     def counting_quad(f, a, b, h):
         return quad(lambda t: (node_counts.append(len(t)), f(t))[1], a, b, h)
@@ -430,7 +430,7 @@ def test_right_residue_sum_matches_the_full_length_oracle(path):
 
 def _record_residue_sizes(monkeypatch):
     """(direction, size) of every _interesting_residue call and the size of
-    every _log_gamma_block call, as they happen."""
+    every _log_gamma_block call, the residues' own included, as they happen."""
     residues, blocks = [], []
     residue, block = mellinbarnes._interesting_residue, mellinbarnes._log_gamma_block
 
@@ -438,9 +438,9 @@ def _record_residue_sizes(monkeypatch):
         residues.append((j_minus, np.size(n)))
         return residue(spec, betas, log_xi, j_minus, n)
 
-    def counting_block(spec, betas, s, skip=None):
+    def counting_block(spec, betas, s, skip=None, factorial_of=None):
         blocks.append(np.size(s))
-        return block(spec, betas, s, skip)
+        return block(spec, betas, s, skip, factorial_of)
 
     monkeypatch.setattr(mellinbarnes, "_interesting_residue", counting_residue)
     monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
@@ -483,8 +483,8 @@ def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, m
                     assert not mellinbarnes._sum_until_small(row)[1]
         assert not mellinbarnes._sum_until_small(right_residue_terms(spec, x_in, lam))[1]
         residues.clear()
-        blocks.clear()
         assert left_residue_sum(spec, x_out, lam) == oracle_left_residue_sum(spec, x_out, lam)
+        blocks.clear()
         assert right_residue_sum(spec, x_in, lam) == oracle_right_residue_sum(spec, x_in, lam)
         chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
         assert residues == [(j, size * -e) for j, e in enumerate(spec.e) if e < 0 for size in chunks]
