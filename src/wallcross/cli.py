@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import __version__
 from .gitfan import (
     box_elements,
-    fixed_point_labels,
     make_git,
     next_to_pairs,
     plus_labels_across,
@@ -41,6 +40,8 @@ from .ktheory import (
 )
 from .localization import normal_weights
 from .mellinbarnes import (
+    LEFT_TERMS,
+    RIGHT_TERMS,
     ContourSpec,
     continuation_matrix,
     lift_invariance_check,
@@ -186,25 +187,16 @@ def config_hash(raw):
 # ---------------------------------------------------------------------------
 # report assembly
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _jsonify(x):
-    """The report tree with Fractions as [num, den] and complex numbers as
-    [re, im].  JSON scalars return at one type lookup, and an exact
-    Fraction skips the Rational ABC check that isinstance would make."""
-    kind = type(x)
-    if kind in _JSON_SCALARS:
-        return x
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if kind is Fraction or isinstance(x, Fraction):
+def _encode(x):
+    """A report leaf that JSON has no type for: a Fraction as [num, den], a
+    complex number as [re, im].  The JSON encoder calls it for every leaf it
+    has no type for, and the text writer for every leaf that is not a JSON
+    scalar; any other type raises TypeError."""
+    if type(x) is Fraction or isinstance(x, Fraction):
         return [x.numerator, x.denominator]
     if isinstance(x, complex):
         return [x.real, x.imag]
-    return x
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
 def make_report(command, cfg, results, ok):
@@ -214,7 +206,7 @@ def make_report(command, cfg, results, ok):
         "command": command,
         "config_hash": config_hash(cfg["raw"]),
         "seed": cfg["seed"],
-        "results": _jsonify(results),
+        "results": results,
         "pass": bool(ok),
     }
 
@@ -224,7 +216,7 @@ def emit(report, as_json, stream=None):
     if stream is None:
         stream = sys.stdout
     if as_json:
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode) + "\n")
         return
     stream.write("wallcross %s | %s | config %s | seed %s\n" % (
         report["version"], report["command"], report["config_hash"], report["seed"]))
@@ -232,18 +224,28 @@ def emit(report, as_json, stream=None):
     stream.write("result: %s\n" % ("PASS" if report["pass"] else "FAIL"))
 
 
+def _node(v):
+    """v as the JSON encoder writes it, one level deep: a tuple as a list,
+    and a leaf that is not a JSON scalar through _encode."""
+    if isinstance(v, (dict, list, str, int, float)) or v is None:
+        return v
+    if isinstance(v, tuple):
+        return list(v)
+    return _encode(v)
+
+
 def _emit_tree(node, stream, indent):
     pad = " " * indent
     if isinstance(node, dict):
         for k in node:
-            v = node[k]
+            v = _node(node[k])
             if isinstance(v, (dict, list)) and v and not _is_flat(v):
                 stream.write("%s%s:\n" % (pad, k))
                 _emit_tree(v, stream, indent + 2)
             else:
                 stream.write("%s%-28s %s\n" % (pad, k + ":", _fmt_flat(v)))
     elif isinstance(node, list):
-        for v in node:
+        for v in map(_node, node):
             if isinstance(v, (dict, list)) and v and not _is_flat(v):
                 _emit_tree(v, stream, indent)
                 stream.write("%s--\n" % pad)
@@ -253,7 +255,7 @@ def _emit_tree(node, stream, indent):
 
 def _is_flat(v):
     if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v) and len(v) <= 8
+        return all(not isinstance(_node(x), (dict, list)) for x in v) and len(v) <= 8
     return False
 
 
@@ -261,7 +263,7 @@ def _fmt_flat(v):
     if isinstance(v, float):
         return "%.6g" % v
     if isinstance(v, list):
-        return "[" + ", ".join(_fmt_flat(x) for x in v) + "]"
+        return "[" + ", ".join(_fmt_flat(_node(x)) for x in v) + "]"
     return str(v)
 
 
@@ -302,8 +304,6 @@ def _lambdas(cfg, wc, count):
 def cmd_analyze(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     frame = wall_frame(wc)
-    labels_plus = fixed_point_labels(wc.git, wc.A_plus)
-    labels_minus = fixed_point_labels(wc.git, wc.A_minus)
     results = {
         "case": wc.case,
         "wall_normal": list(wc.e),
@@ -316,7 +316,7 @@ def cmd_analyze(cfg):
         "minimal_anticones_minus": [list(d) for d in wc.A_minus.minimal],
         "box_plus": [_sector_dict(s) for s in box_elements(wc.git, wc.A_plus)],
         "box_minus": [_sector_dict(s) for s in box_elements(wc.git, wc.A_minus)],
-        "fixed_points": {"plus": len(labels_plus), "minus": len(labels_minus)},
+        "fixed_points": {"plus": len(wc.labels_plus), "minus": len(wc.labels_minus)},
         "next_to_pairs": len(next_to_pairs(wc)),
         "conifold_point": conifold_point(wc),
         "w": w_constant(wc),
@@ -342,9 +342,9 @@ def cmd_boxes(cfg):
 def cmd_fixed_points(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     out = {}
-    for side, A in (("plus", wc.A_plus), ("minus", wc.A_minus)):
+    for side, labels in (("plus", wc.labels_plus), ("minus", wc.labels_minus)):
         rows = []
-        for label in fixed_point_labels(wc.git, A):
+        for label in labels:
             nw = normal_weights(wc.git, label)
             rows.append({
                 "label": _label_name(label),
@@ -448,8 +448,11 @@ def _suite_mb(cfg, wc, tol):
         name = _label_name(label)
         reports = verify_residue_identity(wc, label, x_in, x_out, lams, cfg["contour"])
         for i, rep in enumerate(reports):
-            checks += [("%s at sample %d, inside" % (name, i), rep.residual_inside),
-                       ("%s at sample %d, outside" % (name, i), rep.residual_outside)]
+            # a check whose residue sum was cut before its stop rule fired says so
+            for side, resid, cut, terms in (("inside", rep.residual_inside, rep.cut_inside, RIGHT_TERMS),
+                                            ("outside", rep.residual_outside, rep.cut_outside, LEFT_TERMS)):
+                note = ", residue sum cut at %d terms" % terms if cut else ""
+                checks.append(("%s at sample %d, %s%s" % (name, i, side, note), resid))
             rows.append({"label": name, "inside": rep.residual_inside, "outside": rep.residual_outside})
     gated, worst, ok = _gate(checks, tol)
     return {**gated, "worst": worst, "checks": rows}, ok

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -30,11 +30,10 @@ from .lattice import (
     int_inverse,
     integer_kernel_basis,
     intvec,
-    line_class,
+    line_split,
     matrix_rank,
     quotient_transversal,
     ratvec,
-    rational_line_membership,
     solve_square,
     span_numerators,
 )
@@ -231,15 +230,13 @@ class FixedPointLabel:
 
 
 def fixed_point_labels(git, A):
-    """All (delta, f) pairs, sorted: delta lex, zero sector first."""
+    """All (delta, f) pairs, sorted: delta lex, zero sector first, then by f.
+
+    The minimal anticones are sorted, and so are the box classes, zero
+    sector first, so the double loop lists the labels in that order."""
     sectors = box_elements(git, A)
-    out = []
-    for delta in A.minimal:
-        for sec in sectors:
-            if all(i in sec.I_f for i in delta):
-                out.append(FixedPointLabel(delta=delta, sector=sec))
-    out.sort(key=lambda l: (l.delta, not l.sector.is_zero, l.sector.f))
-    return out
+    return [FixedPointLabel(delta=delta, sector=sec) for delta in A.minimal
+            for sec in sectors if all(i in sec.I_f for i in delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +264,16 @@ class WallCrossing:
 
     def pair_e(self, i):
         return self.pairings[i]
+
+    @cached_property
+    def labels_plus(self):
+        """The plus fixed points in order, listed once per crossing."""
+        return tuple(fixed_point_labels(self.git, self.A_plus))
+
+    @cached_property
+    def labels_minus(self):
+        """The minus fixed points in order, listed once per crossing."""
+        return tuple(fixed_point_labels(self.git, self.A_minus))
 
 
 def _wall_hyperplanes(git):
@@ -432,40 +439,70 @@ def anticones_next_to(wc, delta_plus, delta_minus):
 
 def plus_labels_across(wc):
     """The plus fixed points, in order, whose anticone is not a minus one."""
-    return [lp for lp in fixed_point_labels(wc.git, wc.A_plus) if lp.delta not in wc.A_minus.minimal]
+    minus = set(wc.A_minus.minimal)
+    return [lp for lp in wc.labels_plus if lp.delta not in minus]
+
+
+def _line_key(sector, e):
+    """The sector's class in Q^r / (Q e + Z^r): the numerators of line_split
+    over the order, reduced by their common divisor with it."""
+    _a, c = line_split(sector.num, sector.den, e)
+    g = gcd(sector.den, *c)
+    return tuple(x // g for x in c), sector.den // g
+
+
+def next_to_cells(wc):
+    """The next-to pairs of inertia fixed points across the wall, as
+    positions (p, q) in wc.labels_plus and wc.labels_minus.
+
+    Pairs are ordered like the plus labels and then like the minus labels;
+    the anticones must be next to each other and the sectors must differ by
+    a rational multiple of the wall normal modulo the cocharacter lattice,
+    that is, have the same line class.
+    """
+    plus_min, minus_min = set(wc.A_plus.minimal), set(wc.A_minus.minimal)
+    across = [d for d in wc.A_minus.minimal if d not in plus_min]
+    by_class = {}
+    for q, lm in enumerate(wc.labels_minus):
+        if lm.delta not in plus_min:
+            by_class.setdefault((lm.delta, _line_key(lm.sector, wc.e)), []).append(q)
+    adjacent = {}
+    out = []
+    for p, lp in enumerate(wc.labels_plus):
+        if lp.delta in minus_min:
+            continue
+        if lp.delta not in adjacent:
+            adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
+        key = _line_key(lp.sector, wc.e)
+        for delta in adjacent[lp.delta]:
+            out += [(p, q) for q in by_class.get((delta, key), ())]
+    return out
 
 
 def next_to_pairs(wc):
-    """All next-to pairs of inertia fixed points across the wall.
+    """All next-to pairs (plus label, minus label), in the order of
+    next_to_cells."""
+    plus, minus = wc.labels_plus, wc.labels_minus
+    return [(plus[p], minus[q]) for p, q in next_to_cells(wc)]
 
-    Pairs are (plus label, minus label), ordered like the plus labels and
-    then like the minus labels; the anticones must be next to each other and
-    the sectors must differ by a rational multiple of the wall normal modulo
-    the cocharacter lattice, that is, have the same line class.
-    """
-    plus_min = set(wc.A_plus.minimal)
-    across = [d for d in wc.A_minus.minimal if d not in plus_min]
-    by_class = {}
-    for lm in fixed_point_labels(wc.git, wc.A_minus):
-        if lm.delta not in plus_min:
-            by_class.setdefault((lm.delta, line_class(lm.f, wc.e)), []).append(lm)
-    adjacent = {}
-    out = []
-    for lp in plus_labels_across(wc):
-        if lp.delta not in adjacent:
-            adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
-        key = line_class(lp.f, wc.e)
-        for delta in adjacent[lp.delta]:
-            out += [(lp, lm) for lm in by_class.get((delta, key), ())]
-    return out
+
+def minus_lift_numerators(wc, sector_plus, sector_minus):
+    """(s, n): the compatible minus lift f_plus + alpha e as integer
+    numerators n over s, the lcm of the two sectors' orders, with alpha in
+    [0, 1) the multiple of e by which the sectors differ modulo Z^r."""
+    s = lcm(sector_plus.den, sector_minus.den)
+    base = [x * (s // sector_plus.den) for x in sector_plus.num]
+    diff = [y * (s // sector_minus.den) - x for x, y in zip(base, sector_minus.num)]
+    a, c = line_split(diff, s, wc.e)
+    if any(c):
+        raise ValueError("sectors are not next to each other")
+    return s, tuple(x + a * y for x, y in zip(base, wc.e))
 
 
 def compatible_minus_lift(wc, label_plus, label_minus):
     """Lift of the minus sector with f_minus - f_plus a rational multiple of e."""
-    alpha = rational_line_membership(tuple(y - x for x, y in zip(label_plus.f, label_minus.f)), wc.e)
-    if alpha is None:
-        raise ValueError("sectors are not next to each other")
-    return tuple(x + alpha * y for x, y in zip(label_plus.f, wc.e))
+    s, n = minus_lift_numerators(wc, label_plus.sector, label_minus.sector)
+    return tuple(Fraction(x, s) for x in n)
 
 
 # ---------------------------------------------------------------------------

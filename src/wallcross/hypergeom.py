@@ -164,8 +164,8 @@ def w_constant(wc):
     Computed by both equivalent expressions; their agreement is the crepancy
     condition and is asserted.
     """
-    neg = -1 - sum(wc.pair_e(i) for i in range(wc.git.m) if wc.pair_e(i) < 0)
-    pos = -1 + sum(wc.pair_e(i) for i in range(wc.git.m) if wc.pair_e(i) > 0)
+    neg = -1 - sum(a for a in wc.pairings if a < 0)
+    pos = -1 + sum(a for a in wc.pairings if a > 0)
     if neg != pos:
         raise CrepancyViolation("index shift expressions disagree: %d vs %d" % (neg, pos))
     return neg

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gitfan import _idot, box_elements, fixed_point_labels, next_to_pairs
+from .gitfan import _idot, box_elements, next_to_cells
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
 from .lattice import anticone_inverse, cleared, frac_part, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
@@ -456,21 +456,21 @@ def verify_uhfm(wc, lam_samples):
     basis = tuple(minus_basis(wc))
     images = [fm_transform(wc, delta, rho) for delta, rho in basis]
     e_minus = [basis_e(git, wc.A_minus, delta, rho) for delta, rho in basis]
-    plus_labels = tuple(fixed_point_labels(git, wc.A_plus))
+    plus_labels = wc.labels_plus
 
     diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
     for p, lp in enumerate(plus_labels):
         diff[:, p] = _restricted(git, images, lp.delta, lp.f, lams)
         if lp.delta in wc.A_minus.minimal:
             diff[:, p] -= _restricted(git, e_minus, lp.delta, lp.f, lams)
-    index = {lp: p for p, lp in enumerate(plus_labels)}
     pairs = []
-    for lp, lm in next_to_pairs(wc):
-        coeff = continuation_coefficient(wc, (lp, lm))
+    for p, q in next_to_cells(wc):
+        lm = wc.labels_minus[q]
+        coeff = continuation_coefficient(wc, (plus_labels[p], lm))
         values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
         row = _restricted(git, e_minus, lm.delta, lm.f, lams)
-        diff[:, index[lp]] -= values * row
-        pairs.append((index[lp], row))
+        diff[:, p] -= values * row
+        pairs.append((p, row))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))
 
 

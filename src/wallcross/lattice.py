@@ -7,14 +7,16 @@ unimodular transforms.  Rational matrices are cleared by their common
 denominator before they reach it, so ranks, determinants, solves and kernels
 never eliminate over Fractions, and no rational inverse is ever formed.
 Integer results (kernels, wall normals, Hermite rows, span numerators,
-adjugates) leave as int tuples; rational ones (anticone coordinates, solves,
-line classes and multiples, lattices generated by rational vectors) as tuples
-of ``fractions.Fraction``.  Downstream, restricted forms are integer
-numerators over the isotropy order, and a sector class keeps its f as
-numerators over its order beside the Fraction tuple; Fraction is left only in
-the sector classes f with their ages and pairings, the sector lifts, the
-splitting vectors xi, (c, c_i), the base exponents d_plus, the conifold point
-and the phases of restricted K-class terms.
+adjugates, line classes and multiples of integer numerators) leave as int
+tuples; rational ones (anticone coordinates, solves, lattices generated by
+rational vectors) as tuples of ``fractions.Fraction``.  Downstream,
+restricted forms are integer numerators over the isotropy order, a sector
+class keeps its f as numerators over its order beside the Fraction tuple,
+and sector lifts are matched and paired as numerators; Fraction is left only
+in the sector classes f with their ages and pairings, the lifts a
+connection coefficient reports, the splitting vectors xi, (c, c_i), the base
+exponents d_plus, the conifold point and the phases of restricted K-class
+terms.
 """
 
 from __future__ import annotations
@@ -268,31 +270,19 @@ def _line_transform(e):
     return U
 
 
-def _line_numerators(v, e):
-    """(U v s, s) with U unimodular, U e = e_1, and s the common denominator
-    of v, so that U v s is an integer vector."""
-    s, (n,) = _cleared_rows([v])
-    return [sum(a * b for a, b in zip(row, n)) for row in _line_transform(tuple(e))], s
+def line_split(num, s, e):
+    """(a, c) for the rational vector v = num / s, num an integer vector, and
+    a primitive integer vector e: with U unimodular and U e = e_1 (the
+    Hermite transform of e as a column), a = (U num)[0] mod s and
+    c = (U num)[1:] mod s.
 
-
-def line_class(v, e):
-    """The class of v in Q^r / (Q e + Z^r) for a primitive integer vector e:
-    the fractional parts of (U v)[1:], U unimodular with U e = e_1.  Two
-    vectors differ by a rational multiple of e modulo Z^r exactly when their
-    classes agree."""
-    uv, s = _line_numerators(v, e)
-    return tuple(Fraction(x % s, s) for x in uv[1:])
-
-
-def rational_line_membership(v, e):
-    """The unique alpha in [0,1) with v - alpha*e integral, if it exists.
-
-    ``e`` must be a primitive integer vector; primitivity makes alpha unique
-    modulo 1.  With U e = e_1 as in line_class, v - alpha*e is integral
-    exactly when (U v)[1:] is, and then alpha = frac((U v)[0]).
+    v - alpha e is integral exactly when c is zero, and then alpha = a / s is
+    the unique such alpha in [0, 1); primitivity makes it unique modulo 1.
+    Two vectors over one s differ by a rational multiple of e modulo Z^r, that
+    is, lie in one class of Q^r / (Q e + Z^r), exactly when their c agree.
     """
-    uv, s = _line_numerators(v, e)
-    return Fraction(uv[0] % s, s) if all(x % s == 0 for x in uv[1:]) else None
+    uv = [sum(a * b for a, b in zip(row, num)) for row in _line_transform(tuple(e))]
+    return uv[0] % s, tuple(x % s for x in uv[1:])
 
 
 # ---------------------------------------------------------------------------

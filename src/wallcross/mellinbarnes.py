@@ -12,12 +12,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import _idot, compatible_minus_lift, fixed_point_labels, next_to_pairs
+from .gitfan import _idot, minus_lift_numerators, next_to_cells
 from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
@@ -28,7 +28,7 @@ from .hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from .lattice import ratvec
+from .lattice import cleared, ratvec
 from .localization import restrict_u
 
 
@@ -62,11 +62,18 @@ class ContinuationCoefficient:
     ratio_js: tuple  # other negative-pairing indices
     # per j in ratio_js: (u_j(delta_plus), D_j . f_plus, u_j(delta_minus), D_j . f_minus)
     ratio_terms: tuple
+    # the complex constants of value: -i pi w and the shift
+    _phase: complex = field(init=False, repr=False, compare=False)
+    _shift: complex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_phase", -1j * math.pi * self.w)
+        object.__setattr__(self, "_shift", complex(self.shift))
 
     def value(self, lam):
         """The coefficient at the torus parameters lam."""
-        X = self.u_form(lam) / TWO_PI_I + complex(self.shift)
-        val = cmath.exp(-1j * math.pi * self.w * X / self.l)
+        X = self.u_form(lam) / TWO_PI_I + self._shift
+        val = cmath.exp(self._phase * X / self.l)
         if self.l > 1:
             val *= cmath.sin(math.pi * X) / (self.l * cmath.sin(math.pi * X / self.l))
         for u_plus, c_plus, u_minus, c_minus in self.ratio_terms:
@@ -90,41 +97,45 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     Lifts default to the canonical plus representative and the compatible
     minus lift; every lift must represent its sector class, and the two must
     differ by a rational multiple of the wall normal.
+
+    Default and supplied lifts take one route, on integer numerators: a lift
+    n / s represents the sector num / den when n mod s over s is num / den,
+    and D_j . lift is the integer D_j . n over s.
     """
     label_plus, label_minus = pair
+    sec_plus, sec_minus = label_plus.sector, label_minus.sector
     j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
     l = -wc.pair_e(j_minus)
     assert l > 0
     ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
-    used = (j_minus,) + ratio_js
-    lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
-    lift_minus = (compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
-                  else ratvec(lift_minus))
+    plus = (sec_plus.den, sec_plus.num) if lift_plus is None else cleared(lift_plus)
+    minus = (minus_lift_numerators(wc, sec_plus, sec_minus) if lift_minus is None
+             else cleared(lift_minus))
     pairings = []
-    for lift, sec in ((lift_plus, label_plus.sector), (lift_minus, label_minus.sector)):
+    for (s, n), sec in ((plus, sec_plus), (minus, sec_minus)):
         # the sector's f = num / den is the fractional part of every lift of it
-        if any((x.numerator % x.denominator) * sec.den != n * x.denominator
-               for x, n in zip(lift, sec.num)):
+        if any((x % s) * sec.den != y * s for x, y in zip(n, sec.num)):
             raise IncompatibleLifts("lift does not represent the sector class")
-        # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . floor(lift)
-        floor = [x.numerator // x.denominator for x in lift]
-        pairings.append({j: sec.pairings[j] + _idot(wc.git.D[j], floor) for j in used})
+        pairings.append({j: _idot(wc.git.D[j], n) for j in (j_minus,) + ratio_js})
+    (s_plus, n_plus), (s_minus, n_minus) = plus, minus
     c_plus, c_minus = pairings
-    v, e = [a - b for a, b in zip(lift_plus, lift_minus)], wc.e
+    v, e = [a * s_minus - b * s_plus for a, b in zip(n_plus, n_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
         raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
     u_plus = restrict_u(wc.git, label_plus.delta)
     u_minus = restrict_u(wc.git, label_minus.delta)
-    ratio_terms = tuple((u_plus[j], complex(c_plus[j]), u_minus[j], complex(c_minus[j]))
-                        for j in ratio_js)
+    # int / int is the correctly rounded quotient, as float(Fraction) is
+    ratio_terms = tuple((u_plus[j], complex(c_plus[j] / s_plus),
+                         u_minus[j], complex(c_minus[j] / s_minus)) for j in ratio_js)
     return ContinuationCoefficient(
         j_minus=j_minus,
         l=l,
         w=w_constant(wc),
-        lift_plus=lift_plus,
-        lift_minus=lift_minus,
+        lift_plus=label_plus.f if lift_plus is None else ratvec(lift_plus),
+        lift_minus=(tuple(Fraction(x, s_minus) for x in n_minus) if lift_minus is None
+                    else ratvec(lift_minus)),
         u_form=u_plus[j_minus],
-        shift=c_plus[j_minus] - c_minus[j_minus],
+        shift=Fraction(c_plus[j_minus] * s_minus - c_minus[j_minus] * s_plus, s_plus * s_minus),
         ratio_js=ratio_js,
         ratio_terms=ratio_terms,
     )
@@ -164,23 +175,22 @@ class ContinuationMatrix:
 def continuation_matrix(wc):
     """Block transformation of fixed-point restrictions across the wall.
 
-    Rows over plus fixed points, columns over minus fixed points: identity
-    on common anticones, a connection coefficient on next-to pairs, zero
-    elsewhere.
+    Rows over plus fixed points, columns over minus fixed points, cells by
+    position: identity on common anticones, a connection coefficient on
+    next-to pairs, zero elsewhere.
     """
-    rows = tuple(fixed_point_labels(wc.git, wc.A_plus))
-    cols = tuple(fixed_point_labels(wc.git, wc.A_minus))
-    row_at = {(lp.delta, lp.f): i for i, lp in enumerate(rows)}
-    col_at = {(lm.delta, lm.f): j for j, lm in enumerate(cols)}
+    rows, cols = wc.labels_plus, wc.labels_minus
     kinds = {(i, j): "zero" for i in range(len(rows)) for j in range(len(cols))}
+    # a sector's (num, den) is canonical, so it matches labels exactly
+    col_at = {(lm.delta, lm.sector.num, lm.sector.den): j for j, lm in enumerate(cols)}
     for i, lp in enumerate(rows):
-        if (lp.delta, lp.f) in col_at:
-            kinds[(i, col_at[(lp.delta, lp.f)])] = "identity"
+        j = col_at.get((lp.delta, lp.sector.num, lp.sector.den))
+        if j is not None:
+            kinds[(i, j)] = "identity"
     coeffs = {}
-    for lp, lm in next_to_pairs(wc):
-        cell = (row_at[(lp.delta, lp.f)], col_at[(lm.delta, lm.f)])
+    for cell in next_to_cells(wc):
         kinds[cell] = "coefficient"
-        coeffs[cell] = continuation_coefficient(wc, (lp, lm))
+        coeffs[cell] = continuation_coefficient(wc, (rows[cell[0]], cols[cell[1]]))
     return ContinuationMatrix(rows=rows, cols=cols, kinds=kinds, coefficients=coeffs)
 
 
@@ -405,6 +415,10 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
 # points no class of the bundled or benchmark crossings reads more than 27
 RESIDUE_CHUNK = 32
 
+# terms per class that the right and the left residue sums read at most
+RIGHT_TERMS = 81
+LEFT_TERMS = 201
+
 
 def _sum_until_small(terms):
     """Sum of the terms in order, stopped after the third term in a row below
@@ -419,7 +433,8 @@ def _sum_until_small(terms):
 
 
 def _sums_in_chunks(terms_at, classes, length):
-    """_sum_until_small of the first `length` terms of each class.
+    """_sum_until_small of the first `length` terms of each class: per
+    class, the sum and whether the rule stopped it.
 
     terms_at(open, k) gives the terms at the indices k of each class in
     open, one row per class.  The terms come RESIDUE_CHUNK indices at a
@@ -437,14 +452,15 @@ def _sums_in_chunks(terms_at, classes, length):
             terms[c] = np.concatenate([terms[c], row])
             total, stopped = _sum_until_small(terms[c])
             if stopped or k[-1] == length - 1:
-                sums[c] = total
+                sums[c] = total, stopped
     return [sums[c] for c in classes]
 
 
 def right_residue_sum(spec, x, lam):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
-    inside the degeneration radius."""
+    inside the degeneration radius.  Returns the sum and whether the stop
+    rule fired, False where the sum is cut at its RIGHT_TERMS terms."""
     xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
 
@@ -452,7 +468,7 @@ def right_residue_sum(spec, x, lam):
         return [np.where(k % 2, -1.0, 1.0) * np.exp(
             _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)]
 
-    return _sums_in_chunks(terms_at, [0], 81)[0]
+    return _sums_in_chunks(terms_at, [0], RIGHT_TERMS)[0]
 
 
 def left_residue_sum(spec, x, lam):
@@ -463,11 +479,13 @@ def left_residue_sum(spec, x, lam):
     continued series, is summed on its own by _sum_until_small.  The
     residues are evaluated in chunks of k (_sums_in_chunks): one
     _interesting_residue call per chunk holds every class of the direction
-    whose sum has not stopped yet.
+    whose sum has not stopped yet.  Returns the sum and whether the stop
+    rule fired for every class, False where some class is cut at its
+    LEFT_TERMS terms.
     """
     _xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
-    total = 0j
+    total, stopped = 0j, True
     for j in range(len(spec.d)):
         l = -spec.e[j]
         if l <= 0:
@@ -477,15 +495,20 @@ def left_residue_sum(spec, x, lam):
             n = np.concatenate([k * l + c for c in open_])
             return np.split(_interesting_residue(spec, betas, log_xi, j, n), len(open_))
 
-        for class_sum in _sums_in_chunks(terms_at, range(l), 201):
+        for class_sum, class_stopped in _sums_in_chunks(terms_at, range(l), LEFT_TERMS):
             total += class_sum
-    return total
+            stopped = stopped and class_stopped
+    return total, stopped
 
 
 @dataclass(frozen=True)
 class ResidueReport:
     residual_inside: float
     residual_outside: float
+    # whether the right (inside) or the left (outside) residue sum was cut
+    # at its last term without its stop rule firing
+    cut_inside: bool
+    cut_outside: bool
 
 
 def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=ContourSpec()):
@@ -503,10 +526,12 @@ def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=Co
     reports = []
     for sample in (lam if np.ndim(lam) == 2 else [lam]):
         (v_in, v_out), _err = mb_integral_with_error(spec, (x_inside, x_outside), sample, contour)
-        right = right_residue_sum(spec, x_inside, sample)
-        left = left_residue_sum(spec, x_outside, sample)
+        right, right_stopped = right_residue_sum(spec, x_inside, sample)
+        left, left_stopped = left_residue_sum(spec, x_outside, sample)
         reports.append(ResidueReport(
             residual_inside=abs(v_in - right),
             residual_outside=abs(v_out + left),
+            cut_inside=not right_stopped,
+            cut_outside=not left_stopped,
         ))
     return reports if np.ndim(lam) == 2 else reports[0]

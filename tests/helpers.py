@@ -27,6 +27,14 @@ production path it checks can cross-validate each other:
   reproduce bit for bit;
 - the residue-sum oracles evaluate every term of a class and then apply
   the stop rule, against the sums that evaluate the terms in chunks;
+- the Fraction route of next-to pairs and connection coefficients
+  (fraction_next_to_pairs, fraction_compatible_minus_lift,
+  fraction_continuation_coefficient, fraction_coefficient_value) matches
+  line classes and finds lifts in Fractions and converts a coefficient's
+  constants at every evaluation, against the integer route;
+- the writer oracle (oracle_jsonify, oracle_emit) converts the whole report
+  tree to JSON types before it encodes or prints it, against the encoder's
+  hook;
 - the log-Gamma oracles (oracle_log_gamma, oracle_log_sin_pi) are the plain
   kernel: masks on every call and the Lanczos sum term by term.  Every
   oracle above takes its Gamma values from them, so the stacked versions
@@ -35,8 +43,8 @@ production path it checks can cross-validate each other:
 Ranks, determinants and solves come from the Fraction elimination below,
 never from wallcross.lattice, whose integer kernel they check, and the
 restrictions and minus lifts from the oracles above, never from restrict_u,
-theta_restrict or compatible_minus_lift (tests/test_layout.py enforces
-this).  The Fraction vector arithmetic is the oracles' own.  The wall-frame
+theta_restrict, compatible_minus_lift or the integer line helpers
+(tests/test_layout.py enforces this).  The Fraction vector arithmetic is the oracles' own.  The wall-frame
 oracle builds its own Fraction dual lattices, coordinates and sublattice
 vectors, by fraction_solve and Fraction combinations.  What an oracle shares
 with the path it checks is the choice of lattice bases, which fixes the
@@ -47,7 +55,9 @@ lattice_from_generators), the kernel basis of the constrained sublattices
 """
 
 import cmath
+import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,6 +94,7 @@ from wallcross.lattice import (
     anticone_coords,
     extended_lattice,
     frac_part,
+    hermite_with_transform,
     integer_kernel_basis,
     intvec,
     lattice_from_generators,
@@ -91,9 +102,11 @@ from wallcross.lattice import (
     ratvec,
     vdot,
 )
-from wallcross.localization import sigma_restrict
+from wallcross.localization import LinearForm, sigma_restrict
 from wallcross.mellinbarnes import (
+    ContinuationCoefficient,
     ContourTooClose,
+    IncompatibleLifts,
     _abscissa,
     _interesting_residue,
     _log_gamma_block,
@@ -1250,3 +1263,186 @@ def oracle_sum_until_small(terms):
     small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
     stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
     return complex(totals[stops[0] + 2] if len(stops) else totals[-1])
+
+
+# ---------------------------------------------------------------------------
+# next-to pairs and connection coefficients on Fraction lifts, as they were
+# before the integer route: line classes and lifts by Fraction arithmetic,
+# pairings from the sector's Fraction pairings plus D_j . floor(lift), and
+# the restrictions from oracle_restrict_u
+
+
+def fraction_line_class(v, e):
+    """The class of v in Q^r / (Q e + Z^r) as Fractions: the fractional parts
+    of (U v)[1:], U unimodular with U e = e_1 the Hermite transform of e."""
+    v = ratvec(v)
+    s = lcm(*(x.denominator for x in v))
+    _H, U = hermite_with_transform([[x] for x in intvec(e)])
+    uv = [sum(a * x.numerator * (s // x.denominator) for a, x in zip(row, v)) for row in U]
+    return tuple(Fraction(x % s, s) for x in uv[1:])
+
+
+def fraction_next_to_pairs(wc):
+    """All next-to pairs of inertia fixed points across the wall, matched by
+    Fraction line classes."""
+    plus_min = set(wc.A_plus.minimal)
+    across = [d for d in wc.A_minus.minimal if d not in plus_min]
+    by_class = {}
+    for lm in fixed_point_labels(wc.git, wc.A_minus):
+        if lm.delta not in plus_min:
+            by_class.setdefault((lm.delta, fraction_line_class(lm.f, wc.e)), []).append(lm)
+    adjacent = {}
+    out = []
+    for lp in fixed_point_labels(wc.git, wc.A_plus):
+        if lp.delta in wc.A_minus.minimal:
+            continue
+        if lp.delta not in adjacent:
+            adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
+        key = fraction_line_class(lp.f, wc.e)
+        for delta in adjacent[lp.delta]:
+            out += [(lp, lm) for lm in by_class.get((delta, key), ())]
+    return out
+
+
+def fraction_compatible_minus_lift(wc, label_plus, label_minus):
+    """Lift of the minus sector with f_minus - f_plus a rational multiple of
+    e, alpha found by the candidate loop."""
+    alpha = oracle_line_membership(tuple(y - x for x, y in zip(label_plus.f, label_minus.f)), wc.e)
+    if alpha is None:
+        raise ValueError("sectors are not next to each other")
+    return tuple(x + alpha * y for x, y in zip(label_plus.f, wc.e))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_u_forms(git, delta):
+    """oracle_restrict_u as LinearForms over the isotropy order, once per
+    GIT data and anticone."""
+    det = abs(fraction_det([git.D[i] for i in delta]))
+    return tuple(LinearForm(tuple(intvec([c * det for c in coeffs])), det)
+                 for coeffs in oracle_restrict_u(git, delta))
+
+
+def fraction_continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
+    """The connection coefficient built on Fraction lifts."""
+    label_plus, label_minus = pair
+    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
+    l = -wc.pair_e(j_minus)
+    assert l > 0
+    ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
+    used = (j_minus,) + ratio_js
+    lift_plus = label_plus.f if lift_plus is None else ratvec(lift_plus)
+    lift_minus = (fraction_compatible_minus_lift(wc, label_plus, label_minus) if lift_minus is None
+                  else ratvec(lift_minus))
+    pairings = []
+    for lift, sec in ((lift_plus, label_plus.sector), (lift_minus, label_minus.sector)):
+        # the sector's f = num / den is the fractional part of every lift of it
+        if any((x.numerator % x.denominator) * sec.den != n * x.denominator
+               for x, n in zip(lift, sec.num)):
+            raise IncompatibleLifts("lift does not represent the sector class")
+        # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . floor(lift)
+        floor = [x.numerator // x.denominator for x in lift]
+        pairings.append({j: sec.pairings[j] + sum(a * b for a, b in zip(wc.git.D[j], floor))
+                         for j in used})
+    c_plus, c_minus = pairings
+    v, e = [a - b for a, b in zip(lift_plus, lift_minus)], wc.e
+    if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
+        raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
+    u_plus = _oracle_u_forms(wc.git, label_plus.delta)
+    u_minus = _oracle_u_forms(wc.git, label_minus.delta)
+    ratio_terms = tuple((u_plus[j], complex(c_plus[j]), u_minus[j], complex(c_minus[j]))
+                        for j in ratio_js)
+    return ContinuationCoefficient(
+        j_minus=j_minus,
+        l=l,
+        w=w_constant(wc),
+        lift_plus=lift_plus,
+        lift_minus=lift_minus,
+        u_form=u_plus[j_minus],
+        shift=c_plus[j_minus] - c_minus[j_minus],
+        ratio_js=ratio_js,
+        ratio_terms=ratio_terms,
+    )
+
+
+def fraction_coefficient_value(coeff, lam):
+    """The coefficient at lam, its constants converted on every call."""
+    X = coeff.u_form(lam) / TWO_PI_I + complex(coeff.shift)
+    val = cmath.exp(-1j * math.pi * coeff.w * X / coeff.l)
+    if coeff.l > 1:
+        val *= cmath.sin(math.pi * X) / (coeff.l * cmath.sin(math.pi * X / coeff.l))
+    for u_plus, c_plus, u_minus, c_minus in coeff.ratio_terms:
+        num = u_plus(lam) / TWO_PI_I + c_plus
+        den = u_minus(lam) / TWO_PI_I + c_minus
+        val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
+    return val
+
+
+# ---------------------------------------------------------------------------
+# the report writer as it was: the tree converted to JSON types first, then
+# encoded or printed
+
+
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def oracle_jsonify(x):
+    """The report tree with Fractions as [num, den] and complex numbers as
+    [re, im]."""
+    kind = type(x)
+    if kind in _JSON_SCALARS:
+        return x
+    if isinstance(x, dict):
+        return {str(k): oracle_jsonify(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [oracle_jsonify(v) for v in x]
+    if kind is Fraction or isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    return x
+
+
+def oracle_emit(report, as_json):
+    """The report, its results converted by oracle_jsonify, as canonical JSON
+    or as text."""
+    report = dict(report, results=oracle_jsonify(report["results"]))
+    if as_json:
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    out = ["wallcross %s | %s | config %s | seed %s\n" % (
+        report["version"], report["command"], report["config_hash"], report["seed"])]
+    _oracle_tree(report["results"], out, indent=2)
+    out.append("result: %s\n" % ("PASS" if report["pass"] else "FAIL"))
+    return "".join(out)
+
+
+def _oracle_tree(node, out, indent):
+    pad = " " * indent
+    if isinstance(node, dict):
+        for k in node:
+            v = node[k]
+            if isinstance(v, (dict, list)) and v and not _oracle_is_flat(v):
+                out.append("%s%s:\n" % (pad, k))
+                _oracle_tree(v, out, indent + 2)
+            else:
+                out.append("%s%-28s %s\n" % (pad, k + ":", _oracle_fmt_flat(v)))
+    elif isinstance(node, list):
+        for v in node:
+            if isinstance(v, (dict, list)) and v and not _oracle_is_flat(v):
+                _oracle_tree(v, out, indent)
+                out.append("%s--\n" % pad)
+            else:
+                out.append("%s- %s\n" % (pad, _oracle_fmt_flat(v)))
+
+
+def _oracle_is_flat(v):
+    if isinstance(v, list):
+        return all(not isinstance(x, (dict, list)) for x in v) and len(v) <= 8
+    return False
+
+
+def _oracle_fmt_flat(v):
+    if isinstance(v, float):
+        return "%.6g" % v
+    if isinstance(v, list):
+        return "[" + ", ".join(_oracle_fmt_flat(x) for x in v) + "]"
+    return str(v)

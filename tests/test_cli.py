@@ -470,3 +470,70 @@ def test_verify_pairing_fails_on_nan_residuals(config_dir, tmp_path):
         assert math.isnan(results["max_residual"]) and results["worst_sample"] is not None
         proc = run_cli(["verify", "pairing", "--config", str(path)])
         assert proc.returncode == 1 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("name", ["conifold", "resolution", "gerbe_flop"])
+def test_reports_match_the_converting_writer(config_dir, name):
+    # the encoder's hook and the text writer's leaves give, byte for byte,
+    # what converting the whole tree to JSON types first gave
+    import io
+
+    from helpers import oracle_emit
+    from wallcross import cli
+
+    cfg = cli.load_config(str(config_dir / (name + ".json")))
+    runs = [(command, None) for command in cli.COMMANDS if command != "verify"]
+    runs += [("verify", suite) for suite in sorted(cli.SUITES)]
+    for command, suite in runs:
+        run = cli.COMMANDS[command]
+        results, ok = run(cfg, suite) if suite else run(cfg)
+        report = cli.make_report("verify %s" % suite if suite else command, cfg, results, ok)
+        for as_json in (True, False):
+            out = io.StringIO()
+            cli.emit(report, as_json, out)
+            assert out.getvalue() == oracle_emit(report, as_json), (command, suite, as_json)
+
+
+def _report(results):
+    return {"tool": "wallcross", "version": "0", "command": "c", "config_hash": "h", "seed": 1,
+            "results": results, "pass": True}
+
+
+def test_writer_encodes_every_leaf_type_of_a_report():
+    import io
+
+    import numpy as np
+
+    from helpers import oracle_emit
+    from wallcross import cli
+
+    results = {
+        "nan": float("nan"),
+        "inf": [float("inf"), -float("inf"), np.float64("nan")],
+        "float64": np.float64(0.1),
+        "complex128": np.complex128(1.5 - 2j),
+        "complex": [1j, complex(float("nan"), -0.0)],
+        "fraction": Fraction(-3, 4),
+        "nested": ((Fraction(1, 2), (1j, ())), [], ("a", None, True, 7)),
+        "long": tuple(Fraction(k, 7) for k in range(10)),
+        "empty": [],
+        "rows": [{"x": np.float64(2.5), "y": (Fraction(1, 3),)}, {}],
+    }
+    for as_json in (True, False):
+        out = io.StringIO()
+        cli.emit(_report(results), as_json, out)
+        assert out.getvalue() == oracle_emit(_report(results), as_json), as_json
+
+
+@pytest.mark.parametrize("leaf", ["int64", "set", "object"])
+def test_writer_refuses_an_unknown_leaf(leaf):
+    import io
+
+    import numpy as np
+
+    from wallcross import cli
+
+    value = {"int64": np.int64(3), "set": {1, 2}, "object": object()}[leaf]
+    for as_json in (True, False):
+        with pytest.raises(TypeError):
+            cli.emit(_report({"x": [1, (value,)]}), as_json, io.StringIO())

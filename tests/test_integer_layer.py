@@ -18,7 +18,11 @@ import pytest
 
 from helpers import (
     anticone_dual,
+    fraction_coefficient_value,
+    fraction_compatible_minus_lift,
+    fraction_continuation_coefficient,
     fraction_det,
+    fraction_next_to_pairs,
     fraction_rank,
     fraction_solve,
     fraction_wall_normal,
@@ -47,23 +51,24 @@ from wallcross.gitfan import (
     _wall_hyperplanes,
     box_elements,
     compatible_minus_lift,
+    fixed_point_labels,
     make_git,
     next_to_pairs,
     plus_labels_across,
     validate_stability,
     wall_crossing,
 )
-from wallcross.hypergeom import WALL_BOUND, canonical_d_plus
+from wallcross.hypergeom import WALL_BOUND, canonical_d_plus, generic_lambdas
 from wallcross.ktheory import canonical_rho_lifts, fm_transform, minus_basis
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
     _det,
+    cleared,
     int_inverse,
-    line_class,
+    line_split,
     matrix_rank,
     primitive_wall_normal,
-    rational_line_membership,
     right_kernel,
     solve_rectangular,
     solve_square,
@@ -71,7 +76,7 @@ from wallcross.lattice import (
     vdot,
 )
 from wallcross.localization import restrict_u, theta_restrict
-from wallcross.mellinbarnes import continuation_coefficient
+from wallcross.mellinbarnes import IncompatibleLifts, continuation_coefficient
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -168,6 +173,66 @@ def test_next_to_pairs_and_lifts_match_the_double_loop():
             assert compatible_minus_lift(wc, lp, lm) == vadd(lp.f, vscale(alpha, wc.e))
 
 
+def test_labels_come_in_the_order_of_the_deleted_sort():
+    # delta lex, zero sector first, then by f: the order fixed_point_labels
+    # sorted into before its double loop was seen to give it
+    for wc in _config_crossings() + _crossings():
+        for A in (wc.A_plus, wc.A_minus):
+            labels = fixed_point_labels(wc.git, A)
+            assert labels == sorted(labels, key=lambda l: (l.delta, not l.sector.is_zero, l.sector.f))
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _doctored_lifts(wc, coeff, sector_plus):
+    """Lifts that continuation_coefficient must refuse: a plus lift and a
+    minus lift moved off their sector classes by half a step of the plus
+    sector's order, and, for r >= 2, a plus lift moved by a unit vector off
+    the wall normal's line."""
+    f_plus, f_minus = coeff.lift_plus, coeff.lift_minus
+    half = Fraction(1, 2 * sector_plus.den)
+    out = [((f_plus[0] + half,) + f_plus[1:], f_minus), (f_plus, (f_minus[0] + half,) + f_minus[1:])]
+    if wc.git.r > 1:
+        k = 1 if sum(1 for x in wc.e if x) == 1 and wc.e[0] else 0
+        out.append((tuple(x + (i == k) for i, x in enumerate(f_plus)), f_minus))
+    return out
+
+
+def test_coefficient_route_matches_the_fraction_route():
+    """Next-to pairs, compatible minus lifts and connection coefficients on
+    integer numerators against the Fraction route they replace: the same
+    pairs and lifts, equal coefficient fields and every value bit for bit,
+    for the default lifts and the three supplied lifts of
+    lift_invariance_check (on the first three pairs of a crossing); doctored
+    lifts raise IncompatibleLifts on both."""
+    coefficients = refused = 0
+    for wc in _config_crossings() + _crossings():
+        pairs = next_to_pairs(wc)
+        assert pairs == fraction_next_to_pairs(wc)
+        lams = generic_lambdas(wc, 2, 7)
+        for k, (lp, lm) in enumerate(pairs):
+            assert compatible_minus_lift(wc, lp, lm) == fraction_compatible_minus_lift(wc, lp, lm)
+            base = continuation_coefficient(wc, (lp, lm))
+            f_plus, f_minus = base.lift_plus, base.lift_minus
+            supplied = [(vadd(f_plus, wc.e), f_minus), (f_plus, vsub(f_minus, wc.e)),
+                        ((f_plus[0] + 1,) + f_plus[1:], (f_minus[0] + 1,) + f_minus[1:])]
+            for lifts in [(None, None)] + supplied * (k < 3):
+                coeff = continuation_coefficient(wc, (lp, lm), *lifts)
+                ref = fraction_continuation_coefficient(wc, (lp, lm), *lifts)
+                assert coeff == ref
+                assert [_bits(coeff.value(lam)) for lam in lams] == [
+                    _bits(fraction_coefficient_value(ref, lam)) for lam in lams]
+                coefficients += 1
+            for lifts in _doctored_lifts(wc, base, lp.sector) * (k < 3):
+                got = _outcome(continuation_coefficient, wc, (lp, lm), *lifts)
+                assert got[0] is IncompatibleLifts
+                assert got == _outcome(fraction_continuation_coefficient, wc, (lp, lm), *lifts)
+                refused += 1
+    assert coefficients > 5000 and refused > 1000, (coefficients, refused)
+
+
 def test_restrictions_match_the_fraction_solve():
     """restrict_u, and theta_restrict at the characters and random integer
     characters, against the Fraction solve: numerators over the isotropy
@@ -238,16 +303,20 @@ def test_line_membership_and_class_match_the_candidate_loop():
         e = primitive(e)
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
         alpha = oracle_line_membership(v, e)
-        assert rational_line_membership(v, e) == alpha
-        assert (line_class(v, e) == line_class((0,) * n, e)) == (alpha is not None)
+        s, num = cleared(v)
+        a, c = line_split(num, s, e)
+        # v lies in the class of 0 exactly when it is alpha e modulo Z^r
+        assert (c == (0,) * (n - 1)) == (alpha is not None)
+        if alpha is not None:
+            assert Fraction(a, s) == alpha
 
 
 def test_line_membership_rejects_a_non_primitive_normal():
     # with e = (2,), both 1/4 and 3/4 satisfy v - alpha e integral
     with pytest.raises(ValueError, match="content is 2"):
-        rational_line_membership((Fraction(1, 2),), (2,))
+        line_split((1,), 2, (2,))
     with pytest.raises(ValueError, match="content is 0"):
-        rational_line_membership((Fraction(1, 2), 0), (0, 0))
+        line_split((1, 0), 2, (0, 0))
 
 
 def test_span_numerators_solve_over_a_positive_determinant():

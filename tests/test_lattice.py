@@ -20,16 +20,17 @@ from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
     anticone_coords,
+    cleared,
     express_in_anticone_basis,
     extended_lattice,
     frac_part,
     hermite_row_form,
     intvec,
     lattice_from_generators,
+    line_split,
     primitive_wall_normal,
     quotient_transversal,
     ratvec,
-    rational_line_membership,
     vdot,
 )
 from wallcross.gitfan import box_elements, make_git, validate_stability, wall_crossing
@@ -106,6 +107,14 @@ def test_wall_normal_primitive_content():
 def test_wall_normal_not_hyperplane():
     with pytest.raises(NotAHyperplane):
         primitive_wall_normal([(1, 0), (0, 1)], (1, 1))
+
+
+def rational_line_membership(v, e):
+    """The multiple alpha of e that line_split finds for the rational vector
+    v, as a Fraction, or None."""
+    s, num = cleared(v)
+    a, c = line_split(num, s, e)
+    return None if any(c) else Fraction(a, s)
 
 
 def test_line_membership_examples():

@@ -10,7 +10,10 @@ from their own Fraction elimination, the wall-frame oracle its dual
 lattices, coordinates and sublattice vectors, and the restriction and lift
 oracles their forms and line multiples, and the Gamma oracles their
 log-Gamma values, never from the integer kernel, wall-frame set-up,
-restrictions, lifts and log-Gamma kernel they check.
+restrictions, lifts and log-Gamma kernel they check; the Fraction route of
+next-to pairs and connection coefficients takes its line classes, lift
+multiples and restrictions from its own Fraction arithmetic, never from
+the integer line helpers, the matching or the coefficient it checks.
 """
 
 import ast
@@ -22,7 +25,9 @@ SRC = ROOT / "src" / "wallcross"
 KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "right_kernel",
                 "primitive_wall_normal", "_dual_of_extended", "_constrained_sublattice",
                 "_coords_in", "_combination", "restrict_u", "theta_restrict",
-                "compatible_minus_lift", "log_gamma", "log_sin_pi"}
+                "compatible_minus_lift", "log_gamma", "log_sin_pi", "line_split",
+                "_line_key", "next_to_cells", "minus_lift_numerators",
+                "continuation_coefficient"}
 
 
 def _definitions(tree):

@@ -368,7 +368,7 @@ def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
                 assert (mellinbarnes._log_gamma_block(spec, betas, p, skip=j)
                         == oracle_log_gamma_block(spec, betas, p, skip=j)), (j, n)
             for x in points:
-                assert left_residue_sum(spec, x, lam) == oracle_left_residue_sum(spec, x, lam)
+                assert left_residue_sum(spec, x, lam)[0] == oracle_left_residue_sum(spec, x, lam)
             assert np.array_equal(inner_sum_coefficient(spec, ks, lam),
                                   oracle_inner_sum_coefficient(spec, ks, lam))
             ser = inner_series(spec, order, lam)
@@ -425,7 +425,7 @@ def test_right_residue_sum_matches_the_full_length_oracle(path):
         spec = make_inner_spec(wc, label)
         for lam in lams:
             for x in points:
-                assert right_residue_sum(spec, x, lam) == oracle_right_residue_sum(spec, x, lam)
+                assert right_residue_sum(spec, x, lam)[0] == oracle_right_residue_sum(spec, x, lam)
 
 
 def _record_residue_sizes(monkeypatch):
@@ -457,11 +457,11 @@ def test_residue_sums_over_several_chunks_match_the_oracles(all_examples, monkey
             for lam in generic_lambdas(wc, 2, seed=31):
                 residues.clear()
                 assert (left_residue_sum(spec, _xio(wc, 1.25), lam)
-                        == oracle_left_residue_sum(spec, _xio(wc, 1.25), lam))
+                        == (oracle_left_residue_sum(spec, _xio(wc, 1.25), lam), True))
                 assert all([j for j, _size in residues].count(j) > 1 for j in negative)
                 blocks.clear()
                 assert (right_residue_sum(spec, _xio(wc, 0.6), lam)
-                        == oracle_right_residue_sum(spec, _xio(wc, 0.6), lam))
+                        == (oracle_right_residue_sum(spec, _xio(wc, 0.6), lam), True))
                 assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK]
 
 
@@ -483,9 +483,9 @@ def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, m
                     assert not mellinbarnes._sum_until_small(row)[1]
         assert not mellinbarnes._sum_until_small(right_residue_terms(spec, x_in, lam))[1]
         residues.clear()
-        assert left_residue_sum(spec, x_out, lam) == oracle_left_residue_sum(spec, x_out, lam)
+        assert left_residue_sum(spec, x_out, lam) == (oracle_left_residue_sum(spec, x_out, lam), False)
         blocks.clear()
-        assert right_residue_sum(spec, x_in, lam) == oracle_right_residue_sum(spec, x_in, lam)
+        assert right_residue_sum(spec, x_in, lam) == (oracle_right_residue_sum(spec, x_in, lam), False)
         chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
         assert residues == [(j, size * -e) for j, e in enumerate(spec.e) if e < 0 for size in chunks]
         assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK, 81 - 2 * RESIDUE_CHUNK]
@@ -559,7 +559,7 @@ def test_left_sum_equals_minus_integral(resolution):
     spec = make_inner_spec(resolution, label)
     x_out = _xio(resolution, 3.0)
     v, err = mb_integral_with_error(spec, x_out, lam)
-    left = left_residue_sum(spec, x_out, lam)
+    left, _stopped = left_residue_sum(spec, x_out, lam)
     assert abs(v + left) < 1e-9
 
 
@@ -598,10 +598,10 @@ def test_right_sum_matches_series(conifold):
     x = _xio(conifold, 0.25)
     ser = inner_series(spec, 40, lam)
     v = mb_integral(spec, x, lam)
-    r = right_residue_sum(spec, x, lam)
+    r, _stopped = right_residue_sum(spec, x, lam)
     assert abs(v - r) < 1e-10
     # normalization: series = right sum / (value at the trivial exponent)
-    r0 = right_residue_sum(spec, _xio(conifold, 1e-300), lam)
+    r0, _stopped = right_residue_sum(spec, _xio(conifold, 1e-300), lam)
     assert abs(sum(c * x ** k for k, c in enumerate(ser.coeffs)) - r / r0) < 1e-9
 
 
@@ -652,3 +652,31 @@ def test_residue_identity_over_samples_matches_one_sample_at_a_time(gerbe_flop):
             continue
         reports = verify_residue_identity(gerbe_flop, label, x_in, x_out, lams)
         assert reports == [verify_residue_identity(gerbe_flop, label, x_in, x_out, lam) for lam in lams]
+
+
+def test_a_residue_sum_cut_before_its_rule_fires_is_named(conifold, config_dir, monkeypatch):
+    # at 0.95 c inside, no three right residues in a row are small within
+    # the 81 terms, so the sum is cut there; the report says so and verify mb
+    # names the cut in its worst check, with the verdict it gave before
+    from wallcross import cli
+
+    lam = generic_lambdas(conifold, 1, seed=31)[0]
+    label = _labels_across(conifold)[0]
+    near = verify_residue_identity(conifold, label, _xio(conifold, 0.95), _xio(conifold, 3.0), lam)
+    assert near.cut_inside and not near.cut_outside
+    assert near.residual_inside > 1e-7
+    at_cli = verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lam)
+    assert not at_cli.cut_inside and not at_cli.cut_outside
+
+    cfg = load_config(str(config_dir / "conifold.json"))
+    results, ok = cli.cmd_verify(cfg, "mb")
+    assert ok and "cut" not in results["worst"]
+    identity = cli.verify_residue_identity
+
+    def nearer_inside(wc, label, x_inside, x_outside, lams, contour):
+        return identity(wc, label, x_inside * 0.95 / 0.3, x_outside, lams, contour)
+
+    monkeypatch.setattr(cli, "verify_residue_identity", nearer_inside)
+    results, ok = cli.cmd_verify(cfg, "mb")
+    assert not ok
+    assert results["worst"].endswith(", inside, residue sum cut at %d terms" % mellinbarnes.RIGHT_TERMS)
