@@ -357,22 +357,24 @@ def cmd_fixed_points(cfg):
 
 
 def cmd_continuation(cfg):
+    """The continuation matrix's identity and coefficient cells, row-major;
+    every other cell is zero.  row_labels and col_labels name the rows and
+    columns in matrix order."""
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lams = _lambdas(cfg, wc, min(cfg["samples"], 3))
     matrix = continuation_matrix(wc)
-    col_names = [_label_name(lm) for lm in matrix.cols]
+    row_labels = [_label_name(lp) for lp in matrix.rows]
+    col_labels = [_label_name(lm) for lm in matrix.cols]
     entries = []
-    for i, lp in enumerate(matrix.rows):
-        row_name = _label_name(lp)
-        for j, col_name in enumerate(col_names):
-            kind = matrix.kinds[(i, j)]
-            entry = {"row": row_name, "col": col_name, "kind": kind}
-            if kind == "coefficient":
-                coeff = matrix.coefficients[(i, j)]
-                entry["closed_form"] = coeff.describe()
-                entry["values"] = [coeff.value(lam) for lam in lams]
-            entries.append(entry)
-    return {"rows": len(matrix.rows), "cols": len(matrix.cols), "entries": entries}, True
+    for (i, j), kind in matrix.kinds.items():
+        entry = {"row": row_labels[i], "col": col_labels[j], "kind": kind}
+        if kind == "coefficient":
+            coeff = matrix.coefficients[(i, j)]
+            entry["closed_form"] = coeff.describe()
+            entry["values"] = [coeff.value(lam) for lam in lams]
+        entries.append(entry)
+    return {"rows": len(matrix.rows), "cols": len(matrix.cols), "row_labels": row_labels,
+            "col_labels": col_labels, "entries": entries}, True
 
 
 def cmd_fm(cfg):
@@ -395,11 +397,14 @@ def cmd_series(cfg):
     for label in plus_labels_across(wc):
         spec = make_inner_spec(wc, label)
         ser = inner_series(spec, min(cfg["series_order"], 8), lam)
-        out.append({
+        entry = {
             "label": _label_name(label),
             "base_exponent": [str(x) for x in spec.d_plus],
             "coefficients": [c for c in ser.coeffs],
-        })
+        }
+        if ser.exponent:  # the coefficients are divided by 2**exponent
+            entry["exponent"] = ser.exponent
+        out.append(entry)
     return {"lambda": list(lam), "series": out}, True
 
 

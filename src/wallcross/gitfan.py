@@ -21,6 +21,7 @@ import numpy as np
 from .lattice import (
     _cleared_rows,
     _int_det,
+    _span_minor,
     anticone_inverse,
     cleared,
     content,
@@ -123,6 +124,26 @@ def _idot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=256)
+def _chamber_table(git):
+    """(subsets, adj, top): the linearly independent r-subsets of the
+    characters in lex order, the adjugates of their matrices stacked as a
+    read-only int64 array (None when an entry does not fit), and the largest
+    absolute adjugate entry."""
+    subsets, adjs = [], []
+    for I in itertools.combinations(range(git.m), git.r):
+        found = _span_minor(tuple(git.D[i] for i in I))
+        if found is not None:
+            subsets.append(I)
+            adjs.append(found[1])
+    top = max(abs(x) for adj in adjs for row in adj for x in row)
+    if not _fits_int64(top, 1):
+        return tuple(subsets), None, top
+    adj = np.array(adjs, dtype=np.int64)
+    adj.flags.writeable = False  # shared by every caller
+    return tuple(subsets), adj, top
+
+
 def validate_stability(git, omega):
     """Check both stability assumptions and return the anticone set.
 
@@ -132,28 +153,39 @@ def validate_stability(git, omega):
     index set that is itself an anticone, so enumerating the index sets of
     size at most r decides both assumptions and yields the minimal anticones;
     a dependent set never passes.
+
+    Omega lies in the span of fewer than r characters exactly when one of
+    its coordinates in some independent r-subset is 0.  When none is, no
+    undersized set is an anticone, and the minimal anticones are the
+    r-subsets with all coordinates positive: one integer product of omega
+    with the stacked adjugates (_chamber_table) decides them all.  Otherwise,
+    or when that product could overflow int64, the sets are enumerated size
+    by size.
     """
     omega = ratvec(omega)
     if len(omega) != git.r:
         raise ValueError("omega has wrong dimension")
     _, w = cleared(omega)
-    minimal = []
-    for size in range(0, git.r + 1):
-        undersized = None
-        for I in itertools.combinations(range(git.m), size):
-            found = span_numerators([git.D[i] for i in I], w)
-            if found is not None and all(c > 0 for c in found[0]):
-                if size < git.r:
-                    undersized = I
-                    break
-                minimal.append(tuple(I))
-        if undersized is not None:
-            raise NotDeligneMumford(
-                "Assumption(2) spanning fails for I=%s" % (set(undersized) or "{}",)
-            )
+    subsets, adj, top = _chamber_table(git)
+    coords = None
+    if adj is not None and _fits_int64(top, sum(map(abs, w))):
+        coords = np.array(w, dtype=np.int64) @ adj
+    if coords is not None and coords.all():
+        minimal = [subsets[k] for k in np.flatnonzero((coords > 0).all(axis=1))]
+    else:
+        minimal = []
+        for size in range(0, git.r + 1):
+            for I in itertools.combinations(range(git.m), size):
+                found = span_numerators([git.D[i] for i in I], w)
+                if found is not None and all(c > 0 for c in found[0]):
+                    if size < git.r:
+                        raise NotDeligneMumford(
+                            "Assumption(2) spanning fails for I=%s" % (set(I) or "{}",))
+                    minimal.append(I)
     if not minimal:
         raise EmptyQuotient("Assumption(1) fails: {0..m-1} is not an anticone")
-    return AnticoneSet(m=git.m, r=git.r, minimal=tuple(sorted(minimal)))
+    # both routes list the r-subsets in lex order
+    return AnticoneSet(m=git.m, r=git.r, minimal=tuple(minimal))
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +633,18 @@ def _nef_rows(git, anticone_sets, gens):
     return list(dict.fromkeys(rows))
 
 
+def _fits_int64(top, reach):
+    """Whether integers of absolute value at most ``top``, applied to integer
+    vectors of l1 norm at most ``reach``, give only products and sums that
+    int64 holds."""
+    return top * reach < 2 ** 62
+
+
 def _int64(rows, width, reach):
     """Integer rows as an int64 array; ``reach`` bounds the l1 norm of the
     vectors they are applied to, so no product overflows."""
-    bound = max((abs(x) for row in rows for x in row), default=0) * reach
-    assert bound < 2 ** 62, "integer test would overflow int64"
+    top = max((abs(x) for row in rows for x in row), default=0)
+    assert _fits_int64(top, reach), "integer test would overflow int64"
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 

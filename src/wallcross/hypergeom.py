@@ -258,9 +258,10 @@ def _exact_part(factors, ks):
     return out
 
 
-def inner_sum_coefficient(spec, k, lam):
-    """Coefficient of the k-th power of the wall monomial, normalized to
-    coefficient 1 at k = 0, elementwise for an integer or an integer array k.
+def _log_coefficients(spec, ks, lam):
+    """(live, sign, log) of the coefficients at the integer array ks: which
+    are nonzero, and the sign of the exact part and the complex logarithm of
+    each live one.
 
     Factors whose argument is exactly integral (in particular every factor
     over the defining anticone) are evaluated exactly; a reciprocal Gamma at
@@ -268,9 +269,6 @@ def inner_sum_coefficient(spec, k, lam):
     assembled in log space, for all live k at once, from one log_gamma call
     whose rows hold a factor's argument at k = 0 and then at the live k.
     """
-    scalar = np.ndim(k) == 0
-    ks = np.atleast_1d(np.asarray(k, dtype=int))
-    assert np.all(ks >= 0)
     betas = spec.betas(lam)
     exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j].denominator == 1)
     live, log_exact, sign = _exact_part(tuple((int(spec.d[j]), spec.e[j]) for j in exact),
@@ -286,26 +284,49 @@ def inner_sum_coefficient(spec, k, lam):
         # at k = 0 the factor is 1 by the normalization, not by rounding
         log_acc += np.where(k_live == 0, 0j, row[0] - row[1:])
     # the exact part and the Gamma part can separately over- or underflow
-    # at large k while their product stays moderate; combine in log space.
-    # A coefficient that still overflows leaves an inf or NaN, which FAILs
-    # the suite's gate
+    # at large k while their product stays moderate; combine in log space
+    return live, sign, log_acc + log_exact
+
+
+def inner_sum_coefficient(spec, k, lam):
+    """Coefficient of the k-th power of the wall monomial, normalized to
+    coefficient 1 at k = 0, elementwise for an integer or an integer array k
+    (see _log_coefficients).  A coefficient that overflows is an inf or NaN.
+    """
+    scalar = np.ndim(k) == 0
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    assert np.all(ks >= 0)
+    live, sign, logs = _log_coefficients(spec, ks, lam)
     out = np.zeros(len(ks), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[live] = sign * np.exp(log_acc + log_exact)
+        out[live] = sign * np.exp(logs)
     return complex(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Finite initial segment of a one-variable power series."""
+    """Finite initial segment of a one-variable power series: the k-th
+    coefficient is coeffs[k] * 2**exponent."""
 
     coeffs: tuple  # complex, indices 0..order
     order: int
+    exponent: int  # 0 unless a coefficient would overflow
 
 
 def inner_series(spec, order, lam):
-    coeffs = tuple(inner_sum_coefficient(spec, np.arange(order + 1), lam).tolist())
-    return TruncatedSeries(coeffs=coeffs, order=order)
+    """The inner series to the given order, its coefficients those of
+    inner_sum_coefficient.  Where one of them overflows, every coefficient
+    is carried under one common factor 2**exponent that brings the largest
+    to about 1 (the factor is exp(exponent * ln 2) in floating point, off
+    2**exponent by the rounding of that product, the same for every
+    coefficient); the smallest may then underflow to 0."""
+    ks = np.arange(order + 1)
+    coeffs, exponent = inner_sum_coefficient(spec, ks, lam), 0
+    if not np.isfinite(coeffs).all():
+        live, sign, logs = _log_coefficients(spec, ks, lam)
+        exponent = math.ceil(logs.real.max() / math.log(2))
+        coeffs[live] = sign * np.exp(logs - exponent * math.log(2))
+    return TruncatedSeries(coeffs=tuple(coeffs.tolist()), order=order, exponent=exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +365,11 @@ def gkz_ode_residual(series, spec, lam):
     identically on the exact series.  All degrees are evaluated at once.
     """
     c = np.array(series.coeffs, dtype=complex)
-    coeffs = (c.real, c.imag)
+    # the residual does not change when every coefficient is multiplied by
+    # one factor; a power of two that brings the largest below 1 changes no
+    # rounding, and keeps the products finite where the coefficients are
+    _mantissa, top = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
+    coeffs = (np.ldexp(c.real, -top), np.ldexp(c.imag, -top))
     # an overflowed series or product leaves a NaN residual, which FAILs the
     # suite's gate
     with np.errstate(over="ignore", invalid="ignore"):

@@ -168,7 +168,8 @@ def lift_invariance_check(wc, pair, lams, tol=1e-12):
 class ContinuationMatrix:
     rows: tuple  # plus labels
     cols: tuple  # minus labels
-    kinds: dict  # (i, j) -> "identity" | "coefficient" | "zero"
+    # (i, j) -> "identity" | "coefficient", row-major; an absent cell is zero
+    kinds: dict
     coefficients: dict  # (i, j) -> ContinuationCoefficient for coefficient entries
 
 
@@ -177,12 +178,13 @@ def continuation_matrix(wc):
 
     Rows over plus fixed points, columns over minus fixed points, cells by
     position: identity on common anticones, a connection coefficient on
-    next-to pairs, zero elsewhere.
+    next-to pairs, zero elsewhere.  Only the identity and coefficient cells
+    are stored, in row-major order; every absent cell is zero.
     """
     rows, cols = wc.labels_plus, wc.labels_minus
-    kinds = {(i, j): "zero" for i in range(len(rows)) for j in range(len(cols))}
     # a sector's (num, den) is canonical, so it matches labels exactly
     col_at = {(lm.delta, lm.sector.num, lm.sector.den): j for j, lm in enumerate(cols)}
+    kinds = {}
     for i, lp in enumerate(rows):
         j = col_at.get((lp.delta, lp.sector.num, lp.sector.den))
         if j is not None:
@@ -191,7 +193,8 @@ def continuation_matrix(wc):
     for cell in next_to_cells(wc):
         kinds[cell] = "coefficient"
         coeffs[cell] = continuation_coefficient(wc, (rows[cell[0]], cols[cell[1]]))
-    return ContinuationMatrix(rows=rows, cols=cols, kinds=kinds, coefficients=coeffs)
+    return ContinuationMatrix(rows=rows, cols=cols, kinds=dict(sorted(kinds.items())),
+                              coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ production path it checks can cross-validate each other:
   fraction_continuation_coefficient, fraction_coefficient_value) matches
   line classes and finds lifts in Fractions and converts a coefficient's
   constants at every evaluation, against the integer route;
+- the dense continuation matrix (dense_continuation_matrix,
+  dense_continuation_entries) lists every cell, zero cells included, on
+  the Fraction route, against the report of the nonzero cells alone;
 - the writer oracle (oracle_jsonify, oracle_emit) converts the whole report
   tree to JSON types before it encodes or prints it, against the encoder's
   hook;
@@ -105,6 +108,7 @@ from wallcross.lattice import (
 from wallcross.localization import LinearForm, sigma_restrict
 from wallcross.mellinbarnes import (
     ContinuationCoefficient,
+    ContinuationMatrix,
     ContourTooClose,
     IncompatibleLifts,
     _abscissa,
@@ -1375,6 +1379,43 @@ def fraction_coefficient_value(coeff, lam):
         den = u_minus(lam) / TWO_PI_I + c_minus
         val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
     return val
+
+
+# ---------------------------------------------------------------------------
+# the continuation matrix as it was: every cell, zero cells included
+
+
+def dense_continuation_matrix(wc):
+    """The continuation matrix with a kind for every (row, col) cell:
+    identity on equal labels, a connection coefficient on next-to pairs, and
+    "zero" on every other cell; pairs and coefficients by the Fraction
+    route."""
+    rows = tuple(fixed_point_labels(wc.git, wc.A_plus))
+    cols = tuple(fixed_point_labels(wc.git, wc.A_minus))
+    kinds = {(i, j): "identity" if lp == lm else "zero"
+             for i, lp in enumerate(rows) for j, lm in enumerate(cols)}
+    coeffs = {}
+    for lp, lm in fraction_next_to_pairs(wc):
+        cell = (rows.index(lp), cols.index(lm))
+        kinds[cell] = "coefficient"
+        coeffs[cell] = fraction_continuation_coefficient(wc, (lp, lm))
+    return ContinuationMatrix(rows=rows, cols=cols, kinds=kinds, coefficients=coeffs)
+
+
+def dense_continuation_entries(matrix, lams, label_name):
+    """The continuation report's entries cell by cell, row-major, zero cells
+    included, with each coefficient's values at the samples lams."""
+    entries = []
+    for i, lp in enumerate(matrix.rows):
+        for j, lm in enumerate(matrix.cols):
+            kind = matrix.kinds[(i, j)]
+            entry = {"row": label_name(lp), "col": label_name(lm), "kind": kind}
+            if kind == "coefficient":
+                coeff = matrix.coefficients[(i, j)]
+                entry["closed_form"] = coeff.describe()
+                entry["values"] = [fraction_coefficient_value(coeff, lam) for lam in lams]
+            entries.append(entry)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,60 @@ def test_verify_ode_passes(config_dir):
 def test_continuation_gerbe_has_l2_ratio_and_identity_rows(config_dir):
     proc = run_cli(["continuation", "--config", str(config_dir / "gerbe_flop.json"), "--json"])
     report = json.loads(proc.stdout)
-    entries = report["results"]["entries"]
+    results = report["results"]
+    entries = results["entries"]
     kinds = {e["kind"] for e in entries}
-    assert kinds == {"identity", "coefficient", "zero"}
+    # only the nonzero cells are listed: the other 10 of the 4 x 4 are zero
+    assert kinds == {"identity", "coefficient"}
+    assert (results["rows"], results["cols"]) == (4, 4) and len(entries) == 6
     closed = [e["closed_form"] for e in entries if e["kind"] == "coefficient"]
     assert all("2 sin(pi X/2)" in form for form in closed)
+
+
+@pytest.mark.parametrize("name", ["configs/conifold", "configs/gerbe_flop", "configs/resolution",
+                                  "bench/configs/rank3_s11_d20"])
+def test_continuation_lists_the_nonzero_cells_of_the_dense_matrix(config_dir, name):
+    """The report's entries are the dense listing without its zero cells,
+    bit for bit and in order, and the labels and entries rebuild it."""
+    from helpers import dense_continuation_entries, dense_continuation_matrix, oracle_jsonify
+    from wallcross import cli
+    from wallcross.gitfan import wall_crossing
+
+    cfg = cli.load_config(str(config_dir.parent / (name + ".json")))
+    results, ok = cli.cmd_continuation(cfg)
+    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+    matrix = dense_continuation_matrix(wc)
+    dense = dense_continuation_entries(matrix, cli._lambdas(cfg, wc, min(cfg["samples"], 3)),
+                                       cli._label_name)
+
+    def differ(got, want):
+        """The first positions where two entry lists differ in canonical JSON."""
+        got, want = ([json.dumps(oracle_jsonify(e), sort_keys=True) for e in x] for x in (got, want))
+        return [k for k in range(max(len(got), len(want))) if got[k:k + 1] != want[k:k + 1]][:5]
+
+    assert ok and differ(results["entries"], [e for e in dense if e["kind"] != "zero"]) == []
+    rows, cols = results["row_labels"], results["col_labels"]
+    assert (results["rows"], results["cols"]) == (len(rows), len(cols)) == (len(matrix.rows), len(matrix.cols))
+    at = {(e["row"], e["col"]): e for e in results["entries"]}
+    rebuilt = [at.get((r, c), {"row": r, "col": c, "kind": "zero"}) for r in rows for c in cols]
+    assert differ(rebuilt, dense) == []
+
+
+def test_series_report_gives_the_exponent_of_an_overflowing_series(tmp_path):
+    """Thirty characters of pairing 1 against one of -30: the order-8
+    coefficients overflow, and the report gives each series' coefficients
+    with the power of two they are carried under."""
+    from wallcross import cli
+
+    raw = {"schema": "wallcross-config/1", "git": {"r": 1, "m": 31, "D": [[1]] * 30 + [[-30]]},
+           "omega_plus": [1], "omega_minus": [-1]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(raw))
+    results, ok = cli.cmd_series(cli.load_config(str(path)))
+    assert ok and len(results["series"]) == 30
+    for entry in results["series"]:
+        assert entry["exponent"] > 1024
+        assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in entry["coefficients"])
 
 
 def test_fm_command_lists_basis(config_dir):
@@ -436,13 +485,21 @@ def test_gate_fails_on_nan_after_a_larger_finite_residual():
     assert worst == "b" and not ok and gated["margin_digits"] is None
 
 
-def test_verify_ode_fails_on_nan_residuals(config_dir, capsys):
+def test_verify_ode_fails_on_nan_residuals(config_dir, capsys, monkeypatch):
     import re
 
     from wallcross import cli
 
     path = config_dir.parent / "bench" / "configs" / "local_p3.json"
     args = ["verify", "ode", "--config", str(path), "--trunc", "400", "--json"]
+    # a NaN residual, here the third check's, is the worst entry and FAILs
+    residual, calls = cli.gkz_ode_residual, []
+
+    def third_is_nan(series, spec, lam):
+        calls.append(None)
+        return math.nan if len(calls) == 3 else residual(series, spec, lam)
+
+    monkeypatch.setattr(cli, "gkz_ode_residual", third_is_nan)
     assert cli.main(args) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["margin_digits"] is None and math.isnan(results["max_residual"])
@@ -451,10 +508,13 @@ def test_verify_ode_fails_on_nan_residuals(config_dir, capsys):
     assert match, results["worst"]
     side, label, sample = match.group(1), match.group(2), int(match.group(3))
     rows = [row for row in results["checks"] if row["side"] == side and row["label"] == label]
-    assert math.isnan(rows[sample]["residual"])
-    # the overflow reaches the gate as a NaN, with no warning text on stderr
+    assert math.isnan(rows[sample]["residual"]) and results["checks"].index(rows[sample]) == 2
+    # at this order the coefficients overflow a float; carried under a common
+    # power of two they give finite residuals, with no warning text on stderr
     proc = run_cli(args)
-    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stderr == ""
+    checks = json.loads(proc.stdout)["results"]["checks"]
+    assert all(math.isfinite(row["residual"]) for row in checks)
 
 
 def test_verify_pairing_fails_on_nan_residuals(config_dir, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import pathlib
 import re
 from fractions import Fraction
 
@@ -208,7 +209,7 @@ def test_gkz_ode_detects_corruption(conifold):
     bad[7] += 1e-3
     from wallcross.hypergeom import TruncatedSeries
 
-    corrupted = TruncatedSeries(coeffs=tuple(bad), order=ser.order)
+    corrupted = TruncatedSeries(coeffs=tuple(bad), order=ser.order, exponent=ser.exponent)
     assert gkz_ode_residual(corrupted, spec, lam) >= 1e-4
 
 
@@ -219,6 +220,48 @@ def test_gkz_ode_degenerate_series(conifold):
     ser = inner_series(spec, 10, lam)
     assert ser.coeffs[0] == 1 and all(c == 0 for c in ser.coeffs[1:])
     assert gkz_ode_residual(ser, spec, lam) == 0.0
+
+
+def test_overflowing_series_is_carried_under_a_power_of_two():
+    """At order 150 on local P^3 the coefficients overflow a float.  The
+    series carries them under one factor 2**exponent: they are finite,
+    equal the coefficients that do not overflow to rounding, and give a
+    finite ODE residual, that of the degree-by-degree oracle bit for bit."""
+    from helpers import oracle_gkz_ode_residual
+
+    cfg = load_config(str(pathlib.Path(__file__).parent.parent / "bench" / "configs" / "local_p3.json"))
+    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+    lam = generic_lambdas(wc, 1, seed=7)[0]
+    spec = make_inner_spec(wc, fixed_point_labels(wc.git, wc.A_plus)[0])
+    ser = inner_series(spec, 150, lam)
+    plain = inner_sum_coefficient(spec, np.arange(151), lam)
+    assert ser.exponent > 1024 and not np.isfinite(plain).all()
+    carried = np.array(ser.coeffs)
+    assert np.isfinite(carried).all() and 0.5 < np.abs(carried).max() <= 1.0
+    # the largest coefficients that do not overflow, carried back
+    fits = np.flatnonzero(np.isfinite(plain) & (np.abs(plain) > 2.0 ** (ser.exponent - 1000)))
+    assert len(fits) > 20
+    back = carried[fits] * 2.0 ** (ser.exponent - 1000) * 2.0 ** 1000
+    assert np.max(np.abs(back - plain[fits]) / np.abs(plain[fits])) < 1e-12
+    resid = gkz_ode_residual(ser, spec, lam)
+    assert resid < 1e-11 and resid == oracle_gkz_ode_residual(ser, spec, lam)
+
+
+def test_ode_residual_is_unchanged_by_a_power_of_two(conifold, resolution):
+    """The residual does not change, bit for bit, when every coefficient is
+    multiplied by one power of two, up or down."""
+    from wallcross.hypergeom import TruncatedSeries
+
+    for wc in (conifold, resolution):
+        lam = generic_lambdas(wc, 1, seed=5)[0]
+        for label in fixed_point_labels(wc.git, wc.A_plus):
+            spec = make_inner_spec(wc, label)
+            ser = inner_series(spec, 40, lam)
+            resid = gkz_ode_residual(ser, spec, lam)
+            for p in (-200, 300):
+                scaled = TruncatedSeries(coeffs=tuple(c * 2.0 ** p for c in ser.coeffs),
+                                         order=ser.order, exponent=ser.exponent - p)
+                assert gkz_ode_residual(scaled, spec, lam) == resid
 
 
 def test_coefficient_ratio_approaches_degeneration_point(conifold, resolution):

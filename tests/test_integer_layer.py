@@ -458,3 +458,53 @@ def test_random_stability_conditions_match_the_oracle():
         if isinstance(outcome[0], type):
             raised.add(outcome[0])
     assert raised == {NotDeligneMumford, EmptyQuotient}
+
+
+def test_chamber_product_matches_the_loop_oracle_on_walls_and_undersized_sets(monkeypatch):
+    """validate_stability against the size-by-size loop on random draws:
+    generic omegas, which the one product with the stacked adjugates
+    decides without a span solve; omegas in the cone of r - 1 characters (a
+    wall) or of fewer, and zero, which have a zero coordinate and take the
+    loop; and weights or omegas so large that the product could overflow
+    int64, which take the loop too.  Minimal anticones, error types and
+    messages are those of the oracle."""
+    from wallcross import gitfan
+
+    solves = []
+    span = gitfan.span_numerators
+    monkeypatch.setattr(gitfan, "span_numerators", lambda rows, w: solves.append(1) or span(rows, w))
+    rng = random.Random(41)
+    seen = {}
+    for k in range(400):
+        r = rng.randint(1, 3)
+        scale = 2 ** 40 if k % 20 == 0 else 1
+        D = [tuple(scale * rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(r + 1, 7))]
+        try:
+            git = make_git(D)
+        except ValueError:
+            continue
+        kind = rng.choice(("generic", "wall", "undersized", "huge"))
+        if kind == "generic":
+            omega = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(r))
+        elif kind == "huge":
+            omega = tuple(Fraction(rng.randint(-9, 9) * 2 ** 61 + 1, rng.randint(1, 7)) for _ in range(r))
+        else:
+            size = r - 1 if kind == "wall" else rng.randint(0, max(0, r - 2))
+            J = rng.sample(range(git.m), size)
+            omega = tuple(sum(Fraction(rng.randint(1, 5), rng.randint(1, 3)) * git.D[j][a] for j in J)
+                          for a in range(r))
+        del solves[:]
+        outcome = _outcome(lambda: validate_stability(git, omega).minimal)
+        assert outcome == _outcome(oracle_minimal_anticones, git, omega), (D, omega)
+        route = "loop" if solves else "product"
+        key = (kind if scale == 1 else "wide", route,
+               outcome[0].__name__ if isinstance(outcome[0], type) else "valid")
+        seen[key] = seen.get(key, 0) + 1
+    # generic omegas take the product, with valid and empty outcomes (the few
+    # that fall on a wall take the loop); walls and undersized cones take the
+    # loop and raise NotDeligneMumford
+    assert {("generic", "product", "valid"), ("generic", "product", "EmptyQuotient"),
+            ("wall", "loop", "NotDeligneMumford"), ("undersized", "loop", "NotDeligneMumford"),
+            ("huge", "loop", "valid"), ("wide", "loop", "valid")} <= set(seen), seen
+    assert not any(route == "product" and outcome == "NotDeligneMumford"
+                   for _kind, route, outcome in seen), seen
