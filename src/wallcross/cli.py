@@ -144,6 +144,9 @@ def parse_config(raw):
                               % (key, "nonnegative" if floor else "positive", tol))
     contour_node = _object(raw.get("contour", {}), "contour")
     abscissa = contour_node.get("abscissa")
+    # the Barnes line keeps the pole at s = 0 on its right
+    if abscissa is not None and not _number(abscissa, "contour.abscissa") < 0:
+        raise ConfigError("contour.abscissa must be negative, got %r" % abscissa)
     t_max = _number(contour_node.get("t_max", 40.0), "contour.t_max")
     if not t_max > 0:
         raise ConfigError("contour.t_max must be positive, got %r" % t_max)
@@ -166,7 +169,7 @@ def parse_config(raw):
         "z": z,
         "tolerances": tols,
         "contour": ContourSpec(
-            abscissa=None if abscissa is None else _number(abscissa, "contour.abscissa"),
+            abscissa=abscissa,
             t_max=t_max,
             clearance=tols["pole_clearance"],
         ),

@@ -19,9 +19,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .lattice import (
+    SingularBasis,
     _cleared_rows,
     _int_det,
-    _span_minor,
     anticone_inverse,
     cleared,
     content,
@@ -127,65 +127,66 @@ def _idot(a, b):
 @lru_cache(maxsize=256)
 def _chamber_table(git):
     """(subsets, adj, top): the linearly independent r-subsets of the
-    characters in lex order, the adjugates of their matrices stacked as a
-    read-only int64 array (None when an entry does not fit), and the largest
-    absolute adjugate entry."""
+    characters in lex order, as the rows of an integer array; the adjugates
+    of their matrices (anticone_inverse, so shared with every other reader
+    of an anticone basis), stacked read-only, in int64 when every entry fits
+    and as Python ints otherwise; and the largest absolute adjugate entry.
+
+    Row k of w @ adj holds the coordinates of w over subset k times its
+    positive determinant, so it decides every cone test over the subset."""
     subsets, adjs = [], []
     for I in itertools.combinations(range(git.m), git.r):
-        found = _span_minor(tuple(git.D[i] for i in I))
-        if found is not None:
-            subsets.append(I)
-            adjs.append(found[1])
+        try:
+            adjs.append(anticone_inverse(git.D, I)[0])
+        except SingularBasis:
+            continue
+        subsets.append(I)
     top = max(abs(x) for adj in adjs for row in adj for x in row)
-    if not _fits_int64(top, 1):
-        return tuple(subsets), None, top
-    adj = np.array(adjs, dtype=np.int64)
-    adj.flags.writeable = False  # shared by every caller
-    return tuple(subsets), adj, top
+    table = np.array(subsets), np.array(adjs, dtype=np.int64 if _fits_int64(top, 1) else object)
+    for a in table:
+        a.flags.writeable = False  # shared by every caller
+    return table + (top,)
+
+
+def _table_coords(table, w):
+    """w @ adj for an integer vector w and the chamber table: in int64 where
+    no product or sum can overflow, else in Python ints."""
+    _, adj, top = table
+    if adj.dtype == np.int64 and _fits_int64(top, sum(map(abs, w))):
+        return np.array(w, dtype=np.int64) @ adj
+    return np.array(w, dtype=object) @ adj.astype(object)
 
 
 def validate_stability(git, omega):
     """Check both stability assumptions and return the anticone set.
 
-    Membership of omega in the open cone over an index set is decided
-    exactly, by integer numerators over one positive determinant.  Every
-    anticone contains, by Caratheodory reduction, a linearly independent
-    index set that is itself an anticone, so enumerating the index sets of
-    size at most r decides both assumptions and yields the minimal anticones;
-    a dependent set never passes.
-
-    Omega lies in the span of fewer than r characters exactly when one of
-    its coordinates in some independent r-subset is 0.  When none is, no
-    undersized set is an anticone, and the minimal anticones are the
-    r-subsets with all coordinates positive: one integer product of omega
-    with the stacked adjugates (_chamber_table) decides them all.  Otherwise,
-    or when that product could overflow int64, the sets are enumerated size
-    by size.
+    Every anticone contains, by Caratheodory reduction, a linearly
+    independent index set that is itself an anticone.  An independent set
+    extends to an independent r-subset, so one integer product of the
+    cleared omega with the chamber table's adjugates decides every such set:
+    an index set I of size below r is an anticone exactly when omega has
+    nonnegative coordinates, zero off I, over some independent r-subset
+    containing I.  The first undersized anticone in size-then-lex order is
+    therefore the smallest positive support of a nonnegative row with a
+    zero, and the minimal anticones are the all-positive rows.
     """
     omega = ratvec(omega)
     if len(omega) != git.r:
         raise ValueError("omega has wrong dimension")
-    _, w = cleared(omega)
-    subsets, adj, top = _chamber_table(git)
-    coords = None
-    if adj is not None and _fits_int64(top, sum(map(abs, w))):
-        coords = np.array(w, dtype=np.int64) @ adj
-    if coords is not None and coords.all():
-        minimal = [subsets[k] for k in np.flatnonzero((coords > 0).all(axis=1))]
-    else:
-        minimal = []
-        for size in range(0, git.r + 1):
-            for I in itertools.combinations(range(git.m), size):
-                found = span_numerators([git.D[i] for i in I], w)
-                if found is not None and all(c > 0 for c in found[0]):
-                    if size < git.r:
-                        raise NotDeligneMumford(
-                            "Assumption(2) spanning fails for I=%s" % (set(I) or "{}",))
-                    minimal.append(I)
+    table = _chamber_table(git)
+    subsets = table[0]
+    coords = _table_coords(table, cleared(omega)[1])
+    positive = coords > 0
+    if not (coords != 0).all():
+        undersized = [tuple(subsets[k][positive[k]].tolist())
+                      for k in np.flatnonzero((coords >= 0).all(axis=1) & ~positive.all(axis=1))]
+        if undersized:
+            I = min(undersized, key=lambda I: (len(I), I))
+            raise NotDeligneMumford("Assumption(2) spanning fails for I=%s" % (set(I) or "{}",))
+    minimal = tuple(map(tuple, subsets[positive.all(axis=1)].tolist()))
     if not minimal:
         raise EmptyQuotient("Assumption(1) fails: {0..m-1} is not an anticone")
-    # both routes list the r-subsets in lex order
-    return AnticoneSet(m=git.m, r=git.r, minimal=tuple(minimal))
+    return AnticoneSet(m=git.m, r=git.r, minimal=minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -308,37 +309,33 @@ class WallCrossing:
         return tuple(fixed_point_labels(self.git, self.A_minus))
 
 
+@lru_cache(maxsize=256)
 def _wall_hyperplanes(git):
-    """Distinct candidate wall hyperplanes spanned by r-1 characters.
+    """The distinct candidate wall hyperplanes spanned by r-1 characters, as
+    sorted primitive normals with first nonzero entry positive.
 
-    Returned as a dict mapping each primitive normal, first nonzero entry
-    positive, to the first index set spanning it.  The normal of r-1
-    characters is their signed maximal-minor vector, which is zero exactly
-    when they have rank < r-1.
+    Characters of rank r-1 extend to an independent r-subset of the chamber
+    table, and the adjugate column of the added character is normal to the
+    rest, so the normalized adjugate columns are exactly these normals.
     """
-    normals = {}
-    for J in itertools.combinations(range(git.m), git.r - 1):
-        rows = [git.D[j] for j in J]
-        n = [(-1) ** c * _int_det([row[:c] + row[c + 1:] for row in rows]) for c in range(git.r)]
-        g = content(n)
-        if g == 0:
-            continue
-        if next(x for x in n if x) < 0:
-            g = -g
-        normals.setdefault(tuple(x // g for x in n), J)
-    return normals
+    cols = np.swapaxes(_chamber_table(git)[1], 1, 2).reshape(-1, git.r)
+    g = np.gcd.reduce(cols, axis=1)  # nonzero: an adjugate is invertible
+    first = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
+    normals = cols // np.where(first > 0, g, -g)[:, None]
+    return tuple(sorted(set(map(tuple, normals.tolist()))))
 
 
 def _in_wall_cone(git, normal, point):
-    """Whether the integer crossing point lies in the closed cone of wall
-    characters; an independent subset decides it, by Caratheodory."""
-    cone_indices = [i for i in range(git.m) if _idot(git.D[i], normal) == 0]
-    for size in range(0, git.r):
-        for K in itertools.combinations(cone_indices, size):
-            found = span_numerators([git.D[i] for i in K], point)
-            if found is not None and all(c >= 0 for c in found[0]):
-                return True
-    return False
+    """Whether the integer crossing point, on the hyperplane of the normal,
+    lies in the closed cone of wall characters.  By Caratheodory an
+    independent set of wall characters decides it, and it extends to an
+    r-subset of the chamber table with exactly one off-wall character, over
+    which the point has nonnegative coordinates (zero at that character);
+    conversely such coordinates put the point in the cone."""
+    table = _chamber_table(git)
+    off = np.array([_idot(row, normal) != 0 for row in git.D])
+    one_off = off[table[0]].sum(axis=1) == 1
+    return bool((_table_coords(table, point)[one_off] >= 0).all(axis=1).any())
 
 
 def _classify(S_plus, S_minus, M_plus, M_minus):
@@ -576,17 +573,11 @@ def _dual_of_extended(git, A):
 
 
 def _saturated(coord_rows):
-    """Whether integer vectors extend to a lattice basis: maximal minors
-    have gcd 1."""
-    k = len(coord_rows)
-    n = len(coord_rows[0])
-    g = 0
-    for cols in itertools.combinations(range(n), k):
-        sub = [[row[c] for c in cols] for row in coord_rows]
-        g = gcd(g, abs(_int_det(sub)))
-        if g == 1:
-            return True
-    return g == 1
+    """Whether k integer vectors extend to a lattice basis: the gcd of their
+    maximal minors, which is the product of the Hermite pivots of their
+    transpose, is 1, so they have rank k and every pivot is 1."""
+    H = hermite_row_form(list(zip(*coord_rows)))
+    return len(H) == len(coord_rows) and all(H[i][i] == 1 for i in range(len(H)))
 
 
 def _coords_in(basis, v):

@@ -288,21 +288,6 @@ def _log_coefficients(spec, ks, lam):
     return live, sign, log_acc + log_exact
 
 
-def inner_sum_coefficient(spec, k, lam):
-    """Coefficient of the k-th power of the wall monomial, normalized to
-    coefficient 1 at k = 0, elementwise for an integer or an integer array k
-    (see _log_coefficients).  A coefficient that overflows is an inf or NaN.
-    """
-    scalar = np.ndim(k) == 0
-    ks = np.atleast_1d(np.asarray(k, dtype=int))
-    assert np.all(ks >= 0)
-    live, sign, logs = _log_coefficients(spec, ks, lam)
-    out = np.zeros(len(ks), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[live] = sign * np.exp(logs)
-    return complex(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Finite initial segment of a one-variable power series: the k-th
@@ -314,16 +299,18 @@ class TruncatedSeries:
 
 
 def inner_series(spec, order, lam):
-    """The inner series to the given order, its coefficients those of
-    inner_sum_coefficient.  Where one of them overflows, every coefficient
-    is carried under one common factor 2**exponent that brings the largest
-    to about 1 (the factor is exp(exponent * ln 2) in floating point, off
+    """The inner series to the given order: the coefficient of the k-th
+    power of the wall monomial, normalized to 1 at k = 0 (see
+    _log_coefficients).  Where one of them overflows, every coefficient is
+    carried under one common factor 2**exponent that brings the largest to
+    about 1 (the factor is exp(exponent * ln 2) in floating point, off
     2**exponent by the rounding of that product, the same for every
     coefficient); the smallest may then underflow to 0."""
-    ks = np.arange(order + 1)
-    coeffs, exponent = inner_sum_coefficient(spec, ks, lam), 0
+    live, sign, logs = _log_coefficients(spec, np.arange(order + 1), lam)
+    coeffs, exponent = np.zeros(order + 1, dtype=complex), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[live] = sign * np.exp(logs)
     if not np.isfinite(coeffs).all():
-        live, sign, logs = _log_coefficients(spec, ks, lam)
         exponent = math.ceil(logs.real.max() / math.log(2))
         coeffs[live] = sign * np.exp(logs - exponent * math.log(2))
     return TruncatedSeries(coeffs=tuple(coeffs.tolist()), order=order, exponent=exponent)

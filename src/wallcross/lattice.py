@@ -175,10 +175,6 @@ def span_numerators(rows, w):
     """(c, d) with w = sum_t (c_t / d) rows[t], c integral and d > 0, for
     integer rows and an integer vector w; None when the rows are dependent or
     w is not in their span.
-
-    A positive multiple of w has numerators of the same signs, so this
-    decides membership of a rational vector, cleared of its denominators, in
-    the open and the closed cone over independent rows.
     """
     if not rows:
         return None if any(w) else ((), 1)

@@ -87,6 +87,7 @@ from wallcross.hypergeom import (
     TWO_PI_I,
     PoleCollision,
     _exact_gamma_ratio,
+    _log_coefficients,
     check_generic,
     make_inner_spec,
     w_constant,
@@ -130,6 +131,21 @@ def all_anticones(A):
         for I in itertools.combinations(range(A.m), size):
             if A.contains(I):
                 yield I
+
+
+def inner_sum_coefficient(spec, k, lam):
+    """Coefficient of the k-th power of the wall monomial, normalized to
+    coefficient 1 at k = 0, elementwise for an integer or an integer array k,
+    as inner_series computes it.  A coefficient that overflows is an inf or
+    NaN."""
+    scalar = np.ndim(k) == 0
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    assert np.all(ks >= 0)
+    live, sign, logs = _log_coefficients(spec, ks, lam)
+    out = np.zeros(len(ks), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[live] = sign * np.exp(logs)
+    return complex(out[0]) if scalar else out
 
 
 def on_wall(wc, v):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    _oracle_saturated,
     all_anticones,
     assert_frame_properties,
     assert_sigma_transition,
@@ -478,3 +479,20 @@ def test_integer_determinant_matches_fraction_elimination():
             if n and rng.random() < 0.2:
                 mat[-1] = list(mat[0])
             assert _int_det(mat) == fraction_det(mat)
+
+
+def test_saturation_matches_the_minor_oracle():
+    # the Hermite pivots of the transpose against the gcd of the maximal
+    # minors, on rows that are often dependent or of small entries
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        bound = rng.choice((1, 2, 3, 6))
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        if len(rows) > 1 and rng.random() < 0.2:
+            rows[-1] = tuple(2 * x for x in rows[0])
+        saturated = gitfan._saturated(rows)
+        assert saturated == _oracle_saturated(rows), rows
+        seen.add(saturated)
+    assert seen == {True, False}

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import oracle_genericity_gap, oracle_log_gamma, oracle_log_sin_pi
+from helpers import inner_sum_coefficient, oracle_genericity_gap, oracle_log_gamma, oracle_log_sin_pi
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
@@ -18,7 +18,6 @@ from wallcross.hypergeom import (
     genericity_gaps,
     gkz_ode_residual,
     inner_series,
-    inner_sum_coefficient,
     log_gamma,
     log_sin_pi,
     make_inner_spec,

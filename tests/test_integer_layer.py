@@ -122,8 +122,7 @@ def test_anticones_match_the_rational_cone_test():
 
 def test_wall_hyperplanes_and_crossing_normal_match_the_rational_kernel():
     for wc in _crossings():
-        normals = _wall_hyperplanes(wc.git)
-        assert list(normals.items()) == list(oracle_wall_hyperplanes(wc.git).items())
+        assert set(_wall_hyperplanes(wc.git)) == set(oracle_wall_hyperplanes(wc.git))
         normal = oracle_crossing_normal(wc.git, wc.omega_plus, wc.omega_minus)
         assert wc.e in (normal, tuple(-x for x in normal))
 
@@ -434,6 +433,10 @@ def test_ranks_determinants_solves_and_kernels_match_fraction_elimination():
     # omega outside the cone of the characters
     ([(1,), (1,)], (Fraction(-1, 2),), EmptyQuotient),
     ([(1, 0), (0, 1), (1, 1)], (Fraction(-1, 3), Fraction(1, 4)), EmptyQuotient),
+    # omega on the ray of D_2 and inside the cone of D_0, D_1: the first
+    # undersized anticone by size, then lex order, is {2}, not {0, 1}
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (-1, -1, -1)], (Fraction(2), Fraction(2), Fraction(0)),
+     NotDeligneMumford),
 ])
 def test_stability_outcomes_and_messages_match_the_oracle(D, omega, raised):
     git = make_git(D)
@@ -461,18 +464,19 @@ def test_random_stability_conditions_match_the_oracle():
 
 
 def test_chamber_product_matches_the_loop_oracle_on_walls_and_undersized_sets(monkeypatch):
-    """validate_stability against the size-by-size loop on random draws:
-    generic omegas, which the one product with the stacked adjugates
-    decides without a span solve; omegas in the cone of r - 1 characters (a
-    wall) or of fewer, and zero, which have a zero coordinate and take the
-    loop; and weights or omegas so large that the product could overflow
-    int64, which take the loop too.  Minimal anticones, error types and
-    messages are those of the oracle."""
-    from wallcross import gitfan
+    """validate_stability against the size-by-size loop of the oracle on
+    random draws: generic omegas; omegas in the cone of r - 1 characters (a
+    wall) or of fewer, and zero, which have a zero coordinate over some
+    independent r-subset; and weights or omegas so large that the product
+    with the chamber table runs in Python ints.  Minimal anticones, error
+    types and messages are those of the oracle, and no draw makes a span
+    solve: the table decides every one."""
+    from wallcross import gitfan, lattice
 
     solves = []
-    span = gitfan.span_numerators
-    monkeypatch.setattr(gitfan, "span_numerators", lambda rows, w: solves.append(1) or span(rows, w))
+    for module, name in ((gitfan, "span_numerators"), (lattice, "span_numerators"),
+                         (lattice, "_span_minor")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: solves.append(name))
     rng = random.Random(41)
     seen = {}
     for k in range(400):
@@ -493,18 +497,30 @@ def test_chamber_product_matches_the_loop_oracle_on_walls_and_undersized_sets(mo
             J = rng.sample(range(git.m), size)
             omega = tuple(sum(Fraction(rng.randint(1, 5), rng.randint(1, 3)) * git.D[j][a] for j in J)
                           for a in range(r))
-        del solves[:]
         outcome = _outcome(lambda: validate_stability(git, omega).minimal)
+        assert solves == []
         assert outcome == _outcome(oracle_minimal_anticones, git, omega), (D, omega)
-        route = "loop" if solves else "product"
-        key = (kind if scale == 1 else "wide", route,
-               outcome[0].__name__ if isinstance(outcome[0], type) else "valid")
+        key = (kind if scale == 1 else "wide", outcome[0].__name__ if isinstance(outcome[0], type) else "valid")
         seen[key] = seen.get(key, 0) + 1
-    # generic omegas take the product, with valid and empty outcomes (the few
-    # that fall on a wall take the loop); walls and undersized cones take the
-    # loop and raise NotDeligneMumford
-    assert {("generic", "product", "valid"), ("generic", "product", "EmptyQuotient"),
-            ("wall", "loop", "NotDeligneMumford"), ("undersized", "loop", "NotDeligneMumford"),
-            ("huge", "loop", "valid"), ("wide", "loop", "valid")} <= set(seen), seen
-    assert not any(route == "product" and outcome == "NotDeligneMumford"
-                   for _kind, route, outcome in seen), seen
+    assert {("generic", "valid"), ("generic", "EmptyQuotient"), ("wall", "NotDeligneMumford"),
+            ("undersized", "NotDeligneMumford"), ("huge", "valid"), ("wide", "valid")} <= set(seen), seen
+
+
+def test_wide_characters_cross_the_same_wall_in_python_ints():
+    """The rank-3 crossings of _crossings with every character scaled by
+    2**40: the chamber table no longer fits int64 and holds Python ints,
+    and the crossing has the unscaled e, anticones and case, those of the
+    Fraction oracles."""
+    from wallcross.gitfan import _chamber_table
+
+    crossings = [wc for wc in _crossings() if wc.git.r == 3]
+    assert len(crossings) == 26
+    for wc in crossings:
+        git = make_git([tuple(2 ** 40 * x for x in row) for row in wc.git.D])
+        assert _chamber_table(git)[1].dtype == object
+        wide = wall_crossing(git, wc.omega_plus, wc.omega_minus)
+        assert (wide.e, wide.A_plus, wide.A_minus, wide.case) == (wc.e, wc.A_plus, wc.A_minus, wc.case)
+        assert wide.e in {oracle_crossing_normal(git, wc.omega_plus, wc.omega_minus),
+                          tuple(-x for x in oracle_crossing_normal(git, wc.omega_plus, wc.omega_minus))}
+        for omega, A in ((wc.omega_plus, wide.A_plus), (wc.omega_minus, wide.A_minus)):
+            assert A.minimal == oracle_minimal_anticones(git, omega)

@@ -27,7 +27,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_coords_in", "_combination", "restrict_u", "theta_restrict",
                 "compatible_minus_lift", "log_gamma", "log_sin_pi", "line_split",
                 "_line_key", "next_to_cells", "minus_lift_numerators",
-                "continuation_coefficient"}
+                "continuation_coefficient", "validate_stability", "_chamber_table",
+                "_wall_hyperplanes", "_in_wall_cone", "_saturated"}
 
 
 def _definitions(tree):

@@ -13,6 +13,7 @@ import wallcross.mellinbarnes as mellinbarnes
 from helpers import (
     choose_abscissa,
     continuation_numeric,
+    inner_sum_coefficient,
     left_poles,
     oracle_abscissa,
     oracle_euler_products,
@@ -33,7 +34,6 @@ from wallcross.hypergeom import (
     generic_lambdas,
     gkz_ode_residual,
     inner_series,
-    inner_sum_coefficient,
     make_inner_spec,
     w_constant,
 )
