@@ -20,12 +20,10 @@ import numpy as np
 
 from .lattice import (
     SingularBasis,
-    _cleared_rows,
     _int_det,
     anticone_inverse,
     cleared,
     content,
-    extended_lattice,
     hermite_row_form,
     hermite_with_transform,
     int_inverse,
@@ -195,20 +193,30 @@ def validate_stability(git, omega):
 
 @dataclass(frozen=True)
 class SectorLabel:
-    """A box class: canonical representative f in [0,1)^r, its isotropy set,
-    its age, the exact pairings D_i . f, one per character, and f as integer
-    numerators ``num`` over the order ``den`` of the class."""
+    """A box class in integers: f in [0,1)^r is ``num`` over its order ``den``
+    in lowest terms, with isotropy set ``I_f`` and pairings D_i . f as
+    numerators over ``den``.  f and the age are Fraction views, for reports."""
 
-    f: tuple
+    num: tuple
+    den: int
     I_f: tuple
-    age: Fraction
     pairings: tuple = field(compare=False)
-    num: tuple = field(compare=False)
-    den: int = field(compare=False)
 
     @property
     def is_zero(self):
-        return all(x == 0 for x in self.f)
+        return not any(self.num)
+
+    @cached_property
+    def f(self):
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @cached_property
+    def age(self):
+        return Fraction(sum(p % self.den for p in self.pairings), self.den)
+
+    def phase(self, j):
+        """frac(D_j . f) as the correctly rounded float (p mod den) / den."""
+        return self.pairings[j] % self.den / self.den
 
 
 def box_elements(git, omega):
@@ -222,9 +230,10 @@ def box_elements(git, omega):
 def _box_classes(git, A):
     """Every box class is supported on some minimal anticone's isotropy, so
     the enumeration runs over coset representatives per minimal anticone and
-    dedupes canonical representatives.  Over the anticone basis, with inverse
-    adj / det, a class is f = (adj k mod det) / det; its pairings D_i . f are
-    integers over det, read modulo det for the isotropy set and the age."""
+    dedupes them.  Over the anticone basis, with inverse adj / det, a class
+    is f = (adj k mod det) / det, kept in lowest terms; its pairings are read
+    modulo its order for the isotropy set.  Classes sort by f, zero first, on
+    their numerators over the lcm of the orders."""
     seen = {}
     for delta in A.minimal:
         adj, det = anticone_inverse(git.D, delta)
@@ -234,20 +243,18 @@ def _box_classes(git, A):
         cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
         for k in quotient_transversal(cols):
             num = [_idot(row, k) % det for row in adj]
-            f = tuple(Fraction(x, det) for x in num)
-            if f in seen:
-                continue
-            pairings = [_idot(row, num) for row in git.D]
-            residues = [p % det for p in pairings]
-            I_f = tuple(i for i, p in enumerate(residues) if p == 0)
-            assert A.contains(I_f), "sector isotropy set must be an anticone"
             g = gcd(det, *num)
-            seen[f] = SectorLabel(f=f, I_f=I_f, age=Fraction(sum(residues), det),
-                                  pairings=tuple(Fraction(p, det) for p in pairings),
-                                  num=tuple(x // g for x in num), den=det // g)
-    out = sorted(seen.values(), key=lambda s: s.f)
-    out.sort(key=lambda s: not s.is_zero)
-    return tuple(out)
+            key = tuple(x // g for x in num), det // g
+            if key in seen:
+                continue
+            num, den = key
+            pairings = tuple(_idot(row, num) for row in git.D)
+            I_f = tuple(i for i, p in enumerate(pairings) if p % den == 0)
+            assert A.contains(I_f), "sector isotropy set must be an anticone"
+            seen[key] = SectorLabel(num=num, den=den, I_f=I_f, pairings=pairings)
+    top = lcm(*(den for _, den in seen))
+    return tuple(sorted(seen.values(),
+                        key=lambda s: (not s.is_zero, [x * (top // s.den) for x in s.num])))
 
 
 @dataclass(frozen=True)
@@ -561,12 +568,22 @@ class WallFrame:
     change: CoordinateChange
 
 
+def _extended_rows(git, omega):
+    """(s, H): the extended lattice, generated by Z^r and the box classes, as
+    the Hermite form H of the rows s e_i and num (s / den), s = lcm(den)."""
+    sectors = box_elements(git, omega)
+    s = lcm(*(sec.den for sec in sectors))
+    gens = [tuple(s * (i == j) for j in range(git.r)) for i in range(git.r)]
+    gens += [tuple(x * (s // sec.den) for x in sec.num) for sec in sectors]
+    return s, tuple(hermite_row_form(gens))
+
+
 def _dual_of_extended(git, A):
     """The integer Hermite rows of the dual of the extended lattice: the
-    columns of s adj / det, with s B its cleared basis rows and adj / det
-    their integer inverse.  The extended lattice holds Z^r, so its dual lies
-    in Z^r and the division is exact."""
-    s, H = _cleared_rows(extended_lattice(git, A))
+    columns of s adj / det, with H / s its basis and adj / det the integer
+    inverse of H.  The extended lattice holds Z^r, so its dual lies in Z^r
+    and the division is exact."""
+    s, H = _extended_rows(git, A)
     adj, det = int_inverse(H)
     assert all(s * x % det == 0 for row in adj for x in row), "dual lattice is not integral"
     return tuple(hermite_row_form([[s * x // det for x in col] for col in zip(*adj)]))

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gitfan import _idot, box_elements, next_to_cells
+from .gitfan import _idot, fixed_point_labels, next_to_cells
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
-from .lattice import anticone_inverse, cleared, frac_part, intvec, quotient_transversal
+from .lattice import anticone_inverse, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
 from .mellinbarnes import continuation_coefficient
 
@@ -173,35 +173,34 @@ def fm_transform(wc, delta_minus, rho_hat):
 # fixed-point Chern characters
 
 
-def restriction_terms(git, kclass, delta, f_lift):
-    """Symbolic fixed-point restriction: (coeff, phase, form) triples.
+def restriction_terms(git, kclass, delta, num, den):
+    """Fixed-point restriction at the lift num / den: (coeff, phase, form) triples.
 
     The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
     phase is an exact rational reduced mod 1 and the form is an exact linear
     form over the isotropy order, so zero restrictions cancel exactly.
-    L(rho) gives every term the form theta(rho) and the phase rho . f_lift;
-    each S_j^a adds -a u_j and -a D_j . f_lift, all as integer numerators.
+    L(rho) gives every term the form theta(rho) and the phase rho . num / den;
+    each S_j^a adds -a u_j and -a D_j . num / den, all as integer numerators.
     Every exponent is an integer, so the triples depend on the lift only
     modulo Z^r.
     """
     u = restrict_u(git, delta)
     u_nonzero = [[(i, x) for i, x in enumerate(form.num) if x] for form in u]
-    s, f_num = cleared(f_lift)
-    d_f = [_idot(row, f_num) for row in git.D]
+    d_f = [_idot(row, num) for row in git.D]
     base_phase, base_num = 0, (0,) * git.m
     if any(kclass.rho):
-        base_phase = _idot(kclass.rho, f_num)
+        base_phase = _idot(kclass.rho, num)
         base_num = theta_restrict(git, delta, kclass.rho).num
     out = []
     for exps, c in kclass.terms:
         phase = base_phase
-        num = list(base_num)
+        form = list(base_num)
         for j, a in enumerate(exps):
             if a:
                 phase -= a * d_f[j]
                 for i, x in u_nonzero[j]:
-                    num[i] -= a * x
-        out.append((c, Fraction(phase % s, s), LinearForm(tuple(num), u[0].den)))
+                    form[i] -= a * x
+        out.append((c, Fraction(phase % den, den), LinearForm(tuple(form), u[0].den)))
     return tuple(out)
 
 
@@ -214,7 +213,7 @@ def eval_terms(terms, lam):
 
 def chern_restrict(git, kclass, label, lam):
     """Numeric fixed-point restriction of the orbifold Chern character."""
-    return eval_terms(restriction_terms(git, kclass, label.delta, label.f), lam)
+    return eval_terms(restriction_terms(git, kclass, label.delta, label.sector.num, label.sector.den), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,11 @@ class CompiledRestriction(NamedTuple):
         return CompiledRestriction(self.weights.conj(), -self.forms)
 
 
-def compile_restriction(git, kclass, delta, f_lift):
-    """restriction_terms with equal (phase, form) terms merged exactly, as
-    arrays."""
+def compile_restriction(git, kclass, delta, num, den):
+    """restriction_terms at the lift num / den with equal (phase, form) terms
+    merged exactly, as arrays."""
     merged = {}
-    for c, phase, form in restriction_terms(git, kclass, delta, f_lift):
+    for c, phase, form in restriction_terms(git, kclass, delta, num, den):
         key = (phase, form)
         merged[key] = merged.get(key, 0) + c
     items = [(c, phase, form) for (phase, form), c in merged.items() if c]
@@ -267,9 +266,11 @@ def _rows(values, lams):
     return np.array(values, dtype=complex).reshape(len(values), lams.shape[1])
 
 
-def _restricted(git, classes, delta, f_lift, lams):
-    """(classes, samples) array of restrictions at one point and lift."""
-    return _rows([compile_restriction(git, c, delta, f_lift).values(lams) for c in classes], lams)
+def _restricted(git, classes, label, lams):
+    """(classes, samples) array of restrictions at one inertia fixed point."""
+    sec = label.sector
+    return _rows([compile_restriction(git, c, label.delta, sec.num, sec.den).values(lams)
+                  for c in classes], lams)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +284,7 @@ def gamma_restrict(git, label, lam, z=1.0):
     for j in range(git.m):
         if j in label.delta:
             continue
-        fj = frac_part(label.sector.pairings[j])
-        arg = 1 - complex(fj) + u[j](lam) / z
+        arg = 1 - complex(label.sector.phase(j)) + u[j](lam) / z
         check_generic(arg, 1e-9)
         acc += log_gamma(arg)
     return cmath.exp(acc)
@@ -312,25 +312,16 @@ def framing_restrict(git, E, label, lam, z, log_z=None):
     """
     if log_z is None:
         log_z = cmath.log(z)
-    dim = git.m - git.r
-    age = label.sector.age
+    sec = label.sector
+    s_power = Fraction(git.m - git.r, 2) - sec.age
     u = restrict_u(git, label.delta)
-
-    inv_lift = tuple(-x for x in label.f)
     lam_scaled = tuple(TWO_PI_I * li / z for li in lam)
-    ch_part = eval_terms(restriction_terms(git, E, label.delta, inv_lift), lam_scaled)
-    gamma_part = gamma_restrict(git, label, lam, z=z)
+    inverse = restriction_terms(git, E, label.delta, tuple(-x for x in sec.num), sec.den)
     rho_val = sum(u[j](lam) for j in range(git.m) if j not in label.delta)
-    value = (
-        cmath.exp((Fraction(dim, 2) - age) * log_z)
-        * cmath.exp((rho_val / z) * log_z)
-        * gamma_part
-        * ch_part
-    )
-    return FramingValue(
-        label=label, value=value, lam=tuple(lam), z=complex(z), log_z=log_z,
-        s_power=Fraction(dim, 2) - age,
-    )
+    value = (cmath.exp(s_power * log_z) * cmath.exp((rho_val / z) * log_z)
+             * gamma_restrict(git, label, lam, z=z) * eval_terms(inverse, lam_scaled))
+    return FramingValue(label=label, value=value, lam=tuple(lam), z=complex(z), log_z=log_z,
+                        s_power=s_power)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +341,19 @@ def localization_gram(git, A, left, right, lams):
     n_samples = lams.shape[1]
     gram = np.zeros((len(left), len(right), n_samples), dtype=complex)
     smallest = np.full(n_samples, np.inf)
-    sectors = box_elements(git, A)
-    for delta in A.minimal:
+    for delta, labels in itertools.groupby(fixed_point_labels(git, A), key=lambda lab: lab.delta):
         u = restrict_u(git, delta)
         order = isotropy_order(git, delta)
         normal = [j for j in range(git.m) if j not in delta]
         u_forms = np.array([u[j].floats for j in normal], dtype=float)
         u_vals = u_forms.reshape(len(normal), git.m) @ lams
-        for sec in sectors:
-            if not all(i in sec.I_f for i in delta):
-                continue
-            phases = np.array([cmath.exp(-TWO_PI_I * complex(frac_part(sec.pairings[j])))
-                               for j in normal], dtype=complex)
-            compiled_right = [compile_restriction(git, F, delta, sec.f) for F in right]
+        for label in labels:
+            sec = label.sector
+            phases = np.array([cmath.exp(-TWO_PI_I * complex(sec.phase(j))) for j in normal],
+                              dtype=complex)
+            compiled_right = [compile_restriction(git, F, delta, sec.num, sec.den) for F in right]
             compiled_left = (compiled_right if left is right else
-                             [compile_restriction(git, E, delta, sec.f) for E in left])
+                             [compile_restriction(git, E, delta, sec.num, sec.den) for E in left])
             # resonant samples divide by ~0 here, and the callers mask them
             # out; a small |z| overflows the exponentials, and the NaN it
             # leaves FAILs the suite's gate
@@ -460,15 +449,15 @@ def verify_uhfm(wc, lam_samples):
 
     diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
     for p, lp in enumerate(plus_labels):
-        diff[:, p] = _restricted(git, images, lp.delta, lp.f, lams)
+        diff[:, p] = _restricted(git, images, lp, lams)
         if lp.delta in wc.A_minus.minimal:
-            diff[:, p] -= _restricted(git, e_minus, lp.delta, lp.f, lams)
+            diff[:, p] -= _restricted(git, e_minus, lp, lams)
     pairs = []
     for p, q in next_to_cells(wc):
         lm = wc.labels_minus[q]
         coeff = continuation_coefficient(wc, (plus_labels[p], lm))
         values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
-        row = _restricted(git, e_minus, lm.delta, lm.f, lams)
+        row = _restricted(git, e_minus, lm, lams)
         diff[:, p] -= values * row
         pairs.append((p, row))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))

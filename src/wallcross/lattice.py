@@ -9,14 +9,12 @@ never eliminate over Fractions, and no rational inverse is ever formed.
 Integer results (kernels, wall normals, Hermite rows, span numerators,
 adjugates, line classes and multiples of integer numerators) leave as int
 tuples; rational ones (anticone coordinates, solves, lattices generated by
-rational vectors) as tuples of ``fractions.Fraction``.  Downstream,
-restricted forms are integer numerators over the isotropy order, a sector
-class keeps its f as numerators over its order beside the Fraction tuple,
-and sector lifts are matched and paired as numerators; Fraction is left only
-in the sector classes f with their ages and pairings, the lifts a
-connection coefficient reports, the splitting vectors xi, (c, c_i), the base
-exponents d_plus, the conifold point and the phases of restricted K-class
-terms.
+rational vectors) as tuples of ``fractions.Fraction``.  Downstream, a box
+class, a restricted form and a sector lift are integer numerators over one
+denominator, and a phase is read as (p mod den) / den.  Fraction is left only
+at the boundary: parsed configs, the f and age reports print, printed forms,
+coefficient lifts and shifts, xi, (c, c_i), d_plus and d, the exact Gamma
+ratios, the conifold point and the reduced phases of restricted terms.
 """
 
 from __future__ import annotations
@@ -62,11 +60,6 @@ def intvec(entries):
 def vdot(a, b):
     assert len(a) == len(b), "dimension mismatch"
     return sum((_q(x) * _q(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def frac_part(q):
-    q = _q(q)
-    return q - (q.numerator // q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +137,7 @@ def _adjugate(rows):
     return tuple(map(tuple, adj)), det
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def int_inverse(rows):
     """(adj, det) with M^-1 = adj / det and det > 0, for the square integer
     matrix M whose rows are ``rows``.
@@ -159,7 +152,7 @@ def int_inverse(rows):
     return adj, det
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _span_minor(rows):
     """(cols, adj, det): the first columns, in lex order, on which k integer
     rows have a nonzero k x k minor, with that minor's adjugate and positive
@@ -196,10 +189,7 @@ def right_kernel(rows, width):
 
 
 def content(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*map(int, v))
 
 
 def cleared(v):
@@ -256,7 +246,7 @@ def primitive_wall_normal(wall_chars, positive_side):
     return e if s > 0 else tuple(-x for x in e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _line_transform(e):
     """A unimodular U with U e = e_1: the Hermite transform of e as a column.
     Raises ValueError unless e is a primitive integer vector."""
@@ -383,14 +373,12 @@ def lattice_from_generators(gens, dim):
 
 def extended_lattice(git, omega):
     """The basis rows of the lattice generated by Z^r together with all box
-    representatives.
+    representatives: gitfan._extended_rows as Fractions.
 
     The box classes are enumerated on the validated stability condition, so
     validation errors propagate.
     """
-    from . import gitfan  # local import: gitfan builds on this module
+    from .gitfan import _extended_rows  # local import: gitfan builds on this module
 
-    sectors = gitfan.box_elements(git, omega)
-    gens = [tuple(int(i == j) for j in range(git.r)) for i in range(git.r)]
-    gens.extend(s.f for s in sectors)
-    return lattice_from_generators(gens, git.r)
+    s, H = _extended_rows(git, omega)
+    return tuple(tuple(Fraction(x, s) for x in row) for row in H)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .gitfan import anticones_next_to, wall_frame
-from .lattice import anticone_inverse, frac_part
+from .lattice import anticone_inverse
 
 
 class NotAdjacentAnticones(ValueError):
@@ -78,7 +78,7 @@ def _theta_numerators(git, delta, p):
     return num, det
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def restrict_u(git, delta):
     """Restrictions of all divisor classes at the fixed point of ``delta``.
 
@@ -168,15 +168,16 @@ class NormalWeights:
 
 def normal_weights(git, label):
     u = restrict_u(git, label.delta)
+    sec = label.sector
     fixed = []
     moving = []
     for j in range(git.m):
         if j in label.delta:
             continue
-        if j in label.sector.I_f:
+        if j in sec.I_f:
             fixed.append((j, u[j]))
         else:
-            moving.append((j, u[j], frac_part(label.sector.pairings[j])))
+            moving.append((j, u[j], Fraction(sec.pairings[j] % sec.den, sec.den)))
     for _, form in fixed:
         assert not form.is_zero
     return NormalWeights(fixed=tuple(fixed), moving=tuple(moving))

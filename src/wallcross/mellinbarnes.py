@@ -33,7 +33,7 @@ from .localization import restrict_u
 
 
 class ContourTooClose(ValueError):
-    """No admissible abscissa keeps the stated clearance from all poles."""
+    """No admissible abscissa: negative, clear of the poles by the clearance."""
 
 
 class NonConvergent(ValueError):
@@ -273,13 +273,15 @@ def _abscissa(reals, contour):
     """The abscissa and its gap, the distance from the nearest of the pole
     real parts and from the nearest integer: the given abscissa, or the first
     of the 41 in [-0.45, -0.05] with the largest gap.  The gap must reach
-    the contour's clearance."""
+    the contour's clearance, and the pole at s = 0 lie right of the line."""
     sigma = contour.abscissa
     if sigma is None:
         candidates = -0.45 + 0.01 * np.arange(41)
         gaps = _gaps(candidates, reals)
         best = int(np.argmax(gaps))
         sigma, gap = float(candidates[best]), float(gaps[best])
+    elif not sigma < 0:
+        raise ContourTooClose("abscissa %g is not negative" % sigma)
     else:
         gap = float(_gaps([sigma], reals)[0])
     if gap < contour.clearance:

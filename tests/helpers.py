@@ -14,9 +14,11 @@ production path it checks can cross-validate each other:
   from grouped left residues of the Barnes integral;
 - the pull-push oracle multiplies Laurent polynomials in the S_j and the
   root generator t, then averages t over its roots;
-- the restriction oracles (oracle_restrict_u, oracle_theta_restrict) solve
-  the anticone coordinates of each character by fraction_solve and keep the
-  forms as Fraction coefficient tuples;
+- the restriction oracles (oracle_restrict_u, oracle_theta_restrict,
+  oracle_restriction_terms) solve the anticone coordinates of each
+  character by fraction_solve and keep the forms as Fraction coefficient
+  tuples, and the phases of restricted terms as Fraction pairings with a
+  rational lift;
 - the genericity oracle evaluates each of those forms at each sample as a
   Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
@@ -97,7 +99,6 @@ from wallcross.lattice import (
     NotAHyperplane,
     anticone_coords,
     extended_lattice,
-    frac_part,
     hermite_with_transform,
     integer_kernel_basis,
     intvec,
@@ -197,6 +198,20 @@ def is_integral(v):
     return all(Fraction(x).denominator == 1 for x in v)
 
 
+def lift_numerators(v):
+    """(num, den) of a rational vector: integer numerators over the lcm of
+    the denominators of its entries."""
+    v = ratvec(v)
+    den = lcm(*(x.denominator for x in v))
+    return intvec(vscale(den, v)), den
+
+
+def frac_part(q):
+    """q minus its floor, as a Fraction in [0, 1)."""
+    q = Fraction(q)
+    return q - (q.numerator // q.denominator)
+
+
 def anticone_dual(D, delta, k):
     """The vector f with D[delta[t]] . f = k_t for every t, by fraction_solve."""
     return fraction_solve([D[i] for i in delta], list(k))
@@ -245,6 +260,33 @@ def oracle_restrict_u(git, delta):
         coeffs[j] += 1
         out.append(tuple(coeffs))
     return tuple(out)
+
+
+def oracle_restriction_terms(git, kclass, delta, lift):
+    """restriction_terms in Fractions at a rational lift: (coeff, phase,
+    form coefficients), the phase the fractional part of the Fraction
+    pairings rho . lift - sum_j a_j D_j . lift, the form theta(rho) - sum_j
+    a_j u_j from the Fraction restrictions."""
+    pairings = [vdot(row, lift) for row in git.D]
+    phases = [vdot(kclass.rho, lift) - sum(a * p for a, p in zip(exps, pairings) if a)
+              for exps, _c in kclass.terms]
+    return tuple((c, frac_part(phase), form) for (_e, c), phase, form
+                 in zip(kclass.terms, phases, _oracle_class_forms(git, kclass, delta)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_class_forms(git, kclass, delta):
+    """The Fraction forms theta(rho) - sum_j a_j u_j of the class's terms."""
+    u = oracle_restrict_u(git, delta)
+    base = oracle_theta_restrict(git, delta, kclass.rho) if any(kclass.rho) else (Fraction(0),) * git.m
+    forms = []
+    for exps, _c in kclass.terms:
+        form = base
+        for j, a in enumerate(exps):
+            if a:
+                form = vsub(form, vscale(a, u[j]))
+        forms.append(form)
+    return tuple(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +910,10 @@ def oracle_crossing_normal(git, omega_plus, omega_minus):
 
 
 def oracle_box_classes(git, A):
-    """Box classes as (f, I_f, age), zero sector first, from Fraction
-    pairings of the coset representatives over every minimal anticone."""
+    """Box classes, zero sector first and then by f, from Fraction pairings
+    of the coset representatives over every minimal anticone, as
+    SectorLabels: f as numerators over its order, the pairings D_i . f as
+    numerators over that order."""
     seen = {}
     for delta in A.minimal:
         cols = [tuple(git.D[i][a] for i in delta) for a in range(git.r)]
@@ -877,14 +921,10 @@ def oracle_box_classes(git, A):
             f = tuple(frac_part(x) for x in anticone_dual(git.D, delta, k))
             pairings = [vdot(git.D[i], f) for i in range(git.m)]
             I_f = tuple(i for i, p in enumerate(pairings) if p.denominator == 1)
-            age = sum((frac_part(p) for p in pairings), Fraction(0))
             den = lcm(*(x.denominator for x in f))
-            seen.setdefault(f, SectorLabel(f=f, I_f=I_f, age=age, pairings=tuple(pairings),
-                                           num=tuple(x.numerator * (den // x.denominator) for x in f),
-                                           den=den))
-    out = sorted(seen.values(), key=lambda s: s.f)
-    out.sort(key=lambda s: not s.is_zero)
-    return tuple(out)
+            seen.setdefault(f, SectorLabel(num=tuple(intvec(vscale(den, f))), den=den, I_f=I_f,
+                                           pairings=tuple(intvec(vscale(den, pairings)))))
+    return tuple(seen[f] for f in sorted(seen, key=lambda f: (any(f), f)))
 
 
 def oracle_rho_lifts(git, delta):
@@ -1027,13 +1067,16 @@ def choose_abscissa(spec, lam, contour):
 
 def oracle_abscissa(reals, contour):
     """_abscissa with the 41 candidates scored one by one over a Python list
-    of the pole real parts: max picks the first largest gap."""
+    of the pole real parts: max picks the first largest gap.  A given
+    abscissa must be negative."""
     def gap(sigma):
         return min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
 
     sigma = contour.abscissa
     if sigma is None:
         sigma = max((-0.45 + 0.01 * k for k in range(41)), key=gap)
+    elif not sigma < 0:
+        raise ContourTooClose("abscissa %g is not negative" % sigma)
     if gap(sigma) < contour.clearance:
         raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
     return sigma, gap(sigma)
@@ -1361,8 +1404,8 @@ def fraction_continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None)
             raise IncompatibleLifts("lift does not represent the sector class")
         # D_j . lift: the sector's exact pairing D_j . f plus the integer D_j . floor(lift)
         floor = [x.numerator // x.denominator for x in lift]
-        pairings.append({j: sec.pairings[j] + sum(a * b for a, b in zip(wc.git.D[j], floor))
-                         for j in used})
+        pairings.append({j: Fraction(sec.pairings[j], sec.den)
+                         + sum(a * b for a, b in zip(wc.git.D[j], floor)) for j in used})
     c_plus, c_minus = pairings
     v, e = [a - b for a, b in zip(lift_plus, lift_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):

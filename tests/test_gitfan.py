@@ -12,9 +12,11 @@ from helpers import (
     assert_sigma_transition,
     fraction_det,
     fraction_dual,
+    frac_part,
     in_open_cone,
     oracle_anticones,
     oracle_box,
+    oracle_box_classes,
     oracle_coords,
     oracle_wall_frame,
     on_wall,
@@ -35,7 +37,7 @@ from wallcross.gitfan import (
     wall_crossing,
     wall_frame,
 )
-from wallcross.lattice import frac_part, vdot
+from wallcross.lattice import vdot
 
 
 def test_conifold_anticones():
@@ -239,15 +241,20 @@ def test_wall_frame_bases_integral_and_adapted(all_examples):
 
 
 def test_dual_of_extended_matches_the_fraction_dual(all_examples):
-    # the integer Hermite rows from the cleared inverse equal the Hermite
-    # form of the Fraction inverse's columns; coordinates over them are the
-    # Fraction solve's, and a point outside raises
-    from wallcross.lattice import extended_lattice
+    # the extended lattice's rows, built from the box classes' numerators,
+    # are the Hermite basis of Z^r and the oracle's Fraction classes; the
+    # integer Hermite rows from the cleared inverse equal the Hermite form of
+    # the Fraction inverse's columns; coordinates over them are the Fraction
+    # solve's, and a point outside raises
+    from wallcross.lattice import extended_lattice, lattice_from_generators
 
     rng = random.Random(23)
     crossings = list(all_examples.values()) + [random_crepant_crossing(rng) for _ in range(60)]
     for wc in crossings:
+        units = [tuple(int(i == j) for j in range(wc.git.r)) for i in range(wc.git.r)]
         for omega, A in ((wc.omega_plus, wc.A_plus), (wc.omega_minus, wc.A_minus)):
+            gens = units + [sec.f for sec in oracle_box_classes(wc.git, A)]
+            assert extended_lattice(wc.git, omega) == lattice_from_generators(gens, wc.git.r)
             dual = gitfan._dual_of_extended(wc.git, A)
             assert dual == fraction_dual(extended_lattice(wc.git, omega))
             assert all(type(x) is int for row in dual for x in row)

@@ -7,7 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import inner_sum_coefficient, oracle_genericity_gap, oracle_log_gamma, oracle_log_sin_pi
+from helpers import (
+    frac_part,
+    inner_sum_coefficient,
+    oracle_genericity_gap,
+    oracle_log_gamma,
+    oracle_log_sin_pi,
+)
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
@@ -24,7 +30,7 @@ from wallcross.hypergeom import (
     sample_lambdas,
     w_constant,
 )
-from wallcross.lattice import frac_part, vdot
+from wallcross.lattice import vdot
 
 
 def test_log_gamma_against_mpmath():

@@ -19,6 +19,8 @@ import pytest
 from helpers import (
     anticone_dual,
     fraction_coefficient_value,
+    frac_part,
+    fraction_coeffs,
     fraction_compatible_minus_lift,
     fraction_continuation_coefficient,
     fraction_det,
@@ -34,6 +36,7 @@ from helpers import (
     oracle_line_membership,
     oracle_minimal_anticones,
     oracle_next_to_pairs,
+    oracle_restriction_terms,
     oracle_restrict_u,
     oracle_rho_lifts,
     oracle_theta_restrict,
@@ -48,22 +51,28 @@ from wallcross.cli import load_config
 from wallcross.gitfan import (
     EmptyQuotient,
     NotDeligneMumford,
+    _box_classes,
+    _chamber_table,
     _wall_hyperplanes,
     box_elements,
     compatible_minus_lift,
     fixed_point_labels,
     make_git,
+    next_to_cells,
     next_to_pairs,
     plus_labels_across,
     validate_stability,
     wall_crossing,
+    wall_frame,
 )
 from wallcross.hypergeom import WALL_BOUND, canonical_d_plus, generic_lambdas
-from wallcross.ktheory import canonical_rho_lifts, fm_transform, minus_basis
+from wallcross.ktheory import KClass, canonical_rho_lifts, fm_transform, minus_basis, restriction_terms
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
     _det,
+    _line_transform,
+    _span_minor,
     cleared,
     int_inverse,
     line_split,
@@ -137,12 +146,63 @@ def test_sector_pairings_are_the_fraction_pairings():
     for wc in _crossings():
         for A in (wc.A_plus, wc.A_minus):
             for sec in box_elements(wc.git, A):
-                assert sec.pairings == tuple(vdot(row, sec.f) for row in wc.git.D)
-                assert all(type(p) is Fraction for p in sec.pairings)
+                # the pairings D_i . f as integer numerators over the order
+                assert tuple(Fraction(p, sec.den) for p in sec.pairings) == tuple(
+                    vdot(row, sec.f) for row in wc.git.D)
+                assert all(type(p) is int for p in sec.pairings)
                 # f as numerators over the order of the class, in lowest terms
                 assert sec.den == lcm(*(x.denominator for x in sec.f))
                 assert tuple(Fraction(n, sec.den) for n in sec.num) == sec.f
                 assert all(type(n) is int for n in sec.num)
+
+
+def test_sector_views_phases_and_lifts_match_the_fraction_route():
+    """Every sector's f, age, I_f and per-character phase against the
+    Fraction pairings of the box oracle, and restriction_terms at the
+    canonical lift and at lifts shifted by integer vectors, given as integer
+    numerators over the order, against the Fraction restriction."""
+    checked = 0
+    for wc in _config_crossings() + _crossings()[:260]:
+        git = wc.git
+        shifts = [(0,) * git.r, tuple(1 - 3 * (i > 0) for i in range(git.r))]
+        rho = tuple(a - b for a, b in zip(git.D[0], git.D[-1]))
+        terms = [(tuple(int(i == j) for i in range(git.m)), j + 1) for j in range(git.m)]
+        terms.append((tuple(2 * (i == 0) - (i == git.m - 1) for i in range(git.m)), -3))
+        cls = KClass(rho, tuple(sorted(terms)))
+        for A in (wc.A_plus, wc.A_minus):
+            oracle_f = {sec.f for sec in oracle_box_classes(git, A)}
+            for sec in box_elements(git, A):
+                assert sec.f in oracle_f and all(type(x) is Fraction for x in sec.f)
+                pairings = [vdot(row, sec.f) for row in git.D]
+                assert type(sec.age) is Fraction
+                assert sec.age == sum((frac_part(p) for p in pairings), Fraction(0))
+                assert sec.I_f == tuple(i for i, p in enumerate(pairings) if p.denominator == 1)
+                assert [sec.phase(j).hex() for j in range(git.m)] == [
+                    float(frac_part(p)).hex() for p in pairings]
+            for label in fixed_point_labels(git, A):
+                sec = label.sector
+                for v in shifts:
+                    num = tuple(x + sec.den * k for x, k in zip(sec.num, v))
+                    got = [(c, phase, fraction_coeffs(form))
+                           for c, phase, form in restriction_terms(git, cls, label.delta, num, sec.den)]
+                    assert got == list(oracle_restriction_terms(git, cls, label.delta, vadd(label.f, v)))
+                    checked += 1
+    assert checked > 10000, checked
+
+
+def test_exact_caches_stay_bounded():
+    # the caches that reuse exact work across crossings keep a fixed bound
+    # however many crossings a process sees
+    for wc in _crossings()[::3]:
+        for A in (wc.A_plus, wc.A_minus):
+            for delta in A.minimal:
+                restrict_u(wc.git, delta)
+        next_to_cells(wc)
+        wall_frame(wc)
+    for cached in (int_inverse, _span_minor, _line_transform, restrict_u, _box_classes,
+                   _chamber_table, _wall_hyperplanes):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, (cached, info)
 
 
 def test_coefficient_pairings_match_the_fraction_vdot():

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass
+from helpers import frac_part, kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass, lift_numerators
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -38,7 +38,7 @@ from wallcross.ktheory import (
     verify_pairing_preserved,
     verify_uhfm,
 )
-from wallcross.lattice import frac_part, vdot
+from wallcross.lattice import vdot
 from wallcross.localization import restrict_u
 from wallcross.mellinbarnes import continuation_coefficient
 
@@ -153,7 +153,7 @@ def test_chern_matching_across_wall(all_examples):
                     lhs = chern_restrict(git, kc_line(git, rho), lp, lamv) * _t_restriction(
                         wc, lp, lm, lamv) ** rho_e
                     rhs = eval_terms(
-                        restriction_terms(git, kc_line(git, rho), lm.delta, lift_minus), lamv)
+                        restriction_terms(git, kc_line(git, rho), lm.delta, *lift_numerators(lift_minus)), lamv)
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
             # second display: S_j t^{-D_j e} on the plus side vs S_j minus
             for j in range(git.m):
@@ -161,7 +161,7 @@ def test_chern_matching_across_wall(all_examples):
                     lhs = chern_restrict(git, kc_s(git, j), lp, lamv) * _t_restriction(
                         wc, lp, lm, lamv) ** -wc.pair_e(j)
                     rhs = eval_terms(
-                        restriction_terms(git, kc_s(git, j), lm.delta, lift_minus), lamv)
+                        restriction_terms(git, kc_s(git, j), lm.delta, *lift_numerators(lift_minus)), lamv)
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -185,7 +185,7 @@ def test_averaged_prefactor_matches_coefficient(all_examples):
                         continue
                     sp = chern_restrict(git, kc_s(git, j), lp, lamv)
                     sm = eval_terms(
-                        restriction_terms(git, kc_s(git, j), lm.delta, lift_minus), lamv)
+                        restriction_terms(git, kc_s(git, j), lm.delta, *lift_numerators(lift_minus)), lamv)
                     value *= (1 - sp) / (1 - sm)
                 assert abs(value - coeff.value(lamv)) < 1e-10 * max(1.0, abs(value))
 
@@ -204,11 +204,11 @@ def test_restriction_ignores_integer_shifts_of_the_lift(all_examples):
         for lp, lm in next_to_pairs(wc):
             lift = continuation_coefficient(wc, (lp, lm)).lift_minus
             for cls in classes:
-                ref = restriction_terms(git, cls, lm.delta, lm.f)
-                assert restriction_terms(git, cls, lm.delta, lift) == ref
+                ref = restriction_terms(git, cls, lm.delta, lm.sector.num, lm.sector.den)
+                assert restriction_terms(git, cls, lm.delta, *lift_numerators(lift)) == ref
                 for v in shifts:
                     moved = tuple(x + y for x, y in zip(lm.f, v))
-                    assert restriction_terms(git, cls, lm.delta, moved) == ref
+                    assert restriction_terms(git, cls, lm.delta, *lift_numerators(moved)) == ref
                     checked += 1
         assert checked > 0
 
@@ -448,10 +448,11 @@ def test_compiled_restrictions_match_chern_restrict(all_examples):
         lams = generic_lambdas(wc, 5, seed=67)
         matrix = lambda_matrix(lams)
         for cls, label, lift in _restriction_cases(wc):
-            values = compile_restriction(wc.git, cls, label.delta, lift).values(matrix)
-            dual = compile_restriction(wc.git, cls, label.delta, lift).dual().values(matrix)
-            terms = restriction_terms(wc.git, cls, label.delta, lift)
-            terms_dual = restriction_terms(wc.git, kc_dual(cls), label.delta, lift)
+            num, den = lift_numerators(lift)
+            values = compile_restriction(wc.git, cls, label.delta, num, den).values(matrix)
+            dual = compile_restriction(wc.git, cls, label.delta, num, den).dual().values(matrix)
+            terms = restriction_terms(wc.git, cls, label.delta, num, den)
+            terms_dual = restriction_terms(wc.git, kc_dual(cls), label.delta, num, den)
             for s, lam in enumerate(lams):
                 ref = eval_terms(terms, lam)
                 assert abs(values[s] - ref) <= 1e-12 * abs(ref)
@@ -468,7 +469,7 @@ def _pairing_oracle(git, A, E, F, lam_eff):
         for sec in box_elements(git, A):
             if not all(i in sec.I_f for i in delta):
                 continue
-            num = eval_terms(restriction_terms(git, integrand, delta, sec.f), lam_eff)
+            num = eval_terms(restriction_terms(git, integrand, delta, sec.num, sec.den), lam_eff)
             den = 1.0 + 0j
             for j in range(git.m):
                 if j not in delta:
@@ -524,7 +525,8 @@ def _perturbed_uhfm_residual(wc, lams, bump, epsilon):
                         value = continuation_coefficient(wc, (lp, lm), lp.f, lift).value(lam)
                         if q == bump:
                             value += epsilon
-                        rhs += value * eval_terms(restriction_terms(git, e, lm.delta, lift), lam)
+                        rhs += value * eval_terms(
+                            restriction_terms(git, e, lm.delta, *lift_numerators(lift)), lam)
                 worst = max(worst, abs(chern_restrict(git, image, lp, lam) - rhs))
     return worst
 

@@ -23,7 +23,6 @@ from wallcross.lattice import (
     cleared,
     express_in_anticone_basis,
     extended_lattice,
-    frac_part,
     hermite_row_form,
     intvec,
     lattice_from_generators,
@@ -288,7 +287,6 @@ def test_vector_helpers_keep_their_return_types(a, b):
 
     assert fractions(ratvec(a)) and fractions(ratvec(b))
     assert type(vdot(a, b)) is Fraction and vdot(a, b) == sum(Fraction(x) * y for x, y in zip(a, b))
-    assert all(type(frac_part(x)) is Fraction and 0 <= frac_part(x) < 1 for x in a)
     # an existing Fraction passes through unchanged; no new one is built
     assert all(y is x for x, y in zip(a, ratvec(a)) if type(x) is Fraction)
     ints = intvec([2 * Fraction(x).denominator * x for x in a])

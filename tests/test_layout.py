@@ -13,7 +13,11 @@ log-Gamma values, never from the integer kernel, wall-frame set-up,
 restrictions, lifts and log-Gamma kernel they check; the Fraction route of
 next-to pairs and connection coefficients takes its line classes, lift
 multiples and restrictions from its own Fraction arithmetic, never from
-the integer line helpers, the matching or the coefficient it checks.
+the integer line helpers, the matching or the coefficient it checks; the box
+and restriction oracles build their classes and triples in Fractions, never
+from the box enumeration or the restriction they check.
+
+Library code builds a Fraction only in the functions FRACTION_SITES names.
 """
 
 import ast
@@ -28,7 +32,32 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "compatible_minus_lift", "log_gamma", "log_sin_pi", "line_split",
                 "_line_key", "next_to_cells", "minus_lift_numerators",
                 "continuation_coefficient", "validate_stability", "_chamber_table",
-                "_wall_hyperplanes", "_in_wall_cone", "_saturated"}
+                "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
+                "_box_classes", "_extended_rows", "restriction_terms", "compile_restriction"}
+
+# The library functions that may build a Fraction, by what they build.  A box
+# class, a lift and a phase are integer numerators over a denominator
+# everywhere else.
+FRACTION_SITES = {
+    # config parsing and the rationals a caller hands in
+    "cli._parse_rational", "lattice._q", "lattice.vdot",
+    # report views: a box class's f and age, a printed form and age, the
+    # framing's power of z
+    "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "localization.LinearForm._text",
+    "localization.normal_weights", "ktheory.framing_restrict",
+    # supplied and reported coefficient lifts, and the coefficient's shift
+    "gitfan.compatible_minus_lift", "mellinbarnes.continuation_coefficient",
+    # the splitting vectors xi
+    "gitfan._xi_vectors",
+    # solves, (c, c_i) among them, and lattices of rational generators
+    "lattice._det", "lattice.solve_square", "lattice.solve_rectangular",
+    "lattice.anticone_coords", "lattice.lattice_from_generators", "lattice.extended_lattice",
+    # d_plus and d, the exact Gamma ratios of the inner series, the conifold point
+    "hypergeom.make_inner_spec", "hypergeom._exact_gamma_ratio", "hypergeom._exact_part",
+    "hypergeom.conifold_point",
+    # the reduced phases of restricted K-class terms
+    "ktheory.restriction_terms",
+}
 
 
 def _definitions(tree):
@@ -90,3 +119,21 @@ def test_oracles_do_not_import_the_kernel_they_check():
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wallcross")
                 for alias in node.names}
     assert imported & KERNEL_NAMES == set()
+
+
+def _fraction_calls(tree, scope=()):
+    """The dotted name of the function around every call of Fraction."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _fraction_calls(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+            yield ".".join(scope)
+        yield from _fraction_calls(node, scope)
+
+
+def test_fraction_is_built_only_where_it_is_allowed():
+    sites = {"%s.%s" % (path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in _fraction_calls(ast.parse(path.read_text()))}
+    assert sites - FRACTION_SITES == set(), "new Fraction call sites"
+    assert FRACTION_SITES - sites == set(), "allowed sites that build no Fraction any more"

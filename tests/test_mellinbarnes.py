@@ -27,7 +27,7 @@ from helpers import (
     right_residue_terms,
 )
 from wallcross.cli import load_config
-from wallcross.gitfan import fixed_point_labels, next_to_pairs, wall_crossing
+from wallcross.gitfan import fixed_point_labels, next_to_pairs, plus_labels_across, wall_crossing
 from wallcross.hypergeom import (
     _euler_products,
     conifold_point,
@@ -223,6 +223,17 @@ def test_explicit_abscissa_must_clear_the_poles(conifold):
         with pytest.raises(ContourTooClose):
             mb_integral(spec, x, lam, ContourSpec(abscissa=sigma))
     assert choose_abscissa(spec, lam, ContourSpec(abscissa=-0.15)) == -0.15
+
+
+def test_library_refuses_a_nonnegative_abscissa(conifold):
+    # an abscissa >= 0 leaves the pole at s = 0 left of the line, and the
+    # residue identity would read residuals of hundreds with no error
+    lams = generic_lambdas(conifold, 2, seed=7)
+    x_in, x_out = _xio(conifold, 0.3), _xio(conifold, 3.0)
+    for label in plus_labels_across(conifold):
+        for sigma in (0.5, 0.0):
+            with pytest.raises(ContourTooClose, match="abscissa %g is not negative" % sigma):
+                verify_residue_identity(conifold, label, x_in, x_out, lams, ContourSpec(abscissa=sigma))
 
 
 def _mpmath_barnes(spec, x, lam, sigma, t_max):
