@@ -98,10 +98,11 @@ def log_sin_pi(z):
     else:
         out = np.empty_like(z)
         out[near] = np.log(s)
-        # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
-        zu, zd = z[up], z[down]
-        out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
-        out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
+        # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image;
+        # at |Im z| >= 20, |e^{2 i pi z}| < 1e-54, so log(1 - e^{2 i pi z}) is
+        # below the rounding of the other terms, whose real part exceeds 62
+        out[up] = cmath.log(0.5j) - 1j * math.pi * z[up]
+        out[down] = cmath.log(-0.5j) + 1j * math.pi * z[down]
     return complex(out[0]) if scalar else out
 
 

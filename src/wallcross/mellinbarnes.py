@@ -208,10 +208,30 @@ class ContourSpec:
     clearance: float = 1e-3
 
 
+# the trapezoid step along the line is 1 / STEPS_PER_UNIT; every pole within
+# 1 of the line is corrected, so the rule's own error is about
+# exp(-2 pi STEPS_PER_UNIT), 4e-17
+STEPS_PER_UNIT = 6
+
+
+def _samples(lam):
+    """lam, one sample of the torus parameters or a stack of samples, as a
+    list of samples, and whether it was one sample."""
+    one = np.ndim(lam) == 1
+    return ([lam] if one else list(lam)), one
+
+
+def _beta_columns(spec, samples):
+    """spec.betas of each sample, by factor: row j holds beta_j of every
+    sample as a column of shape (samples, 1)."""
+    return np.array([spec.betas(sample) for sample in samples]).T[..., None]
+
+
 def _log_gamma_block(spec, betas, s, skip=None, factorial_of=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
     leaving out the factor of index skip.  Given an array factorial_of, it
-    returns (log Gamma(factorial_of), the sum).
+    returns (log Gamma(factorial_of), the sum).  The betas are scalars, or
+    per-sample columns that broadcast against s.
 
     All arguments go into one log_gamma call.  A factor with e_j = 0 has
     the argument 1 + beta_j + d_j at every s, so it is evaluated once; the
@@ -270,10 +290,10 @@ def _gaps(sigmas, reals):
 
 
 def _abscissa(reals, contour):
-    """The abscissa and its gap, the distance from the nearest of the pole
-    real parts and from the nearest integer: the given abscissa, or the first
-    of the 41 in [-0.45, -0.05] with the largest gap.  The gap must reach
-    the contour's clearance, and the pole at s = 0 lie right of the line."""
+    """The given abscissa, or the first of the 41 in [-0.45, -0.05] with the
+    largest gap, the distance from the nearest of the pole real parts and
+    from the nearest integer.  The gap must reach the contour's clearance,
+    and the pole at s = 0 lie right of the line."""
     sigma = contour.abscissa
     if sigma is None:
         candidates = -0.45 + 0.01 * np.arange(41)
@@ -286,7 +306,7 @@ def _abscissa(reals, contour):
         gap = float(_gaps([sigma], reals)[0])
     if gap < contour.clearance:
         raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap))
-    return sigma, gap
+    return sigma
 
 
 def _split_xi(spec, x):
@@ -307,8 +327,9 @@ def _split_xi(spec, x):
 
 def _interesting_residue(spec, betas, log_xi, j_minus, n):
     """Residues of the integrand at the n-th poles of one negative direction,
-    for an integer or an integer array n; a column of log xi gives one row
-    of residues per point."""
+    for an integer or an integer array n; per-sample columns of betas give
+    one block of residues per sample, and a column of log xi one row per
+    point."""
     l = -spec.e[j_minus]
     base = betas[j_minus] + complex(spec.d[j_minus])
     p = (base - n) / l
@@ -317,21 +338,35 @@ def _interesting_residue(spec, betas, log_xi, j_minus, n):
     return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
 
 
-def quad(f, a, b, h):
-    """Trapezoid rule for f over [a, b] with a step of at most h, and an
-    estimate of its error.
+def quad(f, reach):
+    """Trapezoid rules along the nodes t = k / STEPS_PER_UNIT, and |f| at
+    their ends.
 
-    f is called once, on the array of nodes, and returns the values on them,
-    one row per integrand; the rule sums along the last axis.  The number of
-    steps is even, so the rule with twice the step uses every other node;
-    the difference of the two rules is the error estimate.
+    f is called once, on the nodes |k| <= max(reach), and returns its values
+    there, one block per sample along the first axis; the rules sum along
+    the last axis.  Sample i takes the nodes |k| <= reach[i], an even
+    number, so the rule with twice the step uses every other node and ends
+    where the rule with the step does.  Returns the two rules and the sum of
+    |f| at the two ends, each with one block per sample.
     """
-    n = 2 * math.ceil((b - a) / (2 * h))
-    y = f(np.linspace(a, b, n + 1))
-    ends = 0.5 * (y[..., 0] + y[..., -1])
-    fine = (b - a) / n * (y.sum(axis=-1) - ends)
-    coarse = 2 * (b - a) / n * (y[..., ::2].sum(axis=-1) - ends)
-    return fine, np.abs(fine - coarse)
+    top = max(reach)
+    y = f(np.arange(-top, top + 1) / STEPS_PER_UNIT)
+    fine, coarse, edge = [], [], []
+    for row, r in zip(y, reach):
+        row = row[..., top - r:top + r + 1]
+        ends = 0.5 * (row[..., 0] + row[..., -1])
+        fine.append((row.sum(axis=-1) - ends) / STEPS_PER_UNIT)
+        coarse.append(2 * (row[..., ::2].sum(axis=-1) - ends) / STEPS_PER_UNIT)
+        edge.append(np.abs(row[..., 0]) + np.abs(row[..., -1]))
+    return np.array(fine), np.array(coarse), np.array(edge)
+
+
+def _aliases(p, sigma, steps):
+    """The ratio u of consecutive aliases of the pole p in the trapezoid rule
+    with steps nodes per unit on the line Re s = sigma: exp(-2 pi steps
+    |p - sigma|), with its phase; |u| < 1 on either side of the line."""
+    a = 2 * math.pi * steps * (p - sigma)
+    return np.exp(np.where(np.real(p) > sigma, -a, a))
 
 
 def mb_integral(spec, x, lam, contour=ContourSpec()):
@@ -341,7 +376,8 @@ def mb_integral(spec, x, lam, contour=ContourSpec()):
 
 def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     """Barnes integral along the separating contour, as a vertical line plus
-    residue corrections, at one point x or at each of a sequence of points.
+    residue corrections, at one point x or at each of a sequence of points,
+    for one sample lam or for each of a stack of samples.
 
     The contour must keep the nonnegative integer poles on its right and all
     other poles on its left.  Non-integer poles whose real part exceeds the
@@ -351,33 +387,57 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     the degeneration radius and minus the sum of left residues outside it.
 
     The integrand is exp(G(s) + s log xi); G, the pole scan, the abscissa
-    and the Gamma factors of the residues do not depend on x, so they are
-    computed once for all points.  The line is integrated by the
-    trapezoid rule with step gap / 8, where gap is the abscissa's distance
-    from the nearest pole real part or integer; the integrand is analytic in
-    a strip of that half-width, so the rule converges exponentially.  It is
-    cut at +-T.  A probe of G on the integers |t| <= t_max gives each point
-    the largest |t| at which |integrand| still reaches 2^-60 of its sum over
-    the probes; T is 1 past the largest of these, at least 8 and at most
-    t_max.  Beyond the imaginary parts of the Gamma arguments |integrand|
-    falls like |t|^a exp(-(pi - |arg xi|) |t|), so it stays below that
-    level past T.  The error is the difference from the rule with twice the
-    step plus a bound on the cut tails from the integrand at +-T.
+    and the residues do not depend on x, so they are computed once for all
+    points.  Poles are checked for separation, and the abscissa for its
+    clearance, down to real part min(-3, sigma - 1).  The line is integrated
+    by the trapezoid rule with step h = 1/6 on the nodes t = k h, |t| <= T.
+    A simple pole p of residue R adds a closed form to the rule's error,
+    which the correction -R u / (1 - u) right of the line, R u / (1 - u)
+    left of it, removes; u = exp(-2 pi |p - sigma| / h) with its phase.
+    The pole at s = 0 (R the k = 0 right residue), every non-integer pole
+    right of the line (with its bending residue, -R / (1 - u) in all) and
+    every non-integer pole less than 1 left of it are corrected.  The
+    negative integers are not poles and s = 1 is more than 1 away, so the
+    rule's own error is about exp(-2 pi / h), 4e-17, whatever the gap.
+    A probe of G on the integers |t| <= t_max gives each point the largest
+    |t| at which |integrand| still reaches 2^-60 of its sum over the
+    probes; T is 1 past the largest of these, at least 8 and at most t_max,
+    so a line takes at most 12 T + 1 nodes.  Beyond the imaginary parts of
+    the Gamma arguments |integrand| falls like |t|^a exp(-(pi - |arg xi|)
+    |t|), so it stays below that level past T.  The error is the difference
+    from the rule with step 2 h, corrected alike, plus a bound on the cut
+    tails from the integrand at +-T.
 
-    Returns (value, error): complex and float for a scalar x, arrays over
-    the points for a sequence.
+    Each sample of a stack has its own poles, abscissa and T; G is evaluated
+    for all samples in one block on the probe and one on the shared nodes,
+    of which each sample sums its own slice, and a pole that another sample
+    needs adds an exact zero.  So each sample gets the bits of its own call.
+
+    Returns (value, error): complex and float for a scalar x and one sample;
+    otherwise arrays, over the samples of a stack and then over the points
+    of a sequence.
     """
+    samples, one = _samples(lam)
     scalar = np.ndim(x) == 0
     splits = [_split_xi(spec, xk) for xk in np.atleast_1d(x)]
     log_xi = np.array([log for _xi, log in splits])[:, None]
     decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
-    betas = spec.betas(lam)
-    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa)
-    poles = _pole_scan(spec, betas, re_min, float("inf"))
-    window = [p for _j, _n, p in poles if -3.0 <= p.real <= 2.0]
-    if _separation(window) < contour.clearance:
-        raise PoleCollision("left poles are closer than the clearance radius")
-    sigma, gap = _abscissa([p.real for p in window], contour)
+    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
+    # counts[j]: the poles n < counts[j] of direction j lie right of
+    # sigma - 1 in some sample
+    sigmas, counts = [], {}
+    for sample in samples:
+        poles = _pole_scan(spec, spec.betas(sample), re_min, float("inf"))
+        window = [p for _j, _n, p in poles if p.real <= 2.0]
+        if _separation(window) < contour.clearance:
+            raise PoleCollision("left poles are closer than the clearance radius")
+        sigma = _abscissa([p.real for p in window], contour)
+        sigmas.append(sigma)
+        for j, n, p in poles:
+            if p.real > sigma - 1.0:
+                counts[j] = max(counts.get(j, 0), n + 1)
+    sigma = np.array(sigmas)[:, None, None]
+    betas = _beta_columns(spec, samples)[..., None]
 
     def G(t):
         s = sigma + 1j * t
@@ -386,30 +446,45 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     probe = np.arange(-math.floor(contour.t_max), math.floor(contour.t_max) + 1)
     s, g = G(probe)
     log_abs = (g + s * log_xi).real
-    weight = np.exp(log_abs - log_abs.max(axis=1, keepdims=True))
-    heavy = weight >= 2.0 ** -60 * weight.sum(axis=1, keepdims=True)
-    cut = min(contour.t_max, max(8.0, 1.0 + np.abs(probe)[heavy.any(axis=0)].max()))
-
-    rows = []  # the integrand on the nodes, whose ends bound the tails
+    weight = np.exp(log_abs - log_abs.max(axis=-1, keepdims=True))
+    heavy = (weight >= 2.0 ** -60 * weight.sum(axis=-1, keepdims=True)).any(axis=1)
+    far = np.where(heavy, np.abs(probe), 0).max(axis=-1)
+    cuts = np.minimum(contour.t_max, np.maximum(8.0, 1.0 + far))
+    reach = [2 * max(1, math.floor(cut * STEPS_PER_UNIT / 2)) for cut in cuts]
 
     def F(t):
         s, g = G(t)
-        rows.append(np.exp(g + s * log_xi))
-        return rows[-1]
+        return np.exp(g + s * log_xi)
 
-    integral, err = quad(F, -cut, cut, gap / 8)
-    tail = (np.abs(rows[0][:, -1]) + np.abs(rows[0][:, 0])) / np.maximum(decay, 1e-9)
-    value = -integral / (2 * math.pi)
+    fine, coarse, edge = quad(F, reach)
 
-    right = [(j, n) for j, n, p in poles if p.real > sigma]
-    for j, group in itertools.groupby(right, key=lambda jn: jn[0]):
-        n = np.array([n for _j, n in group])
-        for residue in _interesting_residue(spec, betas, log_xi, j, n).T:
-            value -= residue
-    err = (err + tail) / (2 * math.pi)
+    # the residues of the poles to correct, each with its position
+    at_zero = np.exp(_log_gamma_block(spec, betas, 0j))
+    residues = []
+    for j, count in sorted(counts.items()):
+        n = np.arange(count)
+        residues.append((_interesting_residue(spec, betas, log_xi, j, n),
+                         (betas[j] + complex(spec.d[j]) - n) / -spec.e[j]))
+    values = []
+    for rule, steps in ((fine, STEPS_PER_UNIT), (coarse, STEPS_PER_UNIT / 2)):
+        value = -rule / (2 * math.pi)
+        u = _aliases(0.0, sigma, steps)
+        value -= (at_zero * u / (1 - u))[..., 0]
+        for residue, p in residues:
+            # a pole of another sample, 1 or more left of this one's line, adds 0
+            u = _aliases(p, sigma, steps)
+            terms = np.where(p.real > sigma, -residue,
+                             np.where(p.real > sigma - 1.0, residue * u, 0)) / (1 - u)
+            for term in np.moveaxis(terms, -1, 0):
+                value += term
+        values.append(value)
+    value = values[0]
+    err = np.abs(value - values[1]) + edge / np.maximum(decay, 1e-9) / (2 * math.pi)
     if scalar:
-        return complex(value[0]), float(err[0])
-    return value, err
+        value, err = value[:, 0], err[:, 0]
+    if not one:
+        return value, err
+    return (complex(value[0]), float(err[0])) if scalar else (value[0], err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +540,19 @@ def right_residue_sum(spec, x, lam):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
     inside the degeneration radius.  Returns the sum and whether the stop
-    rule fired, False where the sum is cut at its RIGHT_TERMS terms."""
-    xi, log_xi = _split_xi(spec, x)
-    betas = spec.betas(lam)
+    rule fired, False where the sum is cut at its RIGHT_TERMS terms; for a
+    stack of samples, one such pair per sample, each chunk evaluated once
+    for every sample whose sum has not stopped."""
+    samples, one = _samples(lam)
+    _xi, log_xi = _split_xi(spec, x)
+    betas = _beta_columns(spec, samples)
 
-    def terms_at(_open, k):
-        return [np.where(k % 2, -1.0, 1.0) * np.exp(
-            _log_gamma_block(spec, betas, k.astype(complex)) + k * log_xi)]
+    def terms_at(open_, k):
+        return np.where(k % 2, -1.0, 1.0) * np.exp(
+            _log_gamma_block(spec, betas[:, open_], k.astype(complex)) + k * log_xi)
 
-    return _sums_in_chunks(terms_at, [0], RIGHT_TERMS)[0]
+    sums = _sums_in_chunks(terms_at, range(len(samples)), RIGHT_TERMS)
+    return sums[0] if one else sums
 
 
 def left_residue_sum(spec, x, lam):
@@ -483,27 +562,32 @@ def left_residue_sum(spec, x, lam):
     k = 0, 1, ..., 200, the contribution of a single next-to partner to the
     continued series, is summed on its own by _sum_until_small.  The
     residues are evaluated in chunks of k (_sums_in_chunks): one
-    _interesting_residue call per chunk holds every class of the direction
-    whose sum has not stopped yet.  Returns the sum and whether the stop
-    rule fired for every class, False where some class is cut at its
-    LEFT_TERMS terms.
+    _interesting_residue call per chunk holds every class of the direction,
+    of every sample, whose sum has not stopped yet.  Returns the sum and
+    whether the stop rule fired for every class, False where some class is
+    cut at its LEFT_TERMS terms; for a stack of samples, one such pair per
+    sample.
     """
+    samples, one = _samples(lam)
     _xi, log_xi = _split_xi(spec, x)
-    betas = spec.betas(lam)
-    total, stopped = 0j, True
+    betas = _beta_columns(spec, samples)
+    totals, stopped = [0j] * len(samples), [True] * len(samples)
     for j in range(len(spec.d)):
         l = -spec.e[j]
         if l <= 0:
             continue
 
         def terms_at(open_, k):
-            n = np.concatenate([k * l + c for c in open_])
-            return np.split(_interesting_residue(spec, betas, log_xi, j, n), len(open_))
+            n = np.array([k * l + c for _i, c in open_])
+            return _interesting_residue(spec, betas[:, [i for i, _c in open_]], log_xi, j, n)
 
-        for class_sum, class_stopped in _sums_in_chunks(terms_at, range(l), LEFT_TERMS):
-            total += class_sum
-            stopped = stopped and class_stopped
-    return total, stopped
+        classes = list(itertools.product(range(len(samples)), range(l)))
+        for (i, _c), (class_sum, class_stopped) in zip(
+                classes, _sums_in_chunks(terms_at, classes, LEFT_TERMS)):
+            totals[i] += class_sum
+            stopped[i] = stopped[i] and class_stopped
+    sums = list(zip(totals, stopped))
+    return sums[0] if one else sums
 
 
 @dataclass(frozen=True)
@@ -522,21 +606,21 @@ def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=Co
     Inside the degeneration radius the integral equals the right residue
     sum; outside it equals minus the left residue sum.  ``lam`` is one
     sample of the torus parameters, or a sequence of samples with one report
-    each; the inner spec does not depend on the sample, so it is built once.
+    each; the inner spec does not depend on the sample, so it is built once,
+    and the line and each residue sum are evaluated once for all samples.
     """
     c = abs(float(conifold_point(wc)))
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
     spec = make_inner_spec(wc, label_plus)
-    reports = []
-    for sample in (lam if np.ndim(lam) == 2 else [lam]):
-        (v_in, v_out), _err = mb_integral_with_error(spec, (x_inside, x_outside), sample, contour)
-        right, right_stopped = right_residue_sum(spec, x_inside, sample)
-        left, left_stopped = left_residue_sum(spec, x_outside, sample)
-        reports.append(ResidueReport(
-            residual_inside=abs(v_in - right),
-            residual_outside=abs(v_out + left),
-            cut_inside=not right_stopped,
-            cut_outside=not left_stopped,
-        ))
-    return reports if np.ndim(lam) == 2 else reports[0]
+    samples, one = _samples(lam)
+    values, _err = mb_integral_with_error(spec, (x_inside, x_outside), samples, contour)
+    rights = right_residue_sum(spec, x_inside, samples)
+    lefts = left_residue_sum(spec, x_outside, samples)
+    reports = [ResidueReport(
+        residual_inside=abs(v_in - right),
+        residual_outside=abs(v_out + left),
+        cut_inside=not right_stopped,
+        cut_outside=not left_stopped,
+    ) for (v_in, v_out), (right, right_stopped), (left, left_stopped) in zip(values, rights, lefts)]
+    return reports[0] if one else reports

@@ -1062,7 +1062,7 @@ def pole_separation(spec, lam):
 def choose_abscissa(spec, lam, contour):
     """The given abscissa, or the one in [-0.45, -0.05] farthest from every
     pole's real part; either must clear them by the contour's clearance."""
-    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)[0]
+    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)
 
 
 def oracle_abscissa(reals, contour):
@@ -1079,7 +1079,7 @@ def oracle_abscissa(reals, contour):
         raise ContourTooClose("abscissa %g is not negative" % sigma)
     if gap(sigma) < contour.clearance:
         raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
-    return sigma, gap(sigma)
+    return sigma
 
 
 def oracle_mb_integral(spec, x, lam, contour):
@@ -1284,10 +1284,11 @@ def oracle_log_sin_pi(z):
     if np.any(s == 0):
         raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(z[near][s == 0][0]),))
     out[near] = np.log(s)
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image
-    zu, zd = z[up], z[down]
-    out[up] = cmath.log(0.5j) - 1j * math.pi * zu + np.log(1 - np.exp(2j * math.pi * zu))
-    out[down] = cmath.log(-0.5j) + 1j * math.pi * zd + np.log(1 - np.exp(-2j * math.pi * zd))
+    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image;
+    # at |Im z| >= 20, |e^{2 i pi z}| < 1e-54, so log(1 - e^{2 i pi z}) is
+    # below the rounding of the other terms, whose real part exceeds 62
+    out[up] = cmath.log(0.5j) - 1j * math.pi * z[up]
+    out[down] = cmath.log(-0.5j) + 1j * math.pi * z[down]
     return complex(out[0]) if scalar else out
 
 

@@ -55,6 +55,18 @@ def test_log_gamma_against_mpmath():
         np.testing.assert_allclose(got.ravel(), [fn(z) for z in zs], rtol=1e-15, atol=1e-15)
 
 
+def test_log_sin_pi_far_from_the_real_axis_against_mpmath():
+    # at |Im z| >= 20 the two exponentials of sin(pi z) differ by more than
+    # e^{40 pi}, and the smaller one is left out
+    mpmath.mp.dps = 30
+    for im in (20.0, 20.5, 33.0, 45.0, -20.0, -27.3, -45.0):
+        for re_ in (-7.3, -1.5, -0.25, 0.0, 0.5, 2.9):
+            z = complex(re_, im)
+            ref = mpmath.log(mpmath.sin(mpmath.pi * mpmath.mpc(z.real, z.imag)))
+            # branches may differ by multiples of 2 pi i; compare exponentials
+            assert abs(cmath.exp(log_sin_pi(z) - complex(ref)) - 1) < 1e-15 * abs(z), z
+
+
 def test_log_gamma_large_imaginary():
     z = complex(-0.3, 38.0)
     mine = log_gamma(z)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -236,10 +237,11 @@ def test_library_refuses_a_nonnegative_abscissa(conifold):
                 verify_residue_identity(conifold, label, x_in, x_out, lams, ContourSpec(abscissa=sigma))
 
 
-def _mpmath_barnes(spec, x, lam, sigma, t_max):
+def _mpmath_barnes(spec, x, lam, sigma, t_max, breaks=()):
     """The Barnes integral of mb_integral_with_error, written out at 30
     digits: the line integral by mpmath.quad plus the residues of the poles
-    right of the line."""
+    right of the line.  The line is split at nine even points and at breaks,
+    where a pole next to the line puts a sharp peak."""
     mpmath.mp.dps = 30
     bases = [mpmath.mpc(b.real, b.imag) + mpmath.mpf(d.numerator) / d.denominator
              for b, d in zip(spec.betas(lam), spec.d)]
@@ -253,7 +255,8 @@ def _mpmath_barnes(spec, x, lam, sigma, t_max):
                 v *= mpmath.gamma(-base - s * e) if e < 0 else mpmath.rgamma(1 + base + s * e)
         return v
 
-    line = mpmath.quad(lambda t: integrand(mpmath.mpc(sigma, t)), mpmath.linspace(-t_max, t_max, 9))
+    line = mpmath.quad(lambda t: integrand(mpmath.mpc(sigma, t)),
+                       sorted(mpmath.linspace(-t_max, t_max, 9) + list(breaks)))
     value = -line / (2 * mpmath.pi)
     for j, n, _p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
         l = -spec.e[j]
@@ -302,20 +305,30 @@ LINE_CONFIGS = [
 ]
 
 
+def _recording_quad(monkeypatch):
+    """The node count of every line evaluation and the reach of its samples,
+    as they happen."""
+    lines = []
+    quad = mellinbarnes.quad
+
+    def recording_quad(f, reach):
+        return quad(lambda t: (lines.append((len(t), list(reach))), f(t))[1], reach)
+
+    monkeypatch.setattr(mellinbarnes, "quad", recording_quad)
+    return lines
+
+
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
 def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
     # the error scale is the mass of the sum, not |value|: on the 4-4 flop
-    # the residues reach 2.5e5 while the line carries about 10
-    cuts = []
-    quad = mellinbarnes.quad
-
-    def recording_quad(f, a, b, h):
-        cuts.append(b)
-        return quad(f, a, b, h)
-
-    monkeypatch.setattr(mellinbarnes, "quad", recording_quad)
+    # the residues reach 2.5e5 while the line carries about 10.  The slowly
+    # decaying points are cut at t_max before the integrand has decayed, so
+    # any two step rules differ there by the end terms of the cut tail; they
+    # are compared with the oracle on the line cut at 120
+    lines = _recording_quad(monkeypatch)
     cfg, wc = _crossing(path)
     contour = cfg["contour"]
+    longer = dataclasses.replace(contour, t_max=120.0)
     points = _line_points(wc)
     lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
     for label in fixed_point_labels(wc.git, wc.A_plus):
@@ -325,36 +338,105 @@ def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
         for lam in lams:
             values, _errs = mb_integral_with_error(spec, points, lam, contour)
             for k, x in enumerate(points):
-                ref, _err, mass = oracle_mb_integral(spec, x, lam, contour)
-                single = mb_integral(spec, x, lam, contour)
                 where = (path.stem, label.delta, lam, k)
-                assert abs(values[k] - ref) <= 1e-13 * mass, where
-                assert abs(single - ref) <= 1e-13 * mass, where
+                ref, _err, mass = oracle_mb_integral(spec, x, lam, contour if k < 2 else longer)
+                single = mb_integral(spec, x, lam, contour)
                 assert abs(single - values[k]) <= 1e-13 * mass, where
-                if k >= 2:
-                    assert cuts[-1] == contour.t_max, where
+                if k < 2:
+                    assert abs(values[k] - ref) <= 1e-13 * mass, where
+                    assert abs(single - ref) <= 1e-13 * mass, where
+                else:
+                    assert lines[-1][1] == [contour.t_max * mellinbarnes.STEPS_PER_UNIT], where
+                    assert abs(mb_integral(spec, x, lam, longer) - ref) <= 1e-13 * mass, where
 
 
 def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
-    block_sizes, node_counts = [], []
-    block, quad = mellinbarnes._log_gamma_block, mellinbarnes.quad
+    # every sample of a label shares one probe block and one node block
+    block_sizes = []
+    block = mellinbarnes._log_gamma_block
 
     def counting_block(spec, betas, s, skip=None, factorial_of=None):
-        s_arr = np.atleast_1d(s)
-        if s_arr.size > 1 and np.all(s_arr.real == s_arr.real[0]):
+        s_arr = np.asarray(s)
+        if s_arr.ndim and s_arr.shape[-1] > 1 and np.all(s_arr.real == s_arr.real[..., :1]):
             block_sizes.append(s_arr.size)  # a vertical line: the probe or the nodes
         return block(spec, betas, s, skip, factorial_of)
 
-    def counting_quad(f, a, b, h):
-        return quad(lambda t: (node_counts.append(len(t)), f(t))[1], a, b, h)
-
     monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
-    monkeypatch.setattr(mellinbarnes, "quad", counting_quad)
-    lam = generic_lambdas(conifold, 1, seed=29)[0]
+    lines = _recording_quad(monkeypatch)
     label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
-    verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lam)
-    assert len(node_counts) == 1
-    assert sorted(block_sizes) == sorted([2 * 40 + 1, node_counts[0]])
+    for count in (1, 5):
+        lams = generic_lambdas(conifold, count, seed=29)
+        block_sizes.clear()
+        lines.clear()
+        verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0),
+                                lams if count > 1 else lams[0])
+        assert len(lines) == 1
+        assert sorted(block_sizes) == sorted([count * (2 * 40 + 1), count * lines[0][0]])
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
+def test_a_stack_of_samples_gives_each_sample_the_bits_of_its_own_call(path):
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    points = _line_points(wc)
+    for label in _labels_across(wc):
+        spec = make_inner_spec(wc, label)
+        values, errs = mb_integral_with_error(spec, points, lams, cfg["contour"])
+        values_out, errs_out = mb_integral_with_error(spec, points[1], lams, cfg["contour"])
+        rights = right_residue_sum(spec, points[0], lams)
+        lefts = left_residue_sum(spec, points[1], lams)
+        for i, lam in enumerate(lams):
+            one = mb_integral_with_error(spec, points, lam, cfg["contour"])
+            assert np.array_equal(one[0], values[i]) and np.array_equal(one[1], errs[i])
+            one = mb_integral_with_error(spec, points[1], lam, cfg["contour"])
+            assert one == (values_out[i], errs_out[i]) and type(one[0]) is complex
+            assert right_residue_sum(spec, points[0], lam) == rights[i]
+            assert left_residue_sum(spec, points[1], lam) == lefts[i]
+
+
+@pytest.mark.parametrize("path", [ROOT / "bench" / "configs" / "local_p3.json",
+                                  ROOT / "configs" / "resolution.json"], ids=lambda p: p.stem)
+def test_a_pole_at_the_clearance_costs_no_extra_nodes(path, monkeypatch):
+    # an abscissa 2e-3 right of a pole: a gap / 8 rule takes 80,001 nodes on
+    # local P^3's line, and the pole correction keeps the step.  The next
+    # pole of the direction sits just over 1 left of the line, which the
+    # rule's own error must cover: at 0.1 c on the resolution, a step of 1/4
+    # would miss mpmath by 6e-12
+    lines = _recording_quad(monkeypatch)
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    label, lam, pole = next((label, lam, p) for label in _labels_across(wc) for lam in lams
+                            for _j, _n, p in left_poles(make_inner_spec(wc, label), lam)
+                            if -0.45 < p.real < -0.05)
+    spec = make_inner_spec(wc, label)
+    contour = dataclasses.replace(cfg["contour"], abscissa=pole.real + 2e-3)
+    points = (_xio(wc, 0.1), _xio(wc, 0.3), _xio(wc, 3.0))
+    values = mb_integral(spec, points, lam, contour)
+    (nodes, reach), = lines
+    assert nodes <= 12 * contour.t_max + 1
+    assert nodes == 2 * reach[0] + 1
+    for x, value in zip(points, values):
+        ref = _mpmath_barnes(spec, x, lam, contour.abscissa, contour.t_max,
+                             breaks=(pole.imag - 0.01, pole.imag, pole.imag + 0.01))
+        assert abs(value - ref) < 1e-12 * abs(ref)
+
+
+def test_a_given_abscissa_below_minus_3_is_checked_against_its_poles(config_dir):
+    # the conifold's first label across the wall has a pole at Re s = -3.980
+    # at its first sample; an abscissa next to it must clear it, and one 2e-3
+    # right of it must integrate it
+    cfg = load_config(str(config_dir / "conifold.json"))
+    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+    lam = generic_lambdas(wc, 1, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])[0]
+    label = _labels_across(wc)[0]
+    spec = make_inner_spec(wc, label)
+    pole = next(p for _j, _n, p in left_poles(spec, lam, re_min=-4.5) if -4.0 < p.real < -3.9)
+    x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
+    with pytest.raises(ContourTooClose):
+        verify_residue_identity(wc, label, x_in, x_out, lam, ContourSpec(abscissa=pole.real + 5e-4))
+    rep = verify_residue_identity(wc, label, x_in, x_out, lam, ContourSpec(abscissa=pole.real + 2e-3))
+    assert rep.residual_outside < cfg["tolerances"]["mb"]
+    assert rep.residual_inside < cfg["tolerances"]["mb"]
 
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
@@ -630,9 +712,8 @@ def test_abscissa_array_scoring_matches_the_list_version():
             with pytest.raises(ContourTooClose, match=re.escape(str(exc))):
                 mellinbarnes._abscissa(reals, contour)
             continue
-        sigma, gap = mellinbarnes._abscissa(reals, contour)
-        assert (sigma, gap) == expected
-        assert type(sigma) is type(expected[0])
+        sigma = mellinbarnes._abscissa(reals, contour)
+        assert sigma == expected and type(sigma) is type(expected)
 
 
 def test_verify_mb_builds_one_inner_spec_per_label(monkeypatch):
