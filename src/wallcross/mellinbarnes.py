@@ -214,13 +214,6 @@ class ContourSpec:
 STEPS_PER_UNIT = 6
 
 
-def _samples(lam):
-    """lam, one sample of the torus parameters or a stack of samples, as a
-    list of samples, and whether it was one sample."""
-    one = np.ndim(lam) == 1
-    return ([lam] if one else list(lam)), one
-
-
 def _beta_columns(spec, samples):
     """spec.betas of each sample, by factor: row j holds beta_j of every
     sample as a column of shape (samples, 1)."""
@@ -276,9 +269,17 @@ def _pole_scan(spec, betas, re_min, re_max):
     return poles
 
 
-def _separation(pts):
-    return min([abs(p - q) for p, q in itertools.combinations(pts, 2)]
-               + [abs(p - round(p.real)) for p in pts], default=float("inf"))
+def _point(z):
+    """An integer or a pole, as an error message names it."""
+    return "the integer %d" % z if isinstance(z, int) else "the pole %.6g%+.6gj" % (z.real, z.imag)
+
+
+def _closest(pts):
+    """(distance, p, q): the nearest two of the poles pts, or a pole p and
+    its nearest integer q, whichever are nearer."""
+    return min([(abs(p - q), p, q) for p, q in itertools.combinations(pts, 2)]
+               + [(abs(p - round(p.real)), p, round(p.real)) for p in pts],
+               key=lambda c: c[0], default=(float("inf"), None, None))
 
 
 def _gaps(sigmas, reals):
@@ -289,11 +290,13 @@ def _gaps(sigmas, reals):
     return np.minimum(to_poles, np.abs(sigmas - np.round(sigmas)))
 
 
-def _abscissa(reals, contour):
+def _abscissa(poles, contour):
     """The given abscissa, or the first of the 41 in [-0.45, -0.05] with the
-    largest gap, the distance from the nearest of the pole real parts and
+    largest gap, the distance from the nearest of the poles' real parts and
     from the nearest integer.  The gap must reach the contour's clearance,
-    and the pole at s = 0 lie right of the line."""
+    and the pole at s = 0 lie right of the line; the error names the pole
+    or the integer that the gap is read from."""
+    reals = np.real(poles)
     sigma = contour.abscissa
     if sigma is None:
         candidates = -0.45 + 0.01 * np.arange(41)
@@ -305,7 +308,9 @@ def _abscissa(reals, contour):
     else:
         gap = float(_gaps([sigma], reals)[0])
     if gap < contour.clearance:
-        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap))
+        near = min([round(sigma)] + list(poles), key=lambda z: abs(sigma - z.real))
+        raise ContourTooClose("abscissa %g clears the poles by only %g, from %s"
+                              % (sigma, gap, _point(near)))
     return sigma
 
 
@@ -339,45 +344,43 @@ def _interesting_residue(spec, betas, log_xi, j_minus, n):
 
 
 def quad(f, reach):
-    """Trapezoid rules along the nodes t = k / STEPS_PER_UNIT, and |f| at
-    their ends.
+    """The trapezoid rule along the nodes t = k / STEPS_PER_UNIT, and |f| at
+    its ends.
 
     f is called once, on the nodes |k| <= max(reach), and returns its values
-    there, one block per sample along the first axis; the rules sum along
-    the last axis.  Sample i takes the nodes |k| <= reach[i], an even
-    number, so the rule with twice the step uses every other node and ends
-    where the rule with the step does.  Returns the two rules and the sum of
-    |f| at the two ends, each with one block per sample.
+    there, one block per sample along the first axis; the rule sums along
+    the last axis, sample i over the nodes |k| <= reach[i].  Returns the
+    rule and the sum of |f| at the two ends, each with one block per sample.
     """
     top = max(reach)
     y = f(np.arange(-top, top + 1) / STEPS_PER_UNIT)
-    fine, coarse, edge = [], [], []
+    rules, edges = [], []
     for row, r in zip(y, reach):
         row = row[..., top - r:top + r + 1]
-        ends = 0.5 * (row[..., 0] + row[..., -1])
-        fine.append((row.sum(axis=-1) - ends) / STEPS_PER_UNIT)
-        coarse.append(2 * (row[..., ::2].sum(axis=-1) - ends) / STEPS_PER_UNIT)
-        edge.append(np.abs(row[..., 0]) + np.abs(row[..., -1]))
-    return np.array(fine), np.array(coarse), np.array(edge)
+        rules.append((row.sum(axis=-1) - 0.5 * (row[..., 0] + row[..., -1])) / STEPS_PER_UNIT)
+        edges.append(np.abs(row[..., 0]) + np.abs(row[..., -1]))
+    return np.array(rules), np.array(edges)
 
 
-def _aliases(p, sigma, steps):
+def _aliases(p, sigma):
     """The ratio u of consecutive aliases of the pole p in the trapezoid rule
-    with steps nodes per unit on the line Re s = sigma: exp(-2 pi steps
-    |p - sigma|), with its phase; |u| < 1 on either side of the line."""
-    a = 2 * math.pi * steps * (p - sigma)
+    on the line Re s = sigma: exp(-2 pi STEPS_PER_UNIT |p - sigma|), with
+    its phase; |u| < 1 on either side of the line."""
+    a = 2 * math.pi * STEPS_PER_UNIT * (p - sigma)
     return np.exp(np.where(np.real(p) > sigma, -a, a))
 
 
 def mb_integral(spec, x, lam, contour=ContourSpec()):
-    value, _err = mb_integral_with_error(spec, x, lam, contour)
-    return value
+    """The Barnes integral of mb_integral_with_error at the one point x for
+    the one sample lam, as a complex number."""
+    values, _err = mb_integral_with_error(spec, [x], [lam], contour)
+    return complex(values[0, 0])
 
 
-def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
+def mb_integral_with_error(spec, xs, lams, contour=ContourSpec()):
     """Barnes integral along the separating contour, as a vertical line plus
-    residue corrections, at one point x or at each of a sequence of points,
-    for one sample lam or for each of a stack of samples.
+    residue corrections, at each of the points xs for each of the samples
+    lams of the torus parameters.
 
     The contour must keep the nonnegative integer poles on its right and all
     other poles on its left.  Non-integer poles whose real part exceeds the
@@ -389,55 +392,61 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
     The integrand is exp(G(s) + s log xi); G, the pole scan, the abscissa
     and the residues do not depend on x, so they are computed once for all
     points.  Poles are checked for separation, and the abscissa for its
-    clearance, down to real part min(-3, sigma - 1).  The line is integrated
-    by the trapezoid rule with step h = 1/6 on the nodes t = k h, |t| <= T.
-    A simple pole p of residue R adds a closed form to the rule's error,
-    which the correction -R u / (1 - u) right of the line, R u / (1 - u)
-    left of it, removes; u = exp(-2 pi |p - sigma| / h) with its phase.
-    The pole at s = 0 (R the k = 0 right residue), every non-integer pole
-    right of the line (with its bending residue, -R / (1 - u) in all) and
-    every non-integer pole less than 1 left of it are corrected.  The
-    negative integers are not poles and s = 1 is more than 1 away, so the
-    rule's own error is about exp(-2 pi / h), 4e-17, whatever the gap.
-    A probe of G on the integers |t| <= t_max gives each point the largest
-    |t| at which |integrand| still reaches 2^-60 of its sum over the
-    probes; T is 1 past the largest of these, at least 8 and at most t_max,
-    so a line takes at most 12 T + 1 nodes.  Beyond the imaginary parts of
-    the Gamma arguments |integrand| falls like |t|^a exp(-(pi - |arg xi|)
-    |t|), so it stays below that level past T.  The error is the difference
-    from the rule with step 2 h, corrected alike, plus a bound on the cut
-    tails from the integrand at +-T.
+    clearance, down to real part min(-3, sigma - 1); a failure names the
+    sample's index in lams, the two poles or the pole and the integer, and
+    their distance.  The line is integrated by the trapezoid rule with step
+    h = 1/6 on the nodes t = k h, |t| <= T.  A simple pole p of residue R
+    adds a closed form to the rule's error, which the correction
+    -R u / (1 - u) right of the line, R u / (1 - u) left of it, removes;
+    u = exp(-2 pi |p - sigma| / h) with its phase.  The pole at s = 0 (R the
+    k = 0 right residue), every non-integer pole right of the line (with its
+    bending residue, -R / (1 - u) in all) and every non-integer pole less
+    than 1 left of it are corrected.  The negative integers are not poles
+    and s = 1 is more than 1 away, so the rule's own error is about
+    exp(-2 pi / h), 4e-17, whatever the gap.  A probe of G on the integers
+    |t| <= t_max gives each point the largest |t| at which |integrand| still
+    reaches 2^-60 of its sum over the probes; T is 1 past the largest of
+    these, at least 8 and at most t_max, so a line takes at most 12 T + 1
+    nodes.  Beyond the imaginary parts of the Gamma arguments |integrand|
+    falls like |t|^a exp(-(pi - |arg xi|) |t|), so it stays below that
+    level past T.
 
-    Each sample of a stack has its own poles, abscissa and T; G is evaluated
-    for all samples in one block on the probe and one on the shared nodes,
-    of which each sample sums its own slice, and a pole that another sample
-    needs adds an exact zero.  So each sample gets the bits of its own call.
+    The error is the bound on the cut tails, |integrand| at +-T over
+    (pi - |arg xi|) 2 pi.  The rule's own error, 4e-17 of the integrand's
+    scale, is below the rounding of the sum, so it is not added; a coarser
+    rule would only measure its own, exp(-pi / h) = 6.5e-9 at step 2 h.
 
-    Returns (value, error): complex and float for a scalar x and one sample;
-    otherwise arrays, over the samples of a stack and then over the points
-    of a sequence.
+    Each sample has its own poles, abscissa and T; G is evaluated for all
+    samples in one block on the probe and one on the shared nodes, of which
+    each sample sums its own slice, and a pole that another sample needs
+    adds an exact zero.  So each sample gets the bits of a stack of one.
+
+    Returns (value, error), arrays over the samples and then over the points.
     """
-    samples, one = _samples(lam)
-    scalar = np.ndim(x) == 0
-    splits = [_split_xi(spec, xk) for xk in np.atleast_1d(x)]
+    splits = [_split_xi(spec, x) for x in xs]
     log_xi = np.array([log for _xi, log in splits])[:, None]
     decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
     re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
     # counts[j]: the poles n < counts[j] of direction j lie right of
     # sigma - 1 in some sample
     sigmas, counts = [], {}
-    for sample in samples:
+    for i, sample in enumerate(lams):
         poles = _pole_scan(spec, spec.betas(sample), re_min, float("inf"))
         window = [p for _j, _n, p in poles if p.real <= 2.0]
-        if _separation(window) < contour.clearance:
-            raise PoleCollision("left poles are closer than the clearance radius")
-        sigma = _abscissa([p.real for p in window], contour)
+        gap, p, q = _closest(window)
+        if gap < contour.clearance:
+            raise PoleCollision("sample %d: left poles are closer than the clearance radius:"
+                                " %s and %s are %g apart" % (i, _point(p), _point(q), gap))
+        try:
+            sigma = _abscissa(window, contour)
+        except ContourTooClose as exc:
+            raise ContourTooClose("sample %d: %s" % (i, exc)) from None
         sigmas.append(sigma)
         for j, n, p in poles:
             if p.real > sigma - 1.0:
                 counts[j] = max(counts.get(j, 0), n + 1)
     sigma = np.array(sigmas)[:, None, None]
-    betas = _beta_columns(spec, samples)[..., None]
+    betas = _beta_columns(spec, lams)[..., None]
 
     def G(t):
         s = sigma + 1j * t
@@ -456,35 +465,21 @@ def mb_integral_with_error(spec, x, lam, contour=ContourSpec()):
         s, g = G(t)
         return np.exp(g + s * log_xi)
 
-    fine, coarse, edge = quad(F, reach)
-
-    # the residues of the poles to correct, each with its position
-    at_zero = np.exp(_log_gamma_block(spec, betas, 0j))
-    residues = []
+    rule, edge = quad(F, reach)
+    value = -rule / (2 * math.pi)
+    u = _aliases(0.0, sigma)
+    value -= (np.exp(_log_gamma_block(spec, betas, 0j)) * u / (1 - u))[..., 0]
     for j, count in sorted(counts.items()):
         n = np.arange(count)
-        residues.append((_interesting_residue(spec, betas, log_xi, j, n),
-                         (betas[j] + complex(spec.d[j]) - n) / -spec.e[j]))
-    values = []
-    for rule, steps in ((fine, STEPS_PER_UNIT), (coarse, STEPS_PER_UNIT / 2)):
-        value = -rule / (2 * math.pi)
-        u = _aliases(0.0, sigma, steps)
-        value -= (at_zero * u / (1 - u))[..., 0]
-        for residue, p in residues:
-            # a pole of another sample, 1 or more left of this one's line, adds 0
-            u = _aliases(p, sigma, steps)
-            terms = np.where(p.real > sigma, -residue,
-                             np.where(p.real > sigma - 1.0, residue * u, 0)) / (1 - u)
-            for term in np.moveaxis(terms, -1, 0):
-                value += term
-        values.append(value)
-    value = values[0]
-    err = np.abs(value - values[1]) + edge / np.maximum(decay, 1e-9) / (2 * math.pi)
-    if scalar:
-        value, err = value[:, 0], err[:, 0]
-    if not one:
-        return value, err
-    return (complex(value[0]), float(err[0])) if scalar else (value[0], err[0])
+        residue = _interesting_residue(spec, betas, log_xi, j, n)
+        p = (betas[j] + complex(spec.d[j]) - n) / -spec.e[j]
+        # a pole of another sample, 1 or more left of this one's line, adds 0
+        u = _aliases(p, sigma)
+        terms = np.where(p.real > sigma, -residue,
+                         np.where(p.real > sigma - 1.0, residue * u, 0)) / (1 - u)
+        for term in np.moveaxis(terms, -1, 0):
+            value += term
+    return value, edge / np.maximum(decay, 1e-9) / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -536,26 +531,24 @@ def _sums_in_chunks(terms_at, classes, length):
     return [sums[c] for c in classes]
 
 
-def right_residue_sum(spec, x, lam):
+def right_residue_sum(spec, x, lams):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
-    inside the degeneration radius.  Returns the sum and whether the stop
-    rule fired, False where the sum is cut at its RIGHT_TERMS terms; for a
-    stack of samples, one such pair per sample, each chunk evaluated once
-    for every sample whose sum has not stopped."""
-    samples, one = _samples(lam)
+    inside the degeneration radius.  Returns, per sample of lams, the sum
+    and whether the stop rule fired, False where the sum is cut at its
+    RIGHT_TERMS terms; each chunk is evaluated once for every sample whose
+    sum has not stopped."""
     _xi, log_xi = _split_xi(spec, x)
-    betas = _beta_columns(spec, samples)
+    betas = _beta_columns(spec, lams)
 
     def terms_at(open_, k):
         return np.where(k % 2, -1.0, 1.0) * np.exp(
             _log_gamma_block(spec, betas[:, open_], k.astype(complex)) + k * log_xi)
 
-    sums = _sums_in_chunks(terms_at, range(len(samples)), RIGHT_TERMS)
-    return sums[0] if one else sums
+    return _sums_in_chunks(terms_at, range(len(lams)), RIGHT_TERMS)
 
 
-def left_residue_sum(spec, x, lam):
+def left_residue_sum(spec, x, lams):
     """Sum of all residues left of the contour (sign unflipped).
 
     Per negative direction of pairing -l, each congruence class n = k*l + c,
@@ -563,15 +556,13 @@ def left_residue_sum(spec, x, lam):
     continued series, is summed on its own by _sum_until_small.  The
     residues are evaluated in chunks of k (_sums_in_chunks): one
     _interesting_residue call per chunk holds every class of the direction,
-    of every sample, whose sum has not stopped yet.  Returns the sum and
-    whether the stop rule fired for every class, False where some class is
-    cut at its LEFT_TERMS terms; for a stack of samples, one such pair per
-    sample.
+    of every sample, whose sum has not stopped yet.  Returns, per sample of
+    lams, the sum and whether the stop rule fired for every class, False
+    where some class is cut at its LEFT_TERMS terms.
     """
-    samples, one = _samples(lam)
     _xi, log_xi = _split_xi(spec, x)
-    betas = _beta_columns(spec, samples)
-    totals, stopped = [0j] * len(samples), [True] * len(samples)
+    betas = _beta_columns(spec, lams)
+    totals, stopped = [0j] * len(lams), [True] * len(lams)
     for j in range(len(spec.d)):
         l = -spec.e[j]
         if l <= 0:
@@ -581,13 +572,12 @@ def left_residue_sum(spec, x, lam):
             n = np.array([k * l + c for _i, c in open_])
             return _interesting_residue(spec, betas[:, [i for i, _c in open_]], log_xi, j, n)
 
-        classes = list(itertools.product(range(len(samples)), range(l)))
+        classes = list(itertools.product(range(len(lams)), range(l)))
         for (i, _c), (class_sum, class_stopped) in zip(
                 classes, _sums_in_chunks(terms_at, classes, LEFT_TERMS)):
             totals[i] += class_sum
             stopped[i] = stopped[i] and class_stopped
-    sums = list(zip(totals, stopped))
-    return sums[0] if one else sums
+    return list(zip(totals, stopped))
 
 
 @dataclass(frozen=True)
@@ -600,27 +590,25 @@ class ResidueReport:
     cut_outside: bool
 
 
-def verify_residue_identity(wc, label_plus, x_inside, x_outside, lam, contour=ContourSpec()):
-    """Compare the Barnes integral against both residue expansions.
+def verify_residue_identity(wc, label_plus, x_inside, x_outside, lams, contour=ContourSpec()):
+    """Compare the Barnes integral against both residue expansions, one
+    report per sample of lams.
 
     Inside the degeneration radius the integral equals the right residue
-    sum; outside it equals minus the left residue sum.  ``lam`` is one
-    sample of the torus parameters, or a sequence of samples with one report
-    each; the inner spec does not depend on the sample, so it is built once,
-    and the line and each residue sum are evaluated once for all samples.
+    sum; outside it equals minus the left residue sum.  The inner spec does
+    not depend on the sample, so it is built once, and the line and each
+    residue sum are evaluated once for all samples.
     """
     c = abs(float(conifold_point(wc)))
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
     spec = make_inner_spec(wc, label_plus)
-    samples, one = _samples(lam)
-    values, _err = mb_integral_with_error(spec, (x_inside, x_outside), samples, contour)
-    rights = right_residue_sum(spec, x_inside, samples)
-    lefts = left_residue_sum(spec, x_outside, samples)
-    reports = [ResidueReport(
+    values, _err = mb_integral_with_error(spec, (x_inside, x_outside), lams, contour)
+    rights = right_residue_sum(spec, x_inside, lams)
+    lefts = left_residue_sum(spec, x_outside, lams)
+    return [ResidueReport(
         residual_inside=abs(v_in - right),
         residual_outside=abs(v_out + left),
         cut_inside=not right_stopped,
         cut_outside=not left_stopped,
     ) for (v_in, v_out), (right, right_stopped), (left, left_stopped) in zip(values, rights, lefts)]
-    return reports[0] if one else reports

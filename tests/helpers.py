@@ -111,13 +111,14 @@ from wallcross.localization import LinearForm, sigma_restrict
 from wallcross.mellinbarnes import (
     ContinuationCoefficient,
     ContinuationMatrix,
+    ContourSpec,
     ContourTooClose,
     IncompatibleLifts,
     _abscissa,
+    _closest,
     _interesting_residue,
     _log_gamma_block,
     _pole_scan,
-    _separation,
     _split_xi,
 )
 
@@ -1049,28 +1050,38 @@ def oracle_fm_transform(wc, delta_minus, rho_hat):
 # the Barnes line integrated at one point over the whole cut |Im s| <= t_max
 
 
-def left_poles(spec, lam, re_min=-3.0, re_max=2.0):
-    """The non-integer poles of the integrand with real part in a window."""
-    return _pole_scan(spec, spec.betas(lam), re_min, re_max)
+def left_poles(spec, lam, contour=ContourSpec()):
+    """The non-integer poles of the integrand with real part from -3, or
+    from sigma - 1 for a given abscissa sigma below -2, up to 2."""
+    sigma = contour.abscissa
+    re_min = -3.0 if sigma is None else min(-3.0, sigma - 1.0)
+    return _pole_scan(spec, spec.betas(lam), re_min, 2.0)
 
 
-def pole_separation(spec, lam):
+def right_poles(spec, lam, sigma):
+    """The non-integer poles of the integrand right of the line Re s = sigma."""
+    return [(j, n, p) for j, n, p in _pole_scan(spec, spec.betas(lam), sigma, float("inf"))
+            if p.real > sigma]
+
+
+def pole_separation(spec, lam, contour=ContourSpec()):
     """Minimum pairwise distance among all left poles and the integers."""
-    return _separation([p for _j, _n, p in left_poles(spec, lam)])
+    return _closest([p for _j, _n, p in left_poles(spec, lam, contour)])[0]
 
 
 def choose_abscissa(spec, lam, contour):
     """The given abscissa, or the one in [-0.45, -0.05] farthest from every
     pole's real part; either must clear them by the contour's clearance."""
-    return _abscissa([p.real for _j, _n, p in left_poles(spec, lam)], contour)
+    return _abscissa([p for _j, _n, p in left_poles(spec, lam, contour)], contour)
 
 
-def oracle_abscissa(reals, contour):
+def oracle_abscissa(poles, contour):
     """_abscissa with the 41 candidates scored one by one over a Python list
-    of the pole real parts: max picks the first largest gap.  A given
-    abscissa must be negative."""
+    of the poles: max picks the first largest gap.  A given abscissa must be
+    negative, and a gap below the clearance names the nearest integer, or
+    else the first nearest pole."""
     def gap(sigma):
-        return min([abs(sigma - x) for x in reals] + [abs(sigma - round(sigma))])
+        return min([abs(sigma - p.real) for p in poles] + [abs(sigma - round(sigma))])
 
     sigma = contour.abscissa
     if sigma is None:
@@ -1078,7 +1089,11 @@ def oracle_abscissa(reals, contour):
     elif not sigma < 0:
         raise ContourTooClose("abscissa %g is not negative" % sigma)
     if gap(sigma) < contour.clearance:
-        raise ContourTooClose("abscissa %g clears the poles by only %g" % (sigma, gap(sigma)))
+        near = min([round(sigma)] + list(poles), key=lambda z: abs(sigma - z.real))
+        at = ("the integer %d" % near if isinstance(near, int)
+              else "the pole %.6g%+.6gj" % (near.real, near.imag))
+        raise ContourTooClose("abscissa %g clears the poles by only %g, from %s"
+                              % (sigma, gap(sigma), at))
     return sigma
 
 
@@ -1088,15 +1103,17 @@ def oracle_mb_integral(spec, x, lam, contour):
     The line Re s = sigma is integrated over all of |Im s| <= t_max by the
     trapezoid rule with step gap / 8, the error being the difference from
     the rule with twice the step plus the tails bounded from |integrand| at
-    +-t_max; every pole right of the line adds its residue.  mass is the
-    integral of |integrand| over the line divided by 2 pi plus the sum of
-    the residues' moduli, the scale of the rounding in the value.
+    +-t_max; every pole right of the line adds its residue.  The poles are
+    separated, and the gap read, down to real part min(-3, sigma - 1) for a
+    given abscissa sigma.  mass is the integral of |integrand| over the
+    line divided by 2 pi plus the sum of the residues' moduli, the scale of
+    the rounding in the value.
     """
     xi, log_xi = _split_xi(spec, x)
-    if pole_separation(spec, lam) < contour.clearance:
+    if pole_separation(spec, lam, contour) < contour.clearance:
         raise PoleCollision("left poles are closer than the clearance radius")
     sigma = choose_abscissa(spec, lam, contour)
-    reals = [p.real for _j, _n, p in left_poles(spec, lam)]
+    reals = [p.real for _j, _n, p in left_poles(spec, lam, contour)]
     gap = min([abs(sigma - r) for r in reals] + [abs(sigma - round(sigma))])
     betas = spec.betas(lam)
 
@@ -1114,11 +1131,10 @@ def oracle_mb_integral(spec, x, lam, contour):
     tail = (abs(y[-1]) + abs(y[0])) / max(math.pi - abs(cmath.phase(xi)), 1e-9)
     value = -complex(fine) / (2 * math.pi)
     mass = step * (np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1]))) / (2 * math.pi)
-    for j, n_j, p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
-        if p.real > sigma:
-            residue = complex(_interesting_residue(spec, betas, log_xi, j, n_j))
-            value -= residue
-            mass += abs(residue)
+    for j, n_j, _p in right_poles(spec, lam, sigma):
+        residue = complex(_interesting_residue(spec, betas, log_xi, j, n_j))
+        value -= residue
+        mass += abs(residue)
     return value, float(abs(fine - coarse) + tail) / (2 * math.pi), float(mass)
 
 

@@ -109,8 +109,7 @@ def test_criterion_4_mellin_barnes_residues():
         for label in fixed_point_labels(wc.git, wc.A_plus):
             if label.delta in wc.A_minus.minimal:
                 continue
-            for lam in lams:
-                rep = verify_residue_identity(wc, label, x_in, x_out, lam)
+            for rep in verify_residue_identity(wc, label, x_in, x_out, lams):
                 assert rep.residual_inside < 1e-7
                 assert rep.residual_outside < 1e-7
                 worst = max(worst, rep.residual_inside, rep.residual_outside)

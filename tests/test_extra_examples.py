@@ -103,7 +103,7 @@ def test_residue_identity(family):
     for label in fixed_point_labels(family.git, family.A_plus):
         if label.delta in family.A_minus.minimal:
             continue
-        rep = verify_residue_identity(family, label, x_in, x_out, lam)
+        rep, = verify_residue_identity(family, label, x_in, x_out, [lam])
         assert rep.residual_inside < 1e-7
         assert rep.residual_outside < 1e-7
 

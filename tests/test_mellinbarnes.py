@@ -25,11 +25,13 @@ from helpers import (
     oracle_mb_integral,
     oracle_right_residue_sum,
     pole_separation,
+    right_poles,
     right_residue_terms,
 )
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, plus_labels_across, wall_crossing
 from wallcross.hypergeom import (
+    PoleCollision,
     _euler_products,
     conifold_point,
     generic_lambdas,
@@ -180,7 +182,7 @@ def test_residue_identity(conifold, resolution):
         x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
         lam = generic_lambdas(wc, 1, seed=29)[0]
         for label in fixed_point_labels(wc.git, wc.A_plus):
-            rep = verify_residue_identity(wc, label, x_in, x_out, lam)
+            rep, = verify_residue_identity(wc, label, x_in, x_out, [lam])
             assert rep.residual_inside < 1e-8
             assert rep.residual_outside < 1e-8
 
@@ -189,7 +191,7 @@ def test_residue_identity_precondition(conifold):
     lam = generic_lambdas(conifold, 1, seed=29)[0]
     label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
     with pytest.raises(ValueError):
-        verify_residue_identity(conifold, label, _xio(conifold, 2.0), _xio(conifold, 3.0), lam)
+        verify_residue_identity(conifold, label, _xio(conifold, 2.0), _xio(conifold, 3.0), [lam])
 
 
 def test_abscissa_independence(conifold):
@@ -258,11 +260,9 @@ def _mpmath_barnes(spec, x, lam, sigma, t_max, breaks=()):
     line = mpmath.quad(lambda t: integrand(mpmath.mpc(sigma, t)),
                        sorted(mpmath.linspace(-t_max, t_max, 9) + list(breaks)))
     value = -line / (2 * mpmath.pi)
-    for j, n, _p in left_poles(spec, lam, re_min=sigma, re_max=float("inf")):
+    for j, n, _p in right_poles(spec, lam, sigma):
         l = -spec.e[j]
-        p = (bases[j] - n) / l
-        if p.real > sigma:
-            value -= (-1) ** n / (mpmath.factorial(n) * l) * integrand(p, skip=j)
+        value -= (-1) ** n / (mpmath.factorial(n) * l) * integrand((bases[j] - n) / l, skip=j)
     return complex(value)
 
 
@@ -276,7 +276,7 @@ def test_barnes_integral_against_mpmath(config_dir):
         lam = generic_lambdas(wc, 1, seed=53)[0]
         sigma = choose_abscissa(spec, lam, ContourSpec())
         points = (_xio(wc, 0.3), _xio(wc, 3.0))
-        values = mb_integral(spec, points, lam)
+        (values,), _errs = mb_integral_with_error(spec, points, [lam])
         for scale, x, value in zip((0.3, 3.0), points, values):
             ref = _mpmath_barnes(spec, x, lam, sigma, ContourSpec().t_max)
             assert abs(value - ref) < 1e-12 * abs(ref), (name, scale)
@@ -336,7 +336,7 @@ def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
             continue
         spec = make_inner_spec(wc, label)
         for lam in lams:
-            values, _errs = mb_integral_with_error(spec, points, lam, contour)
+            (values,), _errs = mb_integral_with_error(spec, points, [lam], contour)
             for k, x in enumerate(points):
                 where = (path.stem, label.delta, lam, k)
                 ref, _err, mass = oracle_mb_integral(spec, x, lam, contour if k < 2 else longer)
@@ -368,30 +368,33 @@ def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
         lams = generic_lambdas(conifold, count, seed=29)
         block_sizes.clear()
         lines.clear()
-        verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0),
-                                lams if count > 1 else lams[0])
+        verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lams)
         assert len(lines) == 1
         assert sorted(block_sizes) == sorted([count * (2 * 40 + 1), count * lines[0][0]])
 
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
 def test_a_stack_of_samples_gives_each_sample_the_bits_of_its_own_call(path):
+    # each sample of a 5-stack against a stack of one, and each point of a
+    # one-point stack against the one-point, one-sample mb_integral
     cfg, wc = _crossing(path)
+    contour = cfg["contour"]
     lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
     points = _line_points(wc)
     for label in _labels_across(wc):
         spec = make_inner_spec(wc, label)
-        values, errs = mb_integral_with_error(spec, points, lams, cfg["contour"])
-        values_out, errs_out = mb_integral_with_error(spec, points[1], lams, cfg["contour"])
+        values, errs = mb_integral_with_error(spec, points, lams, contour)
+        at_points = [mb_integral_with_error(spec, [x], lams, contour)[0][:, 0] for x in points]
         rights = right_residue_sum(spec, points[0], lams)
         lefts = left_residue_sum(spec, points[1], lams)
         for i, lam in enumerate(lams):
-            one = mb_integral_with_error(spec, points, lam, cfg["contour"])
-            assert np.array_equal(one[0], values[i]) and np.array_equal(one[1], errs[i])
-            one = mb_integral_with_error(spec, points[1], lam, cfg["contour"])
-            assert one == (values_out[i], errs_out[i]) and type(one[0]) is complex
-            assert right_residue_sum(spec, points[0], lam) == rights[i]
-            assert left_residue_sum(spec, points[1], lam) == lefts[i]
+            (value,), (err,) = mb_integral_with_error(spec, points, [lam], contour)
+            assert np.array_equal(value, values[i]) and np.array_equal(err, errs[i])
+            for x, at_point in zip(points, at_points):
+                single = mb_integral(spec, x, lam, contour)
+                assert single == at_point[i] and type(single) is complex
+            assert right_residue_sum(spec, points[0], [lam]) == [rights[i]]
+            assert left_residue_sum(spec, points[1], [lam]) == [lefts[i]]
 
 
 @pytest.mark.parametrize("path", [ROOT / "bench" / "configs" / "local_p3.json",
@@ -411,7 +414,7 @@ def test_a_pole_at_the_clearance_costs_no_extra_nodes(path, monkeypatch):
     spec = make_inner_spec(wc, label)
     contour = dataclasses.replace(cfg["contour"], abscissa=pole.real + 2e-3)
     points = (_xio(wc, 0.1), _xio(wc, 0.3), _xio(wc, 3.0))
-    values = mb_integral(spec, points, lam, contour)
+    (values,), _errs = mb_integral_with_error(spec, points, [lam], contour)
     (nodes, reach), = lines
     assert nodes <= 12 * contour.t_max + 1
     assert nodes == 2 * reach[0] + 1
@@ -424,19 +427,52 @@ def test_a_pole_at_the_clearance_costs_no_extra_nodes(path, monkeypatch):
 def test_a_given_abscissa_below_minus_3_is_checked_against_its_poles(config_dir):
     # the conifold's first label across the wall has a pole at Re s = -3.980
     # at its first sample; an abscissa next to it must clear it, and one 2e-3
-    # right of it must integrate it
+    # right of it must integrate it, in the library and in the line oracle
     cfg = load_config(str(config_dir / "conifold.json"))
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lam = generic_lambdas(wc, 1, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])[0]
     label = _labels_across(wc)[0]
     spec = make_inner_spec(wc, label)
-    pole = next(p for _j, _n, p in left_poles(spec, lam, re_min=-4.5) if -4.0 < p.real < -3.9)
+    pole = next(p for _j, _n, p in mellinbarnes._pole_scan(spec, spec.betas(lam), -4.5, 2.0)
+                if -4.0 < p.real < -3.9)
     x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
+    close, clear = ContourSpec(abscissa=pole.real + 5e-4), ContourSpec(abscissa=pole.real + 2e-3)
     with pytest.raises(ContourTooClose):
-        verify_residue_identity(wc, label, x_in, x_out, lam, ContourSpec(abscissa=pole.real + 5e-4))
-    rep = verify_residue_identity(wc, label, x_in, x_out, lam, ContourSpec(abscissa=pole.real + 2e-3))
+        verify_residue_identity(wc, label, x_in, x_out, [lam], close)
+    rep, = verify_residue_identity(wc, label, x_in, x_out, [lam], clear)
     assert rep.residual_outside < cfg["tolerances"]["mb"]
     assert rep.residual_inside < cfg["tolerances"]["mb"]
+    for x in (x_in, x_out):
+        with pytest.raises(ContourTooClose):
+            oracle_mb_integral(spec, x, lam, close)
+        ref, _err, mass = oracle_mb_integral(spec, x, lam, clear)
+        assert abs(mb_integral(spec, x, lam, clear) - ref) <= 1e-13 * mass, x
+
+
+def test_a_barnes_line_failure_names_its_sample_poles_and_distance(resolution):
+    # the three samples are separated by 0.0506, 0.0278 and 0.0262: a
+    # clearance of 0.027 fails only the third, and an abscissa 5e-4 right of
+    # the third sample's pole near -0.52 clears the others' poles
+    lams = generic_lambdas(resolution, 3, seed=7)
+    spec = make_inner_spec(resolution, _labels_across(resolution)[0])
+    xs = (_xio(resolution, 0.3),)
+    poles = [[p for _j, _n, p in left_poles(spec, lam)] for lam in lams]
+    with pytest.raises(PoleCollision) as failure:
+        mb_integral_with_error(spec, xs, lams, ContourSpec(clearance=0.027))
+    found = re.fullmatch(r"sample 2: left poles are closer than the clearance radius:"
+                         r" the pole (\S+) and the integer (-?\d+) are (\S+) apart", str(failure.value))
+    pole = next(p for p in poles[2] if "%.6g%+.6gj" % (p.real, p.imag) == found[1])
+    assert int(found[2]) == round(pole.real)
+    assert found[3] == "%g" % abs(pole - round(pole.real)) == "%g" % pole_separation(spec, lams[2])
+    pole = next(p for p in poles[2] if -0.6 < p.real < -0.5)
+    sigma = pole.real + 5e-4
+    with pytest.raises(ContourTooClose) as failure:
+        mb_integral_with_error(spec, xs, lams, ContourSpec(abscissa=sigma))
+    assert str(failure.value) == "sample 2: abscissa %g clears the poles by only %g, from the pole %s" % (
+        sigma, sigma - pole.real, "%.6g%+.6gj" % (pole.real, pole.imag))
+    with pytest.raises(ContourTooClose, match="^sample 0: abscissa -0.9995 clears the poles by only"
+                                              " 0.0005, from the integer -1$"):
+        mb_integral_with_error(spec, xs, lams, ContourSpec(abscissa=-0.9995))
 
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
@@ -461,7 +497,7 @@ def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
                 assert (mellinbarnes._log_gamma_block(spec, betas, p, skip=j)
                         == oracle_log_gamma_block(spec, betas, p, skip=j)), (j, n)
             for x in points:
-                assert left_residue_sum(spec, x, lam)[0] == oracle_left_residue_sum(spec, x, lam)
+                assert left_residue_sum(spec, x, [lam])[0][0] == oracle_left_residue_sum(spec, x, lam)
             assert np.array_equal(inner_sum_coefficient(spec, ks, lam),
                                   oracle_inner_sum_coefficient(spec, ks, lam))
             ser = inner_series(spec, order, lam)
@@ -499,7 +535,7 @@ def test_one_log_gamma_call_per_block_and_one_residue_call_per_direction(all_exa
             mellinbarnes._log_gamma_block(spec, betas, s, skip)
             assert len(gamma_calls) == 1
         residue_calls.clear()
-        left_residue_sum(spec, _xio(wc, 3.0), lam)
+        left_residue_sum(spec, _xio(wc, 3.0), [lam])
         assert residue_calls == negative
 
 
@@ -518,7 +554,7 @@ def test_right_residue_sum_matches_the_full_length_oracle(path):
         spec = make_inner_spec(wc, label)
         for lam in lams:
             for x in points:
-                assert right_residue_sum(spec, x, lam)[0] == oracle_right_residue_sum(spec, x, lam)
+                assert right_residue_sum(spec, x, [lam])[0][0] == oracle_right_residue_sum(spec, x, lam)
 
 
 def _record_residue_sizes(monkeypatch):
@@ -549,12 +585,12 @@ def test_residue_sums_over_several_chunks_match_the_oracles(all_examples, monkey
             negative = [j for j, e in enumerate(spec.e) if e < 0]
             for lam in generic_lambdas(wc, 2, seed=31):
                 residues.clear()
-                assert (left_residue_sum(spec, _xio(wc, 1.25), lam)
-                        == (oracle_left_residue_sum(spec, _xio(wc, 1.25), lam), True))
+                assert (left_residue_sum(spec, _xio(wc, 1.25), [lam])
+                        == [(oracle_left_residue_sum(spec, _xio(wc, 1.25), lam), True)])
                 assert all([j for j, _size in residues].count(j) > 1 for j in negative)
                 blocks.clear()
-                assert (right_residue_sum(spec, _xio(wc, 0.6), lam)
-                        == (oracle_right_residue_sum(spec, _xio(wc, 0.6), lam), True))
+                assert (right_residue_sum(spec, _xio(wc, 0.6), [lam])
+                        == [(oracle_right_residue_sum(spec, _xio(wc, 0.6), lam), True)])
                 assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK]
 
 
@@ -576,9 +612,9 @@ def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, m
                     assert not mellinbarnes._sum_until_small(row)[1]
         assert not mellinbarnes._sum_until_small(right_residue_terms(spec, x_in, lam))[1]
         residues.clear()
-        assert left_residue_sum(spec, x_out, lam) == (oracle_left_residue_sum(spec, x_out, lam), False)
+        assert left_residue_sum(spec, x_out, [lam]) == [(oracle_left_residue_sum(spec, x_out, lam), False)]
         blocks.clear()
-        assert right_residue_sum(spec, x_in, lam) == (oracle_right_residue_sum(spec, x_in, lam), False)
+        assert right_residue_sum(spec, x_in, [lam]) == [(oracle_right_residue_sum(spec, x_in, lam), False)]
         chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
         assert residues == [(j, size * -e) for j, e in enumerate(spec.e) if e < 0 for size in chunks]
         assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK, 81 - 2 * RESIDUE_CHUNK]
@@ -592,7 +628,7 @@ def test_local_p3_left_sums_take_one_chunk_per_class(monkeypatch):
         spec = make_inner_spec(wc, label)
         for lam in lams:
             residues.clear()
-            left_residue_sum(spec, _xio(wc, 3.0), lam)
+            left_residue_sum(spec, _xio(wc, 3.0), [lam])
             assert residues == [(j, RESIDUE_CHUNK * -e) for j, e in enumerate(spec.e) if e < 0]
 
 
@@ -651,8 +687,8 @@ def test_left_sum_equals_minus_integral(resolution):
     label = fixed_point_labels(resolution.git, resolution.A_plus)[0]
     spec = make_inner_spec(resolution, label)
     x_out = _xio(resolution, 3.0)
-    v, err = mb_integral_with_error(spec, x_out, lam)
-    left, _stopped = left_residue_sum(spec, x_out, lam)
+    v = mb_integral(spec, x_out, lam)
+    (left, _stopped), = left_residue_sum(spec, x_out, [lam])
     assert abs(v + left) < 1e-9
 
 
@@ -691,10 +727,10 @@ def test_right_sum_matches_series(conifold):
     x = _xio(conifold, 0.25)
     ser = inner_series(spec, 40, lam)
     v = mb_integral(spec, x, lam)
-    r, _stopped = right_residue_sum(spec, x, lam)
+    (r, _stopped), = right_residue_sum(spec, x, [lam])
     assert abs(v - r) < 1e-10
     # normalization: series = right sum / (value at the trivial exponent)
-    r0, _stopped = right_residue_sum(spec, _xio(conifold, 1e-300), lam)
+    (r0, _stopped), = right_residue_sum(spec, _xio(conifold, 1e-300), [lam])
     assert abs(sum(c * x ** k for k, c in enumerate(ser.coeffs)) - r / r0) < 1e-9
 
 
@@ -743,7 +779,8 @@ def test_residue_identity_over_samples_matches_one_sample_at_a_time(gerbe_flop):
         if label.delta in gerbe_flop.A_minus.minimal:
             continue
         reports = verify_residue_identity(gerbe_flop, label, x_in, x_out, lams)
-        assert reports == [verify_residue_identity(gerbe_flop, label, x_in, x_out, lam) for lam in lams]
+        assert reports == [verify_residue_identity(gerbe_flop, label, x_in, x_out, [lam])[0]
+                           for lam in lams]
 
 
 def test_a_residue_sum_cut_before_its_rule_fires_is_named(conifold, config_dir, monkeypatch):
@@ -754,10 +791,10 @@ def test_a_residue_sum_cut_before_its_rule_fires_is_named(conifold, config_dir, 
 
     lam = generic_lambdas(conifold, 1, seed=31)[0]
     label = _labels_across(conifold)[0]
-    near = verify_residue_identity(conifold, label, _xio(conifold, 0.95), _xio(conifold, 3.0), lam)
+    near, = verify_residue_identity(conifold, label, _xio(conifold, 0.95), _xio(conifold, 3.0), [lam])
     assert near.cut_inside and not near.cut_outside
     assert near.residual_inside > 1e-7
-    at_cli = verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), lam)
+    at_cli, = verify_residue_identity(conifold, label, _xio(conifold, 0.3), _xio(conifold, 3.0), [lam])
     assert not at_cli.cut_inside and not at_cli.cut_outside
 
     cfg = load_config(str(config_dir / "conifold.json"))
