@@ -202,6 +202,9 @@ def _encode(x):
     raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
+_JSON = dict(sort_keys=True, separators=(",", ":"), default=_encode, allow_nan=False)
+
+
 def make_report(command, cfg, results, ok):
     return {
         "tool": "wallcross",
@@ -219,12 +222,27 @@ def emit(report, as_json, stream=None):
     if stream is None:
         stream = sys.stdout
     if as_json:
-        stream.write(json.dumps(report, sort_keys=True, separators=(",", ":"), default=_encode) + "\n")
+        try:
+            text = json.dumps(report, **_JSON)
+        except ValueError:  # a non-finite float, which strict JSON has no token for
+            text = json.dumps(_finite(report), **_JSON)
+        stream.write(text + "\n")
         return
     stream.write("wallcross %s | %s | config %s | seed %s\n" % (
         report["version"], report["command"], report["config_hash"], report["seed"]))
     _emit_tree(report["results"], stream, indent=2)
     stream.write("result: %s\n" % ("PASS" if report["pass"] else "FAIL"))
+
+
+def _finite(node):
+    """The report tree with every non-finite float as the text report prints
+    it: "nan", "inf" or "-inf"."""
+    v = _node(node)
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_finite(x) for x in v]
+    return _fmt_flat(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _node(v):

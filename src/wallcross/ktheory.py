@@ -16,6 +16,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -173,17 +174,9 @@ def fm_transform(wc, delta_minus, rho_hat):
 # fixed-point Chern characters
 
 
-def restriction_terms(git, kclass, delta, num, den):
-    """Fixed-point restriction at the lift num / den: (coeff, phase, form) triples.
-
-    The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
-    phase is an exact rational reduced mod 1 and the form is an exact linear
-    form over the isotropy order, so zero restrictions cancel exactly.
-    L(rho) gives every term the form theta(rho) and the phase rho . num / den;
-    each S_j^a adds -a u_j and -a D_j . num / den, all as integer numerators.
-    Every exponent is an integer, so the triples depend on the lift only
-    modulo Z^r.
-    """
+def _term_numerators(git, kclass, delta, num, den):
+    """restriction_terms in integers: (coeff, phase numerator mod den, form
+    numerators over the isotropy order) per term of the class."""
     u = restrict_u(git, delta)
     u_nonzero = [[(i, x) for i, x in enumerate(form.num) if x] for form in u]
     d_f = [_idot(row, num) for row in git.D]
@@ -200,8 +193,24 @@ def restriction_terms(git, kclass, delta, num, den):
                 phase -= a * d_f[j]
                 for i, x in u_nonzero[j]:
                     form[i] -= a * x
-        out.append((c, Fraction(phase % den, den), LinearForm(tuple(form), u[0].den)))
-    return tuple(out)
+        out.append((c, phase % den, tuple(form)))
+    return out
+
+
+def restriction_terms(git, kclass, delta, num, den):
+    """Fixed-point restriction at the lift num / den: (coeff, phase, form) triples.
+
+    The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
+    phase is an exact rational reduced mod 1 and the form is an exact linear
+    form over the isotropy order, so zero restrictions cancel exactly.
+    L(rho) gives every term the form theta(rho) and the phase rho . num / den;
+    each S_j^a adds -a u_j and -a D_j . num / den, all as integer numerators.
+    Every exponent is an integer, so the triples depend on the lift only
+    modulo Z^r.
+    """
+    form_den = restrict_u(git, delta)[0].den
+    return tuple((c, Fraction(phase, den), LinearForm(form, form_den))
+                 for c, phase, form in _term_numerators(git, kclass, delta, num, den))
 
 
 def eval_terms(terms, lam):
@@ -247,18 +256,25 @@ class CompiledRestriction(NamedTuple):
         return CompiledRestriction(self.weights.conj(), -self.forms)
 
 
+@lru_cache(maxsize=4096)
+def _root_of_unity(phase, den):
+    """exp(2 pi i phase / den), as complex(Fraction(phase, den)) would give it."""
+    return cmath.exp(TWO_PI_I * complex(phase / den))
+
+
 def compile_restriction(git, kclass, delta, num, den):
-    """restriction_terms at the lift num / den with equal (phase, form) terms
-    merged exactly, as arrays."""
+    """restriction_terms at the lift num / den as arrays, the terms of equal
+    (phase, form) merged on their integer numerators in order of first
+    occurrence.  The numerators are below 2^53, so a form's floats are the
+    correctly rounded n / den of LinearForm.floats."""
     merged = {}
-    for c, phase, form in restriction_terms(git, kclass, delta, num, den):
+    for c, phase, form in _term_numerators(git, kclass, delta, num, den):
         key = (phase, form)
         merged[key] = merged.get(key, 0) + c
     items = [(c, phase, form) for (phase, form), c in merged.items() if c]
-    weights = np.array([c * cmath.exp(TWO_PI_I * complex(phase)) for c, phase, _ in items],
-                       dtype=complex)
-    forms = np.array([form.floats for _, _, form in items], dtype=float)
-    return CompiledRestriction(weights, forms.reshape(len(items), git.m))
+    weights = np.array([c * _root_of_unity(phase, den) for c, phase, _ in items], dtype=complex)
+    forms = np.array([form for _, _, form in items], dtype=float).reshape(len(items), git.m)
+    return CompiledRestriction(weights, forms / restrict_u(git, delta)[0].den)
 
 
 def _rows(values, lams):
@@ -266,11 +282,14 @@ def _rows(values, lams):
     return np.array(values, dtype=complex).reshape(len(values), lams.shape[1])
 
 
-def _restricted(git, classes, label, lams):
-    """(classes, samples) array of restrictions at one inertia fixed point."""
+def _restricted(git, classes, label, lams, memo):
+    """(classes, samples) array of restrictions at one inertia fixed point;
+    ``memo`` keeps them by (class, label), so each is compiled once."""
     sec = label.sector
-    return _rows([compile_restriction(git, c, label.delta, sec.num, sec.den).values(lams)
-                  for c in classes], lams)
+    for c in classes:
+        if (c, label) not in memo:
+            memo[c, label] = compile_restriction(git, c, label.delta, sec.num, sec.den).values(lams)
+    return _rows([memo[c, label] for c in classes], lams)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +466,18 @@ def verify_uhfm(wc, lam_samples):
     e_minus = [basis_e(git, wc.A_minus, delta, rho) for delta, rho in basis]
     plus_labels = wc.labels_plus
 
+    memo = {}  # an image on a common anticone is its minus class
     diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
     for p, lp in enumerate(plus_labels):
-        diff[:, p] = _restricted(git, images, lp, lams)
+        diff[:, p] = _restricted(git, images, lp, lams, memo)
         if lp.delta in wc.A_minus.minimal:
-            diff[:, p] -= _restricted(git, e_minus, lp, lams)
+            diff[:, p] -= _restricted(git, e_minus, lp, lams, memo)
     pairs = []
     for p, q in next_to_cells(wc):
         lm = wc.labels_minus[q]
         coeff = continuation_coefficient(wc, (plus_labels[p], lm))
         values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
-        row = _restricted(git, e_minus, lm, lams)
+        row = _restricted(git, e_minus, lm, lams, memo)
         diff[:, p] -= values * row
         pairs.append((p, row))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))

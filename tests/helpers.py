@@ -19,6 +19,9 @@ production path it checks can cross-validate each other:
   character by fraction_solve and keep the forms as Fraction coefficient
   tuples, and the phases of restricted terms as Fraction pairings with a
   rational lift;
+- the merge oracle (oracle_merge_terms) merges restriction_terms' triples
+  on their Fraction phases and LinearForms, against the merge on integer
+  numerators;
 - the genericity oracle evaluates each of those forms at each sample as a
   Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
@@ -273,6 +276,21 @@ def oracle_restriction_terms(git, kclass, delta, lift):
               for exps, _c in kclass.terms]
     return tuple((c, frac_part(phase), form) for (_e, c), phase, form
                  in zip(kclass.terms, phases, _oracle_class_forms(git, kclass, delta)))
+
+
+def oracle_merge_terms(terms, m):
+    """The arrays of compile_restriction from restriction_terms' (coeff,
+    Fraction phase, LinearForm) triples, merged on those keys: terms of
+    equal phase and form summed in the order of first occurrence, a weight
+    c * exp(2 pi i phase) and a form its floats."""
+    merged = {}
+    for c, phase, form in terms:
+        merged[phase, form] = merged.get((phase, form), 0) + c
+    items = [(c, phase, form) for (phase, form), c in merged.items() if c]
+    weights = np.array([c * cmath.exp(TWO_PI_I * complex(phase)) for c, phase, _ in items],
+                       dtype=complex)
+    forms = np.array([form.floats for _, _, form in items], dtype=float)
+    return weights, forms.reshape(len(items), m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1524,12 +1542,27 @@ def oracle_emit(report, as_json):
     or as text."""
     report = dict(report, results=oracle_jsonify(report["results"]))
     if as_json:
-        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(_oracle_strict(report), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
     out = ["wallcross %s | %s | config %s | seed %s\n" % (
         report["version"], report["command"], report["config_hash"], report["seed"])]
     _oracle_tree(report["results"], out, indent=2)
     out.append("result: %s\n" % ("PASS" if report["pass"] else "FAIL"))
     return "".join(out)
+
+
+def _oracle_strict(x):
+    """The JSON tree with every NaN as "nan" and every infinity as "inf" or
+    "-inf", which strict JSON parsers accept."""
+    if isinstance(x, dict):
+        return {k: _oracle_strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_oracle_strict(v) for v in x]
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def _oracle_tree(node, out, indent):

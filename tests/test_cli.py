@@ -503,14 +503,15 @@ def test_verify_ode_fails_on_nan_residuals(config_dir, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "gkz_ode_residual", third_is_nan)
     assert cli.main(args) == 1
+    # the JSON report writes a NaN as the text report prints it
     results = json.loads(capsys.readouterr().out)["results"]
-    assert results["margin_digits"] is None and math.isnan(results["max_residual"])
+    assert results["margin_digits"] is None and results["max_residual"] == "nan"
     match = re.fullmatch(r"(plus|minus) side, (delta=\[[\d, ]+\] f=\[[^]]*\]) at sample (\d+)",
                          results["worst"])
     assert match, results["worst"]
     side, label, sample = match.group(1), match.group(2), int(match.group(3))
     rows = [row for row in results["checks"] if row["side"] == side and row["label"] == label]
-    assert math.isnan(rows[sample]["residual"]) and results["checks"].index(rows[sample]) == 2
+    assert rows[sample]["residual"] == "nan" and results["checks"].index(rows[sample]) == 2
     # at this order the coefficients overflow a float; carried under a common
     # power of two they give finite residuals, with no warning text on stderr
     proc = run_cli(args)
@@ -532,6 +533,27 @@ def test_verify_pairing_fails_on_nan_residuals(config_dir, tmp_path):
         assert math.isnan(results["max_residual"]) and results["worst_sample"] is not None
         proc = run_cli(["verify", "pairing", "--config", str(path)])
         assert proc.returncode == 1 and proc.stderr == ""
+
+
+def test_json_report_of_a_nan_residual_is_strict_json(config_dir, tmp_path):
+    # the NaN that FAILs the suite is written as the string the text report
+    # prints, which a strict parser accepts; the results in memory stay numeric
+    from wallcross import cli
+
+    raw = json.loads((config_dir / "conifold.json").read_text())
+    raw["z"] = {"re": [1, 300], "im": [0, 1]}
+    path = tmp_path / "small_z.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli(["verify", "pairing", "--config", str(path), "--json"])
+    assert proc.returncode == 1 and proc.stderr == ""
+
+    def refuse(token):
+        raise ValueError("non-JSON token %s" % token)
+
+    report = json.loads(proc.stdout, parse_constant=refuse)
+    assert report["pass"] is False and report["results"]["max_residual"] == "nan"
+    results, _ok = cli.cmd_verify(cli.load_config(str(path)), "pairing")
+    assert math.isnan(results["max_residual"])
 
 
 @pytest.mark.parametrize("name", ["conifold", "resolution", "gerbe_flop"])

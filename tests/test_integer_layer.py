@@ -29,7 +29,10 @@ from helpers import (
     fraction_solve,
     fraction_wall_normal,
     is_integral,
+    kc_dual,
+    lift_numerators,
     oracle_box_classes,
+    oracle_merge_terms,
     oracle_crossing_normal,
     oracle_fm_transform,
     oracle_form_text,
@@ -66,7 +69,15 @@ from wallcross.gitfan import (
     wall_frame,
 )
 from wallcross.hypergeom import WALL_BOUND, canonical_d_plus, generic_lambdas
-from wallcross.ktheory import KClass, canonical_rho_lifts, fm_transform, minus_basis, restriction_terms
+from wallcross.ktheory import (
+    KClass,
+    basis_e,
+    canonical_rho_lifts,
+    compile_restriction,
+    fm_transform,
+    minus_basis,
+    restriction_terms,
+)
 from wallcross.lattice import (
     NotAHyperplane,
     SingularBasis,
@@ -187,6 +198,46 @@ def test_sector_views_phases_and_lifts_match_the_fraction_route():
                            for c, phase, form in restriction_terms(git, cls, label.delta, num, sec.den)]
                     assert got == list(oracle_restriction_terms(git, cls, label.delta, vadd(label.f, v)))
                     checked += 1
+    assert checked > 10000, checked
+
+
+def _compiled_cases(wc):
+    """Every distinct (class, fixed point, lift) that the uhfm and pairing
+    suites compile: each basis class at the minus fixed points and at its
+    next-to partners (compatible lifts), each transform at the plus fixed
+    points."""
+    git = wc.git
+    minus = [(lab.delta, lab.f) for lab in fixed_point_labels(git, wc.A_minus)]
+    minus += [(lm.delta, compatible_minus_lift(wc, lp, lm)) for lp, lm in next_to_pairs(wc)]
+    plus = [(lab.delta, lab.f) for lab in fixed_point_labels(git, wc.A_plus)]
+    cases = {}
+    for delta, rho in minus_basis(wc):
+        e = basis_e(git, wc.A_minus, delta, rho)
+        image = fm_transform(wc, delta, rho)
+        cases.update(((e,) + point, None) for point in minus)
+        cases.update(((image,) + point, None) for point in plus)
+    return list(cases)
+
+
+def test_compiled_restrictions_match_the_fraction_merge():
+    """compile_restriction against restriction_terms merged on Fraction
+    phases and LinearForms, bit for bit and in order, for each compiled case,
+    the dual of its class and its lift shifted by an integer vector.  A
+    crossing with more than 200 cases (the rank-3 configs and the largest
+    draws, up to 14,121) is checked on at most 200 evenly spaced ones."""
+    checked = 0
+    for wc in _config_crossings() + _crossings()[:100]:
+        git = wc.git
+        cases = _compiled_cases(wc)
+        shift = tuple(1 - 3 * (i > 0) for i in range(git.r))
+        for cls, delta, lift in cases[::-(-len(cases) // 200)]:
+            for c, moved in ((cls, lift), (kc_dual(cls), lift), (cls, vadd(lift, shift))):
+                num, den = lift_numerators(moved)
+                got = compile_restriction(git, c, delta, num, den)
+                weights, forms = oracle_merge_terms(restriction_terms(git, c, delta, num, den), git.m)
+                assert got.weights.tobytes() == weights.tobytes()
+                assert got.forms.shape == forms.shape and got.forms.tobytes() == forms.tobytes()
+                checked += 1
     assert checked > 10000, checked
 
 

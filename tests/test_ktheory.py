@@ -1,5 +1,6 @@
 import cmath
 import math
+import pathlib
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from wallcross.gitfan import (
     make_git,
     next_to_pairs,
     validate_stability,
+    wall_crossing,
 )
 from wallcross.hypergeom import TWO_PI_I, generic_lambdas, log_gamma
 from wallcross.ktheory import (
@@ -41,6 +43,8 @@ from wallcross.ktheory import (
 from wallcross.lattice import vdot
 from wallcross.localization import restrict_u
 from wallcross.mellinbarnes import continuation_coefficient
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 def test_basis_e_structure(conifold):
@@ -364,6 +368,28 @@ def test_verify_uhfm_all_examples(all_examples):
         lams = generic_lambdas(wc, 5, seed=37)
         rep = verify_uhfm(wc, lams)
         assert rep.max_residual < 1e-9
+
+
+@pytest.mark.parametrize("name, compiled", [
+    ("conifold", 8), ("resolution", 8), ("gerbe_flop", 28), ("local_p2", 18), ("flop_m5", 18)])
+def test_verify_uhfm_compiles_each_restriction_once(name, compiled, monkeypatch):
+    # an image on a common anticone is its minus class, and next-to pairs
+    # repeat their minus partner; each distinct restriction compiles once
+    from wallcross import ktheory
+    from wallcross.cli import load_config
+
+    path = ROOT / ("bench/configs" if name in ("local_p2", "flop_m5") else "configs") / (name + ".json")
+    cfg = load_config(str(path))
+    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+    calls = []
+
+    def counted(git, kclass, delta, num, den):
+        calls.append((kclass, delta, num, den))
+        return compile_restriction(git, kclass, delta, num, den)
+
+    monkeypatch.setattr(ktheory, "compile_restriction", counted)
+    verify_uhfm(wc, generic_lambdas(wc, 2, seed=37))
+    assert len(calls) == len(set(calls)) == compiled
 
 
 def test_uhfm_common_rows_exact(gerbe_flop):
