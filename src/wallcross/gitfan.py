@@ -648,12 +648,11 @@ def _fits_int64(top, reach):
     return top * reach < 2 ** 62
 
 
-def _int64(rows, width, reach):
-    """Integer rows as an int64 array; ``reach`` bounds the l1 norm of the
-    vectors they are applied to, so no product overflows."""
+def _int_rows(rows, width, reach):
+    """Integer rows as an array: int64 when no product with a vector of l1
+    norm at most ``reach`` can overflow it, Python ints otherwise."""
     top = max((abs(x) for row in rows for x in row), default=0)
-    assert _fits_int64(top, reach), "integer test would overflow int64"
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    return np.array(rows, dtype=np.int64 if _fits_int64(top, reach) else object).reshape(len(rows), width)
 
 
 def _box(radius, n):
@@ -687,7 +686,7 @@ def _first_basis(pool, need):
             # det(chosen + [k]) is linear in k: one cofactor row
             cof = [(-1) ** (need - 1 + j) * _int_det([row[:j] + row[j + 1:] for row in chosen])
                    for j in range(need)]
-            det = pool @ _int64([cof], need, need * WALL_SEARCH_RADIUS)[0]
+            det = pool @ _int_rows([cof], need, need * WALL_SEARCH_RADIUS)[0]
             hit = np.flatnonzero(np.abs(det) == 1)
             return chosen + [tuple(int(x) for x in pool[hit[0]])] if hit.size else None
         for k in pool:
@@ -707,7 +706,7 @@ def _search_wall(N, ell):
     first basis of Z^ell in the pool at the smallest radius that holds one.
     None past WALL_SEARCH_RADIUS.  For ell = 1 only k = +-1 is a basis, so
     radius 1 is complete."""
-    Na = _int64(N, ell, ell * WALL_SEARCH_RADIUS)
+    Na = _int_rows(N, ell, ell * WALL_SEARCH_RADIUS)
     shells = []
     for radius in range(1, (1 if ell == 1 else WALL_SEARCH_RADIUS) + 1):
         box = _box(radius, ell)
@@ -752,10 +751,10 @@ def _search_last(N, E, L, sign):
     p = min((c for c in range(n) if L[c]), key=lambda c: abs(L[c]))
     others = [c for c in range(n) if c != p]
     reach = n * WALL_SEARCH_RADIUS
-    Lo = _int64([[L[c] for c in others]], n - 1, reach)[0]
-    Na, Ea = _int64(N, n, reach), _int64([E], n, reach)[0]
+    Lo = _int_rows([[L[c] for c in others]], n - 1, reach)[0]
+    Na, Ea = _int_rows(N, n, reach), _int_rows([E], n, reach)[0]
     for radius in range(1, WALL_SEARCH_RADIUS + 1):
-        box = _box(radius, n - 1)
+        box = _box(radius, n - 1).astype(Lo.dtype, copy=False)
         rest = box @ Lo
         parts = []
         for s in (1, -1):

@@ -5,9 +5,10 @@ polynomial in the inverse divisor bundles S_j.  The pull-push transform of a
 point basis element is computed in closed form, its root generator averaged
 away, and compared, through fixed-point Chern characters, with the analytic
 continuation coefficients; the Euler pairing is evaluated by an inertia
-fixed-point sum.  Restriction to a fixed point is a ring homomorphism, so
-the verification drivers restrict each class exactly once per point and lift
-and evaluate all samples together as arrays.
+fixed-point sum.  Restriction to a fixed point is a ring homomorphism, so the
+verification drivers restrict a basis class as a product of m - r binomials
+and its image by the root average of that product, never expanding either
+into terms, every sample at once; the expanded terms are the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -103,11 +104,7 @@ def canonical_rho_lifts(git, delta):
 
 def minus_basis(wc):
     """All (delta, rho_hat) labels of the minus-side point basis."""
-    out = []
-    for delta in wc.A_minus.minimal:
-        for rho in canonical_rho_lifts(wc.git, delta):
-            out.append((delta, rho))
-    return out
+    return [(delta, rho) for delta in wc.A_minus.minimal for rho in canonical_rho_lifts(wc.git, delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +171,17 @@ def fm_transform(wc, delta_minus, rho_hat):
 # fixed-point Chern characters
 
 
-def _term_numerators(git, kclass, delta, num, den):
-    """restriction_terms in integers: (coeff, phase numerator mod den, form
-    numerators over the isotropy order) per term of the class."""
+def restriction_terms(git, kclass, delta, num, den):
+    """Fixed-point restriction at the lift num / den: (coeff, phase, form) triples.
+
+    The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
+    phase is an exact rational reduced mod 1 and the form is an exact linear
+    form over the isotropy order, so zero restrictions cancel exactly.
+    L(rho) gives every term the form theta(rho) and the phase rho . num / den;
+    each S_j^a adds -a u_j and -a D_j . num / den, all as integer numerators.
+    Every exponent is an integer, so the triples depend on the lift only
+    modulo Z^r.
+    """
     u = restrict_u(git, delta)
     u_nonzero = [[(i, x) for i, x in enumerate(form.num) if x] for form in u]
     d_f = [_idot(row, num) for row in git.D]
@@ -193,24 +198,8 @@ def _term_numerators(git, kclass, delta, num, den):
                 phase -= a * d_f[j]
                 for i, x in u_nonzero[j]:
                     form[i] -= a * x
-        out.append((c, phase % den, tuple(form)))
-    return out
-
-
-def restriction_terms(git, kclass, delta, num, den):
-    """Fixed-point restriction at the lift num / den: (coeff, phase, form) triples.
-
-    The value of a triple is coeff * exp(2 pi i phase) * exp(form(lam)); the
-    phase is an exact rational reduced mod 1 and the form is an exact linear
-    form over the isotropy order, so zero restrictions cancel exactly.
-    L(rho) gives every term the form theta(rho) and the phase rho . num / den;
-    each S_j^a adds -a u_j and -a D_j . num / den, all as integer numerators.
-    Every exponent is an integer, so the triples depend on the lift only
-    modulo Z^r.
-    """
-    form_den = restrict_u(git, delta)[0].den
-    return tuple((c, Fraction(phase, den), LinearForm(form, form_den))
-                 for c, phase, form in _term_numerators(git, kclass, delta, num, den))
+        out.append((c, Fraction(phase % den, den), LinearForm(tuple(form), u[0].den)))
+    return tuple(out)
 
 
 def eval_terms(terms, lam):
@@ -226,8 +215,7 @@ def chern_restrict(git, kclass, label, lam):
 
 
 # ---------------------------------------------------------------------------
-# compiled restrictions: exact once per (class, point, lift), then every
-# sample at once
+# factored restrictions of the minus basis and its images, every sample at once
 
 
 def lambda_matrix(lam_samples, zs=None):
@@ -239,57 +227,78 @@ def lambda_matrix(lam_samples, zs=None):
     return TWO_PI_I * lams / np.array(zs, dtype=complex)
 
 
-class CompiledRestriction(NamedTuple):
-    """A restricted class as arrays: its value at the samples ``lams`` is
-    weights @ exp(forms @ lams)."""
-
-    weights: np.ndarray  # coeff * exp(2 pi i phase), one per distinct term
-    forms: np.ndarray  # (terms, m) linear forms as floats
-
-    def values(self, lams):
-        return self.weights @ np.exp(self.forms @ lams)
-
-    def dual(self):
-        """The restriction of the dual class: phases and forms negated (the
-        coefficients are integers, so negating a phase conjugates its
-        weight)."""
-        return CompiledRestriction(self.weights.conj(), -self.forms)
+def _exps(rows, den, form_den, lams):
+    """exp(2 pi i n / den) exp(form(lam)) for integer rows (n, form numerators
+    over form_den), n reduced mod den first.  By einsum: after a complex BLAS
+    product numpy's complex exp ran 10-15 times slower (numpy 2.4, OpenBLAS)."""
+    turns = np.array([n % den for n, _ in rows], dtype=float) / den
+    forms = np.array([form for _, form in rows], dtype=float).reshape(len(rows), lams.shape[0]) / form_den
+    return np.exp(TWO_PI_I * turns)[:, None] * np.exp(np.einsum("ij,js->is", forms, lams))
 
 
-@lru_cache(maxsize=4096)
-def _root_of_unity(phase, den):
-    """exp(2 pi i phase / den), as complex(Fraction(phase, den)) would give it."""
-    return cmath.exp(TWO_PI_I * complex(phase / den))
+def restricted_basis(wc, basis, delta, num, den, lams, images=False):
+    """The (len(basis), S) restrictions of the minus basis classes, or with
+    ``images`` of their pull-push images, at the fixed point (delta, num /
+    den).  Restriction is a ring homomorphism: with S_j|_p = exp(-2 pi i D_j
+    . num / den) exp(-u_j(lam)), L(rho) prod_{i not in delta_b} (1 - S_i)
+    restricts to L(rho)|_p times its restricted factors, not 2^(m-r) terms;
+    1 - S_j|_p = 0 exactly for j in delta, as phases are reduced in integers.
+    An image on a common anticone is its minus class, else _root_average's.
+    A dual class restricts as its class at (-num, -lams)."""
+    git = wc.git
+    u = restrict_u(git, delta)
+    pair = [_idot(row, num) for row in git.D]
+    rhos = tuple(rho for _, rho in basis)
+    lines = list(zip((_idot(rho, num) for rho in rhos), _thetas(git, delta, rhos)))  # L(rho)|_p
+    values = _exps([(-p, [-x for x in form.num]) for p, form in zip(pair, u)] + lines, den, u[0].den, lams)
+    s, out = values[:git.m], values[git.m:]
+    for delta_b, group in itertools.groupby(range(len(basis)), key=lambda b: basis[b][0]):
+        members = list(group)
+        j_minus = next(i for i in delta_b if wc.pair_e(i) < 0)
+        if images and delta_b not in wc.A_plus.minimal and j_minus not in delta:
+            out[members] = _root_average(wc, delta, pair, den, lams, delta_b, j_minus,
+                                         [rhos[b] for b in members], [lines[b] for b in members])
+        else:
+            out[members] *= (1 - s[[j for j in range(git.m) if j not in delta_b]]).prod(axis=0)
+    return out
 
 
-def compile_restriction(git, kclass, delta, num, den):
-    """restriction_terms at the lift num / den as arrays, the terms of equal
-    (phase, form) merged on their integer numerators in order of first
-    occurrence.  The numerators are below 2^53, so a form's floats are the
-    correctly rounded n / den of LinearForm.floats."""
-    merged = {}
-    for c, phase, form in _term_numerators(git, kclass, delta, num, den):
-        key = (phase, form)
-        merged[key] = merged.get(key, 0) + c
-    items = [(c, phase, form) for (phase, form), c in merged.items() if c]
-    weights = np.array([c * _root_of_unity(phase, den) for c, phase, _ in items], dtype=complex)
-    forms = np.array([form for _, _, form in items], dtype=float).reshape(len(items), git.m)
-    return CompiledRestriction(weights, forms / restrict_u(git, delta)[0].den)
+@lru_cache(maxsize=256)
+def _thetas(git, delta, rhos):
+    """theta(rho) at ``delta`` for each rho, as numerators over det."""
+    return tuple(theta_restrict(git, delta, rho).num for rho in rhos)
 
 
-def _rows(values, lams):
-    """Per-class sample vectors as a (classes, samples) array."""
-    return np.array(values, dtype=complex).reshape(len(values), lams.shape[1])
-
-
-def _restricted(git, classes, label, lams, memo):
-    """(classes, samples) array of restrictions at one inertia fixed point;
-    ``memo`` keeps them by (class, label), so each is compiled once."""
-    sec = label.sector
-    for c in classes:
-        if (c, label) not in memo:
-            memo[c, label] = compile_restriction(git, c, label.delta, sec.num, sec.den).values(lams)
-    return _rows([memo[c, label] for c in classes], lams)
+def _root_average(wc, delta, pair, den, lams, delta_b, j_minus, rhos, lines):
+    """fm_transform's images of the classes (delta_b, rho) at the fixed point,
+    the S_j unexpanded: the mean over the l-th roots t of 1 / S_{j-}|_p of
+    P(t) = L(rho) t^(rho.e) (1 + ... + t^-(l-1)) prod_{j not in delta_b}
+    (1 - t^-k_j S_j), the w^0 coefficient of P mod w^l = 1 for t = tau w.
+    The factors exact in t (the geometric sum, 1 - t^-k_j for j in delta)
+    give integer coefficients; each L(rho) tau^n is one exponential, summed
+    into its class of n mod l, so a class of zero coefficients stays 0.0.
+    The factors 1 - w^-k_j tau^-k_j S_j|_p multiply the classes cyclically.
+    Where j- lies in delta, tau^l = 1 and the image is the minus class."""
+    u = restrict_u(wc.git, delta)
+    l, top, a = -wc.pair_e(j_minus), u[j_minus].num, pair[j_minus]
+    ks = [max(p, 0) for p in wc.pairings]
+    exact = np.ones(l, dtype=int)  # coefficients of t^(n0 - d), d = 0, 1, ...
+    for k in (ks[j] for j in delta if j not in delta_b):
+        exact = np.concatenate([exact, [0] * k]) - np.concatenate([[0] * k, exact])
+    terms = [d for d in range(len(exact)) if exact[d]]
+    moving = [j for j in range(wc.git.m) if j not in delta_b and j not in delta]
+    n0 = [_idot(rho, wc.e) for rho in rhos]
+    rows = [(l * phase + (n - d) * a, [l * x + (n - d) * y for x, y in zip(theta, top)])
+            for (phase, theta), n in zip(lines, n0) for d in terms]
+    rows += [(-ks[j] * a - l * pair[j], [-ks[j] * y - l * z for y, z in zip(top, u[j].num)]) for j in moving]
+    values = _exps(rows, den * l, u[0].den * l, lams)
+    split = len(rhos) * len(terms)
+    classes = np.zeros((len(rhos), l, lams.shape[1]), dtype=complex)
+    for t, d in enumerate(terms):
+        classes[:, d % l] += exact[d] * values[t:split:len(terms)]
+    for j, x in zip(moving, values[split:]):
+        classes = classes - classes[:, (np.arange(l) - ks[j]) % l] * x
+    return classes[np.arange(len(rhos)), np.array(n0) % l]
 
 
 # ---------------------------------------------------------------------------
@@ -347,56 +356,50 @@ def framing_restrict(git, E, label, lam, z, log_z=None):
 # Euler pairing by inertia fixed-point sum
 
 
-def localization_gram(git, A, left, right, lams):
-    """Localized Euler pairings chi(E_a, F_b) at every sample at once.
+def localization_gram(git, A, restrict, lams):
+    """Localized Euler pairings chi(E_a, E_b) at every sample at once.
 
-    Each inertia fixed point contributes the restriction of dual(E_a) times
-    that of F_b, divided by the isotropy order and by the product over
-    normal directions of (1 - phase * exp(-u)).  The dual restriction is the
-    compiled restriction of E_a with phases and forms negated, so no product
-    class is formed.  Returns the (len(left), len(right), S) Gram array and,
-    per sample, the smallest normal factor in absolute value.
+    ``restrict(delta, num, den, lams)`` gives the (classes, S) restrictions
+    of the classes at one inertia fixed point.  Each point contributes the
+    restriction of dual(E_a), which is that of E_a at (-num, -lams), times
+    that of E_b, divided by the isotropy order and by the product over
+    normal directions of (1 - phase * exp(-u)); no product class is formed.
+    Returns the (classes, classes, S) Gram array and, per sample, the
+    smallest normal factor in absolute value.
     """
-    n_samples = lams.shape[1]
-    gram = np.zeros((len(left), len(right), n_samples), dtype=complex)
-    smallest = np.full(n_samples, np.inf)
-    for delta, labels in itertools.groupby(fixed_point_labels(git, A), key=lambda lab: lab.delta):
-        u = restrict_u(git, delta)
-        order = isotropy_order(git, delta)
-        normal = [j for j in range(git.m) if j not in delta]
-        u_forms = np.array([u[j].floats for j in normal], dtype=float)
-        u_vals = u_forms.reshape(len(normal), git.m) @ lams
-        for label in labels:
-            sec = label.sector
-            phases = np.array([cmath.exp(-TWO_PI_I * complex(sec.phase(j))) for j in normal],
-                              dtype=complex)
-            compiled_right = [compile_restriction(git, F, delta, sec.num, sec.den) for F in right]
-            compiled_left = (compiled_right if left is right else
-                             [compile_restriction(git, E, delta, sec.num, sec.den) for E in left])
-            # resonant samples divide by ~0 here, and the callers mask them
-            # out; a small |z| overflows the exponentials, and the NaN it
-            # leaves FAILs the suite's gate
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                factors = 1 - phases[:, None] * np.exp(-u_vals)
-                smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
-                v_left = _rows([c.dual().values(lams) for c in compiled_left], lams)
-                v_right = _rows([c.values(lams) for c in compiled_right], lams)
-                weighted = v_left / (order * factors.prod(axis=0))
-                gram += weighted[:, None, :] * v_right[None, :, :]
+    gram = 0j
+    smallest = np.full(lams.shape[1], np.inf)
+    # resonant samples divide by ~0 here, and the callers mask them out; a
+    # small |z| overflows the exponentials, and the NaN it leaves FAILs the
+    # suite's gate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for label in fixed_point_labels(git, A):
+            delta, sec = label.delta, label.sector
+            u, normal = restrict_u(git, delta), [j for j in range(git.m) if j not in delta]
+            factors = 1 - _exps([(-sec.pairings[j], [-x for x in u[j].num]) for j in normal], sec.den, u[0].den, lams)
+            smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
+            v_left = restrict(delta, tuple(-x for x in sec.num), sec.den, -lams)
+            v_right = restrict(delta, sec.num, sec.den, lams)
+            weighted = v_left / (isotropy_order(git, delta) * factors.prod(axis=0))
+            gram += weighted[:, None, :] * v_right[None, :, :]
     return gram, smallest
 
 
 def euler_pairing(git, A, E, F, lam, z=None):
     """Equivariant Euler pairing by summation over inertia fixed points.
 
-    The one-sample, one-pair case of localization_gram; the modified pairing
+    The one-sample case of localization_gram on the expanded restrictions
+    of E and F, the reference for the factored ones; the modified pairing
     substitutes 2 pi i lam/z for lam first.
     """
-    gram, smallest = localization_gram(
-        git, A, [E], [F], lambda_matrix([lam], None if z is None else [z]))
+    def expanded(delta, num, den, lams):
+        return np.array([[eval_terms(restriction_terms(git, c, delta, num, den), lams[:, 0])]
+                         for c in (E, F)], dtype=complex)
+
+    gram, smallest = localization_gram(git, A, expanded, lambda_matrix([lam], None if z is None else [z]))
     if smallest[0] < RESONANCE_CLEARANCE:
         raise ResonantSample("localization denominator %g" % smallest[0])
-    return complex(gram[0, 0, 0])
+    return complex(gram[0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +462,27 @@ def verify_uhfm(wc, lam_samples):
     coefficient-weighted sum of minus-side restrictions at the next-to
     partners otherwise.
     """
-    git = wc.git
     lams = lambda_matrix(lam_samples)
     basis = tuple(minus_basis(wc))
-    images = [fm_transform(wc, delta, rho) for delta, rho in basis]
-    e_minus = [basis_e(git, wc.A_minus, delta, rho) for delta, rho in basis]
     plus_labels = wc.labels_plus
 
-    memo = {}  # an image on a common anticone is its minus class
+    def at(label, images=False):
+        sec = label.sector
+        return restricted_basis(wc, basis, label.delta, sec.num, sec.den, lams, images)
+
     diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
     for p, lp in enumerate(plus_labels):
-        diff[:, p] = _restricted(git, images, lp, lams, memo)
+        diff[:, p] = at(lp, images=True)
         if lp.delta in wc.A_minus.minimal:
-            diff[:, p] -= _restricted(git, e_minus, lp, lams, memo)
+            diff[:, p] -= at(lp)
+    cells = next_to_cells(wc)
+    rows = {q: at(wc.labels_minus[q]) for q in {q for _, q in cells}}
     pairs = []
-    for p, q in next_to_cells(wc):
-        lm = wc.labels_minus[q]
-        coeff = continuation_coefficient(wc, (plus_labels[p], lm))
+    for p, q in cells:
+        coeff = continuation_coefficient(wc, (plus_labels[p], wc.labels_minus[q]))
         values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
-        row = _restricted(git, e_minus, lm, lams, memo)
-        diff[:, p] -= values * row
-        pairs.append((p, row))
+        diff[:, p] -= values * rows[q]
+        pairs.append((p, rows[q]))
     return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))
 
 
@@ -502,13 +505,10 @@ def pairing_residuals(wc, lam_samples, zs):
     """Pairing preservation at every sample: the Gram identity
     chi_minus(E_a, E_b) = chi_plus(FM E_a, FM E_b) over ordered basis pairs,
     with the modified pairing at sample s taken at z = zs[s]."""
-    git = wc.git
-    basis = minus_basis(wc)
     lams = lambda_matrix(lam_samples, zs)
-    e_minus = [basis_e(git, wc.A_minus, d, rho) for d, rho in basis]
-    images = [fm_transform(wc, d, rho) for d, rho in basis]
-    g_minus, small_minus = localization_gram(git, wc.A_minus, e_minus, e_minus, lams)
-    g_plus, small_plus = localization_gram(git, wc.A_plus, images, images, lams)
+    restrict = partial(restricted_basis, wc, minus_basis(wc))
+    g_minus, small_minus = localization_gram(wc.git, wc.A_minus, restrict, lams)
+    g_plus, small_plus = localization_gram(wc.git, wc.A_plus, partial(restrict, images=True), lams)
     residuals = np.abs(g_minus - g_plus).max(axis=(0, 1), initial=0.0)
     return PairingReport(residuals, np.minimum(small_minus, small_plus) < RESONANCE_CLEARANCE)
 

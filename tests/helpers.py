@@ -19,9 +19,6 @@ production path it checks can cross-validate each other:
   character by fraction_solve and keep the forms as Fraction coefficient
   tuples, and the phases of restricted terms as Fraction pairings with a
   rational lift;
-- the merge oracle (oracle_merge_terms) merges restriction_terms' triples
-  on their Fraction phases and LinearForms, against the merge on integer
-  numerators;
 - the genericity oracle evaluates each of those forms at each sample as a
   Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
@@ -276,21 +273,6 @@ def oracle_restriction_terms(git, kclass, delta, lift):
               for exps, _c in kclass.terms]
     return tuple((c, frac_part(phase), form) for (_e, c), phase, form
                  in zip(kclass.terms, phases, _oracle_class_forms(git, kclass, delta)))
-
-
-def oracle_merge_terms(terms, m):
-    """The arrays of compile_restriction from restriction_terms' (coeff,
-    Fraction phase, LinearForm) triples, merged on those keys: terms of
-    equal phase and form summed in the order of first occurrence, a weight
-    c * exp(2 pi i phase) and a form its floats."""
-    merged = {}
-    for c, phase, form in terms:
-        merged[phase, form] = merged.get((phase, form), 0) + c
-    items = [(c, phase, form) for (phase, form), c in merged.items() if c]
-    weights = np.array([c * cmath.exp(TWO_PI_I * complex(phase)) for c, phase, _ in items],
-                       dtype=complex)
-    forms = np.array([form.floats for _, _, form in items], dtype=float)
-    return weights, forms.reshape(len(items), m)
 
 
 @functools.lru_cache(maxsize=None)

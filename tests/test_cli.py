@@ -350,6 +350,24 @@ def test_formerly_unframed_crossing_analyzes(tmp_path):
     assert ok and results["coordinate_change"]["c"] == Fraction(3, 2)
 
 
+def test_rank_4_crossing_past_int64_exits_without_a_traceback(tmp_path):
+    # draw 7 of random_crepant_crossing(random.Random(1030), max_r=4,
+    # max_m=8): the integer tests of its wall search would overflow int64,
+    # so they run on Python ints
+    cfg = {
+        "schema": "wallcross-config/1",
+        "git": {"r": 4, "m": 7, "D": [[-2, -3, 0, 1], [4, 1, 0, 0], [0, 2, 1, 0], [1, 2, 1, 1],
+                                      [-1, 0, 3, 0], [-1, 0, -1, 1], [4, 4, 5, -3]]},
+        "omega_plus": [[35, 4], [35, 4], [19, 4], [1, 4]],
+        "omega_minus": [[37, 4], [37, 4], [21, 4], [-1, 4]],
+    }
+    path = tmp_path / "s1030_d07.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["analyze", "--config", str(path)])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0 or proc.stderr.count("error:") == 1
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, wallcross.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -7,6 +7,7 @@ rational-elimination paths they replace.  Every comparison is exact and
 includes order.
 """
 
+import cmath
 import functools
 import itertools
 import pathlib
@@ -29,10 +30,7 @@ from helpers import (
     fraction_solve,
     fraction_wall_normal,
     is_integral,
-    kc_dual,
-    lift_numerators,
     oracle_box_classes,
-    oracle_merge_terms,
     oracle_crossing_normal,
     oracle_fm_transform,
     oracle_form_text,
@@ -71,11 +69,14 @@ from wallcross.gitfan import (
 from wallcross.hypergeom import WALL_BOUND, canonical_d_plus, generic_lambdas
 from wallcross.ktheory import (
     KClass,
+    _thetas,
     basis_e,
     canonical_rho_lifts,
-    compile_restriction,
+    eval_terms,
     fm_transform,
+    lambda_matrix,
     minus_basis,
+    restricted_basis,
     restriction_terms,
 )
 from wallcross.lattice import (
@@ -201,44 +202,46 @@ def test_sector_views_phases_and_lifts_match_the_fraction_route():
     assert checked > 10000, checked
 
 
-def _compiled_cases(wc):
-    """Every distinct (class, fixed point, lift) that the uhfm and pairing
-    suites compile: each basis class at the minus fixed points and at its
-    next-to partners (compatible lifts), each transform at the plus fixed
-    points."""
-    git = wc.git
-    minus = [(lab.delta, lab.f) for lab in fixed_point_labels(git, wc.A_minus)]
-    minus += [(lm.delta, compatible_minus_lift(wc, lp, lm)) for lp, lm in next_to_pairs(wc)]
-    plus = [(lab.delta, lab.f) for lab in fixed_point_labels(git, wc.A_plus)]
-    cases = {}
-    for delta, rho in minus_basis(wc):
-        e = basis_e(git, wc.A_minus, delta, rho)
-        image = fm_transform(wc, delta, rho)
-        cases.update(((e,) + point, None) for point in minus)
-        cases.update(((image,) + point, None) for point in plus)
-    return list(cases)
-
-
-def test_compiled_restrictions_match_the_fraction_merge():
-    """compile_restriction against restriction_terms merged on Fraction
-    phases and LinearForms, bit for bit and in order, for each compiled case,
-    the dual of its class and its lift shifted by an integer vector.  A
-    crossing with more than 200 cases (the rank-3 configs and the largest
-    draws, up to 14,121) is checked on at most 200 evenly spaced ones."""
-    checked = 0
-    for wc in _config_crossings() + _crossings()[:100]:
+def test_factored_restrictions_match_the_expanded_route():
+    """restricted_basis against eval_terms of restriction_terms of basis_e
+    and fm_transform: every minus basis class at every minus fixed point and
+    every image at every plus fixed point, at the point's own lift and at
+    that lift shifted by an integer vector, to 1e-12 of the sum of the
+    absolute values of the expanded terms.  Where those terms cancel
+    exactly (merged on their Fraction phases and forms), the factored value
+    is exactly 0.0.  A crossing with more than 30 cases is checked on at
+    most 30 evenly spaced ones."""
+    checked = zeros = 0
+    for wc in _config_crossings() + _crossings()[:80]:
         git = wc.git
-        cases = _compiled_cases(wc)
+        basis = tuple(minus_basis(wc))
+        lam = generic_lambdas(wc, 1, seed=83)[0]
+        matrix = lambda_matrix([lam])
         shift = tuple(1 - 3 * (i > 0) for i in range(git.r))
-        for cls, delta, lift in cases[::-(-len(cases) // 200)]:
-            for c, moved in ((cls, lift), (kc_dual(cls), lift), (cls, vadd(lift, shift))):
-                num, den = lift_numerators(moved)
-                got = compile_restriction(git, c, delta, num, den)
-                weights, forms = oracle_merge_terms(restriction_terms(git, c, delta, num, den), git.m)
-                assert got.weights.tobytes() == weights.tobytes()
-                assert got.forms.shape == forms.shape and got.forms.tobytes() == forms.tobytes()
-                checked += 1
-    assert checked > 10000, checked
+        cases = [(label, images, moved, b) for images, labels in ((False, wc.labels_minus), (True, wc.labels_plus))
+                 for label in labels for moved in (False, True) for b in range(len(basis))]
+        factored, classes = {}, {}
+        for label, images, moved, b in cases[::-(-len(cases) // 30)]:
+            num, den = label.sector.num, label.sector.den
+            if moved:
+                num = tuple(x + den * k for x, k in zip(num, shift))
+            if (label, images, moved) not in factored:
+                factored[label, images, moved] = restricted_basis(wc, basis, label.delta, num, den, matrix, images)
+            got = factored[label, images, moved][b]
+            if (images, b) not in classes:
+                delta_b, rho = basis[b]
+                classes[images, b] = fm_transform(wc, delta_b, rho) if images else basis_e(git, wc.A_minus, delta_b, rho)
+            terms = restriction_terms(git, classes[images, b], label.delta, num, den)
+            merged = {}
+            for c, phase, form in terms:
+                merged[phase, form] = merged.get((phase, form), 0) + c
+            if not any(merged.values()):
+                assert got[0] == 0.0
+                zeros += 1
+            scale = sum(abs(c * cmath.exp(form(lam))) for c, _, form in terms)
+            assert abs(got[0] - eval_terms(terms, lam)) <= 1e-12 * scale
+            checked += 1
+    assert checked > 2000 and zeros > 800, (checked, zeros)
 
 
 def test_exact_caches_stay_bounded():
@@ -251,7 +254,7 @@ def test_exact_caches_stay_bounded():
         next_to_cells(wc)
         wall_frame(wc)
     for cached in (int_inverse, _span_minor, _line_transform, restrict_u, _box_classes,
-                   _chamber_table, _wall_hyperplanes):
+                   _chamber_table, _wall_hyperplanes, _thetas):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, (cached, info)
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import pathlib
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -23,7 +24,6 @@ from wallcross.ktheory import (
     basis_e,
     canonical_rho_lifts,
     chern_restrict,
-    compile_restriction,
     euler_pairing,
     eval_terms,
     fm_transform,
@@ -34,6 +34,7 @@ from wallcross.ktheory import (
     localization_gram,
     minus_basis,
     pairing_residuals,
+    restricted_basis,
     restriction_terms,
     roots_projector,
     uhfm_sensitivity,
@@ -370,28 +371,6 @@ def test_verify_uhfm_all_examples(all_examples):
         assert rep.max_residual < 1e-9
 
 
-@pytest.mark.parametrize("name, compiled", [
-    ("conifold", 8), ("resolution", 8), ("gerbe_flop", 28), ("local_p2", 18), ("flop_m5", 18)])
-def test_verify_uhfm_compiles_each_restriction_once(name, compiled, monkeypatch):
-    # an image on a common anticone is its minus class, and next-to pairs
-    # repeat their minus partner; each distinct restriction compiles once
-    from wallcross import ktheory
-    from wallcross.cli import load_config
-
-    path = ROOT / ("bench/configs" if name in ("local_p2", "flop_m5") else "configs") / (name + ".json")
-    cfg = load_config(str(path))
-    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-    calls = []
-
-    def counted(git, kclass, delta, num, den):
-        calls.append((kclass, delta, num, den))
-        return compile_restriction(git, kclass, delta, num, den)
-
-    monkeypatch.setattr(ktheory, "compile_restriction", counted)
-    verify_uhfm(wc, generic_lambdas(wc, 2, seed=37))
-    assert len(calls) == len(set(calls)) == compiled
-
-
 def test_uhfm_common_rows_exact(gerbe_flop):
     # common-anticone fixed points compare the identical restriction on the
     # two sides; the residual there is exactly zero
@@ -454,36 +433,37 @@ def test_uhfm_sensitivity_scales_linearly(resolution):
 
 
 def _restriction_cases(wc):
-    """(class, label, lift) for every restriction the uhfm and pairing suites
-    compile: minus basis classes at minus points and at next-to partners
-    (compatible lifts), their transforms at plus points."""
-    git = wc.git
-    cases = []
-    for delta, rho in minus_basis(wc):
-        e = basis_e(git, wc.A_minus, delta, rho)
-        image = fm_transform(wc, delta, rho)
-        cases += [(e, lab, lab.f) for lab in fixed_point_labels(git, wc.A_minus)]
-        cases += [(image, lab, lab.f) for lab in fixed_point_labels(git, wc.A_plus)]
-        for lp, lm in next_to_pairs(wc):
-            cases.append((e, lm, compatible_minus_lift(wc, lp, lm)))
+    """(label, lift, images) for every fixed point and lift at which the
+    uhfm and pairing suites restrict the basis: its minus classes at the
+    minus points and at next-to partners (compatible lifts), its images at
+    the plus points."""
+    cases = [(lab, lab.f, False) for lab in wc.labels_minus]
+    cases += [(lab, lab.f, True) for lab in wc.labels_plus]
+    cases += [(lm, compatible_minus_lift(wc, lp, lm), False) for lp, lm in next_to_pairs(wc)]
     return cases
 
 
 def test_compiled_restrictions_match_chern_restrict(all_examples):
+    # the factored restrictions and those of the dual classes, which the
+    # Gram takes at (-num, -lams), against the expanded terms
     for wc in all_examples.values():
+        git = wc.git
+        basis = tuple(minus_basis(wc))
         lams = generic_lambdas(wc, 5, seed=67)
         matrix = lambda_matrix(lams)
-        for cls, label, lift in _restriction_cases(wc):
+        for label, lift, images in _restriction_cases(wc):
             num, den = lift_numerators(lift)
-            values = compile_restriction(wc.git, cls, label.delta, num, den).values(matrix)
-            dual = compile_restriction(wc.git, cls, label.delta, num, den).dual().values(matrix)
-            terms = restriction_terms(wc.git, cls, label.delta, num, den)
-            terms_dual = restriction_terms(wc.git, kc_dual(cls), label.delta, num, den)
-            for s, lam in enumerate(lams):
-                ref = eval_terms(terms, lam)
-                assert abs(values[s] - ref) <= 1e-12 * abs(ref)
-                ref_dual = eval_terms(terms_dual, lam)
-                assert abs(dual[s] - ref_dual) <= 1e-12 * abs(ref_dual)
+            values = restricted_basis(wc, basis, label.delta, num, den, matrix, images)
+            dual = restricted_basis(wc, basis, label.delta, tuple(-x for x in num), den, -matrix, images)
+            for b, (delta_b, rho) in enumerate(basis):
+                cls = fm_transform(wc, delta_b, rho) if images else basis_e(git, wc.A_minus, delta_b, rho)
+                terms = restriction_terms(git, cls, label.delta, num, den)
+                terms_dual = restriction_terms(git, kc_dual(cls), label.delta, num, den)
+                for s, lam in enumerate(lams):
+                    ref = eval_terms(terms, lam)
+                    assert abs(values[b, s] - ref) <= 1e-12 * abs(ref)
+                    ref_dual = eval_terms(terms_dual, lam)
+                    assert abs(dual[b, s] - ref_dual) <= 1e-12 * abs(ref_dual)
 
 
 def _pairing_oracle(git, A, E, F, lam_eff):
@@ -511,11 +491,12 @@ def test_gram_entries_match_euler_pairing(all_examples):
         lams = generic_lambdas(wc, 2, seed=71)
         zs = [1.1 + 0.2j, 0.9 - 0.1j]
         basis = minus_basis(wc)
-        for A, classes in (
-            (wc.A_minus, [basis_e(git, wc.A_minus, d, rho) for d, rho in basis]),
-            (wc.A_plus, [fm_transform(wc, d, rho) for d, rho in basis]),
+        for A, classes, images in (
+            (wc.A_minus, [basis_e(git, wc.A_minus, d, rho) for d, rho in basis], False),
+            (wc.A_plus, [fm_transform(wc, d, rho) for d, rho in basis], True),
         ):
-            gram, smallest = localization_gram(git, A, classes, classes, lambda_matrix(lams, zs))
+            restrict = partial(restricted_basis, wc, basis, images=images)
+            gram, smallest = localization_gram(git, A, restrict, lambda_matrix(lams, zs))
             assert (smallest > 1e-9).all()
             for s, (lam, z) in enumerate(zip(lams, zs)):
                 lam_eff = tuple(TWO_PI_I * li / z for li in lam)
@@ -590,3 +571,57 @@ def test_resonant_sample_is_skipped_on_the_clearance_rule(conifold):
             # is still used
             assert verify_pairing_preserved(conifold, lam, z) >= 0.0
     assert verify_pairing_preserved(conifold, generic, 1.0 + 0j) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the k-k flops, D = (1^k, (-1)^k): a point class has 2^(2k-1) terms
+
+
+def _flop(k):
+    return wall_crossing(make_git([(1,)] * k + [(-1,)] * k), (1,), (-1,))
+
+
+def test_uhfm_on_the_8_8_flop_stays_at_rounding_level():
+    # expanded into its 32,768 terms, a class restricted to 1.75e-8 of
+    # cancellation noise; as a product of 15 factors it stays at rounding
+    wc = _flop(8)
+    assert verify_uhfm(wc, generic_lambdas(wc, 20, seed=7)).max_residual < 1e-9
+
+
+def _gram_term_sizes(git, A, restrict, lams):
+    """Per Gram entry, the sum over fixed points of the absolute values of
+    its terms, which bounds the sum's rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2)."""
+    sizes = 0.0
+    for label in fixed_point_labels(git, A):
+        sec = label.sector
+        u = restrict_u(git, label.delta)
+        factors = np.prod([1 - cmath.exp(-TWO_PI_I * sec.phase(j)) * np.exp(-(np.array(u[j].floats) @ lams))
+                           for j in range(git.m) if j not in label.delta], axis=0)
+        left = np.abs(restrict(label.delta, tuple(-x for x in sec.num), sec.den, -lams))
+        right = np.abs(restrict(label.delta, sec.num, sec.den, lams))
+        sizes = sizes + left[:, None] * right[None] / (isotropy_order(git, label.delta) * np.abs(factors))
+    return sizes
+
+
+def test_gram_on_the_4_4_flop_matches_the_expanded_route():
+    # each entry within 1e-13 of the largest entry, or of the entry's own
+    # term sizes where the fixed-point sum cancels (up to 1000 times the
+    # largest entry on the plus side)
+    wc = _flop(4)
+    git = wc.git
+    basis = minus_basis(wc)
+    lams = generic_lambdas(wc, 5, seed=7)
+    matrix = lambda_matrix(lams, [1.0 + 0.07 * i for i in range(len(lams))])
+    for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
+        classes = [fm_transform(wc, d, rho) if images else basis_e(git, wc.A_minus, d, rho) for d, rho in basis]
+
+        def expanded(delta, num, den, lams):
+            return np.array([[eval_terms(restriction_terms(git, cls, delta, num, den), lams[:, s])
+                              for s in range(lams.shape[1])] for cls in classes])
+
+        restrict = partial(restricted_basis, wc, basis, images=images)
+        ref, _ = localization_gram(git, A, expanded, matrix)
+        gram, _ = localization_gram(git, A, restrict, matrix)
+        scale = np.maximum(_gram_term_sizes(git, A, restrict, matrix), np.abs(ref).max())
+        assert (np.abs(gram - ref) <= 1e-13 * scale).all()

@@ -33,7 +33,7 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_line_key", "next_to_cells", "minus_lift_numerators",
                 "continuation_coefficient", "validate_stability", "_chamber_table",
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
-                "_box_classes", "_extended_rows", "restriction_terms", "compile_restriction"}
+                "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift and a phase are integer numerators over a denominator
