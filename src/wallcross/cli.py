@@ -458,8 +458,10 @@ def _suite_pairing(cfg, wc, tol):
     checks = [(i, float(resid)) for i, (resid, resonant) in enumerate(zip(rep.residuals, rep.resonant))
               if not resonant]
     gated, worst_sample, ok = _gate(checks, tol)
+    worst = None if worst_sample is None else "%s x %s at sample %d" % (
+        *(_basis_name(*label) for label in rep.worst[worst_sample]), worst_sample)
     used = len(checks)
-    return ({**gated, "samples_used": used, "worst_sample": worst_sample},
+    return ({**gated, "samples_used": used, "worst_sample": worst_sample, "worst": worst},
             ok and used >= max(1, cfg["samples"] // 2))
 
 

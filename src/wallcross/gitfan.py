@@ -570,11 +570,15 @@ class WallFrame:
 
 def _extended_rows(git, omega):
     """(s, H): the extended lattice, generated by Z^r and the box classes, as
-    the Hermite form H of the rows s e_i and num (s / den), s = lcm(den)."""
-    sectors = box_elements(git, omega)
-    s = lcm(*(sec.den for sec in sectors))
+    the Hermite form H of the rows s e_i and s adj / det over the minimal
+    anticones, s = lcm(det).  The box classes at delta generate the columns
+    of the anticone's inverse adj / det modulo Z^r, and the Hermite form of
+    a lattice is canonical, so no class is enumerated."""
+    A = omega if isinstance(omega, AnticoneSet) else validate_stability(git, omega)
+    inverses = [anticone_inverse(git.D, delta) for delta in A.minimal]
+    s = lcm(*(det for _, det in inverses))
     gens = [tuple(s * (i == j) for j in range(git.r)) for i in range(git.r)]
-    gens += [tuple(x * (s // sec.den) for x in sec.num) for sec in sectors]
+    gens += [tuple(x * (s // det) for x in col) for adj, det in inverses for col in zip(*adj)]
     return s, tuple(hermite_row_form(gens))
 
 

@@ -1,14 +1,14 @@
 """Localized equivariant K-theory at fixed points and the pull-push transform.
 
 Every class is a character line bundle L(rho) times an integer Laurent
-polynomial in the inverse divisor bundles S_j.  The pull-push transform of a
-point basis element is computed in closed form, its root generator averaged
-away, and compared, through fixed-point Chern characters, with the analytic
-continuation coefficients; the Euler pairing is evaluated by an inertia
-fixed-point sum.  Restriction to a fixed point is a ring homomorphism, so the
-verification drivers restrict a basis class as a product of m - r binomials
-and its image by the root average of that product, never expanding either
-into terms, every sample at once; the expanded terms are the reference.
+polynomial in the inverse divisor bundles S_j.  The pull-push image of a
+point basis element is written in closed form, one signed monomial per set of
+normal directions, and compared at fixed points with the continuation matrix
+applied to the minus side; the Euler pairing is an inertia fixed-point sum.
+Restriction to a fixed point is a ring homomorphism, so the verification
+drivers restrict a basis class as a product of m - r binomials and its image
+by the root average of that product, never expanding either into terms,
+every sample at once; the expanded terms are the reference.
 """
 
 from __future__ import annotations
@@ -22,18 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gitfan import _idot, fixed_point_labels, next_to_cells
+from .gitfan import _idot, fixed_point_labels
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
 from .lattice import anticone_inverse, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
-from .mellinbarnes import continuation_coefficient
+from .mellinbarnes import continuation_matrix
 
 # a localization denominator factor smaller than this makes a sample resonant
 RESONANCE_CLEARANCE = 1e-9
-
-
-class NonLaurent(ValueError):
-    """Root-averaging left fractional powers; indicates an internal bug."""
 
 
 class ResonantSample(ValueError):
@@ -111,21 +107,14 @@ def minus_basis(wc):
 # the pull-push transform
 
 
-def roots_projector(l, n):
-    """Average of the n-th power over the l roots: the exponent of the
-    underlying bundle when l divides n, else None."""
-    assert l >= 1
-    if n % l != 0:
-        return None
-    return n // l
-
-
 def fm_transform(wc, delta_minus, rho_hat):
     """Pull-push image of a minus-side point basis element, on the plus side.
 
-    Common anticones map identically.  Across the wall the image is the root
-    average of an exact Laurent polynomial in the root generator; the
-    averaged result has integer powers only.
+    Common anticones map identically.  Across the wall the image is the mean
+    over the l-th roots t of 1 / S_{j-} of L(rho_hat) t^(rho_hat.e) (1 + ... +
+    t^-(l-1)) prod_{j not in delta_minus} (1 - t^-k_j S_j), k_j = max(D_j.e, 0):
+    a set T of normal directions gives (-1)^|T| S^T t^(n_T - i), n_T = rho_hat.e
+    - sum_{j in T} k_j, of which only S^T S_{j-}^-floor(n_T / l) survives.
     """
     git = wc.git
     if delta_minus in wc.A_plus.minimal:
@@ -135,36 +124,14 @@ def fm_transform(wc, delta_minus, rho_hat):
         "minus anticone across the wall must have a single negative direction"
     )
     l = -wc.pair_e(j_minus)
-
-    # the line bundle L(rho_hat) is the one factor with a character, so the
-    # Laurent polynomial is kept as {(S exponents, t exponent): coefficient};
-    # it starts as (1 - S_{j-}) / (1 - t^{-1}) = 1 + t^{-1} + ... + t^{-(l-1)}
-    # times t^{rho_hat . e}
-    rho_e = _idot(rho_hat, wc.e)
-    poly = {((0,) * git.m, rho_e - i): 1 for i in range(l)}
+    # (S^T exponents, n_T, (-1)^|T|), one normal direction at a time
+    terms = [((0,) * git.m, _idot(rho_hat, wc.e), 1)]
     for j in range(git.m):
-        if j in delta_minus:
-            continue
-        # times (1 - t^{-k_j} S_j)
-        k_j = max(wc.pair_e(j), 0)
-        product = dict(poly)
-        for (s, t), c in poly.items():
-            key = (s[:j] + (s[j] + 1,) + s[j + 1:], t - k_j)
-            product[key] = product.get(key, 0) - c
-        poly = product
-
-    # root averaging: only exponents divisible by l survive, as powers of
-    # the inverse of S_{j-}
-    acc = {}
-    for (s, t), c in poly.items():
-        exp = roots_projector(l, t)
-        if exp is None or c == 0:
-            continue
-        if s[j_minus] != 0:
-            raise NonLaurent("S_{j-} power before averaging")
-        key = s[:j_minus] + (-exp,) + s[j_minus + 1:]
-        acc[key] = acc.get(key, 0) + c
-    return KClass(intvec(rho_hat), tuple(sorted((s, c) for s, c in acc.items() if c)))
+        if j not in delta_minus:
+            k_j = max(wc.pair_e(j), 0)
+            terms += [(s[:j] + (1,) + s[j + 1:], n - k_j, -c) for s, n, c in terms]
+    averaged = ((s[:j_minus] + (-(n // l),) + s[j_minus + 1:], c) for s, n, c in terms)
+    return KClass(intvec(rho_hat), tuple(sorted(averaged)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +238,10 @@ def _thetas(git, delta, rhos):
 
 def _root_average(wc, delta, pair, den, lams, delta_b, j_minus, rhos, lines):
     """fm_transform's images of the classes (delta_b, rho) at the fixed point,
-    the S_j unexpanded: the mean over the l-th roots t of 1 / S_{j-}|_p of
-    P(t) = L(rho) t^(rho.e) (1 + ... + t^-(l-1)) prod_{j not in delta_b}
-    (1 - t^-k_j S_j), the w^0 coefficient of P mod w^l = 1 for t = tau w.
+    the same closed form factored, the S_j unexpanded: the mean over the l-th
+    roots t of 1 / S_{j-}|_p of P(t) = L(rho) t^(rho.e) (1 + ... +
+    t^-(l-1)) prod_{j not in delta_b} (1 - t^-k_j S_j), the w^0 coefficient
+    of P mod w^l = 1 for t = tau w.
     The factors exact in t (the geometric sum, 1 - t^-k_j for j in delta)
     give integer coefficients; each L(rho) tau^n is one exponential, summed
     into its class of n mod l, so a class of zero coefficients stays 0.0.
@@ -458,32 +426,28 @@ def verify_uhfm(wc, lam_samples):
 
     For every minus basis element, every plus fixed point and every sample,
     compares the restriction of the transformed class against the continued
-    value: the identical restriction on common anticones, the
-    coefficient-weighted sum of minus-side restrictions at the next-to
-    partners otherwise.
+    value: continuation_matrix(wc) applied to the minus-side restrictions,
+    its identity cells as they are and its coefficient cells weighted by the
+    coefficient at each sample.
     """
     lams = lambda_matrix(lam_samples)
     basis = tuple(minus_basis(wc))
-    plus_labels = wc.labels_plus
+    matrix = continuation_matrix(wc)
 
     def at(label, images=False):
         sec = label.sector
         return restricted_basis(wc, basis, label.delta, sec.num, sec.den, lams, images)
 
-    diff = np.zeros((len(basis), len(plus_labels), lams.shape[1]), dtype=complex)
-    for p, lp in enumerate(plus_labels):
-        diff[:, p] = at(lp, images=True)
-        if lp.delta in wc.A_minus.minimal:
-            diff[:, p] -= at(lp)
-    cells = next_to_cells(wc)
-    rows = {q: at(wc.labels_minus[q]) for q in {q for _, q in cells}}
+    diff = np.stack([at(lp, images=True) for lp in matrix.rows], axis=1)
+    rows = {q: at(matrix.cols[q]) for q in {q for _, q in matrix.kinds}}
     pairs = []
-    for p, q in cells:
-        coeff = continuation_coefficient(wc, (plus_labels[p], wc.labels_minus[q]))
-        values = np.array([coeff.value(lam) for lam in lam_samples], dtype=complex)
-        diff[:, p] -= values * rows[q]
+    for (p, q), kind in matrix.kinds.items():
+        if kind == "identity":
+            diff[:, p] -= rows[q]
+            continue
+        diff[:, p] -= np.array([matrix.coefficients[p, q].value(lam) for lam in lam_samples]) * rows[q]
         pairs.append((p, rows[q]))
-    return UhfmReport(basis=basis, plus_labels=plus_labels, diff=diff, pairs=tuple(pairs))
+    return UhfmReport(basis=basis, plus_labels=matrix.rows, diff=diff, pairs=tuple(pairs))
 
 
 def uhfm_sensitivity(wc, lam_samples, epsilon=1e-3):
@@ -499,6 +463,7 @@ def uhfm_sensitivity(wc, lam_samples, epsilon=1e-3):
 class PairingReport(NamedTuple):
     residuals: np.ndarray  # per sample, max over basis pairs of |chi_minus - chi_plus|
     resonant: np.ndarray  # per sample, some localization factor below RESONANCE_CLEARANCE
+    worst: tuple  # per sample, the basis labels (E_a, E_b) of the first largest residual
 
 
 def pairing_residuals(wc, lam_samples, zs):
@@ -506,11 +471,14 @@ def pairing_residuals(wc, lam_samples, zs):
     chi_minus(E_a, E_b) = chi_plus(FM E_a, FM E_b) over ordered basis pairs,
     with the modified pairing at sample s taken at z = zs[s]."""
     lams = lambda_matrix(lam_samples, zs)
-    restrict = partial(restricted_basis, wc, minus_basis(wc))
+    basis = minus_basis(wc)
+    restrict = partial(restricted_basis, wc, basis)
     g_minus, small_minus = localization_gram(wc.git, wc.A_minus, restrict, lams)
     g_plus, small_plus = localization_gram(wc.git, wc.A_plus, partial(restrict, images=True), lams)
-    residuals = np.abs(g_minus - g_plus).max(axis=(0, 1), initial=0.0)
-    return PairingReport(residuals, np.minimum(small_minus, small_plus) < RESONANCE_CLEARANCE)
+    gaps = np.abs(g_minus - g_plus).reshape(len(basis) ** 2, -1)
+    worst = tuple((basis[i // len(basis)], basis[i % len(basis)]) for i in gaps.argmax(axis=0))
+    resonant = np.minimum(small_minus, small_plus) < RESONANCE_CLEARANCE
+    return PairingReport(gaps.max(axis=0, initial=0.0), resonant, worst)
 
 
 def verify_pairing_preserved(wc, lam, z):

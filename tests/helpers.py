@@ -13,7 +13,8 @@ production path it checks can cross-validate each other:
 - the continuation oracle extracts a connection coefficient numerically
   from grouped left residues of the Barnes integral;
 - the pull-push oracle multiplies Laurent polynomials in the S_j and the
-  root generator t, then averages t over its roots;
+  root generator t, then averages t over its roots, and builds a point
+  class as a product of K-classes (oracle_point_class);
 - the restriction oracles (oracle_restrict_u, oracle_theta_restrict,
   oracle_restriction_terms) solve the anticone coordinates of each
   character by fraction_solve and keep the forms as Fraction coefficient
@@ -64,11 +65,13 @@ import functools
 import itertools
 import json
 import math
+import pathlib
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
+from wallcross.cli import load_config
 from wallcross.gitfan import (
     WALL_SEARCH_RADIUS,
     CoordinateChange,
@@ -94,7 +97,7 @@ from wallcross.hypergeom import (
     make_inner_spec,
     w_constant,
 )
-from wallcross.ktheory import KClass, basis_e, roots_projector
+from wallcross.ktheory import KClass
 from wallcross.lattice import (
     NotAHyperplane,
     anticone_coords,
@@ -121,6 +124,8 @@ from wallcross.mellinbarnes import (
     _pole_scan,
     _split_xi,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +459,14 @@ def _dual_unit(e):
             if sum(a * b for a, b in zip(g, e)) == 1:
                 return tuple(g)
     raise AssertionError("no small dual vector found for %r" % (e,))
+
+
+@functools.lru_cache(maxsize=None)
+def committed_crossings():
+    """The crossings of configs/ and bench/configs/, in path order."""
+    paths = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "bench" / "configs").glob("*.json"))
+    cfgs = [load_config(str(path)) for path in paths]
+    return tuple(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]) for cfg in cfgs)
 
 
 def random_crepant_crossing(rng, max_r=3, max_m=7, max_tries=400):
@@ -1020,12 +1033,21 @@ def kc_dual(a):
     return kclass([-x for x in a.rho], {tuple(-x for x in s): c for s, c in a.terms})
 
 
+def oracle_point_class(git, delta, rho_hat):
+    """L(rho_hat) times the product of (1 - S_i) over i not in delta, as a
+    product of K-classes."""
+    factors = [kclass((0,) * git.r, {(0,) * git.m: 1, tuple(int(i == j) for i in range(git.m)): -1})
+               for j in range(git.m) if j not in delta]
+    return kc_mul(kc_line(git, intvec(rho_hat)), *factors)
+
+
 def oracle_fm_transform(wc, delta_minus, rho_hat):
     """The pull-push image as a product of Laurent polynomials in the S_j and
-    the root generator t, root averaged."""
+    the root generator t, root averaged: only the powers of t divisible by l
+    survive, as powers of the inverse of S_{j-}."""
     git = wc.git
     if delta_minus in wc.A_plus.minimal:
-        return basis_e(git, wc.A_plus, delta_minus, rho_hat)
+        return oracle_point_class(git, delta_minus, rho_hat)
     j_minus = next(i for i in delta_minus if wc.pair_e(i) < 0)
     l = -wc.pair_e(j_minus)
 
@@ -1039,9 +1061,9 @@ def oracle_fm_transform(wc, delta_minus, rho_hat):
             poly = _laurent_product(poly, {mono(0): 1, mono(-max(wc.pair_e(j), 0), j): -1})
     acc = {}
     for exps, c in poly.items():
-        exp = roots_projector(l, exps[-1])
-        if exp is not None:
-            s = exps[:j_minus] + (-exp,) + exps[j_minus + 1:-1]
+        n = exps[-1]
+        if n % l == 0:
+            s = exps[:j_minus] + (-(n // l),) + exps[j_minus + 1:-1]
             acc[s] = acc.get(s, 0) + c
     return kclass(intvec(rho_hat), acc)
 

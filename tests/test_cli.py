@@ -442,6 +442,25 @@ def test_verify_ode_names_its_worst_check(config_dir):
     assert rows[sample]["residual"] == results["max_residual"]
 
 
+def test_verify_pairing_names_its_worst_gram_entry(config_dir):
+    import re
+
+    from wallcross import cli
+    from wallcross.gitfan import wall_crossing
+    from wallcross.ktheory import minus_basis
+
+    cfg = cli.load_config(str(config_dir / "gerbe_flop.json"))
+    results, ok = cli.cmd_verify(cfg, "pairing")
+    assert ok
+    name = r"e\(delta=\[[\d, ]+\], rho=\[[-\d, ]+\]\)"
+    match = re.fullmatch(r"(%s) x (%s) at sample (\d+)" % (name, name), results["worst"])
+    assert match, results["worst"]
+    assert int(match.group(3)) == results["worst_sample"]
+    wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+    names = {cli._basis_name(delta, rho) for delta, rho in minus_basis(wc)}
+    assert {match.group(1), match.group(2)} <= names
+
+
 def test_overrides_match_the_same_settings_written_in(config_dir, tmp_path):
     path = config_dir / "conifold.json"
     keys = {"uhfm": "residual", "pairing": "pairing", "mb": "mb", "ode": "ode", "lifts": "lifts"}

@@ -139,6 +139,20 @@ def test_order_three_averaging_integral():
         assert image == oracle_fm_transform(wc, delta, rho)
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_fm_closed_form_on_local_projective_space(n):
+    # l = n + 1, and n_T = rho.e - |T| falls below zero for large sets T
+    wc = wall_crossing(make_git([(1,)] * (n + 1) + [(-(n + 1),)]), (1,), (-1,))
+    assert -wc.pair_e(n + 1) == n + 1
+    for delta, rho in minus_basis(wc):
+        assert fm_transform(wc, delta, rho) == oracle_fm_transform(wc, delta, rho)
+
+
+def test_fm_closed_form_on_the_gerbe_flop(gerbe_flop):
+    for delta, rho in minus_basis(gerbe_flop):
+        assert fm_transform(gerbe_flop, delta, rho) == oracle_fm_transform(gerbe_flop, delta, rho)
+
+
 def test_skew_anticone_crossing_identities():
     # regression: sector classes on skew anticone matrices (order four with a
     # non-symmetric pairing) feed the transform and the pairing correctly

@@ -10,6 +10,7 @@ from helpers import (
     all_anticones,
     assert_frame_properties,
     assert_sigma_transition,
+    committed_crossings,
     fraction_det,
     fraction_dual,
     frac_part,
@@ -240,16 +241,17 @@ def test_wall_frame_bases_integral_and_adapted(all_examples):
         assert vdot(frame.sfp_minus[-1], wc.e) < 0
 
 
-def test_dual_of_extended_matches_the_fraction_dual(all_examples):
-    # the extended lattice's rows, built from the box classes' numerators,
-    # are the Hermite basis of Z^r and the oracle's Fraction classes; the
+def test_dual_of_extended_matches_the_fraction_dual():
+    # the extended lattice's rows, built from the anticone inverses, are the
+    # Hermite basis of Z^r and the oracle's Fraction box classes; the
     # integer Hermite rows from the cleared inverse equal the Hermite form of
     # the Fraction inverse's columns; coordinates over them are the Fraction
     # solve's, and a point outside raises
     from wallcross.lattice import extended_lattice, lattice_from_generators
 
     rng = random.Random(23)
-    crossings = list(all_examples.values()) + [random_crepant_crossing(rng) for _ in range(60)]
+    crossings = list(committed_crossings()) + [random_crepant_crossing(rng) for _ in range(100)]
+    crossings += [_frame_case(name) for name in sorted({**FORMERLY_UNFRAMED, **SPLIT_SIDES})]
     for wc in crossings:
         units = [tuple(int(i == j) for j in range(wc.git.r)) for i in range(wc.git.r)]
         for omega, A in ((wc.omega_plus, wc.A_plus), (wc.omega_minus, wc.A_minus)):

@@ -19,6 +19,7 @@ import pytest
 
 from helpers import (
     anticone_dual,
+    committed_crossings,
     fraction_coefficient_value,
     frac_part,
     fraction_coeffs,
@@ -116,17 +117,6 @@ def _crossings():
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _config_crossings():
-    """The crossings of configs/ and bench/configs/."""
-    paths = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "bench" / "configs").glob("*.json"))
-    out = []
-    for path in paths:
-        cfg = load_config(str(path))
-        out.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
-    return tuple(out)
-
-
 def _outcome(fn, *args):
     """The result of fn, or the type and message of the ValueError it raises."""
     try:
@@ -174,7 +164,7 @@ def test_sector_views_phases_and_lifts_match_the_fraction_route():
     canonical lift and at lifts shifted by integer vectors, given as integer
     numerators over the order, against the Fraction restriction."""
     checked = 0
-    for wc in _config_crossings() + _crossings()[:260]:
+    for wc in committed_crossings() + _crossings()[:260]:
         git = wc.git
         shifts = [(0,) * git.r, tuple(1 - 3 * (i > 0) for i in range(git.r))]
         rho = tuple(a - b for a, b in zip(git.D[0], git.D[-1]))
@@ -212,7 +202,7 @@ def test_factored_restrictions_match_the_expanded_route():
     is exactly 0.0.  A crossing with more than 30 cases is checked on at
     most 30 evenly spaced ones."""
     checked = zeros = 0
-    for wc in _config_crossings() + _crossings()[:80]:
+    for wc in committed_crossings() + _crossings()[:80]:
         git = wc.git
         basis = tuple(minus_basis(wc))
         lam = generic_lambdas(wc, 1, seed=83)[0]
@@ -289,7 +279,7 @@ def test_next_to_pairs_and_lifts_match_the_double_loop():
 def test_labels_come_in_the_order_of_the_deleted_sort():
     # delta lex, zero sector first, then by f: the order fixed_point_labels
     # sorted into before its double loop was seen to give it
-    for wc in _config_crossings() + _crossings():
+    for wc in committed_crossings() + _crossings():
         for A in (wc.A_plus, wc.A_minus):
             labels = fixed_point_labels(wc.git, A)
             assert labels == sorted(labels, key=lambda l: (l.delta, not l.sector.is_zero, l.sector.f))
@@ -321,7 +311,7 @@ def test_coefficient_route_matches_the_fraction_route():
     lift_invariance_check (on the first three pairs of a crossing); doctored
     lifts raise IncompatibleLifts on both."""
     coefficients = refused = 0
-    for wc in _config_crossings() + _crossings():
+    for wc in committed_crossings() + _crossings():
         pairs = next_to_pairs(wc)
         assert pairs == fraction_next_to_pairs(wc)
         lams = generic_lambdas(wc, 2, 7)
@@ -351,7 +341,7 @@ def test_restrictions_match_the_fraction_solve():
     characters, against the Fraction solve: numerators over the isotropy
     order, floats bit for bit those of the Fractions, and the printed form."""
     rng = random.Random(31)
-    for wc in _config_crossings() + _crossings()[:260]:
+    for wc in committed_crossings() + _crossings()[:260]:
         git = wc.git
         for delta in sorted(set(wc.A_plus.minimal + wc.A_minus.minimal)):
             det = abs(fraction_det([git.D[i] for i in delta]))

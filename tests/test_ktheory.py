@@ -1,6 +1,7 @@
 import cmath
 import math
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -8,7 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import frac_part, kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass, lift_numerators
+from helpers import committed_crossings, frac_part, kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass, lift_numerators
+from wallcross import ktheory
 from wallcross.gitfan import (
     box_elements,
     compatible_minus_lift,
@@ -36,14 +38,13 @@ from wallcross.ktheory import (
     pairing_residuals,
     restricted_basis,
     restriction_terms,
-    roots_projector,
     uhfm_sensitivity,
     verify_pairing_preserved,
     verify_uhfm,
 )
 from wallcross.lattice import vdot
 from wallcross.localization import restrict_u
-from wallcross.mellinbarnes import continuation_coefficient
+from wallcross.mellinbarnes import continuation_coefficient, continuation_matrix
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -74,13 +75,6 @@ def test_basis_e_vanishes_elsewhere(gerbe_flop):
     other = [l for l in fixed_point_labels(gerbe_flop.git, gerbe_flop.A_minus) if l.delta == (0, 2)]
     for label in other:
         assert chern_restrict(gerbe_flop.git, e, label, lam) == 0
-
-
-def test_roots_projector():
-    assert roots_projector(2, 3) is None
-    assert roots_projector(2, 4) == 2
-    assert roots_projector(1, 5) == 5
-    assert roots_projector(1, -3) == -3
 
 
 def test_fm_common_anticone_is_identity(gerbe_flop):
@@ -545,6 +539,43 @@ def test_closed_form_sensitivity_matches_perturbed_rerun(all_examples):
                     for q in range(len(next_to_pairs(wc))))
         closed = verify_uhfm(wc, lams).sensitivity(1e-3)
         assert abs(closed - brute) <= 1e-9 * brute
+
+
+@pytest.mark.parametrize("kind, crossings", [("identity", 8), ("coefficient", 17)])
+def test_uhfm_applies_the_continuation_matrix(monkeypatch, kind, crossings):
+    # with one cell of the printed matrix dropped, the row of that cell
+    # keeps its continued value, so uhfm must read the matrix to pass
+    checked = 0
+    for wc in committed_crossings():
+        matrix = continuation_matrix(wc)
+        cell = next((c for c, k in matrix.kinds.items() if k == kind), None)
+        if cell is None:
+            continue
+        doctored = replace(matrix, kinds={c: k for c, k in matrix.kinds.items() if c != cell},
+                           coefficients={c: v for c, v in matrix.coefficients.items() if c != cell})
+        monkeypatch.setattr(ktheory, "continuation_matrix", lambda wc, doctored=doctored: doctored)
+        assert verify_uhfm(wc, generic_lambdas(wc, 3, seed=71)).max_residual > 1e-9
+        monkeypatch.undo()
+        checked += 1
+    assert checked == crossings
+
+
+def test_pairing_report_names_the_first_largest_gram_gap(gerbe_flop):
+    wc = gerbe_flop
+    basis = minus_basis(wc)
+    lams = generic_lambdas(wc, 6, seed=29)
+    zs = [1.0 + 0.07 * i for i in range(len(lams))]
+    rep = pairing_residuals(wc, lams, zs)
+    matrix = lambda_matrix(lams, zs)
+    restrict = partial(restricted_basis, wc, basis)
+    g_minus, _ = localization_gram(wc.git, wc.A_minus, restrict, matrix)
+    g_plus, _ = localization_gram(wc.git, wc.A_plus, partial(restrict, images=True), matrix)
+    assert len(basis) > 1 and len(rep.worst) == len(lams)
+    for s, (a, b) in enumerate(rep.worst):
+        gaps = np.abs(g_minus[:, :, s] - g_plus[:, :, s])
+        first = next((i, k) for i in range(len(basis)) for k in range(len(basis)) if gaps[i, k] == gaps.max())
+        assert (a, b) == (basis[first[0]], basis[first[1]])
+        assert rep.residuals[s] == gaps.max()
 
 
 def test_resonant_sample_is_skipped_on_the_clearance_rule(conifold):

@@ -15,7 +15,9 @@ next-to pairs and connection coefficients takes its line classes, lift
 multiples and restrictions from its own Fraction arithmetic, never from
 the integer line helpers, the matching or the coefficient it checks; the box
 and restriction oracles build their classes and triples in Fractions, never
-from the box enumeration or the restriction they check.
+from the box enumeration or the restriction they check; the pull-push oracle
+builds its point classes and root filter, never from the basis, the
+transform or the continuation matrix it checks.
 
 Library code builds a Fraction only in the functions FRACTION_SITES names.
 """
@@ -33,7 +35,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_line_key", "next_to_cells", "minus_lift_numerators",
                 "continuation_coefficient", "validate_stability", "_chamber_table",
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
-                "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis"}
+                "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
+                "basis_e", "fm_transform", "continuation_matrix"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift and a phase are integer numerators over a denominator
