@@ -274,9 +274,9 @@ def fixed_point_labels(git, A):
 
     The minimal anticones are sorted, and so are the box classes, zero
     sector first, so the double loop lists the labels in that order."""
-    sectors = box_elements(git, A)
+    sectors = [(sec, frozenset(sec.I_f)) for sec in box_elements(git, A)]
     return [FixedPointLabel(delta=delta, sector=sec) for delta in A.minimal
-            for sec in sectors if all(i in sec.I_f for i in delta)]
+            for sec, isotropy in sectors if isotropy.issuperset(delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,12 @@ class WallCrossing:
     def labels_minus(self):
         """The minus fixed points in order, listed once per crossing."""
         return tuple(fixed_point_labels(self.git, self.A_minus))
+
+    @cached_property
+    def sector_lines(self):
+        """line_split of each fixed point's sector along e, once per crossing."""
+        sectors = {lab.sector for lab in self.labels_plus + self.labels_minus}
+        return {sec: line_split(sec.num, sec.den, self.e) for sec in sectors}
 
 
 @lru_cache(maxsize=256)
@@ -479,10 +485,10 @@ def plus_labels_across(wc):
     return [lp for lp in wc.labels_plus if lp.delta not in minus]
 
 
-def _line_key(sector, e):
+def _line_key(wc, sector):
     """The sector's class in Q^r / (Q e + Z^r): the numerators of line_split
     over the order, reduced by their common divisor with it."""
-    _a, c = line_split(sector.num, sector.den, e)
+    _a, c = wc.sector_lines[sector]
     g = gcd(sector.den, *c)
     return tuple(x // g for x in c), sector.den // g
 
@@ -501,7 +507,7 @@ def next_to_cells(wc):
     by_class = {}
     for q, lm in enumerate(wc.labels_minus):
         if lm.delta not in plus_min:
-            by_class.setdefault((lm.delta, _line_key(lm.sector, wc.e)), []).append(q)
+            by_class.setdefault((lm.delta, _line_key(wc, lm.sector)), []).append(q)
     adjacent = {}
     out = []
     for p, lp in enumerate(wc.labels_plus):
@@ -509,7 +515,7 @@ def next_to_cells(wc):
             continue
         if lp.delta not in adjacent:
             adjacent[lp.delta] = [d for d in across if anticones_next_to(wc, lp.delta, d)]
-        key = _line_key(lp.sector, wc.e)
+        key = _line_key(wc, lp.sector)
         for delta in adjacent[lp.delta]:
             out += [(p, q) for q in by_class.get((delta, key), ())]
     return out

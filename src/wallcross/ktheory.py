@@ -47,16 +47,13 @@ class KClass:
         if not self.terms:
             return "0"
         line = ["L(%s)" % ",".join(map(str, self.rho))] if any(self.rho) else []
+        names = ["S%d" % (j + 1) for j in range(len(self.terms[0][0]))]
         parts = []
         for s, c in self.terms:
-            factors = ["S%d%s" % (j + 1, "" if a == 1 else "^%d" % a) for j, a in enumerate(s) if a]
+            factors = [names[j] if s[j] == 1 else "%s^%d" % (names[j], s[j])
+                       for j in itertools.compress(range(len(s)), s)]
             body = "*".join(factors + line) or "1"
-            if c == 1:
-                parts.append("+" + body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%+d*%s" % (c, body))
+            parts.append("+" + body if c == 1 else "-" + body if c == -1 else "%+d*%s" % (c, body))
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
 
@@ -68,10 +65,10 @@ class KClass:
 def basis_e(git, A, delta, rho_hat):
     """Point class at a minimal anticone twisted by a character lift:
     L(rho_hat) times the product of (1 - S_i) over i not in delta, expanded
-    over the subsets of the normal directions."""
-    normal = [i for i in range(git.m) if i not in delta]
-    terms = [(tuple(int(i in subset) for i in range(git.m)), (-1) ** k)
-             for k in range(len(normal) + 1) for subset in itertools.combinations(normal, k)]
+    one normal direction at a time over its subsets."""
+    terms = [((0,) * git.m, 1)]
+    for j in (i for i in range(git.m) if i not in delta):
+        terms += [(s[:j] + (1,) + s[j + 1:], -c) for s, c in terms]
     return KClass(intvec(rho_hat), tuple(sorted(terms)))
 
 
@@ -332,10 +329,12 @@ def localization_gram(git, A, restrict, lams):
     restriction of dual(E_a), which is that of E_a at (-num, -lams), times
     that of E_b, divided by the isotropy order and by the product over
     normal directions of (1 - phase * exp(-u)); no product class is formed.
+    The points are stacked, so each sample's sum over them is four real
+    matrix products (after a complex one, complex exp ran ten times slower).
     Returns the (classes, classes, S) Gram array and, per sample, the
     smallest normal factor in absolute value.
     """
-    gram = 0j
+    lefts, rights = [], []
     smallest = np.full(lams.shape[1], np.inf)
     # resonant samples divide by ~0 here, and the callers mask them out; a
     # small |z| overflows the exponentials, and the NaN it leaves FAILs the
@@ -347,10 +346,12 @@ def localization_gram(git, A, restrict, lams):
             factors = 1 - _exps([(-sec.pairings[j], [-x for x in u[j].num]) for j in normal], sec.den, u[0].den, lams)
             smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
             v_left = restrict(delta, tuple(-x for x in sec.num), sec.den, -lams)
-            v_right = restrict(delta, sec.num, sec.den, lams)
-            weighted = v_left / (isotropy_order(git, delta) * factors.prod(axis=0))
-            gram += weighted[:, None, :] * v_right[None, :, :]
-    return gram, smallest
+            lefts.append(v_left / (isotropy_order(git, delta) * factors.prod(axis=0)))
+            rights.append(restrict(delta, sec.num, sec.den, lams))
+        left, right = np.transpose(lefts, (2, 1, 0)), np.transpose(rights, (2, 0, 1))
+        gram = (left.real @ right.real - left.imag @ right.imag).astype(complex)
+        gram.imag = left.real @ right.imag + left.imag @ right.real
+    return gram.transpose(1, 2, 0), smallest
 
 
 def euler_pairing(git, A, E, F, lam, z=None):

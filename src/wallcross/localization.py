@@ -2,7 +2,7 @@
 
 Every restriction is an exact linear form in the torus parameters: integer
 numerators over the isotropy order det D_delta of its fixed point.  A form
-becomes floats once (``LinearForm.floats``) and a Fraction only when printed.
+becomes floats once (``LinearForm.floats``) and text only when printed.
 The central identity here is the wall transition of restricted divisor
 classes between next-to fixed points, an exact equality of forms.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .gitfan import anticones_next_to, wall_frame
 from .lattice import anticone_inverse
@@ -56,9 +57,10 @@ class LinearForm:
         parts = []
         for i, n in enumerate(self.num):
             if n:
-                a = Fraction(n, self.den)
-                scale = "" if abs(a) == 1 else "%s*" % abs(a)
-                parts.append("%s%sL%d" % ("+" if a > 0 else "-", scale, i + 1))
+                g = gcd(n, self.den)
+                p, q = abs(n) // g, self.den // g
+                scale = "" if p == q else "%d*" % p if q == 1 else "%d/%d*" % (p, q)
+                parts.append("%s%sL%d" % ("+" if n > 0 else "-", scale, i + 1))
         return "".join(parts).lstrip("+") or "0"
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import _idot, minus_lift_numerators, next_to_cells
+from .gitfan import _idot, next_to_cells
 from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
@@ -91,54 +91,68 @@ class ContinuationCoefficient:
         )
 
 
-def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
-    """Closed-form connection coefficient for a next-to pair of labels.
-
-    Lifts default to the canonical plus representative and the compatible
-    minus lift; every lift must represent its sector class, and the two must
-    differ by a rational multiple of the wall normal.
-
-    Default and supplied lifts take one route, on integer numerators: a lift
-    n / s represents the sector num / den when n mod s over s is num / den,
-    and D_j . lift is the integer D_j . n over s.
-    """
-    label_plus, label_minus = pair
-    sec_plus, sec_minus = label_plus.sector, label_minus.sector
-    j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
+def _anticone_pair(wc, delta_plus, delta_minus):
+    """(j_minus, l, ratio_js, u_plus, u_minus): a coefficient's anticone data."""
+    j_minus = next(i for i in delta_minus if i not in delta_plus)
     l = -wc.pair_e(j_minus)
     assert l > 0
-    ratio_js = tuple(j for j in wc.M_minus if j != j_minus)
-    plus = (sec_plus.den, sec_plus.num) if lift_plus is None else cleared(lift_plus)
-    minus = (minus_lift_numerators(wc, sec_plus, sec_minus) if lift_minus is None
-             else cleared(lift_minus))
-    pairings = []
-    for (s, n), sec in ((plus, sec_plus), (minus, sec_minus)):
+    return (j_minus, l, tuple(j for j in wc.M_minus if j != j_minus),
+            restrict_u(wc.git, delta_plus), restrict_u(wc.git, delta_minus))
+
+
+def _coefficient(wc, w, anticones, pair, plus=None, minus=None):
+    """The coefficient of a next-to pair from its anticone data and, per
+    side, an integer lift (s, n, c, view) of the sector: c[j] = D_j . n,
+    view the lift to report or None for n / s.  The default plus lift is the
+    sector, the minus one f_plus + alpha e: by linearity of line_split,
+    alpha s = (U (s f_minus - s f_plus))[0] mod s over the lcm s of the
+    orders, and the pairings follow from the sectors'.  Each lift must
+    represent its sector, and they differ by a multiple of the wall normal."""
+    (j_minus, l, ratio_js, u_plus, u_minus), (sp, sm) = anticones, (pair[0].sector, pair[1].sector)
+    plus = plus or (sp.den, sp.num, sp.pairings, pair[0].f)
+    if minus is None:
+        s, (a_plus, _), (a_minus, _) = math.lcm(sp.den, sm.den), wc.sector_lines[sp], wc.sector_lines[sm]
+        k, a = s // sp.den, (a_minus * (s // sm.den) - a_plus * (s // sp.den)) % s
+        minus = (s, tuple(k * x + a * y for x, y in zip(sp.num, wc.e)),
+                 [k * x + a * y for x, y in zip(sp.pairings, wc.pairings)], None)
+    for sec, (s, n, _c, _view) in ((sp, plus), (sm, minus)):
         # the sector's f = num / den is the fractional part of every lift of it
         if any((x % s) * sec.den != y * s for x, y in zip(n, sec.num)):
             raise IncompatibleLifts("lift does not represent the sector class")
-        pairings.append({j: _idot(wc.git.D[j], n) for j in (j_minus,) + ratio_js})
-    (s_plus, n_plus), (s_minus, n_minus) = plus, minus
-    c_plus, c_minus = pairings
+    (s_plus, n_plus, c_plus, lift_plus), (s_minus, n_minus, c_minus, lift_minus) = plus, minus
     v, e = [a * s_minus - b * s_plus for a, b in zip(n_plus, n_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
         raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
-    u_plus = restrict_u(wc.git, label_plus.delta)
-    u_minus = restrict_u(wc.git, label_minus.delta)
     # int / int is the correctly rounded quotient, as float(Fraction) is
     ratio_terms = tuple((u_plus[j], complex(c_plus[j] / s_plus),
                          u_minus[j], complex(c_minus[j] / s_minus)) for j in ratio_js)
     return ContinuationCoefficient(
         j_minus=j_minus,
         l=l,
-        w=w_constant(wc),
-        lift_plus=label_plus.f if lift_plus is None else ratvec(lift_plus),
-        lift_minus=(tuple(Fraction(x, s_minus) for x in n_minus) if lift_minus is None
-                    else ratvec(lift_minus)),
+        w=w,
+        lift_plus=lift_plus or tuple(Fraction(x, s_plus) for x in n_plus),
+        lift_minus=lift_minus or tuple(Fraction(x, s_minus) for x in n_minus),
         u_form=u_plus[j_minus],
         shift=Fraction(c_plus[j_minus] * s_minus - c_minus[j_minus] * s_plus, s_plus * s_minus),
         ratio_js=ratio_js,
         ratio_terms=ratio_terms,
     )
+
+
+def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
+    """Closed-form connection coefficient for a next-to pair of labels.
+
+    Lifts default to the canonical plus representative and the compatible
+    minus lift; every lift must represent its sector class, and the two must
+    differ by a rational multiple of the wall normal.
+    """
+    def supplied(lift):
+        if lift is not None:
+            s, n = cleared(lift)
+            return s, n, [_idot(row, n) for row in wc.git.D], ratvec(lift)
+
+    anticones = _anticone_pair(wc, pair[0].delta, pair[1].delta)
+    return _coefficient(wc, w_constant(wc), anticones, pair, supplied(lift_plus), supplied(lift_minus))
 
 
 def lift_invariance_check(wc, pair, lams, tol=1e-12):
@@ -189,10 +203,11 @@ def continuation_matrix(wc):
         j = col_at.get((lp.delta, lp.sector.num, lp.sector.den))
         if j is not None:
             kinds[(i, j)] = "identity"
-    coeffs = {}
-    for cell in next_to_cells(wc):
-        kinds[cell] = "coefficient"
-        coeffs[cell] = continuation_coefficient(wc, (rows[cell[0]], cols[cell[1]]))
+    cells, w = next_to_cells(wc), w_constant(wc)
+    anticones = {key: _anticone_pair(wc, *key) for key in {(rows[p].delta, cols[q].delta) for p, q in cells}}
+    coeffs = {(p, q): _coefficient(wc, w, anticones[rows[p].delta, cols[q].delta], (rows[p], cols[q]))
+              for p, q in cells}
+    kinds.update(dict.fromkeys(coeffs, "coefficient"))
     return ContinuationMatrix(rows=rows, cols=cols, kinds=dict(sorted(kinds.items())),
                               coefficients=coeffs)
 

@@ -15,6 +15,9 @@ production path it checks can cross-validate each other:
 - the pull-push oracle multiplies Laurent polynomials in the S_j and the
   root generator t, then averages t over its roots, and builds a point
   class as a product of K-classes (oracle_point_class);
+- the Gram reference (reference_gram) adds each fixed point's outer
+  product in turn, its normal factors from the oracle forms, against the
+  Gram of stacked points;
 - the restriction oracles (oracle_restrict_u, oracle_theta_restrict,
   oracle_restriction_terms) solve the anticone coordinates of each
   character by fraction_solve and keep the forms as Fraction coefficient
@@ -1068,6 +1071,41 @@ def oracle_fm_transform(wc, delta_minus, rho_hat):
     return kclass(intvec(rho_hat), acc)
 
 
+def oracle_describe(kc):
+    """A KClass's text, every exponent of every term looked at in turn."""
+    if not kc.terms:
+        return "0"
+    line = "*L(%s)" % ",".join(str(x) for x in kc.rho) if any(kc.rho) else ""
+    out = ""
+    for exps, c in kc.terms:
+        body = "*".join("S%d" % (j + 1) + ("" if a == 1 else "^%d" % a) for j, a in enumerate(exps) if a)
+        body = (body + line).lstrip("*") or "1"
+        out += ("+" if c > 0 else "-") + ("" if abs(c) == 1 else "%d*" % abs(c)) + body
+    return out[1:] if out[0] == "+" else out
+
+
+def reference_gram(git, A, restrict, lams):
+    """localization_gram's sum as it was, one fixed point at a time: each
+    point's outer product added in turn, its normal factors from the forms
+    of oracle_restrict_u.  Returns the Gram array and, per entry, the sum of
+    its terms' absolute values, which bounds the sum's rounding (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2)."""
+    gram = sizes = 0.0
+    for label in fixed_point_labels(git, A):
+        sec = label.sector
+        u = _oracle_u_forms(git, label.delta)
+        # forms times samples by broadcasting: a complex BLAS product slows
+        # numpy's complex exp for the rest of the process
+        factors = np.prod([1 - cmath.exp(-TWO_PI_I * sec.phase(j))
+                           * np.exp(-(np.array(u[j].floats)[:, None] * lams).sum(axis=0))
+                           for j in range(git.m) if j not in label.delta], axis=0)
+        left = restrict(label.delta, tuple(-x for x in sec.num), sec.den, -lams) / (u[0].den * factors)
+        right = restrict(label.delta, sec.num, sec.den, lams)
+        gram = gram + left[:, None] * right[None]
+        sizes = sizes + np.abs(left)[:, None] * np.abs(right)[None]
+    return gram, sizes
+
+
 # ---------------------------------------------------------------------------
 # the Barnes line integrated at one point over the whole cut |Im s| <= t_max
 
@@ -1417,9 +1455,11 @@ def fraction_compatible_minus_lift(wc, label_plus, label_minus):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_u_forms(git, delta):
-    """oracle_restrict_u as LinearForms over the isotropy order, once per
-    GIT data and anticone."""
-    det = abs(fraction_det([git.D[i] for i in delta]))
+    """oracle_restrict_u as LinearForms over the isotropy order, an int as
+    in the library, once per GIT data and anticone."""
+    det = fraction_det([git.D[i] for i in delta])
+    assert det.denominator == 1, "a determinant of integers is an integer"
+    det = abs(det.numerator)
     return tuple(LinearForm(tuple(intvec([c * det for c in coeffs])), det)
                  for coeffs in oracle_restrict_u(git, delta))
 

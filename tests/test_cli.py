@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -145,8 +146,13 @@ def test_continuation_gerbe_has_l2_ratio_and_identity_rows(config_dir):
     assert all("2 sin(pi X/2)" in form for form in closed)
 
 
-@pytest.mark.parametrize("name", ["configs/conifold", "configs/gerbe_flop", "configs/resolution",
-                                  "bench/configs/rank3_s11_d20"])
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the committed crossings, configs/ and bench/configs/, by path below the root
+COMMITTED = [str(path.relative_to(ROOT).with_suffix("")) for folder in ("configs", "bench/configs")
+             for path in sorted((ROOT / folder).glob("*.json"))]
+
+
+@pytest.mark.parametrize("name", COMMITTED)
 def test_continuation_lists_the_nonzero_cells_of_the_dense_matrix(config_dir, name):
     """The report's entries are the dense listing without its zero cells,
     bit for bit and in order, and the labels and entries rebuild it."""

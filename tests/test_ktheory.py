@@ -9,7 +9,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import committed_crossings, frac_part, kc_dual, kc_line, kc_mul, kc_one, kc_s, kc_zero, kclass, lift_numerators
+from helpers import (
+    committed_crossings,
+    frac_part,
+    kc_dual,
+    kc_line,
+    kc_mul,
+    kc_one,
+    kc_s,
+    kc_zero,
+    kclass,
+    lift_numerators,
+    oracle_describe,
+    reference_gram,
+)
 from wallcross import ktheory
 from wallcross.gitfan import (
     box_elements,
@@ -22,6 +35,7 @@ from wallcross.gitfan import (
 )
 from wallcross.hypergeom import TWO_PI_I, generic_lambdas, log_gamma
 from wallcross.ktheory import (
+    KClass,
     ResonantSample,
     basis_e,
     canonical_rho_lifts,
@@ -619,22 +633,6 @@ def test_uhfm_on_the_8_8_flop_stays_at_rounding_level():
     assert verify_uhfm(wc, generic_lambdas(wc, 20, seed=7)).max_residual < 1e-9
 
 
-def _gram_term_sizes(git, A, restrict, lams):
-    """Per Gram entry, the sum over fixed points of the absolute values of
-    its terms, which bounds the sum's rounding (Higham, Accuracy and
-    Stability of Numerical Algorithms, 4.2)."""
-    sizes = 0.0
-    for label in fixed_point_labels(git, A):
-        sec = label.sector
-        u = restrict_u(git, label.delta)
-        factors = np.prod([1 - cmath.exp(-TWO_PI_I * sec.phase(j)) * np.exp(-(np.array(u[j].floats) @ lams))
-                           for j in range(git.m) if j not in label.delta], axis=0)
-        left = np.abs(restrict(label.delta, tuple(-x for x in sec.num), sec.den, -lams))
-        right = np.abs(restrict(label.delta, sec.num, sec.den, lams))
-        sizes = sizes + left[:, None] * right[None] / (isotropy_order(git, label.delta) * np.abs(factors))
-    return sizes
-
-
 def test_gram_on_the_4_4_flop_matches_the_expanded_route():
     # each entry within 1e-13 of the largest entry, or of the entry's own
     # term sizes where the fixed-point sum cancels (up to 1000 times the
@@ -654,5 +652,37 @@ def test_gram_on_the_4_4_flop_matches_the_expanded_route():
         restrict = partial(restricted_basis, wc, basis, images=images)
         ref, _ = localization_gram(git, A, expanded, matrix)
         gram, _ = localization_gram(git, A, restrict, matrix)
-        scale = np.maximum(_gram_term_sizes(git, A, restrict, matrix), np.abs(ref).max())
+        scale = np.maximum(reference_gram(git, A, restrict, matrix)[1], np.abs(ref).max())
         assert (np.abs(gram - ref) <= 1e-13 * scale).all()
+
+
+def test_stacked_gram_matches_the_pointwise_sum():
+    # the committed crossings at the pairing suite's z spread, both sides:
+    # each entry within 1e-14 of its terms' absolute sum of the sum taken
+    # one fixed point at a time
+    for wc in committed_crossings():
+        basis = minus_basis(wc)
+        lams = generic_lambdas(wc, 5, seed=7)
+        matrix = lambda_matrix(lams, [1.0 + 0.07 * i for i in range(len(lams))])
+        for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
+            restrict = partial(restricted_basis, wc, basis, images=images)
+            gram, _ = localization_gram(wc.git, A, restrict, matrix)
+            ref, sizes = reference_gram(wc.git, A, restrict, matrix)
+            assert gram.shape == ref.shape == (len(basis), len(basis), len(lams))
+            assert (np.abs(gram - ref) <= 1e-14 * sizes).all()
+
+
+def test_describe_matches_the_term_by_term_text():
+    # every point class and image of the committed crossings, and classes
+    # with powers, negative exponents, coefficients other than +-1 and no
+    # line bundle factor
+    classes = [KClass((0, 0), ()), KClass((0, 0), (((0, 0, 0), 1),)),
+               KClass((0, 0), (((0, 2, 0), -3), ((1, 0, -1), 1), ((1, 1, 0), 2))),
+               KClass((1, -2), (((0, 0, 0), -1), ((0, 0, 4), 1), ((-2, 0, 1), -5)))]
+    for wc in committed_crossings():
+        basis = minus_basis(wc)
+        classes += [basis_e(wc.git, wc.A_minus, d, rho) for d, rho in basis]
+        classes += [fm_transform(wc, d, rho) for d, rho in basis]
+    assert len(classes) > 700
+    for kc in classes:
+        assert kc.describe() == oracle_describe(kc)

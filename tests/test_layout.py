@@ -36,7 +36,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "continuation_coefficient", "validate_stability", "_chamber_table",
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
                 "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
-                "basis_e", "fm_transform", "continuation_matrix"}
+                "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
+                "_coefficient"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift and a phase are integer numerators over a denominator
@@ -44,12 +45,12 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
 FRACTION_SITES = {
     # config parsing and the rationals a caller hands in
     "cli._parse_rational", "lattice._q", "lattice.vdot",
-    # report views: a box class's f and age, a printed form and age, the
+    # report views: a box class's f and age, a printed weight's age, the
     # framing's power of z
-    "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "localization.LinearForm._text",
-    "localization.normal_weights", "ktheory.framing_restrict",
+    "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "localization.normal_weights",
+    "ktheory.framing_restrict",
     # supplied and reported coefficient lifts, and the coefficient's shift
-    "gitfan.compatible_minus_lift", "mellinbarnes.continuation_coefficient",
+    "gitfan.compatible_minus_lift", "mellinbarnes._coefficient",
     # the splitting vectors xi
     "gitfan._xi_vectors",
     # solves, (c, c_i) among them, and lattices of rational generators
