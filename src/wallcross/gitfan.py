@@ -274,9 +274,9 @@ def fixed_point_labels(git, A):
 
     The minimal anticones are sorted, and so are the box classes, zero
     sector first, so the double loop lists the labels in that order."""
-    sectors = [(sec, frozenset(sec.I_f)) for sec in box_elements(git, A)]
+    sectors = box_elements(git, A)
     return [FixedPointLabel(delta=delta, sector=sec) for delta in A.minimal
-            for sec, isotropy in sectors if isotropy.issuperset(delta)]
+            for sec in sectors if all(i in sec.I_f for i in delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +318,7 @@ class WallCrossing:
     @cached_property
     def sector_lines(self):
         """line_split of each fixed point's sector along e, once per crossing."""
-        sectors = {lab.sector for lab in self.labels_plus + self.labels_minus}
-        return {sec: line_split(sec.num, sec.den, self.e) for sec in sectors}
+        return {s: line_split(s.num, s.den, self.e) for s in {lab.sector for lab in self.labels_plus + self.labels_minus}}
 
 
 @lru_cache(maxsize=256)
@@ -529,21 +528,21 @@ def next_to_pairs(wc):
 
 
 def minus_lift_numerators(wc, sector_plus, sector_minus):
-    """(s, n): the compatible minus lift f_plus + alpha e as integer
-    numerators n over s, the lcm of the two sectors' orders, with alpha in
-    [0, 1) the multiple of e by which the sectors differ modulo Z^r."""
+    """(s, n, a): the compatible minus lift f_plus + (a / s) e on integer
+    numerators over s = lcm of the sectors' orders, a / s in [0, 1) the multiple
+    of e by which they differ mod Z^r, from their line splits (it is linear)."""
     s = lcm(sector_plus.den, sector_minus.den)
-    base = [x * (s // sector_plus.den) for x in sector_plus.num]
-    diff = [y * (s // sector_minus.den) - x for x, y in zip(base, sector_minus.num)]
-    a, c = line_split(diff, s, wc.e)
-    if any(c):
+    k_plus, k_minus = s // sector_plus.den, s // sector_minus.den
+    (a_plus, c_plus), (a_minus, c_minus) = wc.sector_lines[sector_plus], wc.sector_lines[sector_minus]
+    if any((y * k_minus - x * k_plus) % s for x, y in zip(c_plus, c_minus)):
         raise ValueError("sectors are not next to each other")
-    return s, tuple(x + a * y for x, y in zip(base, wc.e))
+    a = (a_minus * k_minus - a_plus * k_plus) % s
+    return s, tuple(x * k_plus + a * y for x, y in zip(sector_plus.num, wc.e)), a
 
 
 def compatible_minus_lift(wc, label_plus, label_minus):
     """Lift of the minus sector with f_minus - f_plus a rational multiple of e."""
-    s, n = minus_lift_numerators(wc, label_plus.sector, label_minus.sector)
+    s, n, _a = minus_lift_numerators(wc, label_plus.sector, label_minus.sector)
     return tuple(Fraction(x, s) for x in n)
 
 

@@ -329,28 +329,34 @@ def localization_gram(git, A, restrict, lams):
     restriction of dual(E_a), which is that of E_a at (-num, -lams), times
     that of E_b, divided by the isotropy order and by the product over
     normal directions of (1 - phase * exp(-u)); no product class is formed.
-    The points are stacked, so each sample's sum over them is four real
-    matrix products (after a complex one, complex exp ran ten times slower).
+    The points are stacked in contiguous real and imaginary arrays, summed by
+    four real products per sample (complex exp slowed after a complex one).
     Returns the (classes, classes, S) Gram array and, per sample, the
     smallest normal factor in absolute value.
     """
-    lefts, rights = [], []
+    labels = fixed_point_labels(git, A)
     smallest = np.full(lams.shape[1], np.inf)
     # resonant samples divide by ~0 here, and the callers mask them out; a
     # small |z| overflows the exponentials, and the NaN it leaves FAILs the
     # suite's gate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for label in fixed_point_labels(git, A):
+        for p, label in enumerate(labels):
             delta, sec = label.delta, label.sector
             u, normal = restrict_u(git, delta), [j for j in range(git.m) if j not in delta]
             factors = 1 - _exps([(-sec.pairings[j], [-x for x in u[j].num]) for j in normal], sec.den, u[0].den, lams)
             smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
-            v_left = restrict(delta, tuple(-x for x in sec.num), sec.den, -lams)
-            lefts.append(v_left / (isotropy_order(git, delta) * factors.prod(axis=0)))
-            rights.append(restrict(delta, sec.num, sec.den, lams))
-        left, right = np.transpose(lefts, (2, 1, 0)), np.transpose(rights, (2, 0, 1))
-        gram = (left.real @ right.real - left.imag @ right.imag).astype(complex)
-        gram.imag = left.real @ right.imag + left.imag @ right.real
+            v_left = restrict(delta, tuple(-x for x in sec.num), sec.den, -lams) / (
+                isotropy_order(git, delta) * factors.prod(axis=0))
+            v_right = restrict(delta, sec.num, sec.den, lams)
+            if p == 0:
+                # (S, B, P) left and (S, P, B) right stacks, real then imaginary
+                S, B, P = lams.shape[1], len(v_right), len(labels)
+                left_re, left_im, right_re, right_im = (np.empty((S,) + d) for d in ((B, P), (B, P), (P, B), (P, B)))
+            left_re[:, :, p], left_im[:, :, p] = v_left.real.T, v_left.imag.T
+            right_re[:, p], right_im[:, p] = v_right.real.T, v_right.imag.T
+        gram = np.empty((S, B, B), dtype=complex)
+        gram.real = left_re @ right_re - left_im @ right_im
+        gram.imag = left_re @ right_im + left_im @ right_re
     return gram.transpose(1, 2, 0), smallest
 
 

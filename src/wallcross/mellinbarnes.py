@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import _idot, next_to_cells
+from .gitfan import _idot, minus_lift_numerators, next_to_cells
 from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
@@ -101,20 +101,16 @@ def _anticone_pair(wc, delta_plus, delta_minus):
 
 
 def _coefficient(wc, w, anticones, pair, plus=None, minus=None):
-    """The coefficient of a next-to pair from its anticone data and, per
-    side, an integer lift (s, n, c, view) of the sector: c[j] = D_j . n,
-    view the lift to report or None for n / s.  The default plus lift is the
-    sector, the minus one f_plus + alpha e: by linearity of line_split,
-    alpha s = (U (s f_minus - s f_plus))[0] mod s over the lcm s of the
-    orders, and the pairings follow from the sectors'.  Each lift must
-    represent its sector, and they differ by a multiple of the wall normal."""
+    """The coefficient of a next-to pair from its anticone data and, per side,
+    an integer lift (s, n, c, view): c[j] = D_j . n, view the lift to report
+    or None for n / s.  The lifts default to the plus sector and
+    minus_lift_numerators' f_plus + (a / s) e, pairings read from the sectors'.
+    Each must represent its sector; they differ by a multiple of e."""
     (j_minus, l, ratio_js, u_plus, u_minus), (sp, sm) = anticones, (pair[0].sector, pair[1].sector)
     plus = plus or (sp.den, sp.num, sp.pairings, pair[0].f)
     if minus is None:
-        s, (a_plus, _), (a_minus, _) = math.lcm(sp.den, sm.den), wc.sector_lines[sp], wc.sector_lines[sm]
-        k, a = s // sp.den, (a_minus * (s // sm.den) - a_plus * (s // sp.den)) % s
-        minus = (s, tuple(k * x + a * y for x, y in zip(sp.num, wc.e)),
-                 [k * x + a * y for x, y in zip(sp.pairings, wc.pairings)], None)
+        s, n, a = minus_lift_numerators(wc, sp, sm)
+        minus = (s, n, [s // sp.den * x + a * y for x, y in zip(sp.pairings, wc.pairings)], None)
     for sec, (s, n, _c, _view) in ((sp, plus), (sm, minus)):
         # the sector's f = num / den is the fractional part of every lift of it
         if any((x % s) * sec.den != y * s for x, y in zip(n, sec.num)):

@@ -56,6 +56,7 @@ from wallcross.gitfan import (
     _box_classes,
     _chamber_table,
     _wall_hyperplanes,
+    anticones_next_to,
     box_elements,
     compatible_minus_lift,
     fixed_point_labels,
@@ -334,6 +335,28 @@ def test_coefficient_route_matches_the_fraction_route():
                 assert got == _outcome(fraction_continuation_coefficient, wc, (lp, lm), *lifts)
                 refused += 1
     assert coefficients > 5000 and refused > 1000, (coefficients, refused)
+
+
+def test_sectors_that_are_not_next_to_keep_their_error():
+    """Labels across the wall on next-to anticones: the compatible minus
+    lift read from the sectors' line splits is the candidate loop's lift, or
+    raises its ValueError when the sectors differ by more than a multiple of
+    e, and the default coefficient raises that same error."""
+    lifted = refused = 0
+    for wc in committed_crossings() + _crossings()[::3]:
+        across = [lm for lm in wc.labels_minus if lm.delta not in wc.A_plus.minimal]
+        for lp in plus_labels_across(wc)[:12]:
+            for lm in across[:12]:
+                if not anticones_next_to(wc, lp.delta, lm.delta):
+                    continue
+                got = _outcome(compatible_minus_lift, wc, lp, lm)
+                assert got == _outcome(fraction_compatible_minus_lift, wc, lp, lm)
+                if got == (ValueError, "sectors are not next to each other"):
+                    assert _outcome(continuation_coefficient, wc, (lp, lm)) == got
+                    refused += 1
+                else:
+                    lifted += 1
+    assert lifted > 1000 and refused > 1000, (lifted, refused)
 
 
 def test_restrictions_match_the_fraction_solve():
