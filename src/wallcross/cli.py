@@ -21,6 +21,7 @@ from .gitfan import (
     make_git,
     next_to_pairs,
     plus_labels_across,
+    ratio_text,
     wall_crossing,
     wall_frame,
 )
@@ -292,10 +293,6 @@ def _sector_dict(sec):
     return {"f": list(sec.f), "isotropy": list(sec.I_f), "age": sec.age}
 
 
-def _label_name(label):
-    return "delta=%s f=%s" % (list(label.delta), [str(x) for x in label.f])
-
-
 def _basis_name(delta, rho):
     return "e(delta=%s, rho=%s)" % (list(delta), list(rho))
 
@@ -368,10 +365,10 @@ def cmd_fixed_points(cfg):
         for label in labels:
             nw = normal_weights(wc.git, label)
             rows.append({
-                "label": _label_name(label),
+                "label": str(label),
                 "age": label.sector.age,
                 "tangent_weights": [str(form) for _j, form in nw.fixed],
-                "moving_weights": ["%s (age %s)" % (form, fj) for _j, form, fj in nw.moving],
+                "moving_weights": ["%s (age %s)" % (form, ratio_text(*age)) for _j, form, age in nw.moving],
             })
         out[side] = rows
     return out, True
@@ -384,8 +381,8 @@ def cmd_continuation(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lams = _lambdas(cfg, wc, min(cfg["samples"], 3))
     matrix = continuation_matrix(wc)
-    row_labels = [_label_name(lp) for lp in matrix.rows]
-    col_labels = [_label_name(lm) for lm in matrix.cols]
+    row_labels = [str(lp) for lp in matrix.rows]
+    col_labels = [str(lm) for lm in matrix.cols]
     entries = []
     for (i, j), kind in matrix.kinds.items():
         entry = {"row": row_labels[i], "col": col_labels[j], "kind": kind}
@@ -414,12 +411,11 @@ def cmd_fm(cfg):
 def cmd_series(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lam = _lambdas(cfg, wc, 1)[0]
+    specs = [make_inner_spec(wc, label) for label in plus_labels_across(wc)]
     out = []
-    for label in plus_labels_across(wc):
-        spec = make_inner_spec(wc, label)
-        ser = inner_series(spec, min(cfg["series_order"], 8), lam)
+    for spec, ser in zip(specs, inner_series(specs, min(cfg["series_order"], 8), [lam])):
         entry = {
-            "label": _label_name(label),
+            "label": str(spec.label),
             "base_exponent": [str(x) for x in spec.d_plus],
             "coefficients": [c for c in ser.coeffs],
         }
@@ -441,7 +437,7 @@ def _suite_uhfm(cfg, wc, tol):
     gated, worst, ok = _gate([(rep.worst, rep.max_residual)], tol)
     if worst is not None:
         (delta, rho), label = worst
-        worst = "%s at %s" % (_basis_name(delta, rho), _label_name(label))
+        worst = "%s at %s" % (_basis_name(delta, rho), label)
     return {
         **gated,
         "checked": rep.n_checked,
@@ -471,17 +467,17 @@ def _suite_mb(cfg, wc, tol):
     x_in = 0.3 * c * cmath.exp(1j * math.pi * w)
     x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
     lams = _lambdas(cfg, wc, min(cfg["samples"], 5))
+    labels = plus_labels_across(wc)
     rows, checks = [], []
-    for label in plus_labels_across(wc):
-        name = _label_name(label)
-        reports = verify_residue_identity(wc, label, x_in, x_out, lams, cfg["contour"])
-        for i, rep in enumerate(reports):
-            # a check whose residue sum was cut before its stop rule fired says so
-            for side, resid, cut, terms in (("inside", rep.residual_inside, rep.cut_inside, RIGHT_TERMS),
-                                            ("outside", rep.residual_outside, rep.cut_outside, LEFT_TERMS)):
-                note = ", residue sum cut at %d terms" % terms if cut else ""
-                checks.append(("%s at sample %d, %s%s" % (name, i, side, note), resid))
-            rows.append({"label": name, "inside": rep.residual_inside, "outside": rep.residual_outside})
+    # one report per sample for each label in turn
+    for c, rep in enumerate(verify_residue_identity(wc, labels, x_in, x_out, lams, cfg["contour"])):
+        name, i = str(labels[c // len(lams)]), c % len(lams)
+        # a check whose residue sum was cut before its stop rule fired says so
+        for side, resid, cut, terms in (("inside", rep.residual_inside, rep.cut_inside, RIGHT_TERMS),
+                                        ("outside", rep.residual_outside, rep.cut_outside, LEFT_TERMS)):
+            note = ", residue sum cut at %d terms" % terms if cut else ""
+            checks.append(("%s at sample %d, %s%s" % (name, i, side, note), resid))
+        rows.append({"label": name, "inside": rep.residual_inside, "outside": rep.residual_outside})
     gated, worst, ok = _gate(checks, tol)
     return {**gated, "worst": worst, "checks": rows}, ok
 
@@ -491,13 +487,13 @@ def _suite_ode(cfg, wc, tol):
     swapped = wall_crossing(cfg["git"], cfg["omega_minus"], cfg["omega_plus"])
     for side, crossing in (("plus", wc), ("minus", swapped)):
         lams = _lambdas(cfg, crossing, 2)
-        for label in plus_labels_across(crossing):
-            name = _label_name(label)
-            spec = make_inner_spec(crossing, label)
-            for i, lam in enumerate(lams):
-                resid = gkz_ode_residual(inner_series(spec, cfg["series_order"], lam), spec, lam)
-                checks.append(("%s side, %s at sample %d" % (side, name, i), resid))
-                rows.append({"side": side, "label": name, "residual": resid})
+        specs = [make_inner_spec(crossing, label) for label in plus_labels_across(crossing)]
+        series = inner_series(specs, cfg["series_order"], lams)
+        # one residual per sample for each label in turn
+        for c, resid in enumerate(gkz_ode_residual(series, specs, lams)):
+            name, i = str(specs[c // len(lams)].label), c % len(lams)
+            checks.append(("%s side, %s at sample %d" % (side, name, i), resid))
+            rows.append({"side": side, "label": name, "residual": resid})
     gated, worst, ok = _gate(checks, tol)
     return {**gated, "worst": worst, "checks": rows}, ok
 
@@ -506,7 +502,7 @@ def _suite_lifts(cfg, wc, tol):
     lams = _lambdas(cfg, wc, min(cfg["samples"], 5))
     rows = []
     for pair in next_to_pairs(wc):
-        name = "%s | %s" % (_label_name(pair[0]), _label_name(pair[1]))
+        name = "%s | %s" % (pair[0], pair[1])
         rows += [{"pair": name, "invariant": good} for good in lift_invariance_check(wc, pair, lams, tol=tol)]
     return {"tolerance": tol, "checks": rows}, all(row["invariant"] for row in rows)
 

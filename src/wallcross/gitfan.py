@@ -268,6 +268,18 @@ class FixedPointLabel:
     def f(self):
         return self.sector.f
 
+    def __str__(self):
+        """The label as reports and errors name it, f from the sector's integers."""
+        sec = self.sector
+        return "delta=%s f=%s" % (list(self.delta), [ratio_text(x, sec.den) for x in sec.num])
+
+
+def ratio_text(num, den):
+    """num / den for a positive den, in lowest terms as a Fraction prints it:
+    "0", "2" or "-1/2"."""
+    g = gcd(num, den)
+    return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
+
 
 def fixed_point_labels(git, A):
     """All (delta, f) pairs, sorted: delta lex, zero sector first, then by f.

@@ -259,34 +259,81 @@ def _exact_part(factors, ks):
     return out
 
 
-def _log_coefficients(spec, ks, lam):
-    """(live, sign, log) of the coefficients at the integer array ks: which
-    are nonzero, and the sign of the exact part and the complex logarithm of
-    each live one.
+def stack_bases(specs, lams):
+    """beta_j + d_j of every column of a stack, as a tuple of Python complex
+    numbers per column.  The columns are every sample of lams for each spec in
+    turn; the specs are of one crossing, so they share e."""
+    out = []
+    for spec in specs:
+        d = [complex(x) for x in spec.d]
+        out += [tuple(b + x for b, x in zip(spec.betas(lam), d)) for lam in lams]
+    return out
+
+
+def _base_rows(bases):
+    """stack_bases by factor: row j holds beta_j + d_j of every column as a
+    column of shape (columns, 1)."""
+    return np.array(bases).T[..., None]
+
+
+def stack_column(specs, lams, c):
+    """How an error names column c of a stack: by its sample, and by its
+    label too when the stack has more than one."""
+    i = c % len(lams)
+    return "sample %d" % i if len(specs) == 1 else "%s, sample %d" % (specs[c // len(lams)].label, i)
+
+
+def _log_coefficients(specs, ks, lams):
+    """(live, sign, log) of the coefficients at the integer array ks of every
+    column of the stack (see stack_bases): which are nonzero, one row per
+    column, and the sign of the exact part and the complex logarithm of each
+    live one, in the row-major order of live.
 
     Factors whose argument is exactly integral (in particular every factor
     over the defining anticone) are evaluated exactly; a reciprocal Gamma at
     a nonpositive integer makes the coefficient vanish.  Generic factors are
-    assembled in log space, for all live k at once, from one log_gamma call
-    whose rows hold a factor's argument at k = 0 and then at the live k.
+    assembled in log space, for all live k of all columns at once, from one
+    log_gamma call that holds, factor by factor, the factor's argument at
+    k = 0 of each column where it is generic and then at their live k.  A
+    column's arguments keep the order of a stack of one, and a failure names
+    the column (stack_column).
     """
-    betas = spec.betas(lam)
-    exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j].denominator == 1)
-    live, log_exact, sign = _exact_part(tuple((int(spec.d[j]), spec.e[j]) for j in exact),
-                                        tuple(ks.tolist()))
-    generic = [j for j in range(len(betas)) if j not in exact]
-    k_live = ks[live]
-    a0 = np.array([1 + betas[j] + complex(spec.d[j]) for j in generic], dtype=complex)[:, None]
-    e = np.array([spec.e[j] for j in generic], dtype=int)[:, None]
-    args = np.hstack([a0, a0 + k_live * e])
-    check_generic(args, 1e-8)
-    log_acc = np.zeros(len(k_live), dtype=complex)
-    for row in log_gamma(args):
+    key, parts, generic, a0 = tuple(ks.tolist()), [], [], []
+    for spec in specs:
+        d = [complex(x) for x in spec.d]
+        for lam in lams:
+            betas = spec.betas(lam)
+            exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j].denominator == 1)
+            parts.append(_exact_part(tuple((int(spec.d[j]), spec.e[j]) for j in exact), key))
+            generic.append([j not in exact for j in range(len(betas))])
+            a0.append([1 + b + x for b, x in zip(betas, d)])
+    live = np.array([live for live, _log, _sign in parts])
+    col, at = np.nonzero(live)
+    k = ks[at]
+    # per factor: the columns where it is generic, and which live k are theirs
+    blocks = [(np.flatnonzero(g), g[col]) for g in np.array(generic).T]
+    args = np.concatenate([x for (cols, on), a, ej in zip(blocks, np.array(a0).T, specs[0].e)
+                           for x in (a[cols], a[col[on]] + k[on] * ej)])
+    try:
+        check_generic(args, 1e-8)
+    except PoleCollision:
+        owner = np.concatenate([x for cols, on in blocks for x in (cols, col[on])])
+        for c in range(len(parts)):
+            try:
+                check_generic(args[owner == c], 1e-8)
+            except PoleCollision as exc:
+                raise PoleCollision("%s: %s" % (stack_column(specs, lams, c), exc)) from None
+    values, end = log_gamma(args), 0
+    log_acc, at_zero = np.zeros(len(k), dtype=complex), np.empty(len(parts), dtype=complex)
+    for cols, on in blocks:
+        head, end = end + len(cols), end + len(cols) + np.count_nonzero(on)
+        at_zero[cols] = values[head - len(cols):head]
         # at k = 0 the factor is 1 by the normalization, not by rounding
-        log_acc += np.where(k_live == 0, 0j, row[0] - row[1:])
+        log_acc[on] += np.where(k[on] == 0, 0j, at_zero[col[on]] - values[head:end])
     # the exact part and the Gamma part can separately over- or underflow
     # at large k while their product stays moderate; combine in log space
-    return live, sign, log_acc + log_exact
+    return (live, np.concatenate([sign for _live, _log, sign in parts]),
+            log_acc + np.concatenate([log for _live, log, _sign in parts]))
 
 
 @dataclass(frozen=True)
@@ -299,22 +346,26 @@ class TruncatedSeries:
     exponent: int  # 0 unless a coefficient would overflow
 
 
-def inner_series(spec, order, lam):
-    """The inner series to the given order: the coefficient of the k-th
-    power of the wall monomial, normalized to 1 at k = 0 (see
-    _log_coefficients).  Where one of them overflows, every coefficient is
-    carried under one common factor 2**exponent that brings the largest to
-    about 1 (the factor is exp(exponent * ln 2) in floating point, off
-    2**exponent by the rounding of that product, the same for every
-    coefficient); the smallest may then underflow to 0."""
-    live, sign, logs = _log_coefficients(spec, np.arange(order + 1), lam)
-    coeffs, exponent = np.zeros(order + 1, dtype=complex), 0
+def inner_series(specs, order, lams):
+    """The inner series to the given order of every column of the stack
+    (see stack_bases), in column order: the coefficient of the k-th power of
+    the wall monomial, normalized to 1 at k = 0 (see _log_coefficients).
+    Where one of a series' coefficients overflows, every coefficient of that
+    series is carried under one common factor 2**exponent that brings the
+    largest to about 1 (the factor is exp(exponent * ln 2) in floating
+    point, off 2**exponent by the rounding of that product, the same for
+    every coefficient); the smallest may then underflow to 0."""
+    live, sign, logs = _log_coefficients(specs, np.arange(order + 1), lams)
+    coeffs, exponents = np.zeros(live.shape, dtype=complex), [0] * len(live)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs[live] = sign * np.exp(logs)
-    if not np.isfinite(coeffs).all():
-        exponent = math.ceil(logs.real.max() / math.log(2))
-        coeffs[live] = sign * np.exp(logs - exponent * math.log(2))
-    return TruncatedSeries(coeffs=tuple(coeffs.tolist()), order=order, exponent=exponent)
+    ends = np.cumsum(live.sum(axis=1))
+    for c in np.flatnonzero(~np.isfinite(coeffs).all(axis=1)):
+        at = slice(ends[c] - live[c].sum(), ends[c])
+        exponents[c] = math.ceil(logs[at].real.max() / math.log(2))
+        coeffs[c, live[c]] = sign[at] * np.exp(logs[at] - exponents[c] * math.log(2))
+    return [TruncatedSeries(coeffs=tuple(row), order=order, exponent=exponent)
+            for row, exponent in zip(coeffs.tolist(), exponents)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +379,13 @@ def _complex_product(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _euler_products(spec, lam, n):
+def _euler_products(e, bases, n):
     """The two Euler-operator products on the monomials of the degrees n, an
-    integer array, each as a (real, imaginary) pair of float arrays."""
-    betas = spec.betas(lam)
+    integer array, each as a (real, imaginary) pair of float arrays.  Row j
+    of bases is beta_j + d_j, a scalar or a column of one per series that
+    broadcasts against n."""
     plus = minus = (np.ones(len(n)), np.zeros(len(n)))
-    for j in range(len(spec.d)):
-        ej = spec.e[j]
-        base = complex(spec.d[j]) + betas[j]
+    for ej, base in zip(e, bases):
         for l in range(abs(ej)):
             factor = ej * n + base - l
             if ej > 0:
@@ -345,32 +395,38 @@ def _euler_products(spec, lam, n):
     return plus, minus
 
 
-def gkz_ode_residual(series, spec, lam):
-    """Largest relative residual of the annihilating operator on the series.
+def gkz_ode_residual(series, specs, lams):
+    """Largest relative residual of the annihilating operator on each series,
+    those of the columns of the stack (see stack_bases), as a list.
 
     The operator is the difference of the positive-direction Euler product
     and the monomial times the negative-direction product; it vanishes
-    identically on the exact series.  All degrees are evaluated at once.
+    identically on the exact series.  All degrees of all series are
+    evaluated at once, one row per series.
     """
-    c = np.array(series.coeffs, dtype=complex)
+    c = np.array([ser.coeffs for ser in series], dtype=complex)
     # the residual does not change when every coefficient is multiplied by
-    # one factor; a power of two that brings the largest below 1 changes no
-    # rounding, and keeps the products finite where the coefficients are
-    _mantissa, top = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
+    # one factor; a power of two that brings a series' largest below 1
+    # changes no rounding, and keeps the products finite where the
+    # coefficients are
+    _mantissa, top = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)).max(axis=1, keepdims=True))
     coeffs = (np.ldexp(c.real, -top), np.ldexp(c.imag, -top))
+    bases = _base_rows(stack_bases(specs, lams))
     # an overflowed series or product leaves a NaN residual, which FAILs the
     # suite's gate
     with np.errstate(over="ignore", invalid="ignore"):
-        products_plus, products_minus = _euler_products(spec, lam, np.arange(series.order + 1))
+        products_plus, products_minus = _euler_products(specs[0].e, bases, np.arange(c.shape[1]))
         plus = _complex_product(products_plus, coeffs)
         # the monomial raises the negative-direction term by one degree
-        minus = [np.concatenate([[0.0], x[:-1]])
+        minus = [np.concatenate([np.zeros((len(c), 1)), x[:, :-1]], axis=1)
                  for x in _complex_product(products_minus, coeffs)]
-        # hypot is abs() of a Python complex; numpy's complex abs differs in the last bit
-        scale = max(np.max(np.hypot(*plus)), np.max(np.hypot(*minus)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.hypot(plus[0] - minus[0], plus[1] - minus[1])) / scale)
+        # hypot is abs() of a Python complex; numpy's complex abs differs in
+        # the last bit.  The scale is max() of the two largest, as Python
+        # picks it where one is NaN
+        top_plus, top_minus = np.hypot(*plus).max(axis=1), np.hypot(*minus).max(axis=1)
+        scale = np.where(top_minus > top_plus, top_minus, top_plus)
+        resid = np.hypot(plus[0] - minus[0], plus[1] - minus[1]).max(axis=1) / scale
+    return np.where(scale == 0.0, 0.0, resid).tolist()
 
 
 # ---------------------------------------------------------------------------

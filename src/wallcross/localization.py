@@ -10,7 +10,6 @@ classes between next-to fixed points, an exact equality of forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -161,7 +160,8 @@ class NormalWeights:
     """Tangent data at an inertia fixed point.
 
     ``fixed`` lists (j, u_j(delta)) over the sector's own tangent directions;
-    ``moving`` lists (j, u_j(delta), age contribution) over the rest.
+    ``moving`` lists (j, u_j(delta), age contribution) over the rest, the age
+    contribution frac(D_j . f) as (numerator, order of the sector).
     """
 
     fixed: tuple
@@ -179,7 +179,7 @@ def normal_weights(git, label):
         if j in sec.I_f:
             fixed.append((j, u[j]))
         else:
-            moving.append((j, u[j], Fraction(sec.pairings[j] % sec.den, sec.den)))
+            moving.append((j, u[j], (sec.pairings[j] % sec.den, sec.den)))
     for _, form in fixed:
         assert not form.is_zero
     return NormalWeights(fixed=tuple(fixed), moving=tuple(moving))

@@ -22,10 +22,13 @@ from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
     PoleCollision,
+    _base_rows,
     conifold_point,
     log_gamma,
     log_sin_pi,
     make_inner_spec,
+    stack_bases,
+    stack_column,
     w_constant,
 )
 from .lattice import cleared, ratvec
@@ -225,28 +228,21 @@ class ContourSpec:
 STEPS_PER_UNIT = 6
 
 
-def _beta_columns(spec, samples):
-    """spec.betas of each sample, by factor: row j holds beta_j of every
-    sample as a column of shape (samples, 1)."""
-    return np.array([spec.betas(sample) for sample in samples]).T[..., None]
-
-
-def _log_gamma_block(spec, betas, s, skip=None, factorial_of=None):
+def _log_gamma_block(e, bases, s, skip=None, factorial_of=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
     leaving out the factor of index skip.  Given an array factorial_of, it
-    returns (log Gamma(factorial_of), the sum).  The betas are scalars, or
-    per-sample columns that broadcast against s.
+    returns (log Gamma(factorial_of), the sum).  Factor j has pairing e[j]
+    and base bases[j], beta_j + d_j: a scalar, or a column of one per stack
+    column that broadcasts against s.
 
     All arguments go into one log_gamma call.  A factor with e_j = 0 has
     the argument 1 + beta_j + d_j at every s, so it is evaluated once; the
     factors are then added in factor order."""
     head = [] if factorial_of is None else [factorial_of]
     numerators, args = [], list(head)
-    for j in range(len(spec.d)):
+    for j, (ej, base) in enumerate(zip(e, bases)):
         if j == skip:
             continue
-        ej = spec.e[j]
-        base = betas[j] + complex(spec.d[j])
         numerators.append(ej < 0)
         args.append(-base - s * ej if ej < 0 else 1 + base + s * ej if ej else 1 + base)
     values = log_gamma(np.concatenate([np.ravel(a) for a in args]))
@@ -260,15 +256,15 @@ def _log_gamma_block(spec, betas, s, skip=None, factorial_of=None):
     return acc if factorial_of is None else (rows[0], acc)
 
 
-def _pole_scan(spec, betas, re_min, re_max):
+def _pole_scan(e, bases, re_min, re_max):
     """The non-integer poles (j, n, p) with real part in [re_min, re_max],
-    by direction j and then by n."""
+    by direction j and then by n, of one column: bases[j] is its
+    beta_j + d_j."""
     poles = []
-    for j in range(len(spec.d)):
-        if spec.e[j] >= 0:
+    for j, (ej, base) in enumerate(zip(e, bases)):
+        if ej >= 0:
             continue
-        l = -spec.e[j]
-        base = betas[j] + complex(spec.d[j])
+        l = -ej
         n = 0
         while True:
             p = (base - n) / l
@@ -341,15 +337,14 @@ def _split_xi(spec, x):
     return xi, cmath.log(xi)
 
 
-def _interesting_residue(spec, betas, log_xi, j_minus, n):
+def _interesting_residue(e, bases, log_xi, j_minus, n):
     """Residues of the integrand at the n-th poles of one negative direction,
-    for an integer or an integer array n; per-sample columns of betas give
-    one block of residues per sample, and a column of log xi one row per
-    point."""
-    l = -spec.e[j_minus]
-    base = betas[j_minus] + complex(spec.d[j_minus])
-    p = (base - n) / l
-    log_factorial, block = _log_gamma_block(spec, betas, p, j_minus, n + 1.0)
+    for an integer or an integer array n; a column of bases per stack column
+    (see _log_gamma_block) gives one block of residues per column, and a
+    column of log xi one row per point."""
+    l = -e[j_minus]
+    p = (bases[j_minus] - n) / l
+    log_factorial, block = _log_gamma_block(e, bases, p, j_minus, n + 1.0)
     log_term = (-log_factorial - math.log(l) + LOG_PI - log_sin_pi(p) + p * log_xi + block)
     return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
 
@@ -359,9 +354,9 @@ def quad(f, reach):
     its ends.
 
     f is called once, on the nodes |k| <= max(reach), and returns its values
-    there, one block per sample along the first axis; the rule sums along
-    the last axis, sample i over the nodes |k| <= reach[i].  Returns the
-    rule and the sum of |f| at the two ends, each with one block per sample.
+    there, one block per column along the first axis; the rule sums along
+    the last axis, column i over the nodes |k| <= reach[i].  Returns the
+    rule and the sum of |f| at the two ends, each with one block per column.
     """
     top = max(reach)
     y = f(np.arange(-top, top + 1) / STEPS_PER_UNIT)
@@ -383,15 +378,16 @@ def _aliases(p, sigma):
 
 def mb_integral(spec, x, lam, contour=ContourSpec()):
     """The Barnes integral of mb_integral_with_error at the one point x for
-    the one sample lam, as a complex number."""
-    values, _err = mb_integral_with_error(spec, [x], [lam], contour)
+    the one spec and sample lam, as a complex number."""
+    values, _err = mb_integral_with_error([spec], [x], [lam], contour)
     return complex(values[0, 0])
 
 
-def mb_integral_with_error(spec, xs, lams, contour=ContourSpec()):
+def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     """Barnes integral along the separating contour, as a vertical line plus
-    residue corrections, at each of the points xs for each of the samples
-    lams of the torus parameters.
+    residue corrections, at each of the points xs for each column of the
+    stack: every sample of lams, the torus parameters, for each spec in turn
+    (see stack_bases).
 
     The contour must keep the nonnegative integer poles on its right and all
     other poles on its left.  Non-integer poles whose real part exceeds the
@@ -404,7 +400,7 @@ def mb_integral_with_error(spec, xs, lams, contour=ContourSpec()):
     and the residues do not depend on x, so they are computed once for all
     points.  Poles are checked for separation, and the abscissa for its
     clearance, down to real part min(-3, sigma - 1); a failure names the
-    sample's index in lams, the two poles or the pole and the integer, and
+    column (stack_column), the two poles or the pole and the integer, and
     their distance.  The line is integrated by the trapezoid rule with step
     h = 1/6 on the nodes t = k h, |t| <= T.  A simple pole p of residue R
     adds a closed form to the rule's error, which the correction
@@ -427,41 +423,44 @@ def mb_integral_with_error(spec, xs, lams, contour=ContourSpec()):
     scale, is below the rounding of the sum, so it is not added; a coarser
     rule would only measure its own, exp(-pi / h) = 6.5e-9 at step 2 h.
 
-    Each sample has its own poles, abscissa and T; G is evaluated for all
-    samples in one block on the probe and one on the shared nodes, of which
-    each sample sums its own slice, and a pole that another sample needs
-    adds an exact zero.  So each sample gets the bits of a stack of one.
+    Each column has its own base beta_j + d_j, poles, abscissa and T; G is
+    evaluated for all columns in one block on the probe and one on the
+    shared nodes, of which each column sums its own slice, and the s = 0 and
+    pole corrections of all columns are evaluated together, a pole that
+    another column needs adding an exact zero.  So each column, whatever its
+    label or sample, gets the bits of a stack of one.
 
-    Returns (value, error), arrays over the samples and then over the points.
+    Returns (value, error), arrays over the columns and then over the points.
     """
-    splits = [_split_xi(spec, x) for x in xs]
+    e, columns = specs[0].e, stack_bases(specs, lams)
+    splits = [_split_xi(specs[0], x) for x in xs]
     log_xi = np.array([log for _xi, log in splits])[:, None]
     decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
     re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
     # counts[j]: the poles n < counts[j] of direction j lie right of
-    # sigma - 1 in some sample
+    # sigma - 1 in some column
     sigmas, counts = [], {}
-    for i, sample in enumerate(lams):
-        poles = _pole_scan(spec, spec.betas(sample), re_min, float("inf"))
+    for c, column in enumerate(columns):
+        poles = _pole_scan(e, column, re_min, float("inf"))
         window = [p for _j, _n, p in poles if p.real <= 2.0]
         gap, p, q = _closest(window)
         if gap < contour.clearance:
-            raise PoleCollision("sample %d: left poles are closer than the clearance radius:"
-                                " %s and %s are %g apart" % (i, _point(p), _point(q), gap))
+            raise PoleCollision("%s: left poles are closer than the clearance radius: %s and %s are"
+                                " %g apart" % (stack_column(specs, lams, c), _point(p), _point(q), gap))
         try:
             sigma = _abscissa(window, contour)
         except ContourTooClose as exc:
-            raise ContourTooClose("sample %d: %s" % (i, exc)) from None
+            raise ContourTooClose("%s: %s" % (stack_column(specs, lams, c), exc)) from None
         sigmas.append(sigma)
         for j, n, p in poles:
             if p.real > sigma - 1.0:
                 counts[j] = max(counts.get(j, 0), n + 1)
     sigma = np.array(sigmas)[:, None, None]
-    betas = _beta_columns(spec, lams)[..., None]
+    bases = _base_rows(columns)[..., None]
 
     def G(t):
         s = sigma + 1j * t
-        return s, LOG_PI - log_sin_pi(s) + _log_gamma_block(spec, betas, s)
+        return s, LOG_PI - log_sin_pi(s) + _log_gamma_block(e, bases, s)
 
     probe = np.arange(-math.floor(contour.t_max), math.floor(contour.t_max) + 1)
     s, g = G(probe)
@@ -479,12 +478,12 @@ def mb_integral_with_error(spec, xs, lams, contour=ContourSpec()):
     rule, edge = quad(F, reach)
     value = -rule / (2 * math.pi)
     u = _aliases(0.0, sigma)
-    value -= (np.exp(_log_gamma_block(spec, betas, 0j)) * u / (1 - u))[..., 0]
+    value -= (np.exp(_log_gamma_block(e, bases, 0j)) * u / (1 - u))[..., 0]
     for j, count in sorted(counts.items()):
         n = np.arange(count)
-        residue = _interesting_residue(spec, betas, log_xi, j, n)
-        p = (betas[j] + complex(spec.d[j]) - n) / -spec.e[j]
-        # a pole of another sample, 1 or more left of this one's line, adds 0
+        residue = _interesting_residue(e, bases, log_xi, j, n)
+        p = (bases[j] - n) / -e[j]
+        # a pole of another column, 1 or more left of this one's line, adds 0
         u = _aliases(p, sigma)
         terms = np.where(p.real > sigma, -residue,
                          np.where(p.real > sigma - 1.0, residue * u, 0)) / (1 - u)
@@ -507,59 +506,60 @@ LEFT_TERMS = 201
 
 
 def _sum_until_small(terms):
-    """Sum of the terms in order, stopped after the third term in a row below
-    1e-14 times max(1, |partial sum|), and whether it stopped there; without
-    such a run it is the sum of all the terms."""
-    totals = np.cumsum(terms)
+    """Per row of terms, the last axis: the sum of its terms in order,
+    stopped after the third term in a row below 1e-14 times
+    max(1, |partial sum|), and whether it stopped there; without such a run
+    it is the sum of all the row's terms."""
+    totals = np.cumsum(terms, axis=-1)
     small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
-    stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-    if len(stops):
-        return complex(totals[stops[0] + 2]), True
-    return complex(totals[-1]), False
+    runs = small[..., :-2] & small[..., 1:-1] & small[..., 2:]
+    stopped = runs.any(axis=-1)
+    at = np.where(stopped, runs.argmax(axis=-1) + 2, terms.shape[-1] - 1)
+    return np.take_along_axis(totals, at[..., None], axis=-1)[..., 0], stopped
 
 
-def _sums_in_chunks(terms_at, classes, length):
-    """_sum_until_small of the first `length` terms of each class: per
-    class, the sum and whether the rule stopped it.
+def _sums_in_chunks(terms_at, count, length):
+    """_sum_until_small of the first `length` terms of each of count
+    classes: per class, the sum and whether the rule stopped it.
 
     terms_at(open, k) gives the terms at the indices k of each class in
-    open, one row per class.  The terms come RESIDUE_CHUNK indices at a
-    time, for all the classes whose sum has not stopped yet.  The rule reads
-    no term past where it stops, so each sum is that of all `length` terms.
+    open, an index array, one row per class.  The terms come RESIDUE_CHUNK
+    indices at a time, for all the classes whose sum has not stopped yet.
+    The rule reads no term past where it stops, so each sum is that of all
+    `length` terms.
     """
-    terms = {c: np.empty(0, dtype=complex) for c in classes}
-    sums = {}
+    sums, stops = np.zeros(count, dtype=complex), np.zeros(count, dtype=bool)
+    open_, terms = np.arange(count), np.empty((count, 0), dtype=complex)
     for start in range(0, length, RESIDUE_CHUNK):
-        open_ = [c for c in classes if c not in sums]
-        if not open_:
-            break
         k = np.arange(start, min(start + RESIDUE_CHUNK, length))
-        for c, row in zip(open_, terms_at(open_, k)):
-            terms[c] = np.concatenate([terms[c], row])
-            total, stopped = _sum_until_small(terms[c])
-            if stopped or k[-1] == length - 1:
-                sums[c] = total, stopped
-    return [sums[c] for c in classes]
+        terms = np.concatenate([terms, terms_at(open_, k)], axis=1)
+        total, stopped = _sum_until_small(terms)
+        done = stopped | (k[-1] == length - 1)
+        sums[open_[done]], stops[open_[done]] = total[done], stopped[done]
+        open_, terms = open_[~done], terms[~done]
+        if not len(open_):
+            break
+    return list(zip(sums.tolist(), stops.tolist()))
 
 
-def right_residue_sum(spec, x, lams):
+def right_residue_sum(specs, x, lams):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
-    inside the degeneration radius.  Returns, per sample of lams, the sum
-    and whether the stop rule fired, False where the sum is cut at its
-    RIGHT_TERMS terms; each chunk is evaluated once for every sample whose
-    sum has not stopped."""
-    _xi, log_xi = _split_xi(spec, x)
-    betas = _beta_columns(spec, lams)
+    inside the degeneration radius.  Returns, per column of the stack (see
+    stack_bases), the sum and whether the stop rule fired, False where the
+    sum is cut at its RIGHT_TERMS terms; each chunk is evaluated once for
+    every column whose sum has not stopped."""
+    _xi, log_xi = _split_xi(specs[0], x)
+    e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
 
     def terms_at(open_, k):
         return np.where(k % 2, -1.0, 1.0) * np.exp(
-            _log_gamma_block(spec, betas[:, open_], k.astype(complex)) + k * log_xi)
+            _log_gamma_block(e, bases[:, open_], k.astype(complex)) + k * log_xi)
 
-    return _sums_in_chunks(terms_at, range(len(lams)), RIGHT_TERMS)
+    return _sums_in_chunks(terms_at, bases.shape[1], RIGHT_TERMS)
 
 
-def left_residue_sum(spec, x, lams):
+def left_residue_sum(specs, x, lams):
     """Sum of all residues left of the contour (sign unflipped).
 
     Per negative direction of pairing -l, each congruence class n = k*l + c,
@@ -567,27 +567,28 @@ def left_residue_sum(spec, x, lams):
     continued series, is summed on its own by _sum_until_small.  The
     residues are evaluated in chunks of k (_sums_in_chunks): one
     _interesting_residue call per chunk holds every class of the direction,
-    of every sample, whose sum has not stopped yet.  Returns, per sample of
-    lams, the sum and whether the stop rule fired for every class, False
-    where some class is cut at its LEFT_TERMS terms.
+    of every column of the stack (see stack_bases), whose sum has not
+    stopped yet.  Returns, per column, the sum and whether the stop rule
+    fired for every class, False where some class is cut at its LEFT_TERMS
+    terms.
     """
-    _xi, log_xi = _split_xi(spec, x)
-    betas = _beta_columns(spec, lams)
-    totals, stopped = [0j] * len(lams), [True] * len(lams)
-    for j in range(len(spec.d)):
-        l = -spec.e[j]
+    _xi, log_xi = _split_xi(specs[0], x)
+    e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
+    columns = bases.shape[1]
+    totals, stopped = [0j] * columns, [True] * columns
+    for j, l in enumerate(-ej for ej in e):
         if l <= 0:
             continue
 
+        # class q is the congruence class q % l of column q // l
         def terms_at(open_, k):
-            n = np.array([k * l + c for _i, c in open_])
-            return _interesting_residue(spec, betas[:, [i for i, _c in open_]], log_xi, j, n)
+            return _interesting_residue(e, bases[:, open_ // l], log_xi, j,
+                                        k * l + (open_ % l)[:, None])
 
-        classes = list(itertools.product(range(len(lams)), range(l)))
-        for (i, _c), (class_sum, class_stopped) in zip(
-                classes, _sums_in_chunks(terms_at, classes, LEFT_TERMS)):
-            totals[i] += class_sum
-            stopped[i] = stopped[i] and class_stopped
+        sums = _sums_in_chunks(terms_at, columns * l, LEFT_TERMS)
+        for q, (class_sum, class_stopped) in enumerate(sums):
+            totals[q // l] += class_sum
+            stopped[q // l] = stopped[q // l] and class_stopped
     return list(zip(totals, stopped))
 
 
@@ -601,22 +602,23 @@ class ResidueReport:
     cut_outside: bool
 
 
-def verify_residue_identity(wc, label_plus, x_inside, x_outside, lams, contour=ContourSpec()):
+def verify_residue_identity(wc, labels_plus, x_inside, x_outside, lams, contour=ContourSpec()):
     """Compare the Barnes integral against both residue expansions, one
-    report per sample of lams.
+    report per sample of lams for each label of labels_plus in turn.
 
     Inside the degeneration radius the integral equals the right residue
     sum; outside it equals minus the left residue sum.  The inner spec does
-    not depend on the sample, so it is built once, and the line and each
-    residue sum are evaluated once for all samples.
+    not depend on the sample, so it is built once per label, and the line
+    and each residue sum are evaluated once for every label and sample, as
+    one stack (see stack_bases).
     """
     c = abs(float(conifold_point(wc)))
     if not (abs(x_inside) < c < abs(x_outside)):
         raise ValueError("need |x_inside| < |conifold| < |x_outside|")
-    spec = make_inner_spec(wc, label_plus)
-    values, _err = mb_integral_with_error(spec, (x_inside, x_outside), lams, contour)
-    rights = right_residue_sum(spec, x_inside, lams)
-    lefts = left_residue_sum(spec, x_outside, lams)
+    specs = [make_inner_spec(wc, label) for label in labels_plus]
+    values, _err = mb_integral_with_error(specs, (x_inside, x_outside), lams, contour)
+    rights = right_residue_sum(specs, x_inside, lams)
+    lefts = left_residue_sum(specs, x_outside, lams)
     return [ResidueReport(
         residual_inside=abs(v_in - right),
         residual_outside=abs(v_out + left),

@@ -151,7 +151,7 @@ def inner_sum_coefficient(spec, k, lam):
     scalar = np.ndim(k) == 0
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     assert np.all(ks >= 0)
-    live, sign, logs = _log_coefficients(spec, ks, lam)
+    (live,), sign, logs = _log_coefficients([spec], ks, [lam])
     out = np.zeros(len(ks), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         out[live] = sign * np.exp(logs)
@@ -1110,17 +1110,23 @@ def reference_gram(git, A, restrict, lams):
 # the Barnes line integrated at one point over the whole cut |Im s| <= t_max
 
 
+def column_bases(spec, lam):
+    """beta_j + d_j of the spec at the sample lam: the bases of the one
+    column of a stack of one."""
+    return tuple(b + complex(d) for b, d in zip(spec.betas(lam), spec.d))
+
+
 def left_poles(spec, lam, contour=ContourSpec()):
     """The non-integer poles of the integrand with real part from -3, or
     from sigma - 1 for a given abscissa sigma below -2, up to 2."""
     sigma = contour.abscissa
     re_min = -3.0 if sigma is None else min(-3.0, sigma - 1.0)
-    return _pole_scan(spec, spec.betas(lam), re_min, 2.0)
+    return _pole_scan(spec.e, column_bases(spec, lam), re_min, 2.0)
 
 
 def right_poles(spec, lam, sigma):
     """The non-integer poles of the integrand right of the line Re s = sigma."""
-    return [(j, n, p) for j, n, p in _pole_scan(spec, spec.betas(lam), sigma, float("inf"))
+    return [(j, n, p) for j, n, p in _pole_scan(spec.e, column_bases(spec, lam), sigma, float("inf"))
             if p.real > sigma]
 
 
@@ -1175,12 +1181,12 @@ def oracle_mb_integral(spec, x, lam, contour):
     sigma = choose_abscissa(spec, lam, contour)
     reals = [p.real for _j, _n, p in left_poles(spec, lam, contour)]
     gap = min([abs(sigma - r) for r in reals] + [abs(sigma - round(sigma))])
-    betas = spec.betas(lam)
+    bases = column_bases(spec, lam)
 
     def F(t):
         s = sigma + 1j * t
         return np.exp(LOG_PI - oracle_log_sin_pi(s) + s * log_xi
-                      + _log_gamma_block(spec, betas, s))
+                      + _log_gamma_block(spec.e, bases, s))
 
     t_max = contour.t_max
     n = 2 * math.ceil(2 * t_max / (2 * gap / 8))
@@ -1192,7 +1198,7 @@ def oracle_mb_integral(spec, x, lam, contour):
     value = -complex(fine) / (2 * math.pi)
     mass = step * (np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1]))) / (2 * math.pi)
     for j, n_j, _p in right_poles(spec, lam, sigma):
-        residue = complex(_interesting_residue(spec, betas, log_xi, j, n_j))
+        residue = complex(_interesting_residue(spec.e, bases, log_xi, j, n_j))
         value -= residue
         mass += abs(residue)
     return value, float(abs(fine - coarse) + tail) / (2 * math.pi), float(mass)

@@ -106,13 +106,12 @@ def test_criterion_4_mellin_barnes_residues():
         x_in = 0.3 * c * cmath.exp(1j * math.pi * w)
         x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
         lams = generic_lambdas(wc, 5, seed=7)
-        for label in fixed_point_labels(wc.git, wc.A_plus):
-            if label.delta in wc.A_minus.minimal:
-                continue
-            for rep in verify_residue_identity(wc, label, x_in, x_out, lams):
-                assert rep.residual_inside < 1e-7
-                assert rep.residual_outside < 1e-7
-                worst = max(worst, rep.residual_inside, rep.residual_outside)
+        labels = [label for label in fixed_point_labels(wc.git, wc.A_plus)
+                  if label.delta not in wc.A_minus.minimal]
+        for rep in verify_residue_identity(wc, labels, x_in, x_out, lams):
+            assert rep.residual_inside < 1e-7
+            assert rep.residual_outside < 1e-7
+            worst = max(worst, rep.residual_inside, rep.residual_outside)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _report("4 Barnes residues", "max residual %.2e in %.1fs" % (worst, elapsed))
@@ -175,13 +174,11 @@ def test_criterion_8_ode_annihilation():
     worst = 0.0
     for _name, wc, _case in _crossings():
         for crossing in (wc, wall_crossing(wc.git, wc.omega_minus, wc.omega_plus)):
-            lam = generic_lambdas(crossing, 1, seed=7)[0]
-            for label in fixed_point_labels(crossing.git, crossing.A_plus):
-                if label.delta in crossing.A_minus.minimal:
-                    continue
-                spec = make_inner_spec(crossing, label)
-                ser = inner_series(spec, 40, lam)
-                resid = gkz_ode_residual(ser, spec, lam)
+            lams = generic_lambdas(crossing, 1, seed=7)
+            specs = [make_inner_spec(crossing, label)
+                     for label in fixed_point_labels(crossing.git, crossing.A_plus)
+                     if label.delta not in crossing.A_minus.minimal]
+            for resid in gkz_ode_residual(inner_series(specs, 40, lams), specs, lams):
                 assert resid < 1e-12
                 worst = max(worst, resid)
     elapsed = time.monotonic() - start

@@ -103,7 +103,7 @@ def test_residue_identity(family):
     for label in fixed_point_labels(family.git, family.A_plus):
         if label.delta in family.A_minus.minimal:
             continue
-        rep, = verify_residue_identity(family, label, x_in, x_out, [lam])
+        rep, = verify_residue_identity(family, [label], x_in, x_out, [lam])
         assert rep.residual_inside < 1e-7
         assert rep.residual_outside < 1e-7
 
@@ -125,8 +125,8 @@ def test_series_ode(family):
         if label.delta in family.A_minus.minimal:
             continue
         spec = make_inner_spec(family, label)
-        ser = inner_series(spec, 30, lam)
-        assert gkz_ode_residual(ser, spec, lam) < 1e-11
+        resid, = gkz_ode_residual(inner_series([spec], 30, [lam]), [spec], [lam])
+        assert resid < 1e-11
 
 
 def test_order_three_averaging_integral():

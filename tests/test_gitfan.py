@@ -505,3 +505,13 @@ def test_saturation_matches_the_minor_oracle():
         assert saturated == _oracle_saturated(rows), rows
         seen.add(saturated)
     assert seen == {True, False}
+
+
+def test_label_text_is_the_text_of_its_fraction_views():
+    # reports name a label by its delta and f; the text is written from the
+    # sector's integers, and must read as the Fractions print
+    assert all(gitfan.ratio_text(n, d) == str(Fraction(n, d)) for n in range(-13, 14) for d in range(1, 14))
+    rng = random.Random(61)
+    for wc in list(committed_crossings()) + [random_crepant_crossing(rng) for _ in range(40)]:
+        for label in wc.labels_plus + wc.labels_minus:
+            assert str(label) == "delta=%s f=%s" % (list(label.delta), [str(x) for x in label.f])

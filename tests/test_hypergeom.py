@@ -213,30 +213,30 @@ def test_gkz_ode_annihilates(all_examples):
             if label.delta in wc.A_minus.minimal:
                 continue
             spec = make_inner_spec(wc, label)
-            ser = inner_series(spec, 25, lam)
-            assert gkz_ode_residual(ser, spec, lam) < 1e-12
+            resid, = gkz_ode_residual(inner_series([spec], 25, [lam]), [spec], [lam])
+            assert resid < 1e-12
 
 
 def test_gkz_ode_detects_corruption(conifold):
     label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
     lam = generic_lambdas(conifold, 1, seed=9)[0]
     spec = make_inner_spec(conifold, label)
-    ser = inner_series(spec, 20, lam)
+    ser, = inner_series([spec], 20, [lam])
     bad = list(ser.coeffs)
     bad[7] += 1e-3
     from wallcross.hypergeom import TruncatedSeries
 
     corrupted = TruncatedSeries(coeffs=tuple(bad), order=ser.order, exponent=ser.exponent)
-    assert gkz_ode_residual(corrupted, spec, lam) >= 1e-4
+    assert gkz_ode_residual([corrupted], [spec], [lam])[0] >= 1e-4
 
 
 def test_gkz_ode_degenerate_series(conifold):
     label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
     spec = make_inner_spec(conifold, label)
     lam = (0j,) * 4
-    ser = inner_series(spec, 10, lam)
+    ser, = inner_series([spec], 10, [lam])
     assert ser.coeffs[0] == 1 and all(c == 0 for c in ser.coeffs[1:])
-    assert gkz_ode_residual(ser, spec, lam) == 0.0
+    assert gkz_ode_residual([ser], [spec], [lam])[0] == 0.0
 
 
 def test_overflowing_series_is_carried_under_a_power_of_two():
@@ -250,7 +250,7 @@ def test_overflowing_series_is_carried_under_a_power_of_two():
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lam = generic_lambdas(wc, 1, seed=7)[0]
     spec = make_inner_spec(wc, fixed_point_labels(wc.git, wc.A_plus)[0])
-    ser = inner_series(spec, 150, lam)
+    ser, = inner_series([spec], 150, [lam])
     plain = inner_sum_coefficient(spec, np.arange(151), lam)
     assert ser.exponent > 1024 and not np.isfinite(plain).all()
     carried = np.array(ser.coeffs)
@@ -260,7 +260,7 @@ def test_overflowing_series_is_carried_under_a_power_of_two():
     assert len(fits) > 20
     back = carried[fits] * 2.0 ** (ser.exponent - 1000) * 2.0 ** 1000
     assert np.max(np.abs(back - plain[fits]) / np.abs(plain[fits])) < 1e-12
-    resid = gkz_ode_residual(ser, spec, lam)
+    resid, = gkz_ode_residual([ser], [spec], [lam])
     assert resid < 1e-11 and resid == oracle_gkz_ode_residual(ser, spec, lam)
 
 
@@ -273,12 +273,12 @@ def test_ode_residual_is_unchanged_by_a_power_of_two(conifold, resolution):
         lam = generic_lambdas(wc, 1, seed=5)[0]
         for label in fixed_point_labels(wc.git, wc.A_plus):
             spec = make_inner_spec(wc, label)
-            ser = inner_series(spec, 40, lam)
-            resid = gkz_ode_residual(ser, spec, lam)
+            ser, = inner_series([spec], 40, [lam])
+            resid = gkz_ode_residual([ser], [spec], [lam])
             for p in (-200, 300):
                 scaled = TruncatedSeries(coeffs=tuple(c * 2.0 ** p for c in ser.coeffs),
                                          order=ser.order, exponent=ser.exponent - p)
-                assert gkz_ode_residual(scaled, spec, lam) == resid
+                assert gkz_ode_residual([scaled], [spec], [lam]) == resid
 
 
 def test_coefficient_ratio_approaches_degeneration_point(conifold, resolution):

@@ -45,10 +45,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
 FRACTION_SITES = {
     # config parsing and the rationals a caller hands in
     "cli._parse_rational", "lattice._q", "lattice.vdot",
-    # report views: a box class's f and age, a printed weight's age, the
-    # framing's power of z
-    "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "localization.normal_weights",
-    "ktheory.framing_restrict",
+    # report views: a box class's f and age, the framing's power of z
+    "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "ktheory.framing_restrict",
     # supplied and reported coefficient lifts, and the coefficient's shift
     "gitfan.compatible_minus_lift", "mellinbarnes._coefficient",
     # the splitting vectors xi

@@ -175,8 +175,8 @@ def test_normal_weights_twisted_sector(resolution):
     assert nw.fixed == ()
     moving = {(str(f), fj) for _j, f, fj in nw.moving}
     assert moving == {
-        ("L1+1/2*L3", Fraction(1, 2)),
-        ("L2+1/2*L3", Fraction(1, 2)),
+        ("L1+1/2*L3", (1, 2)),
+        ("L2+1/2*L3", (1, 2)),
     }
 
 
