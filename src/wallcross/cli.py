@@ -99,6 +99,14 @@ def _object(node, where):
     return node
 
 
+def _fields(node, where, keys):
+    """The JSON object node, each of whose keys is one of keys."""
+    unknown = sorted(set(_object(node, where)) - set(keys))
+    if unknown:
+        raise ConfigError("%s has no key %r" % (where, unknown[0]))
+    return node
+
+
 def _count(node, where):
     if not _is_int(node) or node < 1:
         raise ConfigError("%s must be a positive integer, got %r" % (where, node))
@@ -134,7 +142,9 @@ def parse_config(raw):
     omega_minus = _parse_rational_vector(raw.get("omega_minus"), "omega_minus", dim=r)
 
     trunc = _object(raw.get("truncation", {}), "truncation")
-    tols = dict(DEFAULT_TOLERANCES, **_object(raw.get("tolerances", {}), "tolerances"))
+    # quadrature, the tolerance of a retired Barnes-line rule, still loads
+    tols = dict(DEFAULT_TOLERANCES, **_fields(raw.get("tolerances", {}), "tolerances",
+                                              [*DEFAULT_TOLERANCES, "quadrature"]))
     for key, tol in tols.items():
         # a zero floor turns the sensitivity check off; a zero tolerance would
         # FAIL every check, and a negative pole clearance admit every sample
@@ -143,7 +153,7 @@ def parse_config(raw):
         if not (tol >= 0 if floor else tol > 0):
             raise ConfigError("tolerances.%s must be %s, got %r"
                               % (key, "nonnegative" if floor else "positive", tol))
-    contour_node = _object(raw.get("contour", {}), "contour")
+    contour_node = _fields(raw.get("contour", {}), "contour", ("abscissa", "t_max"))
     abscissa = contour_node.get("abscissa")
     # the Barnes line keeps the pole at s = 0 on its right
     if abscissa is not None and not _number(abscissa, "contour.abscissa") < 0:
@@ -416,7 +426,7 @@ def cmd_series(cfg):
     for spec, ser in zip(specs, inner_series(specs, min(cfg["series_order"], 8), [lam])):
         entry = {
             "label": str(spec.label),
-            "base_exponent": [str(x) for x in spec.d_plus],
+            "base_exponent": [ratio_text(x, spec.det) for x in spec.d_plus],
             "coefficients": [c for c in ser.coeffs],
         }
         if ser.exponent:  # the coefficients are divided by 2**exponent

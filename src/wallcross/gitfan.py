@@ -384,7 +384,7 @@ def _classify(S_plus, S_minus, M_plus, M_minus):
 
 
 def _xi_vectors(git, A, S):
-    """The splitting vectors xi_j, one per extended index j in S.
+    """The splitting vectors xi_j = col / det as (col, det), j in S.
 
     xi_j pairs to 1 with D_j, to 0 with the other members of the minimal
     anticone whose fan cone contains the extended vector, and to minus the
@@ -402,7 +402,7 @@ def _xi_vectors(git, A, S):
             adj, det = anticone_inverse(git.D, delta)
             col = [row[delta.index(j)] for row in adj]
             if all(_idot(git.D[i], col) <= 0 for i in range(git.m) if i not in delta):
-                found = tuple(Fraction(x, det) for x in col)
+                found = tuple(col), det
                 break
         if found is None:
             raise ValueError("no fan cone contains the extended vector for index %d" % j)
@@ -634,8 +634,8 @@ def _combination(coeffs, rows):
 
 def _constrained_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
-    the given rational functionals, each cleared to an integer one."""
-    cond_rows = [[_idot(row, c) for row in dual] for _, c in map(cleared, conditions)]
+    the given integer functionals."""
+    cond_rows = [[_idot(row, c) for row in dual] for c in conditions]
     return [_combination(k, dual) for k in integer_kernel_basis(cond_rows, len(dual))]
 
 
@@ -804,7 +804,7 @@ def _last_vector(wc, side, dual, wall, facet_point):
         return v
     # the ambient-side sublattice: annihilated by the side's splitting
     # vectors only; the off-wall completion lives here
-    gens = _constrained_sublattice(dual, [xi[i] for i in S])
+    gens = _constrained_sublattice(dual, [xi[i][0] for i in S])
     wall_coords = [_coords_in(dual, w) for w in wall]
     L = [_int_det(wall_coords + [_coords_in(dual, g)]) for g in gens]
     unit = _level_one(L)
@@ -853,8 +853,8 @@ def wall_frame(wc):
     # the shared facet's sublattice: on the wall, annihilated by every
     # splitting vector of both sides
     conditions = [wc.e]
-    conditions += [wc.xi_plus[i] for i in wc.S_plus]
-    conditions += [wc.xi_minus[i] for i in wc.S_minus]
+    conditions += [wc.xi_plus[i][0] for i in wc.S_plus]
+    conditions += [wc.xi_minus[i][0] for i in wc.S_minus]
     facet_gens = _constrained_sublattice(dual_plus, conditions)
     assert len(facet_gens) == ell, "facet sublattice has unexpected rank"
 

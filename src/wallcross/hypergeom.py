@@ -178,11 +178,14 @@ def w_constant(wc):
 
 @dataclass(frozen=True)
 class InnerSeriesSpec:
-    """One inner series: fixed point, base exponent class and pairings."""
+    """One inner series: fixed point, base exponent class and pairings.  The
+    base exponent and its pairings are integer numerators over det, the
+    isotropy order (canonical_d_plus)."""
 
     label: FixedPointLabel
-    d_plus: tuple  # rational vector, base exponent of the series
-    d: tuple  # D_j . d_plus, Fractions
+    d_plus: tuple  # the base exponent of the series, d_plus / det
+    d: tuple  # D_j . d_plus
+    det: int
     e: tuple  # D_j . e, ints
     beta_forms: tuple  # u_j(delta) as LinearForms
 
@@ -224,36 +227,33 @@ def canonical_d_plus(wc, label):
 def make_inner_spec(wc, label):
     git = wc.git
     num, det = canonical_d_plus(wc, label)
-    d_plus = tuple(Fraction(x, det) for x in num)
-    d = tuple(Fraction(sum(a * x for a, x in zip(row, num)), det) for row in git.D)
-    e = tuple(wc.pair_e(j) for j in range(git.m))
-    beta_forms = restrict_u(git, label.delta)
+    d = tuple(sum(a * x for a, x in zip(row, num)) for row in git.D)
     for i in label.delta:
-        assert d[i].denominator == 1 and d[i] >= 0, "base exponent must be effective"
-    return InnerSeriesSpec(label=label, d_plus=d_plus, d=d, e=e, beta_forms=beta_forms)
-
-
-def _exact_gamma_ratio(d0, dk):
-    """Gamma(1+d0)/Gamma(1+dk) for integers, exactly; zero when dk < 0."""
-    if dk < 0:
-        return Fraction(0)
-    assert d0 >= 0
-    return Fraction(math.prod(range(dk + 1, d0 + 1)), math.prod(range(d0 + 1, dk + 1)))
+        assert d[i] % det == 0 and d[i] >= 0, "base exponent must be effective"
+    return InnerSeriesSpec(label=label, d_plus=num, d=d, det=det, e=tuple(wc.pair_e(j) for j in range(git.m)),
+                           beta_forms=restrict_u(git, label.delta))
 
 
 @functools.lru_cache(maxsize=256)
 def _exact_part(factors, ks):
-    """The product of the exact factors' Gamma ratios at each k in ks, given
-    as (live, log |product| of the live k, sign of the live k); factors holds
-    (d0, e_j) per exact factor.  It does not depend on the torus parameters,
+    """The product of the exact factors' Gamma ratios
+    Gamma(1 + d0) / Gamma(1 + d0 + k e_j), (d0, e_j) in factors, at each k in
+    ks as (live, log |product| of the live k, sign of the live k), from integer
+    products reduced once per k.  It does not depend on the torus parameters,
     so it is built once and shared by every sample."""
-    exact = [Fraction(1)] * len(ks)
-    for d0, ej in factors:
-        exact = [x * _exact_gamma_ratio(d0, d0 + k * ej) if x else x for x, k in zip(exact, ks)]
-    kept = [x for x in exact if x]
-    out = (np.array([x != 0 for x in exact], dtype=bool),
-           np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept]),
-           np.array([1.0 if x > 0 else -1.0 for x in kept]))
+    exact = []
+    for k in ks:
+        num = den = 1
+        for d0, ej in factors:
+            dk = d0 + k * ej  # a reciprocal Gamma at 1 + dk <= 0 is zero
+            num *= math.prod(range(dk + 1, d0 + 1)) if dk >= 0 else 0
+            den *= math.prod(range(d0 + 1, dk + 1))
+        g = math.gcd(num, den)
+        exact.append((num // g, den // g))
+    kept = [(num, den) for num, den in exact if num]
+    out = (np.array([num != 0 for num, _den in exact], dtype=bool),
+           np.array([math.log(abs(num)) - math.log(den) for num, den in kept]),
+           np.array([1.0 if num > 0 else -1.0 for num, _den in kept]))
     for a in out:
         a.flags.writeable = False  # shared by every caller
     return out
@@ -265,7 +265,7 @@ def stack_bases(specs, lams):
     turn; the specs are of one crossing, so they share e."""
     out = []
     for spec in specs:
-        d = [complex(x) for x in spec.d]
+        d = [complex(x / spec.det) for x in spec.d]
         out += [tuple(b + x for b, x in zip(spec.betas(lam), d)) for lam in lams]
     return out
 
@@ -300,11 +300,11 @@ def _log_coefficients(specs, ks, lams):
     """
     key, parts, generic, a0 = tuple(ks.tolist()), [], [], []
     for spec in specs:
-        d = [complex(x) for x in spec.d]
+        d = [complex(x / spec.det) for x in spec.d]
         for lam in lams:
             betas = spec.betas(lam)
-            exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j].denominator == 1)
-            parts.append(_exact_part(tuple((int(spec.d[j]), spec.e[j]) for j in exact), key))
+            exact = tuple(j for j, b in enumerate(betas) if b == 0 and spec.d[j] % spec.det == 0)
+            parts.append(_exact_part(tuple((spec.d[j] // spec.det, spec.e[j]) for j in exact), key))
             generic.append([j not in exact for j in range(len(betas))])
             a0.append([1 + b + x for b, x in zip(betas, d)])
     live = np.array([live for live, _log, _sign in parts])

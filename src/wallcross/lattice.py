@@ -10,11 +10,12 @@ Integer results (kernels, wall normals, Hermite rows, span numerators,
 adjugates, line classes and multiples of integer numerators) leave as int
 tuples; rational ones (anticone coordinates, solves, lattices generated by
 rational vectors) as tuples of ``fractions.Fraction``.  Downstream, a box
-class, a restricted form and a sector lift are integer numerators over one
-denominator, and a phase is read as (p mod den) / den.  Fraction is left only
-at the boundary: parsed configs, the f and age reports print, printed forms,
-coefficient lifts and shifts, xi, (c, c_i), d_plus and d, the exact Gamma
-ratios, the conifold point and the reduced phases of restricted terms.
+class, a restricted form, a sector or coefficient lift and its shift, xi, a
+base exponent and an exact Gamma ratio are integer numerators over one
+denominator, and a phase is read as (p mod den) / den.  Fraction is left
+only at the boundary: parsed configs, the f and age reports print, printed
+forms, the compatible minus lift, (c, c_i), the conifold point and the
+reduced phases of restricted terms.
 """
 
 from __future__ import annotations

@@ -13,11 +13,10 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .gitfan import _idot, minus_lift_numerators, next_to_cells
+from .gitfan import _idot, minus_lift_numerators, next_to_cells, ratio_text
 from .hypergeom import (
     LOG_PI,
     TWO_PI_I,
@@ -31,7 +30,7 @@ from .hypergeom import (
     stack_column,
     w_constant,
 )
-from .lattice import cleared, ratvec
+from .lattice import cleared
 from .localization import restrict_u
 
 
@@ -53,7 +52,8 @@ class IncompatibleLifts(ValueError):
 
 @dataclass(frozen=True)
 class ContinuationCoefficient:
-    """Connection coefficient between a next-to pair of fixed points."""
+    """Connection coefficient between a next-to pair of fixed points.  A lift
+    is (s, n, c), n / s with c[j] = D_j . n; the shift is (num, den), num / den."""
 
     j_minus: int
     l: int
@@ -61,7 +61,7 @@ class ContinuationCoefficient:
     lift_plus: tuple
     lift_minus: tuple
     u_form: object  # u_{j-}(delta_plus) as a LinearForm
-    shift: Fraction  # D_{j-} . (f_plus - f_minus)
+    shift: tuple  # D_{j-} . (f_plus - f_minus)
     ratio_js: tuple  # other negative-pairing indices
     # per j in ratio_js: (u_j(delta_plus), D_j . f_plus, u_j(delta_minus), D_j . f_minus)
     ratio_terms: tuple
@@ -71,7 +71,8 @@ class ContinuationCoefficient:
 
     def __post_init__(self):
         object.__setattr__(self, "_phase", -1j * math.pi * self.w)
-        object.__setattr__(self, "_shift", complex(self.shift))
+        # int / int is the correctly rounded quotient of the exact shift
+        object.__setattr__(self, "_shift", complex(self.shift[0] / self.shift[1]))
 
     def value(self, lam):
         """The coefficient at the torus parameters lam."""
@@ -90,7 +91,7 @@ class ContinuationCoefficient:
             "exp(-pi*i*%d/%d * X) * sin(pi X)/(%d sin(pi X/%d)) * prod over j in %s"
             " of sin(pi(u_j(d+)/2pi i + D_j f+))/sin(pi(u_j(d-)/2pi i + D_j f-));"
             " X = (%s)/(2 pi i) + %s"
-            % (self.w, self.l, self.l, self.l, list(self.ratio_js), self.u_form, self.shift)
+            % (self.w, self.l, self.l, self.l, list(self.ratio_js), self.u_form, ratio_text(*self.shift))
         )
 
 
@@ -105,34 +106,33 @@ def _anticone_pair(wc, delta_plus, delta_minus):
 
 def _coefficient(wc, w, anticones, pair, plus=None, minus=None):
     """The coefficient of a next-to pair from its anticone data and, per side,
-    an integer lift (s, n, c, view): c[j] = D_j . n, view the lift to report
-    or None for n / s.  The lifts default to the plus sector and
-    minus_lift_numerators' f_plus + (a / s) e, pairings read from the sectors'.
-    Each must represent its sector; they differ by a multiple of e."""
+    an integer lift (s, n, c) as ContinuationCoefficient holds it.  The lifts
+    default to the plus sector and minus_lift_numerators' f_plus + (a / s) e,
+    pairings read from the sectors'.  Each must represent its sector; they
+    differ by a multiple of e."""
     (j_minus, l, ratio_js, u_plus, u_minus), (sp, sm) = anticones, (pair[0].sector, pair[1].sector)
-    plus = plus or (sp.den, sp.num, sp.pairings, pair[0].f)
+    plus = plus or (sp.den, sp.num, sp.pairings)
     if minus is None:
         s, n, a = minus_lift_numerators(wc, sp, sm)
-        minus = (s, n, [s // sp.den * x + a * y for x, y in zip(sp.pairings, wc.pairings)], None)
-    for sec, (s, n, _c, _view) in ((sp, plus), (sm, minus)):
+        minus = (s, n, tuple(s // sp.den * x + a * y for x, y in zip(sp.pairings, wc.pairings)))
+    for sec, (s, n, _c) in ((sp, plus), (sm, minus)):
         # the sector's f = num / den is the fractional part of every lift of it
         if any((x % s) * sec.den != y * s for x, y in zip(n, sec.num)):
             raise IncompatibleLifts("lift does not represent the sector class")
-    (s_plus, n_plus, c_plus, lift_plus), (s_minus, n_minus, c_minus, lift_minus) = plus, minus
+    (s_plus, n_plus, c_plus), (s_minus, n_minus, c_minus) = plus, minus
     v, e = [a * s_minus - b * s_plus for a, b in zip(n_plus, n_minus)], wc.e
     if any(v[i] * e[k] != v[k] * e[i] for i, k in itertools.combinations(range(len(e)), 2)):
         raise IncompatibleLifts("lifts do not differ by a multiple of the wall normal")
-    # int / int is the correctly rounded quotient, as float(Fraction) is
     ratio_terms = tuple((u_plus[j], complex(c_plus[j] / s_plus),
                          u_minus[j], complex(c_minus[j] / s_minus)) for j in ratio_js)
     return ContinuationCoefficient(
         j_minus=j_minus,
         l=l,
         w=w,
-        lift_plus=lift_plus or tuple(Fraction(x, s_plus) for x in n_plus),
-        lift_minus=lift_minus or tuple(Fraction(x, s_minus) for x in n_minus),
+        lift_plus=plus,
+        lift_minus=minus,
         u_form=u_plus[j_minus],
-        shift=Fraction(c_plus[j_minus] * s_minus - c_minus[j_minus] * s_plus, s_plus * s_minus),
+        shift=(c_plus[j_minus] * s_minus - c_minus[j_minus] * s_plus, s_plus * s_minus),
         ratio_js=ratio_js,
         ratio_terms=ratio_terms,
     )
@@ -141,14 +141,14 @@ def _coefficient(wc, w, anticones, pair, plus=None, minus=None):
 def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     """Closed-form connection coefficient for a next-to pair of labels.
 
-    Lifts default to the canonical plus representative and the compatible
-    minus lift; every lift must represent its sector class, and the two must
-    differ by a rational multiple of the wall normal.
+    Lifts, rational vectors, default to the canonical plus representative
+    and the compatible minus lift; every lift must represent its sector
+    class, and the two must differ by a rational multiple of the wall normal.
     """
     def supplied(lift):
         if lift is not None:
             s, n = cleared(lift)
-            return s, n, [_idot(row, n) for row in wc.git.D], ratvec(lift)
+            return s, n, tuple(_idot(row, n) for row in wc.git.D)
 
     anticones = _anticone_pair(wc, pair[0].delta, pair[1].delta)
     return _coefficient(wc, w_constant(wc), anticones, pair, supplied(lift_plus), supplied(lift_minus))
@@ -159,12 +159,19 @@ def lift_invariance_check(wc, pair, lams, tol=1e-12):
     the plus lift is shifted by the wall normal, the minus lift against it,
     or both lifts by an integer vector; one bool per sample.
     """
-    base = continuation_coefficient(wc, pair)
-    f_plus, f_minus = base.lift_plus, base.lift_minus
-    variants = [continuation_coefficient(wc, pair, lp, lm) for lp, lm in (
-        (tuple(a + b for a, b in zip(f_plus, wc.e)), f_minus),
-        (f_plus, tuple(a - b for a, b in zip(f_minus, wc.e))),
-        ((f_plus[0] + 1,) + f_plus[1:], (f_minus[0] + 1,) + f_minus[1:]),
+    def moved(lift, v):
+        """The integer lift (s, n, c) plus the integer vector v."""
+        s, n, c = lift
+        return (s, tuple(x + s * y for x, y in zip(n, v)),
+                tuple(x + s * _idot(row, v) for x, row in zip(c, wc.git.D)))
+
+    anticones, w = _anticone_pair(wc, pair[0].delta, pair[1].delta), w_constant(wc)
+    base = _coefficient(wc, w, anticones, pair)
+    f_plus, f_minus, unit = base.lift_plus, base.lift_minus, (1,) + (0,) * (wc.git.r - 1)
+    variants = [_coefficient(wc, w, anticones, pair, lp, lm) for lp, lm in (
+        (moved(f_plus, wc.e), f_minus),
+        (f_plus, moved(f_minus, [-x for x in wc.e])),
+        (moved(f_plus, unit), moved(f_minus, unit)),
     )]
     out = []
     for lam in lams:
@@ -256,69 +263,69 @@ def _log_gamma_block(e, bases, s, skip=None, factorial_of=None):
     return acc if factorial_of is None else (rows[0], acc)
 
 
-def _pole_scan(e, bases, re_min, re_max):
-    """The non-integer poles (j, n, p) with real part in [re_min, re_max],
-    by direction j and then by n, of one column: bases[j] is its
-    beta_j + d_j."""
-    poles = []
-    for j, (ej, base) in enumerate(zip(e, bases)):
-        if ej >= 0:
-            continue
-        l = -ej
-        n = 0
-        while True:
-            p = (base - n) / l
-            if p.real < re_min:
-                break
-            if p.real <= re_max:
-                poles.append((j, n, p))
-            n += 1
-    return poles
-
-
 def _point(z):
     """An integer or a pole, as an error message names it."""
     return "the integer %d" % z if isinstance(z, int) else "the pole %.6g%+.6gj" % (z.real, z.imag)
 
 
-def _closest(pts):
-    """(distance, p, q): the nearest two of the poles pts, or a pole p and
-    its nearest integer q, whichever are nearer."""
-    return min([(abs(p - q), p, q) for p, q in itertools.combinations(pts, 2)]
-               + [(abs(p - round(p.real)), p, round(p.real)) for p in pts],
-               key=lambda c: c[0], default=(float("inf"), None, None))
+def _line_setup(e, bases, contour, name):
+    """(sigma, counts): the abscissa of each column, row c of bases holding
+    its beta_j + d_j, and per direction j the count of the poles n < counts[j]
+    that lie right of sigma - 1 in some column.
 
-
-def _gaps(sigmas, reals):
-    """Each abscissa's distance from the nearest of the pole real parts and
-    from the nearest integer."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    to_poles = np.abs(sigmas[:, None] - np.asarray(reals, dtype=float)).min(axis=1, initial=np.inf)
-    return np.minimum(to_poles, np.abs(sigmas - np.round(sigmas)))
-
-
-def _abscissa(poles, contour):
-    """The given abscissa, or the first of the 41 in [-0.45, -0.05] with the
-    largest gap, the distance from the nearest of the poles' real parts and
-    from the nearest integer.  The gap must reach the contour's clearance,
-    and the pole at s = 0 lie right of the line; the error names the pole
-    or the integer that the gap is read from."""
-    reals = np.real(poles)
-    sigma = contour.abscissa
-    if sigma is None:
-        candidates = -0.45 + 0.01 * np.arange(41)
-        gaps = _gaps(candidates, reals)
-        best = int(np.argmax(gaps))
-        sigma, gap = float(candidates[best]), float(gaps[best])
-    elif not sigma < 0:
-        raise ContourTooClose("abscissa %g is not negative" % sigma)
-    else:
-        gap = float(_gaps([sigma], reals)[0])
-    if gap < contour.clearance:
-        near = min([round(sigma)] + list(poles), key=lambda z: abs(sigma - z.real))
-        raise ContourTooClose("abscissa %g clears the poles by only %g, from %s"
-                              % (sigma, gap, _point(near)))
-    return sigma
+    The poles (beta_j + d_j - n) / l, l = -e_j, with real part from re_min
+    form one table over all columns, by j and then by n, real and imaginary
+    parts divided apart as Python's complex / int divides them.  A column's
+    window, its poles up to real part 2, must keep its nearest two poles, or
+    a pole and its nearest integer, the clearance apart.  The abscissa is
+    the given one, which must be negative, or the first of the 41 in
+    [-0.45, -0.05] with the largest gap, the distance from the window's real
+    parts and the integers; the gap must reach the clearance.  The first
+    failing column raises, its separation before its abscissa, with name(c)
+    before a text that names the poles or the integer the distance is from.
+    """
+    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
+    js, ns = [], []
+    for j, ej in enumerate(e):
+        top = max(0, math.floor(bases[:, j].real.max() + ej * re_min) + 2) if ej < 0 else 0
+        js, ns = js + [j] * top, ns + list(range(top))
+    js, ls = np.array(js, dtype=int), -np.array(e)[js]
+    table = (bases[:, js].real - ns) / ls
+    scanned = table >= re_min
+    at = np.flatnonzero((scanned & (table <= 2.0)).any(axis=0))
+    re, im = table[:, at], bases[:, js[at]].imag / ls[at]
+    window, near = scanned[:, at] & (re <= 2.0), np.round(re)
+    # the pairs in combinations order, then each pole and its nearest
+    # integer; hypot is abs() of a Python complex
+    p, q = np.triu_indices(len(at), 1)
+    dist = np.concatenate([np.where(window[:, p] & window[:, q],
+                                    np.hypot(re[:, p] - re[:, q], im[:, p] - im[:, q]), np.inf),
+                           np.where(window, np.hypot(re - near, im), np.inf)], axis=1)
+    candidates = (-0.45 + 0.01 * np.arange(41) if contour.abscissa is None
+                  else np.array([contour.abscissa], dtype=float))
+    reals = np.where(window, re, np.inf)[:, None]
+    gaps = np.minimum(np.abs(candidates[:, None] - reals).min(axis=2, initial=np.inf),
+                      np.abs(candidates - np.round(candidates)))
+    best, rows = np.argmax(gaps, axis=1), np.arange(len(bases))
+    sigma, gap, sep = candidates[best], gaps[rows, best], dist.min(axis=1, initial=np.inf)
+    negative = contour.abscissa is None or contour.abscissa < 0
+    fails = (sep < contour.clearance) | (gap < contour.clearance) | (not negative)
+    if fails.any():
+        c = int(np.argmax(fails))
+        poles = [complex(x, y) for x, y in zip(re[c], im[c])]
+        if sep[c] < contour.clearance:
+            k = int(np.argmin(dist[c]))
+            a, b = (poles[p[k]], poles[q[k]]) if k < len(p) else (poles[k - len(p)], int(near[c, k - len(p)]))
+            raise PoleCollision("%s: left poles are closer than the clearance radius: %s and %s are"
+                                " %g apart" % (name(c), _point(a), _point(b), sep[c]))
+        if not negative:
+            raise ContourTooClose("%s: abscissa %g is not negative" % (name(c), contour.abscissa))
+        s = float(sigma[c])
+        found = min([round(s)] + [z for z, w in zip(poles, window[c]) if w], key=lambda z: abs(s - z.real))
+        raise ContourTooClose("%s: abscissa %g clears the poles by only %g, from %s"
+                              % (name(c), s, gap[c], _point(found)))
+    hit = (table > sigma[:, None] - 1.0).any(axis=0)  # n ascends within each j; the last n counts
+    return sigma, dict(zip(js[hit].tolist(), (np.array(ns, dtype=int)[hit] + 1).tolist()))
 
 
 def _split_xi(spec, x):
@@ -436,26 +443,8 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     splits = [_split_xi(specs[0], x) for x in xs]
     log_xi = np.array([log for _xi, log in splits])[:, None]
     decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
-    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
-    # counts[j]: the poles n < counts[j] of direction j lie right of
-    # sigma - 1 in some column
-    sigmas, counts = [], {}
-    for c, column in enumerate(columns):
-        poles = _pole_scan(e, column, re_min, float("inf"))
-        window = [p for _j, _n, p in poles if p.real <= 2.0]
-        gap, p, q = _closest(window)
-        if gap < contour.clearance:
-            raise PoleCollision("%s: left poles are closer than the clearance radius: %s and %s are"
-                                " %g apart" % (stack_column(specs, lams, c), _point(p), _point(q), gap))
-        try:
-            sigma = _abscissa(window, contour)
-        except ContourTooClose as exc:
-            raise ContourTooClose("%s: %s" % (stack_column(specs, lams, c), exc)) from None
-        sigmas.append(sigma)
-        for j, n, p in poles:
-            if p.real > sigma - 1.0:
-                counts[j] = max(counts.get(j, 0), n + 1)
-    sigma = np.array(sigmas)[:, None, None]
+    sigma, counts = _line_setup(e, np.array(columns), contour, lambda c: stack_column(specs, lams, c))
+    sigma = sigma[:, None, None]
     bases = _base_rows(columns)[..., None]
 
     def G(t):

@@ -27,6 +27,13 @@ production path it checks can cross-validate each other:
   Python scalar, against the array of all forms;
 - the Barnes-line oracle integrates one point over the whole line
   |Im s| <= t_max, with the integrand evaluated afresh for that point;
+- the Barnes-line set-up oracle (oracle_line_setup) scans each column's
+  poles into a Python list (pole_scan) and reads its separation (closest)
+  and abscissa (oracle_abscissa) column by column, against the one array
+  pole table of every column;
+- the exact-part oracle (fraction_exact_part) multiplies the exact Gamma
+  ratios as Fractions factor by factor, against the integer products
+  reduced once per degree;
 - the Gamma-block, residue, inner-coefficient and Euler-product oracles
   call log_gamma once per factor and multiply Python complex scalars per
   degree, the evaluation order that the stacked array versions must
@@ -69,6 +76,7 @@ import itertools
 import json
 import math
 import pathlib
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -94,7 +102,6 @@ from wallcross.hypergeom import (
     LOG_PI,
     TWO_PI_I,
     PoleCollision,
-    _exact_gamma_ratio,
     _log_coefficients,
     check_generic,
     make_inner_spec,
@@ -115,16 +122,12 @@ from wallcross.lattice import (
 )
 from wallcross.localization import LinearForm, sigma_restrict
 from wallcross.mellinbarnes import (
-    ContinuationCoefficient,
     ContinuationMatrix,
     ContourSpec,
     ContourTooClose,
     IncompatibleLifts,
-    _abscissa,
-    _closest,
     _interesting_residue,
     _log_gamma_block,
-    _pole_scan,
     _split_xi,
 )
 
@@ -640,6 +643,12 @@ def _search_basis(generators, accept, need, full_det_one):
     return None
 
 
+def xi_fractions(xi, S):
+    """The splitting vectors xi_j, j in S, of a side's (col, det) pairs, as
+    Fraction vectors col / det."""
+    return [tuple(Fraction(x, xi[j][1]) for x in xi[j][0]) for j in S]
+
+
 def oracle_wall_frame(wc):
     """The adapted integral bases and the chart transition by brute-force
     search, or ValueError when a search exhausts its radius.
@@ -660,9 +669,7 @@ def oracle_wall_frame(wc):
 
     # the shared facet's sublattice: on the wall, annihilated by every
     # splitting vector of both sides
-    conditions = [ratvec(wc.e)]
-    conditions += [wc.xi_plus[i] for i in wc.S_plus]
-    conditions += [wc.xi_minus[i] for i in wc.S_minus]
+    conditions = [ratvec(wc.e)] + xi_fractions(wc.xi_plus, wc.S_plus) + xi_fractions(wc.xi_minus, wc.S_minus)
     facet_gens = _oracle_sublattice(dual_plus, conditions)
     assert len(facet_gens) == ell, "facet sublattice has unexpected rank"
 
@@ -701,7 +708,7 @@ def oracle_wall_frame(wc):
             return v
         # the ambient-side sublattice: annihilated by the side's splitting
         # vectors only; the off-wall completion lives here
-        side_gens = _oracle_sublattice(dual, [xi[i] for i in S])
+        side_gens = _oracle_sublattice(dual, xi_fractions(xi, S))
         wall_coords = [oracle_coords(dual, w) for w in wall]
         for radius in range(1, WALL_SEARCH_RADIUS + 1):
             for k in _sup_shell(radius, len(side_gens)):
@@ -818,11 +825,11 @@ def continuation_numeric(wc, pair, x, lam):
     alpha = oracle_line_membership(vsub(label_minus.f, label_plus.f), wc.e)
     lift_minus = vadd(label_plus.f, vscale(alpha, wc.e))
     # d_minus = d_plus + ((D_{j-}.d_plus - l') / l) e with [d_minus] = f_minus
-    d_plus_pair = spec.d[j_minus]
+    d_plus_pair = Fraction(spec.d[j_minus], spec.det)
     residue_class = None
     for cand in range(l):
         q = (d_plus_pair - cand) / l
-        d_minus = tuple(a + q * b for a, b in zip(spec.d_plus, ratvec(wc.e)))
+        d_minus = tuple(Fraction(a, spec.det) + q * b for a, b in zip(spec.d_plus, ratvec(wc.e)))
         if is_integral(vsub(d_minus, lift_minus)):
             residue_class = cand
             d_minus_vec = d_minus
@@ -835,7 +842,7 @@ def continuation_numeric(wc, pair, x, lam):
     prefactor = 1.0 + 0j
     for j in range(wc.git.m):
         if spec.e[j] < 0:
-            prefactor *= cmath.sin(math.pi * (-betas[j] - complex(spec.d[j]))) / math.pi
+            prefactor *= cmath.sin(math.pi * (-betas[j] - complex(spec.d[j] / spec.det))) / math.pi
 
     xi, log_xi = _split_xi(spec, x)
     log_ye = log_xi + 1j * math.pi * w
@@ -1113,7 +1120,66 @@ def reference_gram(git, A, restrict, lams):
 def column_bases(spec, lam):
     """beta_j + d_j of the spec at the sample lam: the bases of the one
     column of a stack of one."""
-    return tuple(b + complex(d) for b, d in zip(spec.betas(lam), spec.d))
+    return tuple(b + complex(d / spec.det) for b, d in zip(spec.betas(lam), spec.d))
+
+
+def pole_scan(e, bases, re_min, re_max):
+    """The non-integer poles (j, n, p) with real part in [re_min, re_max],
+    by direction j and then by n, of one column: bases[j] is its
+    beta_j + d_j."""
+    poles = []
+    for j, (ej, base) in enumerate(zip(e, bases)):
+        if ej >= 0:
+            continue
+        l = -ej
+        n = 0
+        while True:
+            p = (base - n) / l
+            if p.real < re_min:
+                break
+            if p.real <= re_max:
+                poles.append((j, n, p))
+            n += 1
+    return poles
+
+
+def _point_text(z):
+    return "the integer %d" % z if isinstance(z, int) else "the pole %.6g%+.6gj" % (z.real, z.imag)
+
+
+def closest(pts):
+    """(distance, p, q): the nearest two of the poles pts, or a pole p and
+    its nearest integer q, whichever are nearer."""
+    return min([(abs(p - q), p, q) for p, q in itertools.combinations(pts, 2)]
+               + [(abs(p - round(p.real)), p, round(p.real)) for p in pts],
+               key=lambda c: c[0], default=(float("inf"), None, None))
+
+
+def oracle_line_setup(e, columns, contour, name):
+    """The abscissa of each column of a Barnes-line stack and the pole
+    counts per direction, column by column over Python lists of poles: the
+    set-up of mb_integral_with_error as a loop.  Row c of columns holds
+    beta_j + d_j of column c; a failure raises for the first failing column,
+    its separation checked before its abscissa, with name(c) before the
+    text."""
+    re_min = -3.0 if contour.abscissa is None else min(-3.0, contour.abscissa - 1.0)
+    sigmas, counts = [], {}
+    for c, column in enumerate(columns):
+        poles = pole_scan(e, column, re_min, float("inf"))
+        window = [p for _j, _n, p in poles if p.real <= 2.0]
+        gap, p, q = closest(window)
+        if gap < contour.clearance:
+            raise PoleCollision("%s: left poles are closer than the clearance radius: %s and %s are"
+                                " %g apart" % (name(c), _point_text(p), _point_text(q), gap))
+        try:
+            sigma = oracle_abscissa(window, contour)
+        except ContourTooClose as exc:
+            raise ContourTooClose("%s: %s" % (name(c), exc)) from None
+        sigmas.append(sigma)
+        for j, n, p in poles:
+            if p.real > sigma - 1.0:
+                counts[j] = max(counts.get(j, 0), n + 1)
+    return sigmas, counts
 
 
 def left_poles(spec, lam, contour=ContourSpec()):
@@ -1121,31 +1187,31 @@ def left_poles(spec, lam, contour=ContourSpec()):
     from sigma - 1 for a given abscissa sigma below -2, up to 2."""
     sigma = contour.abscissa
     re_min = -3.0 if sigma is None else min(-3.0, sigma - 1.0)
-    return _pole_scan(spec.e, column_bases(spec, lam), re_min, 2.0)
+    return pole_scan(spec.e, column_bases(spec, lam), re_min, 2.0)
 
 
 def right_poles(spec, lam, sigma):
     """The non-integer poles of the integrand right of the line Re s = sigma."""
-    return [(j, n, p) for j, n, p in _pole_scan(spec.e, column_bases(spec, lam), sigma, float("inf"))
+    return [(j, n, p) for j, n, p in pole_scan(spec.e, column_bases(spec, lam), sigma, float("inf"))
             if p.real > sigma]
 
 
 def pole_separation(spec, lam, contour=ContourSpec()):
     """Minimum pairwise distance among all left poles and the integers."""
-    return _closest([p for _j, _n, p in left_poles(spec, lam, contour)])[0]
+    return closest([p for _j, _n, p in left_poles(spec, lam, contour)])[0]
 
 
 def choose_abscissa(spec, lam, contour):
     """The given abscissa, or the one in [-0.45, -0.05] farthest from every
     pole's real part; either must clear them by the contour's clearance."""
-    return _abscissa([p for _j, _n, p in left_poles(spec, lam, contour)], contour)
+    return oracle_abscissa([p for _j, _n, p in left_poles(spec, lam, contour)], contour)
 
 
 def oracle_abscissa(poles, contour):
-    """_abscissa with the 41 candidates scored one by one over a Python list
-    of the poles: max picks the first largest gap.  A given abscissa must be
-    negative, and a gap below the clearance names the nearest integer, or
-    else the first nearest pole."""
+    """The abscissa of a column, the 41 candidates scored one by one over a
+    Python list of its poles: max picks the first largest gap.  A given
+    abscissa must be negative, and a gap below the clearance names the
+    nearest integer, or else the first nearest pole."""
     def gap(sigma):
         return min([abs(sigma - p.real) for p in poles] + [abs(sigma - round(sigma))])
 
@@ -1156,10 +1222,8 @@ def oracle_abscissa(poles, contour):
         raise ContourTooClose("abscissa %g is not negative" % sigma)
     if gap(sigma) < contour.clearance:
         near = min([round(sigma)] + list(poles), key=lambda z: abs(sigma - z.real))
-        at = ("the integer %d" % near if isinstance(near, int)
-              else "the pole %.6g%+.6gj" % (near.real, near.imag))
         raise ContourTooClose("abscissa %g clears the poles by only %g, from %s"
-                              % (sigma, gap(sigma), at))
+                              % (sigma, gap(sigma), _point_text(near)))
     return sigma
 
 
@@ -1217,7 +1281,7 @@ def oracle_log_gamma_block(spec, betas, s, skip=None):
         if j == skip:
             continue
         ej = spec.e[j]
-        base = betas[j] + complex(spec.d[j])
+        base = betas[j] + complex(spec.d[j] / spec.det)
         if ej < 0:
             acc = acc + oracle_log_gamma(-base - s * ej)
         else:
@@ -1236,7 +1300,7 @@ def left_residue_terms(spec, x, lam, j_minus, residue_class):
     betas = spec.betas(lam)
     l = -spec.e[j_minus]
     n = np.arange(201) * l + residue_class
-    p = (betas[j_minus] + complex(spec.d[j_minus]) - n) / l
+    p = (betas[j_minus] + complex(spec.d[j_minus] / spec.det) - n) / l
     log_term = (-oracle_log_gamma(n + 1.0) - math.log(l) + LOG_PI - oracle_log_sin_pi(p)
                 + p * log_xi + oracle_log_gamma_block(spec, betas, p, skip=j_minus))
     return -oracle_sum_until_small(np.where(n % 2, -1.0, 1.0) * np.exp(log_term))
@@ -1266,20 +1330,40 @@ def oracle_right_residue_sum(spec, x, lam):
     return oracle_sum_until_small(right_residue_terms(spec, x, lam))
 
 
+def fraction_gamma_ratio(d0, dk):
+    """Gamma(1 + d0) / Gamma(1 + dk) for integers, exactly; zero when dk < 0."""
+    if dk < 0:
+        return Fraction(0)
+    assert d0 >= 0
+    return Fraction(math.prod(range(dk + 1, d0 + 1)), math.prod(range(d0 + 1, dk + 1)))
+
+
+def fraction_exact_part(factors, ks):
+    """The exact part of the inner-series coefficients at the integers ks,
+    built in Fractions, factor by factor: (live, log |product| of the live
+    k, sign of the live k) for the (d0, e_j) of the exact factors."""
+    exact = [Fraction(1)] * len(ks)
+    for d0, ej in factors:
+        exact = [x * fraction_gamma_ratio(d0, d0 + k * ej) if x else x for x, k in zip(exact, ks)]
+    kept = [x for x in exact if x]
+    return (np.array([x != 0 for x in exact], dtype=bool),
+            np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept]),
+            np.array([1.0 if x > 0 else -1.0 for x in kept]))
+
+
 def oracle_inner_sum_coefficient(spec, k, lam):
     """Inner-series coefficients at the integer array k, with the exact
-    Gamma ratios rebuilt and one pair of log_gamma calls per generic factor."""
+    Gamma ratios rebuilt in Fractions and one pair of log_gamma calls per
+    generic factor."""
     ks = np.asarray(k, dtype=int)
     betas = spec.betas(lam)
-    exact = [Fraction(1)] * len(ks)
-    generic = []
+    factors, generic = [], []
     for d0, ej, b in zip(spec.d, spec.e, betas):
-        if b == 0 and d0.denominator == 1:
-            exact = [x * _exact_gamma_ratio(int(d0), int(d0) + k * ej) if x else x
-                     for x, k in zip(exact, ks.tolist())]
+        if b == 0 and d0 % spec.det == 0:
+            factors.append((d0 // spec.det, ej))
         else:
-            generic.append((1 + b + complex(d0), ej))
-    live = np.array([x != 0 for x in exact], dtype=bool)
+            generic.append((1 + b + complex(d0 / spec.det), ej))
+    live, log_exact, sign = fraction_exact_part(factors, ks.tolist())
     k_live = ks[live]
     log_acc = np.zeros(len(k_live), dtype=complex)
     for a0, ej in generic:
@@ -1287,9 +1371,6 @@ def oracle_inner_sum_coefficient(spec, k, lam):
         check_generic(a0, 1e-8)
         check_generic(ak, 1e-8)
         log_acc += np.where(k_live == 0, 0j, oracle_log_gamma(a0) - oracle_log_gamma(ak))
-    kept = [x for x in exact if x]
-    log_exact = np.array([math.log(abs(x.numerator)) - math.log(x.denominator) for x in kept])
-    sign = np.array([1.0 if x > 0 else -1.0 for x in kept])
     out = np.zeros(len(ks), dtype=complex)
     out[live] = sign * np.exp(log_acc + log_exact)
     return out
@@ -1303,7 +1384,7 @@ def oracle_euler_products(spec, lam, n):
     minus = 1.0 + 0j
     for j in range(len(spec.d)):
         ej = spec.e[j]
-        base = complex(spec.d[j]) + betas[j]
+        base = complex(spec.d[j] / spec.det) + betas[j]
         if ej > 0:
             for l in range(ej):
                 plus *= ej * n + base - l
@@ -1470,8 +1551,49 @@ def _oracle_u_forms(git, delta):
                  for coeffs in oracle_restrict_u(git, delta))
 
 
+@dataclass(frozen=True)
+class FractionCoefficient:
+    """The fields of a connection coefficient with its lifts and shift as
+    Fractions."""
+
+    j_minus: int
+    l: int
+    w: int
+    lift_plus: tuple
+    lift_minus: tuple
+    u_form: object
+    shift: Fraction
+    ratio_js: tuple
+    ratio_terms: tuple
+
+    def describe(self):
+        """The closed form's text, the shift written by str of a Fraction."""
+        return (
+            "exp(-pi*i*%d/%d * X) * sin(pi X)/(%d sin(pi X/%d)) * prod over j in %s"
+            " of sin(pi(u_j(d+)/2pi i + D_j f+))/sin(pi(u_j(d-)/2pi i + D_j f-));"
+            " X = (%s)/(2 pi i) + %s"
+            % (self.w, self.l, self.l, self.l, list(self.ratio_js), self.u_form, self.shift)
+        )
+
+
+def lift_fractions(lift):
+    """An integer lift (s, n, c) of a ContinuationCoefficient as the
+    Fraction vector n / s."""
+    s, n, _c = lift
+    return tuple(Fraction(x, s) for x in n)
+
+
+def coefficient_fractions(coeff):
+    """A ContinuationCoefficient's fields with its integer lifts and shift
+    read as Fractions."""
+    return FractionCoefficient(
+        j_minus=coeff.j_minus, l=coeff.l, w=coeff.w, lift_plus=lift_fractions(coeff.lift_plus),
+        lift_minus=lift_fractions(coeff.lift_minus), u_form=coeff.u_form, shift=Fraction(*coeff.shift),
+        ratio_js=coeff.ratio_js, ratio_terms=coeff.ratio_terms)
+
+
 def fraction_continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
-    """The connection coefficient built on Fraction lifts."""
+    """The connection coefficient's fields built on Fraction lifts."""
     label_plus, label_minus = pair
     j_minus = next(i for i in label_minus.delta if i not in label_plus.delta)
     l = -wc.pair_e(j_minus)
@@ -1499,7 +1621,7 @@ def fraction_continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None)
     u_minus = _oracle_u_forms(wc.git, label_minus.delta)
     ratio_terms = tuple((u_plus[j], complex(c_plus[j]), u_minus[j], complex(c_minus[j]))
                         for j in ratio_js)
-    return ContinuationCoefficient(
+    return FractionCoefficient(
         j_minus=j_minus,
         l=l,
         w=w_constant(wc),

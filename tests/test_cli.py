@@ -277,6 +277,8 @@ CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
     ({"z": {"re": 0, "im": 0}}, ["verify", "pairing"]),
     ({"contour": {"abscissa": 0.5}}, ["verify", "mb"]),
     ({"contour": {"abscissa": 0}}, ["verify", "mb"]),
+    ({"tolerances": {"pairng": 1e-30}}, ["verify", "pairing"]),
+    ({"contour": {"abcissa": 0.5}}, ["verify", "mb"]),
 ])
 def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
     from wallcross import cli

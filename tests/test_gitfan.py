@@ -171,11 +171,15 @@ def test_crepancy_sum(all_examples):
 
 
 def test_xi_kronecker(all_examples):
+    # xi_j = col / det on an integer column over a positive det: D_i . col
+    # is det for i = j and 0 for the other extended characters
     for wc in all_examples.values():
         for S, xi in ((wc.S_plus, wc.xi_plus), (wc.S_minus, wc.xi_minus)):
             for i in S:
                 for j in S:
-                    assert vdot(wc.git.D[i], xi[j]) == (1 if i == j else 0)
+                    col, det = xi[j]
+                    assert all(type(x) is int for x in col) and type(det) is int and det > 0
+                    assert sum(a * b for a, b in zip(wc.git.D[i], col)) == (det if i == j else 0)
 
 
 def test_next_to_pairs_conifold(conifold):

@@ -1,6 +1,7 @@
 import cmath
 import pathlib
 import re
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    committed_crossings,
     frac_part,
+    fraction_exact_part,
     inner_sum_coefficient,
     oracle_genericity_gap,
+    oracle_inner_sum_coefficient,
     oracle_log_gamma,
     oracle_log_sin_pi,
 )
@@ -18,6 +22,7 @@ from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
     PoleCollision,
+    _exact_part,
     canonical_d_plus,
     conifold_point,
     generic_lambdas,
@@ -174,6 +179,48 @@ def test_inner_coefficient_vanishes_at_zero_parameters(conifold):
     for k in range(1, 5):
         assert inner_sum_coefficient(spec, k, lam) == 0
     assert inner_sum_coefficient(spec, np.arange(5), lam).tolist() == [1, 0, 0, 0, 0]
+
+
+def _same_arrays(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want, strict=True))
+
+
+def test_exact_part_matches_the_fraction_route_bit_for_bit(conifold):
+    # the integer products reduced once per k against the Fraction products
+    # reduced at every step: live, log and sign, bit for bit, for the exact
+    # factors of every label across the wall of the committed crossings at
+    # lambda = 0 (every factor with an integral d_j is then exact) and at a
+    # generic sample, and for seeded factor sets; many vanish at some k
+    ks = tuple(range(41))
+    cases = set()
+    for wc in committed_crossings():
+        for label in fixed_point_labels(wc.git, wc.A_plus):
+            if label.delta in wc.A_minus.minimal:
+                continue
+            spec = make_inner_spec(wc, label)
+            for lam in ((0j,) * wc.git.m, generic_lambdas(wc, 1, 7)[0]):
+                betas = spec.betas(lam)
+                factors = tuple((d // spec.det, e) for d, e, b in zip(spec.d, spec.e, betas)
+                                if b == 0 and d % spec.det == 0)
+                # a factor at a negative d0 is exact only at lambda = 0, off
+                # the generic samples the series are taken at
+                if all(d0 >= 0 for d0, _e in factors):
+                    cases.add(factors)
+    rng = random.Random(17)
+    cases |= {tuple((rng.randrange(13), rng.randrange(-3, 4)) for _ in range(rng.randrange(5)))
+              for _ in range(200)}
+    vanishing = 0
+    for factors in cases:
+        want = fraction_exact_part(factors, ks)
+        assert _same_arrays(_exact_part(factors, ks), want), factors
+        vanishing += not want[0].all()
+    assert len(cases) > 150 and vanishing > 50, (len(cases), vanishing)
+    # at lambda = 0 every conifold factor is exact, and k >= 1 vanishes
+    spec = make_inner_spec(conifold, fixed_point_labels(conifold.git, conifold.A_plus)[0])
+    lam = (0j,) * 4
+    assert inner_sum_coefficient(spec, np.arange(5), lam).tolist() == [1, 0, 0, 0, 0]
+    assert oracle_inner_sum_coefficient(spec, np.arange(5), lam).tolist() == [1, 0, 0, 0, 0]
 
 
 def test_inner_coefficient_first_order(conifold):

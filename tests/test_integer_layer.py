@@ -19,6 +19,7 @@ import pytest
 
 from helpers import (
     anticone_dual,
+    coefficient_fractions,
     committed_crossings,
     fraction_coefficient_value,
     frac_part,
@@ -31,6 +32,7 @@ from helpers import (
     fraction_solve,
     fraction_wall_normal,
     is_integral,
+    lift_fractions,
     oracle_box_classes,
     oracle_crossing_normal,
     oracle_fm_transform,
@@ -99,7 +101,7 @@ from wallcross.lattice import (
     vdot,
 )
 from wallcross.localization import restrict_u, theta_restrict
-from wallcross.mellinbarnes import IncompatibleLifts, continuation_coefficient
+from wallcross.mellinbarnes import IncompatibleLifts, _anticone_pair, _coefficient, continuation_coefficient
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -259,11 +261,15 @@ def test_coefficient_pairings_match_the_fraction_vdot():
             f_minus = compatible_minus_lift(wc, lp, lm)
             for lifts in ((None, None), (vadd(lp.f, wc.e), f_minus), (vadd(lp.f, unit), vadd(f_minus, unit))):
                 coeff = continuation_coefficient(wc, (lp, lm), *lifts)
-                lift_plus, lift_minus = coeff.lift_plus, coeff.lift_minus
+                lift_plus, lift_minus = lift_fractions(coeff.lift_plus), lift_fractions(coeff.lift_minus)
                 assert lift_minus == (f_minus if lifts[1] is None else lifts[1])
                 D = wc.git.D
-                assert coeff.shift == vdot(D[coeff.j_minus], lift_plus) - vdot(D[coeff.j_minus], lift_minus)
-                assert type(coeff.shift) is Fraction
+                # each lift's pairings c = D . n, in integers
+                for s, n, c in (coeff.lift_plus, coeff.lift_minus):
+                    assert all(type(x) is int for x in (s,) + tuple(n) + tuple(c))
+                    assert c == tuple(sum(a * b for a, b in zip(row, n)) for row in D)
+                assert Fraction(*coeff.shift) == vdot(D[coeff.j_minus], lift_plus) - vdot(D[coeff.j_minus], lift_minus)
+                assert all(type(x) is int for x in coeff.shift) and coeff.shift[1] > 0
                 assert [(c_plus, c_minus) for _, c_plus, _, c_minus in coeff.ratio_terms] == [
                     (complex(vdot(D[j], lift_plus)), complex(vdot(D[j], lift_minus))) for j in coeff.ratio_js]
 
@@ -295,7 +301,7 @@ def _doctored_lifts(wc, coeff, sector_plus):
     minus lift moved off their sector classes by half a step of the plus
     sector's order, and, for r >= 2, a plus lift moved by a unit vector off
     the wall normal's line."""
-    f_plus, f_minus = coeff.lift_plus, coeff.lift_minus
+    f_plus, f_minus = lift_fractions(coeff.lift_plus), lift_fractions(coeff.lift_minus)
     half = Fraction(1, 2 * sector_plus.den)
     out = [((f_plus[0] + half,) + f_plus[1:], f_minus), (f_plus, (f_minus[0] + half,) + f_minus[1:])]
     if wc.git.r > 1:
@@ -304,30 +310,46 @@ def _doctored_lifts(wc, coeff, sector_plus):
     return out
 
 
+def _moved(wc, lift, v):
+    """An integer lift (s, n, c) plus the integer vector v over the same s,
+    its pairings c = D . n taken afresh."""
+    s, n, _c = lift
+    n = tuple(x + s * y for x, y in zip(n, v))
+    return s, n, tuple(sum(a * b for a, b in zip(row, n)) for row in wc.git.D)
+
+
 def test_coefficient_route_matches_the_fraction_route():
     """Next-to pairs, compatible minus lifts and connection coefficients on
     integer numerators against the Fraction route they replace: the same
-    pairs and lifts, equal coefficient fields and every value bit for bit,
-    for the default lifts and the three supplied lifts of
-    lift_invariance_check (on the first three pairs of a crossing); doctored
-    lifts raise IncompatibleLifts on both."""
+    pairs and lifts, equal coefficient fields (the integer lifts and shift
+    read as Fractions) and every value bit for bit, for the default lifts
+    and the three shifted lifts of lift_invariance_check (on the first three
+    pairs of a crossing), each supplied as a rational vector and as the
+    default integer lift moved over its own denominator; doctored lifts
+    raise IncompatibleLifts on both."""
     coefficients = refused = 0
     for wc in committed_crossings() + _crossings():
         pairs = next_to_pairs(wc)
         assert pairs == fraction_next_to_pairs(wc)
         lams = generic_lambdas(wc, 2, 7)
+        unit = (1,) + (0,) * (wc.git.r - 1)
         for k, (lp, lm) in enumerate(pairs):
             assert compatible_minus_lift(wc, lp, lm) == fraction_compatible_minus_lift(wc, lp, lm)
             base = continuation_coefficient(wc, (lp, lm))
-            f_plus, f_minus = base.lift_plus, base.lift_minus
+            P, M = base.lift_plus, base.lift_minus
+            f_plus, f_minus = lift_fractions(P), lift_fractions(M)
             supplied = [(vadd(f_plus, wc.e), f_minus), (f_plus, vsub(f_minus, wc.e)),
                         ((f_plus[0] + 1,) + f_plus[1:], (f_minus[0] + 1,) + f_minus[1:])]
-            for lifts in [(None, None)] + supplied * (k < 3):
-                coeff = continuation_coefficient(wc, (lp, lm), *lifts)
+            moved = [(_moved(wc, P, wc.e), M), (P, _moved(wc, M, vscale(-1, wc.e))),
+                     (_moved(wc, P, unit), _moved(wc, M, unit))]
+            anticones = _anticone_pair(wc, lp.delta, lm.delta)
+            for lifts, integer in zip([(None, None)] + supplied * (k < 3), [(None, None)] + moved * (k < 3)):
                 ref = fraction_continuation_coefficient(wc, (lp, lm), *lifts)
-                assert coeff == ref
-                assert [_bits(coeff.value(lam)) for lam in lams] == [
-                    _bits(fraction_coefficient_value(ref, lam)) for lam in lams]
+                for coeff in (continuation_coefficient(wc, (lp, lm), *lifts),
+                              _coefficient(wc, ref.w, anticones, (lp, lm), *integer)):
+                    assert coefficient_fractions(coeff) == ref
+                    assert [_bits(coeff.value(lam)) for lam in lams] == [
+                        _bits(fraction_coefficient_value(ref, lam)) for lam in lams]
                 coefficients += 1
             for lifts in _doctored_lifts(wc, base, lp.sector) * (k < 3):
                 got = _outcome(continuation_coefficient, wc, (lp, lm), *lifts)

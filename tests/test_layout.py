@@ -17,7 +17,10 @@ the integer line helpers, the matching or the coefficient it checks; the box
 and restriction oracles build their classes and triples in Fractions, never
 from the box enumeration or the restriction they check; the pull-push oracle
 builds its point classes and root filter, never from the basis, the
-transform or the continuation matrix it checks.
+transform or the continuation matrix it checks; the Barnes-line set-up and
+exact-part oracles scan their poles and multiply their Gamma ratios
+themselves, never through the array set-up or the integer products they
+check.
 
 Library code builds a Fraction only in the functions FRACTION_SITES names.
 """
@@ -37,25 +40,23 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
                 "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
                 "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
-                "_coefficient"}
+                "_coefficient", "_line_setup", "_exact_part"}
 
 # The library functions that may build a Fraction, by what they build.  A box
-# class, a lift and a phase are integer numerators over a denominator
+# class, a lift, a phase, a splitting vector, a base exponent, a coefficient's
+# shift and an exact Gamma ratio are integer numerators over a denominator
 # everywhere else.
 FRACTION_SITES = {
     # config parsing and the rationals a caller hands in
     "cli._parse_rational", "lattice._q", "lattice.vdot",
     # report views: a box class's f and age, the framing's power of z
     "gitfan.SectorLabel.f", "gitfan.SectorLabel.age", "ktheory.framing_restrict",
-    # supplied and reported coefficient lifts, and the coefficient's shift
-    "gitfan.compatible_minus_lift", "mellinbarnes._coefficient",
-    # the splitting vectors xi
-    "gitfan._xi_vectors",
+    # the compatible minus lift as a rational vector
+    "gitfan.compatible_minus_lift",
     # solves, (c, c_i) among them, and lattices of rational generators
     "lattice._det", "lattice.solve_square", "lattice.solve_rectangular",
     "lattice.anticone_coords", "lattice.lattice_from_generators", "lattice.extended_lattice",
-    # d_plus and d, the exact Gamma ratios of the inner series, the conifold point
-    "hypergeom.make_inner_spec", "hypergeom._exact_gamma_ratio", "hypergeom._exact_part",
+    # the conifold point
     "hypergeom.conifold_point",
     # the reduced phases of restricted K-class terms
     "ktheory.restriction_terms",

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import random
 import re
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ import pytest
 import wallcross.mellinbarnes as mellinbarnes
 from helpers import (
     choose_abscissa,
+    closest,
     column_bases,
+    committed_crossings,
     continuation_numeric,
     inner_sum_coefficient,
     left_poles,
-    oracle_abscissa,
+    oracle_line_setup,
     oracle_euler_products,
     oracle_gkz_ode_residual,
     oracle_inner_sum_coefficient,
@@ -25,7 +28,9 @@ from helpers import (
     oracle_log_gamma_block,
     oracle_mb_integral,
     oracle_right_residue_sum,
+    pole_scan,
     pole_separation,
+    random_crepant_crossing,
     right_poles,
     right_residue_terms,
 )
@@ -39,6 +44,8 @@ from wallcross.hypergeom import (
     gkz_ode_residual,
     inner_series,
     make_inner_spec,
+    stack_bases,
+    stack_column,
     w_constant,
 )
 from wallcross.mellinbarnes import (
@@ -83,7 +90,7 @@ def test_unit_principal_ratio_when_l_is_one(conifold):
     lam = generic_lambdas(conifold, 1, seed=19)[0]
     from wallcross.localization import restrict_u
 
-    X = coeff.u_form(lam) / (2j * math.pi) + complex(coeff.shift)
+    X = coeff.u_form(lam) / (2j * math.pi) + coeff.shift[0] / coeff.shift[1]
     manual = cmath.exp(-1j * math.pi * coeff.w * X / coeff.l)
     up = restrict_u(conifold.git, pair[0].delta)
     um = restrict_u(conifold.git, pair[1].delta)
@@ -135,14 +142,18 @@ def test_incompatible_lifts_rejected(conifold, gerbe_flop):
         )
 
 
-def test_supplied_lifts_are_kept_as_fractions(gerbe_flop):
+def test_supplied_lifts_are_kept_as_integer_numerators(gerbe_flop):
+    # a lift is (s, n, c), n / s with c = D . n, all Python ints, whether it
+    # is supplied as ints or as Fractions
     gpair = next(
         p for p in next_to_pairs(gerbe_flop) if p[0].sector.is_zero and p[1].sector.is_zero
     )
-    coeff = continuation_coefficient(gerbe_flop, gpair, lift_plus=(1, 0), lift_minus=[1, 0])
-    for lift in (coeff.lift_plus, coeff.lift_minus):
-        assert type(lift) is tuple and lift == (1, 0)
-        assert all(type(x) is Fraction for x in lift)
+    pairings = tuple(row[0] for row in gerbe_flop.git.D)
+    for lifts in (((1, 0), [1, 0]), ((Fraction(1), Fraction(0)), (Fraction(2, 2), 0))):
+        coeff = continuation_coefficient(gerbe_flop, gpair, *lifts)
+        for lift in (coeff.lift_plus, coeff.lift_minus):
+            assert lift == (1, (1, 0), pairings)
+            assert all(type(x) is int for x in (lift[0],) + lift[1] + lift[2])
 
 
 def test_matrix_structure_conifold(conifold):
@@ -246,7 +257,7 @@ def _mpmath_barnes(spec, x, lam, sigma, t_max, breaks=()):
     right of the line.  The line is split at nine even points and at breaks,
     where a pole next to the line puts a sharp peak."""
     mpmath.mp.dps = 30
-    bases = [mpmath.mpc(b.real, b.imag) + mpmath.mpf(d.numerator) / d.denominator
+    bases = [mpmath.mpc(b.real, b.imag) + mpmath.mpf(d) / spec.det
              for b, d in zip(spec.betas(lam), spec.d)]
     w = -1 + sum(e for e in spec.e if e > 0)
     log_xi = mpmath.log(mpmath.mpc(x.real, x.imag) * mpmath.exp(-1j * mpmath.pi * w))
@@ -434,7 +445,7 @@ def test_a_given_abscissa_below_minus_3_is_checked_against_its_poles(config_dir)
     lam = generic_lambdas(wc, 1, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])[0]
     label = _labels_across(wc)[0]
     spec = make_inner_spec(wc, label)
-    pole = next(p for _j, _n, p in mellinbarnes._pole_scan(spec.e, column_bases(spec, lam), -4.5, 2.0)
+    pole = next(p for _j, _n, p in pole_scan(spec.e, column_bases(spec, lam), -4.5, 2.0)
                 if -4.0 < p.real < -3.9)
     x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
     close, clear = ContourSpec(abscissa=pole.real + 5e-4), ContourSpec(abscissa=pole.real + 2e-3)
@@ -494,7 +505,7 @@ def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
             line = -0.25 + 1j * np.linspace(-40.0, 40.0, 161)
             assert np.array_equal(mellinbarnes._log_gamma_block(spec.e, bases, line),
                                   oracle_log_gamma_block(spec, betas, line))
-            for j, n, p in mellinbarnes._pole_scan(spec.e, bases, -3.0, 4.0):
+            for j, n, p in pole_scan(spec.e, bases, -3.0, 4.0):
                 assert (mellinbarnes._log_gamma_block(spec.e, bases, p, skip=j)
                         == oracle_log_gamma_block(spec, betas, p, skip=j)), (j, n)
             for x in points:
@@ -655,7 +666,7 @@ def test_constant_gamma_factors_are_evaluated_once(path, monkeypatch):
         assert constant
         for lam in lams:
             betas, bases = spec.betas(lam), column_bases(spec, lam)
-            poles = mellinbarnes._pole_scan(spec.e, bases, -3.0, 4.0)
+            poles = pole_scan(spec.e, bases, -3.0, 4.0)
             j_minus = poles[0][0]
             at_poles = np.array([p for j, _n, p in poles if j == j_minus])
             for s, skip in ((line, None), (at_poles, j_minus), (at_poles[0], j_minus)):
@@ -670,7 +681,7 @@ def _negative_integer_residue_is_zero(spec, n):
     """The residue at -1-n carries a reciprocal Gamma at a nonpositive
     integer over the defining anticone, hence vanishes identically."""
     s = -1 - n
-    return any(1 + int(spec.d[j]) + s * spec.e[j] <= 0 for j in spec.label.delta)
+    return any(1 + spec.d[j] // spec.det + s * spec.e[j] <= 0 for j in spec.label.delta)
 
 
 def test_negative_integer_residues_vanish(conifold, resolution):
@@ -704,13 +715,13 @@ def test_lift_check_builds_each_coefficient_once(conifold, monkeypatch):
     # the base coefficient and its three shifted variants, whatever the
     # number of samples
     built = []
-    build = mellinbarnes.continuation_coefficient
+    build = mellinbarnes._coefficient
 
     def counting(*args, **kwargs):
         built.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(mellinbarnes, "continuation_coefficient", counting)
+    monkeypatch.setattr(mellinbarnes, "_coefficient", counting)
     lams = generic_lambdas(conifold, 5, seed=43)
     assert lift_invariance_check(conifold, next_to_pairs(conifold)[0], lams) == [True] * 5
     assert len(built) == 4
@@ -735,22 +746,74 @@ def test_right_sum_matches_series(conifold):
     assert abs(sum(c * x ** k for k, c in enumerate(ser.coeffs)) - r / r0) < 1e-9
 
 
+def _setup_outcome(setup, e, columns, contour, name):
+    """(sigma as a list, counts) of a Barnes-line set-up, or the type and
+    text of the error it raises."""
+    try:
+        sigma, counts = setup(e, columns, contour, name)
+    except (PoleCollision, ContourTooClose) as exc:
+        return type(exc), str(exc)
+    return [float(x) for x in sigma], counts
+
+
 def test_abscissa_array_scoring_matches_the_list_version():
+    # synthetic stacks with one direction e_j = -1 per given real part r_j,
+    # so the poles r_j - n with an imaginary part of at most 0.1: the array
+    # set-up against the scalar loop, stacks of one and each group of 25
+    # draws as one stack
     rng = np.random.default_rng(5)
-    cases = [[], [-0.25], [-0.3, -0.2], [-0.45, -0.05, -0.25, 0.5, 1.0]]
+    cases = [[[]], [[-0.25]], [[-0.3, -0.2]], [[-0.45, -0.05, -0.25, 0.5, 1.0]]]
     # every candidate a pole real part: all gaps are 0, and the first wins
-    cases.append([-0.45 + 0.01 * k for k in range(41)])
-    cases += [list(rng.uniform(-3.0, 2.0, size=n)) for n in (1, 3, 10, 40) for _ in range(25)]
-    for reals, abscissa, clearance in itertools.product(cases, (None, -0.31, -0.5, 2.5), (0.0, 1e-9, 0.05)):
-        contour = ContourSpec(abscissa=abscissa, clearance=clearance)
+    cases.append([[-0.45 + 0.01 * k for k in range(41)]])
+    draws = [[list(rng.uniform(-3.0, 2.0, size=n)) for _ in range(25)] for n in (1, 3, 10, 40)]
+    cases += [[reals] for group in draws for reals in group] + draws
+    failed = 0
+    for stack in cases:
+        imag = rng.uniform(-0.1, 0.1, size=len(stack[0]))
+        columns = np.array([[complex(r, y) for r, y in zip(reals, imag)] for reals in stack])
+        columns = columns.reshape(len(stack), len(stack[0]))
+        e = (-1,) * len(stack[0])
+        for abscissa, clearance in itertools.product((None, -0.31, -0.5, 2.5), (0.0, 1e-9, 0.05)):
+            contour = ContourSpec(abscissa=abscissa, clearance=clearance)
+            expected = _setup_outcome(oracle_line_setup, e, columns.tolist(), contour, "column {}".format)
+            assert _setup_outcome(mellinbarnes._line_setup, e, columns, contour, "column {}".format) == expected
+            failed += expected[0] in (PoleCollision, ContourTooClose)
+    assert failed > 100, failed
+
+
+def test_line_setup_matches_the_scalar_oracle():
+    # every label across the wall and three samples as one stack, on the
+    # committed crossings and on seeded draws: sigma, the pole counts and
+    # the error of the array set-up against the column loop, at the default
+    # contour, at abscissas -0.9995 and 0.5, at a clearance between the two
+    # smallest separations of the stack's columns, which fails one column
+    # alone, and at an abscissa 5e-4 right of a pole of the last column
+    rng = random.Random(29)
+    crossings = list(committed_crossings()) + [random_crepant_crossing(rng) for _ in range(40)]
+    stacks = late = 0
+    for wc in crossings:
         try:
-            expected = oracle_abscissa(reals, contour)
-        except ContourTooClose as exc:
-            with pytest.raises(ContourTooClose, match=re.escape(str(exc))):
-                mellinbarnes._abscissa(reals, contour)
+            specs = [make_inner_spec(wc, label) for label in plus_labels_across(wc)]
+            lams = generic_lambdas(wc, 3, 7)
+        except ValueError:
             continue
-        sigma = mellinbarnes._abscissa(reals, contour)
-        assert sigma == expected and type(sigma) is type(expected)
+        columns, e = stack_bases(specs, lams), specs[0].e
+        seps = sorted(closest([p for _j, _n, p in pole_scan(e, column, -3.0, 2.0)])[0] for column in columns)
+        contours = [ContourSpec(), ContourSpec(abscissa=-0.9995), ContourSpec(abscissa=0.5),
+                    ContourSpec(clearance=(seps[0] + seps[1]) / 2)]
+        contours += [ContourSpec(abscissa=p.real + 5e-4) for _j, _n, p in pole_scan(e, columns[-1], -0.9, -0.1)][:1]
+        for contour in contours:
+            named = []
+
+            def name(c):
+                named.append(c)
+                return stack_column(specs, lams, c)
+
+            expected = _setup_outcome(oracle_line_setup, e, columns, contour, name)
+            assert _setup_outcome(mellinbarnes._line_setup, e, np.array(columns), contour, name) == expected
+            late += len(specs) > 1 and named[-1:] > [len(lams)]
+        stacks += 1
+    assert stacks > 50 and late > 40, (stacks, late)
 
 
 def test_verify_mb_builds_one_inner_spec_per_label(monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 
 import wallcross.hypergeom as hypergeom
 import wallcross.mellinbarnes as mellinbarnes
-from helpers import pole_separation
+from helpers import column_bases, pole_scan, pole_separation
 from wallcross import cli
 from wallcross.gitfan import plus_labels_across, wall_crossing
 from wallcross.hypergeom import (
@@ -116,8 +116,7 @@ def test_a_barnes_line_failure_in_a_stack_names_its_label_and_sample():
     assert len(labels) == 4
     xs = _mb_points(wc)
     gaps = sorted(pole_separation(spec, lam) for spec in specs for lam in lams)
-    pole = next(p for spec in specs for _j, _n, p in mellinbarnes._pole_scan(
-        spec.e, [b + complex(d) for b, d in zip(spec.betas(lams[3]), spec.d)], -0.6, -0.1))
+    pole = next(p for spec in specs for _j, _n, p in pole_scan(spec.e, column_bases(spec, lams[3]), -0.6, -0.1))
     for contour, kind in ((dataclasses.replace(cfg["contour"], clearance=(gaps[0] + gaps[1]) / 2),
                            PoleCollision),
                           (dataclasses.replace(cfg["contour"], abscissa=pole.real + 5e-4), ContourTooClose)):
@@ -146,7 +145,7 @@ def test_a_series_failure_in_a_stack_names_its_label_and_sample():
     betas = spec.betas(lams[1])
     j = next(j for j, b in enumerate(betas) if b != 0)
     i = next(i for i, a in enumerate(spec.beta_forms[j].floats) if a)
-    shift = (-2 - complex(spec.d[j]) - betas[j]) * hypergeom.TWO_PI_I / spec.beta_forms[j].floats[i]
+    shift = (-2 - spec.d[j] / spec.det - betas[j]) * hypergeom.TWO_PI_I / spec.beta_forms[j].floats[i]
     lams[1] = lams[1][:i] + (lams[1][i] + shift,) + lams[1][i + 1:]
     with pytest.raises(PoleCollision, match="^sample 0: Gamma argument"):
         inner_series([spec], 10, [lams[1]])
