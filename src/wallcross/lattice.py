@@ -184,9 +184,9 @@ def span_numerators(rows, w):
 
 
 def right_kernel(rows, width):
-    """A basis of the integer points of {x : row . x = 0 for every row}; it
-    also spans the rational kernel."""
-    return integer_kernel_basis(rows, width)
+    """A basis of the integer points of {x : row . x = 0 for every row}, for
+    rational rows; it also spans the rational kernel."""
+    return integer_kernel_basis([cleared(row)[1] for row in rows], width)
 
 
 def content(v):
@@ -332,17 +332,16 @@ def hermite_with_transform(rows):
 
 
 def integer_kernel_basis(cond_rows, dim):
-    """Basis of the saturated integer kernel {k in Z^dim : cond . k = 0}.
+    """Basis of the saturated integer kernel {k in Z^dim : cond . k = 0}
+    for integer condition rows.
 
-    Conditions may be rational; they are cleared to integers first.  The
-    kernel basis appears as the transform rows facing zero rows of the
+    The kernel basis appears as the transform rows facing zero rows of the
     Hermite form of the transposed condition matrix.
     """
-    rows = [cleared(cond)[1] for cond in cond_rows]
-    if not rows:
+    if not cond_rows:
         return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     # rows of the transpose are the coordinates; U A^T = H
-    At = [[row[i] for row in rows] for i in range(dim)]
+    At = [[row[i] for row in cond_rows] for i in range(dim)]
     H, U = hermite_with_transform(At)
     return [U[i] for i in range(dim) if all(x == 0 for x in H[i])]
 

@@ -485,8 +485,10 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
 # residue sums
 
 
-# terms per class that the residue sums evaluate at a time; at verify mb's
-# points no class of the bundled or benchmark crossings reads more than 27
+# terms per class that the residue sums compute at a time, each the last
+# times a product of ratios, so a class computes at most RESIDUE_CHUNK - 1
+# terms past where its stop rule fires; at verify mb's points no class of
+# the bundled or benchmark crossings reads more than 27
 RESIDUE_CHUNK = 32
 
 # terms per class that the right and the left residue sums read at most
@@ -531,21 +533,131 @@ def _sums_in_chunks(terms_at, count, length):
     return list(zip(sums.tolist(), stops.tolist()))
 
 
+def _step_factors(e, bases, s, step, skip=None):
+    """(top, bottom): factors whose products' quotient is the integrand's
+    Gamma block (see _log_gamma_block) at s + step over the block at s, for
+    step = 1 or -1, leaving out the factor of index skip.
+
+    Factor j's argument a_j is -b_j - e_j s, a numerator Gamma, for e_j < 0
+    and 1 + b_j + e_j s, a denominator, for e_j > 0; it moves by
+    h = step |e_j|, and Gamma(a + h) / Gamma(a) is the product of a + o over
+    0 <= o < h, or one over the product over h <= o < 0 (DLMF 5.5.1).  A
+    factor with e_j = 0 does not move.  One row per (j, o), in order of j,
+    each of the shape of b_j + e_j s."""
+    rows = [(j, o) for j, ej in enumerate(e) if ej and j != skip
+            for o in range(min(0, step * abs(ej)), max(0, step * abs(ej)))]
+    j, o = np.array(rows, dtype=int).reshape(-1, 2).T
+    ej = np.array(e)[j][:, None, None]
+    args = np.where(ej < 0, -1.0, 1.0) * (bases[j] + ej * s) + ((ej > 0) + o[:, None, None])
+    top = step * ej[:, 0, 0] < 0
+    return args[top], args[~top]
+
+
+def _ratio(top, bottom):
+    """The product of top over the product of bottom, as one product of the
+    quotients of paired rows.  A crepant crossing has as many of each (the
+    e_j sum to 0), and each quotient stays near the ratio of two weights, so
+    no partial product overflows where the ratio does not."""
+    return np.prod(top / bottom, axis=0)
+
+
+def _recurrence(seeds, ratios):
+    """terms_at for _sums_in_chunks of classes whose term at k + 1 is the
+    term at k times ratios(open, k), open an index array of classes and k
+    one of indices, from each class's term at k = 0 in seeds.  A chunk
+    continues from the last term of the chunk before, by one cumulative
+    product of the ratios."""
+    last = np.array(seeds)
+
+    def terms_at(open_, k):
+        first = k[0] == 0
+        steps = ratios(open_, k[:-1] if first else k - 1)
+        terms = np.cumprod(np.concatenate([last[open_, None], steps], axis=1), axis=1)
+        terms = terms if first else terms[:, 1:]
+        last[open_] = terms[:, -1]
+        return terms
+
+    return terms_at
+
+
+def _name_the_pole(columns, evaluate, name):
+    """Call evaluate(c) for each column c in turn: the first PoleCollision is
+    raised again with name(c) before its text."""
+    for c in columns:
+        try:
+            evaluate(c)
+        except PoleCollision as exc:
+            raise PoleCollision("%s: %s" % (name(c), exc)) from None
+
+
 def right_residue_sum(specs, x, lams):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
     inside the degeneration radius.  Returns, per column of the stack (see
     stack_bases), the sum and whether the stop rule fired, False where the
     sum is cut at its RIGHT_TERMS terms; each chunk is evaluated once for
-    every column whose sum has not stopped."""
-    _xi, log_xi = _split_xi(specs[0], x)
+    every column whose sum has not stopped.
+
+    The series is hypergeometric (DLMF 16.2): the term at k = 0 is the
+    exponential of one Gamma block, and each next term is the last times
+    -xi times the rational step of the Gamma factors (_step_factors), so no
+    Gamma function is evaluated past k = 0.  A Gamma argument only grows
+    with k, so a pole at any k is one at k = 0, where the block raises
+    PoleCollision; the error names the column (stack_column)."""
+    xi, _log_xi = _split_xi(specs[0], x)
     e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
+    try:
+        seeds = np.exp(_log_gamma_block(e, bases, 0j))[:, 0]
+    except PoleCollision:
+        _name_the_pole(range(bases.shape[1]), lambda c: _log_gamma_block(e, bases[:, [c]], 0j),
+                       lambda c: stack_column(specs, lams, c))
+        raise
+
+    def ratios(open_, k):
+        return -xi * _ratio(*_step_factors(e, bases[:, open_], k, 1))
+
+    return _sums_in_chunks(_recurrence(seeds, ratios), bases.shape[1], RIGHT_TERMS)
+
+
+def _left_class_sums(e, bases, xi, log_xi, j, name):
+    """The left residue sums of direction j, e_j = -l, one per class q, the
+    congruence class q % l of column q // l (see left_residue_sum)."""
+    l = -e[j]
+
+    def residues(classes, k):
+        return _interesting_residue(e, bases[:, classes // l], log_xi, j, k * l + (classes % l)[:, None])
+
+    def poles_in(classes, k):
+        _name_the_pole(np.unique(classes // l), lambda c: residues(classes[classes // l == c], k), name)
+
+    def ratios(open_, k):
+        n = k * l + (open_ % l)[:, None]
+        b = bases[:, open_ // l]
+        top, bottom = _step_factors(e, b, (b[j] - n) / l, -1, skip=j)
+        bottom = np.concatenate([bottom, n + np.arange(1.0, l + 1)[:, None, None]])
+        return (-1.0) ** (l + 1) / xi * _ratio(top, bottom)
+
+    q = np.arange(bases.shape[1] * l)
+    try:
+        seeds = residues(q, 0)[:, 0]
+    except PoleCollision:
+        # the first chunk term by term names the pole that it meets first
+        poles_in(q, np.arange(min(RESIDUE_CHUNK, LEFT_TERMS)))
+        raise
+    # a class can meet a pole past k = 0 only where p or a moving argument
+    # has an imaginary part of exactly 0, which is the same at every k
+    b = bases[:, q // l]
+    p = (b[j] - (q % l)[:, None]) / l
+    moving = np.concatenate([p[None], *_step_factors(e, b, p, -1, skip=j)])
+    flat = q[(moving.imag == 0).any(axis=0)[:, 0]]
+    recurrence = _recurrence(seeds, ratios)
 
     def terms_at(open_, k):
-        return np.where(k % 2, -1.0, 1.0) * np.exp(
-            _log_gamma_block(e, bases[:, open_], k.astype(complex)) + k * log_xi)
+        if len(flat):
+            poles_in(np.intersect1d(open_, flat), k)
+        return recurrence(open_, k)
 
-    return _sums_in_chunks(terms_at, bases.shape[1], RIGHT_TERMS)
+    return _sums_in_chunks(terms_at, len(q), LEFT_TERMS)
 
 
 def left_residue_sum(specs, x, lams):
@@ -553,28 +665,30 @@ def left_residue_sum(specs, x, lams):
 
     Per negative direction of pairing -l, each congruence class n = k*l + c,
     k = 0, 1, ..., 200, the contribution of a single next-to partner to the
-    continued series, is summed on its own by _sum_until_small.  The
-    residues are evaluated in chunks of k (_sums_in_chunks): one
-    _interesting_residue call per chunk holds every class of the direction,
-    of every column of the stack (see stack_bases), whose sum has not
-    stopped yet.  Returns, per column, the sum and whether the stop rule
-    fired for every class, False where some class is cut at its LEFT_TERMS
-    terms.
+    continued series, is summed on its own by _sum_until_small, in chunks of
+    k (_sums_in_chunks).  Returns, per column of the stack (see
+    stack_bases), the sum and whether the stop rule fired for every class,
+    False where some class is cut at its LEFT_TERMS terms.
+
+    One _interesting_residue call per direction gives the term at n = c of
+    every class of every column.  The pole p = (b - n) / l of a class steps
+    by -1 as k grows, so each next term is the last times
+    (-1)^(l+1) / (xi (n + 1) ... (n + l)) and the rational step of the
+    other Gamma factors (_step_factors).  Their arguments fall as k grows,
+    so a class can meet a pole past k = 0 only where p or an argument has
+    an imaginary part of exactly 0, the same at every k; those classes are
+    also evaluated term by term on each chunk, which raises PoleCollision
+    wherever a term sits at a pole.  The error names the column
+    (stack_column).
     """
-    _xi, log_xi = _split_xi(specs[0], x)
+    xi, log_xi = _split_xi(specs[0], x)
     e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
     columns = bases.shape[1]
     totals, stopped = [0j] * columns, [True] * columns
     for j, l in enumerate(-ej for ej in e):
         if l <= 0:
             continue
-
-        # class q is the congruence class q % l of column q // l
-        def terms_at(open_, k):
-            return _interesting_residue(e, bases[:, open_ // l], log_xi, j,
-                                        k * l + (open_ % l)[:, None])
-
-        sums = _sums_in_chunks(terms_at, columns * l, LEFT_TERMS)
+        sums = _left_class_sums(e, bases, xi, log_xi, j, lambda c: stack_column(specs, lams, c))
         for q, (class_sum, class_stopped) in enumerate(sums):
             totals[q // l] += class_sum
             stopped[q // l] = stopped[q // l] and class_stopped

@@ -111,6 +111,7 @@ from wallcross.ktheory import KClass
 from wallcross.lattice import (
     NotAHyperplane,
     anticone_coords,
+    cleared,
     extended_lattice,
     hermite_with_transform,
     integer_kernel_basis,
@@ -572,7 +573,7 @@ def _oracle_combination(coeffs, rows):
 def _oracle_sublattice(dual, conditions):
     """Basis (as ambient vectors) of the dual-lattice points annihilated by
     the given rational functionals."""
-    cond_rows = [[vdot(row, cond) for row in dual] for cond in conditions]
+    cond_rows = [cleared([vdot(row, cond) for row in dual])[1] for cond in conditions]
     return [_oracle_combination(k, dual) for k in integer_kernel_basis(cond_rows, len(dual))]
 
 
@@ -1289,13 +1290,10 @@ def oracle_log_gamma_block(spec, betas, s, skip=None):
     return acc
 
 
-def left_residue_terms(spec, x, lam, j_minus, residue_class):
-    """Minus the residues in one congruence class of one negative direction.
-
-    Terms with n = k*l + residue_class for k = 0, 1, ..., 200, all
-    evaluated, then summed by the stop rule; their sum is the contribution
-    of a single next-to partner to the continued series.
-    """
+def oracle_left_residues(spec, x, lam, j_minus, residue_class):
+    """The residues in one congruence class of one negative direction, at
+    n = k*l + residue_class for k = 0, 1, ..., 200, each evaluated on its
+    own Gamma arguments."""
     xi, log_xi = _split_xi(spec, x)
     betas = spec.betas(lam)
     l = -spec.e[j_minus]
@@ -1303,7 +1301,14 @@ def left_residue_terms(spec, x, lam, j_minus, residue_class):
     p = (betas[j_minus] + complex(spec.d[j_minus] / spec.det) - n) / l
     log_term = (-oracle_log_gamma(n + 1.0) - math.log(l) + LOG_PI - oracle_log_sin_pi(p)
                 + p * log_xi + oracle_log_gamma_block(spec, betas, p, skip=j_minus))
-    return -oracle_sum_until_small(np.where(n % 2, -1.0, 1.0) * np.exp(log_term))
+    return np.where(n % 2, -1.0, 1.0) * np.exp(log_term)
+
+
+def left_residue_terms(spec, x, lam, j_minus, residue_class):
+    """Minus the residues in one congruence class of one negative direction,
+    all 201 evaluated, then summed by the stop rule; their sum is the
+    contribution of a single next-to partner to the continued series."""
+    return -oracle_sum_until_small(oracle_left_residues(spec, x, lam, j_minus, residue_class))
 
 
 def oracle_left_residue_sum(spec, x, lam):
@@ -1328,6 +1333,61 @@ def right_residue_terms(spec, x, lam):
 def oracle_right_residue_sum(spec, x, lam):
     """All 81 right residues evaluated, then summed by the stop rule."""
     return oracle_sum_until_small(right_residue_terms(spec, x, lam))
+
+
+def _mpmath_point(spec, x, lam):
+    """The bases beta_j + d_j and log xi of a column at the point x, from
+    the same floats as the library's, as mpmath numbers."""
+    import mpmath
+
+    xi, _log_xi = _split_xi(spec, x)
+    return ([mpmath.mpc(b.real, b.imag) for b in column_bases(spec, lam)],
+            mpmath.log(mpmath.mpc(xi.real, xi.imag)))
+
+
+def mpmath_right_residues(spec, x, lam, count):
+    """The right residues at k = 0, ..., count - 1, each written out in
+    mpmath at the working precision from the column's floats."""
+    import mpmath
+
+    bases, log_xi = _mpmath_point(spec, x, lam)
+    out = []
+    for k in range(count):
+        term = (-1) ** k * mpmath.exp(k * log_xi)
+        for base, e in zip(bases, spec.e):
+            term *= mpmath.gamma(-base - k * e) if e < 0 else mpmath.rgamma(1 + base + k * e)
+        out.append(term)
+    return out
+
+
+def mpmath_left_residues(spec, x, lam, j_minus, residue_class, count):
+    """The residues at n = k*l + residue_class, k = 0, ..., count - 1, of
+    the negative direction j_minus, e_j = -l, written out in mpmath."""
+    import mpmath
+
+    bases, log_xi = _mpmath_point(spec, x, lam)
+    l = -spec.e[j_minus]
+    out = []
+    for k in range(count):
+        n = k * l + residue_class
+        p = (bases[j_minus] - n) / l
+        term = ((-1) ** n / (mpmath.factorial(n) * l) * mpmath.pi / mpmath.sin(mpmath.pi * p)
+                * mpmath.exp(p * log_xi))
+        for j, (base, e) in enumerate(zip(bases, spec.e)):
+            if j != j_minus:
+                term *= mpmath.gamma(-base - p * e) if e < 0 else mpmath.rgamma(1 + base + p * e)
+        out.append(term)
+    return out
+
+
+def stop_position(terms):
+    """The index of the last term that the stop rule adds: the third of the
+    first three terms in a row below 1e-14 times max(1, |partial sum|), or
+    None when the rule does not stop."""
+    totals = np.cumsum(terms)
+    small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
+    stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    return int(stops[0]) + 2 if len(stops) else None
 
 
 def fraction_gamma_ratio(d0, dk):
@@ -1486,10 +1546,8 @@ def oracle_sum_until_small(terms):
     1e-14 times max(1, |partial sum|)."""
     if not len(terms):
         return 0j
-    totals = np.cumsum(terms)
-    small = np.abs(terms) < 1e-14 * np.maximum(1.0, np.abs(totals))
-    stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-    return complex(totals[stops[0] + 2] if len(stops) else totals[-1])
+    end = stop_position(terms)
+    return complex(np.cumsum(terms)[-1 if end is None else end])
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,28 @@ def test_ranks_determinants_solves_and_kernels_match_fraction_elimination():
     assert seen == {"singular", "dependent", "inconsistent", "solved", "normal", "no normal"}
 
 
+def test_the_kernel_of_integer_rows_builds_no_fraction(monkeypatch):
+    """integer_kernel_basis, which gitfan's sublattices call on integer
+    rows, builds no Fraction; right_kernel clears rational rows first and
+    gives the same basis for the same rows scaled to integers."""
+    import wallcross.lattice as lattice
+
+    rng = random.Random(13)
+    cases = []
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(k)]
+                for _ in range(rng.randint(0, 3))]
+        cases.append(([cleared(row)[1] for row in rows], k, right_kernel(rows, k)))
+
+    def no_fraction(x):
+        raise AssertionError("a Fraction was built for %r" % (x,))
+
+    monkeypatch.setattr(lattice, "_q", no_fraction)
+    for integer_rows, k, expected in cases:
+        assert lattice.integer_kernel_basis(integer_rows, k) == expected
+
+
 @pytest.mark.parametrize("D, omega, raised", [
     # r = 1
     ([(1,), (1,), (-1,), (-1,)], (Fraction(1, 3),), None),

@@ -1,10 +1,14 @@
 import cmath
 import dataclasses
 import itertools
+import json
 import math
 import pathlib
 import random
 import re
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
 import mpmath
@@ -20,11 +24,14 @@ from helpers import (
     continuation_numeric,
     inner_sum_coefficient,
     left_poles,
+    mpmath_left_residues,
+    mpmath_right_residues,
     oracle_line_setup,
     oracle_euler_products,
     oracle_gkz_ode_residual,
     oracle_inner_sum_coefficient,
     oracle_left_residue_sum,
+    oracle_left_residues,
     oracle_log_gamma_block,
     oracle_mb_integral,
     oracle_right_residue_sum,
@@ -33,6 +40,7 @@ from helpers import (
     random_crepant_crossing,
     right_poles,
     right_residue_terms,
+    stop_position,
 )
 from wallcross.cli import load_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, plus_labels_across, wall_crossing
@@ -488,9 +496,11 @@ def test_a_barnes_line_failure_names_its_sample_poles_and_distance(resolution):
 
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
-def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
+def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path, monkeypatch):
     # one log_gamma call per block, class or degree set changes no bit of
-    # the per-factor, per-class and per-degree evaluation
+    # the per-factor, per-class and per-degree evaluation; the left sums'
+    # one residue call per direction gives each class its first term
+    seeds = _recording_seeds(monkeypatch)
     cfg, wc = _crossing(path)
     order = cfg["series_order"]
     lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
@@ -509,7 +519,8 @@ def test_stacked_gamma_matches_the_per_factor_oracles_bit_for_bit(path):
                 assert (mellinbarnes._log_gamma_block(spec.e, bases, p, skip=j)
                         == oracle_log_gamma_block(spec, betas, p, skip=j)), (j, n)
             for x in points:
-                assert left_residue_sum([spec], x, [lam])[0][0] == oracle_left_residue_sum(spec, x, lam)
+                assert _left_seeds(seeds, spec, x, lam) == [oracle_left_residues(spec, x, lam, j, c)[0]
+                                                            for j, e in enumerate(spec.e) for c in range(-e)]
             assert np.array_equal(inner_sum_coefficient(spec, ks, lam),
                                   oracle_inner_sum_coefficient(spec, ks, lam))
             ser, = inner_series([spec], order, [lam])
@@ -555,10 +566,102 @@ def _labels_across(wc):
     return [l for l in fixed_point_labels(wc.git, wc.A_plus) if l.delta not in wc.A_minus.minimal]
 
 
+def _recording_seeds(monkeypatch):
+    """(direction, residues) of every _interesting_residue call, as they
+    happen."""
+    seeds = []
+    residue = mellinbarnes._interesting_residue
+
+    def recording(e, bases, log_xi, j_minus, n):
+        out = residue(e, bases, log_xi, j_minus, n)
+        seeds.append((j_minus, out))
+        return out
+
+    monkeypatch.setattr(mellinbarnes, "_interesting_residue", recording)
+    return seeds
+
+
+def _left_seeds(seeds, spec, x, lam):
+    """The residues of the _interesting_residue calls of left_residue_sum
+    on one column, in order, which must be one call per direction."""
+    seeds.clear()
+    left_residue_sum([spec], x, [lam])
+    assert [j for j, _out in seeds] == [j for j, e in enumerate(spec.e) if e < 0]
+    return [complex(v) for _j, out in seeds for v in out.ravel()]
+
+
+def _recording_classes(monkeypatch):
+    """Per _sums_in_chunks call, as they happen: the terms that each class
+    read, in order, and the size of each chunk."""
+    calls = []
+    sums_in_chunks = mellinbarnes._sums_in_chunks
+
+    def recording(terms_at, count, length):
+        rows, chunks = [[] for _ in range(count)], []
+
+        def recorded(open_, k):
+            terms = terms_at(open_, k)
+            chunks.append(len(k))
+            for q, row in zip(open_, terms):
+                rows[q].extend(row)
+            return terms
+
+        calls.append((rows, chunks))
+        return sums_in_chunks(recorded, count, length)
+
+    monkeypatch.setattr(mellinbarnes, "_sums_in_chunks", recording)
+    return calls
+
+
+def _check_against_the_oracles(value, stopped, classes, oracle_terms, oracle, mpmath_terms):
+    """One residue sum of one column: the terms each class read (classes)
+    stop where the per-term oracle's terms stop, and the sum is within
+    1e-14 * sum |terms| of the oracle's sum where every class stops, and
+    within 1e-12 * sum |terms| of the mpmath sum of the same terms where
+    one is cut.  mpmath_terms(q, count) gives class q's first count terms.
+    Returns the error over sum |terms| and whether it was against mpmath."""
+    ends = [stop_position(terms) for terms in oracle_terms]
+    assert [stop_position(row) for row in classes] == ends
+    assert stopped == all(end is not None for end in ends)
+    kept = [terms[:len(terms) if end is None else end + 1] for terms, end in zip(oracle_terms, ends)]
+    scale = sum(np.abs(terms).sum() for terms in kept)
+    if stopped:
+        return abs(value - oracle) / scale, False
+    with mpmath.workdps(30):
+        ref = complex(mpmath.fsum(t for q, terms in enumerate(kept) for t in mpmath_terms(q, len(terms))))
+    return abs(value - ref) / scale, True
+
+
+def _right_against_the_oracles(spec, x, lam, calls):
+    calls.clear()
+    (value, stopped), = right_residue_sum([spec], x, [lam])
+    (classes, _chunks), = calls
+    err, cut = _check_against_the_oracles(value, stopped, classes, [right_residue_terms(spec, x, lam)],
+                                          oracle_right_residue_sum(spec, x, lam),
+                                          lambda _q, count: mpmath_right_residues(spec, x, lam, count))
+    assert err <= (1e-12 if cut else 1e-14), (err, cut)
+    return cut
+
+
+def _left_against_the_oracles(spec, x, lam, calls):
+    calls.clear()
+    (value, stopped), = left_residue_sum([spec], x, [lam])
+    directions = [(j, -e) for j, e in enumerate(spec.e) if e < 0]
+    classes = [(j, c) for j, l in directions for c in range(l)]
+    assert len(calls) == len(directions)
+    err, cut = _check_against_the_oracles(
+        value, stopped, [row for rows, _chunks in calls for row in rows],
+        [oracle_left_residues(spec, x, lam, j, c) for j, c in classes], oracle_left_residue_sum(spec, x, lam),
+        lambda q, count: mpmath_left_residues(spec, x, lam, *classes[q], count))
+    assert err <= (1e-12 if cut else 1e-14), (err, cut)
+    return cut
+
+
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
-def test_right_residue_sum_matches_the_full_length_oracle(path):
-    # the chunks stop where the rule stops; all 81 terms, then the rule,
-    # give the same sum bit for bit
+def test_right_residue_sum_matches_the_full_length_oracle(path, monkeypatch):
+    # the chunks stop where the rule stops on all 81 terms of the per-term
+    # oracle, and the sum is the oracle's to 1e-14 of sum |terms|
+    calls = _recording_classes(monkeypatch)
     cfg, wc = _crossing(path)
     lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
     points = (_xio(wc, 0.3), _line_points(wc)[2])
@@ -566,82 +669,153 @@ def test_right_residue_sum_matches_the_full_length_oracle(path):
         spec = make_inner_spec(wc, label)
         for lam in lams:
             for x in points:
-                assert right_residue_sum([spec], x, [lam])[0][0] == oracle_right_residue_sum(spec, x, lam)
+                _right_against_the_oracles(spec, x, lam, calls)
 
 
-def _record_residue_sizes(monkeypatch):
-    """(direction, size) of every _interesting_residue call and the size of
-    every _log_gamma_block call, the residues' own included, as they happen."""
-    residues, blocks = [], []
-    residue, block = mellinbarnes._interesting_residue, mellinbarnes._log_gamma_block
+def test_residue_sums_over_several_chunks_match_the_oracles(all_examples, monkeypatch):
+    # near the degeneration radius every class needs a second chunk
+    calls = _recording_classes(monkeypatch)
+    for wc in all_examples.values():
+        for label in _labels_across(wc):
+            spec = make_inner_spec(wc, label)
+            for lam in generic_lambdas(wc, 2, seed=31):
+                assert not _left_against_the_oracles(spec, _xio(wc, 1.25), lam, calls)
+                assert all(len(chunks) > 1 for _rows, chunks in calls)
+                assert not _right_against_the_oracles(spec, _xio(wc, 0.6), lam, calls)
+                assert [chunks for _rows, chunks in calls] == [[RESIDUE_CHUNK, RESIDUE_CHUNK]]
 
-    def counting_residue(e, bases, log_xi, j_minus, n):
-        residues.append((j_minus, np.size(n)))
-        return residue(e, bases, log_xi, j_minus, n)
+
+def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, monkeypatch):
+    # just across the degeneration radius no three terms in a row are
+    # small: the sums read all 201 or 81 terms, as the oracles do, and sum
+    # them to 1e-12 of sum |terms| of mpmath's sum of the same terms
+    calls = _recording_classes(monkeypatch)
+    for wc in all_examples.values():
+        label = _labels_across(wc)[0]
+        spec = make_inner_spec(wc, label)
+        lam = generic_lambdas(wc, 1, seed=31)[0]
+        x_out, x_in = _xio(wc, 1.02), _xio(wc, 0.95)
+        assert _left_against_the_oracles(spec, x_out, lam, calls)
+        chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
+        assert [c for _rows, c in calls] == [chunks for e in spec.e if e < 0]
+        assert all(len(row) == 201 for rows, _chunks in calls for row in rows)
+        assert _right_against_the_oracles(spec, x_in, lam, calls)
+        assert [c for _rows, c in calls] == [[RESIDUE_CHUNK, RESIDUE_CHUNK, 81 - 2 * RESIDUE_CHUNK]]
+
+
+def test_each_residue_sum_takes_one_seed_call_per_direction(all_examples, monkeypatch):
+    # the terms past the first come from ratios, so a sum of one, two or
+    # seven chunks evaluates one Gamma block (right) or one residue block
+    # per direction (left); on local P^3 at verify mb's outside point every
+    # class still stops in its first chunk
+    calls = _recording_classes(monkeypatch)
+    blocks, residues = [], []
+    block, residue = mellinbarnes._log_gamma_block, mellinbarnes._interesting_residue
 
     def counting_block(e, bases, s, skip=None, factorial_of=None):
         blocks.append(np.size(s))
         return block(e, bases, s, skip, factorial_of)
 
-    monkeypatch.setattr(mellinbarnes, "_interesting_residue", counting_residue)
+    def counting_residue(e, bases, log_xi, j_minus, n):
+        residues.append((j_minus, np.shape(n)))
+        return residue(e, bases, log_xi, j_minus, n)
+
     monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
-    return residues, blocks, residue
-
-
-def test_residue_sums_over_several_chunks_match_the_oracles(all_examples, monkeypatch):
-    # near the degeneration radius every class needs a second chunk
-    residues, blocks, _residue = _record_residue_sizes(monkeypatch)
-    for wc in all_examples.values():
+    monkeypatch.setattr(mellinbarnes, "_interesting_residue", counting_residue)
+    cfg, p3 = _crossing(ROOT / "bench" / "configs" / "local_p3.json")
+    cases = [(wc, generic_lambdas(wc, 2, seed=31), (0.3, 0.6, 0.95), (3.0, 1.25, 1.02))
+             for wc in all_examples.values()]
+    cases.append((p3, generic_lambdas(p3, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"]),
+                  (0.3,), (3.0,)))
+    for wc, lams, inside, outside in cases:
         for label in _labels_across(wc):
             spec = make_inner_spec(wc, label)
-            negative = [j for j, e in enumerate(spec.e) if e < 0]
-            for lam in generic_lambdas(wc, 2, seed=31):
-                residues.clear()
-                assert (left_residue_sum([spec], _xio(wc, 1.25), [lam])
-                        == [(oracle_left_residue_sum(spec, _xio(wc, 1.25), lam), True)])
-                assert all([j for j, _size in residues].count(j) > 1 for j in negative)
+            negative = [(j, -e) for j, e in enumerate(spec.e) if e < 0]
+            for scale in inside:
+                calls.clear()
                 blocks.clear()
-                assert (right_residue_sum([spec], _xio(wc, 0.6), [lam])
-                        == [(oracle_right_residue_sum(spec, _xio(wc, 0.6), lam), True)])
-                assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK]
+                right_residue_sum([spec], _xio(wc, scale), lams)
+                assert blocks == [1]
+            for scale in outside:
+                calls.clear()
+                residues.clear()
+                left_residue_sum([spec], _xio(wc, scale), lams)
+                assert residues == [(j, (len(lams) * l, 1)) for j, l in negative]
+                if wc is p3:
+                    assert [chunks for _rows, chunks in calls] == [[RESIDUE_CHUNK]] * len(negative)
+            assert wc is p3 or len(calls[0][1]) == 7
 
 
-def test_residue_sums_where_the_rule_never_stops_take_every_term(all_examples, monkeypatch):
-    # just across the degeneration radius no three terms in a row are
-    # small: the sums read all 201 or 81 terms, as the oracles do
-    residues, blocks, residue = _record_residue_sizes(monkeypatch)
-    for wc in all_examples.values():
-        label = _labels_across(wc)[0]
-        spec = make_inner_spec(wc, label)
-        lam = generic_lambdas(wc, 1, seed=31)[0]
-        bases = column_bases(spec, lam)
-        x_out, x_in = _xio(wc, 1.02), _xio(wc, 0.95)
-        _xi, log_xi = mellinbarnes._split_xi(spec, x_out)
-        for j, e in enumerate(spec.e):
-            if e < 0:
-                for c in range(-e):
-                    row = residue(spec.e, bases, log_xi, j, np.arange(201) * -e + c)
-                    assert not mellinbarnes._sum_until_small(row)[1]
-        assert not mellinbarnes._sum_until_small(right_residue_terms(spec, x_in, lam))[1]
-        residues.clear()
-        assert left_residue_sum([spec], x_out, [lam]) == [(oracle_left_residue_sum(spec, x_out, lam), False)]
-        blocks.clear()
-        assert right_residue_sum([spec], x_in, [lam]) == [(oracle_right_residue_sum(spec, x_in, lam), False)]
-        chunks = [RESIDUE_CHUNK] * 6 + [201 - 6 * RESIDUE_CHUNK]
-        assert residues == [(j, size * -e) for j, e in enumerate(spec.e) if e < 0 for size in chunks]
-        assert blocks == [RESIDUE_CHUNK, RESIDUE_CHUNK, 81 - 2 * RESIDUE_CHUNK]
+def _with_bases(spec):
+    """spec with each sample read as the column's bases beta_j + d_j."""
+    return types.SimpleNamespace(e=spec.e, d=(0,) * len(spec.e), det=1, label=spec.label, betas=lambda lam: lam)
 
 
-def test_local_p3_left_sums_take_one_chunk_per_class(monkeypatch):
-    residues, _blocks, _residue = _record_residue_sizes(monkeypatch)
-    cfg, wc = _crossing(ROOT / "bench" / "configs" / "local_p3.json")
-    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
-    for label in _labels_across(wc):
+def _pole_text(call):
+    with pytest.raises(PoleCollision) as failure:
+        call()
+    return str(failure.value)
+
+
+def test_a_residue_sum_at_a_gamma_pole_names_its_column(conifold, monkeypatch):
+    # real bases on the conifold, e = (1, 1, -1, -1): a Gamma argument that
+    # falls with k meets a pole past the first term, the same imaginary
+    # part in two bases puts one at k = 0, and a base of -1 puts the right
+    # sum's at k = 0.  Each raises where the terms evaluated one by one
+    # meet it, named by the column; a real column off the poles sums as
+    # the oracles do
+    spec = _with_bases(make_inner_spec(conifold, _labels_across(conifold)[0]))
+    x_in, x_out = _xio(conifold, 0.3), _xio(conifold, 3.0)
+    generic = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, -0.1 + 0.25j)
+    later = (0.1 + 0j, 0.2 + 0j, 3.25 + 0j, 0.25 + 0j)  # -b_3 + p = 3 - n
+    text = _pole_text(lambda: oracle_left_residue_sum(spec, x_out, later))
+    assert text == "log_gamma pole at -0j"
+    assert _pole_text(lambda: left_residue_sum([spec], x_out, [generic, later])) == "sample 1: " + text
+    # -b_2 + p = -40 - n for j- = 3; direction 2 meets its pole at n = 40
+    # only past the chunk where its sum stops
+    shared = (0.1 + 0.3j, 0.2 - 0.1j, 40.25 + 0.2j, 0.25 + 0.2j)
+    assert (_pole_text(lambda: left_residue_sum([spec], x_out, [generic, generic, shared]))
+            == "sample 2: log_gamma pole at (-40+0j)")
+    right = (-1 + 0j, 0.2 + 0j, 0.3 - 0.1j, 0.1 + 0.2j)
+    text = _pole_text(lambda: oracle_right_residue_sum(spec, x_in, right))
+    assert _pole_text(lambda: right_residue_sum([spec], x_in, [generic, right])) == "sample 1: " + text
+    calls = _recording_classes(monkeypatch)
+    assert not _left_against_the_oracles(spec, x_out, (0.1 + 0j, 0.2 + 0j, 3.3 + 0j, 0.25 + 0j), calls)
+
+
+def test_local_p9_passes_verify_mb_and_its_residue_sums_match_mpmath(tmp_path, monkeypatch):
+    # the scale ladder's local P^9, D = (1^10, -10): its left classes step
+    # by l = 10, the longest ratio product of these tests.  The CLI PASSes
+    # verify mb, and on two labels and two samples the sums are within
+    # 1e-14 of sum |terms| of mpmath's sum of the terms that they read
+    raw = {"schema": "wallcross-config/1", "git": {"r": 1, "m": 11, "D": [[1]] * 10 + [[-10]]},
+           "omega_plus": [[1, 1]], "omega_minus": [[-1, 1]], "seed": 7, "samples": 20,
+           "z": {"re": [1, 1], "im": [0, 1]}, "truncation": {"series_order": 40, "base_exponent_bound": 10}}
+    path = tmp_path / "local_p9.json"
+    path.write_text(json.dumps(raw))
+    proc = subprocess.run([sys.executable, "-m", "wallcross.cli", "verify", "mb", "--config", str(path), "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["pass"], proc.stdout + proc.stderr
+    calls = _recording_classes(monkeypatch)
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 2, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    labels = _labels_across(wc)
+    assert len(labels) == 10
+    x_in, x_out = _xio(wc, 0.3), _xio(wc, 3.0)
+    for label in (labels[0], labels[-1]):
         spec = make_inner_spec(wc, label)
         for lam in lams:
-            residues.clear()
-            left_residue_sum([spec], _xio(wc, 3.0), [lam])
-            assert residues == [(j, RESIDUE_CHUNK * -e) for j, e in enumerate(spec.e) if e < 0]
+            for residue_sum, x, terms in (
+                    (right_residue_sum, x_in, lambda _q, count: mpmath_right_residues(spec, x_in, lam, count)),
+                    (left_residue_sum, x_out, lambda q, count: mpmath_left_residues(spec, x_out, lam, 10, q, count))):
+                calls.clear()
+                (value, stopped), = residue_sum([spec], x, [lam])
+                (rows, _chunks), = calls
+                assert stopped and len(rows) in (1, 10)
+                with mpmath.workdps(30):
+                    refs = [t for q, row in enumerate(rows) for t in terms(q, len(row))]
+                    ref, scale = complex(mpmath.fsum(refs)), float(mpmath.fsum(abs(t) for t in refs))
+                assert abs(value - ref) <= 1e-14 * scale, abs(value - ref) / scale
 
 
 @pytest.mark.parametrize("path", [ROOT / "bench" / "configs" / "flop_2_2_line.json",
