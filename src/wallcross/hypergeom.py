@@ -80,7 +80,8 @@ def log_sin_pi(z):
     for large imaginary part.
 
     The branch is unspecified; callers only ever exponentiate sums of these.
-    A NaN imaginary part gives NaN.
+    A NaN imaginary part gives NaN, and an exact integer, where sin(pi z)
+    vanishes though only sin(0) rounds to 0, raises PoleCollision.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -90,9 +91,10 @@ def log_sin_pi(z):
         up, down = z.imag >= 20.0, z.imag <= -20.0
         near = ~(up | down)  # a NaN imaginary part falls here and gives NaN
     zn = z if whole else z[near]
+    poles = (zn.imag == 0) & (zn.real == np.floor(zn.real))
+    if np.any(poles):
+        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(zn[poles][0]),))
     s = np.sin(math.pi * zn)
-    if np.any(s == 0):
-        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(zn[s == 0][0]),))
     if whole:
         out = np.log(s)
     else:

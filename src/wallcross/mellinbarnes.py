@@ -234,6 +234,11 @@ class ContourSpec:
 # exp(-2 pi STEPS_PER_UNIT), 4e-17
 STEPS_PER_UNIT = 6
 
+# the Barnes line is evaluated outward from t = 0: first on |t| <= LINE_FIRST,
+# the shortest cut, then LINE_CHUNK more units at each end at a time
+LINE_FIRST = 8
+LINE_CHUNK = 4
+
 
 def _log_gamma_block(e, bases, s, skip=None, factorial_of=None):
     """Sum of the integrand's log-Gamma factors at s, a scalar or an array,
@@ -417,13 +422,18 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     bending residue, -R / (1 - u) in all) and every non-integer pole less
     than 1 left of it are corrected.  The negative integers are not poles
     and s = 1 is more than 1 away, so the rule's own error is about
-    exp(-2 pi / h), 4e-17, whatever the gap.  A probe of G on the integers
-    |t| <= t_max gives each point the largest |t| at which |integrand| still
-    reaches 2^-60 of its sum over the probes; T is 1 past the largest of
-    these, at least 8 and at most t_max, so a line takes at most 12 T + 1
-    nodes.  Beyond the imaginary parts of the Gamma arguments |integrand|
-    falls like |t|^a exp(-(pi - |arg xi|) |t|), so it stays below that
-    level past T.
+    exp(-2 pi / h), 4e-17, whatever the gap.  The integer nodes are the
+    probe: each point gets the largest |t| at which |integrand| still
+    reaches 2^-60 of its sum over the integer nodes evaluated; T is 1 past
+    the largest of these, at least 8 and at most t_max, so a line takes at
+    most 12 T + 1 nodes.  Beyond the imaginary parts of the Gamma arguments
+    |integrand| falls like |t|^a exp(-(pi - |arg xi|) |t|), so it stays
+    below that level past T.  So G is evaluated outward from t = 0, each
+    node once: on |t| <= LINE_FIRST, or out to 1 + max |Im b_j / e_j|
+    where that is farther, then LINE_CHUNK more units at each end while
+    some column's outermost integer node still reaches the level, up to
+    t_max.  A Gamma pole on the line raises PoleCollision naming the Barnes
+    line and the column (stack_column).
 
     The error is the bound on the cut tails, |integrand| at +-T over
     (pi - |arg xi|) 2 pi.  The rule's own error, 4e-17 of the integrand's
@@ -431,10 +441,10 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     rule would only measure its own, exp(-pi / h) = 6.5e-9 at step 2 h.
 
     Each column has its own base beta_j + d_j, poles, abscissa and T; G is
-    evaluated for all columns in one block on the probe and one on the
-    shared nodes, of which each column sums its own slice, and the s = 0 and
-    pole corrections of all columns are evaluated together, a pole that
-    another column needs adding an exact zero.  So each column, whatever its
+    evaluated for all columns together on the shared nodes, of which each
+    column sums its own slice, and the s = 0 and pole corrections of all
+    columns are evaluated together, a pole that another column needs adding
+    an exact zero.  G is elementwise in t, so each column, whatever its
     label or sample, gets the bits of a stack of one.
 
     Returns (value, error), arrays over the columns and then over the points.
@@ -447,22 +457,48 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     sigma = sigma[:, None, None]
     bases = _base_rows(columns)[..., None]
 
-    def G(t):
-        s = sigma + 1j * t
-        return s, LOG_PI - log_sin_pi(s) + _log_gamma_block(e, bases, s)
+    def line(k, c=slice(None)):
+        """The log of the integrand on the nodes k / STEPS_PER_UNIT, for the
+        columns c."""
+        s = sigma[c] + 1j * (k / STEPS_PER_UNIT)
+        return LOG_PI - log_sin_pi(s) + _log_gamma_block(e, bases[:, c], s) + s * log_xi
 
-    probe = np.arange(-math.floor(contour.t_max), math.floor(contour.t_max) + 1)
-    s, g = G(probe)
-    log_abs = (g + s * log_xi).real
-    weight = np.exp(log_abs - log_abs.max(axis=-1, keepdims=True))
-    heavy = (weight >= 2.0 ** -60 * weight.sum(axis=-1, keepdims=True)).any(axis=1)
+    def widen(log_f, end, to):
+        """log_f on the nodes |k| <= end widened to |k| <= to, both ends in
+        one block; at end = -1 log_f holds no node."""
+        nodes = np.arange(-to, to + 1)
+        nodes = nodes[np.abs(nodes) > end]
+        try:
+            outer = line(nodes)
+        except PoleCollision:
+            _name_the_pole(range(len(columns)), lambda c: line(nodes, [c]),
+                           lambda c: "Barnes line, " + stack_column(specs, lams, c))
+            raise
+        half = len(nodes) // 2
+        return np.concatenate([outer[..., :half], log_f, outer[..., half:]], axis=-1), to
+
+    # outward from t = 0: first past every bump of the integrand, then a
+    # chunk at each end while some column's outermost integer node is heavy
+    bump = max(np.abs(bases[j].imag / ej).max() for j, ej in enumerate(e) if ej)
+    top = STEPS_PER_UNIT * math.floor(contour.t_max)
+    first = min(top, STEPS_PER_UNIT * math.ceil(max(LINE_FIRST, 1.0 + bump)))
+    log_f, end = widen(np.empty((len(columns), len(xs), 0)), -1, first)
+    while True:
+        log_abs = log_f[..., ::STEPS_PER_UNIT].real
+        weight = np.exp(log_abs - log_abs.max(axis=-1, keepdims=True))
+        heavy = (weight >= 2.0 ** -60 * weight.sum(axis=-1, keepdims=True)).any(axis=1)
+        if end == top or not (heavy[:, 0] | heavy[:, -1]).any():
+            break
+        log_f, end = widen(log_f, end, min(top, end + STEPS_PER_UNIT * LINE_CHUNK))
+    probe = np.arange(-end // STEPS_PER_UNIT, end // STEPS_PER_UNIT + 1)
     far = np.where(heavy, np.abs(probe), 0).max(axis=-1)
-    cuts = np.minimum(contour.t_max, np.maximum(8.0, 1.0 + far))
+    cuts = np.minimum(contour.t_max, np.maximum(LINE_FIRST, 1.0 + far))
     reach = [2 * max(1, math.floor(cut * STEPS_PER_UNIT / 2)) for cut in cuts]
+    if max(reach) > end:  # a cut at a non-integer t_max passes the last integer node
+        log_f, end = widen(log_f, end, max(reach))
 
     def F(t):
-        s, g = G(t)
-        return np.exp(g + s * log_xi)
+        return np.exp(log_f[..., end - len(t) // 2:end + len(t) // 2 + 1])
 
     rule, edge = quad(F, reach)
     value = -rule / (2 * math.pi)

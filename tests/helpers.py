@@ -31,6 +31,9 @@ production path it checks can cross-validate each other:
   poles into a Python list (pole_scan) and reads its separation (closest)
   and abscissa (oracle_abscissa) column by column, against the one array
   pole table of every column;
+- the Barnes-line cut oracle (oracle_line_reach) probes one column's
+  integrand on every integer |t| <= t_max, against the line evaluated
+  outward from t = 0 on the nodes it integrates;
 - the exact-part oracle (fraction_exact_part) multiplies the exact Gamma
   ratios as Fractions factor by factor, against the integer products
   reduced once per degree;
@@ -1269,6 +1272,23 @@ def oracle_mb_integral(spec, x, lam, contour):
     return value, float(abs(fine - coarse) + tail) / (2 * math.pi), float(mass)
 
 
+def oracle_line_reach(spec, xs, lam, contour):
+    """The node reach of one column's Barnes line, by the full-probe cut
+    rule: the integrand at the points xs on every integer |t| <= t_max, T
+    1 past the largest |t| at which it still reaches, at some point, 2^-60
+    of its sum over those integers, at least 8 and at most t_max, and the
+    reach 2 floor(3 T), with at least 2 nodes."""
+    sigma = oracle_line_setup(spec.e, [column_bases(spec, lam)], contour, str)[0][0]
+    probe = np.arange(-math.floor(contour.t_max), math.floor(contour.t_max) + 1)
+    s = sigma + 1j * probe
+    g = LOG_PI - oracle_log_sin_pi(s) + oracle_log_gamma_block(spec, spec.betas(lam), s)
+    log_abs = np.array([(g + s * _split_xi(spec, x)[1]).real for x in xs])
+    weight = np.exp(log_abs - log_abs.max(axis=-1, keepdims=True))
+    heavy = (weight >= 2.0 ** -60 * weight.sum(axis=-1, keepdims=True)).any(axis=0)
+    cut = min(contour.t_max, max(8.0, 1.0 + max(np.abs(probe[heavy]), default=0)))
+    return 2 * max(1, math.floor(3 * cut))
+
+
 # ---------------------------------------------------------------------------
 # per-factor and per-degree evaluations, kept as bit-for-bit oracles of the
 # stacked Gamma blocks, residue classes and Euler products
@@ -1496,6 +1516,7 @@ def oracle_log_sin_pi(z):
     for large imaginary part.
 
     The branch is unspecified; callers only ever exponentiate sums of these.
+    An exact integer raises PoleCollision.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -1503,10 +1524,11 @@ def oracle_log_sin_pi(z):
     near = np.abs(z.imag) < 20.0
     up = z.imag >= 20.0
     down = z.imag <= -20.0
-    s = np.sin(math.pi * z[near])
-    if np.any(s == 0):
-        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(z[near][s == 0][0]),))
-    out[near] = np.log(s)
+    zn = z[near]
+    poles = (zn.imag == 0) & (zn.real == np.floor(zn.real))
+    if np.any(poles):
+        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(zn[poles][0]),))
+    out[near] = np.log(np.sin(math.pi * zn))
     # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image;
     # at |Im z| >= 20, |e^{2 i pi z}| < 1e-54, so log(1 - e^{2 i pi z}) is
     # below the rounding of the other terms, whose real part exceeds 62

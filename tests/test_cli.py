@@ -376,6 +376,25 @@ def test_rank_4_crossing_past_int64_exits_without_a_traceback(tmp_path):
     assert proc.returncode == 0 or proc.stderr.count("error:") == 1
 
 
+@pytest.mark.parametrize("D, where", [
+    ((3, 5, -7, -1), "delta=[1] f=['0'], sample 0: log_gamma pole at 0j"),
+    ((5, 7, -11, -1), "delta=[0] f=['0'], sample 3: log_gamma pole at (-1+0j)"),
+    ((2, 3, 5, -4, -6), "delta=[2] f=['0'], sample 0: log_gamma pole at (-1+0j)"),
+], ids=["3_5_-7_-1", "5_7_-11_-1", "2_3_5_-4_-6"])
+def test_a_gamma_pole_on_the_barnes_line_names_its_label_and_sample(tmp_path, D, where):
+    # weighted rank-1 crossings whose abscissa sigma makes 1 + d_j + sigma e_j
+    # a nonpositive integer at t = 0 for some e_j = 5 or 7 with beta_j = 0:
+    # the line's first Gamma block meets a pole, and the error says where
+    cfg = {"schema": "wallcross-config/1", "git": {"r": 1, "m": len(D), "D": [[d] for d in D]},
+           "omega_plus": [[1, 1]], "omega_minus": [[-1, 1]], "seed": 7, "samples": 20,
+           "z": {"re": [1, 1], "im": [0, 1]}, "truncation": {"series_order": 40, "base_exponent_bound": 10}}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["verify", "mb", "--config", str(path)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: PoleCollision: Barnes line, %s\n" % where
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, wallcross.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

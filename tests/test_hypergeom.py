@@ -129,12 +129,21 @@ def test_log_gamma_kernel_raises_at_exact_poles_like_the_plain_kernel():
             oracle_log_gamma(z)
         with pytest.raises(PoleCollision, match=re.escape(str(expected.value))):
             log_gamma(z)
-    # sin(pi z) rounds to exactly zero only at z = 0
+    # sin(pi z) rounds to exactly zero only at z = 0, but every integer is a
+    # pole
     for z in (0.0, -0.0, np.array([0.5, 0.0]), np.array([0.3 + 25j, 1.5, 0.0])):
         with pytest.raises(PoleCollision) as expected:
             oracle_log_sin_pi(z)
         with pytest.raises(PoleCollision, match=re.escape(str(expected.value))):
             log_sin_pi(z)
+    for z, first in ((-1.0, -1.0), (3 + 0j, 3.0), (np.array([0.5, -40.0, 2.0]), -40.0),
+                     (np.array([[1.5, 0.3 + 25j], [7.0, 0.25]]), 7.0)):
+        with pytest.raises(PoleCollision, match=re.escape("sin(pi z) vanishes at z=%r" % complex(first))):
+            log_sin_pi(z)
+    # next to an integer the sine is small but not a pole, and keeps its bits
+    near = np.array([-1.0 + 1e-15, 2.0 + 1e-300j, 3.0 - 4e-16, -0.5])
+    assert np.array_equal(log_sin_pi(near), np.log(np.sin(np.pi * near)))
+    assert np.array_equal(log_sin_pi(near), oracle_log_sin_pi(near))
 
 
 def test_log_sin_pi_is_nan_at_a_nan_imaginary_part():

@@ -20,7 +20,8 @@ builds its point classes and root filter, never from the basis, the
 transform or the continuation matrix it checks; the Barnes-line set-up and
 exact-part oracles scan their poles and multiply their Gamma ratios
 themselves, never through the array set-up or the integer products they
-check.
+check; the Barnes-line cut oracle probes the line itself, never through the
+outward evaluation it checks.
 
 Library code builds a Fraction only in the functions FRACTION_SITES names.
 """
@@ -40,7 +41,7 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
                 "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
                 "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
-                "_coefficient", "_line_setup", "_exact_part"}
+                "_coefficient", "_line_setup", "_exact_part", "mb_integral_with_error", "quad"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift, a phase, a splitting vector, a base exponent, a coefficient's

@@ -32,6 +32,7 @@ from helpers import (
     oracle_inner_sum_coefficient,
     oracle_left_residue_sum,
     oracle_left_residues,
+    oracle_line_reach,
     oracle_log_gamma_block,
     oracle_mb_integral,
     oracle_right_residue_sum,
@@ -42,7 +43,7 @@ from helpers import (
     right_residue_terms,
     stop_position,
 )
-from wallcross.cli import load_config
+from wallcross.cli import load_config, parse_config
 from wallcross.gitfan import fixed_point_labels, next_to_pairs, plus_labels_across, wall_crossing
 from wallcross.hypergeom import (
     PoleCollision,
@@ -370,27 +371,100 @@ def test_cut_line_matches_the_full_line_oracle(path, monkeypatch):
                     assert abs(mb_integral(spec, x, lam, longer) - ref) <= 1e-13 * mass, where
 
 
-def test_both_points_share_one_line_evaluation(conifold, monkeypatch):
-    # every sample of a label shares one probe block and one node block
-    block_sizes = []
+def _recording_line(monkeypatch):
+    """The nodes k of every Gamma block evaluated on the Barnes line, t =
+    k / STEPS_PER_UNIT, as they happen; each must be a node exactly."""
+    blocks = []
     block = mellinbarnes._log_gamma_block
 
-    def counting_block(e, bases, s, skip=None, factorial_of=None):
+    def recording_block(e, bases, s, skip=None, factorial_of=None):
         s_arr = np.asarray(s)
         if s_arr.ndim and s_arr.shape[-1] > 1 and np.all(s_arr.real == s_arr.real[..., :1]):
-            block_sizes.append(s_arr.size)  # a vertical line: the probe or the nodes
+            t = s_arr.imag.reshape(-1, s_arr.shape[-1])[0]  # a vertical line, the same t in every column
+            k = np.round(t * mellinbarnes.STEPS_PER_UNIT).astype(int)
+            assert np.array_equal(k / mellinbarnes.STEPS_PER_UNIT, t), t
+            blocks.append(k.tolist())
         return block(e, bases, s, skip, factorial_of)
 
-    monkeypatch.setattr(mellinbarnes, "_log_gamma_block", counting_block)
-    lines = _recording_quad(monkeypatch)
+    monkeypatch.setattr(mellinbarnes, "_log_gamma_block", recording_block)
+    return blocks
+
+
+def test_the_line_evaluates_each_node_it_integrates_once(conifold, monkeypatch):
+    # the line is evaluated outward from t = 0 on the nodes of the rule, with
+    # no separate probe: no node twice, every node the rule sums, and at
+    # most one chunk a side past the farthest reach.  Every sample and both
+    # points share the blocks, and the rule is called once.  The slowly
+    # decaying points are cut at t_max, at a non-integer t_max past its last
+    # integer node, and below the shortest cut of 8
+    blocks, lines = _recording_line(monkeypatch), _recording_quad(monkeypatch)
     label = fixed_point_labels(conifold.git, conifold.A_plus)[0]
-    for count in (1, 5):
+    verify_points = (_xio(conifold, 0.3), _xio(conifold, 3.0))
+    for count, t_max, points in ((1, 40.0, verify_points), (5, 40.0, verify_points),
+                                 (5, 40.5, verify_points), (5, 40.5, _line_points(conifold)),
+                                 (2, 5.5, verify_points), (2, 120.0, _line_points(conifold))):
         lams = generic_lambdas(conifold, count, seed=29)
-        block_sizes.clear()
+        blocks.clear()
         lines.clear()
-        verify_residue_identity(conifold, [label], _xio(conifold, 0.3), _xio(conifold, 3.0), lams)
-        assert len(lines) == 1
-        assert sorted(block_sizes) == sorted([count * (2 * 40 + 1), count * lines[0][0]])
+        if points is verify_points:
+            verify_residue_identity(conifold, [label], *points, lams, ContourSpec(t_max=t_max))
+        else:
+            mb_integral_with_error([make_inner_spec(conifold, label)], points, lams, ContourSpec(t_max=t_max))
+        (nodes, reach), = lines
+        top = max(reach)
+        assert len(reach) == count and nodes == 2 * top + 1
+        assert top <= 12 * t_max + 1 and (points is verify_points or top == 2 * math.floor(3 * t_max))
+        evaluated = sorted(k for block in blocks for k in block)
+        assert len(evaluated) == len(set(evaluated)), (count, t_max)
+        past = max(evaluated) - top
+        assert evaluated == list(range(-top - past, top + past + 1)), (count, t_max)
+        assert past <= mellinbarnes.LINE_CHUNK * mellinbarnes.STEPS_PER_UNIT, (count, t_max)
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
+def test_the_outward_line_cuts_each_column_where_the_full_probe_did(path, monkeypatch):
+    # the integer nodes of the outward evaluation stand in for the probe of
+    # every integer |t| <= t_max: each column gets the same reach, at verify
+    # mb's points and at the slowly decaying ones, for t_max below the
+    # shortest cut, at the default, at a non-integer and past the probe
+    lines = _recording_quad(monkeypatch)
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    specs = [make_inner_spec(wc, label) for label in _labels_across(wc)]
+    points = _line_points(wc)
+    for t_max in (cfg["contour"].t_max, 5.0, 40.5, 120.0):
+        contour = dataclasses.replace(cfg["contour"], t_max=t_max)
+        for xs in (points[:2], points):
+            lines.clear()
+            mb_integral_with_error(specs, xs, lams, contour)
+            (_nodes, reach), = lines
+            assert reach == [oracle_line_reach(spec, xs, lam, contour) for spec in specs for lam in lams], t_max
+
+
+def test_the_outward_line_cuts_the_exact_random_draws_where_the_full_probe_did(monkeypatch):
+    # the same on every label across the wall of exact-random seeds 1 and 2,
+    # at verify mb's points; a draw whose line set-up raises is skipped
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    lines = _recording_quad(monkeypatch)
+    compared = 0
+    for seed in (1, 2):
+        for raw in workloads.random_configs(seed):
+            cfg = parse_config(raw)
+            wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
+            lams = generic_lambdas(wc, 5, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+            specs = [make_inner_spec(wc, label) for label in plus_labels_across(wc)]
+            xs = (_xio(wc, 0.3), _xio(wc, 3.0))
+            lines.clear()
+            try:
+                mb_integral_with_error(specs, xs, lams, cfg["contour"])
+            except (PoleCollision, ContourTooClose):
+                continue
+            (_nodes, reach), = lines
+            assert reach == [oracle_line_reach(spec, xs, lam, cfg["contour"]) for spec in specs for lam in lams]
+            compared += len(reach)
+    assert compared > 1000
 
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=lambda p: p.stem)
@@ -781,6 +855,27 @@ def test_a_residue_sum_at_a_gamma_pole_names_its_column(conifold, monkeypatch):
     assert _pole_text(lambda: right_residue_sum([spec], x_in, [generic, right])) == "sample 1: " + text
     calls = _recording_classes(monkeypatch)
     assert not _left_against_the_oracles(spec, x_out, (0.1 + 0j, 0.2 + 0j, 3.3 + 0j, 0.25 + 0j), calls)
+
+
+def test_a_left_pole_on_a_nonzero_integer_raises_and_names_its_column(conifold):
+    # real bases (32.5, 20.75, 11.25, -1) on the conifold's e at 3c: the
+    # poles p = -1 - n of direction 3 are integers, where the Gamma factor's
+    # pole meets a zero of sin(pi s) and the integrand has a double pole.
+    # sin(-pi) rounds to -1.2e-16, not 0, and a simple residue read there
+    # reached 1e16; the pole now raises, named by its column, in the
+    # residues and in the sum, and the oracle raises the same text
+    spec = _with_bases(make_inner_spec(conifold, _labels_across(conifold)[0]))
+    x_out = _xio(conifold, 3.0)
+    generic = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, -0.1 + 0.25j)
+    real = (32.5 + 0j, 20.75 + 0j, 11.25 + 0j, -1 + 0j)
+    text = "sin(pi z) vanishes at z=(-1+0j)"
+    assert _pole_text(lambda: oracle_left_residues(spec, x_out, real, 3, 0)) == text
+    _xi, log_xi = mellinbarnes._split_xi(spec, x_out)
+    bases = mellinbarnes._base_rows(stack_bases([spec], [real]))
+    assert _pole_text(lambda: mellinbarnes._interesting_residue(spec.e, bases, log_xi, 3, np.arange(4))) == text
+    assert _pole_text(lambda: left_residue_sum([spec], x_out, [generic, real])) == "sample 1: " + text
+    # a quarter off the integers the same column sums
+    assert left_residue_sum([spec], x_out, [(32.5 + 0j, 20.75 + 0j, 11.25 + 0j, -1.25 + 0j)])[0][1]
 
 
 def test_local_p9_passes_verify_mb_and_its_residue_sums_match_mpmath(tmp_path, monkeypatch):
