@@ -124,7 +124,7 @@ def parse_config(raw):
     """The config from its JSON object."""
     if _object(raw, "config").get("schema") != SCHEMA:
         raise ConfigError("config schema must be %r" % SCHEMA)
-    gitnode = _object(raw.get("git"), "git")
+    gitnode = _fields(raw.get("git"), "git", ("r", "m", "D", "labels"))  # labels only name the columns
     r = _count(gitnode.get("r"), "git.r")
     m = _count(gitnode.get("m"), "git.m")
     D = gitnode.get("D")
@@ -141,8 +141,9 @@ def parse_config(raw):
     omega_plus = _parse_rational_vector(raw.get("omega_plus"), "omega_plus", dim=r)
     omega_minus = _parse_rational_vector(raw.get("omega_minus"), "omega_minus", dim=r)
 
-    trunc = _object(raw.get("truncation", {}), "truncation")
-    # quadrature, the tolerance of a retired Barnes-line rule, still loads
+    # the retired base_exponent_bound, which every bundled config carries, and
+    # quadrature, the tolerance of a retired Barnes-line rule, still load
+    trunc = _fields(raw.get("truncation", {}), "truncation", ("series_order", "base_exponent_bound"))
     tols = dict(DEFAULT_TOLERANCES, **_fields(raw.get("tolerances", {}), "tolerances",
                                               [*DEFAULT_TOLERANCES, "quadrature"]))
     for key, tol in tols.items():
@@ -161,7 +162,7 @@ def parse_config(raw):
     t_max = _number(contour_node.get("t_max", 40.0), "contour.t_max")
     if not t_max > 0:
         raise ConfigError("contour.t_max must be positive, got %r" % t_max)
-    znode = {} if raw.get("z") is None else _object(raw["z"], "z")
+    znode = {} if raw.get("z") is None else _fields(raw["z"], "z", ("re", "im"))
     z = complex(float(_parse_rational(znode.get("re", 1), "z.re")),
                 float(_parse_rational(znode.get("im", 0), "z.im")))
     if z == 0:  # the modified pairing divides by z

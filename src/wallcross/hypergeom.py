@@ -27,7 +27,7 @@ TWO_PI_I = 2j * math.pi
 
 
 class PoleCollision(ValueError):
-    """A Gamma factor was evaluated too close to a nonpositive integer."""
+    """A Gamma factor was evaluated at or too close to a nonpositive integer."""
 
 
 class CrepancyViolation(ValueError):
@@ -80,8 +80,8 @@ def log_sin_pi(z):
     for large imaginary part.
 
     The branch is unspecified; callers only ever exponentiate sums of these.
-    A NaN imaginary part gives NaN, and an exact integer, where sin(pi z)
-    vanishes though only sin(0) rounds to 0, raises PoleCollision.
+    A NaN imaginary part gives NaN, and an exact integer -inf: sin(pi z)
+    vanishes there, though only sin(0) rounds to 0.
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -91,15 +91,16 @@ def log_sin_pi(z):
         up, down = z.imag >= 20.0, z.imag <= -20.0
         near = ~(up | down)  # a NaN imaginary part falls here and gives NaN
     zn = z if whole else z[near]
-    poles = (zn.imag == 0) & (zn.real == np.floor(zn.real))
-    if np.any(poles):
-        raise PoleCollision("sin(pi z) vanishes at z=%r" % (complex(zn[poles][0]),))
     s = np.sin(math.pi * zn)
+    zeros = (zn.imag == 0) & (zn.real == np.floor(zn.real))
+    s[zeros] = 1.0  # log(0) would warn
+    logs = np.log(s)
+    logs[zeros] = -np.inf
     if whole:
-        out = np.log(s)
+        out = logs
     else:
         out = np.empty_like(z)
-        out[near] = np.log(s)
+        out[near] = logs
         # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and its mirror image;
         # at |Im z| >= 20, |e^{2 i pi z}| < 1e-54, so log(1 - e^{2 i pi z}) is
         # below the rounding of the other terms, whose real part exceeds 62
@@ -114,20 +115,15 @@ def log_gamma(z):
 
     Right half-plane by the Lanczos sum; left half-plane by reflection.  The
     branch on the left is not the principal one, which is harmless here
-    because results are only exponentiated.  An exact nonpositive integer
-    anywhere in z raises PoleCollision.
+    because results are only exponentiated.  At an exact nonpositive
+    integer, a pole, the reflection gives +inf, since log_sin_pi is -inf
+    there: a reciprocal Gamma there is exp(-inf), an exact 0 (DLMF 5.2.1).
     """
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     left = z.real < 0.5
     reflect = left.any()
-    if reflect:
-        poles = left & (z.imag == 0) & (z.real == np.floor(z.real))
-        if np.any(poles):
-            raise PoleCollision("log_gamma pole at %r" % (complex(z[poles][0]),))
-        zm1 = np.where(left, 1.0 - z, z) - 1.0
-    else:
-        zm1 = z - 1.0
+    zm1 = (np.where(left, 1.0 - z, z) if reflect else z) - 1.0
     s = _lanczos_sum(zm1.ravel()).reshape(zm1.shape)
     t = zm1 + _LANCZOS_G + 0.5
     out = _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)

@@ -10,6 +10,7 @@ connection coefficients between next-to fixed points.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -273,6 +274,20 @@ def _point(z):
     return "the integer %d" % z if isinstance(z, int) else "the pole %.6g%+.6gj" % (z.real, z.imag)
 
 
+def _check_poles(x, stage, name, at):
+    """x, a block of logarithms or of absolute values, unchanged: one row per
+    stack column, or per class of one, along the first axis, and nodes or
+    residue indices along the last.  A zero of a reciprocal Gamma is a value,
+    -inf or 0; a Gamma pole makes an entry +inf, or NaN where it meets a
+    zero.  The first such entry, in row-major order, raises PoleCollision
+    with the stage, name(r) of its row r and at(r, i) of its index i."""
+    bad = np.isnan(x) | (x.real == np.inf)
+    if bad.any():
+        r, *_between, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise PoleCollision("%s, %s: a Gamma pole at %s" % (stage, name(r), at(r, i)))
+    return x
+
+
 def _line_setup(e, bases, contour, name):
     """(sigma, counts): the abscissa of each column, row c of bases holding
     its beta_j + d_j, and per direction j the count of the poles n < counts[j]
@@ -395,6 +410,7 @@ def mb_integral(spec, x, lam, contour=ContourSpec()):
     return complex(values[0, 0])
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # at a pole; _check_poles names it
 def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     """Barnes integral along the separating contour, as a vertical line plus
     residue corrections, at each of the points xs for each column of the
@@ -432,8 +448,11 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     node once: on |t| <= LINE_FIRST, or out to 1 + max |Im b_j / e_j|
     where that is farther, then LINE_CHUNK more units at each end while
     some column's outermost integer node still reaches the level, up to
-    t_max.  A Gamma pole on the line raises PoleCollision naming the Barnes
-    line and the column (stack_column).
+    t_max.  A zero of a reciprocal Gamma is an exact 0 of the integrand, on
+    the line or in a correction (log_gamma).  Each block of the line, the
+    block at s = 0 and each direction's residues are checked once for a
+    Gamma pole (_check_poles), which raises PoleCollision naming the stage,
+    the column (stack_column) and the node t or the index n.
 
     The error is the bound on the cut tails, |integrand| at +-T over
     (pi - |arg xi|) 2 pi.  The rule's own error, 4e-17 of the integrand's
@@ -453,27 +472,19 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     splits = [_split_xi(specs[0], x) for x in xs]
     log_xi = np.array([log for _xi, log in splits])[:, None]
     decay = np.array([math.pi - abs(cmath.phase(xi)) for xi, _log in splits])
-    sigma, counts = _line_setup(e, np.array(columns), contour, lambda c: stack_column(specs, lams, c))
+    name = functools.partial(stack_column, specs, lams)
+    sigma, counts = _line_setup(e, np.array(columns), contour, name)
     sigma = sigma[:, None, None]
     bases = _base_rows(columns)[..., None]
 
-    def line(k, c=slice(None)):
-        """The log of the integrand on the nodes k / STEPS_PER_UNIT, for the
-        columns c."""
-        s = sigma[c] + 1j * (k / STEPS_PER_UNIT)
-        return LOG_PI - log_sin_pi(s) + _log_gamma_block(e, bases[:, c], s) + s * log_xi
-
     def widen(log_f, end, to):
-        """log_f on the nodes |k| <= end widened to |k| <= to, both ends in
-        one block; at end = -1 log_f holds no node."""
+        """log_f, the log of the integrand, on the nodes |k| <= end widened to
+        |k| <= to, both ends in one block; at end = -1 log_f holds no node."""
         nodes = np.arange(-to, to + 1)
         nodes = nodes[np.abs(nodes) > end]
-        try:
-            outer = line(nodes)
-        except PoleCollision:
-            _name_the_pole(range(len(columns)), lambda c: line(nodes, [c]),
-                           lambda c: "Barnes line, " + stack_column(specs, lams, c))
-            raise
+        s = sigma + 1j * (nodes / STEPS_PER_UNIT)
+        outer = _check_poles(LOG_PI - log_sin_pi(s) + _log_gamma_block(e, bases, s) + s * log_xi, "Barnes line",
+                             name, lambda _c, i: "t = %g" % (nodes[i] / STEPS_PER_UNIT))
         half = len(nodes) // 2
         return np.concatenate([outer[..., :half], log_f, outer[..., half:]], axis=-1), to
 
@@ -503,10 +514,12 @@ def mb_integral_with_error(specs, xs, lams, contour=ContourSpec()):
     rule, edge = quad(F, reach)
     value = -rule / (2 * math.pi)
     u = _aliases(0.0, sigma)
-    value -= (np.exp(_log_gamma_block(e, bases, 0j)) * u / (1 - u))[..., 0]
+    at_zero = _check_poles(_log_gamma_block(e, bases, 0j), "pole corrections", name, lambda _c, _i: "s = 0")
+    value -= (np.exp(at_zero) * u / (1 - u))[..., 0]
     for j, count in sorted(counts.items()):
         n = np.arange(count)
         residue = _interesting_residue(e, bases, log_xi, j, n)
+        _check_poles(np.abs(residue), "pole corrections", name, lambda _c, i: "n = %d of direction %d" % (i, j))
         p = (bases[j] - n) / -e[j]
         # a pole of another column, 1 or more left of this one's line, adds 0
         u = _aliases(p, sigma)
@@ -616,16 +629,7 @@ def _recurrence(seeds, ratios):
     return terms_at
 
 
-def _name_the_pole(columns, evaluate, name):
-    """Call evaluate(c) for each column c in turn: the first PoleCollision is
-    raised again with name(c) before its text."""
-    for c in columns:
-        try:
-            evaluate(c)
-        except PoleCollision as exc:
-            raise PoleCollision("%s: %s" % (name(c), exc)) from None
-
-
+@np.errstate(divide="ignore", invalid="ignore")  # at a pole; _check_poles names it
 def right_residue_sum(specs, x, lams):
     """Sum of the residues at the nonnegative integers k = 0, 1, ..., 80,
     by _sum_until_small, evaluated in chunks (_sums_in_chunks); converges
@@ -638,33 +642,29 @@ def right_residue_sum(specs, x, lams):
     exponential of one Gamma block, and each next term is the last times
     -xi times the rational step of the Gamma factors (_step_factors), so no
     Gamma function is evaluated past k = 0.  A Gamma argument only grows
-    with k, so a pole at any k is one at k = 0, where the block raises
-    PoleCollision; the error names the column (stack_column)."""
+    with k, so a pole at any k is one at k = 0: the block of the seeds is
+    checked once (_check_poles).  A zero seed, a reciprocal Gamma at a
+    nonpositive integer, raises PoleCollision too: no step leaves it,
+    though the later terms need not be 0.  Each error names the column
+    (stack_column)."""
     xi, _log_xi = _split_xi(specs[0], x)
     e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
-    try:
-        seeds = np.exp(_log_gamma_block(e, bases, 0j))[:, 0]
-    except PoleCollision:
-        _name_the_pole(range(bases.shape[1]), lambda c: _log_gamma_block(e, bases[:, [c]], 0j),
-                       lambda c: stack_column(specs, lams, c))
-        raise
+    name = functools.partial(stack_column, specs, lams)
+    seeds = np.exp(_check_poles(_log_gamma_block(e, bases, 0j), "right residue sum", name, lambda _c, _i: "n = 0"))
+    if not seeds.all():  # the recurrence would carry a 0, and the stop rule read its zeros as a sum of 0
+        raise PoleCollision("right residue sum, %s: the term at n = 0 is 0, which cannot seed the series"
+                            % name(int(np.flatnonzero(seeds == 0)[0])))
 
     def ratios(open_, k):
         return -xi * _ratio(*_step_factors(e, bases[:, open_], k, 1))
 
-    return _sums_in_chunks(_recurrence(seeds, ratios), bases.shape[1], RIGHT_TERMS)
+    return _sums_in_chunks(_recurrence(seeds[:, 0], ratios), bases.shape[1], RIGHT_TERMS)
 
 
 def _left_class_sums(e, bases, xi, log_xi, j, name):
     """The left residue sums of direction j, e_j = -l, one per class q, the
     congruence class q % l of column q // l (see left_residue_sum)."""
     l = -e[j]
-
-    def residues(classes, k):
-        return _interesting_residue(e, bases[:, classes // l], log_xi, j, k * l + (classes % l)[:, None])
-
-    def poles_in(classes, k):
-        _name_the_pole(np.unique(classes // l), lambda c: residues(classes[classes // l == c], k), name)
 
     def ratios(open_, k):
         n = k * l + (open_ % l)[:, None]
@@ -674,28 +674,18 @@ def _left_class_sums(e, bases, xi, log_xi, j, name):
         return (-1.0) ** (l + 1) / xi * _ratio(top, bottom)
 
     q = np.arange(bases.shape[1] * l)
-    try:
-        seeds = residues(q, 0)[:, 0]
-    except PoleCollision:
-        # the first chunk term by term names the pole that it meets first
-        poles_in(q, np.arange(min(RESIDUE_CHUNK, LEFT_TERMS)))
-        raise
-    # a class can meet a pole past k = 0 only where p or a moving argument
-    # has an imaginary part of exactly 0, which is the same at every k
-    b = bases[:, q // l]
-    p = (b[j] - (q % l)[:, None]) / l
-    moving = np.concatenate([p[None], *_step_factors(e, b, p, -1, skip=j)])
-    flat = q[(moving.imag == 0).any(axis=0)[:, 0]]
-    recurrence = _recurrence(seeds, ratios)
+    recurrence = _recurrence(_interesting_residue(e, bases[:, q // l], log_xi, j, (q % l)[:, None])[:, 0], ratios)
 
     def terms_at(open_, k):
-        if len(flat):
-            poles_in(np.intersect1d(open_, flat), k)
-        return recurrence(open_, k)
+        terms = recurrence(open_, k)
+        _check_poles(np.abs(terms), "left residue sum", lambda r: name(open_[r] // l),
+                     lambda r, i: "n = %d of direction %d" % (k[i] * l + open_[r] % l, j))
+        return terms
 
     return _sums_in_chunks(terms_at, len(q), LEFT_TERMS)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # at a pole; _check_poles names it
 def left_residue_sum(specs, x, lams):
     """Sum of all residues left of the contour (sign unflipped).
 
@@ -711,11 +701,11 @@ def left_residue_sum(specs, x, lams):
     by -1 as k grows, so each next term is the last times
     (-1)^(l+1) / (xi (n + 1) ... (n + l)) and the rational step of the
     other Gamma factors (_step_factors).  Their arguments fall as k grows,
-    so a class can meet a pole past k = 0 only where p or an argument has
-    an imaginary part of exactly 0, the same at every k; those classes are
-    also evaluated term by term on each chunk, which raises PoleCollision
-    wherever a term sits at a pole.  The error names the column
-    (stack_column).
+    so a class can meet a pole past k = 0, where a step divides by 0, and a
+    zero of a reciprocal Gamma, where a step multiplies by 0 and the terms
+    stay 0, as they are.  Each chunk, seeds included, is checked once
+    (_check_poles): a term at a pole, infinite or NaN, raises PoleCollision
+    naming the column (stack_column), n and the direction.
     """
     xi, log_xi = _split_xi(specs[0], x)
     e, bases = specs[0].e, _base_rows(stack_bases(specs, lams))
@@ -724,7 +714,7 @@ def left_residue_sum(specs, x, lams):
     for j, l in enumerate(-ej for ej in e):
         if l <= 0:
             continue
-        sums = _left_class_sums(e, bases, xi, log_xi, j, lambda c: stack_column(specs, lams, c))
+        sums = _left_class_sums(e, bases, xi, log_xi, j, functools.partial(stack_column, specs, lams))
         for q, (class_sum, class_stopped) in enumerate(sums):
             totals[q // l] += class_sum
             stopped[q // l] = stopped[q // l] and class_stopped

@@ -55,7 +55,8 @@ production path it checks can cross-validate each other:
   tree to JSON types before it encodes or prints it, against the encoder's
   hook;
 - the log-Gamma oracles (oracle_log_gamma, oracle_log_sin_pi) are the plain
-  kernel: masks on every call and the Lanczos sum term by term.  Every
+  kernel: masks on every call and the Lanczos sum term by term, and they
+  raise PoleCollision at a pole, where the kernel returns an infinity.  Every
   oracle above takes its Gamma values from them, so the stacked versions
   are checked against the plain kernel, not against the kernel they call.
 

@@ -279,6 +279,10 @@ CONIFOLD_GIT = {"r": 1, "m": 4, "D": [[1], [1], [-1], [-1]]}
     ({"contour": {"abscissa": 0}}, ["verify", "mb"]),
     ({"tolerances": {"pairng": 1e-30}}, ["verify", "pairing"]),
     ({"contour": {"abcissa": 0.5}}, ["verify", "mb"]),
+    ({"truncation": {"series_ordr": 5}}, ["series"]),
+    ({"truncation": {"series_ordr": 5}}, ["verify", "ode", "--trunc", "3"]),
+    ({"z": {"re": [1, 1], "imag": [0, 1]}}, ["verify", "pairing"]),
+    ({"git": dict(CONIFOLD_GIT, d=[[1], [1], [-1], [-1]])}, ["analyze"]),
 ])
 def test_malformed_config_is_a_config_error(config_dir, tmp_path, capsys, patch, argv):
     from wallcross import cli
@@ -376,23 +380,41 @@ def test_rank_4_crossing_past_int64_exits_without_a_traceback(tmp_path):
     assert proc.returncode == 0 or proc.stderr.count("error:") == 1
 
 
-@pytest.mark.parametrize("D, where", [
-    ((3, 5, -7, -1), "delta=[1] f=['0'], sample 0: log_gamma pole at 0j"),
-    ((5, 7, -11, -1), "delta=[0] f=['0'], sample 3: log_gamma pole at (-1+0j)"),
-    ((2, 3, 5, -4, -6), "delta=[2] f=['0'], sample 0: log_gamma pole at (-1+0j)"),
-], ids=["3_5_-7_-1", "5_7_-11_-1", "2_3_5_-4_-6"])
-def test_a_gamma_pole_on_the_barnes_line_names_its_label_and_sample(tmp_path, D, where):
-    # weighted rank-1 crossings whose abscissa sigma makes 1 + d_j + sigma e_j
-    # a nonpositive integer at t = 0 for some e_j = 5 or 7 with beta_j = 0:
-    # the line's first Gamma block meets a pole, and the error says where
+def _weighted_config(tmp_path, D):
+    """A weighted rank-1 crossing D with the bundled configs' settings."""
     cfg = {"schema": "wallcross-config/1", "git": {"r": 1, "m": len(D), "D": [[d] for d in D]},
            "omega_plus": [[1, 1]], "omega_minus": [[-1, 1]], "seed": 7, "samples": 20,
            "z": {"re": [1, 1], "im": [0, 1]}, "truncation": {"series_order": 40, "base_exponent_bound": 10}}
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps(cfg))
-    proc = run_cli(["verify", "mb", "--config", str(path)])
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: PoleCollision: Barnes line, %s\n" % where
+    return str(path)
+
+
+@pytest.mark.parametrize("D", [(3, 5, -7, -1), (5, 7, -11, -1), (2, 3, 5, -4, -6), (1, 2, 3, -6), (1, 1, 10, -12)],
+                         ids=["3_5_-7_-1", "5_7_-11_-1", "2_3_5_-4_-6", "1_2_3_-6", "1_1_10_-12"])
+def test_weighted_rank_1_crossings_pass_the_barnes_suites(tmp_path, capsys, D):
+    # on the first three the abscissa sigma makes 1 + d_j + sigma e_j a
+    # nonpositive integer at t = 0 for some e_j = 5 or 7 with beta_j = 0: a
+    # zero of the reciprocal Gamma, so the integrand is 0 at that node
+    from wallcross import cli
+
+    path = _weighted_config(tmp_path, D)
+    for suite in ("mb", "ode", "lifts"):
+        code = cli.main(["verify", suite, "--config", path, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out)["pass"] and err == "", (suite, err)
+
+
+def test_a_heavy_weighted_crossing_ends_in_the_samplers_pole_collision(tmp_path, capsys):
+    # D = (7, 11, 13, -31): the sampler keeps every sample whose |u_j| clears
+    # pole_clearance, but a left pole lies |u_j| / (2 pi l) from its integer,
+    # so the line's set-up rejects sample 2
+    from wallcross import cli
+
+    assert cli.main(["verify", "mb", "--config", _weighted_config(tmp_path, (7, 11, 13, -31))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: PoleCollision: delta=[2] f=['5/13'], sample 2: left poles are"
+                                        " closer than the clearance radius: the pole ")
 
 
 def test_cli_import_loads_no_scipy():

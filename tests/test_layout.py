@@ -9,8 +9,9 @@ The oracles in tests/helpers.py take their ranks, determinants and solves
 from their own Fraction elimination, the wall-frame oracle its dual
 lattices, coordinates and sublattice vectors, and the restriction and lift
 oracles their forms and line multiples, and the Gamma oracles their
-log-Gamma values, never from the integer kernel, wall-frame set-up,
-restrictions, lifts and log-Gamma kernel they check; the Fraction route of
+log-Gamma values and raise at their own poles, never from the integer
+kernel, wall-frame set-up, restrictions, lifts, log-Gamma kernel and Barnes
+pole check they check; the Fraction route of
 next-to pairs and connection coefficients takes its line classes, lift
 multiples and restrictions from its own Fraction arithmetic, never from
 the integer line helpers, the matching or the coefficient it checks; the box
@@ -41,7 +42,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
                 "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
                 "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
-                "_coefficient", "_line_setup", "_exact_part", "mb_integral_with_error", "quad"}
+                "_coefficient", "_line_setup", "_exact_part", "mb_integral_with_error", "quad",
+                "_check_poles"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift, a phase, a splitting vector, a base exponent, a coefficient's

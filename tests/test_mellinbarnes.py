@@ -834,25 +834,30 @@ def _pole_text(call):
 def test_a_residue_sum_at_a_gamma_pole_names_its_column(conifold, monkeypatch):
     # real bases on the conifold, e = (1, 1, -1, -1): a Gamma argument that
     # falls with k meets a pole past the first term, the same imaginary
-    # part in two bases puts one at k = 0, and a base of -1 puts the right
-    # sum's at k = 0.  Each raises where the terms evaluated one by one
-    # meet it, named by the column; a real column off the poles sums as
-    # the oracles do
+    # part in two bases puts one at k = 0, and a base of -6 puts a zero of
+    # the right sum's reciprocal Gamma at k = 0.  Each raises where its
+    # chunk or seed meets it, named by stage, column and index, as the
+    # oracles raise; a real column off the poles sums as the oracles do
     spec = _with_bases(make_inner_spec(conifold, _labels_across(conifold)[0]))
     x_in, x_out = _xio(conifold, 0.3), _xio(conifold, 3.0)
     generic = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, -0.1 + 0.25j)
-    later = (0.1 + 0j, 0.2 + 0j, 3.25 + 0j, 0.25 + 0j)  # -b_3 + p = 3 - n
-    text = _pole_text(lambda: oracle_left_residue_sum(spec, x_out, later))
-    assert text == "log_gamma pole at -0j"
-    assert _pole_text(lambda: left_residue_sum([spec], x_out, [generic, later])) == "sample 1: " + text
+    later = (0.1 + 0j, 0.2 + 0j, 3.25 + 0j, 0.25 + 0j)  # -b_3 + p = 3 - n for j- = 2
+    assert _pole_text(lambda: oracle_left_residue_sum(spec, x_out, later)) == "log_gamma pole at -0j"
+    assert (_pole_text(lambda: left_residue_sum([spec], x_out, [generic, later]))
+            == "left residue sum, sample 1: a Gamma pole at n = 3 of direction 2")
     # -b_2 + p = -40 - n for j- = 3; direction 2 meets its pole at n = 40
     # only past the chunk where its sum stops
     shared = (0.1 + 0.3j, 0.2 - 0.1j, 40.25 + 0.2j, 0.25 + 0.2j)
     assert (_pole_text(lambda: left_residue_sum([spec], x_out, [generic, generic, shared]))
-            == "sample 2: log_gamma pole at (-40+0j)")
-    right = (-1 + 0j, 0.2 + 0j, 0.3 - 0.1j, 0.1 + 0.2j)
-    text = _pole_text(lambda: oracle_right_residue_sum(spec, x_in, right))
-    assert _pole_text(lambda: right_residue_sum([spec], x_in, [generic, right])) == "sample 1: " + text
+            == "left residue sum, sample 2: a Gamma pole at n = 0 of direction 3")
+    # a numerator pole at k = 0, and a zero seed, which the recurrence
+    # would carry to a sum of 0
+    for right, text in (((0.1 + 0j, 0.2 + 0j, 2.0 + 0j, 0.1 + 0.2j), "a Gamma pole at n = 0"),
+                        ((-6 + 0j, 0.2 + 0j, 0.3 - 0.1j, 0.1 + 0.2j),
+                         "the term at n = 0 is 0, which cannot seed the series")):
+        _pole_text(lambda: oracle_right_residue_sum(spec, x_in, right))
+        assert _pole_text(lambda: right_residue_sum([spec], x_in, [generic, right])) == (
+            "right residue sum, sample 1: " + text)
     calls = _recording_classes(monkeypatch)
     assert not _left_against_the_oracles(spec, x_out, (0.1 + 0j, 0.2 + 0j, 3.3 + 0j, 0.25 + 0j), calls)
 
@@ -862,20 +867,64 @@ def test_a_left_pole_on_a_nonzero_integer_raises_and_names_its_column(conifold):
     # poles p = -1 - n of direction 3 are integers, where the Gamma factor's
     # pole meets a zero of sin(pi s) and the integrand has a double pole.
     # sin(-pi) rounds to -1.2e-16, not 0, and a simple residue read there
-    # reached 1e16; the pole now raises, named by its column, in the
-    # residues and in the sum, and the oracle raises the same text
+    # reached 1e16; log sin is -inf there, no residue is finite, and the
+    # sum raises at its seed, named by its column, as the oracle raises
     spec = _with_bases(make_inner_spec(conifold, _labels_across(conifold)[0]))
     x_out = _xio(conifold, 3.0)
     generic = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, -0.1 + 0.25j)
     real = (32.5 + 0j, 20.75 + 0j, 11.25 + 0j, -1 + 0j)
-    text = "sin(pi z) vanishes at z=(-1+0j)"
-    assert _pole_text(lambda: oracle_left_residues(spec, x_out, real, 3, 0)) == text
+    assert _pole_text(lambda: oracle_left_residues(spec, x_out, real, 3, 0)) == "sin(pi z) vanishes at z=(-1+0j)"
     _xi, log_xi = mellinbarnes._split_xi(spec, x_out)
     bases = mellinbarnes._base_rows(stack_bases([spec], [real]))
-    assert _pole_text(lambda: mellinbarnes._interesting_residue(spec.e, bases, log_xi, 3, np.arange(4))) == text
-    assert _pole_text(lambda: left_residue_sum([spec], x_out, [generic, real])) == "sample 1: " + text
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(mellinbarnes._interesting_residue(spec.e, bases, log_xi, 3, np.arange(4))).any()
+    assert (_pole_text(lambda: left_residue_sum([spec], x_out, [generic, real]))
+            == "left residue sum, sample 1: a Gamma pole at n = 0 of direction 3")
     # a quarter off the integers the same column sums
     assert left_residue_sum([spec], x_out, [(32.5 + 0j, 20.75 + 0j, 11.25 + 0j, -1.25 + 0j)])[0][1]
+
+
+def test_a_numerator_pole_on_the_barnes_line_names_its_stage_column_and_node(conifold):
+    # at clearance 0 the set-up keeps an abscissa through the left pole
+    # b_3 - 1 = -0.25 + 0.5j, so Gamma(-b_3 + s) meets its pole at the node
+    # t = 0.5; the line raises there, named by its column
+    spec = _with_bases(make_inner_spec(conifold, _labels_across(conifold)[0]))
+    generic = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, -0.1 + 0.25j)
+    on_line = (0.1 + 0.2j, -0.2 + 0.1j, 0.3 - 0.15j, 0.75 + 0.5j)
+    contour = ContourSpec(abscissa=-0.25, clearance=0.0)
+    assert (_pole_text(lambda: mb_integral_with_error([spec], [_xio(conifold, 3.0)], [generic, on_line], contour))
+            == "Barnes line, sample 1: a Gamma pole at t = 0.5")
+    values, errors = mb_integral_with_error([spec], [_xio(conifold, 3.0)], [generic],
+                                            ContourSpec(abscissa=-0.25, clearance=0.0))
+    assert np.isfinite(values).all() and np.isfinite(errors).all()
+
+
+def test_a_zero_of_a_denominator_on_the_line_matches_mpmath(tmp_path):
+    # D = (3, 5, -7, -1): the abscissa makes 5 sigma an integer where
+    # beta_j = 0, so a denominator 1/Gamma(1 + d_j + sigma e_j) is zero at
+    # the node t = 0 of some column; that column's line is the mpmath
+    # Barnes integral's, whose rgamma is 0 there, to 1e-12
+    D = (3, 5, -7, -1)
+    raw = {"schema": "wallcross-config/1", "git": {"r": 1, "m": len(D), "D": [[d] for d in D]},
+           "omega_plus": [[1, 1]], "omega_minus": [[-1, 1]], "seed": 7, "samples": 20}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(raw))
+    cfg, wc = _crossing(path)
+    lams = generic_lambdas(wc, 20, cfg["seed"], clearance=cfg["tolerances"]["pole_clearance"])
+    zeros = []
+    for label in _labels_across(wc):
+        spec = make_inner_spec(wc, label)
+        for lam in lams:
+            sigma = choose_abscissa(spec, lam, ContourSpec())
+            if mellinbarnes._log_gamma_block(spec.e, column_bases(spec, lam), complex(sigma)).real == -np.inf:
+                zeros.append((spec, lam, sigma))
+    assert zeros
+    spec, lam, sigma = zeros[0]
+    points = (_xio(wc, 0.3), _xio(wc, 3.0))
+    (values,), _errs = mb_integral_with_error([spec], points, [lam])
+    for x, value in zip(points, values):
+        ref = _mpmath_barnes(spec, x, lam, sigma, ContourSpec().t_max)
+        assert abs(value - ref) < 1e-12 * abs(ref)
 
 
 def test_local_p9_passes_verify_mb_and_its_residue_sums_match_mpmath(tmp_path, monkeypatch):
