@@ -88,9 +88,22 @@ def _raises(oracle, z):
 
 def test_log_gamma_pole():
     # a pole is a value: log_gamma is +inf at a nonpositive integer and
-    # log_sin_pi -inf at every integer, exactly where the plain kernels
-    # raise, though sin(pi z) rounds to 0 only at z = 0; every other entry,
-    # next to an integer too, keeps the plain kernel's bits
+    # log_sin_pi -inf at an integer; next to a pole both stay finite
+    assert log_gamma(0.0).real == np.inf and log_gamma(-3.0).real == np.inf
+    out = log_gamma(np.array([0.5 + 1j, 2.0, -2.0, 3.5]))
+    assert np.array_equal(np.isinf(out), [False, False, True, False]) and out[2].real == np.inf
+    out = log_sin_pi(np.array([0.5, 0.0]))
+    assert np.array_equal(np.isinf(out), [False, True]) and out[1].real == -np.inf
+    assert np.all(np.isfinite(log_gamma(np.array([-2.0 + 1e-9, 1e-12j]))))
+    # a reciprocal Gamma at its zero is an exact 0
+    assert np.array_equal(np.exp(-log_gamma(np.array([0.0, -1.0, -5.0]))), np.zeros(3))
+
+
+def test_log_gamma_kernel_raises_at_exact_poles_like_the_plain_kernel():
+    # the kernels no longer raise: they return +inf (log_gamma) or -inf
+    # (log_sin_pi) exactly where the plain kernels raise, though sin(pi z)
+    # rounds to 0 only at z = 0; every other entry, next to an integer too,
+    # keeps the plain kernel's bits
     near = np.array([-1.0 + 1e-15, 2.0 + 1e-300j, 3.0 - 4e-16, -0.5, -2.0 + 1e-9, 1e-12j])
     cases = (0.0, -0.0, -3.0, -1.0, 3 + 0j, near, np.array([2.5 + 1j, -2.0, 3.0]),
              np.array([4.0 + 0j] * 300 + [-7.0]), np.array([0.5, -40.0, 2.0]), np.array([0.3 + 25j, 1.5, 0.0]),
@@ -106,8 +119,6 @@ def test_log_gamma_pole():
             if not poles.all():
                 assert np.array_equal(out[~poles], oracle(flat[~poles]))
     assert not _raises(oracle_log_sin_pi, near)
-    # a reciprocal Gamma at its zero is an exact 0
-    assert np.array_equal(np.exp(-log_gamma(np.array([0.0, -1.0, -5.0]))), np.zeros(3))
 
 
 def _kernel_arguments():
