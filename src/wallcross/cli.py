@@ -34,8 +34,7 @@ from .hypergeom import (
     w_constant,
 )
 from .ktheory import (
-    fm_transform,
-    minus_basis,
+    fm_images,
     pairing_residuals,
     verify_uhfm,
 )
@@ -408,14 +407,8 @@ def cmd_continuation(cfg):
 
 def cmd_fm(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
-    rows = []
-    for delta, rho in minus_basis(wc):
-        image = fm_transform(wc, delta, rho)
-        rows.append({
-            "basis": _basis_name(delta, rho),
-            "image": image.describe(),
-            "terms": len(image.terms),
-        })
+    rows = [{"basis": _basis_name(delta, rho), "image": image.describe(), "terms": len(image.terms)}
+            for delta, rho, image in fm_images(wc)]
     return {"basis_size": len(rows), "images": rows}, True
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class AnticoneSet:
 
 
 def _idot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 @lru_cache(maxsize=256)

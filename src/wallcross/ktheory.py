@@ -8,7 +8,9 @@ applied to the minus side; the Euler pairing is an inertia fixed-point sum.
 Restriction to a fixed point is a ring homomorphism, so the verification
 drivers restrict a basis class as a product of m - r binomials and its image
 by the root average of that product, never expanding either into terms,
-every sample at once; the expanded terms are the reference.
+every sample at once: the integer rows and forms of a point are planned once
+per anticone, a point adds only its phases, and the expanded terms are the
+reference.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gitfan import _idot, fixed_point_labels
+from .gitfan import _fits_int64, _idot, fixed_point_labels
 from .hypergeom import TWO_PI_I, check_generic, log_gamma
 from .lattice import anticone_inverse, intvec, quotient_transversal
 from .localization import LinearForm, restrict_u, theta_restrict
@@ -131,6 +133,31 @@ def fm_transform(wc, delta_minus, rho_hat):
     return KClass(intvec(rho_hat), tuple(sorted(averaged)))
 
 
+# fm writes at most this many monomials over all images: the 6-6 flop x
+# local P^4 has 30 * 2^16 = 1,966,080 (65 MB of text, 12 s)
+FM_MONOMIAL_BUDGET = 2 ** 21
+
+
+class MonomialBudgetExceeded(ValueError):
+    """The pull-push images have more monomials than fm writes."""
+
+
+def fm_images(wc):
+    """(delta, rho, fm_transform image) for every minus basis class.  Each
+    image has one monomial per set of its m - r normal directions, so the
+    total is counted before any is expanded, and past FM_MONOMIAL_BUDGET
+    the images are refused."""
+    basis = minus_basis(wc)
+    each = 2 ** (wc.git.m - wc.git.r)
+    if len(basis) * each > FM_MONOMIAL_BUDGET:
+        delta, rho = basis[0]
+        raise MonomialBudgetExceeded(
+            "the image of e(delta=%s, rho=%s) has 2^%d = %d monomials, and the %d images %d,"
+            " past the budget of %d" % (list(delta), list(rho), wc.git.m - wc.git.r, each, len(basis),
+                                        len(basis) * each, FM_MONOMIAL_BUDGET))
+    return [(delta, rho, fm_transform(wc, delta, rho)) for delta, rho in basis]
+
+
 # ---------------------------------------------------------------------------
 # fixed-point Chern characters
 
@@ -191,79 +218,201 @@ def lambda_matrix(lam_samples, zs=None):
     return TWO_PI_I * lams / np.array(zs, dtype=complex)
 
 
-def _exps(rows, den, form_den, lams):
-    """exp(2 pi i n / den) exp(form(lam)) for integer rows (n, form numerators
-    over form_den), n reduced mod den first.  By einsum: after a complex BLAS
-    product numpy's complex exp ran 10-15 times slower (numpy 2.4, OpenBLAS)."""
-    turns = np.array([n % den for n, _ in rows], dtype=float) / den
-    forms = np.array([form for _, form in rows], dtype=float).reshape(len(rows), lams.shape[0]) / form_den
-    return np.exp(TWO_PI_I * turns)[:, None] * np.exp(np.einsum("ij,js->is", forms, lams))
+class _Product(NamedTuple):
+    """L(rho) prod_{j not in delta_b} (1 - S_j): the group's line rows times
+    its restricted binomials, 1 - S_j|_p = 0 exactly for j in delta."""
+
+    normal: np.ndarray  # the j not in delta_b
+    rows: slice = None  # the line rows, placed by _anticone_plan
+
+    def __call__(self, values, s):
+        return values[self.rows] * (1 - s[self.normal]).prod(axis=0)
 
 
-def restricted_basis(wc, basis, delta, num, den, lams, images=False):
-    """The (len(basis), S) restrictions of the minus basis classes, or with
-    ``images`` of their pull-push images, at the fixed point (delta, num /
-    den).  Restriction is a ring homomorphism: with S_j|_p = exp(-2 pi i D_j
-    . num / den) exp(-u_j(lam)), L(rho) prod_{i not in delta_b} (1 - S_i)
-    restricts to L(rho)|_p times its restricted factors, not 2^(m-r) terms;
-    1 - S_j|_p = 0 exactly for j in delta, as phases are reduced in integers.
-    An image on a common anticone is its minus class, else _root_average's.
-    A dual class restricts as its class at (-num, -lams)."""
-    git = wc.git
-    u = restrict_u(git, delta)
-    pair = [_idot(row, num) for row in git.D]
-    rhos = tuple(rho for _, rho in basis)
-    lines = list(zip((_idot(rho, num) for rho in rhos), _thetas(git, delta, rhos)))  # L(rho)|_p
-    values = _exps([(-p, [-x for x in form.num]) for p, form in zip(pair, u)] + lines, den, u[0].den, lams)
-    s, out = values[:git.m], values[git.m:]
-    for delta_b, group in itertools.groupby(range(len(basis)), key=lambda b: basis[b][0]):
-        members = list(group)
-        j_minus = next(i for i in delta_b if wc.pair_e(i) < 0)
-        if images and delta_b not in wc.A_plus.minimal and j_minus not in delta:
-            out[members] = _root_average(wc, delta, pair, den, lams, delta_b, j_minus,
-                                         [rhos[b] for b in members], [lines[b] for b in members])
-        else:
-            out[members] *= (1 - s[[j for j in range(git.m) if j not in delta_b]]).prod(axis=0)
-    return out
+class _RootAverage(NamedTuple):
+    """fm_transform's images of a group's classes at a fixed point, the same
+    closed form factored, the S_j unexpanded: the mean over the l-th roots t
+    of 1 / S_{j-}|_p of P(t) = L(rho) t^(rho.e) (1 + ... + t^-(l-1))
+    prod_{j not in delta_b} (1 - t^-k_j S_j), the w^0 coefficient of P mod
+    w^l = 1 for t = tau w.
+    The factors exact in t (the geometric sum, 1 - t^-k_j for j in delta)
+    give the integer coefficients ``exact``; each L(rho) tau^n is one row,
+    summed into its class of n mod l, so a class of zero coefficients stays
+    0.0.  The rows of the moving factors 1 - w^-k_j tau^-k_j S_j|_p, shared
+    by the groups of an anticone, multiply the classes cyclically."""
+
+    j_minus: int
+    l: int
+    exact: list  # coefficients of t^(n0 - d), d = 0, 1, ...
+    terms: tuple  # the d with a nonzero coefficient
+    pick: np.ndarray  # per class, its n0 = rho.e mod l
+    moving: tuple  # the j in neither delta_b nor delta
+    shifts: tuple  # per moving j, (arange(l) - k_j) mod l, or None for k_j = 0 mod l
+    rows: slice = None  # the rows L(rho) tau^(n0 - d), placed by _anticone_plan
+    moving_rows: np.ndarray = None  # the moving directions' rows, placed likewise
+
+    def __call__(self, values, s):
+        rows, size, stride = values[self.rows], len(self.pick), len(self.terms)
+        classes = np.zeros((size, self.l, rows.shape[1]), dtype=complex)
+        for t, d in enumerate(self.terms):
+            classes[:, d % self.l] += self.exact[d] * rows[t::stride]
+        for shift, x in zip(self.shifts, values[self.moving_rows]):
+            classes = classes - (classes if shift is None else classes[:, shift]) * x
+        return classes[np.arange(size), self.pick]
+
+
+class _Rows(NamedTuple):
+    """Integer rows of a point's exponentials: row k is exp(2 pi i (p_k .
+    num mod den * mult) / (den * mult)) exp(f_k(lam) / (det * mult))."""
+
+    phases: list  # integer rows p_k, r entries each
+    forms: list  # integer form numerators f_k, m entries each
+    mult: int
+    combine: object  # _Product or _RootAverage: the group's classes from its rows
+
+
+@lru_cache(maxsize=1024)
+def _group_plan(git, e, delta, delta_b, rhos, root):
+    """The lambda-independent rows of the basis classes (delta_b, rho) at the
+    anticone ``delta``: their line bundles L(rho), or with ``root`` their
+    images' rows L(rho) tau^(n0 - d) over l times the point's denominators,
+    the moving directions named for _anticone_plan to share."""
+    thetas = [theta_restrict(git, delta, rho).num for rho in rhos]
+    if not root:
+        return _Rows(rhos, thetas, 1, _Product(np.array([j for j in range(git.m) if j not in delta_b])))
+    pairings = [_idot(row, e) for row in git.D]
+    j_minus = next(i for i in delta_b if pairings[i] < 0)
+    l, low, top = -pairings[j_minus], git.D[j_minus], restrict_u(git, delta)[j_minus].num
+    exact = [1] * l
+    for k in (max(pairings[j], 0) for j in delta if j not in delta_b):
+        exact = [a - b for a, b in zip(exact + [0] * k, [0] * k + exact)]
+    terms = tuple(d for d, c in enumerate(exact) if c)
+    n0 = [_idot(rho, e) for rho in rhos]
+    phases = [tuple(l * x + (n - d) * y for x, y in zip(rho, low)) for rho, n in zip(rhos, n0) for d in terms]
+    forms = [[l * x + (n - d) * y for x, y in zip(theta, top)] for theta, n in zip(thetas, n0) for d in terms]
+    moving = tuple(j for j in range(git.m) if j not in delta_b and j not in delta)
+    ks = [max(pairings[j], 0) for j in moving]
+    shifts = tuple(None if k % l == 0 else (np.arange(l) - k) % l for k in ks)
+    return _Rows(phases, forms, l, _RootAverage(j_minus, l, exact, terms, np.array(n0) % l, moving, shifts))
+
+
+class _Plan(NamedTuple):
+    """Every row of one anticone's points, the S_j first, then each group's."""
+
+    phases: list  # integer phase rows
+    ints: object  # the same as an int64 array, or None where it overflows
+    top: int  # the largest absolute phase entry or modulus multiple
+    mults: np.ndarray  # per row, the multiple of den its phase is taken over
+    forms: np.ndarray  # (rows, m) float form coefficients
+    groups: tuple  # (classes slice, placed combine) per basis group
 
 
 @lru_cache(maxsize=256)
-def _thetas(git, delta, rhos):
-    """theta(rho) at ``delta`` for each rho, as numerators over det."""
-    return tuple(theta_restrict(git, delta, rho).num for rho in rhos)
+def _anticone_plan(git, e, delta, groups):
+    """The rows of the S_j, restricted as exp(-2 pi i D_j . num / den)
+    exp(-u_j(lam)), then those of every basis group (delta_b, rhos, root),
+    then the moving directions' rows tau^-k_j S_j, tau^l = 1 / S_{j-}, one
+    for all the groups that share it: built once per anticone and grouping,
+    each group once per anticone."""
+    u = restrict_u(git, delta)
+    parts = [_group_plan(git, e, delta, delta_b, rhos, root) for delta_b, rhos, root in groups]
+    phases = [tuple(-x for x in row) for row in git.D] + [p for part in parts for p in part.phases]
+    forms = [[-x for x in form.num] for form in u] + [f for part in parts for f in part.forms]
+    mults = [1] * git.m + [part.mult for part in parts for _ in part.phases]
+    pairings, shared, spans, first, row = [_idot(row, e) for row in git.D], {}, [], 0, git.m
+    for (_, rhos, root), part in zip(groups, parts):
+        placed = part.combine._replace(rows=slice(row, row + len(part.phases)))
+        if root:
+            j_minus, l = placed.j_minus, placed.l
+            for j in placed.moving:
+                if (j_minus, j) not in shared:
+                    shared[j_minus, j] = len(phases)
+                    k = max(pairings[j], 0)
+                    phases.append(tuple(-k * y - l * z for y, z in zip(git.D[j_minus], git.D[j])))
+                    forms.append([-k * y - l * z for y, z in zip(u[j_minus].num, u[j].num)])
+                    mults.append(l)
+            placed = placed._replace(moving_rows=np.array([shared[j_minus, j] for j in placed.moving], dtype=np.intp))
+        spans.append((slice(first, first + len(rhos)), placed))
+        first, row = first + len(rhos), row + len(part.phases)
+    top = max(max(abs(x) for p in phases for x in p), max(mults))
+    forms = np.array(forms, dtype=float).reshape(len(phases), git.m)
+    return _Plan(phases, np.array(phases, dtype=np.int64) if _fits_int64(top, 1) else None, top,
+                 np.array(mults, dtype=np.int64), forms / np.array([u[0].den * k for k in mults], dtype=float)[:, None],
+                 tuple(spans))
 
 
-def _root_average(wc, delta, pair, den, lams, delta_b, j_minus, rhos, lines):
-    """fm_transform's images of the classes (delta_b, rho) at the fixed point,
-    the same closed form factored, the S_j unexpanded: the mean over the l-th
-    roots t of 1 / S_{j-}|_p of P(t) = L(rho) t^(rho.e) (1 + ... +
-    t^-(l-1)) prod_{j not in delta_b} (1 - t^-k_j S_j), the w^0 coefficient
-    of P mod w^l = 1 for t = tau w.
-    The factors exact in t (the geometric sum, 1 - t^-k_j for j in delta)
-    give integer coefficients; each L(rho) tau^n is one exponential, summed
-    into its class of n mod l, so a class of zero coefficients stays 0.0.
-    The factors 1 - w^-k_j tau^-k_j S_j|_p multiply the classes cyclically.
-    Where j- lies in delta, tau^l = 1 and the image is the minus class."""
-    u = restrict_u(wc.git, delta)
-    l, top, a = -wc.pair_e(j_minus), u[j_minus].num, pair[j_minus]
-    ks = [max(p, 0) for p in wc.pairings]
-    exact = np.ones(l, dtype=int)  # coefficients of t^(n0 - d), d = 0, 1, ...
-    for k in (ks[j] for j in delta if j not in delta_b):
-        exact = np.concatenate([exact, [0] * k]) - np.concatenate([[0] * k, exact])
-    terms = [d for d in range(len(exact)) if exact[d]]
-    moving = [j for j in range(wc.git.m) if j not in delta_b and j not in delta]
-    n0 = [_idot(rho, wc.e) for rho in rhos]
-    rows = [(l * phase + (n - d) * a, [l * x + (n - d) * y for x, y in zip(theta, top)])
-            for (phase, theta), n in zip(lines, n0) for d in terms]
-    rows += [(-ks[j] * a - l * pair[j], [-ks[j] * y - l * z for y, z in zip(top, u[j].num)]) for j in moving]
-    values = _exps(rows, den * l, u[0].den * l, lams)
-    split = len(rhos) * len(terms)
-    classes = np.zeros((len(rhos), l, lams.shape[1]), dtype=complex)
-    for t, d in enumerate(terms):
-        classes[:, d % l] += exact[d] * values[t:split:len(terms)]
-    for j, x in zip(moving, values[split:]):
-        classes = classes - classes[:, (np.arange(l) - ks[j]) % l] * x
-    return classes[np.arange(len(rhos)), np.array(n0) % l]
+class RestrictedBasis:
+    """The (len(basis), S) restrictions of the minus basis classes, or with
+    ``images`` of their pull-push images, at fixed points (delta, num / den)
+    and the samples ``lams``, an (m, S) array.
+
+    Restriction is a ring homomorphism: with S_j|_p = exp(-2 pi i D_j . num
+    / den) exp(-u_j(lam)), L(rho) prod_{i not in delta_b} (1 - S_i)
+    restricts to L(rho)|_p times its restricted factors, not 2^(m-r) terms.
+    An image on a common anticone is its minus class, and so is one at a
+    point whose anticone holds j- (there tau^l = 1); else a root average.
+    Every row of a point is an integer phase row and a form: the forms'
+    exponentials are taken once per anticone (_anticone_plan), and a point
+    multiplies in its phases, reduced in integers, so 1 - S_j|_p = 0
+    exactly for j in delta.  A dual class restricts as its class at (-num,
+    -lams): the same phase rows negated, the forms at -lams."""
+
+    def __init__(self, wc, basis, lams, images=False):
+        self.git, self.e, self.lams, self.size = wc.git, wc.e, lams, len(basis)
+        # (delta_b, rhos, j_minus), j_minus only where an image crosses the wall
+        self.groups = []
+        for delta_b, group in itertools.groupby(basis, key=lambda b: b[0]):
+            crossing = images and delta_b not in wc.A_plus.minimal
+            j_minus = next(i for i in delta_b if wc.pair_e(i) < 0) if crossing else None
+            self.groups.append((delta_b, tuple(rho for _, rho in group), j_minus))
+        self._blocks, self._duals = {}, {}
+
+    def _block(self, delta):
+        """The anticone's plan and exp(form(lam)) of its rows."""
+        if delta not in self._blocks:
+            groups = tuple((delta_b, rhos, j_minus is not None and j_minus not in delta)
+                           for delta_b, rhos, j_minus in self.groups)
+            plan = _anticone_plan(self.git, self.e, delta, groups)
+            # by einsum: after a complex BLAS product numpy's complex exp ran
+            # 10-15 times slower (numpy 2.4, OpenBLAS)
+            self._blocks[delta] = plan, np.exp(np.einsum("ij,js->is", plan.forms, self.lams))
+        return self._blocks[delta]
+
+    def _dual_block(self, delta):
+        """exp(form(-lam)) of the anticone's rows, for the duals."""
+        if delta not in self._duals:
+            self._duals[delta] = np.exp(np.einsum("ij,js->is", self._block(delta)[0].forms, -self.lams))
+        return self._duals[delta]
+
+    def _numerators(self, plan, num, den):
+        """(n, mods): each row's phase numerator at num and its modulus
+        den * mult, in int64 where no product can overflow it."""
+        if plan.ints is not None and _fits_int64(plan.top, sum(map(abs, num)) + den):
+            return plan.ints @ np.array(num, dtype=np.int64), den * plan.mults
+        n = [_idot(p, num) for p in plan.phases]
+        return np.array(n, dtype=object), np.array([den * int(k) for k in plan.mults], dtype=object)
+
+    def _classes(self, plan, block, n, mods):
+        """The classes and the S_j rows at phase numerators n over mods."""
+        turns = (n % mods).astype(float) / mods.astype(float)
+        values = np.exp(TWO_PI_I * turns)[:, None] * block
+        s = values[:self.git.m]
+        out = np.empty((self.size, values.shape[1]), dtype=complex)
+        for members, combine in plan.groups:
+            out[members] = combine(values, s)
+        return out, s
+
+    def __call__(self, delta, num, den):
+        plan, block = self._block(delta)
+        return self._classes(plan, block, *self._numerators(plan, num, den))[0]
+
+    def with_dual(self, delta, num, den):
+        """The classes, the dual classes and the (m, S) S_j rows at one
+        point, from one integer pass: localization_gram's restrict."""
+        plan, block = self._block(delta)
+        n, mods = self._numerators(plan, num, den)
+        out, s = self._classes(plan, block, n, mods)
+        return out, self._classes(plan, self._dual_block(delta), -n, mods)[0], s
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +470,42 @@ def framing_restrict(git, E, label, lam, z, log_z=None):
 # Euler pairing by inertia fixed-point sum
 
 
-def localization_gram(git, A, restrict, lams):
+def localization_gram(git, A, restrict):
     """Localized Euler pairings chi(E_a, E_b) at every sample at once.
 
-    ``restrict(delta, num, den, lams)`` gives the (classes, S) restrictions
-    of the classes at one inertia fixed point.  Each point contributes the
-    restriction of dual(E_a), which is that of E_a at (-num, -lams), times
-    that of E_b, divided by the isotropy order and by the product over
-    normal directions of (1 - phase * exp(-u)); no product class is formed.
+    ``restrict(delta, num, den)`` gives, at one inertia fixed point, the
+    (classes, S) restrictions of the classes, those of their duals, which
+    are the classes' at (-num, -lams), and the (m, S) restrictions of the
+    S_j.  Each point contributes the dual of E_a times E_b, divided by the
+    isotropy order and by its normal factors 1 - S_j|_p, j not in delta;
+    no product class is formed.
     The points are stacked in contiguous real and imaginary arrays, summed by
     four real products per sample (complex exp slowed after a complex one).
     Returns the (classes, classes, S) Gram array and, per sample, the
     smallest normal factor in absolute value.
     """
     labels = fixed_point_labels(git, A)
-    smallest = np.full(lams.shape[1], np.inf)
     # resonant samples divide by ~0 here, and the callers mask them out; a
     # small |z| overflows the exponentials, and the NaN it leaves FAILs the
     # suite's gate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for p, label in enumerate(labels):
             delta, sec = label.delta, label.sector
-            u, normal = restrict_u(git, delta), [j for j in range(git.m) if j not in delta]
-            factors = 1 - _exps([(-sec.pairings[j], [-x for x in u[j].num]) for j in normal], sec.den, u[0].den, lams)
-            smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
-            v_left = restrict(delta, tuple(-x for x in sec.num), sec.den, -lams) / (
-                isotropy_order(git, delta) * factors.prod(axis=0))
-            v_right = restrict(delta, sec.num, sec.den, lams)
+            v_right, v_dual, s = restrict(delta, sec.num, sec.den)
+            factors = 1 - s[[j for j in range(git.m) if j not in delta]]
             if p == 0:
-                # (S, B, P) left and (S, P, B) right stacks, real then imaginary
-                S, B, P = lams.shape[1], len(v_right), len(labels)
-                left_re, left_im, right_re, right_im = (np.empty((S,) + d) for d in ((B, P), (B, P), (P, B), (P, B)))
-            left_re[:, :, p], left_im[:, :, p] = v_left.real.T, v_left.imag.T
-            right_re[:, p], right_im[:, p] = v_right.real.T, v_right.imag.T
+                # (S, P, B) stacks, real then imaginary, filled a point's
+                # rows at a time
+                (B, S), P = v_right.shape, len(labels)
+                smallest = np.full(S, np.inf)
+                left_re, left_im, right_re, right_im = (np.empty((S, P, B)) for _ in range(4))
+            smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
+            v_left = (v_dual / (isotropy_order(git, delta) * factors.prod(axis=0))).T
+            left_re[:, p], left_im[:, p] = v_left.real, v_left.imag
+            right_re[:, p], right_im[:, p] = v_right.T.real, v_right.T.imag
+        # the left stacks as contiguous (S, B, P) arrays: a transposed operand
+        # changes the products' last bits
+        left_re, left_im = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in (left_re, left_im))
         gram = np.empty((S, B, B), dtype=complex)
         gram.real = left_re @ right_re - left_im @ right_im
         gram.imag = left_re @ right_im + left_im @ right_re
@@ -364,14 +516,20 @@ def euler_pairing(git, A, E, F, lam, z=None):
     """Equivariant Euler pairing by summation over inertia fixed points.
 
     The one-sample case of localization_gram on the expanded restrictions
-    of E and F, the reference for the factored ones; the modified pairing
-    substitutes 2 pi i lam/z for lam first.
+    of E and F and of the S_j, the reference for the factored ones; the
+    modified pairing substitutes 2 pi i lam/z for lam first.
     """
-    def expanded(delta, num, den, lams):
-        return np.array([[eval_terms(restriction_terms(git, c, delta, num, den), lams[:, 0])]
-                         for c in (E, F)], dtype=complex)
+    lam = lambda_matrix([lam], None if z is None else [z])[:, 0]
+    units = [KClass((0,) * git.r, (((0,) * j + (1,) + (0,) * (git.m - j - 1), 1),)) for j in range(git.m)]
 
-    gram, smallest = localization_gram(git, A, expanded, lambda_matrix([lam], None if z is None else [z]))
+    def expanded(delta, num, den):
+        def at(classes, num, lam):
+            return np.array([[eval_terms(restriction_terms(git, c, delta, num, den), lam)] for c in classes],
+                            dtype=complex)
+
+        return at((E, F), num, lam), at((E, F), tuple(-x for x in num), -lam), at(units, num, lam)
+
+    gram, smallest = localization_gram(git, A, expanded)
     if smallest[0] < RESONANCE_CLEARANCE:
         raise ResonantSample("localization denominator %g" % smallest[0])
     return complex(gram[0, 1, 0])
@@ -440,13 +598,13 @@ def verify_uhfm(wc, lam_samples):
     lams = lambda_matrix(lam_samples)
     basis = tuple(minus_basis(wc))
     matrix = continuation_matrix(wc)
+    images, classes = RestrictedBasis(wc, basis, lams, images=True), RestrictedBasis(wc, basis, lams)
 
-    def at(label, images=False):
-        sec = label.sector
-        return restricted_basis(wc, basis, label.delta, sec.num, sec.den, lams, images)
+    def at(restrict, label):
+        return restrict(label.delta, label.sector.num, label.sector.den)
 
-    diff = np.stack([at(lp, images=True) for lp in matrix.rows], axis=1)
-    rows = {q: at(matrix.cols[q]) for q in {q for _, q in matrix.kinds}}
+    diff = np.stack([at(images, lp) for lp in matrix.rows], axis=1)
+    rows = {q: at(classes, matrix.cols[q]) for q in {q for _, q in matrix.kinds}}
     pairs = []
     for (p, q), kind in matrix.kinds.items():
         if kind == "identity":
@@ -479,9 +637,8 @@ def pairing_residuals(wc, lam_samples, zs):
     with the modified pairing at sample s taken at z = zs[s]."""
     lams = lambda_matrix(lam_samples, zs)
     basis = minus_basis(wc)
-    restrict = partial(restricted_basis, wc, basis)
-    g_minus, small_minus = localization_gram(wc.git, wc.A_minus, restrict, lams)
-    g_plus, small_plus = localization_gram(wc.git, wc.A_plus, partial(restrict, images=True), lams)
+    g_minus, small_minus = localization_gram(wc.git, wc.A_minus, RestrictedBasis(wc, basis, lams).with_dual)
+    g_plus, small_plus = localization_gram(wc.git, wc.A_plus, RestrictedBasis(wc, basis, lams, images=True).with_dual)
     gaps = np.abs(g_minus - g_plus).reshape(len(basis) ** 2, -1)
     worst = tuple((basis[i // len(basis)], basis[i % len(basis)]) for i in gaps.argmax(axis=0))
     resonant = np.minimum(small_minus, small_plus) < RESONANCE_CLEARANCE

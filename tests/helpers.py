@@ -86,7 +86,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from wallcross.cli import load_config
+from wallcross.cli import load_config, parse_config
 from wallcross.gitfan import (
     WALL_SEARCH_RADIUS,
     CoordinateChange,
@@ -478,6 +478,24 @@ def committed_crossings():
     paths = sorted((ROOT / "configs").glob("*.json")) + sorted((ROOT / "bench" / "configs").glob("*.json"))
     cfgs = [load_config(str(path)) for path in paths]
     return tuple(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]) for cfg in cfgs)
+
+
+# draw 7 of random_crepant_crossing(random.Random(1030), max_r=4, max_m=8):
+# the integer tests of its wall search would overflow int64, so they run on
+# Python ints; 256 fixed points a side, on 8 plus and 6 minus anticones
+RANK_4_CONFIG = {
+    "schema": "wallcross-config/1",
+    "git": {"r": 4, "m": 7, "D": [[-2, -3, 0, 1], [4, 1, 0, 0], [0, 2, 1, 0], [1, 2, 1, 1],
+                                  [-1, 0, 3, 0], [-1, 0, -1, 1], [4, 4, 5, -3]]},
+    "omega_plus": [[35, 4], [35, 4], [19, 4], [1, 4]],
+    "omega_minus": [[37, 4], [37, 4], [21, 4], [-1, 4]],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def rank_4_crossing():
+    cfg = parse_config(RANK_4_CONFIG)
+    return wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
 
 
 def random_crepant_crossing(rng, max_r=3, max_m=7, max_tries=400):
@@ -1098,10 +1116,12 @@ def oracle_describe(kc):
 
 def reference_gram(git, A, restrict, lams):
     """localization_gram's sum as it was, one fixed point at a time: each
-    point's outer product added in turn, its normal factors from the forms
-    of oracle_restrict_u.  Returns the Gram array and, per entry, the sum of
-    its terms' absolute values, which bounds the sum's rounding (Higham,
-    Accuracy and Stability of Numerical Algorithms, 4.2)."""
+    point's outer product of the duals and the classes that
+    ``restrict(delta, num, den)`` gives added in turn, its normal factors
+    from the forms of oracle_restrict_u at the samples ``lams``.  Returns
+    the Gram array and, per entry, the sum of its terms' absolute values,
+    which bounds the sum's rounding (Higham, Accuracy and Stability of
+    Numerical Algorithms, 4.2)."""
     gram = sizes = 0.0
     for label in fixed_point_labels(git, A):
         sec = label.sector
@@ -1111,11 +1131,109 @@ def reference_gram(git, A, restrict, lams):
         factors = np.prod([1 - cmath.exp(-TWO_PI_I * sec.phase(j))
                            * np.exp(-(np.array(u[j].floats)[:, None] * lams).sum(axis=0))
                            for j in range(git.m) if j not in label.delta], axis=0)
-        left = restrict(label.delta, tuple(-x for x in sec.num), sec.den, -lams) / (u[0].den * factors)
-        right = restrict(label.delta, sec.num, sec.den, lams)
+        right, dual, _ = restrict(label.delta, sec.num, sec.den)
+        left = dual / (u[0].den * factors)
         gram = gram + left[:, None] * right[None]
         sizes = sizes + np.abs(left)[:, None] * np.abs(right)[None]
     return gram, sizes
+
+
+# ---------------------------------------------------------------------------
+# the basis restricted one fixed point at a time, every row rebuilt per point
+
+
+def _oracle_exps(rows, den, form_den, lams):
+    """exp(2 pi i n / den) exp(form(lam)) for integer rows (n, form
+    numerators over form_den), n reduced mod den first, by einsum."""
+    turns = np.array([n % den for n, _ in rows], dtype=float) / den
+    forms = np.array([form for _, form in rows], dtype=float).reshape(len(rows), lams.shape[0]) / form_den
+    return np.exp(TWO_PI_I * turns)[:, None] * np.exp(np.einsum("ij,js->is", forms, lams))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_theta_numerators(git, delta, rhos):
+    """oracle_theta_restrict of each rho as integer numerators over det."""
+    det = _oracle_u_forms(git, delta)[0].den
+    return tuple(intvec([c * det for c in oracle_theta_restrict(git, delta, rho)]) for rho in rhos)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def oracle_restricted_basis(wc, basis, delta, num, den, lams, images=False):
+    """The (len(basis), S) restrictions of the minus basis classes, or with
+    ``images`` of their images, at the fixed point (delta, num / den), built
+    as before plans: every row of the point as Python lists, one einsum and
+    exp per point, S_j|_p = exp(-2 pi i D_j . num / den) exp(-u_j(lam)), each
+    class L(rho)|_p times its binomials 1 - S_j|_p, an image across the wall
+    the mean over the l-th roots of its product, its moving factors applied
+    cyclically.  The forms come from _oracle_u_forms."""
+    git = wc.git
+    u = _oracle_u_forms(git, delta)
+    pair = [_dot(row, num) for row in git.D]
+    rhos = tuple(rho for _, rho in basis)
+    lines = list(zip((_dot(rho, num) for rho in rhos), _oracle_theta_numerators(git, delta, rhos)))
+    values = _oracle_exps([(-p, [-x for x in form.num]) for p, form in zip(pair, u)] + lines, den, u[0].den, lams)
+    s, out = values[:git.m], values[git.m:]
+    for delta_b, group in itertools.groupby(range(len(basis)), key=lambda b: basis[b][0]):
+        members = list(group)
+        j_minus = next(i for i in delta_b if wc.pair_e(i) < 0)
+        if not (images and delta_b not in wc.A_plus.minimal and j_minus not in delta):
+            out[members] *= (1 - s[[j for j in range(git.m) if j not in delta_b]]).prod(axis=0)
+            continue
+        l, top, a = -wc.pair_e(j_minus), u[j_minus].num, pair[j_minus]
+        ks = [max(p, 0) for p in wc.pairings]
+        exact = np.ones(l, dtype=int)
+        for k in (ks[j] for j in delta if j not in delta_b):
+            exact = np.concatenate([exact, [0] * k]) - np.concatenate([[0] * k, exact])
+        terms = [d for d in range(len(exact)) if exact[d]]
+        moving = [j for j in range(git.m) if j not in delta_b and j not in delta]
+        n0 = [_dot(rhos[b], wc.e) for b in members]
+        rows = [(l * phase + (n - d) * a, [l * x + (n - d) * y for x, y in zip(theta, top)])
+                for (phase, theta), n in zip((lines[b] for b in members), n0) for d in terms]
+        rows += [(-ks[j] * a - l * pair[j], [-ks[j] * y - l * z for y, z in zip(top, u[j].num)]) for j in moving]
+        root = _oracle_exps(rows, den * l, u[0].den * l, lams)
+        split = len(members) * len(terms)
+        classes = np.zeros((len(members), l, lams.shape[1]), dtype=complex)
+        for t, d in enumerate(terms):
+            classes[:, d % l] += exact[d] * root[t:split:len(terms)]
+        for j, x in zip(moving, root[split:]):
+            classes = classes - classes[:, (np.arange(l) - ks[j]) % l] * x
+        out[members] = classes[np.arange(len(members)), np.array(n0) % l]
+    return out
+
+
+def oracle_normal_factors(git, delta, sec, lams):
+    """1 - S_j|_p over the normal directions j of the fixed point, by their
+    own exponentials."""
+    u = _oracle_u_forms(git, delta)
+    normal = [j for j in range(git.m) if j not in delta]
+    return 1 - _oracle_exps([(-sec.pairings[j], [-x for x in u[j].num]) for j in normal], sec.den, u[0].den, lams)
+
+
+def oracle_gram(wc, A, basis, lams, images=False):
+    """localization_gram before plans, on oracle_restricted_basis: per point
+    the classes at (num, lams), again at (-num, -lams) for the duals, the
+    normal factors by oracle_normal_factors, stacked as (S, B, P) and (S, P,
+    B) real arrays and summed by four real products per sample."""
+    git, lefts, rights = wc.git, [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for label in fixed_point_labels(git, A):
+            delta, sec = label.delta, label.sector
+            factors = oracle_normal_factors(git, delta, sec, lams)
+            dual = oracle_restricted_basis(wc, basis, delta, tuple(-x for x in sec.num), sec.den, -lams, images)
+            lefts.append(dual / (_oracle_u_forms(git, delta)[0].den * factors.prod(axis=0)))
+            rights.append(oracle_restricted_basis(wc, basis, delta, sec.num, sec.den, lams, images))
+        # C-contiguous, as a product's last bits follow its operands' layout
+        left_re, left_im = (np.ascontiguousarray(np.stack([part(v).T for v in lefts], axis=-1))
+                            for part in (np.real, np.imag))
+        right_re, right_im = (np.ascontiguousarray(np.stack([part(v).T for v in rights], axis=1))
+                              for part in (np.real, np.imag))
+        gram = np.empty((lams.shape[1], len(basis), len(basis)), dtype=complex)
+        gram.real = left_re @ right_re - left_im @ right_im
+        gram.imag = left_re @ right_im + left_im @ right_re
+    return gram.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import RANK_4_CONFIG
+
 
 def run_cli(args):
     proc = subprocess.run(
@@ -363,21 +365,33 @@ def test_formerly_unframed_crossing_analyzes(tmp_path):
 
 
 def test_rank_4_crossing_past_int64_exits_without_a_traceback(tmp_path):
-    # draw 7 of random_crepant_crossing(random.Random(1030), max_r=4,
-    # max_m=8): the integer tests of its wall search would overflow int64,
-    # so they run on Python ints
-    cfg = {
-        "schema": "wallcross-config/1",
-        "git": {"r": 4, "m": 7, "D": [[-2, -3, 0, 1], [4, 1, 0, 0], [0, 2, 1, 0], [1, 2, 1, 1],
-                                      [-1, 0, 3, 0], [-1, 0, -1, 1], [4, 4, 5, -3]]},
-        "omega_plus": [[35, 4], [35, 4], [19, 4], [1, 4]],
-        "omega_minus": [[37, 4], [37, 4], [21, 4], [-1, 4]],
-    }
+    # its wall search runs on Python ints (helpers.RANK_4_CONFIG)
     path = tmp_path / "s1030_d07.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(RANK_4_CONFIG))
     proc = run_cli(["analyze", "--config", str(path)])
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0 or proc.stderr.count("error:") == 1
+
+
+def test_fm_refuses_past_its_monomial_budget(tmp_path, capsys):
+    # the 8-8 flop x local P^5 (m = 23, r = 2): 48 images of 2^21 monomials
+    # each, counted before any is expanded
+    import time
+
+    from wallcross import cli
+
+    D = [[1, 0]] * 8 + [[-1, 0]] * 8 + [[0, 1]] * 6 + [[0, -6]]
+    cfg = {"schema": "wallcross-config/1", "git": {"r": 2, "m": 23, "D": D},
+           "omega_plus": [[1, 1], [1, 1]], "omega_minus": [[-1, 1], [1, 1]]}
+    path = tmp_path / "flop8_p5.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    assert cli.main(["fm", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: MonomialBudgetExceeded: the image of e(delta=[8, 16], rho=[0, 0]) has"
+                          " 2^21 = 2097152 monomials, and the 48 images 100663296, past the budget of 2097152")
 
 
 def _weighted_config(tmp_path, D):

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -51,6 +52,7 @@ from helpers import (
     vscale,
     vsub,
 )
+from wallcross import ktheory
 from wallcross.cli import load_config
 from wallcross.gitfan import (
     EmptyQuotient,
@@ -73,14 +75,15 @@ from wallcross.gitfan import (
 from wallcross.hypergeom import WALL_BOUND, canonical_d_plus, generic_lambdas
 from wallcross.ktheory import (
     KClass,
-    _thetas,
+    RestrictedBasis,
+    _anticone_plan,
+    _group_plan,
     basis_e,
     canonical_rho_lifts,
     eval_terms,
     fm_transform,
     lambda_matrix,
     minus_basis,
-    restricted_basis,
     restriction_terms,
 )
 from wallcross.lattice import (
@@ -196,7 +199,7 @@ def test_sector_views_phases_and_lifts_match_the_fraction_route():
 
 
 def test_factored_restrictions_match_the_expanded_route():
-    """restricted_basis against eval_terms of restriction_terms of basis_e
+    """RestrictedBasis against eval_terms of restriction_terms of basis_e
     and fm_transform: every minus basis class at every minus fixed point and
     every image at every plus fixed point, at the point's own lift and at
     that lift shifted by an integer vector, to 1e-12 of the sum of the
@@ -213,13 +216,14 @@ def test_factored_restrictions_match_the_expanded_route():
         shift = tuple(1 - 3 * (i > 0) for i in range(git.r))
         cases = [(label, images, moved, b) for images, labels in ((False, wc.labels_minus), (True, wc.labels_plus))
                  for label in labels for moved in (False, True) for b in range(len(basis))]
+        restrict = {images: RestrictedBasis(wc, basis, matrix, images) for images in (False, True)}
         factored, classes = {}, {}
         for label, images, moved, b in cases[::-(-len(cases) // 30)]:
             num, den = label.sector.num, label.sector.den
             if moved:
                 num = tuple(x + den * k for x, k in zip(num, shift))
             if (label, images, moved) not in factored:
-                factored[label, images, moved] = restricted_basis(wc, basis, label.delta, num, den, matrix, images)
+                factored[label, images, moved] = restrict[images](label.delta, num, den)
             got = factored[label, images, moved][b]
             if (images, b) not in classes:
                 delta_b, rho = basis[b]
@@ -237,6 +241,30 @@ def test_factored_restrictions_match_the_expanded_route():
     assert checked > 2000 and zeros > 800, (checked, zeros)
 
 
+def test_restrictions_on_python_ints_keep_the_int64_bits(monkeypatch):
+    # where an int64 product could overflow, a point's phase numerators are
+    # taken on Python ints: with every plan and point sent that way, the
+    # classes, duals and S_j rows keep their bits
+    def restrictions(wc, matrix):
+        basis = tuple(minus_basis(wc))
+        out = []
+        for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
+            restrict = RestrictedBasis(wc, basis, matrix, images)
+            out += [restrict.with_dual(lab.delta, lab.sector.num, lab.sector.den)
+                    for lab in fixed_point_labels(wc.git, A)]
+        return out
+
+    crossings = committed_crossings()
+    matrices = [lambda_matrix(generic_lambdas(wc, 3, seed=97)) for wc in crossings]
+    expected = [restrictions(wc, matrix) for wc, matrix in zip(crossings, matrices)]
+    monkeypatch.setattr(ktheory, "_fits_int64", lambda top, reach: False)
+    ktheory._anticone_plan.cache_clear()
+    for wc, matrix, want in zip(crossings, matrices, expected):
+        for got, ref in zip(restrictions(wc, matrix), want, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    ktheory._anticone_plan.cache_clear()
+
+
 def test_exact_caches_stay_bounded():
     # the caches that reuse exact work across crossings keep a fixed bound
     # however many crossings a process sees
@@ -247,7 +275,7 @@ def test_exact_caches_stay_bounded():
         next_to_cells(wc)
         wall_frame(wc)
     for cached in (int_inverse, _span_minor, _line_transform, restrict_u, _box_classes,
-                   _chamber_table, _wall_hyperplanes, _thetas):
+                   _chamber_table, _wall_hyperplanes, _group_plan, _anticone_plan):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, (cached, info)
 

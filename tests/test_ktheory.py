@@ -1,15 +1,16 @@
 import cmath
+import functools
 import math
 import pathlib
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 
 from helpers import (
+    RANK_4_CONFIG,
     committed_crossings,
     frac_part,
     kc_dual,
@@ -21,6 +22,10 @@ from helpers import (
     kclass,
     lift_numerators,
     oracle_describe,
+    oracle_gram,
+    oracle_normal_factors,
+    oracle_restricted_basis,
+    rank_4_crossing,
     reference_gram,
 )
 from wallcross import ktheory
@@ -37,6 +42,7 @@ from wallcross.hypergeom import TWO_PI_I, generic_lambdas, log_gamma
 from wallcross.ktheory import (
     KClass,
     ResonantSample,
+    RestrictedBasis,
     basis_e,
     canonical_rho_lifts,
     chern_restrict,
@@ -50,7 +56,6 @@ from wallcross.ktheory import (
     localization_gram,
     minus_basis,
     pairing_residuals,
-    restricted_basis,
     restriction_terms,
     uhfm_sensitivity,
     verify_pairing_preserved,
@@ -458,11 +463,10 @@ def test_compiled_restrictions_match_chern_restrict(all_examples):
         git = wc.git
         basis = tuple(minus_basis(wc))
         lams = generic_lambdas(wc, 5, seed=67)
-        matrix = lambda_matrix(lams)
+        restrict = {images: RestrictedBasis(wc, basis, lambda_matrix(lams), images) for images in (False, True)}
         for label, lift, images in _restriction_cases(wc):
             num, den = lift_numerators(lift)
-            values = restricted_basis(wc, basis, label.delta, num, den, matrix, images)
-            dual = restricted_basis(wc, basis, label.delta, tuple(-x for x in num), den, -matrix, images)
+            values, dual, _ = restrict[images].with_dual(label.delta, num, den)
             for b, (delta_b, rho) in enumerate(basis):
                 cls = fm_transform(wc, delta_b, rho) if images else basis_e(git, wc.A_minus, delta_b, rho)
                 terms = restriction_terms(git, cls, label.delta, num, den)
@@ -503,8 +507,8 @@ def test_gram_entries_match_euler_pairing(all_examples):
             (wc.A_minus, [basis_e(git, wc.A_minus, d, rho) for d, rho in basis], False),
             (wc.A_plus, [fm_transform(wc, d, rho) for d, rho in basis], True),
         ):
-            restrict = partial(restricted_basis, wc, basis, images=images)
-            gram, smallest = localization_gram(git, A, restrict, lambda_matrix(lams, zs))
+            restrict = RestrictedBasis(wc, basis, lambda_matrix(lams, zs), images)
+            gram, smallest = localization_gram(git, A, restrict.with_dual)
             assert (smallest > 1e-9).all()
             for s, (lam, z) in enumerate(zip(lams, zs)):
                 lam_eff = tuple(TWO_PI_I * li / z for li in lam)
@@ -581,9 +585,8 @@ def test_pairing_report_names_the_first_largest_gram_gap(gerbe_flop):
     zs = [1.0 + 0.07 * i for i in range(len(lams))]
     rep = pairing_residuals(wc, lams, zs)
     matrix = lambda_matrix(lams, zs)
-    restrict = partial(restricted_basis, wc, basis)
-    g_minus, _ = localization_gram(wc.git, wc.A_minus, restrict, matrix)
-    g_plus, _ = localization_gram(wc.git, wc.A_plus, partial(restrict, images=True), matrix)
+    g_minus, _ = localization_gram(wc.git, wc.A_minus, RestrictedBasis(wc, basis, matrix).with_dual)
+    g_plus, _ = localization_gram(wc.git, wc.A_plus, RestrictedBasis(wc, basis, matrix, images=True).with_dual)
     assert len(basis) > 1 and len(rep.worst) == len(lams)
     for s, (a, b) in enumerate(rep.worst):
         gaps = np.abs(g_minus[:, :, s] - g_plus[:, :, s])
@@ -645,13 +648,17 @@ def test_gram_on_the_4_4_flop_matches_the_expanded_route():
     for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
         classes = [fm_transform(wc, d, rho) if images else basis_e(git, wc.A_minus, d, rho) for d, rho in basis]
 
-        def expanded(delta, num, den, lams):
-            return np.array([[eval_terms(restriction_terms(git, cls, delta, num, den), lams[:, s])
-                              for s in range(lams.shape[1])] for cls in classes])
+        def expanded(delta, num, den):
+            def at(classes, num, lams):
+                return np.array([[eval_terms(restriction_terms(git, cls, delta, num, den), lams[:, s])
+                                  for s in range(lams.shape[1])] for cls in classes])
 
-        restrict = partial(restricted_basis, wc, basis, images=images)
-        ref, _ = localization_gram(git, A, expanded, matrix)
-        gram, _ = localization_gram(git, A, restrict, matrix)
+            return (at(classes, num, matrix), at(classes, tuple(-x for x in num), -matrix),
+                    at([kc_s(git, j) for j in range(git.m)], num, matrix))
+
+        restrict = RestrictedBasis(wc, basis, matrix, images).with_dual
+        ref, _ = localization_gram(git, A, expanded)
+        gram, _ = localization_gram(git, A, restrict)
         scale = np.maximum(reference_gram(git, A, restrict, matrix)[1], np.abs(ref).max())
         assert (np.abs(gram - ref) <= 1e-13 * scale).all()
 
@@ -665,11 +672,82 @@ def test_stacked_gram_matches_the_pointwise_sum():
         lams = generic_lambdas(wc, 5, seed=7)
         matrix = lambda_matrix(lams, [1.0 + 0.07 * i for i in range(len(lams))])
         for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
-            restrict = partial(restricted_basis, wc, basis, images=images)
-            gram, _ = localization_gram(wc.git, A, restrict, matrix)
+            restrict = RestrictedBasis(wc, basis, matrix, images).with_dual
+            gram, _ = localization_gram(wc.git, A, restrict)
             ref, sizes = reference_gram(wc.git, A, restrict, matrix)
             assert gram.shape == ref.shape == (len(basis), len(basis), len(lams))
             assert (np.abs(gram - ref) <= 1e-14 * sizes).all()
+
+
+def _oracle_uhfm_diff(wc, basis, lams):
+    """verify_uhfm's residual table from oracle_restricted_basis."""
+    matrix, samples = continuation_matrix(wc), lambda_matrix(lams)
+
+    def at(label, images=False):
+        sec = label.sector
+        return oracle_restricted_basis(wc, basis, label.delta, sec.num, sec.den, samples, images)
+
+    diff = np.stack([at(lp, images=True) for lp in matrix.rows], axis=1)
+    for (p, q), kind in matrix.kinds.items():
+        row = at(matrix.cols[q])
+        diff[:, p] -= row if kind == "identity" else np.array([matrix.coefficients[p, q].value(lam)
+                                                                for lam in lams]) * row
+    return diff
+
+
+def test_plans_match_the_per_point_oracle_bit_for_bit():
+    # the bundled and bench crossings and the rank-4 crossing (256 points a
+    # side): every class, dual, image and normal factor at every fixed
+    # point, both Grams and the uhfm table, with the bits of the rows built
+    # one point at a time
+    for wc in committed_crossings() + (rank_4_crossing(),):
+        git, basis = wc.git, tuple(minus_basis(wc))
+        lams = generic_lambdas(wc, 2 if git.r == 4 else 5, seed=89)
+        matrix = lambda_matrix(lams, [1.0 + 0.07 * i + 0.2j for i in range(len(lams))])
+        for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
+            restrict = RestrictedBasis(wc, basis, matrix, images)
+            for label in fixed_point_labels(git, A):
+                delta, sec = label.delta, label.sector
+                values, dual, s = restrict.with_dual(delta, sec.num, sec.den)
+                neg = tuple(-x for x in sec.num)
+                assert np.array_equal(values, oracle_restricted_basis(wc, basis, delta, sec.num, sec.den, matrix, images))
+                assert np.array_equal(dual, oracle_restricted_basis(wc, basis, delta, neg, sec.den, -matrix, images))
+                assert np.array_equal(1 - s[[j for j in range(git.m) if j not in delta]],
+                                      oracle_normal_factors(git, delta, sec, matrix))
+                assert np.array_equal(restrict(delta, sec.num, sec.den), values)
+            gram, _ = localization_gram(git, A, restrict.with_dual)
+            assert np.array_equal(gram, oracle_gram(wc, A, basis, matrix, images))
+        assert np.array_equal(verify_uhfm(wc, lams).diff, _oracle_uhfm_diff(wc, basis, lams))
+
+
+def test_pairing_builds_each_group_plan_once(monkeypatch):
+    # a verify pairing on the rank-4 crossing builds the rows of each basis
+    # group at each anticone once, as a class or as an image, whatever the
+    # number of sectors there; a verify uhfm after it builds none
+    from wallcross import cli
+
+    built = []
+    build = ktheory._group_plan.__wrapped__
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ktheory, "_group_plan", functools.lru_cache(maxsize=None)(counting))
+    ktheory._anticone_plan.cache_clear()
+    wc = rank_4_crossing()
+    groups = sorted({delta_b for delta_b, _ in minus_basis(wc)})
+    j_minus = {delta_b: next(i for i in delta_b if wc.pair_e(i) < 0) for delta_b in groups}
+    needed = {(delta, delta_b, False) for delta in wc.A_minus.minimal for delta_b in groups}
+    needed |= {(delta, delta_b, delta_b not in wc.A_plus.minimal and j_minus[delta_b] not in delta)
+               for delta in wc.A_plus.minimal for delta_b in groups}
+    cfg = cli.parse_config(dict(RANK_4_CONFIG, samples=4))
+    cli.cmd_verify(cfg, "pairing")
+    assert len(wc.labels_plus) > len(wc.A_plus.minimal)
+    assert sorted((args[2], args[3], args[5]) for args in built) == sorted(needed)
+    cli.cmd_verify(cfg, "uhfm")
+    assert len(built) == len(needed)
+    ktheory._anticone_plan.cache_clear()
 
 
 def test_describe_matches_the_term_by_term_text():

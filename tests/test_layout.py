@@ -22,7 +22,9 @@ transform or the continuation matrix it checks; the Barnes-line set-up and
 exact-part oracles scan their poles and multiply their Gamma ratios
 themselves, never through the array set-up or the integer products they
 check; the Barnes-line cut oracle probes the line itself, never through the
-outward evaluation it checks.
+outward evaluation it checks; the restricted-basis and Gram oracles rebuild
+every row of a fixed point from the Fraction forms, never through the
+per-anticone plans, the Gram or the uhfm table they check.
 
 Library code builds a Fraction only in the functions FRACTION_SITES names.
 """
@@ -40,7 +42,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_line_key", "next_to_cells", "minus_lift_numerators",
                 "continuation_coefficient", "validate_stability", "_chamber_table",
                 "_wall_hyperplanes", "_in_wall_cone", "_saturated", "box_elements",
-                "_box_classes", "_extended_rows", "restriction_terms", "restricted_basis",
+                "_box_classes", "_extended_rows", "restriction_terms", "RestrictedBasis",
+                "_group_plan", "_anticone_plan", "localization_gram", "verify_uhfm",
                 "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
                 "_coefficient", "_line_setup", "_exact_part", "mb_integral_with_error", "quad",
                 "_check_poles"}
