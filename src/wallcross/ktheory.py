@@ -64,7 +64,7 @@ class KClass:
 # point basis and representation lifts
 
 
-def basis_e(git, A, delta, rho_hat):
+def basis_e(git, delta, rho_hat):
     """Point class at a minimal anticone twisted by a character lift:
     L(rho_hat) times the product of (1 - S_i) over i not in delta, expanded
     one normal direction at a time over its subsets."""
@@ -72,10 +72,6 @@ def basis_e(git, A, delta, rho_hat):
     for j in (i for i in range(git.m) if i not in delta):
         terms += [(s[:j] + (1,) + s[j + 1:], -c) for s, c in terms]
     return KClass(intvec(rho_hat), tuple(sorted(terms)))
-
-
-def isotropy_order(git, delta):
-    return anticone_inverse(git.D, delta)[1]
 
 
 def canonical_rho_lifts(git, delta):
@@ -117,7 +113,7 @@ def fm_transform(wc, delta_minus, rho_hat):
     """
     git = wc.git
     if delta_minus in wc.A_plus.minimal:
-        return basis_e(git, wc.A_plus, delta_minus, rho_hat)
+        return basis_e(git, delta_minus, rho_hat)
     j_minus = next(i for i in delta_minus if wc.pair_e(i) < 0)
     assert all(wc.pair_e(i) == 0 for i in delta_minus if i != j_minus), (
         "minus anticone across the wall must have a single negative direction"
@@ -223,7 +219,7 @@ class _Product(NamedTuple):
     its restricted binomials, 1 - S_j|_p = 0 exactly for j in delta."""
 
     normal: np.ndarray  # the j not in delta_b
-    rows: slice = None  # the line rows, placed by _anticone_plan
+    rows: slice  # the line rows
 
     def __call__(self, values, s):
         return values[self.rows] * (1 - s[self.normal]).prod(axis=0)
@@ -238,18 +234,17 @@ class _RootAverage(NamedTuple):
     The factors exact in t (the geometric sum, 1 - t^-k_j for j in delta)
     give the integer coefficients ``exact``; each L(rho) tau^n is one row,
     summed into its class of n mod l, so a class of zero coefficients stays
-    0.0.  The rows of the moving factors 1 - w^-k_j tau^-k_j S_j|_p, shared
-    by the groups of an anticone, multiply the classes cyclically."""
+    0.0.  The rows of the moving factors 1 - w^-k_j tau^-k_j S_j|_p, j in
+    neither delta_b nor delta, shared by the groups of an anticone, multiply
+    the classes cyclically."""
 
-    j_minus: int
     l: int
     exact: list  # coefficients of t^(n0 - d), d = 0, 1, ...
     terms: tuple  # the d with a nonzero coefficient
     pick: np.ndarray  # per class, its n0 = rho.e mod l
-    moving: tuple  # the j in neither delta_b nor delta
     shifts: tuple  # per moving j, (arange(l) - k_j) mod l, or None for k_j = 0 mod l
-    rows: slice = None  # the rows L(rho) tau^(n0 - d), placed by _anticone_plan
-    moving_rows: np.ndarray = None  # the moving directions' rows, placed likewise
+    rows: slice  # the rows L(rho) tau^(n0 - d)
+    moving_rows: np.ndarray  # per moving j, its row tau^-k_j S_j, counted from the end
 
     def __call__(self, values, s):
         rows, size, stride = values[self.rows], len(self.pick), len(self.terms)
@@ -261,82 +256,67 @@ class _RootAverage(NamedTuple):
         return classes[np.arange(size), self.pick]
 
 
-class _Rows(NamedTuple):
-    """Integer rows of a point's exponentials: row k is exp(2 pi i (p_k .
-    num mod den * mult) / (den * mult)) exp(f_k(lam) / (det * mult))."""
-
-    phases: list  # integer rows p_k, r entries each
-    forms: list  # integer form numerators f_k, m entries each
-    mult: int
-    combine: object  # _Product or _RootAverage: the group's classes from its rows
-
-
-@lru_cache(maxsize=1024)
-def _group_plan(git, e, delta, delta_b, rhos, root):
-    """The lambda-independent rows of the basis classes (delta_b, rho) at the
-    anticone ``delta``: their line bundles L(rho), or with ``root`` their
-    images' rows L(rho) tau^(n0 - d) over l times the point's denominators,
-    the moving directions named for _anticone_plan to share."""
-    thetas = [theta_restrict(git, delta, rho).num for rho in rhos]
-    if not root:
-        return _Rows(rhos, thetas, 1, _Product(np.array([j for j in range(git.m) if j not in delta_b])))
-    pairings = [_idot(row, e) for row in git.D]
-    j_minus = next(i for i in delta_b if pairings[i] < 0)
-    l, low, top = -pairings[j_minus], git.D[j_minus], restrict_u(git, delta)[j_minus].num
-    exact = [1] * l
-    for k in (max(pairings[j], 0) for j in delta if j not in delta_b):
-        exact = [a - b for a, b in zip(exact + [0] * k, [0] * k + exact)]
-    terms = tuple(d for d, c in enumerate(exact) if c)
-    n0 = [_idot(rho, e) for rho in rhos]
-    phases = [tuple(l * x + (n - d) * y for x, y in zip(rho, low)) for rho, n in zip(rhos, n0) for d in terms]
-    forms = [[l * x + (n - d) * y for x, y in zip(theta, top)] for theta, n in zip(thetas, n0) for d in terms]
-    moving = tuple(j for j in range(git.m) if j not in delta_b and j not in delta)
-    ks = [max(pairings[j], 0) for j in moving]
-    shifts = tuple(None if k % l == 0 else (np.arange(l) - k) % l for k in ks)
-    return _Rows(phases, forms, l, _RootAverage(j_minus, l, exact, terms, np.array(n0) % l, moving, shifts))
-
-
 class _Plan(NamedTuple):
-    """Every row of one anticone's points, the S_j first, then each group's."""
+    """Every row of one anticone's points: row k is exp(2 pi i (p_k . num
+    mod den * mult_k) / (den * mult_k)) exp(f_k(lam)), the S_j first, then
+    each group's, then the moving directions'."""
 
-    phases: list  # integer phase rows
-    ints: object  # the same as an int64 array, or None where it overflows
+    phases: np.ndarray  # (rows, r) integer rows p_k: int64, or object where int64 could overflow
     top: int  # the largest absolute phase entry or modulus multiple
     mults: np.ndarray  # per row, the multiple of den its phase is taken over
     forms: np.ndarray  # (rows, m) float form coefficients
-    groups: tuple  # (classes slice, placed combine) per basis group
+    groups: tuple  # (classes slice, _Product or _RootAverage) per basis group
 
 
 @lru_cache(maxsize=256)
 def _anticone_plan(git, e, delta, groups):
     """The rows of the S_j, restricted as exp(-2 pi i D_j . num / den)
-    exp(-u_j(lam)), then those of every basis group (delta_b, rhos, root),
-    then the moving directions' rows tau^-k_j S_j, tau^l = 1 / S_{j-}, one
-    for all the groups that share it: built once per anticone and grouping,
-    each group once per anticone."""
+    exp(-u_j(lam)), then those of every basis group (delta_b, rhos,
+    j_minus): its line bundles L(rho), or where its images cross the wall
+    at a j_minus not in delta, their rows L(rho) tau^(n0 - d) over l times
+    the point's denominators; last the moving directions' rows tau^-k_j
+    S_j, tau^l = 1 / S_{j-}, one for all the groups that share it.  Built
+    once per anticone and grouping."""
     u = restrict_u(git, delta)
-    parts = [_group_plan(git, e, delta, delta_b, rhos, root) for delta_b, rhos, root in groups]
-    phases = [tuple(-x for x in row) for row in git.D] + [p for part in parts for p in part.phases]
-    forms = [[-x for x in form.num] for form in u] + [f for part in parts for f in part.forms]
-    mults = [1] * git.m + [part.mult for part in parts for _ in part.phases]
-    pairings, shared, spans, first, row = [_idot(row, e) for row in git.D], {}, [], 0, git.m
-    for (_, rhos, root), part in zip(groups, parts):
-        placed = part.combine._replace(rows=slice(row, row + len(part.phases)))
-        if root:
-            j_minus, l = placed.j_minus, placed.l
-            for j in placed.moving:
-                if (j_minus, j) not in shared:
-                    shared[j_minus, j] = len(phases)
-                    k = max(pairings[j], 0)
-                    phases.append(tuple(-k * y - l * z for y, z in zip(git.D[j_minus], git.D[j])))
-                    forms.append([-k * y - l * z for y, z in zip(u[j_minus].num, u[j].num)])
-                    mults.append(l)
-            placed = placed._replace(moving_rows=np.array([shared[j_minus, j] for j in placed.moving], dtype=np.intp))
-        spans.append((slice(first, first + len(rhos)), placed))
-        first, row = first + len(rhos), row + len(part.phases)
+    pairings = [_idot(row, e) for row in git.D]
+    # the moving rows follow every group's, so a group counts them from the end
+    moving = list(dict.fromkeys((j_minus, j) for delta_b, _, j_minus in groups if j_minus is not None
+                                for j in range(git.m) if j not in delta_b and j not in delta))
+    phases = [tuple(-x for x in row) for row in git.D]
+    forms = [[-x for x in form.num] for form in u]
+    mults, spans, first = [1] * git.m, [], 0
+    for delta_b, rhos, j_minus in groups:
+        members, start = slice(first, first + len(rhos)), len(phases)
+        first += len(rhos)
+        thetas = [theta_restrict(git, delta, rho).num for rho in rhos]
+        if j_minus is None:
+            phases += rhos
+            forms += thetas
+            mults += [1] * len(rhos)
+            normal = np.array([j for j in range(git.m) if j not in delta_b])
+            spans.append((members, _Product(normal, slice(start, len(phases)))))
+            continue
+        l, low, low_u = -pairings[j_minus], git.D[j_minus], u[j_minus].num
+        exact = [1] * l
+        for k in (max(pairings[j], 0) for j in delta if j not in delta_b):
+            exact = [a - b for a, b in zip(exact + [0] * k, [0] * k + exact)]
+        terms = tuple(d for d, c in enumerate(exact) if c)
+        n0 = [_idot(rho, e) for rho in rhos]
+        phases += [tuple(l * x + (n - d) * y for x, y in zip(rho, low)) for rho, n in zip(rhos, n0) for d in terms]
+        forms += [[l * x + (n - d) * y for x, y in zip(theta, low_u)] for theta, n in zip(thetas, n0) for d in terms]
+        mults += [l] * (len(phases) - start)
+        own = [j for j in range(git.m) if j not in delta_b and j not in delta]
+        shifts = tuple(None if k % l == 0 else (np.arange(l) - k) % l for k in (max(pairings[j], 0) for j in own))
+        ends = np.array([moving.index((j_minus, j)) - len(moving) for j in own], dtype=np.intp)
+        spans.append((members, _RootAverage(l, exact, terms, np.array(n0) % l, shifts, slice(start, len(phases)), ends)))
+    for j_minus, j in moving:
+        l, k = -pairings[j_minus], max(pairings[j], 0)
+        phases.append(tuple(-k * y - l * z for y, z in zip(git.D[j_minus], git.D[j])))
+        forms.append([-k * y - l * z for y, z in zip(u[j_minus].num, u[j].num)])
+        mults.append(l)
     top = max(max(abs(x) for p in phases for x in p), max(mults))
     forms = np.array(forms, dtype=float).reshape(len(phases), git.m)
-    return _Plan(phases, np.array(phases, dtype=np.int64) if _fits_int64(top, 1) else None, top,
+    return _Plan(np.array(phases, dtype=np.int64 if _fits_int64(top, 1) else object), top,
                  np.array(mults, dtype=np.int64), forms / np.array([u[0].den * k for k in mults], dtype=float)[:, None],
                  tuple(spans))
 
@@ -370,7 +350,7 @@ class RestrictedBasis:
     def _block(self, delta):
         """The anticone's plan and exp(form(lam)) of its rows."""
         if delta not in self._blocks:
-            groups = tuple((delta_b, rhos, j_minus is not None and j_minus not in delta)
+            groups = tuple((delta_b, rhos, None if j_minus in delta else j_minus)
                            for delta_b, rhos, j_minus in self.groups)
             plan = _anticone_plan(self.git, self.e, delta, groups)
             # by einsum: after a complex BLAS product numpy's complex exp ran
@@ -386,11 +366,11 @@ class RestrictedBasis:
 
     def _numerators(self, plan, num, den):
         """(n, mods): each row's phase numerator at num and its modulus
-        den * mult, in int64 where no product can overflow it."""
-        if plan.ints is not None and _fits_int64(plan.top, sum(map(abs, num)) + den):
-            return plan.ints @ np.array(num, dtype=np.int64), den * plan.mults
-        n = [_idot(p, num) for p in plan.phases]
-        return np.array(n, dtype=object), np.array([den * int(k) for k in plan.mults], dtype=object)
+        den * mult, in int64 where no product can overflow it, else in
+        Python ints."""
+        if plan.phases.dtype == np.int64 and _fits_int64(plan.top, sum(map(abs, num)) + den):
+            return plan.phases @ np.array(num, dtype=np.int64), den * plan.mults
+        return plan.phases.astype(object) @ np.array(num, dtype=object), den * plan.mults.astype(object)
 
     def _classes(self, plan, block, n, mods):
         """The classes and the S_j rows at phase numerators n over mods."""
@@ -500,7 +480,7 @@ def localization_gram(git, A, restrict):
                 smallest = np.full(S, np.inf)
                 left_re, left_im, right_re, right_im = (np.empty((S, P, B)) for _ in range(4))
             smallest = np.minimum(smallest, np.abs(factors).min(axis=0, initial=np.inf))
-            v_left = (v_dual / (isotropy_order(git, delta) * factors.prod(axis=0))).T
+            v_left = (v_dual / (anticone_inverse(git.D, delta)[1] * factors.prod(axis=0))).T
             left_re[:, p], left_im[:, p] = v_left.real, v_left.imag
             right_re[:, p], right_im[:, p] = v_right.T.real, v_right.T.imag
         # the left stacks as contiguous (S, B, P) arrays: a transposed operand

@@ -77,7 +77,6 @@ from wallcross.ktheory import (
     KClass,
     RestrictedBasis,
     _anticone_plan,
-    _group_plan,
     basis_e,
     canonical_rho_lifts,
     eval_terms,
@@ -227,7 +226,7 @@ def test_factored_restrictions_match_the_expanded_route():
             got = factored[label, images, moved][b]
             if (images, b) not in classes:
                 delta_b, rho = basis[b]
-                classes[images, b] = fm_transform(wc, delta_b, rho) if images else basis_e(git, wc.A_minus, delta_b, rho)
+                classes[images, b] = fm_transform(wc, delta_b, rho) if images else basis_e(git, delta_b, rho)
             terms = restriction_terms(git, classes[images, b], label.delta, num, den)
             merged = {}
             for c, phase, form in terms:
@@ -275,7 +274,7 @@ def test_exact_caches_stay_bounded():
         next_to_cells(wc)
         wall_frame(wc)
     for cached in (int_inverse, _span_minor, _line_transform, restrict_u, _box_classes,
-                   _chamber_table, _wall_hyperplanes, _group_plan, _anticone_plan):
+                   _chamber_table, _wall_hyperplanes, _anticone_plan):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, (cached, info)
 

@@ -51,7 +51,6 @@ from wallcross.ktheory import (
     fm_transform,
     framing_restrict,
     gamma_restrict,
-    isotropy_order,
     lambda_matrix,
     localization_gram,
     minus_basis,
@@ -61,7 +60,7 @@ from wallcross.ktheory import (
     verify_pairing_preserved,
     verify_uhfm,
 )
-from wallcross.lattice import vdot
+from wallcross.lattice import anticone_inverse, vdot
 from wallcross.localization import restrict_u
 from wallcross.mellinbarnes import continuation_coefficient, continuation_matrix
 
@@ -69,7 +68,7 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 
 def test_basis_e_structure(conifold):
-    e = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
+    e = basis_e(conifold.git, (2,), (0,))
     # product of three binomial factors
     assert len(e.terms) == 8
     s_indices = {j for s, _c in e.terms for j in range(4) if s[j]}
@@ -79,7 +78,7 @@ def test_basis_e_structure(conifold):
 def test_basis_e_restriction_at_own_point(conifold):
     lam = generic_lambdas(conifold, 1, seed=3)[0]
     label = [l for l in fixed_point_labels(conifold.git, conifold.A_minus) if l.delta == (2,)][0]
-    e = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
+    e = basis_e(conifold.git, (2,), (0,))
     got = chern_restrict(conifold.git, e, label, lam)
     u = restrict_u(conifold.git, (2,))
     expected = 1.0
@@ -90,7 +89,7 @@ def test_basis_e_restriction_at_own_point(conifold):
 
 def test_basis_e_vanishes_elsewhere(gerbe_flop):
     lam = generic_lambdas(gerbe_flop, 1, seed=3)[0]
-    e = basis_e(gerbe_flop.git, gerbe_flop.A_minus, (1, 2), (0, 0))
+    e = basis_e(gerbe_flop.git, (1, 2), (0, 0))
     other = [l for l in fixed_point_labels(gerbe_flop.git, gerbe_flop.A_minus) if l.delta == (0, 2)]
     for label in other:
         assert chern_restrict(gerbe_flop.git, e, label, lam) == 0
@@ -99,7 +98,7 @@ def test_basis_e_vanishes_elsewhere(gerbe_flop):
 def test_fm_common_anticone_is_identity(gerbe_flop):
     for rho in canonical_rho_lifts(gerbe_flop.git, (0, 2)):
         image = fm_transform(gerbe_flop, (0, 2), rho)
-        assert image == basis_e(gerbe_flop.git, gerbe_flop.A_plus, (0, 2), rho)
+        assert image == basis_e(gerbe_flop.git, (0, 2), rho)
 
 
 def test_fm_conifold_formula(conifold):
@@ -216,7 +215,7 @@ def test_restriction_ignores_integer_shifts_of_the_lift(all_examples):
         git = wc.git
         shifts = [tuple(int(i == k) for i in range(git.r)) for k in range(git.r)]
         shifts += [tuple(3 - 2 * i for i in range(git.r)), tuple(-5 for _ in range(git.r))]
-        classes = [basis_e(git, wc.A_minus, d, rho) for d, rho in minus_basis(wc)]
+        classes = [basis_e(git, d, rho) for d, rho in minus_basis(wc)]
         classes += [fm_transform(wc, d, rho) for d, rho in minus_basis(wc)]
         checked = 0
         for lp, lm in next_to_pairs(wc):
@@ -304,7 +303,7 @@ def test_framing_homogeneity_contract(resolution):
     z = 1.1 + 0.2j
     s = 1.4 - 0.3j
     label = fixed_point_labels(resolution.git, resolution.A_plus)[0]
-    E = basis_e(resolution.git, resolution.A_plus, label.delta, (1,))
+    E = basis_e(resolution.git, label.delta, (1,))
     base = framing_restrict(resolution.git, E, label, lam, z)
     log_z = cmath.log(z)
     log_s = cmath.log(s)
@@ -350,7 +349,7 @@ def test_euler_pairing_gerbe_line():
     lams = generic_lambdas_plain(git, 10, seed=29)
     one = kc_one(git)
     for lam in lams:
-        assert isotropy_order(git, (0,)) == 2
+        assert anticone_inverse(git.D, (0,))[1] == 2
         assert abs(euler_pairing(git, A, one, one, lam) - 1) < 1e-12
         # odd characters have no invariant sections
         assert abs(euler_pairing(git, A, one, kc_line(git, (1,)), lam)) < 1e-12
@@ -361,7 +360,7 @@ def test_euler_pairing_gerbe_line():
 def test_euler_pairing_z_substitution(conifold):
     lam = generic_lambdas(conifold, 1, seed=31)[0]
     z = 1.3 + 0.4j
-    E = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
+    E = basis_e(conifold.git, (2,), (0,))
     direct = euler_pairing(conifold.git, conifold.A_minus, E, E, lam, z=z)
     substituted = euler_pairing(
         conifold.git, conifold.A_minus, E, E, tuple(TWO_PI_I * li / z for li in lam)
@@ -391,7 +390,7 @@ def test_uhfm_common_rows_exact(gerbe_flop):
     lam = generic_lambdas(gerbe_flop, 1, seed=41)[0]
     for delta, rho in minus_basis(gerbe_flop):
         image = fm_transform(gerbe_flop, delta, rho)
-        e_minus = basis_e(git, gerbe_flop.A_minus, delta, rho)
+        e_minus = basis_e(git, delta, rho)
         for label in fixed_point_labels(git, gerbe_flop.A_plus):
             if label.delta not in gerbe_flop.A_minus.minimal:
                 continue
@@ -422,7 +421,7 @@ def test_pairing_trivial_class(conifold):
 
 
 def test_dual_involution(conifold):
-    e = basis_e(conifold.git, conifold.A_minus, (2,), (0,))
+    e = basis_e(conifold.git, (2,), (0,))
     assert kc_dual(kc_dual(e)) == e
 
 
@@ -468,7 +467,7 @@ def test_compiled_restrictions_match_chern_restrict(all_examples):
             num, den = lift_numerators(lift)
             values, dual, _ = restrict[images].with_dual(label.delta, num, den)
             for b, (delta_b, rho) in enumerate(basis):
-                cls = fm_transform(wc, delta_b, rho) if images else basis_e(git, wc.A_minus, delta_b, rho)
+                cls = fm_transform(wc, delta_b, rho) if images else basis_e(git, delta_b, rho)
                 terms = restriction_terms(git, cls, label.delta, num, den)
                 terms_dual = restriction_terms(git, kc_dual(cls), label.delta, num, den)
                 for s, lam in enumerate(lams):
@@ -493,7 +492,7 @@ def _pairing_oracle(git, A, E, F, lam_eff):
                 if j not in delta:
                     phase = cmath.exp(-TWO_PI_I * complex(frac_part(vdot(git.D[j], sec.f))))
                     den *= 1 - phase * cmath.exp(-u[j](lam_eff))
-            total += num / (isotropy_order(git, delta) * den)
+            total += num / (anticone_inverse(git.D, delta)[1] * den)
     return total
 
 
@@ -504,7 +503,7 @@ def test_gram_entries_match_euler_pairing(all_examples):
         zs = [1.1 + 0.2j, 0.9 - 0.1j]
         basis = minus_basis(wc)
         for A, classes, images in (
-            (wc.A_minus, [basis_e(git, wc.A_minus, d, rho) for d, rho in basis], False),
+            (wc.A_minus, [basis_e(git, d, rho) for d, rho in basis], False),
             (wc.A_plus, [fm_transform(wc, d, rho) for d, rho in basis], True),
         ):
             restrict = RestrictedBasis(wc, basis, lambda_matrix(lams, zs), images)
@@ -530,7 +529,7 @@ def _perturbed_uhfm_residual(wc, lams, bump, epsilon):
     worst = 0.0
     for delta, rho in minus_basis(wc):
         image = fm_transform(wc, delta, rho)
-        e = basis_e(git, wc.A_minus, delta, rho)
+        e = basis_e(git, delta, rho)
         for lp in fixed_point_labels(git, wc.A_plus):
             for lam in lams:
                 if lp.delta in wc.A_minus.minimal:
@@ -646,7 +645,7 @@ def test_gram_on_the_4_4_flop_matches_the_expanded_route():
     lams = generic_lambdas(wc, 5, seed=7)
     matrix = lambda_matrix(lams, [1.0 + 0.07 * i for i in range(len(lams))])
     for A, images in ((wc.A_minus, False), (wc.A_plus, True)):
-        classes = [fm_transform(wc, d, rho) if images else basis_e(git, wc.A_minus, d, rho) for d, rho in basis]
+        classes = [fm_transform(wc, d, rho) if images else basis_e(git, d, rho) for d, rho in basis]
 
         def expanded(delta, num, den):
             def at(classes, num, lams):
@@ -720,34 +719,39 @@ def test_plans_match_the_per_point_oracle_bit_for_bit():
         assert np.array_equal(verify_uhfm(wc, lams).diff, _oracle_uhfm_diff(wc, basis, lams))
 
 
-def test_pairing_builds_each_group_plan_once(monkeypatch):
-    # a verify pairing on the rank-4 crossing builds the rows of each basis
-    # group at each anticone once, as a class or as an image, whatever the
-    # number of sectors there; a verify uhfm after it builds none
+def test_pairing_builds_each_anticone_plan_once(monkeypatch):
+    # a verify pairing on the rank-4 crossing builds the plan of each
+    # anticone and grouping once, the classes' at the minus anticones and
+    # the images' at the plus ones, whatever the number of sectors there; a
+    # verify uhfm after it builds none
     from wallcross import cli
 
     built = []
-    build = ktheory._group_plan.__wrapped__
+    build = ktheory._anticone_plan.__wrapped__
 
-    def counting(*args):
-        built.append(args)
-        return build(*args)
+    def counting(git, e, delta, groups):
+        built.append((delta, groups))
+        return build(git, e, delta, groups)
 
-    monkeypatch.setattr(ktheory, "_group_plan", functools.lru_cache(maxsize=None)(counting))
-    ktheory._anticone_plan.cache_clear()
+    maxsize = ktheory._anticone_plan.cache_parameters()["maxsize"]
+    monkeypatch.setattr(ktheory, "_anticone_plan", functools.lru_cache(maxsize=maxsize)(counting))
     wc = rank_4_crossing()
-    groups = sorted({delta_b for delta_b, _ in minus_basis(wc)})
-    j_minus = {delta_b: next(i for i in delta_b if wc.pair_e(i) < 0) for delta_b in groups}
-    needed = {(delta, delta_b, False) for delta in wc.A_minus.minimal for delta_b in groups}
-    needed |= {(delta, delta_b, delta_b not in wc.A_plus.minimal and j_minus[delta_b] not in delta)
-               for delta in wc.A_plus.minimal for delta_b in groups}
+    basis = minus_basis(wc)
+    groups = [(delta_b, tuple(rho for d, rho in basis if d == delta_b)) for delta_b in dict.fromkeys(d for d, _ in basis)]
+    j_minus = {delta_b: next(i for i in delta_b if wc.pair_e(i) < 0) for delta_b, _ in groups}
+
+    def crossing(delta, delta_b):
+        return j_minus[delta_b] if delta_b not in wc.A_plus.minimal and j_minus[delta_b] not in delta else None
+
+    needed = {(delta, tuple((delta_b, rhos, None) for delta_b, rhos in groups)) for delta in wc.A_minus.minimal}
+    needed |= {(delta, tuple((delta_b, rhos, crossing(delta, delta_b)) for delta_b, rhos in groups))
+               for delta in wc.A_plus.minimal}
     cfg = cli.parse_config(dict(RANK_4_CONFIG, samples=4))
     cli.cmd_verify(cfg, "pairing")
     assert len(wc.labels_plus) > len(wc.A_plus.minimal)
-    assert sorted((args[2], args[3], args[5]) for args in built) == sorted(needed)
+    assert len(built) == len(needed) and set(built) == needed
     cli.cmd_verify(cfg, "uhfm")
     assert len(built) == len(needed)
-    ktheory._anticone_plan.cache_clear()
 
 
 def test_describe_matches_the_term_by_term_text():
@@ -759,7 +763,7 @@ def test_describe_matches_the_term_by_term_text():
                KClass((1, -2), (((0, 0, 0), -1), ((0, 0, 4), 1), ((-2, 0, 1), -5)))]
     for wc in committed_crossings():
         basis = minus_basis(wc)
-        classes += [basis_e(wc.git, wc.A_minus, d, rho) for d, rho in basis]
+        classes += [basis_e(wc.git, d, rho) for d, rho in basis]
         classes += [fm_transform(wc, d, rho) for d, rho in basis]
     assert len(classes) > 700
     for kc in classes:
