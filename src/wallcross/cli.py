@@ -30,6 +30,7 @@ from .hypergeom import (
     generic_lambdas,
     gkz_ode_residual,
     inner_series,
+    lambda_matrix,
     make_inner_spec,
     w_constant,
 )
@@ -43,8 +44,9 @@ from .mellinbarnes import (
     LEFT_TERMS,
     RIGHT_TERMS,
     ContourSpec,
+    coefficient_values,
     continuation_matrix,
-    lift_invariance_check,
+    lift_invariance_checks,
     verify_residue_identity,
 )
 
@@ -391,15 +393,16 @@ def cmd_continuation(cfg):
     wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
     lams = _lambdas(cfg, wc, min(cfg["samples"], 3))
     matrix = continuation_matrix(wc)
+    coeffs = matrix.coefficients
+    values = dict(zip(coeffs, coefficient_values(list(coeffs.values()), lambda_matrix(lams)).tolist()))
     row_labels = [str(lp) for lp in matrix.rows]
     col_labels = [str(lm) for lm in matrix.cols]
     entries = []
     for (i, j), kind in matrix.kinds.items():
         entry = {"row": row_labels[i], "col": col_labels[j], "kind": kind}
         if kind == "coefficient":
-            coeff = matrix.coefficients[(i, j)]
-            entry["closed_form"] = coeff.describe()
-            entry["values"] = [coeff.value(lam) for lam in lams]
+            entry["closed_form"] = coeffs[i, j].describe()
+            entry["values"] = values[i, j]
         entries.append(entry)
     return {"rows": len(matrix.rows), "cols": len(matrix.cols), "row_labels": row_labels,
             "col_labels": col_labels, "entries": entries}, True
@@ -504,10 +507,9 @@ def _suite_ode(cfg, wc, tol):
 
 def _suite_lifts(cfg, wc, tol):
     lams = _lambdas(cfg, wc, min(cfg["samples"], 5))
-    rows = []
-    for pair in next_to_pairs(wc):
-        name = "%s | %s" % (pair[0], pair[1])
-        rows += [{"pair": name, "invariant": good} for good in lift_invariance_check(wc, pair, lams, tol=tol)]
+    pairs = next_to_pairs(wc)
+    rows = [{"pair": "%s | %s" % (pair[0], pair[1]), "invariant": good}
+            for pair, checks in zip(pairs, lift_invariance_checks(wc, pairs, lams, tol=tol)) for good in checks]
     return {"tolerance": tol, "checks": rows}, all(row["invariant"] for row in rows)
 
 

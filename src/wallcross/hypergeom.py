@@ -377,6 +377,20 @@ def _complex_product(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _complex_quotient(a, b):
+    """a / b for (real, imaginary) pairs of float arrays by the formula of
+    CPython's complex quotient, top and bottom divided through by the larger
+    part of b, so each entry is bit for bit that of complex scalar division;
+    numpy's complex quotient differs in the last bit."""
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
 def _euler_products(e, bases, n):
     """The two Euler-operator products on the monomials of the degrees n, an
     integer array, each as a (real, imaginary) pair of float arrays.  Row j
@@ -431,43 +445,47 @@ def gkz_ode_residual(series, specs, lams):
 # seeded generic sampling of torus parameters
 
 
-def sample_lambdas(m, count, seed):
-    """Deterministic generic samples of the torus parameters.
+def lambda_matrix(lam_samples, zs=None):
+    """Samples as the columns of an (m, S) array.  With ``zs``, sample s
+    becomes 2 pi i lam_s / z_s, the substitution of the modified pairing."""
+    lams = np.array(lam_samples, dtype=complex).T
+    if zs is None:
+        return lams
+    return TWO_PI_I * lams / np.array(zs, dtype=complex)
+
+
+def generic_lambdas(wc, count, seed, clearance=1e-3):
+    """The first ``count`` seeded samples of the torus parameters whose
+    genericity gap, the smallest |u_j(delta)(lam)| over the nonzero
+    restricted classes of both sides, exceeds the clearance.  At most
+    2 * count + 4 samples are drawn; PoleCollision when fewer pass.
 
     Real parts are uniform in [-0.4, 0.4]; imaginary parts have magnitude in
     [0.05, 0.4] with random sign, which keeps Gamma arguments away from the
     real resonance locus.  The radius 0.4 keeps the restricted classes small
     enough for rapid convergence but large enough that point-class
     restrictions stay well above the sensitivity floor of the verification
-    suites.
-    """
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        lam = []
-        for _i in range(m):
-            re = rng.uniform(-0.4, 0.4)
-            im = rng.uniform(0.05, 0.4) * (1 if rng.random() < 0.5 else -1)
-            lam.append(complex(re, im))
-        out.append(tuple(lam))
-    return out
-
-
-def genericity_gaps(wc, lams):
-    """Per sample, the smallest distance of any restricted class from zero
-    over both sides: the non-zero forms u_j(delta) as one float array, times
-    the samples."""
-    forms = [u_j.floats for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
-             for u_j in restrict_u(wc.git, delta) if not u_j.is_zero]
-    forms = np.array(forms, dtype=float).reshape(len(forms), wc.git.m)
-    return np.abs(forms @ np.array(lams, dtype=complex).T).min(axis=0, initial=np.inf)
-
-
-def generic_lambdas(wc, count, seed, clearance=1e-3):
-    """The first ``count`` of 2 * count + 4 seeded samples whose genericity
-    gap exceeds the clearance; PoleCollision when fewer pass the filter."""
-    raw = sample_lambdas(wc.git.m, 2 * count + 4, seed)
-    out = [lam for lam, gap in zip(raw, genericity_gaps(wc, raw)) if gap > clearance]
+    suites.  A parameter takes three draws of random.Random(seed): its real
+    part, the magnitude and the sign of its imaginary part, each part by
+    random.uniform's own a + (b - a) r.  Samples are drawn as many at a time
+    as are still missing, and each batch is filtered by one product with the
+    forms."""
+    m = wc.git.m
+    # u_j(delta) is zero exactly for j in delta
+    forms = [u[j].floats for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+             for u in [restrict_u(wc.git, delta)] for j in range(m) if j not in delta]
+    forms = np.array(forms, dtype=float).reshape(len(forms), m)
+    rng, limit, drawn, out = random.Random(seed), 2 * count + 4, 0, []
+    while len(out) < count and drawn < limit:
+        batch = min(count - len(out), limit - drawn)
+        drawn += batch
+        r = np.array([rng.random() for _ in range(3 * m * batch)]).reshape(batch, m, 3)
+        lams = np.empty((batch, m), dtype=complex)
+        lams.real = -0.4 + (0.4 - -0.4) * r[..., 0]
+        lams.imag = (0.05 + (0.4 - 0.05) * r[..., 1]) * np.where(r[..., 2] < 0.5, 1.0, -1.0)
+        gaps = np.abs(forms @ lams.T).min(axis=0, initial=np.inf)
+        out += map(tuple, lams[gaps > clearance].tolist())
     if len(out) < count:
-        raise PoleCollision("could not draw %d generic samples" % count)
-    return out[:count]
+        raise PoleCollision("could not draw %d generic samples: %d of %d draws had a genericity gap above %g"
+                            % (count, len(out), drawn, clearance))
+    return out

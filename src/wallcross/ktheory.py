@@ -25,13 +25,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .gitfan import _fits_int64, _idot, fixed_point_labels
-from .hypergeom import TWO_PI_I, check_generic, log_gamma
+from .hypergeom import TWO_PI_I, check_generic, lambda_matrix, log_gamma
 from .lattice import anticone_inverse, intvec, quotient_transversal
-from .localization import LinearForm, restrict_u, theta_restrict
-from .mellinbarnes import continuation_matrix
+from .localization import LinearForm, _theta_numerators, restrict_u, theta_restrict
+from .mellinbarnes import coefficient_values, continuation_matrix
 
 # a localization denominator factor smaller than this makes a sample resonant
 RESONANCE_CLEARANCE = 1e-9
+
+# the most entries of bumped uhfm rows that UhfmReport.sensitivity forms at once
+SENSITIVITY_BLOCK = 1 << 14
 
 
 class ResonantSample(ValueError):
@@ -205,15 +208,6 @@ def chern_restrict(git, kclass, label, lam):
 # factored restrictions of the minus basis and its images, every sample at once
 
 
-def lambda_matrix(lam_samples, zs=None):
-    """Samples as the columns of an (m, S) array.  With ``zs``, sample s
-    becomes 2 pi i lam_s / z_s, the substitution of the modified pairing."""
-    lams = np.array(lam_samples, dtype=complex).T
-    if zs is None:
-        return lams
-    return TWO_PI_I * lams / np.array(zs, dtype=complex)
-
-
 class _Product(NamedTuple):
     """L(rho) prod_{j not in delta_b} (1 - S_j): the group's line rows times
     its restricted binomials, 1 - S_j|_p = 0 exactly for j in delta."""
@@ -282,13 +276,14 @@ def _anticone_plan(git, e, delta, groups):
     # the moving rows follow every group's, so a group counts them from the end
     moving = list(dict.fromkeys((j_minus, j) for delta_b, _, j_minus in groups if j_minus is not None
                                 for j in range(git.m) if j not in delta_b and j not in delta))
+    from_end = {key: k - len(moving) for k, key in enumerate(moving)}
     phases = [tuple(-x for x in row) for row in git.D]
     forms = [[-x for x in form.num] for form in u]
     mults, spans, first = [1] * git.m, [], 0
     for delta_b, rhos, j_minus in groups:
         members, start = slice(first, first + len(rhos)), len(phases)
         first += len(rhos)
-        thetas = [theta_restrict(git, delta, rho).num for rho in rhos]
+        thetas = [_theta_numerators(git, delta, rho)[0] for rho in rhos]
         if j_minus is None:
             phases += rhos
             forms += thetas
@@ -307,7 +302,7 @@ def _anticone_plan(git, e, delta, groups):
         mults += [l] * (len(phases) - start)
         own = [j for j in range(git.m) if j not in delta_b and j not in delta]
         shifts = tuple(None if k % l == 0 else (np.arange(l) - k) % l for k in (max(pairings[j], 0) for j in own))
-        ends = np.array([moving.index((j_minus, j)) - len(moving) for j in own], dtype=np.intp)
+        ends = np.array([from_end[j_minus, j] for j in own], dtype=np.intp)
         spans.append((members, _RootAverage(l, exact, terms, np.array(n0) % l, shifts, slice(start, len(phases)), ends)))
     for j_minus, j in moving:
         l, k = -pairings[j_minus], max(pairings[j], 0)
@@ -557,13 +552,23 @@ class UhfmReport:
         Bumping the entry of the pair (p, q) moves row p only, by epsilon
         times the partner row, so the perturbed suite needs no rerun.
         """
+        if not self.pairs:
+            return float("inf")
         per_point = np.abs(self.diff).max(axis=(0, 2), initial=0.0)
-        smallest = float("inf")
-        for p, row in self.pairs:
-            others = np.delete(per_point, p).max(initial=0.0)
-            bumped = np.abs(self.diff[:, p] - epsilon * row).max(initial=0.0)
-            smallest = min(smallest, max(float(others), float(bumped)))
-        return smallest
+        at, rows = np.array([p for p, _ in self.pairs]), [row for _, row in self.pairs]
+        # the bumped rows of as many pairs at a time as fill SENSITIVITY_BLOCK
+        step = max(1, SENSITIVITY_BLOCK // max(1, rows[0].size))
+        bumped = np.concatenate([
+            np.abs(self.diff[:, at[k:k + step]].swapaxes(0, 1) - epsilon * np.stack(rows[k:k + step]))
+            .max(axis=(1, 2), initial=0.0) for k in range(0, len(rows), step)])
+        # the largest over the other points: the second largest at the
+        # largest point, which a NaN is, else the largest
+        order = np.argsort(per_point)
+        second = per_point[order[-2]] if len(order) > 1 else 0.0
+        others = np.where(at == order[-1], second, per_point[order[-1]])
+        # max and min as Python takes them: a NaN bump leaves the others, a
+        # NaN candidate is passed over
+        return float(np.fmin.reduce(np.where(bumped > others, bumped, others), initial=np.inf))
 
 
 def verify_uhfm(wc, lam_samples):
@@ -585,12 +590,14 @@ def verify_uhfm(wc, lam_samples):
 
     diff = np.stack([at(images, lp) for lp in matrix.rows], axis=1)
     rows = {q: at(classes, matrix.cols[q]) for q in {q for _, q in matrix.kinds}}
+    coeffs = matrix.coefficients
+    values = dict(zip(coeffs, coefficient_values(list(coeffs.values()), lams)))
     pairs = []
     for (p, q), kind in matrix.kinds.items():
         if kind == "identity":
             diff[:, p] -= rows[q]
             continue
-        diff[:, p] -= np.array([matrix.coefficients[p, q].value(lam) for lam in lam_samples]) * rows[q]
+        diff[:, p] -= values[p, q] * rows[q]
         pairs.append((p, rows[q]))
     return UhfmReport(basis=basis, plus_labels=matrix.rows, diff=diff, pairs=tuple(pairs))
 

@@ -13,7 +13,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from .hypergeom import (
     TWO_PI_I,
     PoleCollision,
     _base_rows,
+    _complex_product,
+    _complex_quotient,
     conifold_point,
+    lambda_matrix,
     log_gamma,
     log_sin_pi,
     make_inner_spec,
@@ -66,26 +69,11 @@ class ContinuationCoefficient:
     ratio_js: tuple  # other negative-pairing indices
     # per j in ratio_js: (u_j(delta_plus), D_j . f_plus, u_j(delta_minus), D_j . f_minus)
     ratio_terms: tuple
-    # the complex constants of value: -i pi w and the shift
-    _phase: complex = field(init=False, repr=False, compare=False)
-    _shift: complex = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_phase", -1j * math.pi * self.w)
-        # int / int is the correctly rounded quotient of the exact shift
-        object.__setattr__(self, "_shift", complex(self.shift[0] / self.shift[1]))
-
-    def value(self, lam):
-        """The coefficient at the torus parameters lam."""
-        X = self.u_form(lam) / TWO_PI_I + self._shift
-        val = cmath.exp(self._phase * X / self.l)
-        if self.l > 1:
-            val *= cmath.sin(math.pi * X) / (self.l * cmath.sin(math.pi * X / self.l))
-        for u_plus, c_plus, u_minus, c_minus in self.ratio_terms:
-            num = u_plus(lam) / TWO_PI_I + c_plus
-            den = u_minus(lam) / TWO_PI_I + c_minus
-            val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
-        return val
+    def value(self, lams, *others):
+        """The coefficient at every column of the (m, S) array lams, a row,
+        then a row for each of ``others``: one stack of coefficient_values."""
+        return coefficient_values((self,) + others, lams)
 
     def describe(self):
         return (
@@ -94,6 +82,82 @@ class ContinuationCoefficient:
             " X = (%s)/(2 pi i) + %s"
             % (self.w, self.l, self.l, self.l, list(self.ratio_js), self.u_form, ratio_text(*self.shift))
         )
+
+
+# the most (row, sample) entries that coefficient_values evaluates at once
+COEFFICIENT_BLOCK = 1 << 13
+
+
+def _complex(pair):
+    """The complex array of a (real, imaginary) pair of float arrays."""
+    out = np.empty(pair[0].shape, dtype=complex)
+    out.real, out.imag = pair
+    return out
+
+
+def coefficient_values(coefficients, lams):
+    """Every coefficient at every column of the (m, S) array lams, a
+    (len(coefficients), S) complex array.  The coefficients must have
+    equally many sine ratios, as the cells of one crossing do.
+
+    Every argument the closed form takes a sine of, X = u_{j-}(lam) / 2 pi i
+    + shift and the two of each ratio, is a row of one stack, and so is every
+    sine, so a stack costs a fixed number of numpy calls whatever its size.
+    Each step is the scalar complex arithmetic of the closed form: a form
+    sums its terms in index order, as LinearForm does; numpy's complex exp
+    and sin give cmath's values; products and quotients take CPython's
+    formulas on (real, imaginary) pairs.  So every value is bit for bit the
+    scalar evaluation (tests/helpers.py::oracle_coefficient_value).  A
+    stack of more than COEFFICIENT_BLOCK (row, sample) entries is evaluated
+    in blocks of cells, which bounds its memory and changes no bit."""
+    cells, (m, samples) = len(coefficients), lams.shape
+    ratios = len(coefficients[0].ratio_terms) if cells else 0
+    step = max(1, COEFFICIENT_BLOCK // ((1 + 2 * ratios) * samples or 1))
+    if cells > step:
+        return np.concatenate([coefficient_values(coefficients[k:k + step], lams) for k in range(0, cells, step)])
+    # the rows: every cell's X, then each ratio's numerators in turn, then
+    # its denominators, each a form and a constant
+    rows = [(c.u_form, c.shift[0] / c.shift[1]) for c in coefficients]
+    for k in (0, 2):
+        rows += [(c.ratio_terms[r][k], c.ratio_terms[r][k + 1].real) for r in range(ratios) for c in coefficients]
+    n, top = len(rows), cells * (1 + ratios)
+    forms = np.array([form.floats for form, _ in rows], dtype=float).reshape(n, m).T[:, :, None]
+    # u(lam) summed term by term in index order, as LinearForm sums it
+    parts = np.concatenate([lams.real, lams.imag], axis=1)
+    u = forms[0] * parts[0]
+    for i in range(1, m):
+        u = u + forms[i] * parts[i]
+    # CPython's quotient by 2 pi i = (0, 2 pi) is (Im u, -Re u) / 2 pi, bit
+    # for bit once the constant is added
+    args = np.empty((n, samples), dtype=complex)
+    args.real = u[:, samples:] / TWO_PI_I.imag + np.array([c for _, c in rows])[:, None]
+    args.imag = (0.0 - u[:, :samples]) / TWO_PI_I.imag
+    l = np.array([c.l for c in coefficients], dtype=float)[:, None]
+
+    def over_l(a):
+        """a / l by CPython's quotient by the complex (l, 0)."""
+        return (a[0] + a[1] * 0.0) / l, (a[1] - a[0] * 0.0) / l
+
+    # the sines of pi times every argument, and of pi X / l; a real factor
+    # such as pi scales each part
+    turns = np.empty((n + cells, samples), dtype=complex)
+    turns[:n] = (args.view(float) * math.pi).view(complex)
+    turns.real[n:], turns.imag[n:] = over_l((turns.real[:cells], turns.imag[:cells]))
+    sines = np.sin(turns)
+    phase = np.array([-1j * math.pi * c.w for c in coefficients])[:, None]
+    val = np.exp(_complex(over_l(_complex_product((phase.real, phase.imag),
+                                                  (args.real[:cells], args.imag[:cells])))))
+    val = val.real, val.imag
+    # sin(pi X) / (l sin(pi X / l)), then each ratio's sin(pi num) / sin(pi den)
+    below = np.empty((top, samples), dtype=complex)
+    below.real[:cells], below.imag[:cells] = _complex_product((l, 0.0), (sines.real[n:], sines.imag[n:]))
+    below[cells:] = sines[top:n]
+    quotients = _complex_quotient((sines.real[:top], sines.imag[:top]), (below.real, below.imag))
+    sinc = _complex_product(val, [q[:cells] for q in quotients])
+    val = [np.where(l > 1, a, b) for a, b in zip(sinc, val)]
+    for r in range(1, ratios + 1):
+        val = _complex_product(val, [q[r * cells:(r + 1) * cells] for q in quotients])
+    return _complex(val)
 
 
 def _anticone_pair(wc, delta_plus, delta_minus):
@@ -155,30 +219,49 @@ def continuation_coefficient(wc, pair, lift_plus=None, lift_minus=None):
     return _coefficient(wc, w_constant(wc), anticones, pair, supplied(lift_plus), supplied(lift_minus))
 
 
-def lift_invariance_check(wc, pair, lams, tol=1e-12):
-    """Whether the coefficient keeps its value at each sample in lams when
-    the plus lift is shifted by the wall normal, the minus lift against it,
-    or both lifts by an integer vector; one bool per sample.
-    """
+def _lift_variants(wc, w, pair):
+    """The coefficient of a next-to pair at its default lifts, then with the
+    plus lift shifted by the wall normal, the minus lift against it, and
+    both lifts by an integer vector."""
     def moved(lift, v):
         """The integer lift (s, n, c) plus the integer vector v."""
         s, n, c = lift
         return (s, tuple(x + s * y for x, y in zip(n, v)),
                 tuple(x + s * _idot(row, v) for x, row in zip(c, wc.git.D)))
 
-    anticones, w = _anticone_pair(wc, pair[0].delta, pair[1].delta), w_constant(wc)
+    anticones = _anticone_pair(wc, pair[0].delta, pair[1].delta)
     base = _coefficient(wc, w, anticones, pair)
     f_plus, f_minus, unit = base.lift_plus, base.lift_minus, (1,) + (0,) * (wc.git.r - 1)
-    variants = [_coefficient(wc, w, anticones, pair, lp, lm) for lp, lm in (
+    return [base] + [_coefficient(wc, w, anticones, pair, lp, lm) for lp, lm in (
         (moved(f_plus, wc.e), f_minus),
         (f_plus, moved(f_minus, [-x for x in wc.e])),
         (moved(f_plus, unit), moved(f_minus, unit)),
     )]
-    out = []
-    for lam in lams:
-        v0 = base.value(lam)
-        out.append(all(abs(v.value(lam) - v0) <= tol * max(1.0, abs(v0)) for v in variants))
-    return out
+
+
+def lift_invariance_check(wc, pair, lams, tol=1e-12):
+    """Whether the coefficient keeps its value at each sample in lams when
+    the plus lift is shifted by the wall normal, the minus lift against it,
+    or both lifts by an integer vector; one bool per sample.
+    """
+    return lift_invariance_checks(wc, [pair], lams, tol)[0]
+
+
+def lift_invariance_checks(wc, pairs, lams, tol=1e-12):
+    """lift_invariance_check of every pair in pairs, a list per pair, with
+    the four coefficients of every pair evaluated as one stack."""
+    if not pairs:
+        return []
+    w = w_constant(wc)
+    stack = [coeff for pair in pairs for coeff in _lift_variants(wc, w, pair)]
+    # the stack goes through ContinuationCoefficient.value, whose calls
+    # bench/spans.py counts
+    values = stack[0].value(lambda_matrix(lams), *stack[1:]).reshape(len(pairs), 4, len(lams))
+    # abs and max as Python takes them of complex scalars: hypot, and 1.0
+    # unless the value is larger
+    size = np.hypot(values[:, 0].real, values[:, 0].imag)
+    drift = np.hypot(values[:, 1:].real - values[:, :1].real, values[:, 1:].imag - values[:, :1].imag)
+    return (drift <= tol * np.where(size > 1.0, size, 1.0)[:, None]).all(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,13 @@ production path it checks can cross-validate each other:
   rational lift;
 - the genericity oracle evaluates each of those forms at each sample as a
   Python scalar, against the array of all forms;
+- the sampler oracle (oracle_generic_lambdas) draws all 2 count + 4
+  samples one uniform at a time (oracle_sample_lambdas) and filters them at
+  once (oracle_genericity_gaps), against the sampler that draws in batches
+  and stops when enough pass;
+- the coefficient oracle (oracle_coefficient_value) evaluates a connection
+  coefficient at one sample in cmath scalars, against the one array
+  evaluation of every cell at every sample;
 - the Barnes-line oracle integrates one point over the whole line
   |Im s| <= t_max, with the integrand evaluated afresh for that point;
 - the Barnes-line set-up oracle (oracle_line_setup) scans each column's
@@ -80,6 +87,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -187,6 +195,55 @@ def in_plus_coordinates(sigma, change):
     for c_i, form in zip(change.c_i, logs):
         last = vadd(last, vscale(c_i, form))
     return tuple(logs[:-1]) + (last,)
+
+
+def oracle_sample_lambdas(m, count, seed):
+    """count seeded samples of m torus parameters, each part drawn by its
+    own random.uniform call: real parts in [-0.4, 0.4], imaginary parts of
+    magnitude in [0.05, 0.4] with random sign."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        lam = []
+        for _i in range(m):
+            re = rng.uniform(-0.4, 0.4)
+            im = rng.uniform(0.05, 0.4) * (1 if rng.random() < 0.5 else -1)
+            lam.append(complex(re, im))
+        out.append(tuple(lam))
+    return out
+
+
+def oracle_genericity_gaps(wc, lams):
+    """Per sample, the smallest |u_j(delta)(lam)| over the nonzero oracle
+    forms of both sides: one float array of forms times the samples."""
+    forms = [u_j.floats for A in (wc.A_plus, wc.A_minus) for delta in A.minimal
+             for u_j in _oracle_u_forms(wc.git, delta) if not u_j.is_zero]
+    forms = np.array(forms, dtype=float).reshape(len(forms), wc.git.m)
+    return np.abs(forms @ np.array(lams, dtype=complex).T).min(axis=0, initial=np.inf)
+
+
+def oracle_generic_lambdas(wc, count, seed, clearance=1e-3):
+    """The first count of all 2 count + 4 seeded samples whose genericity
+    gap exceeds the clearance, every sample drawn before any is filtered."""
+    raw = oracle_sample_lambdas(wc.git.m, 2 * count + 4, seed)
+    out = [lam for lam, gap in zip(raw, oracle_genericity_gaps(wc, raw)) if gap > clearance]
+    if len(out) < count:
+        raise PoleCollision("could not draw %d generic samples" % count)
+    return out[:count]
+
+
+def oracle_coefficient_value(coeff, lam):
+    """A ContinuationCoefficient at the sample lam in cmath scalars, its
+    constants converted once as the library converts them."""
+    X = coeff.u_form(lam) / TWO_PI_I + complex(coeff.shift[0] / coeff.shift[1])
+    val = cmath.exp(-1j * math.pi * coeff.w * X / coeff.l)
+    if coeff.l > 1:
+        val *= cmath.sin(math.pi * X) / (coeff.l * cmath.sin(math.pi * X / coeff.l))
+    for u_plus, c_plus, u_minus, c_minus in coeff.ratio_terms:
+        num = u_plus(lam) / TWO_PI_I + c_plus
+        den = u_minus(lam) / TWO_PI_I + c_minus
+        val *= cmath.sin(math.pi * num) / cmath.sin(math.pi * den)
+    return val
 
 
 def oracle_genericity_gap(wc, lam):

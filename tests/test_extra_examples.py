@@ -25,6 +25,7 @@ from wallcross.hypergeom import (
     generic_lambdas,
     gkz_ode_residual,
     inner_series,
+    lambda_matrix,
     make_inner_spec,
     w_constant,
 )
@@ -89,7 +90,7 @@ def test_coefficients_match_numeric_oracle(family):
     x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
     for lam in generic_lambdas(family, 2, seed=11):
         for pair in next_to_pairs(family):
-            closed = continuation_coefficient(family, pair).value(lam)
+            closed = continuation_coefficient(family, pair).value(lambda_matrix([lam]))[0, 0]
             numeric = continuation_numeric(family, pair, x_out, lam)
             assert abs(closed - numeric) < 1e-7 * max(1.0, abs(closed))
 
@@ -207,7 +208,7 @@ def test_randomized_crossings_full_stack():
             w = w_constant(wc)
             x_out = 3.0 * c * cmath.exp(1j * math.pi * w)
             for pair in next_to_pairs(wc)[:2]:
-                closed = continuation_coefficient(wc, pair).value(lams[0])
+                closed = continuation_coefficient(wc, pair).value(lambda_matrix(lams[:1]))[0, 0]
                 numeric = continuation_numeric(wc, pair, x_out, lams[0])
                 assert abs(closed - numeric) < 1e-7 * max(1.0, abs(closed))
         checked += 1

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from helpers import (
+    RANK_4_CONFIG,
     committed_crossings,
     frac_part,
     fraction_exact_part,
     inner_sum_coefficient,
+    oracle_generic_lambdas,
     oracle_genericity_gap,
+    oracle_genericity_gaps,
     oracle_inner_sum_coefficient,
     oracle_log_gamma,
     oracle_log_sin_pi,
+    oracle_sample_lambdas,
 )
-from wallcross.cli import load_config
+from wallcross.cli import load_config, parse_config
 from wallcross.gitfan import fixed_point_labels, make_git, wall_crossing
 from wallcross.hypergeom import (
     PoleCollision,
@@ -25,16 +29,16 @@ from wallcross.hypergeom import (
     canonical_d_plus,
     conifold_point,
     generic_lambdas,
-    genericity_gaps,
     gkz_ode_residual,
     inner_series,
     log_gamma,
     log_sin_pi,
     make_inner_spec,
-    sample_lambdas,
     w_constant,
 )
 from wallcross.lattice import vdot
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_log_gamma_against_mpmath():
@@ -362,18 +366,20 @@ def test_w_crepancy_violation_detection():
     assert w_constant(wc) == 2
 
 
-def test_sample_lambdas_deterministic():
-    a = sample_lambdas(4, 5, seed=99)
-    b = sample_lambdas(4, 5, seed=99)
+def test_sample_lambdas_deterministic(conifold):
+    a = oracle_sample_lambdas(4, 5, seed=99)
+    b = oracle_sample_lambdas(4, 5, seed=99)
     assert a == b
-    c = sample_lambdas(4, 5, seed=100)
+    c = oracle_sample_lambdas(4, 5, seed=100)
     assert a != c
+    assert generic_lambdas(conifold, 5, seed=99) == generic_lambdas(conifold, 5, seed=99)
+    assert generic_lambdas(conifold, 5, seed=99) != generic_lambdas(conifold, 5, seed=100)
 
 
 def test_generic_lambdas_respect_clearance(conifold):
     lams = generic_lambdas(conifold, 8, seed=1)
     assert len(lams) == 8
-    assert (genericity_gaps(conifold, lams) > 1e-3).all()
+    assert (oracle_genericity_gaps(conifold, lams) > 1e-3).all()
 
 
 def test_genericity_gaps_match_the_scalar_oracle(config_dir):
@@ -386,9 +392,54 @@ def test_genericity_gaps_match_the_scalar_oracle(config_dir):
         cfg = load_config(str(path))
         wc = wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"])
         count, clearance = cfg["samples"], cfg["tolerances"]["pole_clearance"]
-        pool = sample_lambdas(wc.git.m, 2 * count + 4, cfg["seed"])
+        pool = oracle_sample_lambdas(wc.git.m, 2 * count + 4, cfg["seed"])
         scalar = np.array([oracle_genericity_gap(wc, lam) for lam in pool])
-        assert np.abs(genericity_gaps(wc, pool) - scalar).max() <= 1e-15, path.name
+        assert np.abs(oracle_genericity_gaps(wc, pool) - scalar).max() <= 1e-15, path.name
         assert np.abs(scalar - clearance).min() > 1e-12, path.name
         expected = [lam for lam, gap in zip(pool, scalar) if gap > clearance][:count]
         assert generic_lambdas(wc, count, cfg["seed"], clearance) == expected, path.name
+
+
+def _sampled_crossings(monkeypatch):
+    """(name, crossing, seed, clearance) of every committed config, the
+    rank-4 crossing and exact-random's seed-1 draws, each at its own seed
+    and pole clearance."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    raws = [(path.stem, load_config(str(path))) for folder in ("configs", "bench/configs")
+            for path in sorted((ROOT / folder).glob("*.json"))]
+    raws.append(("rank_4", parse_config(RANK_4_CONFIG)))
+    raws += [("random_s1_%02d" % k, parse_config(raw)) for k, raw in enumerate(workloads.random_configs(1))]
+    return [(name, wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]), cfg["seed"],
+             cfg["tolerances"]["pole_clearance"]) for name, cfg in raws]
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except PoleCollision:
+        return PoleCollision
+
+
+def test_generic_lambdas_match_the_eager_oracle(monkeypatch):
+    # drawn in batches and stopped once enough pass, the samples are those
+    # of drawing all 2 count + 4 first and filtering them at once
+    cases = _sampled_crossings(monkeypatch)
+    assert len(cases) == 3 + 14 + 1 + 74
+    for name, wc, seed, clearance in cases:
+        for count in (1, 2, 3, 5, 8, 20):
+            got = _outcome(generic_lambdas, wc, count, seed, clearance)
+            assert got == _outcome(oracle_generic_lambdas, wc, count, seed, clearance), (name, count)
+            assert got is PoleCollision or len(got) == count
+
+
+def test_generic_lambdas_name_the_draws_that_cleared(conifold):
+    # a clearance above every gap passes none of the 2 count + 4 draws; one
+    # below the two largest gaps of the pool passes those two
+    with pytest.raises(PoleCollision, match="^could not draw 3 generic samples: 0 of 10 draws had a "
+                                            "genericity gap above 1000$"):
+        generic_lambdas(conifold, 3, 7, clearance=1e3)
+    gaps = sorted(oracle_genericity_gaps(conifold, oracle_sample_lambdas(conifold.git.m, 10, 7)))
+    with pytest.raises(PoleCollision, match="2 of 10 draws had a genericity gap above"):
+        generic_lambdas(conifold, 3, 7, clearance=gaps[-3])

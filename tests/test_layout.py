@@ -47,8 +47,8 @@ KERNEL_NAMES = {"_det", "matrix_rank", "solve_square", "solve_rectangular", "rig
                 "_box_classes", "_extended_rows", "restriction_terms", "RestrictedBasis",
                 "_anticone_plan", "localization_gram", "verify_uhfm",
                 "basis_e", "fm_transform", "continuation_matrix", "_anticone_pair",
-                "_coefficient", "_line_setup", "_exact_part", "mb_integral_with_error", "quad",
-                "_check_poles"}
+                "_coefficient", "coefficient_values", "_line_setup", "_exact_part",
+                "mb_integral_with_error", "quad", "_check_poles"}
 
 # The library functions that may build a Fraction, by what they build.  A box
 # class, a lift, a phase, a splitting vector, a base exponent, a coefficient's

@@ -26,6 +26,7 @@ from helpers import (
     left_poles,
     mpmath_left_residues,
     mpmath_right_residues,
+    oracle_coefficient_value,
     oracle_line_setup,
     oracle_euler_products,
     oracle_gkz_ode_residual,
@@ -39,6 +40,7 @@ from helpers import (
     pole_scan,
     pole_separation,
     random_crepant_crossing,
+    rank_4_crossing,
     right_poles,
     right_residue_terms,
     stop_position,
@@ -52,6 +54,7 @@ from wallcross.hypergeom import (
     generic_lambdas,
     gkz_ode_residual,
     inner_series,
+    lambda_matrix,
     make_inner_spec,
     stack_bases,
     stack_column,
@@ -62,6 +65,7 @@ from wallcross.mellinbarnes import (
     ContourSpec,
     ContourTooClose,
     IncompatibleLifts,
+    coefficient_values,
     continuation_coefficient,
     continuation_matrix,
     left_residue_sum,
@@ -85,10 +89,11 @@ def test_conifold_coefficient_closed_form(conifold):
     )
     coeff = continuation_coefficient(conifold, pair)
     assert coeff.l == 1 and coeff.w == 1 and coeff.j_minus == 2
-    for lam in generic_lambdas(conifold, 3, seed=17):
+    lams = generic_lambdas(conifold, 3, seed=17)
+    for lam, value in zip(lams, coeff.value(lambda_matrix(lams))[0]):
         l1, l2, l3, l4 = lam
         expected = cmath.exp(-(l1 + l3) / 2) * cmath.sinh((l1 + l4) / 2) / cmath.sinh((l4 - l3) / 2)
-        assert abs(coeff.value(lam) - expected) < 1e-13 * abs(expected)
+        assert abs(value - expected) < 1e-13 * abs(expected)
 
 
 def test_unit_principal_ratio_when_l_is_one(conifold):
@@ -107,7 +112,7 @@ def test_unit_principal_ratio_when_l_is_one(conifold):
         manual *= cmath.sin(math.pi * up[j](lam) / (2j * math.pi)) / cmath.sin(
             math.pi * um[j](lam) / (2j * math.pi)
         )
-    assert abs(coeff.value(lam) - manual) < 1e-14 * abs(manual)
+    assert abs(coeff.value(lambda_matrix([lam]))[0, 0] - manual) < 1e-14 * abs(manual)
 
 
 def test_coefficient_matches_numeric_oracle(conifold, resolution):
@@ -115,7 +120,7 @@ def test_coefficient_matches_numeric_oracle(conifold, resolution):
         x_out = _xio(wc, 3.0)
         for lam in generic_lambdas(wc, 10, seed=23):
             for pair in next_to_pairs(wc):
-                closed = continuation_coefficient(wc, pair).value(lam)
+                closed = continuation_coefficient(wc, pair).value(lambda_matrix([lam]))[0, 0]
                 numeric = continuation_numeric(wc, pair, x_out, lam)
                 assert abs(closed - numeric) < 1e-7 * max(1.0, abs(closed))
 
@@ -1043,6 +1048,55 @@ def test_lift_check_builds_each_coefficient_once(conifold, monkeypatch):
     lams = generic_lambdas(conifold, 5, seed=43)
     assert lift_invariance_check(conifold, next_to_pairs(conifold)[0], lams) == [True] * 5
     assert len(built) == 4
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_coefficient_values_match_the_scalar_oracle(monkeypatch):
+    # every cell of the committed crossings, the rank-4 crossing and
+    # exact-random's seed-1 draws, and on the first three pairs of each the
+    # base and the three moved lifts that lift_invariance_check builds, at
+    # three samples: one array evaluation of a stack gives every value
+    # within 1e-13 of the cmath scalars, and in fact their bits
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    built = []
+    build = mellinbarnes._coefficient
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(mellinbarnes, "_coefficient", recording)
+    crossings = list(committed_crossings()) + [rank_4_crossing()]
+    for raw in workloads.random_configs(1):
+        cfg = parse_config(raw)
+        crossings.append(wall_crossing(cfg["git"], cfg["omega_plus"], cfg["omega_minus"]))
+    assert len(crossings) == 17 + 1 + 74
+    values = stacks = 0
+    for wc in crossings:
+        try:
+            lams = generic_lambdas(wc, 3, 7)
+        except PoleCollision:
+            continue
+        cells = list(continuation_matrix(wc).coefficients.values())
+        variants = []
+        for pair in next_to_pairs(wc)[:3]:
+            built.clear()
+            lift_invariance_check(wc, pair, lams)
+            assert len(built) == 4
+            variants.append(list(built))
+        for stack in [cells] + variants:
+            for coeff, row in zip(stack, coefficient_values(stack, lambda_matrix(lams)).tolist()):
+                want = [oracle_coefficient_value(coeff, lam) for lam in lams]
+                assert all(abs(v - w) <= 1e-13 * max(1.0, abs(w)) for v, w in zip(row, want))
+                assert [_bits(v) for v in row] == [_bits(w) for w in want]
+                values += len(row)
+            stacks += 1
+    assert stacks > 300 and values > 3000
 
 
 def test_right_sum_matches_series(conifold):
